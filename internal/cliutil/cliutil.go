@@ -51,7 +51,7 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	fs.StringVar(&ef.Mode, "mode", "nested", "parallelism: nested, app or window")
 	fs.StringVar(&ef.Partitioner, "partitioner", "auto", "partitioner: auto, simple or static")
 	fs.IntVar(&ef.MW, "mw", 6, "number of multi-window graphs")
-	fs.IntVar(&ef.VecLen, "veclen", 8, "SpMM vector length")
+	fs.IntVar(&ef.VecLen, "veclen", 8, "SpMM vector length: windows advanced per sweep, 1..64")
 	fs.IntVar(&ef.Grain, "grain", 2, "scheduler grain size")
 	fs.BoolVar(&ef.NoPartial, "no-partial", false, "disable partial initialization")
 	fs.BoolVar(&ef.Directed, "directed", false, "treat events as directed (default: symmetrize)")

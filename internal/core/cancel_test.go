@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"pmpr/internal/events"
+	"pmpr/internal/fault"
+	"pmpr/internal/obs"
 	"pmpr/internal/sched"
 )
 
@@ -31,6 +33,46 @@ func slowEngine(t *testing.T, cfg Config, pool *sched.Pool) (*Engine, events.Win
 	return eng, spec
 }
 
+// cancelMidSolve returns a context that is canceled as soon as the
+// engine's journal reports its first window_done, so the cancel lands
+// after real progress whatever the kernel speed. Every solve attempt
+// is delayed by a few milliseconds, which both yields the CPU to the
+// canceling goroutine and keeps the remaining windows pending until the
+// cancel lands. canceledAt delivers the time of the cancel; stop
+// disarms the delay and ends the watcher. cfg gets the journal and must
+// be used to build the engine afterwards.
+func cancelMidSolve(t *testing.T, cfg *Config) (ctx context.Context, canceledAt <-chan time.Time, stop func()) {
+	t.Helper()
+	j := obs.NewJournal(1024)
+	cfg.Journal = j
+	sub := j.Subscribe(1024)
+	fault.Reset()
+	slowWindow := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeDelay, Delay: 5 * time.Millisecond})
+	slowBatch := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeDelay, Delay: 5 * time.Millisecond})
+	ctx, cancel := context.WithCancel(context.Background())
+	at := make(chan time.Time, 1)
+	go func() {
+		for {
+			select {
+			case e := <-sub.C():
+				if e.Type == obs.EvWindowDone {
+					at <- time.Now()
+					cancel()
+					return
+				}
+			case <-ctx.Done():
+				return
+			}
+		}
+	}()
+	return ctx, at, func() {
+		cancel()
+		sub.Close()
+		slowWindow()
+		slowBatch()
+	}
+}
+
 func cancelConfigs() map[string]Config {
 	out := map[string]Config{}
 	for _, kern := range []KernelID{SpMV, SpMVBlocked, SpMM} {
@@ -51,16 +93,12 @@ func TestRunCancelMidSolve(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			pool := sched.NewPool(4)
 			defer pool.Close()
+			ctx, canceledAt, stop := cancelMidSolve(t, &cfg)
+			defer stop()
 			eng, spec := slowEngine(t, cfg, pool)
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			go func() {
-				time.Sleep(10 * time.Millisecond)
-				cancel()
-			}()
-			start := time.Now()
 			s, err := eng.Run(ctx)
-			returned := time.Since(start)
+			returned := time.Now()
+			stop()
 			if s != nil {
 				t.Fatal("canceled run returned a series")
 			}
@@ -71,14 +109,14 @@ func TestRunCancelMidSolve(t *testing.T) {
 			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("err %v must match ErrCanceled and context.Canceled", err)
 			}
-			if ce.Total != spec.Count || ce.Completed < 0 || ce.Completed >= ce.Total {
+			if ce.Total != spec.Count || ce.Completed < 1 || ce.Completed >= ce.Total {
 				t.Fatalf("progress %d/%d out of range (windows=%d)", ce.Completed, ce.Total, spec.Count)
 			}
 			// Cancellation is cooperative at window/batch/iteration
 			// boundaries; with this workload's tiny windows the solve must
 			// stop well inside 100ms of the cancel signal.
-			if returned > 110*time.Millisecond {
-				t.Fatalf("Run returned %v after cancel; want < 100ms past the signal", returned)
+			if lag := returned.Sub(<-canceledAt); lag > 110*time.Millisecond {
+				t.Fatalf("Run returned %v after cancel; want < 100ms past the signal", lag)
 			}
 			if got := eng.Counters().Canceled.Value(); got != 1 {
 				t.Fatalf("canceled counter = %d, want 1", got)
@@ -142,38 +180,37 @@ func TestRunCancelNoGoroutineLeak(t *testing.T) {
 }
 
 func TestRunCancelScratchConsistent(t *testing.T) {
-	// Two identical runs after a canceled one must hit the free lists
-	// for every request (miss delta zero): Finalize ran on the cancel
-	// path and returned every kernel buffer.
+	// The cancel path must return every buffer the kernels drew: under
+	// DiscardRanks nothing outlives a Run, so the arena has no buffer
+	// checked out after the canceled Run or after either full re-run.
+	// (Misses are not asserted here: in nested mode steal order decides
+	// which worker's free list serves which unit, so a steady-state miss
+	// is legitimate; TestDiscardRanksSteadyStateHasZeroMisses checks
+	// misses on a serial engine.)
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	cfg := DefaultConfig()
 	cfg.Kernel = SpMM
 	cfg.Mode = Nested
 	cfg.VectorLen = 8
+	ctx, _, stop := cancelMidSolve(t, &cfg)
+	defer stop()
 	eng, _ := slowEngine(t, cfg, pool)
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(10 * time.Millisecond)
-		cancel()
-	}()
-	if _, err := eng.Run(ctx); err == nil {
-		t.Skip("workload finished before cancel; nothing to verify")
+	_, err := eng.Run(ctx)
+	stop()
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
-	st := eng.ScratchStats()
-	if st.Gets != st.Hits+st.Misses {
-		t.Fatalf("inconsistent arena stats after cancel: %+v", st)
+	if st := eng.ScratchStats(); st.Outstanding() != 0 {
+		t.Fatalf("%d buffers still checked out after the canceled run: %+v", st.Outstanding(), st)
 	}
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	warm := eng.ScratchStats()
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	steady := eng.ScratchStats()
-	if d := steady.Misses - warm.Misses; d != 0 {
-		t.Fatalf("steady-state run after cancel still missed %d buffer requests", d)
+	for i := 1; i <= 2; i++ {
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if st := eng.ScratchStats(); st.Outstanding() != 0 {
+			t.Fatalf("%d buffers still checked out after re-run %d: %+v", st.Outstanding(), i, st)
+		}
 	}
 }
 

@@ -150,7 +150,7 @@ type Config struct {
 	// Kernel selects SpMV or SpMM iteration.
 	Kernel KernelID
 	// VectorLen is the number of PageRank vectors an SpMM sweep
-	// advances simultaneously (the paper uses 8 or 16).
+	// advances simultaneously (the paper uses 8 or 16), at most 64.
 	VectorLen int
 	// PartialInit enables warm-starting a window from its predecessor
 	// (Eq. 4). Disabled, every window starts from the uniform vector.
@@ -221,8 +221,8 @@ func (c Config) Check() error {
 	if c.Kernel != SpMV && c.Kernel != SpMM && c.Kernel != SpMVBlocked {
 		return fmt.Errorf("core: unknown kernel %d", int(c.Kernel))
 	}
-	if c.Kernel == SpMM && c.VectorLen < 1 {
-		return fmt.Errorf("core: VectorLen %d must be >= 1 for the SpMM kernel", c.VectorLen)
+	if c.Kernel == SpMM && (c.VectorLen < 1 || c.VectorLen > maxSlots) {
+		return fmt.Errorf("core: VectorLen %d must be in [1, %d] for the SpMM kernel (a batch's slot mask is one uint64)", c.VectorLen, maxSlots)
 	}
 	if c.Grain < 0 {
 		return fmt.Errorf("core: Grain %d must be >= 0", c.Grain)

@@ -335,6 +335,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Mode = ParallelMode(9) },
 		func(c *Config) { c.Kernel = KernelID(7) },
 		func(c *Config) { c.Kernel = SpMM; c.VectorLen = 0 },
+		func(c *Config) { c.Kernel = SpMM; c.VectorLen = 65 },
 		func(c *Config) { c.Grain = -1 },
 	}
 	for i, mutate := range bad {

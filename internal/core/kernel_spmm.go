@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"math/bits"
 
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
@@ -14,12 +15,15 @@ import (
 // cache line for all K windows, which is the SpMM effect the paper
 // exploits.
 //
-// Working memory is drawn from the batch's scratch lease and returned
-// in Finalize; only the K per-window rank vectors stay checked out
-// (the driver recycles them once consumed). Cross-leaf reductions use
-// lane-indexed K-wide slots — lane l owns [l*K, (l+1)*K) — summed
-// serially between passes, so the leaves of the steady-state iteration
-// loop neither allocate nor touch atomics.
+// Edge liveness is resolved once per batch into a run index (see
+// runIndex): a sweep walks only the runs live in some slot and adds a
+// run's contribution to the slots set in its mask, reading no
+// timestamps. Working memory is drawn from the batch's scratch lease
+// and returned in Finalize; only the K per-window rank vectors stay
+// checked out (the driver recycles them once consumed). Cross-leaf
+// reductions use lane-indexed K-wide slots — lane l owns
+// [l*K, (l+1)*K) — summed serially between passes, so the leaves of
+// the steady-state iteration loop neither allocate nor touch atomics.
 type spmmKernel struct{}
 
 func init() { RegisterKernel(spmmKernel{}) }
@@ -28,14 +32,14 @@ func init() { RegisterKernel(spmmKernel{}) }
 // and y swap through the state pointer so the bound passes track them
 // for free.
 type spmmState struct {
-	tsK, teK     []int64
 	invdeg       []float64
 	active       []bool
 	na           []int32
+	runs         runIndex
+	liveMask     uint64 // bit k set iff slot k is live this sweep
 	x, y, z      []float64
 	laneDangling []float64
 	laneDelta    []float64
-	laneAcc      []float64
 	baseK        []float64
 	pass1, pass2 sched.Body
 }
@@ -49,7 +53,8 @@ func (spmmKernel) BatchWidth(cfg *Config) int { return cfg.VectorLen }
 
 // Init stages the interleaved window states and starting vectors (Eq. 4
 // per slot where a predecessor vector is supplied, uniform otherwise),
-// binds the two sweep passes, and marks non-empty slots live.
+// builds the batch's run index, binds the two sweep passes, and marks
+// non-empty slots live.
 func (spmmKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
@@ -60,12 +65,7 @@ func (spmmKernel) Init(b *Batch) {
 	s := &spmmState{}
 	b.state = s
 
-	tsK := sb.getI64(K)
-	teK := sb.getI64(K)
-	for k := range b.views {
-		tsK[k], teK[k] = b.views[k].Ts, b.views[k].Te
-	}
-	s.tsK, s.teK = tsK, teK
+	views := b.views
 
 	// Per-window inverse out-degrees, interleaved. First accumulate
 	// counts, then invert in place.
@@ -82,7 +82,7 @@ func (spmmKernel) Init(b *Batch) {
 				}
 				times := mw.OutTime[i:j]
 				for k := 0; k < K; k++ {
-					if tcsr.RunActive(times, tsK[k], teK[k]) {
+					if tcsr.RunActive(times, views[k].Ts, views[k].Te) {
 						invdeg[u*K+k]++
 					}
 				}
@@ -97,40 +97,29 @@ func (spmmKernel) Init(b *Batch) {
 	})
 	s.invdeg = invdeg
 
-	// Activity flags and |V_i| per window; counts reduce via lanes.
+	runs := buildRunIndex(mw, views, loop, sb)
+	s.runs = runs
+	runRow, runCol, runMask := runs.row, runs.col, runs.mask
+
+	// Activity flags and |V_i| per window; counts reduce via lanes. A
+	// directed graph's vertex with only in-edges is active in the slots
+	// its live in-runs cover.
 	active := sb.getBool(n * K)
 	laneCnt := sb.getI32(lanes * K)
 	directed := b.cfg.Directed
 	loop(n, func(wk *sched.Worker, lo, hi int) {
 		cnt := laneCnt[laneOf(wk)*K:][:K]
 		for v := lo; v < hi; v++ {
-			pending := 0
-			for k := 0; k < K; k++ {
-				if invdeg[v*K+k] > 0 {
-					active[v*K+k] = true
-					cnt[k]++
-				} else if directed {
-					pending++
+			var in uint64
+			if directed {
+				for r := runRow[v]; r < runRow[v+1]; r++ {
+					in |= runMask[r]
 				}
 			}
-			if pending > 0 {
-				start, end := mw.InRow[v], mw.InRow[v+1]
-				i := start
-				for i < end && pending > 0 {
-					j := i + 1
-					c := mw.InCol[i]
-					for j < end && mw.InCol[j] == c {
-						j++
-					}
-					times := mw.InTime[i:j]
-					for k := 0; k < K; k++ {
-						if !active[v*K+k] && tcsr.RunActive(times, tsK[k], teK[k]) {
-							active[v*K+k] = true
-							cnt[k]++
-							pending--
-						}
-					}
-					i = j
+			for k := 0; k < K; k++ {
+				if invdeg[v*K+k] > 0 || in&(1<<k) != 0 {
+					active[v*K+k] = true
+					cnt[k]++
 				}
 			}
 		}
@@ -212,9 +201,8 @@ func (spmmKernel) Init(b *Batch) {
 
 	laneDangling := sb.getF64(lanes * K)
 	laneDelta := sb.getF64(lanes * K)
-	laneAcc := sb.getF64(lanes * K)
 	baseK := sb.getF64(K)
-	s.laneDangling, s.laneDelta, s.laneAcc, s.baseK = laneDangling, laneDelta, laneAcc, baseK
+	s.laneDangling, s.laneDelta, s.baseK = laneDangling, laneDelta, baseK
 	isLive := b.isLive
 
 	// Pass 1 (by source): scaled contributions + dangling mass.
@@ -223,56 +211,48 @@ func (spmmKernel) Init(b *Batch) {
 		live := b.live
 		d := laneDangling[laneOf(wk)*K:][:K]
 		for u := lo; u < hi; u++ {
+			xu, zu := xv[u*K:][:K], z[u*K:][:K]
+			du, au := invdeg[u*K:][:K], active[u*K:][:K]
 			for _, k := range live {
-				z[u*K+k] = xv[u*K+k] * invdeg[u*K+k]
-				if active[u*K+k] && invdeg[u*K+k] == 0 {
-					d[k] += xv[u*K+k]
+				zu[k] = xu[k] * du[k]
+				if au[k] && du[k] == 0 {
+					d[k] += xu[k]
 				}
 			}
 		}
 	}
-	// Pass 2 (by target): one sweep of the shared CSR advances all
-	// live windows.
+	// Pass 2 (by target): one walk of the run index advances all live
+	// windows. acc lives on the leaf's stack and is zero at the start of
+	// every vertex: the slot loop clears each entry after reading it.
+	damp := 1 - opt.Alpha
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		xv, yv := s.x, s.y
-		live := b.live
-		lane := laneOf(wk)
-		acc := laneAcc[lane*K:][:K]
-		dl := laneDelta[lane*K:][:K]
+		liveMask := s.liveMask
+		dl := laneDelta[laneOf(wk)*K:][:K]
+		var acc [maxSlots]float64
 		for v := lo; v < hi; v++ {
-			for _, k := range live {
-				acc[k] = 0
-			}
-			start, end := mw.InRow[v], mw.InRow[v+1]
-			i := start
-			for i < end {
-				j := i + 1
-				c := mw.InCol[i]
-				for j < end && mw.InCol[j] == c {
-					j++
+			for r := runRow[v]; r < runRow[v+1]; r++ {
+				zc := z[int(runCol[r])*K:][:K]
+				for m := runMask[r] & liveMask; m != 0; m &= m - 1 {
+					k := bits.TrailingZeros64(m) & (maxSlots - 1)
+					acc[k] += zc[k]
 				}
-				times := mw.InTime[i:j]
-				for _, k := range live {
-					if tcsr.RunActive(times, tsK[k], teK[k]) {
-						acc[k] += z[int(c)*K+k]
-					}
-				}
-				i = j
 			}
-			for k := 0; k < K; k++ {
-				if !isLive[k] {
+			xr, yr, ar := xv[v*K:][:K], yv[v*K:][:K], active[v*K:][:K]
+			for k := range yr {
+				switch {
+				case !isLive[k]:
 					// Keep converged windows' entries current so the
 					// array swap does not resurrect stale iterates.
-					yv[v*K+k] = xv[v*K+k]
-					continue
+					yr[k] = xr[k]
+				case !ar[k]:
+					yr[k] = 0
+				default:
+					nv := baseK[k] + damp*acc[k]
+					dl[k] += math.Abs(nv - xr[k])
+					yr[k] = nv
 				}
-				if !active[v*K+k] {
-					yv[v*K+k] = 0
-					continue
-				}
-				nv := baseK[k] + (1-opt.Alpha)*acc[k]
-				dl[k] += math.Abs(nv - xv[v*K+k])
-				yv[v*K+k] = nv
+				acc[k] = 0
 			}
 		}
 	}
@@ -282,7 +262,7 @@ func (spmmKernel) Init(b *Batch) {
 	sb.putBool(partial)
 }
 
-// Iterate runs one shared-CSR sweep advancing all live slots: pass 1,
+// Iterate runs one sweep advancing all live slots: pass 1,
 // the per-slot dangling reductions, pass 2, and the vector swap.
 func (spmmKernel) Iterate(b *Batch) {
 	s := b.state.(*spmmState)
@@ -292,6 +272,10 @@ func (spmmKernel) Iterate(b *Batch) {
 	alpha := b.cfg.Opts.Alpha
 	clear(s.laneDangling)
 	clear(s.laneDelta)
+	s.liveMask = 0
+	for _, k := range b.live {
+		s.liveMask |= 1 << k
+	}
 	b.loop(n, s.pass1)
 	for _, k := range b.live {
 		var d float64
@@ -336,12 +320,10 @@ func (spmmKernel) Finalize(b *Batch) {
 	sb.putF64(s.z)
 	sb.putF64(s.invdeg)
 	sb.putBool(s.active)
-	sb.putI64(s.tsK)
-	sb.putI64(s.teK)
+	s.runs.release(sb)
 	sb.putI32(s.na)
 	sb.putF64(s.laneDangling)
 	sb.putF64(s.laneDelta)
-	sb.putF64(s.laneAcc)
 	sb.putF64(s.baseK)
 	b.state = nil
 }

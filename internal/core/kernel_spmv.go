@@ -180,6 +180,7 @@ func init() { RegisterKernel(spmvKernel{}) }
 // retargets the passes through the state pointer for free.
 type spmvState struct {
 	st           windowState
+	runs         runIndex
 	x, y, z      []float64
 	laneDangling []float64
 	laneDelta    []float64
@@ -195,8 +196,8 @@ func (spmvKernel) Name() string { return "spmv" }
 // BatchWidth is 1: SpMV advances one window at a time.
 func (spmvKernel) BatchWidth(*Config) int { return 1 }
 
-// Init computes the window state, draws the iteration vectors, and
-// binds the two passes.
+// Init computes the window state and run index, draws the iteration
+// vectors, and binds the two passes.
 func (spmvKernel) Init(b *Batch) {
 	view := b.views[0]
 	mw := view.MW
@@ -222,10 +223,10 @@ func (spmvKernel) Init(b *Batch) {
 	s.laneDelta = sb.getF64(lanes)
 	s.invNA = 1 / float64(st.na)
 
-	ts, te := view.Ts, view.Te
+	s.runs = buildRunIndex(mw, b.views, loop, sb)
 	opt := b.cfg.Opts
 	invdeg, active := st.invdeg, st.active
-	inRow, inCol, inTime := mw.InRow, mw.InCol, mw.InTime
+	runRow, runCol := s.runs.row, s.runs.col
 	laneDangling, laneDelta := s.laneDangling, s.laneDelta
 
 	// Pass 1 (by source): scale ranks by inverse out-degree and collect
@@ -241,7 +242,8 @@ func (spmvKernel) Init(b *Batch) {
 		}
 		laneDangling[laneOf(wk)] += d
 	}
-	// Pass 2 (by target): pull contributions along active runs.
+	// Pass 2 (by target): pull contributions along the indexed runs, all
+	// of which are live in the batch's one window.
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		x, y, z := s.x, s.y, s.z
 		base := s.base
@@ -252,17 +254,8 @@ func (spmvKernel) Init(b *Batch) {
 				continue
 			}
 			var acc float64
-			i, end := inRow[v], inRow[v+1]
-			for i < end {
-				j := i + 1
-				c := inCol[i]
-				for j < end && inCol[j] == c {
-					j++
-				}
-				if tcsr.RunActive(inTime[i:j], ts, te) {
-					acc += z[c]
-				}
-				i = j
+			for _, c := range runCol[runRow[v]:runRow[v+1]] {
+				acc += z[c]
 			}
 			nv := base + (1-opt.Alpha)*acc
 			delta += math.Abs(nv - x[v])
@@ -310,6 +303,7 @@ func (spmvKernel) Finalize(b *Batch) {
 		sb.putF64(s.z)
 		sb.putF64(s.laneDangling)
 		sb.putF64(s.laneDelta)
+		s.runs.release(sb)
 	}
 	releaseWindowState(sb, s.st)
 	b.results[0].ranks = s.x

@@ -45,16 +45,23 @@ type scratchArena struct {
 
 	gets   atomic.Int64 // buffer requests served
 	misses atomic.Int64 // requests that had to allocate fresh memory
+	puts   atomic.Int64 // buffers handed back
 }
 
 // ScratchStats is a snapshot of the arena's buffer-reuse counters.
 // Hits = Gets - Misses; a warmed-up engine solving with DiscardRanks
-// should report a miss delta of zero across Run calls.
+// should report a miss delta of zero across Run calls. Gets - Puts is
+// the number of buffers still checked out: zero after every Run under
+// DiscardRanks, when no rank vector outlives its consumer.
 type ScratchStats struct {
 	Gets   int64 `json:"gets"`
 	Hits   int64 `json:"hits"`
 	Misses int64 `json:"misses"`
+	Puts   int64 `json:"puts"`
 }
+
+// Outstanding returns how many buffers are checked out (Gets - Puts).
+func (s ScratchStats) Outstanding() int64 { return s.Gets - s.Puts }
 
 // Delta returns the counter movement since before.
 func (s ScratchStats) Delta(before ScratchStats) ScratchStats {
@@ -62,6 +69,7 @@ func (s ScratchStats) Delta(before ScratchStats) ScratchStats {
 		Gets:   s.Gets - before.Gets,
 		Hits:   s.Hits - before.Hits,
 		Misses: s.Misses - before.Misses,
+		Puts:   s.Puts - before.Puts,
 	}
 }
 
@@ -81,7 +89,7 @@ func newScratchArena(workers int) *scratchArena {
 // stats snapshots the reuse counters.
 func (a *scratchArena) stats() ScratchStats {
 	gets, misses := a.gets.Load(), a.misses.Load()
-	return ScratchStats{Gets: gets, Hits: gets - misses, Misses: misses}
+	return ScratchStats{Gets: gets, Hits: gets - misses, Misses: misses, Puts: a.puts.Load()}
 }
 
 // acquire returns the scratch buffer of window-loop worker wid and a
@@ -144,7 +152,8 @@ func (l *freeList[T]) get(a *scratchArena, n int) []T {
 	return make([]T, n)
 }
 
-func (l *freeList[T]) put(s []T) {
+func (l *freeList[T]) put(a *scratchArena, s []T) {
+	a.puts.Add(1)
 	if cap(s) == 0 {
 		return
 	}
@@ -160,6 +169,7 @@ type scratchBuf struct {
 	f64     freeList[float64]
 	i64     freeList[int64]
 	i32     freeList[int32]
+	u64     freeList[uint64]
 	ints    freeList[int]
 	bools   freeList[bool]
 	a64     freeList[atomic.Int64]
@@ -172,29 +182,32 @@ type scratchBuf struct {
 func (b *scratchBuf) lanes() int { return b.arena.lanes }
 
 func (b *scratchBuf) getF64(n int) []float64 { return b.f64.get(b.arena, n) }
-func (b *scratchBuf) putF64(s []float64)     { b.f64.put(s) }
+func (b *scratchBuf) putF64(s []float64)     { b.f64.put(b.arena, s) }
 
 func (b *scratchBuf) getI64(n int) []int64 { return b.i64.get(b.arena, n) }
-func (b *scratchBuf) putI64(s []int64)     { b.i64.put(s) }
+func (b *scratchBuf) putI64(s []int64)     { b.i64.put(b.arena, s) }
 
 func (b *scratchBuf) getI32(n int) []int32 { return b.i32.get(b.arena, n) }
-func (b *scratchBuf) putI32(s []int32)     { b.i32.put(s) }
+func (b *scratchBuf) putI32(s []int32)     { b.i32.put(b.arena, s) }
+
+func (b *scratchBuf) getU64(n int) []uint64 { return b.u64.get(b.arena, n) }
+func (b *scratchBuf) putU64(s []uint64)     { b.u64.put(b.arena, s) }
 
 func (b *scratchBuf) getInt(n int) []int { return b.ints.get(b.arena, n) }
-func (b *scratchBuf) putInt(s []int)     { b.ints.put(s) }
+func (b *scratchBuf) putInt(s []int)     { b.ints.put(b.arena, s) }
 
 func (b *scratchBuf) getBool(n int) []bool { return b.bools.get(b.arena, n) }
-func (b *scratchBuf) putBool(s []bool)     { b.bools.put(s) }
+func (b *scratchBuf) putBool(s []bool)     { b.bools.put(b.arena, s) }
 
 func (b *scratchBuf) getAtomicI64(n int) []atomic.Int64 { return b.a64.get(b.arena, n) }
-func (b *scratchBuf) putAtomicI64(s []atomic.Int64)     { b.a64.put(s) }
+func (b *scratchBuf) putAtomicI64(s []atomic.Int64)     { b.a64.put(b.arena, s) }
 
 // getVecs/putVecs manage [][]float64 holders (SpMM rank staging). put
 // clears the elements first so the free list never pins rank vectors.
 func (b *scratchBuf) getVecs(n int) [][]float64 { return b.vecs.get(b.arena, n) }
 func (b *scratchBuf) putVecs(s [][]float64) {
 	clear(s)
-	b.vecs.put(s)
+	b.vecs.put(b.arena, s)
 }
 
 // getResults/putResults manage []WindowResult staging for SpMM batches.
@@ -202,7 +215,7 @@ func (b *scratchBuf) putVecs(s [][]float64) {
 func (b *scratchBuf) getResults(n int) []WindowResult { return b.results.get(b.arena, n) }
 func (b *scratchBuf) putResults(s []WindowResult) {
 	clear(s)
-	b.results.put(s)
+	b.results.put(b.arena, s)
 }
 
 // getViews/putViews manage the batch drivers' []tcsr.SolveView staging.
@@ -211,5 +224,5 @@ func (b *scratchBuf) putResults(s []WindowResult) {
 func (b *scratchBuf) getViews(n int) []tcsr.SolveView { return b.views.get(b.arena, n) }
 func (b *scratchBuf) putViews(s []tcsr.SolveView) {
 	clear(s)
-	b.views.put(s)
+	b.views.put(b.arena, s)
 }

@@ -347,6 +347,7 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 		r.journal.EmitWindowStart(w, wid)
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage, PointSolveWindow) {
+			recycleUndecided(sb, b.results)
 			break // canceled or fail-fast aborted mid-attempt
 		}
 		dur := time.Since(t0)
@@ -467,6 +468,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		}
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage, PointSolveBatch) {
+			recycleUndecided(sb, b.results)
 			break // canceled or fail-fast aborted mid-attempt
 		}
 		dur := time.Since(t0)
@@ -570,6 +572,18 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 		b.live = next
 	}
 	kern.Finalize(b)
+}
+
+// recycleUndecided returns the rank vectors Finalize staged for a
+// batch that solveBatchFT left undecided: the run is ending with an
+// error, so nothing will consume them.
+func recycleUndecided(sb *scratchBuf, results []WindowResult) {
+	for i := range results {
+		if results[i].ranks != nil {
+			sb.putF64(results[i].ranks)
+			results[i].ranks = nil
+		}
+	}
 }
 
 // validateWindow checks a freshly solved window's rank vector against

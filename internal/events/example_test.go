@@ -8,7 +8,7 @@ import (
 )
 
 // ExampleWindowSpec shows the sliding-window arithmetic: the windows a
-// timestamp belongs to, per the closed form the SpMM kernel uses.
+// timestamp belongs to, per the closed form the temporal CSR build uses.
 func ExampleWindowSpec() {
 	w := events.WindowSpec{T0: 0, Delta: 10, Slide: 4, Count: 5}
 	for _, t := range []int64{0, 7, 13} {

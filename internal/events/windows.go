@@ -60,7 +60,8 @@ func (w WindowSpec) Contains(i int, t int64) bool {
 // no window contains t (possible when Slide > Delta leaves gaps, or t is
 // outside the analyzed span).
 //
-// The closed form is the one the SpMM kernel relies on: t is in window i
+// The closed form is the one tcsr.Build assigns events to multi-window
+// graphs with: t is in window i
 // iff T0 + i*Slide <= t <= T0 + i*Slide + Delta, i.e.
 // ceil((t-T0-Delta)/Slide) <= i <= floor((t-T0)/Slide).
 func (w WindowSpec) Covering(t int64) (lo, hi int, ok bool) {

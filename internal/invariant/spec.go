@@ -6,7 +6,7 @@ import (
 
 // CheckWindowSpec validates the sliding-window arithmetic (Sec. 2.1):
 // parameter validity, Start/End/Interval agreement, monotone window
-// starts, and the Covering closed form the SpMM kernel relies on —
+// starts, and the Covering closed form the temporal CSR build relies on —
 // every window Covering reports must Contain the timestamp and the
 // windows just outside the reported range must not.
 func CheckWindowSpec(spec events.WindowSpec) error {
