@@ -462,21 +462,6 @@ func BenchmarkAblationBalancedPartition(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationPropagationBlocking compares the plain pull SpMV
-// kernel with the propagation-blocked variant (Beamer et al., the
-// optimization the paper calls compatible with its scheme).
-func BenchmarkAblationPropagationBlocking(b *testing.B) {
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	l := dataset(b, "wikitalk")
-	sp := spec(b, l, 90, 43200, 96)
-	for _, kernel := range []core.KernelID{core.SpMV, core.SpMVBlocked} {
-		b.Run(kernel.String(), func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(kernel, core.AppLevel, sched.Auto, 64, 12), pool)
-		})
-	}
-}
-
 // BenchmarkExtCloseness measures the sampled harmonic-closeness kernel.
 func BenchmarkExtCloseness(b *testing.B) {
 	pool := sched.NewPool(0)

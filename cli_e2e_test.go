@@ -811,4 +811,26 @@ func TestCLIErrors(t *testing.T) {
 			t.Errorf("%v unexpectedly succeeded:\n%s", args, out)
 		}
 	}
+
+	// An unknown enum flag value is a usage error naming the valid
+	// values, never a silent fallback to a different configuration.
+	ev := filepath.Join(t.TempDir(), "tiny.ev")
+	runTool(t, "./cmd/pmgen", "-dataset", "enron", "-scale", "0.01", "-seed", "1", "-o", ev)
+	usage := []struct {
+		args []string
+		want string
+	}{
+		{[]string{"./cmd/pmrank", "-in", ev, "-kernel", "spmv-blocked"}, "valid: spmm, spmv"},
+		{[]string{"./cmd/pmrank", "-in", ev, "-mode", "bogus"}, "valid: nested, app, window"},
+		{[]string{"./cmd/pmserve", "-solve", "-in", ev, "-partitioner", "bogus"}, "valid: auto, simple, static"},
+	}
+	for _, tc := range usage {
+		out, err := exec.Command("go", append([]string{"run"}, tc.args...)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("%v unexpectedly succeeded:\n%s", tc.args, out)
+		}
+		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "exit status 2") {
+			t.Errorf("%v: want a usage error listing %q and exit status 2, got:\n%s", tc.args, tc.want, out)
+		}
+	}
 }

@@ -98,6 +98,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmrank: -live requires -metrics-addr")
 		os.Exit(2)
 	}
+	engCfg := core.DefaultConfig()
+	if err := ef.ApplyTo(&engCfg); err != nil {
+		fmt.Fprintf(os.Stderr, "pmrank: %v\n", err)
+		os.Exit(2)
+	}
 
 	loadStart := time.Now()
 	l, err := cliutil.ReadLog(*in)
@@ -233,8 +238,7 @@ func main() {
 	start := time.Now()
 	switch *model {
 	case "postmortem":
-		cfg := core.DefaultConfig()
-		ef.ApplyTo(&cfg)
+		cfg := engCfg
 		cfg.DiscardRanks = *discardRanks
 		cfg.Journal = journal
 		eng, err := core.NewEngine(l, spec, cfg, pool)
@@ -376,7 +380,7 @@ func main() {
 			len(stats), total, ins, rem, elapsed.Seconds())
 	case "components":
 		cfg := wcc.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
+		cfg.Partitioner = engCfg.Partitioner
 		cfg.Grain = ef.Grain
 		cfg.NumMultiWindows = ef.MW
 		cfg.Directed = ef.Directed
@@ -397,7 +401,7 @@ func main() {
 		fmt.Printf("components: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
 	case "kcore":
 		cfg := kcore.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
+		cfg.Partitioner = engCfg.Partitioner
 		cfg.Grain = ef.Grain
 		cfg.NumMultiWindows = ef.MW
 		cfg.Directed = ef.Directed
@@ -418,7 +422,7 @@ func main() {
 		fmt.Printf("kcore: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
 	case "closeness":
 		cfg := closeness.DefaultConfig()
-		cfg.Partitioner = ef.SchedPartitioner()
+		cfg.Partitioner = engCfg.Partitioner
 		cfg.Grain = ef.Grain
 		cfg.NumMultiWindows = ef.MW
 		cfg.Directed = ef.Directed

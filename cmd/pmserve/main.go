@@ -80,6 +80,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmserve: -solve requires -in")
 		os.Exit(2)
 	}
+	cfg := core.DefaultConfig()
+	if err := ef.ApplyTo(&cfg); err != nil {
+		fmt.Fprintf(os.Stderr, "pmserve: %v\n", err)
+		os.Exit(2)
+	}
 
 	svc := serve.NewService(*cacheN)
 	svc.MaxK = *maxK
@@ -200,7 +205,7 @@ func main() {
 		if *load != "" {
 			return loadStore(*load)
 		}
-		return solveStore(ctx, *in, *deltaDays, *slide, *maxWin, ef, journal, reg, &liveEng)
+		return solveStore(ctx, *in, *deltaDays, *slide, *maxWin, cfg, ef.Workers, journal, reg, &liveEng)
 	}
 
 	st, err := buildStore(ctx)
@@ -279,17 +284,18 @@ func loadStore(path string) (*serve.RankStore, error) {
 }
 
 // solveStore runs the postmortem engine on the event file and converts
-// the finished series into a query store. The journal is wired into the
-// engine config, so window_done frames stream over /events while the
-// HTTP server (already up) answers 503 to /v1 queries.
+// the finished series into a query store. cfg carries the parsed engine
+// flags; the journal is wired into it, so window_done frames stream
+// over /events while the HTTP server (already up) answers 503 to /v1
+// queries.
 func solveStore(ctx context.Context, in string, deltaDays float64, slide int64, maxWin int,
-	ef *cliutil.EngineFlags, journal *obs.Journal, reg *obs.Registry,
+	cfg core.Config, workers int, journal *obs.Journal, reg *obs.Registry,
 	liveEng *atomic.Pointer[core.Engine]) (*serve.RankStore, error) {
 	l, err := cliutil.ReadLog(in)
 	if err != nil {
 		return nil, err
 	}
-	if !ef.Directed {
+	if !cfg.Directed {
 		l = l.Symmetrize()
 	}
 	spec, err := events.Span(l, int64(deltaDays*float64(gen.Day)), slide)
@@ -302,10 +308,8 @@ func solveStore(ctx context.Context, in string, deltaDays float64, slide int64, 
 	fmt.Printf("pmserve: solving %d windows over %d vertices (%d events)\n",
 		spec.Count, l.NumVertices(), l.Len())
 
-	pool := sched.NewPool(ef.Workers)
+	pool := sched.NewPool(workers)
 	defer pool.Close()
-	cfg := core.DefaultConfig()
-	ef.ApplyTo(&cfg)
 	cfg.Journal = journal
 	eng, err := core.NewEngine(l, spec, cfg, pool)
 	if err != nil {

@@ -20,7 +20,7 @@ import (
 // EngineFlags carries the values of the shared engine flag set after
 // parsing. Field defaults mirror core.DefaultConfig.
 type EngineFlags struct {
-	// Kernel is the kernel name: spmm, spmv, or spmv-blocked.
+	// Kernel is the kernel name: spmm or spmv.
 	Kernel string
 	// Mode is the parallelism mode: nested, app, or window.
 	Mode string
@@ -47,7 +47,7 @@ type EngineFlags struct {
 // struct the parsed values land in.
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	ef := &EngineFlags{}
-	fs.StringVar(&ef.Kernel, "kernel", "spmm", "kernel: spmm, spmv or spmv-blocked")
+	fs.StringVar(&ef.Kernel, "kernel", "spmm", "kernel: spmm or spmv")
 	fs.StringVar(&ef.Mode, "mode", "nested", "parallelism: nested, app or window")
 	fs.StringVar(&ef.Partitioner, "partitioner", "auto", "partitioner: auto, simple or static")
 	fs.IntVar(&ef.MW, "mw", 6, "number of multi-window graphs")
@@ -59,63 +59,67 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	return ef
 }
 
-// KernelID resolves the -kernel flag value.
-func (ef *EngineFlags) KernelID() core.KernelID { return ParseKernel(ef.Kernel) }
-
-// ParallelMode resolves the -mode flag value.
-func (ef *EngineFlags) ParallelMode() core.ParallelMode { return ParseMode(ef.Mode) }
-
-// SchedPartitioner resolves the -partitioner flag value.
-func (ef *EngineFlags) SchedPartitioner() sched.Partitioner { return ParsePartitioner(ef.Partitioner) }
-
-// ApplyTo copies the flag values into an engine config.
-func (ef *EngineFlags) ApplyTo(cfg *core.Config) {
-	cfg.Kernel = ef.KernelID()
-	cfg.Mode = ef.ParallelMode()
-	cfg.Partitioner = ef.SchedPartitioner()
+// ApplyTo copies the flag values into an engine config. It fails on an
+// unknown -kernel, -mode or -partitioner value, naming the valid ones.
+func (ef *EngineFlags) ApplyTo(cfg *core.Config) error {
+	kernel, err := ParseKernel(ef.Kernel)
+	if err != nil {
+		return err
+	}
+	mode, err := ParseMode(ef.Mode)
+	if err != nil {
+		return err
+	}
+	part, err := ParsePartitioner(ef.Partitioner)
+	if err != nil {
+		return err
+	}
+	cfg.Kernel = kernel
+	cfg.Mode = mode
+	cfg.Partitioner = part
 	cfg.NumMultiWindows = ef.MW
 	cfg.VectorLen = ef.VecLen
 	cfg.Grain = ef.Grain
 	cfg.PartialInit = !ef.NoPartial
 	cfg.Directed = ef.Directed
+	return nil
 }
 
-// ParseKernel maps a kernel flag value to its id (unknown values fall
-// back to SpMM, the paper's primary kernel).
-func ParseKernel(s string) core.KernelID {
+// ParseKernel maps a -kernel flag value to its id.
+func ParseKernel(s string) (core.KernelID, error) {
 	switch s {
+	case "spmm":
+		return core.SpMM, nil
 	case "spmv":
-		return core.SpMV
-	case "spmv-blocked":
-		return core.SpMVBlocked
-	default:
-		return core.SpMM
+		return core.SpMV, nil
 	}
+	return 0, fmt.Errorf("unknown -kernel %q (valid: spmm, spmv)", s)
 }
 
-// ParseMode maps a mode flag value to its id (default nested).
-func ParseMode(s string) core.ParallelMode {
+// ParseMode maps a -mode flag value to its id.
+func ParseMode(s string) (core.ParallelMode, error) {
 	switch s {
+	case "nested":
+		return core.Nested, nil
 	case "app":
-		return core.AppLevel
+		return core.AppLevel, nil
 	case "window":
-		return core.WindowLevel
-	default:
-		return core.Nested
+		return core.WindowLevel, nil
 	}
+	return 0, fmt.Errorf("unknown -mode %q (valid: nested, app, window)", s)
 }
 
-// ParsePartitioner maps a partitioner flag value to its id (default
-// auto).
-func ParsePartitioner(s string) sched.Partitioner {
+// ParsePartitioner maps a -partitioner flag value to its id.
+func ParsePartitioner(s string) (sched.Partitioner, error) {
 	switch s {
+	case "auto":
+		return sched.Auto, nil
 	case "simple":
-		return sched.Simple
+		return sched.Simple, nil
 	case "static":
-		return sched.Static
-	default:
-		return sched.Auto
+		return sched.Static, nil
 	}
+	return 0, fmt.Errorf("unknown -partitioner %q (valid: auto, simple, static)", s)
 }
 
 // ReadLog opens and decodes an event file, sniffing the binary magic

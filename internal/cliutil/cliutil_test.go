@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"pmpr/internal/core"
@@ -19,7 +20,9 @@ func TestEngineFlagDefaultsMatchConfig(t *testing.T) {
 	}
 	def := core.DefaultConfig()
 	cfg := core.DefaultConfig()
-	ef.ApplyTo(&cfg)
+	if err := ef.ApplyTo(&cfg); err != nil {
+		t.Fatal(err)
+	}
 	if cfg.Kernel != def.Kernel || cfg.Mode != def.Mode || cfg.Partitioner != def.Partitioner {
 		t.Fatalf("default engine flags diverge from DefaultConfig: %+v vs %+v", cfg, def)
 	}
@@ -35,7 +38,7 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	ef := RegisterEngineFlags(fs)
 	args := []string{
-		"-kernel", "spmv-blocked", "-mode", "window", "-partitioner", "static",
+		"-kernel", "spmv", "-mode", "window", "-partitioner", "static",
 		"-mw", "3", "-veclen", "4", "-grain", "7", "-no-partial", "-directed",
 		"-workers", "2",
 	}
@@ -43,8 +46,10 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := core.DefaultConfig()
-	ef.ApplyTo(&cfg)
-	if cfg.Kernel != core.SpMVBlocked || cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
+	if err := ef.ApplyTo(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Kernel != core.SpMV || cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
 		t.Fatalf("enum flags not applied: %+v", cfg)
 	}
 	if cfg.NumMultiWindows != 3 || cfg.VectorLen != 4 || cfg.Grain != 7 {
@@ -58,15 +63,39 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	}
 }
 
-func TestParsersFallBackToDefaults(t *testing.T) {
-	if ParseKernel("nonsense") != core.SpMM {
-		t.Fatal("unknown kernel should fall back to SpMM")
+// TestParsersRejectUnknown checks that an unknown enum flag value is
+// an error naming the valid values, never a silent fallback to the
+// default — including the removed spmv-blocked kernel — and that
+// ApplyTo surfaces it without touching the config.
+func TestParsersRejectUnknown(t *testing.T) {
+	cases := []struct {
+		flag, value, valid string
+	}{
+		{"kernel", "nonsense", "spmm, spmv"},
+		{"kernel", "spmv-blocked", "spmm, spmv"},
+		{"mode", "nonsense", "nested, app, window"},
+		{"partitioner", "nonsense", "auto, simple, static"},
 	}
-	if ParseMode("nonsense") != core.Nested {
-		t.Fatal("unknown mode should fall back to Nested")
-	}
-	if ParsePartitioner("nonsense") != sched.Auto {
-		t.Fatal("unknown partitioner should fall back to Auto")
+	for _, tc := range cases {
+		t.Run(tc.flag+"="+tc.value, func(t *testing.T) {
+			fs := flag.NewFlagSet("t", flag.ContinueOnError)
+			ef := RegisterEngineFlags(fs)
+			if err := fs.Parse([]string{"-" + tc.flag, tc.value}); err != nil {
+				t.Fatal(err)
+			}
+			cfg := core.DefaultConfig()
+			cfg.Kernel = core.SpMV
+			err := ef.ApplyTo(&cfg)
+			if err == nil {
+				t.Fatalf("-%s %s accepted", tc.flag, tc.value)
+			}
+			if !strings.Contains(err.Error(), tc.valid) {
+				t.Fatalf("error %q does not list the valid values %q", err, tc.valid)
+			}
+			if cfg.Kernel != core.SpMV {
+				t.Fatalf("rejected flags still modified the config: %+v", cfg)
+			}
+		})
 	}
 }
 

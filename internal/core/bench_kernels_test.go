@@ -51,7 +51,7 @@ func benchConfig(kernel KernelID, mode ParallelMode) Config {
 	return cfg
 }
 
-var benchKernels = []KernelID{SpMV, SpMVBlocked, SpMM}
+var benchKernels = []KernelID{SpMV, SpMM}
 
 type benchMode struct {
 	name    string

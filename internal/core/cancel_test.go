@@ -75,7 +75,7 @@ func cancelMidSolve(t *testing.T, cfg *Config) (ctx context.Context, canceledAt 
 
 func cancelConfigs() map[string]Config {
 	out := map[string]Config{}
-	for _, kern := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kern := range []KernelID{SpMV, SpMM} {
 		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
 			cfg := DefaultConfig()
 			cfg.Kernel = kern

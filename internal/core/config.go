@@ -101,8 +101,8 @@ func (m ParallelMode) String() string {
 }
 
 // KernelID selects the iteration kernel (paper Sec. 4.4). The id is a
-// stable enum for configs and CLI flags; its String form is the key the
-// plan stage resolves through the kernel registry (see kernel.go).
+// stable enum for configs and CLI flags; the plan stage resolves it to
+// an implementation with KernelID.Kernel (see kernel.go).
 type KernelID int
 
 const (
@@ -111,23 +111,16 @@ const (
 	// SpMM advances VectorLen windows of a multi-window graph per sweep
 	// of the shared temporal CSR.
 	SpMM
-	// SpMVBlocked is SpMV with propagation blocking (Beamer et al.,
-	// cited in Sec. 2.2): contributions are pushed into
-	// destination-range bins and drained in a second, cache-friendly
-	// pass instead of pulled with random reads.
-	SpMVBlocked
 )
 
-// String names the kernel as used in reports, CLI flags, and the
-// kernel registry.
+// String names the kernel as used in reports, CLI flags, and
+// checkpoint manifests.
 func (k KernelID) String() string {
 	switch k {
 	case SpMV:
 		return "spmv"
 	case SpMM:
 		return "spmm"
-	case SpMVBlocked:
-		return "spmv-blocked"
 	default:
 		return fmt.Sprintf("KernelID(%d)", int(k))
 	}
@@ -218,7 +211,7 @@ func (c Config) Check() error {
 	if c.Mode < AppLevel || c.Mode > Nested {
 		return fmt.Errorf("core: unknown parallel mode %d", int(c.Mode))
 	}
-	if c.Kernel != SpMV && c.Kernel != SpMM && c.Kernel != SpMVBlocked {
+	if c.Kernel.Kernel() == nil {
 		return fmt.Errorf("core: unknown kernel %d", int(c.Kernel))
 	}
 	if c.Kernel == SpMM && (c.VectorLen < 1 || c.VectorLen > maxSlots) {

@@ -207,7 +207,7 @@ func (e *Engine) Manifest() checkpoint.Manifest {
 		SpecDelta:       t.Spec.Delta,
 		SpecSlide:       t.Spec.Slide,
 		SpecCount:       t.Spec.Count,
-		Kernel:          e.plan.Kernel.Name(),
+		Kernel:          cfg.Kernel.String(),
 		NumMultiWindows: len(t.MWs),
 		PartitionHash:   checkpoint.HashPartition(bounds),
 		NumVertices:     t.NumVertices(),

@@ -623,73 +623,3 @@ func TestTopKEdgeCases(t *testing.T) {
 		t.Fatalf("TopK(huge) returned %d, active %d", len(all), r.ActiveVertices)
 	}
 }
-
-func TestBlockedKernelMatchesOracle(t *testing.T) {
-	pool := sched.NewPool(4)
-	defer pool.Close()
-	l := randomLog(t, 49, 25, 600, 3000)
-	spec, err := events.Span(l, 400, 120)
-	if err != nil {
-		t.Fatalf("Span: %v", err)
-	}
-	for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-		for _, partial := range []bool{false, true} {
-			cfg := DefaultConfig()
-			cfg.Kernel = SpMVBlocked
-			cfg.Mode = mode
-			cfg.PartialInit = partial
-			cfg.Directed = true
-			cfg.NumMultiWindows = 3
-			eng, err := NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			s, err := eng.Run(context.Background())
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			checkAgainstOracle(t, l, spec, s, "blocked/"+mode.String())
-		}
-	}
-}
-
-func TestBlockedEqualsPlainSpMVSerial(t *testing.T) {
-	// Same per-window iteration counts and near-identical iterates: the
-	// blocked kernel reorders additions but performs the same update.
-	l := randomLog(t, 50, 30, 800, 4000)
-	spec, _ := events.Span(l, 600, 150)
-	mk := func(kernel KernelID) *Series {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = true
-		cfg.NumMultiWindows = 2
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return s
-	}
-	a, b := mk(SpMV), mk(SpMVBlocked)
-	for w := 0; w < spec.Count; w++ {
-		if a.Window(w).Iterations != b.Window(w).Iterations {
-			t.Fatalf("window %d: %d vs %d iterations", w, a.Window(w).Iterations, b.Window(w).Iterations)
-		}
-		da := a.Window(w).Dense(l.NumVertices())
-		db := b.Window(w).Dense(l.NumVertices())
-		for v := range da {
-			if math.Abs(da[v]-db[v]) > 1e-12 {
-				t.Fatalf("window %d vertex %d: %v vs %v", w, v, da[v], db[v])
-			}
-		}
-	}
-}
-
-func TestBlockedKernelString(t *testing.T) {
-	if SpMVBlocked.String() != "spmv-blocked" {
-		t.Fatal("kernel name wrong")
-	}
-}

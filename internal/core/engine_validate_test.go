@@ -26,7 +26,7 @@ func TestRunWithValidation(t *testing.T) {
 		if !directed {
 			log = l.Symmetrize()
 		}
-		for _, kernel := range []KernelID{SpMV, SpMM, SpMVBlocked} {
+		for _, kernel := range []KernelID{SpMV, SpMM} {
 			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
 				cfg := DefaultConfig()
 				cfg.Kernel = kernel

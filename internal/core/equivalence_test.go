@@ -50,7 +50,7 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		for _, partial := range []bool{false, true} {
 			cfg := equivCfg(kernel, AppLevel, partial)
 			serialEng, err := NewEngine(l, spec, cfg, nil)
@@ -100,7 +100,7 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 func TestSerialRunTwiceBitIdentical(t *testing.T) {
 	l := randomLog(t, 78, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		eng, err := NewEngine(l, spec, equivCfg(kernel, AppLevel, true), nil)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -140,7 +140,7 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	}
 	l := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		cfg := equivCfg(kernel, AppLevel, true)
 		cfg.DiscardRanks = true
 		eng, err := NewEngine(l, spec, cfg, nil)
@@ -178,7 +178,7 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	}
 	l := randomLog(t, 80, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		measure := func(maxIter int) float64 {
 			cfg := equivCfg(kernel, AppLevel, true)
 			cfg.DiscardRanks = true

@@ -141,7 +141,7 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
 		}
 	}
 	panicked := isPanicErr(err)
-	if !pol.DisableDegrade && r.degrade != nil {
+	if !pol.DisableDegrade {
 		if r.canceled() || r.aborted() {
 			return false
 		}
@@ -177,7 +177,7 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 		}
 		db.isLive[0] = false
 		res := &b.results[s]
-		serr := r.attempt(r.degrade, &db, PointSolveDegrade)
+		serr := r.attempt(SpMV.Kernel(), &db, PointSolveDegrade)
 		if db.truncated {
 			// Cancellation cut this slot's convergence loop; taint the
 			// outer batch so the driver does not checkpoint it.

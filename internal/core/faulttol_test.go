@@ -69,7 +69,6 @@ func TestInjectedFaultsAreRetriedTransparently(t *testing.T) {
 		point  string
 	}{
 		{SpMV, PointSolveWindow},
-		{SpMVBlocked, PointSolveWindow},
 		{SpMM, PointSolveBatch},
 	} {
 		want := oracleSeries(t, l, spec, ftCfg(tc.kernel, AppLevel))

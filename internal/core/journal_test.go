@@ -303,7 +303,7 @@ func TestJournalAttachedSteadyStateDoesNotAllocate(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 105, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMVBlocked, SpMM} {
+	for _, kernel := range []KernelID{SpMV, SpMM} {
 		measure := func(maxIter int) float64 {
 			cfg := equivCfg(kernel, AppLevel, true)
 			cfg.DiscardRanks = true

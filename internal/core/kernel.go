@@ -1,17 +1,13 @@
 package core
 
-import (
-	"sort"
+import "pmpr/internal/tcsr"
 
-	"pmpr/internal/tcsr"
-)
-
-// Kernel is the pluggable iteration engine of the solve stage. The
-// three implementations (spmv, spmv-blocked, spmm) register themselves
-// at init time and the plan stage resolves one by Config.Kernel, so
-// the solve drivers contain no kernel-specific branches — the window
-// loop, warm-start chaining, tracing, validation, and convergence
-// control are written once in solveRun and shared by every kernel.
+// Kernel is the iteration engine of the solve stage. The two
+// implementations (spmv, spmm) form a closed set: the plan stage
+// resolves one with Config.Kernel.Kernel(), so the solve drivers
+// contain no kernel-specific branches — the window loop, warm-start
+// chaining, tracing, validation, and convergence control are written
+// once in solveRun and shared by every kernel.
 //
 // A Kernel is stateless and safe for concurrent use; per-solve state
 // lives in the Batch it is handed. The contract with runBatch:
@@ -26,12 +22,10 @@ import (
 //	          or a cancellation break — so the arena stays consistent
 //	          on every exit path.
 type Kernel interface {
-	// Name is the registry key (matches a KernelID.String()).
-	Name() string
 	// BatchWidth is the number of windows one batch of this kernel
-	// advances under cfg: 1 for the SpMV-style kernels, VectorLen for
-	// SpMM. Width 1 routes through the window-chain driver, wider
-	// kernels through the region-batched multi-window driver.
+	// advances under cfg: 1 for SpMV, VectorLen for SpMM. Width 1
+	// routes through the window-chain driver, wider kernels through the
+	// region-batched multi-window driver.
 	BatchWidth(cfg *Config) int
 	// Init stages the batch and marks live slots via Batch.markLive.
 	Init(b *Batch)
@@ -86,39 +80,15 @@ func (b *Batch) markLive(slot int) {
 	b.isLive[slot] = true
 }
 
-// kernelRegistry maps Kernel.Name() to the singleton implementation.
-// All writes happen in init functions; lookups after that are
-// read-only, so no locking is needed.
-var kernelRegistry = map[string]Kernel{}
-
-// RegisterKernel adds k to the registry under k.Name(). It is intended
-// for init-time use; registering a duplicate or empty name is a
-// programming error.
-func RegisterKernel(k Kernel) {
-	name := k.Name()
-	if name == "" {
-		//pmvet:ignore panic -- init-time registration; an empty name is a programming error
-		panic("core: RegisterKernel with empty name")
+// Kernel returns the implementation of k, or nil for an id outside
+// the enum; Config.Check rejects such ids before any stage runs.
+func (k KernelID) Kernel() Kernel {
+	switch k {
+	case SpMV:
+		return spmvKernel{}
+	case SpMM:
+		return spmmKernel{}
+	default:
+		return nil
 	}
-	if _, dup := kernelRegistry[name]; dup {
-		//pmvet:ignore panic -- init-time registration; a duplicate name is a programming error
-		panic("core: RegisterKernel duplicate name " + name)
-	}
-	kernelRegistry[name] = k
-}
-
-// LookupKernel resolves a registered kernel by name.
-func LookupKernel(name string) (Kernel, bool) {
-	k, ok := kernelRegistry[name]
-	return k, ok
-}
-
-// RegisteredKernels returns the registered kernel names, sorted.
-func RegisteredKernels() []string {
-	names := make([]string, 0, len(kernelRegistry))
-	for name := range kernelRegistry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

@@ -26,8 +26,6 @@ import (
 // the steady-state iteration loop neither allocate nor touch atomics.
 type spmmKernel struct{}
 
-func init() { RegisterKernel(spmmKernel{}) }
-
 // spmmState is the kernel's per-batch working set; the interleaved x
 // and y swap through the state pointer so the bound passes track them
 // for free.
@@ -43,9 +41,6 @@ type spmmState struct {
 	baseK        []float64
 	pass1, pass2 sched.Body
 }
-
-// Name is the registry key.
-func (spmmKernel) Name() string { return "spmm" }
 
 // BatchWidth is Config.VectorLen: the number of windows one sweep of
 // the shared temporal CSR advances.

@@ -173,8 +173,6 @@ func initVector(x, prev []float64, st windowState, loop forLoop, sb *scratchBuf)
 // Init and cross-leaf sums reduce via lanes.
 type spmvKernel struct{}
 
-func init() { RegisterKernel(spmvKernel{}) }
-
 // spmvState is the kernel's per-batch working set. x and y live here
 // (not in closure variables) so the swap at the end of each iteration
 // retargets the passes through the state pointer for free.
@@ -189,9 +187,6 @@ type spmvState struct {
 	pass1, pass2 sched.Body
 	empty        bool
 }
-
-// Name is the registry key.
-func (spmvKernel) Name() string { return "spmv" }
 
 // BatchWidth is 1: SpMV advances one window at a time.
 func (spmvKernel) BatchWidth(*Config) int { return 1 }

@@ -14,7 +14,6 @@ package core
 
 import (
 	"errors"
-	"fmt"
 	"time"
 
 	"pmpr/internal/events"
@@ -102,7 +101,7 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 }
 
 // PlanStage resolves a configuration against a built representation:
-// it looks the kernel up in the registry, decides the batch width, and
+// it resolves the kernel (KernelID.Kernel), decides the batch width, and
 // precomputes each multi-window graph's region/batch layout so the
 // solve stage's hot path does no layout arithmetic.
 type PlanStage struct{}
@@ -143,7 +142,7 @@ type SolvePlan struct {
 	Cfg Config
 	// Temporal is the representation being solved.
 	Temporal *tcsr.Temporal
-	// Kernel is the registry-resolved kernel implementation.
+	// Kernel is the implementation of Cfg.Kernel.
 	Kernel Kernel
 	// Width is the kernel's batch width under Cfg (>= 1).
 	Width int
@@ -157,9 +156,8 @@ type SolvePlan struct {
 	Seconds float64
 }
 
-// Run lays out the solve. It fails when Cfg is invalid, Temporal is
-// nil, or Cfg.Kernel has no registered implementation; a panic during
-// layout becomes a *StageError.
+// Run lays out the solve. It fails when Cfg is invalid or Temporal is
+// nil; a panic during layout becomes a *StageError.
 func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 	defer emitStage(in.Cfg.Journal, "plan", &err)()
 	defer recoverStage("plan", &err)
@@ -173,12 +171,8 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 		return nil, errors.New("core: nil temporal representation")
 	}
 	start := time.Now()
-	name := in.Cfg.Kernel.String()
-	kern, ok := LookupKernel(name)
-	if !ok {
-		return nil, fmt.Errorf("core: no kernel registered under %q (have %v)", name, RegisteredKernels())
-	}
 	cfg := in.Cfg
+	kern := cfg.Kernel.Kernel()
 	width := kern.BatchWidth(&cfg)
 	if width < 1 {
 		width = 1

@@ -116,8 +116,8 @@ func laneOf(w *sched.Worker) int {
 // freeList holds reusable slices of one element type. get returns a
 // zeroed slice of length n using best fit — the smallest sufficient
 // capacity, most recently returned among equals — so a small request
-// never consumes a large buffer that a later request (e.g. the blocked
-// kernel's edge-sized bins) needs; under a repeated request sequence
+// never consumes a large buffer that a later request (e.g. the run
+// index's edge-sized columns) needs; under a repeated request sequence
 // the steady state then has zero misses. put makes a slice available
 // for reuse. Not safe for concurrent use — each scratchBuf is
 // goroutine-confined (see the file comment).
@@ -172,7 +172,6 @@ type scratchBuf struct {
 	u64     freeList[uint64]
 	ints    freeList[int]
 	bools   freeList[bool]
-	a64     freeList[atomic.Int64]
 	vecs    freeList[[]float64]
 	results freeList[WindowResult]
 	views   freeList[tcsr.SolveView]
@@ -198,9 +197,6 @@ func (b *scratchBuf) putInt(s []int)     { b.ints.put(b.arena, s) }
 
 func (b *scratchBuf) getBool(n int) []bool { return b.bools.get(b.arena, n) }
 func (b *scratchBuf) putBool(s []bool)     { b.bools.put(b.arena, s) }
-
-func (b *scratchBuf) getAtomicI64(n int) []atomic.Int64 { return b.a64.get(b.arena, n) }
-func (b *scratchBuf) putAtomicI64(s []atomic.Int64)     { b.a64.put(b.arena, s) }
 
 // getVecs/putVecs manage [][]float64 holders (SpMM rank staging). put
 // clears the elements first so the free list never pins rank vectors.

@@ -111,9 +111,6 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		mwSweeps: make([]int64, len(plan.Temporal.MWs)),
 	}
 	st.cur.Store(r)
-	if dk, ok := LookupKernel(SpMV.String()); ok {
-		r.degrade = dk
-	}
 	if plan.Cfg.Validate {
 		r.val = &runValidator{}
 	}
@@ -200,7 +197,6 @@ type solveRun struct {
 	trace    *obs.Trace
 	val      *runValidator // nil unless Cfg.Validate
 	kern     Kernel
-	degrade  Kernel               // serial fallback kernel (spmv); nil if unregistered
 	fault    *obs.FaultCounters   // stage-owned fault/checkpoint counters
 	hist     *obs.SolveHistograms // stage-owned per-window distributions
 	journal  *obs.Journal         // nil = no event emission

@@ -781,8 +781,7 @@ func (b *graphBuilder) implementations(iface *types.Interface, method string) []
 // emitEdges writes the final resolved edges of a site onto its caller.
 // Dedup is per call site, not per (callee, kind): a function that calls
 // the same callee from several sites keeps one edge per site, because
-// site-reading consumers (registered-kernel discovery reading the
-// argument expression, goleak flagging each launch) must see every
+// site-reading consumers (goleak flagging each launch) must see every
 // site, not just the first. Reachability walks are unaffected — they
 // track visited nodes — and WriteGraph dedups at render time.
 func (b *graphBuilder) emitEdges(s callSite) {

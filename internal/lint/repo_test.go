@@ -47,35 +47,34 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// TestRepoHotpathCoversRegistry proves the acceptance criterion that
-// the transitive hotpath rule roots every kernel the runtime registry
-// actually contains: for each registered kernel, the static entry
-// discovery must have found its Init/Iterate/Residual methods. This
-// links the two worlds — core's init-time registration and pmvet's
-// call-site scan for RegisterKernel — so a kernel added without static
+// TestRepoHotpathCoversKernels proves that the transitive hotpath rule
+// roots every kernel the engine can run: for each KernelID, the static
+// entry discovery must have found the Init/Iterate/Residual methods of
+// the type id.Kernel() returns. This links the runtime switch to
+// pmvet's implements-based discovery, so a kernel added without static
 // coverage fails here, not silently.
-func TestRepoHotpathCoversRegistry(t *testing.T) {
+func TestRepoHotpathCoversKernels(t *testing.T) {
 	if testing.Short() {
 		t.Skip("loads and type-checks the whole module from source")
 	}
-	names := core.RegisteredKernels()
-	if len(names) < 3 {
-		t.Fatalf("suspiciously few registered kernels: %v", names)
+	ids := []core.KernelID{core.SpMV, core.SpMM}
+	if k := core.KernelID(len(ids)).Kernel(); k != nil {
+		t.Fatalf("KernelID(%d) resolves to %T; add it to this test", len(ids), k)
 	}
 	entries := HotpathEntryNames(NewModule(loadRepo(t)))
 	have := make(map[string]bool, len(entries))
 	for _, e := range entries {
 		have[e] = true
 	}
-	for _, name := range names {
-		k, ok := core.LookupKernel(name)
-		if !ok {
-			t.Fatalf("registry lists %q but lookup fails", name)
+	for _, id := range ids {
+		k := id.Kernel()
+		if k == nil {
+			t.Fatalf("kernel %v has no implementation", id)
 		}
 		tn := strings.TrimPrefix(fmt.Sprintf("%T", k), "*")
 		for _, method := range []string{"Init", "Iterate", "Residual"} {
 			if !have[tn+"."+method] {
-				t.Errorf("kernel %q (%s): %s not rooted by hotpath; entries: %v", name, tn, method, entries)
+				t.Errorf("kernel %v (%s): %s not rooted by hotpath; entries: %v", id, tn, method, entries)
 			}
 		}
 	}

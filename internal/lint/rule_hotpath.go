@@ -9,15 +9,15 @@ import (
 )
 
 // hotpathRule proves the engine's central performance invariant
-// transitively: nothing reachable from a registered kernel's hot
-// methods allocates or blocks. The old version of this rule was
-// syntactic — it looked inside the loop-body literals at the call site
+// transitively: nothing reachable from a kernel's hot methods
+// allocates or blocks. The old version of this rule was syntactic — it
+// looked inside the loop-body literals at the call site
 // and could be defeated by one level of indirection (move the append
 // into a helper and the rule went quiet). This version walks the
 // module call graph from two families of entry points:
 //
-//   - Every kernel registered via core.RegisterKernel: Iterate and
-//     Residual may neither allocate nor block anywhere in their
+//   - Every type in internal/core implementing core.Kernel: Iterate
+//     and Residual may neither allocate nor block anywhere in their
 //     transitive call tree; Init may allocate (the documented kernel
 //     contract amortizes one boxed-state allocation per batch there)
 //     but must not block.
@@ -38,7 +38,7 @@ type hotpathRule struct{}
 
 func (hotpathRule) Name() string { return "hotpath" }
 func (hotpathRule) Doc() string {
-	return "no alloc/block effect reachable from registered kernels' Init/Iterate/Residual or ParallelFor bodies"
+	return "no alloc/block effect reachable from kernels' Init/Iterate/Residual or ParallelFor bodies"
 }
 
 // Check is a no-op: hotpath is a module rule (see CheckModule).
@@ -151,12 +151,12 @@ var kernelMethodBans = []struct {
 	{"Residual", banAllocBlock},
 }
 
-// hotpathEntries discovers the traversal roots: registered kernels'
+// hotpathEntries discovers the traversal roots: every kernel type's
 // hot methods, plus loop bodies at ParallelFor call sites.
 func hotpathEntries(m *Module) []hotEntry {
 	g := m.Graph()
 	var entries []hotEntry
-	for _, typ := range registeredKernelTypes(m) {
+	for _, typ := range kernelTypes(m) {
 		tn := typeDisplayName(typ)
 		for _, mb := range kernelMethodBans {
 			obj, _, _ := types.LookupFieldOrMethod(typ, true, nil, mb.method)
@@ -173,35 +173,37 @@ func hotpathEntries(m *Module) []hotEntry {
 	return entries
 }
 
-// registeredKernelTypes resolves the concrete type of the argument at
-// every core.RegisterKernel call site — the exact set the runtime
-// registry will contain, independent of which types merely implement
-// the Kernel interface.
-func registeredKernelTypes(m *Module) []types.Type {
-	g := m.Graph()
+// kernelTypes returns every named type declared in internal/core whose
+// value or pointer method set implements that package's Kernel
+// interface. KernelID.Kernel is a closed switch over such types, so
+// this covers every kernel the engine can run, plus any implementation
+// not yet wired into the switch.
+func kernelTypes(m *Module) []types.Type {
 	var out []types.Type
-	seen := make(map[string]bool)
-	for _, n := range g.Nodes {
-		for _, e := range n.Edges {
-			if !strings.HasSuffix(e.Callee.Name, ".RegisterKernel") {
+	for _, pkg := range m.Pkgs {
+		if pkg.Types == nil || !strings.HasSuffix(pkg.Path, "internal/core") {
+			continue
+		}
+		scope := pkg.Types.Scope()
+		kern, ok := scope.Lookup("Kernel").(*types.TypeName)
+		if !ok {
+			continue
+		}
+		iface, ok := kern.Type().Underlying().(*types.Interface)
+		if !ok {
+			continue
+		}
+		for _, name := range scope.Names() {
+			tn, ok := scope.Lookup(name).(*types.TypeName)
+			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
 				continue
 			}
-			call, ok := e.Site.(*ast.CallExpr)
-			if !ok || len(call.Args) == 0 {
-				continue
-			}
-			t := n.Pkg.Info.TypeOf(call.Args[0])
-			if t == nil {
-				continue
-			}
-			key := t.String()
-			if !seen[key] {
-				seen[key] = true
+			t := tn.Type()
+			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
 				out = append(out, t)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
 	return out
 }
 

@@ -430,17 +430,16 @@ func kernel(xs []int) {
 	}
 }
 
-// registeredFixture defines a miniature RegisterKernel world: Init may
-// allocate but not block, Iterate/Residual may do neither.
-const registeredFixture = `package core
+// kernelFixture defines a miniature kernel world: fixKernel implements
+// Kernel, so the hotpath rule roots its methods. Init may allocate but
+// not block, Iterate/Residual may do neither.
+const kernelFixture = `package core
 
 type Kernel interface {
 	Init(ch chan int)
 	Iterate()
 	Residual() float64
 }
-
-func RegisterKernel(k Kernel) {}
 
 type fixKernel struct{ buf []float64 }
 
@@ -454,12 +453,10 @@ func (k fixKernel) Iterate() {
 }
 
 func (k fixKernel) Residual() float64 { return 0 }
-
-func register() { RegisterKernel(fixKernel{}) }
 `
 
 func TestHotpathRuleRegisteredKernel(t *testing.T) {
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg_fixture.go", registeredFixture)
+	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg_fixture.go", kernelFixture)
 	fs := runRule(t, "hotpath", pkg)
 	if len(fs) != 2 {
 		t.Fatalf("want 2 findings (Init block, Iterate alloc), got %v", fs)
@@ -483,7 +480,7 @@ func TestHotpathRuleRegisteredKernel(t *testing.T) {
 }
 
 func TestHotpathEntryNames(t *testing.T) {
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg2_fixture.go", registeredFixture)
+	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg2_fixture.go", kernelFixture)
 	names := HotpathEntryNames(NewModule([]*Package{pkg}))
 	for _, want := range []string{"core.fixKernel.Init", "core.fixKernel.Iterate", "core.fixKernel.Residual"} {
 		found := false
@@ -496,6 +493,36 @@ func TestHotpathEntryNames(t *testing.T) {
 		if !found {
 			t.Errorf("entry %q missing from HotpathEntryNames %v", want, names)
 		}
+	}
+}
+
+// TestHotpathDiscoversEveryKernelType checks that kernel discovery
+// finds every type implementing Kernel — here two in one file, one
+// with a value and one with a pointer receiver — and never the
+// interface itself.
+func TestHotpathDiscoversEveryKernelType(t *testing.T) {
+	src := `package core
+
+type Kernel interface{ Iterate() }
+
+type a struct{}
+
+func (a) Iterate() {}
+
+type b struct{}
+
+func (*b) Iterate() {}
+
+type notKernel struct{}
+`
+	pkg := loadFixture(t, "pmpr/internal/core", "core.go", src)
+	kts := kernelTypes(NewModule([]*Package{pkg}))
+	var names []string
+	for _, kt := range kts {
+		names = append(names, typeDisplayName(kt))
+	}
+	if strings.Join(names, ",") != "core.a,core.b" {
+		t.Errorf("want both kernel types discovered, got %v", names)
 	}
 }
 

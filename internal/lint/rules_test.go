@@ -535,3 +535,66 @@ func h() {
 		t.Errorf("suppressed finding still reported: %v", fs)
 	}
 }
+
+// A break inside a switch nested in a loop exits the switch, not the
+// loop, so the lock is balanced on every real path.
+func TestProbeLockbalanceSwitchBreakInLoop(t *testing.T) {
+	src := `package p
+
+import "sync"
+
+type s struct{ mu sync.Mutex }
+
+func (x *s) f(vals []int) {
+	for _, v := range vals {
+		x.mu.Lock()
+		switch v {
+		case 1:
+			break
+		case 2:
+		}
+		x.mu.Unlock()
+	}
+}
+`
+	pkg := loadFixture(t, "pmpr/internal/p", "p.go", src)
+	fs := runRule(t, "lockbalance", pkg)
+	if len(fs) != 0 {
+		t.Errorf("balanced lock with switch-break: want 0 findings, got %v", fs)
+	}
+}
+
+// Infinite for loop; switch-break taken with the lock held; the code
+// after the switch unlocks before the real exit (return). Every real
+// path is balanced, but if switch-break is modeled as a loop break, the
+// post-loop state wrongly carries the lock.
+func TestProbeLockbalanceSwitchBreakInfiniteLoop(t *testing.T) {
+	src := `package p
+
+import "sync"
+
+type s struct{ mu sync.Mutex }
+
+func (x *s) f(next func() int) {
+	for {
+		v := next()
+		x.mu.Lock()
+		switch v {
+		case 1:
+			x.mu.Unlock()
+			break
+		case 2:
+			x.mu.Unlock()
+		default:
+			x.mu.Unlock()
+			return
+		}
+	}
+}
+`
+	pkg := loadFixture(t, "pmpr/internal/p", "p.go", src)
+	fs := runRule(t, "lockbalance", pkg)
+	if len(fs) != 0 {
+		t.Errorf("balanced: want 0 findings, got %v", fs)
+	}
+}
