@@ -15,12 +15,9 @@
 //	-list                     list the available rules and exit
 //	-json                     emit findings as a JSON array on stdout
 //	-graph                    dump the module call graph and exit
-//	-effort quick|full        analysis tier: quick scopes the transitive
-//	                          hotpath rule to internal/core+internal/sched
-//	                          (pre-commit); full is module-wide (CI)
-//	-strict                   stale //pmvet:ignore directives fail the run
-//	                          instead of warning
-//	-timings                  print per-rule wall times to stderr
+//	-strict                   stale //pmvet:ignore directives (and ones
+//	                          naming no rule) fail the run instead of
+//	                          warning
 //
 // Packages default to ./... and are module-relative patterns
 // ("./internal/core", "./internal/..."). Suppress a single finding with
@@ -56,9 +53,7 @@ func main() {
 		list     = flag.Bool("list", false, "list the available rules and exit")
 		jsonOut  = flag.Bool("json", false, "emit findings as JSON on stdout")
 		graphOut = flag.Bool("graph", false, "dump the module call graph and exit")
-		effort   = flag.String("effort", "full", "analysis tier: quick (core+sched) or full (module-wide)")
 		strict   = flag.Bool("strict", false, "stale //pmvet:ignore directives fail the run")
-		timings  = flag.Bool("timings", false, "print per-rule wall times to stderr")
 	)
 	flag.Parse()
 
@@ -71,15 +66,6 @@ func main() {
 	analyzers, err := lint.ByName(*rules)
 	if err != nil {
 		fatal(err)
-	}
-	var tier lint.Effort
-	switch *effort {
-	case "quick":
-		tier = lint.EffortQuick
-	case "full":
-		tier = lint.EffortFull
-	default:
-		fatal(fmt.Errorf("unknown -effort %q (quick or full)", *effort))
 	}
 
 	wd, err := os.Getwd()
@@ -96,7 +82,6 @@ func main() {
 	}
 
 	mod := lint.NewModule(pkgs)
-	mod.Effort = tier
 
 	if *graphOut {
 		if err := mod.Graph().WriteGraph(os.Stdout); err != nil {
@@ -106,12 +91,6 @@ func main() {
 	}
 
 	rep := lint.Analyze(mod, analyzers)
-	if *timings {
-		for _, t := range rep.Timings {
-			fmt.Fprintf(os.Stderr, "pmvet: %-13s %8.1fms (effort=%s)\n",
-				t.Rule, float64(t.Elapsed.Microseconds())/1000, *effort)
-		}
-	}
 
 	failing := len(rep.Findings)
 	if *strict {

@@ -4,8 +4,8 @@
 // time — which cannot prove the whole-program properties the engine
 // now depends on ("nothing reachable from Kernel.Iterate allocates").
 // The graph makes those properties checkable: it resolves direct
-// calls, devirtualizes method calls through module interfaces (the
-// `core.Kernel` registry, `sched.Body`-style callbacks), and tracks
+// calls, devirtualizes method calls through module interfaces
+// (`core.Kernel` implementations, `sched.Body`-style callbacks), and tracks
 // function values as they flow through assignments, struct fields,
 // parameters, and results, so a kernel pass bound to a field in Init
 // and invoked through `b.loop(n, s.pass1)` three layers later is a
@@ -28,6 +28,7 @@ import (
 	"go/token"
 	"go/types"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -47,8 +48,6 @@ const (
 	// EdgeFunc is a call through a function value, resolved by the
 	// flow analysis to a function whose value reaches the call site.
 	EdgeFunc
-	// EdgeGo is any of the above launched with a `go` statement.
-	EdgeGo
 )
 
 // String names the edge kind as printed by WriteGraph.
@@ -60,8 +59,6 @@ func (k EdgeKind) String() string {
 		return "iface"
 	case EdgeFunc:
 		return "func"
-	case EdgeGo:
-		return "go"
 	default:
 		return fmt.Sprintf("EdgeKind(%d)", uint8(k))
 	}
@@ -73,8 +70,6 @@ type Edge struct {
 	Callee *FuncNode
 	// Kind records how the target was resolved.
 	Kind EdgeKind
-	// Site is the call (or go) expression, for positions in findings.
-	Site ast.Node
 }
 
 // FuncNode is one function in the call graph: a declared function or
@@ -167,7 +162,6 @@ type flowKey struct {
 type callSite struct {
 	caller *FuncNode
 	call   *ast.CallExpr
-	goStmt bool
 }
 
 // graphBuilder accumulates the flow constraint system while scanning
@@ -367,16 +361,6 @@ func (b *graphBuilder) scanBody(n *FuncNode) {
 			if !isTypeConversion(pkg, st) {
 				b.sites = append(b.sites, callSite{caller: n, call: st})
 			}
-		case *ast.GoStmt:
-			b.sites = append(b.sites, callSite{caller: n, call: st.Call, goStmt: true})
-			// The call's arguments and nested calls still walk below via
-			// the CallExpr case; mark this call resolved as go by
-			// skipping the duplicate plain-site record.
-			for _, arg := range st.Call.Args {
-				ast.Inspect(arg, walk)
-			}
-			b.flowCallArgsOnly(n, st.Call)
-			return false
 		case *ast.AssignStmt:
 			for i, rhs := range st.Rhs {
 				if len(st.Lhs) == len(st.Rhs) {
@@ -401,15 +385,6 @@ func (b *graphBuilder) scanBody(n *FuncNode) {
 		return true
 	}
 	ast.Inspect(n.body, walk)
-}
-
-// flowCallArgsOnly handles the argument flow of a go statement's call
-// without re-recording the call site.
-func (b *graphBuilder) flowCallArgsOnly(n *FuncNode, call *ast.CallExpr) {
-	// Argument→parameter constraints are added during solving, keyed by
-	// the recorded site; nothing to do eagerly.
-	_ = n
-	_ = call
 }
 
 // lhsKey resolves an assignment target to its flow node (zero key when
@@ -778,26 +753,13 @@ func (b *graphBuilder) implementations(iface *types.Interface, method string) []
 	return impls
 }
 
-// emitEdges writes the final resolved edges of a site onto its caller.
-// Dedup is per call site, not per (callee, kind): a function that calls
-// the same callee from several sites keeps one edge per site, because
-// site-reading consumers (goleak flagging each launch) must see every
-// site, not just the first. Reachability walks are unaffected — they
-// track visited nodes — and WriteGraph dedups at render time.
+// emitEdges writes the final resolved edges of a site onto its caller,
+// skipping any (callee, kind) edge an earlier site already added.
 func (b *graphBuilder) emitEdges(s callSite) {
 	for callee, kind := range b.calleesOf(s) {
-		if s.goStmt {
-			kind = EdgeGo
-		}
-		dup := false
-		for _, e := range s.caller.Edges {
-			if e.Callee == callee && e.Kind == kind && e.Site == s.call {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			s.caller.Edges = append(s.caller.Edges, Edge{Callee: callee, Kind: kind, Site: s.call})
+		e := Edge{Callee: callee, Kind: kind}
+		if !slices.Contains(s.caller.Edges, e) {
+			s.caller.Edges = append(s.caller.Edges, e)
 		}
 	}
 }
@@ -811,15 +773,9 @@ func (g *CallGraph) WriteGraph(w io.Writer) error {
 	copy(nodes, g.Nodes)
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 	for _, n := range nodes {
-		// Collapse per-site edges: the dump names relations, not sites.
-		lines := make([]string, 0, len(n.Edges))
-		lineSeen := make(map[string]bool, len(n.Edges))
-		for _, e := range n.Edges {
-			l := fmt.Sprintf("  -> %s [%s]", e.Callee.Name, e.Kind)
-			if !lineSeen[l] {
-				lineSeen[l] = true
-				lines = append(lines, l)
-			}
+		lines := make([]string, len(n.Edges))
+		for i, e := range n.Edges {
+			lines[i] = fmt.Sprintf("  -> %s [%s]", e.Callee.Name, e.Kind)
 		}
 		sort.Strings(lines)
 		if _, err := fmt.Fprintln(w, n.Name); err != nil {

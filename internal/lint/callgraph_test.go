@@ -14,7 +14,8 @@ var updateGolden = flag.Bool("update", false, "rewrite golden files from current
 // callgraphFixture is a miniature of the engine's dispatch shapes: an
 // interface devirtualized to its implementations (Kernel-style), a
 // function value bound to a struct field (sched.Body-style), and a
-// goroutine launch. The golden file pins all three edge kinds.
+// goroutine launch. The golden file pins all three edge kinds; the go
+// statement's edge carries the kind its call resolves to.
 const callgraphFixture = `package fixture
 
 type Kernel interface{ Step() }
@@ -42,7 +43,8 @@ func drive(k Kernel) {
 // TestCallGraphGolden pins the -graph output shape and the
 // devirtualization behavior: the interface call resolves to every
 // module implementation, the field-bound function value resolves
-// through the flow analysis, and the go statement is kept distinct.
+// through the flow analysis, and the go statement resolves like any
+// other call.
 func TestCallGraphGolden(t *testing.T) {
 	pkg := loadFixture(t, "pmpr/internal/fixture", "graph_fixture.go", callgraphFixture)
 	g := BuildCallGraph([]*Package{pkg})

@@ -1,11 +1,9 @@
 // This file is the second half of pmvet's facts layer: per-function
 // effect summaries. Where callgraph.go answers "who calls whom", this
 // file answers "what does each function do locally" — does it
-// allocate, can it block, and which struct fields does it touch
-// atomically versus plainly. The interprocedural rules combine the
-// two: transitive hotpath unions local alloc/block effects over the
-// call graph's reachable set; atomicmix joins the atomic- and
-// plain-access sets across the whole module.
+// allocate, and can it block. The transitive hotpath rule combines the
+// two: it unions local alloc/block effects over the call graph's
+// reachable set.
 //
 // Summaries are deliberately syntactic and local. An effect is
 // recorded where it happens, with a position and a human-readable
@@ -20,7 +18,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // EffectKind classifies one local effect.
@@ -117,54 +114,8 @@ type Effect struct {
 	Desc string
 }
 
-// AccessMode distinguishes how a struct field is touched.
-type AccessMode uint8
-
-// The access modes atomicmix joins across the module.
-const (
-	// AccessAtomic is an access through sync/atomic: a function-style
-	// atomic.LoadX/StoreX/AddX/... taking the field's address, or a
-	// method call on a typed atomic field (f.count.Add(1)).
-	AccessAtomic AccessMode = iota
-	// AccessPlain is a direct read or write of the field.
-	AccessPlain
-	// AccessCopy is a by-value copy of a typed atomic field (or of a
-	// struct containing one) — always a bug, flagged unconditionally.
-	AccessCopy
-)
-
-// FieldAccess records one access to a struct field.
-type FieldAccess struct {
-	// Field is the accessed field's object — the join key: the same
-	// *types.Var regardless of which file or package touches it.
-	Field *types.Var
-	Mode  AccessMode
-	Pos   token.Pos
-	// Write is set for stores (assignment, ++/--, compound assign).
-	Write bool
-}
-
 // FuncEffects is the complete local summary of one function.
-type FuncEffects struct {
-	Effects  []Effect
-	Accesses []FieldAccess
-}
-
-// Allocs returns the allocation effects only.
-func (fe *FuncEffects) Allocs() []Effect { return fe.filter(EffectKind.IsAlloc) }
-
-// Blocks returns the blocking effects only.
-func (fe *FuncEffects) Blocks() []Effect { return fe.filter(EffectKind.IsBlock) }
-
-func (fe *FuncEffects) filter(keep func(EffectKind) bool) []Effect {
-	var out []Effect
-	for _, e := range fe.Effects {
-		if keep(e.Kind) {
-			out = append(out, e)
-		}
-	}
-	return out
-}
+type FuncEffects []Effect
 
 // allocFuncs is the table of stdlib calls the summary treats as
 // allocating. Keyed "pkg.Func" for functions, "pkg.Type.Method" for
@@ -176,7 +127,7 @@ var allocFuncs = map[string]bool{
 	"fmt.Sprintf": true, "fmt.Sprint": true, "fmt.Sprintln": true,
 	"fmt.Errorf": true, "fmt.Fprintf": true, "fmt.Fprintln": true,
 	"fmt.Printf": true, "fmt.Println": true, "fmt.Print": true,
-	"errors.New": true,
+	"errors.New":   true,
 	"strings.Join": true, "strings.Repeat": true, "strings.Split": true,
 	"strings.Fields": true, "strings.Replace": true, "strings.ReplaceAll": true,
 	"strings.ToLower": true, "strings.ToUpper": true,
@@ -184,7 +135,7 @@ var allocFuncs = map[string]bool{
 	"strconv.Quote": true, "strconv.AppendQuote": true,
 	"sort.Slice": true, "sort.SliceStable": true, // closure boxing + reflect
 	"sync.Pool.Get": true, // may call New
-	"log.Printf": true, "log.Println": true, "log.Print": true, "log.Fatalf": true,
+	"log.Printf":    true, "log.Println": true, "log.Print": true, "log.Fatalf": true,
 }
 
 // blockSyscallPkgs are packages whose calls count as BlockSyscall.
@@ -198,31 +149,9 @@ var blockSyncFuncs = map[string]bool{
 	"sync.WaitGroup.Wait": true, "sync.Cond.Wait": true, "sync.Once.Do": true,
 }
 
-// atomicFuncs are the function-style sync/atomic operations; the bool
-// marks writes.
-var atomicFuncs = map[string]bool{
-	"atomic.LoadInt32": false, "atomic.LoadInt64": false, "atomic.LoadUint32": false,
-	"atomic.LoadUint64": false, "atomic.LoadUintptr": false, "atomic.LoadPointer": false,
-	"atomic.StoreInt32": true, "atomic.StoreInt64": true, "atomic.StoreUint32": true,
-	"atomic.StoreUint64": true, "atomic.StoreUintptr": true, "atomic.StorePointer": true,
-	"atomic.AddInt32": true, "atomic.AddInt64": true, "atomic.AddUint32": true,
-	"atomic.AddUint64": true, "atomic.AddUintptr": true,
-	"atomic.SwapInt32": true, "atomic.SwapInt64": true, "atomic.SwapUint32": true,
-	"atomic.SwapUint64": true, "atomic.SwapPointer": true,
-	"atomic.CompareAndSwapInt32": true, "atomic.CompareAndSwapInt64": true,
-	"atomic.CompareAndSwapUint32": true, "atomic.CompareAndSwapUint64": true,
-	"atomic.CompareAndSwapPointer": true,
-}
-
-// atomicWriteMethods marks typed-atomic methods that store.
-var atomicWriteMethods = map[string]bool{
-	"Load": false, "Store": true, "Add": true, "Swap": true,
-	"CompareAndSwap": true, "Or": true, "And": true,
-}
-
 // ComputeEffects builds the local summary for every node in the graph.
-func ComputeEffects(g *CallGraph) map[*FuncNode]*FuncEffects {
-	out := make(map[*FuncNode]*FuncEffects, len(g.Nodes))
+func ComputeEffects(g *CallGraph) map[*FuncNode]FuncEffects {
+	out := make(map[*FuncNode]FuncEffects, len(g.Nodes))
 	for _, n := range g.Nodes {
 		out[n] = summarize(n)
 	}
@@ -231,16 +160,12 @@ func ComputeEffects(g *CallGraph) map[*FuncNode]*FuncEffects {
 
 // summarize walks one function body (not nested literals — they have
 // their own nodes) and records its effects.
-func summarize(n *FuncNode) *FuncEffects {
-	fe := &FuncEffects{}
+func summarize(n *FuncNode) FuncEffects {
 	if n.body == nil {
-		return fe
+		return nil
 	}
+	var fe FuncEffects
 	pkg := n.Pkg
-	// consumed marks selector/address expressions already accounted for
-	// as the receiver or operand of an atomic operation, so the generic
-	// SelectorExpr case below does not re-record them as plain accesses.
-	consumed := make(map[ast.Node]bool)
 	var walk func(ast.Node) bool
 	walk = func(node ast.Node) bool {
 		switch e := node.(type) {
@@ -250,27 +175,14 @@ func summarize(n *FuncNode) *FuncEffects {
 			fe.add(AllocClosure, e.Pos(), "func literal")
 			return false
 		case *ast.CallExpr:
-			summarizeCall(pkg, fe, e, consumed)
+			summarizeCall(pkg, &fe, e)
 		case *ast.CompositeLit:
-			summarizeComposite(pkg, fe, e)
+			summarizeComposite(pkg, &fe, e)
 		case *ast.UnaryExpr:
 			switch e.Op {
 			case token.AND:
-				if consumed[e] {
-					return false
-				}
 				if _, ok := e.X.(*ast.CompositeLit); ok {
 					fe.add(AllocNew, e.Pos(), "&composite literal")
-				}
-				// &x.f on a typed atomic field is how a pointer to the
-				// atomic is passed around — an atomic-side use, not a copy.
-				if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
-					if field := selectedField(pkg, sel); field != nil && isTypedAtomic(field.Type()) {
-						fe.Accesses = append(fe.Accesses, FieldAccess{
-							Field: field, Mode: AccessAtomic, Pos: sel.Pos(),
-						})
-						consumed[sel] = true
-					}
 				}
 			case token.ARROW:
 				fe.add(BlockChan, e.Pos(), "channel receive")
@@ -295,23 +207,6 @@ func summarize(n *FuncNode) *FuncEffects {
 			if e.Tok == token.ADD_ASSIGN && len(e.Lhs) == 1 && isStringType(pkg, e.Lhs[0]) {
 				fe.add(AllocConcat, e.Pos(), "string concatenation")
 			}
-			for _, lhs := range e.Lhs {
-				recordFieldAccess(pkg, fe, lhs, true)
-				if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
-					consumed[sel] = true // already recorded as a write
-				}
-			}
-		case *ast.IncDecStmt:
-			recordFieldAccess(pkg, fe, e.X, true)
-			if sel, ok := ast.Unparen(e.X).(*ast.SelectorExpr); ok {
-				consumed[sel] = true
-			}
-		case *ast.SelectorExpr:
-			if consumed[e] {
-				return true // keep walking X for nested field reads
-			}
-			recordFieldRead(pkg, fe, e)
-			return true
 		}
 		return true
 	}
@@ -323,15 +218,12 @@ func summarize(n *FuncNode) *FuncEffects {
 }
 
 func (fe *FuncEffects) add(kind EffectKind, pos token.Pos, desc string) {
-	fe.Effects = append(fe.Effects, Effect{Kind: kind, Pos: pos, Desc: desc})
+	*fe = append(*fe, Effect{Kind: kind, Pos: pos, Desc: desc})
 }
 
 // summarizeCall classifies one call expression: builtin allocators,
-// stdlib allocators, blocking sync methods, sleeps, syscalls, and
-// sync/atomic field accesses. Selector/address expressions consumed as
-// atomic receivers or operands are marked in consumed so the generic
-// field-access cases skip them.
-func summarizeCall(pkg *Package, fe *FuncEffects, call *ast.CallExpr, consumed map[ast.Node]bool) {
+// stdlib allocators, blocking sync methods, sleeps, and syscalls.
+func summarizeCall(pkg *Package, fe *FuncEffects, call *ast.CallExpr) {
 	switch fun := ast.Unparen(call.Fun).(type) {
 	case *ast.Ident:
 		switch fun.Name {
@@ -377,28 +269,6 @@ func summarizeCall(pkg *Package, fe *FuncEffects, call *ast.CallExpr, consumed m
 				fe.add(BlockSyscall, call.Pos(), name)
 			}
 		}
-		// Function-style atomics: atomic.AddInt64(&x.f, 1). The &x.f
-		// operand is the atomic access itself, not a plain one.
-		if write, ok := atomicFuncs[name]; ok && len(call.Args) > 0 {
-			if field := addressedField(pkg, call.Args[0]); field != nil {
-				fe.Accesses = append(fe.Accesses, FieldAccess{
-					Field: field, Mode: AccessAtomic, Pos: call.Pos(), Write: write,
-				})
-				consumed[ast.Unparen(call.Args[0])] = true
-			}
-		}
-		// Typed atomics: x.f.Add(1) where f is atomic.Int64 etc. The
-		// x.f receiver selector is the atomic access, not a value copy.
-		if inner, ok := fun.X.(*ast.SelectorExpr); ok {
-			if field := selectedField(pkg, inner); field != nil && isTypedAtomic(field.Type()) {
-				if write, ok := atomicWriteMethods[fun.Sel.Name]; ok {
-					fe.Accesses = append(fe.Accesses, FieldAccess{
-						Field: field, Mode: AccessAtomic, Pos: call.Pos(), Write: write,
-					})
-					consumed[inner] = true
-				}
-			}
-		}
 	}
 }
 
@@ -415,77 +285,6 @@ func summarizeComposite(pkg *Package, fe *FuncEffects, lit *ast.CompositeLit) {
 	case *types.Slice:
 		fe.add(AllocLit, lit.Pos(), "slice literal")
 	}
-}
-
-// recordFieldAccess records a plain write (or copy) of a struct field.
-func recordFieldAccess(pkg *Package, fe *FuncEffects, lhs ast.Expr, write bool) {
-	sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr)
-	if !ok {
-		return
-	}
-	field := selectedField(pkg, sel)
-	if field == nil {
-		return
-	}
-	mode := AccessPlain
-	if isTypedAtomic(field.Type()) {
-		// Assigning over a typed atomic field is a copy-in — a bug.
-		mode = AccessCopy
-	}
-	fe.Accesses = append(fe.Accesses, FieldAccess{Field: field, Mode: mode, Pos: sel.Pos(), Write: write})
-}
-
-// recordFieldRead records a plain read of a struct field, or a copy of
-// a typed atomic field used as a value.
-func recordFieldRead(pkg *Package, fe *FuncEffects, sel *ast.SelectorExpr) {
-	field := selectedField(pkg, sel)
-	if field == nil {
-		return
-	}
-	if isTypedAtomic(field.Type()) {
-		// A bare read of a typed atomic field is a value copy unless it
-		// is the receiver of a method call or has its address taken —
-		// both filtered by the caller's walk order (the CallExpr and
-		// UnaryExpr cases see those first). We conservatively record it
-		// and let the rule drop receiver/address uses (see atomicmix).
-		fe.Accesses = append(fe.Accesses, FieldAccess{Field: field, Mode: AccessCopy, Pos: sel.Pos()})
-		return
-	}
-	fe.Accesses = append(fe.Accesses, FieldAccess{Field: field, Mode: AccessPlain, Pos: sel.Pos()})
-}
-
-// selectedField resolves a selector to the struct field it names, or
-// nil when it names a method, package member, or local.
-func selectedField(pkg *Package, sel *ast.SelectorExpr) *types.Var {
-	obj, ok := pkg.Info.Uses[sel.Sel].(*types.Var)
-	if !ok || !obj.IsField() {
-		return nil
-	}
-	return obj
-}
-
-// addressedField resolves &x.f to the field f, or nil.
-func addressedField(pkg *Package, arg ast.Expr) *types.Var {
-	un, ok := ast.Unparen(arg).(*ast.UnaryExpr)
-	if !ok || un.Op != token.AND {
-		return nil
-	}
-	sel, ok := ast.Unparen(un.X).(*ast.SelectorExpr)
-	if !ok {
-		return nil
-	}
-	return selectedField(pkg, sel)
-}
-
-// isTypedAtomic reports whether t is one of sync/atomic's typed
-// wrappers (atomic.Int64, atomic.Bool, atomic.Pointer[T], ...).
-func isTypedAtomic(t types.Type) bool {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync/atomic"
 }
 
 // isBuiltin reports whether id resolves to a Go builtin (not shadowed).
@@ -583,19 +382,4 @@ func callPkg(pkg *Package, sel *ast.SelectorExpr) (string, bool) {
 		}
 	}
 	return "", false
-}
-
-// descOf renders a short source-like description of an expression for
-// findings (best effort; falls back to the node type).
-func descOf(e ast.Expr) string {
-	switch e := e.(type) {
-	case *ast.Ident:
-		return e.Name
-	case *ast.SelectorExpr:
-		return descOf(e.X) + "." + e.Sel.Name
-	case *ast.CallExpr:
-		return descOf(e.Fun) + "(...)"
-	default:
-		return strings.TrimPrefix(fmt.Sprintf("%T", e), "*ast.")
-	}
 }

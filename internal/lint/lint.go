@@ -11,12 +11,11 @@
 // effects.go) builds a module-wide call graph — direct calls, method
 // calls devirtualized through module interfaces like core.Kernel,
 // function values traced through fields, parameters, and results —
-// plus per-function effect summaries (allocates, blocks, which struct
-// fields are touched atomically vs. plainly). The rules layer consumes
-// those facts: per-package Analyzers see one package at a time, and
-// ModuleAnalyzers (hotpath, atomicmix, goleak, eventexhaust) see the
-// whole module through a Module and can prove reachability properties
-// no single-package rule can.
+// plus per-function effect summaries (allocates, blocks). The rules
+// layer consumes those facts: per-package Analyzers see one package at
+// a time, and ModuleAnalyzers (hotpath, eventexhaust) see the whole
+// module through a Module and can prove reachability properties no
+// single-package rule can.
 //
 // Each rule is individually suppressible at a finding site with a
 //
@@ -36,7 +35,6 @@ import (
 	"go/types"
 	"sort"
 	"strings"
-	"time"
 )
 
 // Finding is one rule violation, rendered as "file:line: rule: message".
@@ -89,40 +87,21 @@ type ModuleAnalyzer interface {
 	CheckModule(m *Module) []Finding
 }
 
-// Effort selects how much of the module the expensive module rules
-// cover. The facts layer always spans every loaded package (the call
-// graph is cheap); effort scopes only where the transitive rules
-// *look for entry points*, so the pre-commit path stays fast while CI
-// proves the property module-wide.
-type Effort string
-
-// The effort tiers.
-const (
-	// EffortQuick scopes transitive-rule entry discovery to
-	// internal/core and internal/sched — the hot substrate — for the
-	// pre-commit path.
-	EffortQuick Effort = "quick"
-	// EffortFull discovers entry points module-wide (the CI default).
-	EffortFull Effort = "full"
-)
-
 // Module is the whole-module view handed to ModuleAnalyzers: the
 // loaded packages plus lazily built facts (call graph, effect
 // summaries) shared by every rule that needs them.
 type Module struct {
 	// Pkgs are the loaded packages, in load order.
 	Pkgs []*Package
-	// Effort is the analysis tier (defaults to EffortFull).
-	Effort Effort
 
 	graph     *CallGraph
-	effects   map[*FuncNode]*FuncEffects
+	effects   map[*FuncNode]FuncEffects
 	fileOwner map[string]*Package
 }
 
 // NewModule wraps loaded packages for module-level analysis.
 func NewModule(pkgs []*Package) *Module {
-	return &Module{Pkgs: pkgs, Effort: EffortFull}
+	return &Module{Pkgs: pkgs}
 }
 
 // Graph returns the module call graph, building it on first use.
@@ -135,7 +114,7 @@ func (m *Module) Graph() *CallGraph {
 
 // Effects returns the per-function effect summaries, built on first
 // use alongside the graph.
-func (m *Module) Effects() map[*FuncNode]*FuncEffects {
+func (m *Module) Effects() map[*FuncNode]FuncEffects {
 	if m.effects == nil {
 		m.effects = ComputeEffects(m.Graph())
 	}
@@ -166,8 +145,6 @@ func Analyzers() []Analyzer {
 		closecheckRule{},
 		docRule{},
 		ctxfirstRule{},
-		atomicmixRule{},
-		goleakRule{},
 		lockbalanceRule{},
 		eventexhaustRule{},
 	}
@@ -206,25 +183,15 @@ func ruleNames(as []Analyzer) string {
 	return strings.Join(names, ", ")
 }
 
-// Timing is one rule's wall-clock cost, reported so the effort tiers
-// stay honest about what each one buys.
-type Timing struct {
-	// Rule is the analyzer name ("<facts>" for graph+effects build).
-	Rule string
-	// Elapsed is the rule's wall time.
-	Elapsed time.Duration
-}
-
 // Report is the full result of one Analyze call.
 type Report struct {
 	// Findings are the unsuppressed rule findings, sorted by position.
 	Findings []Finding
-	// Stale are //pmvet:ignore directives that name a selected rule but
-	// suppressed nothing this run (rule name "stale-ignore"). Warnings
-	// by default; pmvet -strict promotes them to failures.
+	// Stale are //pmvet:ignore directives that suppressed nothing this
+	// run: ones naming a selected rule that matched no finding, and ones
+	// naming no rule pmvet has (rule name "stale-ignore"). Warnings by
+	// default; pmvet -strict promotes them to failures.
 	Stale []Finding
-	// Timings are per-rule wall times in execution order.
-	Timings []Timing
 }
 
 // StaleRule is the pseudo-rule name stale-directive findings carry.
@@ -233,8 +200,8 @@ const StaleRule = "stale-ignore"
 // Analyze applies the analyzers to the module: per-package rules run
 // on each package, module rules run once over the whole module, and
 // every finding is filtered through the owning package's ignore
-// directives. Directives that name a selected rule but matched nothing
-// are reported in Report.Stale.
+// directives. Directives that name a selected rule but matched nothing,
+// or that name an unknown rule, are reported in Report.Stale.
 func Analyze(m *Module, analyzers []Analyzer) *Report {
 	rep := &Report{}
 	for _, pkg := range m.Pkgs {
@@ -244,19 +211,7 @@ func Analyze(m *Module, analyzers []Analyzer) *Report {
 	for _, a := range analyzers {
 		selected[a.Name()] = true
 	}
-	needFacts := false
 	for _, a := range analyzers {
-		if _, ok := a.(ModuleAnalyzer); ok {
-			needFacts = true
-		}
-	}
-	if needFacts {
-		start := time.Now()
-		m.Effects() // builds graph + summaries once, outside rule timings
-		rep.Timings = append(rep.Timings, Timing{Rule: "<facts>", Elapsed: time.Since(start)})
-	}
-	for _, a := range analyzers {
-		start := time.Now()
 		if ma, ok := a.(ModuleAnalyzer); ok {
 			for _, f := range ma.CheckModule(m) {
 				owner := m.PackageFor(f.Pos.Filename)
@@ -273,10 +228,13 @@ func Analyze(m *Module, analyzers []Analyzer) *Report {
 				}
 			}
 		}
-		rep.Timings = append(rep.Timings, Timing{Rule: a.Name(), Elapsed: time.Since(start)})
+	}
+	known := make(map[string]bool)
+	for _, a := range Analyzers() {
+		known[a.Name()] = true
 	}
 	for _, pkg := range m.Pkgs {
-		rep.Stale = append(rep.Stale, pkg.staleIgnores(selected)...)
+		rep.Stale = append(rep.Stale, pkg.staleIgnores(selected, known)...)
 	}
 	sortFindings(rep.Findings)
 	sortFindings(rep.Stale)
@@ -285,8 +243,7 @@ func Analyze(m *Module, analyzers []Analyzer) *Report {
 
 // Run applies the analyzers to the packages and returns the
 // unsuppressed findings sorted by position. It is the simple wrapper
-// over Analyze for callers that do not need stale-ignore or timing
-// data.
+// over Analyze for callers that do not need stale-ignore data.
 func Run(pkgs []*Package, analyzers []Analyzer) []Finding {
 	return Analyze(NewModule(pkgs), analyzers).Findings
 }
@@ -372,21 +329,26 @@ func (p *Package) suppress(f Finding) bool {
 }
 
 // staleIgnores reports the package's directives that name a rule in
-// the selected set but suppressed nothing. Directives for unselected
-// rules are left alone — a -rules subset must not call the other
-// rules' suppressions stale.
-func (p *Package) staleIgnores(selected map[string]bool) []Finding {
+// the selected set but suppressed nothing, and every directive naming
+// a rule not in known, whatever is selected. Directives for known but
+// unselected rules are left alone — a -rules subset must not call the
+// other rules' suppressions stale.
+func (p *Package) staleIgnores(selected, known map[string]bool) []Finding {
 	var out []Finding
 	for _, lines := range p.ignores {
 		for _, entries := range lines {
 			for _, e := range entries {
-				if e.used || !selected[e.rule] {
+				msg := "suppresses nothing (remove it or fix the rule list)"
+				switch {
+				case !known[e.rule]:
+					msg = "names no pmvet rule (remove it or fix the rule name)"
+				case e.used || !selected[e.rule]:
 					continue
 				}
 				out = append(out, Finding{
 					Pos:  e.pos,
 					Rule: StaleRule,
-					Msg:  fmt.Sprintf("//pmvet:ignore %s suppresses nothing (remove it or fix the rule list)", e.rule),
+					Msg:  fmt.Sprintf("//pmvet:ignore %s %s", e.rule, msg),
 				})
 			}
 		}

@@ -22,8 +22,8 @@ import (
 //     contract amortizes one boxed-state allocation per batch there)
 //     but must not block.
 //   - Every closure handed to ParallelFor/ParallelForCtx anywhere in
-//     the module (internal/core only under -effort quick): inside
-//     internal/core the full no-alloc/no-block ban applies; elsewhere
+//     the module: inside internal/core the full no-alloc/no-block ban
+//     applies; elsewhere
 //     the ban is the classic hot-loop set — fmt/log-style calls,
 //     append, map allocation, string concatenation — so analysis
 //     loop bodies that legitimately make scratch slices stay legal.
@@ -31,7 +31,7 @@ import (
 // The traversal does not descend into internal/sched itself: the
 // scheduler is the audited synchronization substrate (its locks and
 // sleeps are the mechanism that runs the hot loops, checked by
-// lockbalance/goleak instead), and bodies passed to it are still
+// lockbalance instead), and bodies passed to it are still
 // traced because the flow analysis connects them to the loop drivers
 // in internal/core.
 type hotpathRule struct{}
@@ -111,11 +111,7 @@ func (r hotpathRule) CheckModule(m *Module) []Finding {
 		}
 		sort.Slice(nodes, func(i, j int) bool { return nodes[i].Name < nodes[j].Name })
 		for _, n := range nodes {
-			fe := effects[n]
-			if fe == nil {
-				continue
-			}
-			for _, e := range fe.Effects {
+			for _, e := range effects[n] {
 				if !entry.ban.banned(e) {
 					continue
 				}
@@ -242,8 +238,7 @@ func hotLoopFile(pkgPath, base string) (hotBan, bool) {
 // parallelForEntries finds every loop body handed to the scheduler
 // (ParallelFor/ParallelForCtx) or to a kernel forLoop (`loop(...)`,
 // `b.loop(...)`) at call sites in the hot loop files, resolved through
-// the flow analysis so bodies bound to locals or fields count. Under
-// EffortQuick only internal/core sites are rooted.
+// the flow analysis so bodies bound to locals or fields count.
 func parallelForEntries(m *Module) []hotEntry {
 	g := m.Graph()
 	var entries []hotEntry
@@ -256,9 +251,6 @@ func parallelForEntries(m *Module) []hotEntry {
 		base := pathBase(pkg.Fset.Position(n.Pos()).Filename)
 		ban, ok := hotLoopFile(pkg.Path, base)
 		if !ok {
-			continue
-		}
-		if m.Effort == EffortQuick && !strings.HasSuffix(pkg.Path, "internal/core") {
 			continue
 		}
 		ast.Inspect(n.body, func(node ast.Node) bool {
@@ -308,8 +300,8 @@ func pathBase(p string) string {
 }
 
 // HotpathEntryNames lists the rule's discovered traversal roots (the
-// entry descriptions, sorted). The repo gate's registry-coverage test
-// uses this to prove every kernel in core's runtime registry is
+// entry descriptions, sorted). The repo gate's kernel-coverage test
+// uses this to prove every kernel core.KernelID.Kernel returns is
 // actually rooted here.
 func HotpathEntryNames(m *Module) []string {
 	entries := hotpathEntries(m)

@@ -6,7 +6,7 @@ import (
 )
 
 // analyzeFixture runs the named rules over one fixture package and
-// returns the full report (findings, stale suppressions, timings).
+// returns the full report (findings and stale suppressions).
 func analyzeFixture(t *testing.T, rules string, pkg *Package) *Report {
 	t.Helper()
 	as, err := ByName(rules)
@@ -14,154 +14,6 @@ func analyzeFixture(t *testing.T, rules string, pkg *Package) *Report {
 		t.Fatalf("ByName(%q): %v", rules, err)
 	}
 	return Analyze(NewModule([]*Package{pkg}), as)
-}
-
-func TestAtomicmixRule(t *testing.T) {
-	// A field touched by atomic ops in one function and by plain
-	// reads/writes in another is a torn-access bug waiting to happen.
-	mixed := `package obs
-
-import "sync/atomic"
-
-type counter struct{ n int64 }
-
-func (c *counter) bump() { atomic.AddInt64(&c.n, 1) }
-
-func (c *counter) read() int64 { return c.n }
-`
-	pkg := loadFixture(t, "pmpr/internal/obs", "counter.go", mixed)
-	fs := runRule(t, "atomicmix", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("mixed access: want 1 finding, got %v", fs)
-	}
-	if !strings.Contains(fs[0].Msg, "plain") || !strings.Contains(fs[0].Msg, "n") {
-		t.Errorf("finding %q should name the plainly-accessed field", fs[0].Msg)
-	}
-
-	// All-atomic access is the fix and must be clean.
-	clean := `package obs
-
-import "sync/atomic"
-
-type counter struct{ n int64 }
-
-func (c *counter) bump() { atomic.AddInt64(&c.n, 1) }
-
-func (c *counter) read() int64 { return atomic.LoadInt64(&c.n) }
-`
-	pkg = loadFixture(t, "pmpr/internal/obs", "counter_clean.go", clean)
-	if fs := runRule(t, "atomicmix", pkg); len(fs) != 0 {
-		t.Errorf("all-atomic access: want 0 findings, got %v", fs)
-	}
-
-	// Plain writes inside a constructor are pre-publication and exempt.
-	ctor := `package obs
-
-import "sync/atomic"
-
-type counter struct{ n int64 }
-
-func newCounter(seed int64) *counter {
-	c := &counter{}
-	c.n = seed
-	return c
-}
-
-func (c *counter) bump() { atomic.AddInt64(&c.n, 1) }
-`
-	pkg = loadFixture(t, "pmpr/internal/obs", "counter_ctor.go", ctor)
-	if fs := runRule(t, "atomicmix", pkg); len(fs) != 0 {
-		t.Errorf("constructor write: want 0 findings, got %v", fs)
-	}
-
-	// Copying a typed atomic by value silently drops the atomicity; the
-	// vet-style copylock check misses struct-field reads like this.
-	copied := `package obs
-
-import "sync/atomic"
-
-type gauge struct{ v atomic.Int64 }
-
-func snap(g *gauge) atomic.Int64 { return g.v }
-`
-	pkg = loadFixture(t, "pmpr/internal/obs", "gauge.go", copied)
-	fs = runRule(t, "atomicmix", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("typed atomic copy: want 1 finding, got %v", fs)
-	}
-	if !strings.Contains(fs[0].Msg, "copied or assigned by value") {
-		t.Errorf("finding %q should explain the by-value copy", fs[0].Msg)
-	}
-
-	// Using the typed atomic through its methods is clean.
-	typedOK := `package obs
-
-import "sync/atomic"
-
-type gauge struct{ v atomic.Int64 }
-
-func (g *gauge) set(x int64) { g.v.Store(x) }
-
-func (g *gauge) get() int64 { return g.v.Load() }
-`
-	pkg = loadFixture(t, "pmpr/internal/obs", "gauge_clean.go", typedOK)
-	if fs := runRule(t, "atomicmix", pkg); len(fs) != 0 {
-		t.Errorf("typed atomic via methods: want 0 findings, got %v", fs)
-	}
-}
-
-func TestGoleakRule(t *testing.T) {
-	// One undisciplined goroutine among four accepted shutdown shapes:
-	// ctx.Done select, WaitGroup.Done, single-send handoff, and
-	// close-joined range. Only the spinner should be flagged.
-	src := `package obs
-
-import (
-	"context"
-	"sync"
-)
-
-func spin() {
-	go func() {
-		for {
-		}
-	}()
-}
-
-func watchCtx(ctx context.Context) {
-	go func() {
-		<-ctx.Done()
-	}()
-}
-
-func joinWG(wg *sync.WaitGroup) {
-	go func() {
-		defer wg.Done()
-	}()
-}
-
-func handoff(errc chan error, work func() error) {
-	go func() { errc <- work() }()
-}
-
-func drain(ch chan int) {
-	go func() {
-		for range ch {
-		}
-	}()
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/obs", "leak.go", src)
-	fs := runRule(t, "goleak", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("want exactly the undisciplined goroutine flagged, got %v", fs)
-	}
-	if !strings.Contains(fs[0].Msg, "no visible exit discipline") {
-		t.Errorf("finding %q should state the missing discipline", fs[0].Msg)
-	}
-	if fs[0].Pos.Line != 9 {
-		t.Errorf("finding should point at the spin goroutine (line 9), got line %d", fs[0].Pos.Line)
-	}
 }
 
 func TestLockbalanceRule(t *testing.T) {
@@ -385,6 +237,27 @@ func ok() int { return 1 } //pmvet:ignore panic -- nothing panics here anymore
 		t.Errorf("subset run: want 0 stale directives, got %v", rep.Stale)
 	}
 
+	// A directive naming no pmvet rule (a deleted rule, a typo) can
+	// never suppress anything: it is stale whatever -rules selects.
+	unknown := `package fake
+
+func a() int { return 1 } //pmvet:ignore retired -- rule no longer exists
+
+func b() int { return 2 } //pmvet:ignore closechek -- misspelled rule
+`
+	pkg = loadFixture(t, "pmpr/internal/fake", "unknown.go", unknown)
+	for _, rules := range []string{"", "panic", "floateq"} {
+		rep = analyzeFixture(t, rules, pkg)
+		if len(rep.Stale) != 2 {
+			t.Fatalf("rules %q: want both unknown-rule directives stale, got %v", rules, rep.Stale)
+		}
+		for i, want := range []string{"retired", "closechek"} {
+			if f := rep.Stale[i]; f.Rule != StaleRule || !strings.Contains(f.Msg, want) {
+				t.Errorf("rules %q: stale[%d] = %v, want a %s finding naming %q", rules, i, f, StaleRule, want)
+			}
+		}
+	}
+
 	// A directive that actually suppresses a finding is not stale.
 	used := `package fake
 
@@ -523,41 +396,5 @@ type notKernel struct{}
 	}
 	if strings.Join(names, ",") != "core.a,core.b" {
 		t.Errorf("want both kernel types discovered, got %v", names)
-	}
-}
-
-func TestEffortQuickScopesParallelForEntries(t *testing.T) {
-	// Under -effort quick, loop bodies outside internal/core are not
-	// rooted; under full they are. Quick keeps pre-commit fast without
-	// weakening the kernel guarantees, which are core-side.
-	src := `package streaming
-
-type pool struct{}
-
-func (pool) ParallelFor(n, grain int, body func(lo, hi int)) { body(0, n) }
-
-func drive(p pool, xs []int) {
-	var log []int
-	p.ParallelFor(len(xs), 1, func(lo, hi int) {
-		log = append(log, 1)
-	})
-	_ = log
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/streaming", "runner.go", src)
-	as, err := ByName("hotpath")
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	full := NewModule([]*Package{pkg})
-	if fs := Analyze(full, as).Findings; len(fs) != 1 {
-		t.Errorf("effort=full: want 1 finding, got %v", fs)
-	}
-
-	quick := NewModule([]*Package{pkg})
-	quick.Effort = EffortQuick
-	if fs := Analyze(quick, as).Findings; len(fs) != 0 {
-		t.Errorf("effort=quick: want 0 findings outside core, got %v", fs)
 	}
 }

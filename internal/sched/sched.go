@@ -261,7 +261,9 @@ func NewPool(n int) *Pool {
 		p.workers[i] = &Worker{pool: p, id: i, rng: rand.New(rand.NewSource(int64(i)*0x9E3779B9 + 1))}
 	}
 	for _, w := range p.workers {
-		//pmvet:ignore goleak -- workers exit via the pool's closed flag: Close sets it under p.mu and Broadcasts; run re-checks it at every sleep/wake edge
+		// Workers exit via the pool's closed flag: Close sets it under
+		// p.mu and Broadcasts; run re-checks it at every sleep/wake
+		// edge. TestCancelNoGoroutineLeak checks the join at runtime.
 		go w.run()
 	}
 	return p
