@@ -94,6 +94,12 @@ func TestCLIEndToEnd(t *testing.T) {
 	if !strings.Contains(out, "enron") || !strings.Contains(out, "wikitalk") {
 		t.Fatalf("pmbench table1 output incomplete:\n%s", out)
 	}
+	// fig6 drives postmortem engine runs (full vs partial init).
+	out = runTool(t, "./cmd/pmbench", "-exp", "fig6", "-quick", "-scale", "0.02")
+	if !strings.Contains(out, "=== fig6:") || !strings.Contains(out, "partial iters") ||
+		!strings.Contains(out, "wikitalk") {
+		t.Fatalf("pmbench fig6 output incomplete:\n%s", out)
+	}
 }
 
 // e2eFrame is one SSE frame off the /events stream.

@@ -5,9 +5,7 @@
 //
 //	pmbench -list
 //	pmbench -exp fig5 [-scale 0.2] [-seed 1] [-workers 0] [-quick] [-max-windows 384]
-//	pmbench -exp all [-json BENCH_run.json] [-metrics-addr :8080]
-//	        [-trace-out sched.trace.json] [-report-out last-report.json]
-//	pmbench -diff before.json after.json [-diff-threshold 1.25]
+//	pmbench -exp all [-quick]
 package main
 
 import (
@@ -19,7 +17,6 @@ import (
 	"os/signal"
 	"runtime"
 	"syscall"
-	"time"
 
 	"pmpr/internal/bench"
 	"pmpr/internal/core"
@@ -35,26 +32,13 @@ func main() {
 		quick   = flag.Bool("quick", false, "trim sweeps for a fast pass")
 		maxWin  = flag.Int("max-windows", 0, "cap windows per spec (0 = default)")
 		list    = flag.Bool("list", false, "list experiments and exit")
-
-		jsonOut     = flag.String("json", "", "write machine-readable results (pmpr-bench/v1) to this file")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
-		traceOut    = flag.String("trace-out", "", "write a Chrome trace-event JSON of every engine run's schedule")
-		reportOut   = flag.String("report-out", "", "write the last engine run's report JSON")
-		version     = flag.Bool("version", false, "print build info and exit")
-
-		diff          = flag.Bool("diff", false, "compare two pmpr-bench/v1 JSON files (positional: before.json after.json) and exit nonzero on regression")
-		diffThreshold = flag.Float64("diff-threshold", 1.25, "with -diff, flag entries whose after/before wall-time ratio exceeds this factor")
+		version = flag.Bool("version", false, "print build info and exit")
 	)
 	flag.Parse()
 	if *version {
 		fmt.Println("pmbench", obs.CollectBuildInfo())
 		return
 	}
-
-	if *diff {
-		os.Exit(runDiff(flag.Args(), *diffThreshold))
-	}
-
 	if *list {
 		for _, e := range bench.Experiments() {
 			fmt.Printf("%-22s %s\n", e.ID, e.Title)
@@ -73,74 +57,17 @@ func main() {
 		Quick:      *quick,
 		MaxWindows: *maxWin,
 	}
-	// Any observability output wants the scheduler counters in reports.
-	o.PoolMetrics = *jsonOut != "" || *metricsAddr != "" || *traceOut != "" || *reportOut != ""
-
-	shutdownObs := func() {}
-	if *metricsAddr != "" {
-		srv, err := obs.Serve(*metricsAddr, obs.NewRegistry())
-		if err != nil {
-			fatal(err)
-		}
-		// Graceful teardown with a short deadline so an in-flight scrape
-		// finishes but SIGINT still exits promptly; runs via the defer on
-		// the normal path and explicitly before the interrupt's os.Exit.
-		shutdownObs = func() {
-			sctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-			defer cancel()
-			if err := srv.Shutdown(sctx); err != nil {
-				fmt.Fprintf(os.Stderr, "pmbench: metrics server shutdown: %v\n", err)
-			}
-		}
-		defer shutdownObs()
-		fmt.Printf("serving metrics on http://%s/ (/metrics, /debug/vars, /debug/pprof/)\n", srv.Addr())
-	}
-
-	var jr *bench.JSONReport
-	if *jsonOut != "" {
-		jr = bench.NewJSONReport(o)
-		o.ReportSink = jr.Sink()
-	}
-	var lastReport *core.RunReport
-	if *reportOut != "" {
-		prev := o.ReportSink
-		o.ReportSink = func(r *core.RunReport) {
-			if prev != nil {
-				prev(r)
-			}
-			lastReport = r
-		}
-	}
-	if *traceOut != "" {
-		o.Trace = obs.NewTrace()
-	}
 
 	// First SIGINT/SIGTERM cancels the running experiment's engine at the
-	// next window/batch boundary; artifacts collected so far still flush.
+	// next window/batch boundary.
 	ctx, stopSignals := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSignals()
-
-	runOne := func(e bench.Experiment) error {
-		if jr != nil {
-			return jr.RunExperiment(ctx, e, o)
-		}
-		return e.Run(ctx, o)
-	}
 
 	fmt.Printf("pmbench: GOMAXPROCS=%d scale=%g seed=%d quick=%v\n",
 		runtime.GOMAXPROCS(0), *scale, *seed, *quick)
 	var err error
 	if *exp == "all" {
-		for _, e := range bench.Experiments() {
-			if ctx.Err() != nil {
-				break
-			}
-			fmt.Printf("\n=== %s: %s ===\n", e.ID, e.Title)
-			if err = runOne(e); err != nil {
-				err = fmt.Errorf("%s: %w", e.ID, err)
-				break
-			}
-		}
+		err = bench.RunAll(ctx, o)
 	} else {
 		e, ok := bench.Get(*exp)
 		if !ok {
@@ -148,74 +75,14 @@ func main() {
 			os.Exit(2)
 		}
 		fmt.Printf("=== %s: %s ===\n", e.ID, e.Title)
-		err = runOne(e)
-	}
-
-	// Flush observability artifacts even when an experiment failed: a
-	// partial trajectory beats none.
-	if jr != nil {
-		if werr := jr.WriteFile(*jsonOut); werr != nil {
-			fatal(werr)
-		}
-		fmt.Printf("results written to %s (%d experiments, %d engine runs)\n",
-			*jsonOut, len(jr.Experiments), len(jr.EngineRuns))
-	}
-	if *reportOut != "" {
-		if lastReport == nil {
-			fmt.Fprintln(os.Stderr, "pmbench: -report-out: no engine run produced a report")
-		} else {
-			if werr := lastReport.WriteJSONFile(*reportOut); werr != nil {
-				fatal(werr)
-			}
-			fmt.Printf("last run report written to %s\n", *reportOut)
-		}
-	}
-	if o.Trace != nil {
-		if werr := o.Trace.WriteFile(*traceOut); werr != nil {
-			fatal(werr)
-		}
-		fmt.Printf("schedule trace written to %s (%d events; load in Perfetto)\n", *traceOut, o.Trace.Len())
+		err = e.Run(ctx, o)
 	}
 	if err != nil {
 		if errors.Is(err, core.ErrCanceled) || errors.Is(err, context.Canceled) {
-			fmt.Fprintln(os.Stderr, "pmbench: interrupted; partial results flushed")
-			shutdownObs()
+			fmt.Fprintln(os.Stderr, "pmbench: interrupted")
 			os.Exit(130)
 		}
-		fatal(err)
-	}
-}
-
-// runDiff implements -diff: compare two bench JSON files and return the
-// process exit code (0 clean, 1 regression or error, 2 usage).
-func runDiff(paths []string, threshold float64) int {
-	if len(paths) != 2 {
-		fmt.Fprintln(os.Stderr, "pmbench: -diff needs exactly two positional arguments: before.json after.json")
-		return 2
-	}
-	before, err := bench.ReadJSONReport(paths[0])
-	if err != nil {
 		fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-		return 1
+		os.Exit(1)
 	}
-	after, err := bench.ReadJSONReport(paths[1])
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-		return 1
-	}
-	d := bench.DiffReports(before, after)
-	d.Render(os.Stdout)
-	if regs := d.Regressions(threshold); len(regs) > 0 {
-		fmt.Fprintf(os.Stderr, "pmbench: %d entries regressed beyond %.2fx:\n", len(regs), threshold)
-		for _, r := range regs {
-			fmt.Fprintf(os.Stderr, "  %-40s %.3gs -> %.3gs (%.2fx)\n", r.Key, r.Before, r.After, r.Ratio)
-		}
-		return 1
-	}
-	return 0
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "pmbench: %v\n", err)
-	os.Exit(1)
 }

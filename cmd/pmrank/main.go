@@ -70,7 +70,7 @@ func main() {
 		ckptDir = flag.String("checkpoint-dir", "", "flush each solved window to this directory (postmortem model only)")
 		resume  = flag.Bool("resume", false, "restore windows already present in -checkpoint-dir instead of re-solving them")
 
-		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics, /debug/vars and /debug/pprof on this address")
+		metricsAddr  = flag.String("metrics-addr", "", "serve /metrics and /debug/pprof on this address")
 		live         = flag.Bool("live", false, "also serve /status (JSON snapshot) and /events (SSE journal) on -metrics-addr")
 		journalOut   = flag.String("journal-out", "", "write the run's event journal as JSON lines to this file (postmortem model only)")
 		traceOut     = flag.String("trace-out", "", "write a Chrome trace-event JSON of the schedule (postmortem model only)")
@@ -215,7 +215,7 @@ func main() {
 			}
 		}
 		defer shutdownObs()
-		fmt.Printf("serving metrics on http://%s/ (/metrics, /debug/vars, /debug/pprof/)\n", srv.Addr())
+		fmt.Printf("serving metrics on http://%s/ (/metrics, /debug/pprof/)\n", srv.Addr())
 		if *live {
 			fmt.Printf("live progress on http://%s/status and http://%s/events\n", srv.Addr(), srv.Addr())
 		}

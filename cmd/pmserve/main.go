@@ -168,7 +168,7 @@ func main() {
 	obs.HandleIndex(mux, "pmserve", []string{
 		"/v1/topk", "/v1/vertex/{id}/trajectory", "/v1/movers", "/v1/windows",
 		"/healthz", "/readyz",
-		"/status", "/events", "/metrics", "/debug/vars", "/debug/pprof/",
+		"/status", "/events", "/metrics", "/debug/pprof/",
 	})
 
 	srv, err := obs.ServeHandler(*addr, mux)

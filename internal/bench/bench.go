@@ -16,7 +16,6 @@ import (
 	"pmpr/internal/core"
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
-	"pmpr/internal/obs"
 	"pmpr/internal/offline"
 	"pmpr/internal/sched"
 	"pmpr/internal/streaming"
@@ -40,24 +39,6 @@ type Options struct {
 	// streaming baseline stays tractable at small scale; 0 means the
 	// harness default (96 quick / 384 full).
 	MaxWindows int
-	// Trace, when non-nil, receives worker/window spans from every
-	// postmortem engine run the harness performs through its helpers.
-	Trace *obs.Trace
-	// ReportSink, when non-nil, receives the RunReport of every
-	// postmortem engine run performed through the harness helpers.
-	ReportSink func(*core.RunReport)
-	// PoolMetrics turns on scheduler counter collection in every pool
-	// the experiments build, so the reports carry load-balance stats.
-	PoolMetrics bool
-}
-
-// newPool builds an experiment's scheduler pool, honoring PoolMetrics.
-func (o Options) newPool() *sched.Pool {
-	p := sched.NewPool(o.Workers)
-	if o.PoolMetrics {
-		p.EnableMetrics(true)
-	}
-	return p
 }
 
 // Defaults fills unset fields.
@@ -236,30 +217,24 @@ func timeIt(fn func() error) (float64, error) {
 }
 
 // runPostmortem builds (or reuses) an engine and times Run.
-func runPostmortem(ctx context.Context, o Options, l *events.Log, spec events.WindowSpec, cfg core.Config, pool *sched.Pool) (float64, *core.Series, error) {
+func runPostmortem(ctx context.Context, l *events.Log, spec events.WindowSpec, cfg core.Config, pool *sched.Pool) (float64, *core.Series, error) {
 	cfg.Directed = false
 	cfg.DiscardRanks = true
 	eng, err := core.NewEngine(l, spec, cfg, pool)
 	if err != nil {
 		return 0, nil, err
 	}
-	return runPostmortemReusing(ctx, o, eng)
+	return runPostmortemReusing(ctx, eng)
 }
 
 // runPostmortemReusing times Run on a prebuilt representation.
-func runPostmortemReusing(ctx context.Context, o Options, eng *core.Engine) (float64, *core.Series, error) {
-	if o.Trace != nil {
-		eng.SetTrace(o.Trace)
-	}
+func runPostmortemReusing(ctx context.Context, eng *core.Engine) (float64, *core.Series, error) {
 	var s *core.Series
 	secs, err := timeIt(func() error {
 		var err error
 		s, err = eng.Run(ctx)
 		return err
 	})
-	if err == nil && o.ReportSink != nil && s.Report != nil {
-		o.ReportSink(s.Report)
-	}
 	return secs, s, err
 }
 

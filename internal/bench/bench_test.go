@@ -1,16 +1,15 @@
 package bench
 
 import (
-	"context"
-
 	"bytes"
-	"encoding/json"
+	"context"
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
-	"pmpr/internal/obs"
 )
 
 func quickOptions(buf *bytes.Buffer) Options {
@@ -28,17 +27,44 @@ func TestEveryExperimentRunsQuick(t *testing.T) {
 	if testing.Short() {
 		t.Skip("harness smoke test skipped in -short mode")
 	}
-	for _, e := range Experiments() {
-		e := e
+	var buf bytes.Buffer
+	if err := RunAll(context.Background(), quickOptions(&buf)); err != nil {
+		t.Fatalf("RunAll: %v", err)
+	}
+	out := buf.String()
+	exps := Experiments()
+	for i, e := range exps {
 		t.Run(e.ID, func(t *testing.T) {
-			var buf bytes.Buffer
-			if err := e.Run(context.Background(), quickOptions(&buf)); err != nil {
-				t.Fatalf("%s: %v", e.ID, err)
+			header := fmt.Sprintf("=== %s: %s ===\n", e.ID, e.Title)
+			start := strings.Index(out, header)
+			if start < 0 {
+				t.Fatalf("header %q not printed", header)
 			}
-			if buf.Len() == 0 {
+			section := out[start+len(header):]
+			if i+1 < len(exps) {
+				next := fmt.Sprintf("=== %s: %s ===", exps[i+1].ID, exps[i+1].Title)
+				end := strings.Index(section, next)
+				if end < 0 {
+					t.Fatalf("experiments out of order: %q not after %q", next, header)
+				}
+				section = section[:end]
+			}
+			if strings.TrimSpace(section) == "" {
 				t.Fatalf("%s produced no output", e.ID)
 			}
 		})
+	}
+}
+
+func TestRunAllCanceled(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	var buf bytes.Buffer
+	if err := RunAll(ctx, quickOptions(&buf)); !errors.Is(err, context.Canceled) {
+		t.Fatalf("RunAll on a canceled context = %v, want context.Canceled", err)
+	}
+	if buf.Len() != 0 {
+		t.Fatalf("RunAll on a canceled context printed %q", buf.String())
 	}
 }
 
@@ -224,55 +250,5 @@ func TestDeriveOverlapSpecKeepsSlide(t *testing.T) {
 	}
 	if spec.Count != 10 {
 		t.Fatalf("count = %d, want truncation to 10", spec.Count)
-	}
-}
-
-func TestJSONReportCapturesExperimentAndEngineRuns(t *testing.T) {
-	var buf bytes.Buffer
-	o := quickOptions(&buf)
-	o.PoolMetrics = true
-	o.Trace = obs.NewTrace()
-	jr := NewJSONReport(o)
-	o.ReportSink = jr.Sink()
-
-	e, ok := Get("fig6")
-	if !ok {
-		t.Fatal("fig6 not registered")
-	}
-	if err := jr.RunExperiment(context.Background(), e, o); err != nil {
-		t.Fatalf("fig6: %v", err)
-	}
-	if len(jr.Experiments) != 1 || jr.Experiments[0].ID != "fig6" ||
-		jr.Experiments[0].Seconds <= 0 || jr.Experiments[0].Error != "" {
-		t.Fatalf("experiment record wrong: %+v", jr.Experiments)
-	}
-	if jr.TotalSeconds <= 0 {
-		t.Fatalf("total seconds %v", jr.TotalSeconds)
-	}
-	// fig6 runs the postmortem engine (full vs partial init), so the
-	// sink must have collected engine summaries with sched stats.
-	if len(jr.EngineRuns) == 0 {
-		t.Fatal("no engine run summaries collected")
-	}
-	for _, r := range jr.EngineRuns {
-		if r.Windows <= 0 || r.WallSeconds <= 0 || r.TotalSweeps <= 0 {
-			t.Fatalf("bad engine summary: %+v", r)
-		}
-	}
-	if o.Trace.Len() == 0 {
-		t.Fatal("harness trace collected no spans")
-	}
-
-	var out bytes.Buffer
-	if err := jr.WriteJSON(&out); err != nil {
-		t.Fatalf("WriteJSON: %v", err)
-	}
-	var back JSONReport
-	if err := json.Unmarshal(out.Bytes(), &back); err != nil {
-		t.Fatalf("round-trip: %v", err)
-	}
-	if back.Schema != JSONSchema || back.Workers != o.Workers ||
-		len(back.EngineRuns) != len(jr.EngineRuns) {
-		t.Fatalf("round-trip mismatch: %+v", back)
 	}
 }

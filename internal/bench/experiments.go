@@ -88,7 +88,7 @@ func expFig5(ctx context.Context, o Options) error {
 	if o.Quick {
 		cases = cases[:2]
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "sw(s)", "delta(d)", "windows", "offline(s)", "streaming(s)", "post-bare(s)", "post-tuned(s)", "stream/tuned", "off/tuned")
 	for _, c := range cases {
@@ -113,11 +113,11 @@ func expFig5(ctx context.Context, o Options) error {
 			if err != nil {
 				return err
 			}
-			postT, _, err := runPostmortem(ctx, o, l, spec, barebonePostmortem(), pool)
+			postT, _, err := runPostmortem(ctx, l, spec, barebonePostmortem(), pool)
 			if err != nil {
 				return err
 			}
-			tunedT, _, err := runPostmortem(ctx, o, l, spec, suggestedConfig(spec), pool)
+			tunedT, _, err := runPostmortem(ctx, l, spec, suggestedConfig(spec), pool)
 			if err != nil {
 				return err
 			}
@@ -136,7 +136,7 @@ func expFig6(ctx context.Context, o Options) error {
 		datasets = datasets[1:]
 		deltas = []float64{10, 90}
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "delta(d)", "windows", "full(s)", "partial(s)", "speedup", "full iters", "partial iters")
 	for _, name := range datasets {
@@ -151,12 +151,12 @@ func expFig6(ctx context.Context, o Options) error {
 			}
 			cfg := barebonePostmortem()
 			cfg.PartialInit = false
-			fullT, fullS, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+			fullT, fullS, err := runPostmortem(ctx, l, spec, cfg, pool)
 			if err != nil {
 				return err
 			}
 			cfg.PartialInit = true
-			partT, partS, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+			partT, partS, err := runPostmortem(ctx, l, spec, cfg, pool)
 			if err != nil {
 				return err
 			}
@@ -185,7 +185,7 @@ func makeGrainFigure(windows int, deltaDays float64) func(ctx context.Context, o
 		if err != nil {
 			return err
 		}
-		pool := o.newPool()
+		pool := sched.NewPool(o.Workers)
 		defer pool.Close()
 		strT, err := runStreaming(l, spec, pool)
 		if err != nil {
@@ -234,7 +234,7 @@ func makeGrainFigure(windows int, deltaDays float64) func(ctx context.Context, o
 						if err != nil {
 							return err
 						}
-						secs, _, err := runPostmortemReusing(ctx, o, eng)
+						secs, _, err := runPostmortemReusing(ctx, eng)
 						if err != nil {
 							return err
 						}
@@ -264,7 +264,7 @@ func expFig8(ctx context.Context, o Options) error {
 	if err != nil {
 		return err
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	strT, err := runStreaming(l, spec, pool)
 	if err != nil {
@@ -295,7 +295,7 @@ func expFig8(ctx context.Context, o Options) error {
 			cfg.DiscardRanks = true
 			for _, g := range grains {
 				cfg.Grain = g
-				secs, _, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+				secs, _, err := runPostmortem(ctx, l, spec, cfg, pool)
 				if err != nil {
 					return err
 				}
@@ -315,7 +315,7 @@ func expFig11(ctx context.Context, o Options) error {
 	if o.Quick {
 		names = []string{"enron", "wikitalk"}
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	var best, worst float64 = math.Inf(1), 0
 	for _, name := range names {
@@ -357,7 +357,7 @@ func expFig11(ctx context.Context, o Options) error {
 				}
 				bestT := math.Inf(1)
 				for _, cfg := range candidates {
-					secs, _, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+					secs, _, err := runPostmortem(ctx, l, spec, cfg, pool)
 					if err != nil {
 						return err
 					}
@@ -395,7 +395,7 @@ func expFig12(ctx context.Context, o Options) error {
 		offsets = offsets[:2]
 		days = days[:2]
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	h := NewHeatmap("delta(d)", "sw(s)")
 	for _, sw := range offsets {
@@ -408,7 +408,7 @@ func expFig12(ctx context.Context, o Options) error {
 			if err != nil {
 				return err
 			}
-			secs, _, err := runPostmortem(ctx, o, l, spec, suggestedConfig(spec), pool)
+			secs, _, err := runPostmortem(ctx, l, spec, suggestedConfig(spec), pool)
 			if err != nil {
 				return err
 			}
@@ -434,7 +434,7 @@ func expAblationVecLen(ctx context.Context, o Options) error {
 	if err != nil {
 		return err
 	}
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	lens := []int{1, 2, 4, 8, 16, 32}
 	if o.Quick {
@@ -446,7 +446,7 @@ func expAblationVecLen(ctx context.Context, o Options) error {
 			cfg := suggestedConfig(spec)
 			cfg.VectorLen = vl
 			cfg.PartialInit = partial
-			secs, s, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+			secs, s, err := runPostmortem(ctx, l, spec, cfg, pool)
 			if err != nil {
 				return err
 			}
@@ -500,7 +500,7 @@ func expAblationReplication(ctx context.Context, o Options) error {
 
 func expAblationImbalance(ctx context.Context, o Options) error {
 	o = o.withDefaults()
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "mode", "time(s)", "speedup vs app-level")
 	for _, name := range []string{"epinions", "wikitalk"} { // spiky vs smooth (Sec. 6.1)
@@ -516,7 +516,7 @@ func expAblationImbalance(ctx context.Context, o Options) error {
 		for _, mode := range []core.ParallelMode{core.AppLevel, core.WindowLevel, core.Nested} {
 			cfg := suggestedConfig(spec)
 			cfg.Mode = mode
-			secs, _, err := runPostmortem(ctx, o, l, spec, cfg, pool)
+			secs, _, err := runPostmortem(ctx, l, spec, cfg, pool)
 			if err != nil {
 				return err
 			}
@@ -533,7 +533,7 @@ func expAblationImbalance(ctx context.Context, o Options) error {
 
 func expAblationPartition(ctx context.Context, o Options) error {
 	o = o.withDefaults()
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "partition", "max/mean events per MW", "time(s)", "speedup")
 	for _, name := range []string{"enron", "epinions", "wikitalk"} {
@@ -563,7 +563,7 @@ func expAblationPartition(ctx context.Context, o Options) error {
 				sumE += mw.NumEvents()
 			}
 			imb := float64(maxE) / (float64(sumE) / float64(len(eng.Temporal().MWs)))
-			secs, _, err := runPostmortemReusing(ctx, o, eng)
+			secs, _, err := runPostmortemReusing(ctx, eng)
 			if err != nil {
 				return err
 			}
@@ -583,7 +583,7 @@ func expAblationPartition(ctx context.Context, o Options) error {
 
 func expExtKernels(ctx context.Context, o Options) error {
 	o = o.withDefaults()
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "windows", "pagerank(s)", "components(s)", "kcore(s)", "closeness-s16(s)")
 	names := []string{"wikitalk", "stackoverflow"}
@@ -599,7 +599,7 @@ func expExtKernels(ctx context.Context, o Options) error {
 		if err != nil {
 			return err
 		}
-		prT, _, err := runPostmortem(ctx, o, l, spec, suggestedConfig(spec), pool)
+		prT, _, err := runPostmortem(ctx, l, spec, suggestedConfig(spec), pool)
 		if err != nil {
 			return err
 		}
@@ -638,7 +638,7 @@ func expExtKernels(ctx context.Context, o Options) error {
 
 func expProfileImbalance(ctx context.Context, o Options) error {
 	o = o.withDefaults()
-	pool := o.newPool()
+	pool := sched.NewPool(o.Workers)
 	defer pool.Close()
 	t := NewTable("dataset", "windows", "max/mean window time", "top window share", "gini-ish")
 	for _, name := range gen.Names() {

@@ -111,8 +111,7 @@ func BenchmarkIter(b *testing.B) {
 }
 
 // BenchmarkRun measures a whole converging Run (default tolerance,
-// DiscardRanks) per op for every kernel×mode pair — the end-to-end
-// number the perf trajectory tracks.
+// DiscardRanks) per op for every kernel×mode pair.
 func BenchmarkRun(b *testing.B) {
 	l, spec := benchLogSpec(b)
 	for _, kernel := range benchKernels {

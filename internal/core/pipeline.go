@@ -324,12 +324,6 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	}
 	rep.Sched = in.Solve.Sched
 	rep.Scratch = in.Solve.Scratch
-	ww := in.Solve.WindowWall
-	rep.WindowWallPercentiles = Percentiles{
-		P50: ww.Quantile(0.50),
-		P95: ww.Quantile(0.95),
-		P99: ww.Quantile(0.99),
-	}
 	return &Series{
 		Spec:        plan.Temporal.Spec,
 		NumVertices: plan.Temporal.NumVertices(),

@@ -74,21 +74,11 @@ type FaultReport struct {
 	Quarantined []int `json:"quarantined,omitempty"`
 }
 
-// Percentiles condenses a latency distribution to its median and tail.
-// The values are interpolated from the solve stage's window wall-time
-// histogram buckets, so they are estimates (bucket-resolution accurate),
-// not exact order statistics.
-type Percentiles struct {
-	P50 float64 `json:"p50"`
-	P95 float64 `json:"p95"`
-	P99 float64 `json:"p99"`
-}
-
 // RunReport aggregates the observability of one Engine.Run: phase
 // timers, warm-start behavior, per-multi-window sweep counts, final
 // residuals, per-window wall time and worker attribution, and (when
 // pool metrics are enabled) the scheduler counters. It is attached to
-// the Series and JSON-exportable for the benchmark trajectory.
+// the Series and JSON-exportable (pmrank -report-out).
 type RunReport struct {
 	Build  obs.BuildInfo `json:"build"`
 	Config ConfigInfo    `json:"config"`
@@ -113,10 +103,6 @@ type RunReport struct {
 	// WindowWorkers[w] is the pool worker that solved window w (-1 when
 	// the window loop ran outside the pool, e.g. serial or app-level).
 	WindowWorkers []int `json:"window_workers"`
-
-	// WindowWallPercentiles summarizes the tail of the per-window wall
-	// times (from the solve stage's histogram, this run only).
-	WindowWallPercentiles Percentiles `json:"window_wall_percentiles"`
 
 	// Sched holds the pool counter delta for this run; nil unless
 	// Pool.EnableMetrics was on.

@@ -48,8 +48,7 @@ func (st *SolveStage) FaultCounters() *obs.FaultCounters { return &st.fault }
 
 // Histograms exposes the stage's per-window distributions (wall time,
 // iterations, residual) for metrics registration (see
-// obs.SolveHistograms.RegisterOn). They are cumulative across runs; use
-// SolveOutput.WindowWall for a single run's delta.
+// obs.SolveHistograms.RegisterOn). They are cumulative across runs.
 func (st *SolveStage) Histograms() *obs.SolveHistograms { return st.hist }
 
 // Completed reports how many windows the in-flight (or most recent)
@@ -82,9 +81,6 @@ type SolveOutput struct {
 	Sched *SchedReport
 	// Scratch is the arena counter delta for this run.
 	Scratch *ScratchReport
-	// WindowWall is this run's window wall-time distribution (the
-	// stage histogram's delta), the source of the report's percentiles.
-	WindowWall obs.HistogramSnapshot
 }
 
 // Run executes the plan. On cancellation it returns a *CanceledError
@@ -130,7 +126,6 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		before = st.pool.Stats()
 	}
 	scratchBefore := st.arena.stats()
-	wallBefore := st.hist.WindowWall.Snapshot()
 	start := time.Now()
 	r.dispatch(ctx, st.pool)
 	dur := time.Since(start)
@@ -164,10 +159,9 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		}
 	}
 	out = SolveOutput{
-		Results:    r.results,
-		MWSweeps:   r.mwSweeps,
-		Seconds:    dur.Seconds(),
-		WindowWall: st.hist.WindowWall.Snapshot().Delta(wallBefore),
+		Results:  r.results,
+		MWSweeps: r.mwSweeps,
+		Seconds:  dur.Seconds(),
 	}
 	if metrics {
 		d := st.pool.Stats().Delta(before)

@@ -89,8 +89,7 @@ func (h *Histogram) Observe(v float64) {
 func (h *Histogram) Bounds() []float64 { return h.bounds }
 
 // HistogramSnapshot is a point-in-time copy of a histogram's state.
-// Snapshots subtract (Delta) to isolate one run's observations from a
-// long-lived histogram, and answer quantile queries by interpolation.
+// Snapshots answer quantile queries by interpolation.
 type HistogramSnapshot struct {
 	// Bounds are the finite bucket upper bounds.
 	Bounds []float64
@@ -115,25 +114,6 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 		s.Counts[i] = h.counts[i].Load()
 	}
 	return s
-}
-
-// Delta returns this snapshot minus an earlier one of the same
-// histogram — the observations made between the two.
-func (s HistogramSnapshot) Delta(before HistogramSnapshot) HistogramSnapshot {
-	d := HistogramSnapshot{
-		Bounds: s.Bounds,
-		Counts: make([]int64, len(s.Counts)),
-		Sum:    s.Sum,
-		Count:  s.Count - before.Count,
-	}
-	copy(d.Counts, s.Counts)
-	for i := range before.Counts {
-		if i < len(d.Counts) {
-			d.Counts[i] -= before.Counts[i]
-		}
-	}
-	d.Sum -= before.Sum
-	return d
 }
 
 // Quantile estimates the q-th quantile (0..1) by linear interpolation

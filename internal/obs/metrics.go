@@ -92,10 +92,9 @@ type metric struct {
 	hist *Histogram
 }
 
-// Registry is a minimal metrics registry exposed over both the expvar
-// JSON surface and a Prometheus-style text endpoint. Metric names
-// should follow Prometheus conventions (snake_case, counters ending in
-// _total).
+// Registry is a minimal metrics registry exposed over a
+// Prometheus-style text endpoint. Metric names should follow Prometheus
+// conventions (snake_case, counters ending in _total).
 type Registry struct {
 	mu      sync.Mutex
 	metrics map[string]*metric
@@ -198,23 +197,3 @@ func (r *Registry) WriteProm(w io.Writer) {
 
 // formatLe renders a bucket bound the way Prometheus clients do.
 func formatLe(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// Snapshot returns the current values keyed by metric name (the expvar
-// representation). Histograms contribute <name>_count and <name>_sum
-// entries.
-func (r *Registry) Snapshot() map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range r.sorted() {
-		switch {
-		case m.ctr != nil:
-			out[m.name] = float64(m.ctr.Value())
-		case m.hist != nil:
-			s := m.hist.Snapshot()
-			out[m.name+"_count"] = float64(s.Count)
-			out[m.name+"_sum"] = s.Sum
-		default:
-			out[m.name] = m.fn()
-		}
-	}
-	return out
-}

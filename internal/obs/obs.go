@@ -1,8 +1,7 @@
 // Package obs is the observability substrate of the repo: build-info
-// stamping, a small metrics registry (expvar + Prometheus text
-// exposition), a Chrome trace-event writer for visualizing which worker
-// solved which window when, and an HTTP server bundling /metrics,
-// /debug/vars, and net/http/pprof.
+// stamping, a small metrics registry (Prometheus text exposition), a
+// Chrome trace-event writer for visualizing which worker solved which
+// window when, and an HTTP server bundling /metrics and net/http/pprof.
 //
 // Everything here is opt-in and allocation-conscious: the engine and
 // scheduler collect nothing unless asked, so the default fast path is

@@ -1,12 +1,8 @@
 package obs
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
-	"expvar"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -17,7 +13,6 @@ import (
 // NewMux builds the observability HTTP handler:
 //
 //	/metrics       Prometheus text exposition of reg
-//	/debug/vars    expvar JSON (memstats, cmdline, plus reg under "pmpr")
 //	/debug/pprof/  the standard net/http/pprof handlers
 //
 // reg may be nil, in which case /metrics serves an empty exposition.
@@ -29,41 +24,6 @@ func NewMux(reg *Registry) *http.ServeMux {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		if reg != nil {
 			reg.WriteProm(w)
-		}
-	})
-	// A self-contained /debug/vars: the expvar package's handler only
-	// registers on http.DefaultServeMux, and expvar.Publish is global
-	// (panics on duplicate names), so we render the same JSON shape
-	// ourselves and append the registry under "pmpr". The document is
-	// assembled in a buffer first so a marshal failure can still become
-	// a clean 500 and so the write happens (and is checked) once.
-	mux.HandleFunc("/debug/vars", func(w http.ResponseWriter, _ *http.Request) {
-		var buf bytes.Buffer
-		fmt.Fprintf(&buf, "{\n")
-		first := true
-		expvar.Do(func(kv expvar.KeyValue) {
-			if !first {
-				fmt.Fprintf(&buf, ",\n")
-			}
-			first = false
-			fmt.Fprintf(&buf, "%q: %s", kv.Key, kv.Value)
-		})
-		if reg != nil {
-			b, err := json.Marshal(reg.Snapshot())
-			if err != nil {
-				http.Error(w, err.Error(), http.StatusInternalServerError)
-				return
-			}
-			if !first {
-				fmt.Fprintf(&buf, ",\n")
-			}
-			fmt.Fprintf(&buf, "%q: %s", "pmpr", b)
-		}
-		fmt.Fprintf(&buf, "\n}\n")
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-		if _, err := w.Write(buf.Bytes()); err != nil {
-			// The client went away mid-write; nothing useful to do.
-			return
 		}
 	})
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
@@ -188,16 +148,10 @@ func (l ServerLimits) withDefaults() ServerLimits {
 	return l
 }
 
-// Serve binds addr and serves the observability mux in a background
-// goroutine. The caller owns the returned server and should Shutdown
-// (or Close) it.
-func Serve(addr string, reg *Registry) (*Server, error) {
-	return ServeHandler(addr, NewMux(reg))
-}
-
 // ServeHandler binds addr and serves an arbitrary handler — typically
 // NewMux(reg) with live endpoints mounted via HandleLive — in a
-// background goroutine, with DefaultServerLimits applied.
+// background goroutine, with DefaultServerLimits applied. The caller
+// owns the returned server and should Shutdown (or Close) it.
 func ServeHandler(addr string, h http.Handler) (*Server, error) {
 	return ServeHandlerLimits(addr, h, DefaultServerLimits())
 }
