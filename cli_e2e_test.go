@@ -319,10 +319,12 @@ func TestCLILiveObservability(t *testing.T) {
 	}
 
 	closeStream()
+	// Drain stdout to EOF before Wait, which closes the pipe and would
+	// drop output the reader has not consumed yet.
+	out := <-outDone
 	if err := cmd.Wait(); err != nil {
 		t.Fatalf("pmrank: %v", err)
 	}
-	out := <-outDone
 	if !strings.Contains(out, "event journal written to") {
 		t.Fatalf("pmrank output missing journal confirmation:\n%s", out)
 	}

@@ -15,12 +15,14 @@
 //	       [-report-out report.json] [-discard-ranks]
 //	       [-checkpoint-dir ckpt/] [-resume]
 //
-// With -metrics-addr and -live the run is observable while it executes:
-// GET /status returns a JSON progress snapshot (phase, windows
-// done/total, histogram summaries) and GET /events streams the run
-// journal as Server-Sent Events, resumable via Last-Event-ID. cmd/pmtop
-// is a terminal watcher for these endpoints. -journal-out writes the
-// same event stream as JSON lines.
+// Every observability output derives from one run journal: /metrics
+// (-metrics-addr) exposes its fault counters and window histograms;
+// with -live, GET /status returns its JSON progress snapshot (phase,
+// windows done/total, histogram summaries) and GET /events streams it
+// as Server-Sent Events, resumable via Last-Event-ID; -journal-out
+// writes it as JSON lines; -trace-out renders its window and stage
+// spans as a Chrome trace. cmd/pmtop is a terminal watcher for the live
+// endpoints.
 //
 // With -checkpoint-dir every solved window is flushed to disk as it
 // completes; an interrupted run can then be re-invoked with -resume to
@@ -36,7 +38,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -103,6 +104,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "pmrank: %v\n", err)
 		os.Exit(2)
 	}
+	engCfg.DiscardRanks = *discardRanks
 
 	loadStart := time.Now()
 	l, err := cliutil.ReadLog(*in)
@@ -129,12 +131,20 @@ func main() {
 	if observing {
 		pool.EnableMetrics(true)
 	}
-	// The journal exists whenever someone consumes it: an -out file, the
-	// /events stream, or both (they share the same event sequence).
+	// The journal exists whenever someone consumes it: every
+	// observability output is a view of the same event sequence.
 	var journal *obs.Journal
 	var journalFile *os.File
-	if *live || *journalOut != "" {
+	if *live || *journalOut != "" || *metricsAddr != "" || *traceOut != "" {
 		journal = obs.NewJournal(0)
+	}
+	var tr *obs.Trace
+	if *traceOut != "" {
+		tr = obs.NewTrace()
+		tr.ProcessName("pmpr engine")
+		tr.SetMeta("config", engCfg.Info())
+		tr.SetMeta("build", obs.CollectBuildInfo())
+		journal.SetTrace(tr)
 	}
 	if *journalOut != "" {
 		f, err := os.Create(*journalOut)
@@ -160,32 +170,6 @@ func main() {
 	}
 	defer closeJournal()
 
-	// liveEng is set once the postmortem engine exists; /status may be
-	// polled before that and reports "idle" until then.
-	var liveEng atomic.Pointer[core.Engine]
-	statusFn := func() obs.Status {
-		st := obs.Status{Phase: "idle", LastSeq: journal.LastSeq()}
-		eng := liveEng.Load()
-		if eng == nil {
-			return st
-		}
-		p := eng.Progress()
-		st.Phase = p.Phase
-		st.WindowsTotal = p.WindowsTotal
-		st.WindowsDone = p.WindowsDone
-		st.WindowsQuarantined = int(p.Quarantined)
-		st.Retried = p.Retried
-		st.Degraded = p.Degraded
-		st.Resumed = p.Resumed
-		h := eng.Histograms()
-		st.Histograms = map[string]obs.HistogramSummary{
-			"window_wall_seconds": h.WindowWall.Summary(),
-			"window_iterations":   h.Iterations.Summary(),
-			"window_residual":     h.Residual.Summary(),
-		}
-		return st
-	}
-
 	var reg *obs.Registry
 	shutdownObs := func() {}
 	if *metricsAddr != "" {
@@ -197,7 +181,7 @@ func main() {
 		reg.Gauge("pmpr_sched_splits_total", "range splits performed", func() float64 { return float64(pool.Stats().TotalSplits()) })
 		mux := obs.NewMux(reg)
 		if *live {
-			obs.HandleLive(mux, journal, statusFn)
+			obs.HandleLive(mux, journal, journal.Status)
 		}
 		srv, err := obs.ServeHandler(*metricsAddr, mux)
 		if err != nil {
@@ -239,16 +223,13 @@ func main() {
 	switch *model {
 	case "postmortem":
 		cfg := engCfg
-		cfg.DiscardRanks = *discardRanks
 		cfg.Journal = journal
 		eng, err := core.NewEngine(l, spec, cfg, pool)
 		if err != nil {
 			fatal(err)
 		}
-		liveEng.Store(eng)
 		if reg != nil {
-			eng.FaultCounters().RegisterOn(reg, "pmpr_engine_fault")
-			eng.Histograms().RegisterOn(reg, "pmpr_window")
+			journal.RegisterOn(reg)
 		}
 		if *ckptDir != "" {
 			store, err := checkpoint.Open(*ckptDir)
@@ -264,11 +245,6 @@ func main() {
 			} else {
 				fmt.Printf("checkpointing to %s\n", *ckptDir)
 			}
-		}
-		var tr *obs.Trace
-		if *traceOut != "" {
-			tr = obs.NewTrace()
-			eng.SetTrace(tr)
 		}
 		s, err := eng.Run(ctx)
 		if err != nil {

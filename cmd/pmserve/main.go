@@ -31,7 +31,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -99,26 +98,13 @@ func main() {
 	svc.Guard = guard
 	journal := obs.NewJournal(0)
 
-	// liveEng is set once the -solve engine exists; before that (and in
-	// -load mode) /status reports the serving snapshot alone.
-	var liveEng atomic.Pointer[core.Engine]
+	// /status is the journal's snapshot of the -solve run, reported as
+	// "loading" until a run starts and as "serving" once a store is
+	// published.
 	statusFn := func() obs.Status {
-		st := obs.Status{Phase: "loading", LastSeq: journal.LastSeq()}
-		if eng := liveEng.Load(); eng != nil {
-			p := eng.Progress()
-			st.Phase = p.Phase
-			st.WindowsTotal = p.WindowsTotal
-			st.WindowsDone = p.WindowsDone
-			st.WindowsQuarantined = int(p.Quarantined)
-			st.Retried = p.Retried
-			st.Degraded = p.Degraded
-			st.Resumed = p.Resumed
-			h := eng.Histograms()
-			st.Histograms = map[string]obs.HistogramSummary{
-				"window_wall_seconds": h.WindowWall.Summary(),
-				"window_iterations":   h.Iterations.Summary(),
-				"window_residual":     h.Residual.Summary(),
-			}
+		st := journal.Status()
+		if st.Phase == "idle" {
+			st.Phase = "loading"
 		}
 		if rs := svc.Store(); rs != nil {
 			st.Phase = "serving"
@@ -129,6 +115,9 @@ func main() {
 	}
 
 	reg := obs.NewRegistry()
+	if *solve {
+		journal.RegisterOn(reg)
+	}
 	guard.RegisterOn(reg)
 	reg.Gauge("pmpr_serve_cache_entries", "rank query cache entries", func() float64 {
 		return float64(svc.CacheStats().Entries)
@@ -205,7 +194,7 @@ func main() {
 		if *load != "" {
 			return loadStore(*load)
 		}
-		return solveStore(ctx, *in, *deltaDays, *slide, *maxWin, cfg, ef.Workers, journal, reg, &liveEng)
+		return solveStore(ctx, *in, *deltaDays, *slide, *maxWin, cfg, ef.Workers, journal)
 	}
 
 	st, err := buildStore(ctx)
@@ -289,8 +278,7 @@ func loadStore(path string) (*serve.RankStore, error) {
 // over /events while the HTTP server (already up) answers 503 to /v1
 // queries.
 func solveStore(ctx context.Context, in string, deltaDays float64, slide int64, maxWin int,
-	cfg core.Config, workers int, journal *obs.Journal, reg *obs.Registry,
-	liveEng *atomic.Pointer[core.Engine]) (*serve.RankStore, error) {
+	cfg core.Config, workers int, journal *obs.Journal) (*serve.RankStore, error) {
 	l, err := cliutil.ReadLog(in)
 	if err != nil {
 		return nil, err
@@ -315,9 +303,6 @@ func solveStore(ctx context.Context, in string, deltaDays float64, slide int64, 
 	if err != nil {
 		return nil, err
 	}
-	liveEng.Store(eng)
-	eng.FaultCounters().RegisterOn(reg, "pmpr_engine_fault")
-	eng.Histograms().RegisterOn(reg, "pmpr_window")
 	s, err := eng.Run(ctx)
 	if err != nil {
 		return nil, err

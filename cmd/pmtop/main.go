@@ -10,13 +10,16 @@
 //	pmtop -validate run.jsonl
 //
 // -validate checks a journal JSONL file (pmrank -journal-out) against
-// the documented event schema — strictly increasing sequence numbers,
-// known event types, required per-type fields — and exits nonzero on
+// the journal's own encoder: every line must be a known event type with
+// a strictly increasing sequence number, and must decode into an
+// obs.Event that Event.AppendJSON re-encodes to the identical bytes —
+// so a missing, extra, or misspelled field fails. It exits nonzero on
 // the first violation; CI uses it to gate the journal format.
 package main
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -112,80 +115,6 @@ func watch(addr string, interval time.Duration, once bool) int {
 	}
 }
 
-// journalLine is the decoded superset of every journal event's JSONL
-// fields, with pointers distinguishing "absent" from zero values so the
-// per-type requirements are checkable.
-type journalLine struct {
-	Seq          *uint64  `json:"seq"`
-	TimeUnixNano *int64   `json:"time_unix_nano"`
-	Type         string   `json:"type"`
-	Stage        *string  `json:"stage"`
-	Window       *int     `json:"window"`
-	Worker       *int     `json:"worker"`
-	Status       *string  `json:"status"`
-	Iterations   *int     `json:"iterations"`
-	Residual     *float64 `json:"residual"`
-	Seconds      *float64 `json:"seconds"`
-	Attempt      *int     `json:"attempt"`
-	Windows      *int     `json:"windows"`
-	Done         *int     `json:"done"`
-	Kernel       *string  `json:"kernel"`
-	Mode         *string  `json:"mode"`
-	Workers      *int     `json:"workers"`
-}
-
-// required maps each event type to the JSONL fields it must carry (on
-// top of seq/time_unix_nano/type, required everywhere). This is the
-// checkable form of DESIGN.md's "Run journal & event schema" table.
-var required = map[obs.EventType][]string{
-	obs.EvRunStart:         {"windows", "kernel", "mode", "workers"},
-	obs.EvRunEnd:           {"status", "done", "windows", "seconds"},
-	obs.EvStageStart:       {"stage"},
-	obs.EvStageEnd:         {"stage", "seconds"},
-	obs.EvWindowStart:      {"window", "worker"},
-	obs.EvWindowDone:       {"window", "worker", "status", "iterations", "residual", "seconds"},
-	obs.EvRetry:            {"window", "worker", "attempt"},
-	obs.EvDegrade:          {"window", "worker"},
-	obs.EvQuarantine:       {"window", "worker", "attempt"},
-	obs.EvCheckpointWrite:  {"window"},
-	obs.EvCheckpointResume: {"window"},
-	obs.EvCancel:           {"done", "windows"},
-}
-
-// has reports whether the named field was present on the line.
-func (l *journalLine) has(field string) bool {
-	switch field {
-	case "stage":
-		return l.Stage != nil
-	case "window":
-		return l.Window != nil
-	case "worker":
-		return l.Worker != nil
-	case "status":
-		return l.Status != nil
-	case "iterations":
-		return l.Iterations != nil
-	case "residual":
-		return l.Residual != nil
-	case "seconds":
-		return l.Seconds != nil
-	case "attempt":
-		return l.Attempt != nil
-	case "windows":
-		return l.Windows != nil
-	case "done":
-		return l.Done != nil
-	case "kernel":
-		return l.Kernel != nil
-	case "mode":
-		return l.Mode != nil
-	case "workers":
-		return l.Workers != nil
-	default:
-		return false
-	}
-}
-
 // validateJournal checks a -journal-out file line by line and returns
 // the process exit code.
 func validateJournal(path string) int {
@@ -204,34 +133,28 @@ func validateJournal(path string) int {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var prevSeq uint64
 	lineNo, events := 0, 0
-	counts := map[string]int{}
+	counts := make(map[obs.EventType]int)
 	for sc.Scan() {
 		lineNo++
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
 		events++
-		var l journalLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
+		var e obs.Event
+		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
 			return fail(lineNo, "invalid JSON: %v", err)
 		}
-		if l.Seq == nil || l.TimeUnixNano == nil || l.Type == "" {
-			return fail(lineNo, "missing seq/time_unix_nano/type")
+		if !e.Type.Known() {
+			return fail(lineNo, "unknown event type %q", e.Type)
 		}
-		if *l.Seq <= prevSeq {
-			return fail(lineNo, "seq %d not increasing (previous %d)", *l.Seq, prevSeq)
+		if e.Seq <= prevSeq {
+			return fail(lineNo, "seq %d not increasing (previous %d)", e.Seq, prevSeq)
 		}
-		prevSeq = *l.Seq
-		fields, ok := required[obs.EventType(l.Type)]
-		if !ok {
-			return fail(lineNo, "unknown event type %q", l.Type)
+		prevSeq = e.Seq
+		if want := e.AppendJSON(nil); !bytes.Equal(sc.Bytes(), want) {
+			return fail(lineNo, "not in the %s schema; the journal encodes it as %s", e.Type, want)
 		}
-		for _, field := range fields {
-			if !l.has(field) {
-				return fail(lineNo, "%s event missing required field %q", l.Type, field)
-			}
-		}
-		counts[l.Type]++
+		counts[e.Type]++
 	}
 	if err := sc.Err(); err != nil {
 		fmt.Fprintf(os.Stderr, "pmtop: %s: %v\n", path, err)
@@ -243,7 +166,7 @@ func validateJournal(path string) int {
 	}
 	fmt.Printf("%s: %d events ok", path, events)
 	for _, t := range []obs.EventType{obs.EvRunStart, obs.EvWindowDone, obs.EvRunEnd} {
-		if n := counts[string(t)]; n > 0 {
+		if n := counts[t]; n > 0 {
 			fmt.Printf(" %s=%d", t, n)
 		}
 	}

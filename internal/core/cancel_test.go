@@ -73,6 +73,26 @@ func cancelMidSolve(t *testing.T, cfg *Config) (ctx context.Context, canceledAt 
 	}
 }
 
+// runLifecycle counts a journal's run_start events and its run_end
+// events by status.
+func runLifecycle(t *testing.T, j *obs.Journal) (started int, ended map[string]int) {
+	t.Helper()
+	evs, complete := j.Since(0)
+	if !complete {
+		t.Fatal("journal evicted events; ring sized too small for the test")
+	}
+	ended = map[string]int{}
+	for _, e := range evs {
+		switch e.Type {
+		case obs.EvRunStart:
+			started++
+		case obs.EvRunEnd:
+			ended[e.Status]++
+		}
+	}
+	return started, ended
+}
+
 func cancelConfigs() map[string]Config {
 	out := map[string]Config{}
 	for _, kern := range []KernelID{SpMV, SpMM} {
@@ -118,8 +138,8 @@ func TestRunCancelMidSolve(t *testing.T) {
 			if lag := returned.Sub(<-canceledAt); lag > 110*time.Millisecond {
 				t.Fatalf("Run returned %v after cancel; want < 100ms past the signal", lag)
 			}
-			if got := eng.Counters().Canceled.Value(); got != 1 {
-				t.Fatalf("canceled counter = %d, want 1", got)
+			if _, ended := runLifecycle(t, cfg.Journal); ended["canceled"] != 1 {
+				t.Fatalf("run_end{canceled} count = %d, want 1 (%v)", ended["canceled"], ended)
 			}
 
 			// The arena must be consistent after the cancel path: every
@@ -133,8 +153,8 @@ func TestRunCancelMidSolve(t *testing.T) {
 			if s.Len() != spec.Count {
 				t.Fatalf("re-run solved %d of %d windows", s.Len(), spec.Count)
 			}
-			if got := eng.Counters().Completed.Value(); got != 1 {
-				t.Fatalf("completed counter = %d, want 1", got)
+			if _, ended := runLifecycle(t, cfg.Journal); ended["completed"] != 1 {
+				t.Fatalf("run_end{completed} count = %d, want 1 (%v)", ended["completed"], ended)
 			}
 		})
 	}
@@ -224,6 +244,7 @@ func TestRunSequentialRerunsSupported(t *testing.T) {
 	}
 	cfg := DefaultConfig()
 	cfg.Kernel = SpMV
+	cfg.Journal = obs.NewJournal(0)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -251,8 +272,8 @@ func TestRunSequentialRerunsSupported(t *testing.T) {
 			}
 		}
 	}
-	if got := eng.Counters().Started.Value(); got != 2 {
-		t.Fatalf("started counter = %d, want 2", got)
+	if started, _ := runLifecycle(t, cfg.Journal); started != 2 {
+		t.Fatalf("run_start count = %d, want 2", started)
 	}
 }
 

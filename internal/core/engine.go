@@ -10,7 +10,6 @@ import (
 	"pmpr/internal/checkpoint"
 	"pmpr/internal/events"
 	"pmpr/internal/invariant"
-	"pmpr/internal/obs"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
@@ -27,86 +26,11 @@ type Engine struct {
 	build BuildOutput
 	plan  *SolvePlan
 	solve *SolveStage
-	pool  *sched.Pool
 
 	// running guards against overlapping Run calls: the solve stage's
-	// arena and trace writer are single-run state.
-	running  atomic.Bool
-	counters obs.RunCounters
-	// phase is the coarse lifecycle (runPhase) the /status surface reads.
-	phase atomic.Int32
+	// arena is single-run state.
+	running atomic.Bool
 }
-
-// runPhase is the engine's coarse lifecycle for live status.
-type runPhase int32
-
-const (
-	phaseIdle runPhase = iota
-	phaseSolve
-	phasePublish
-	phaseDone
-	phaseCanceled
-	phaseFailed
-)
-
-func (p runPhase) String() string {
-	switch p {
-	case phaseIdle:
-		return "idle"
-	case phaseSolve:
-		return "solve"
-	case phasePublish:
-		return "publish"
-	case phaseDone:
-		return "done"
-	case phaseCanceled:
-		return "canceled"
-	case phaseFailed:
-		return "failed"
-	default:
-		return fmt.Sprintf("runPhase(%d)", int32(p))
-	}
-}
-
-// Progress is a live snapshot of an engine's current (or most recent)
-// run: the coarse phase plus the window and fault counts a watcher
-// needs. It is what pmrank's /status endpoint serves (see obs.Status).
-type Progress struct {
-	// Phase is "idle", "solve", "publish", "done", "canceled", or
-	// "failed".
-	Phase string
-	// WindowsTotal is the plan's window count.
-	WindowsTotal int
-	// WindowsDone counts decided windows (solved, restored, or failed)
-	// of the current or most recent run.
-	WindowsDone int
-	// Quarantined, Retried, Degraded, and Resumed mirror the fault
-	// counters (cumulative across the engine's runs).
-	Quarantined int64
-	Retried     int64
-	Degraded    int64
-	Resumed     int64
-}
-
-// Progress snapshots the engine's live run state. Safe to call
-// concurrently with Run; between runs it reports the last run's state.
-func (e *Engine) Progress() Progress {
-	fc := e.solve.FaultCounters()
-	return Progress{
-		Phase:        runPhase(e.phase.Load()).String(),
-		WindowsTotal: e.plan.Windows,
-		WindowsDone:  e.solve.Completed(),
-		Quarantined:  fc.Quarantined.Value(),
-		Retried:      fc.Retries.Value(),
-		Degraded:     fc.Degraded.Value(),
-		Resumed:      fc.CheckpointResumed.Value(),
-	}
-}
-
-// Histograms exposes the solve stage's per-window distributions (wall
-// time, iterations, residual) for metrics registration (see
-// obs.SolveHistograms.RegisterOn).
-func (e *Engine) Histograms() *obs.SolveHistograms { return e.solve.Histograms() }
 
 // newArena sizes the scratch arena for pool (nil = serial engine).
 func newArena(pool *sched.Pool) *scratchArena {
@@ -127,7 +51,7 @@ func newEngine(build BuildOutput, cfg Config, pool *sched.Pool) (*Engine, error)
 	if err != nil {
 		return nil, err
 	}
-	return &Engine{build: build, plan: plan, solve: NewSolveStage(pool), pool: pool}, nil
+	return &Engine{build: build, plan: plan, solve: NewSolveStage(pool)}, nil
 }
 
 // NewEngine builds the postmortem representation of l under spec and
@@ -181,15 +105,6 @@ func (e *Engine) Config() Config { return e.plan.Cfg }
 // is immutable; re-plan by constructing a new engine or driving
 // PlanStage directly.
 func (e *Engine) Plan() *SolvePlan { return e.plan }
-
-// Counters exposes the engine's run lifecycle counters for metrics
-// registration (see obs.RunCounters.RegisterOn).
-func (e *Engine) Counters() *obs.RunCounters { return &e.counters }
-
-// FaultCounters exposes the solve stage's fault-tolerance counters
-// (panics recovered, retries, degrades, quarantines, checkpoint
-// traffic) for metrics registration (see obs.FaultCounters.RegisterOn).
-func (e *Engine) FaultCounters() *obs.FaultCounters { return e.solve.FaultCounters() }
 
 // Manifest renders the engine's run identity for checkpointing: the
 // window spec, kernel, partitioning, iteration options, and input
@@ -285,26 +200,6 @@ func (e *Engine) SetCheckpoint(store *checkpoint.Store, resume bool) (resumed in
 	return len(windows), nil
 }
 
-// SetTrace attaches a Chrome trace writer: every subsequent Run records
-// which worker solved which window (width-1 kernels) or batch (SpMM)
-// when, plus thread labels and config metadata. Pass nil to detach. Do
-// not call concurrently with Run.
-func (e *Engine) SetTrace(t *obs.Trace) {
-	e.solve.SetTrace(t)
-	if t == nil {
-		return
-	}
-	t.ProcessName("pmpr engine")
-	t.ThreadName(0, "main")
-	if e.pool != nil {
-		for i := 0; i < e.pool.NumWorkers(); i++ {
-			t.ThreadName(i+1, fmt.Sprintf("worker %d", i))
-		}
-	}
-	t.SetMeta("config", e.plan.Cfg.Info())
-	t.SetMeta("build", obs.CollectBuildInfo())
-}
-
 // Run computes PageRank for every window of the sequence and returns
 // the series. Sequential re-runs on the same engine are supported (the
 // representation is read-only and the arena recycles between runs);
@@ -316,16 +211,12 @@ func (e *Engine) Run(ctx context.Context) (*Series, error) {
 		return nil, ErrConcurrentRun
 	}
 	defer e.running.Store(false)
-	e.counters.Started.Inc()
 	j := e.plan.Cfg.Journal
 	start := time.Now()
 	j.EmitRunStart(e.plan.Windows, e.plan.Cfg.Kernel.String(), e.plan.Cfg.Mode.String(), e.plan.Workers)
-	e.phase.Store(int32(phaseSolve))
 	out, err := e.solve.Run(ctx, e.plan)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {
-			e.counters.Canceled.Inc()
-			e.phase.Store(int32(phaseCanceled))
 			done := 0
 			var ce *CanceledError
 			if errors.As(err, &ce) {
@@ -333,12 +224,10 @@ func (e *Engine) Run(ctx context.Context) (*Series, error) {
 			}
 			j.EmitRunEnd("canceled", done, e.plan.Windows, time.Since(start).Seconds(), errString(err))
 		} else {
-			e.phase.Store(int32(phaseFailed))
 			j.EmitRunEnd("failed", e.solve.Completed(), e.plan.Windows, time.Since(start).Seconds(), errString(err))
 		}
 		return nil, err
 	}
-	e.phase.Store(int32(phasePublish))
 	pubStart := time.Now()
 	series, err := (PublishStage{}).Run(PublishInput{
 		Plan:         e.plan,
@@ -346,13 +235,10 @@ func (e *Engine) Run(ctx context.Context) (*Series, error) {
 		BuildSeconds: e.build.Seconds,
 	})
 	if err != nil {
-		e.phase.Store(int32(phaseFailed))
-		j.EmitRunEnd("failed", e.solve.Completed(), e.plan.Windows, time.Since(start).Seconds(), errString(err))
+		j.EmitRunEnd("failed", e.plan.Windows, e.plan.Windows, time.Since(start).Seconds(), errString(err))
 		return nil, err
 	}
 	series.Report.SetPhase("publish", time.Since(pubStart).Seconds())
-	e.counters.Completed.Inc()
-	e.phase.Store(int32(phaseDone))
 	j.EmitRunEnd("completed", e.plan.Windows, e.plan.Windows, time.Since(start).Seconds(), "")
 	return series, nil
 }

@@ -86,8 +86,8 @@ var ErrCanceled = errors.New("core: run canceled")
 
 // ErrConcurrentRun is returned when Engine.Run is entered while another
 // Run on the same engine is still in flight. The engine's scratch arena
-// and trace writer are single-run state; sequential re-runs are
-// supported, overlapping ones are a caller bug.
+// is single-run state; sequential re-runs are supported, overlapping
+// ones are a caller bug.
 var ErrConcurrentRun = errors.New("core: Engine.Run called concurrently on the same engine")
 
 // CanceledError reports a solve cut short by context cancellation. It

@@ -73,7 +73,6 @@ type ckptRun struct {
 func (r *solveRun) attempt(kern Kernel, b *Batch, point string) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
-			r.fault.PanicsRecovered.Inc()
 			err = recoveredError(rec)
 		}
 	}()
@@ -104,10 +103,10 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
 	var err error
 	for try := 0; try <= pol.MaxRetries; try++ {
 		if try > 0 {
-			r.fault.Retries.Inc()
 			if r.journal != nil {
+				panicked := isPanicErr(err)
 				for s := range b.results {
-					r.journal.EmitRetry(b.results[s].Window, b.results[s].Worker, try, errString(err))
+					r.journal.EmitRetry(b.results[s].Window, b.results[s].Worker, try, errString(err), panicked)
 				}
 			}
 			if d := pol.backoffFor(try); d > 0 {
@@ -189,8 +188,7 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 		}
 		res.Status = WindowDegraded
 		res.Attempts = attempts
-		r.fault.Degraded.Inc()
-		r.journal.EmitDegrade(res.Window, res.Worker)
+		r.journal.EmitDegrade(res.Window, res.Worker, panicked)
 	}
 }
 
@@ -203,8 +201,7 @@ func (r *solveRun) quarantine(res *WindowResult, attempts int, cause error, pani
 	res.Err = we
 	res.Converged = false
 	res.ranks = nil
-	r.fault.Quarantined.Inc()
-	r.journal.EmitQuarantine(res.Window, res.Worker, attempts, errString(cause))
+	r.journal.EmitQuarantine(res.Window, res.Worker, attempts, errString(cause), panicked)
 	if r.plan.Cfg.Fault.FailFast {
 		r.abort.CompareAndSwap(nil, we)
 	}
@@ -260,12 +257,7 @@ func (r *solveRun) checkpointWindow(res *WindowResult) {
 		WallSeconds:     res.WallSeconds,
 		Ranks:           res.ranks,
 	}
-	if err := r.ckpt.store.WriteWindow(cw); err != nil {
-		r.fault.CheckpointErrors.Inc()
-		return
-	}
-	r.fault.CheckpointWindows.Inc()
-	r.journal.EmitCheckpointWrite(res.Window)
+	r.journal.EmitCheckpointWrite(res.Window, errString(r.ckpt.store.WriteWindow(cw)))
 }
 
 // restoreBatch restores SpMM batch j of unit u when every one of its
@@ -296,8 +288,8 @@ func (r *solveRun) restoreBatch(u *SolveUnit, j, wid int, ranksByOffset [][]floa
 		cw := r.ckpt.resumed[w]
 		restoreResult(&r.results[w], cw, mw, wid)
 		ranksByOffset[off] = cw.Ranks
-		r.fault.CheckpointResumed.Inc()
 		r.journal.EmitCheckpointResume(w)
+		r.windowDecided(&r.results[w])
 		r.completed.Add(1)
 	}
 	return true

@@ -12,6 +12,7 @@ import (
 	"pmpr/internal/checkpoint"
 	"pmpr/internal/events"
 	"pmpr/internal/fault"
+	"pmpr/internal/obs"
 	"pmpr/internal/sched"
 )
 
@@ -78,7 +79,9 @@ func TestInjectedFaultsAreRetriedTransparently(t *testing.T) {
 				t.Run(label, func(t *testing.T) {
 					defer fault.Reset()
 					fault.Reset()
-					eng, err := NewEngine(l, spec, ftCfg(tc.kernel, par), pool)
+					cfg := ftCfg(tc.kernel, par)
+					cfg.Journal = obs.NewJournal(0)
+					eng, err := NewEngine(l, spec, cfg, pool)
 					if err != nil {
 						t.Fatalf("NewEngine: %v", err)
 					}
@@ -114,7 +117,7 @@ func TestInjectedFaultsAreRetriedTransparently(t *testing.T) {
 							t.Fatalf("window %d diverges from oracle by %v", w, d)
 						}
 					}
-					if eng.FaultCounters().PanicsRecovered.Value() == 0 && mode == fault.ModePanic {
+					if cfg.Journal.FaultCounters().PanicsRecovered.Value() == 0 && mode == fault.ModePanic {
 						t.Fatal("panic mode injected but no panic recovered")
 					}
 				})
@@ -136,6 +139,7 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 
 	cfg := ftCfg(SpMM, AppLevel)
 	cfg.Fault.MaxRetries = 1
+	cfg.Journal = obs.NewJournal(0)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -154,8 +158,8 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 			t.Fatalf("window %d status %v, want degraded", w, st)
 		}
 	}
-	if eng.FaultCounters().Degraded.Value() != int64(s.Len()) {
-		t.Fatalf("Degraded counter %d, want %d", eng.FaultCounters().Degraded.Value(), s.Len())
+	if got := cfg.Journal.FaultCounters().Degraded.Value(); got != int64(s.Len()) {
+		t.Fatalf("Degraded counter %d, want %d", got, s.Len())
 	}
 	got := denseSeries(t, s, "degraded")
 	for w := range want {
@@ -319,7 +323,10 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatalf("checkpoint.Open: %v", err)
 			}
-			eng1, err := NewEngine(l, spec, cfg, nil)
+			cfg1 := cfg
+			cfg1.Journal = obs.NewJournal(0)
+			ckpts := &cfg1.Journal.FaultCounters().CheckpointWindows
+			eng1, err := NewEngine(l, spec, cfg1, nil)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -334,7 +341,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			done := make(chan struct{})
 			go func() {
 				defer close(done)
-				for eng1.FaultCounters().CheckpointWindows.Value() < 3 {
+				for ckpts.Value() < 3 {
 					runtime.Gosched()
 				}
 				stop()
@@ -354,7 +361,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 			}
 			if ce.Completed == 0 || ce.Completed >= spec.Count {
 				t.Fatalf("cancel landed at %d/%d windows; test needs a partial run (ckpt=%d injected=%d)",
-					ce.Completed, spec.Count, eng1.FaultCounters().CheckpointWindows.Value(), fault.Injected())
+					ce.Completed, spec.Count, ckpts.Value(), fault.Injected())
 			}
 
 			// Resume on a fresh engine.

@@ -1,14 +1,24 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"math"
+	"os"
+	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 	"time"
 
+	"pmpr/internal/checkpoint"
 	"pmpr/internal/events"
 	"pmpr/internal/fault"
 	"pmpr/internal/obs"
+	"pmpr/internal/sched"
 )
 
 // journalCfg attaches a fresh journal to an equivalence config.
@@ -329,5 +339,201 @@ func TestJournalAttachedSteadyStateDoesNotAllocate(t *testing.T) {
 			t.Errorf("%v: with journal, 100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
 				kernel, long-short, short, long)
 		}
+	}
+}
+
+// TestStatusMatchesRunReport pins the /status scopes to RunReport's: an
+// SpMM batch retried once leaves every window of that batch with status
+// retried, and both views count those windows (not batch attempts). A
+// second run restarts the per-run status counts while the /metrics
+// fault counters stay cumulative.
+func TestStatusMatchesRunReport(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	l := randomLog(t, 107, 25, 250, 700)
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
+	cfg, j := journalCfg(SpMM, AppLevel)
+	cfg.VectorLen = 4
+	cfg.NumMultiWindows = 1
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	batch := eng.Plan().Units[0].K
+	if batch < 2 {
+		t.Fatalf("first batch holds %d windows; the test needs a multi-window batch", batch)
+	}
+	cancel := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeError, Count: 1})
+	s, err := eng.Run(context.Background())
+	cancel()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	st := j.Status()
+	if st.Retried != int64(s.Report.Fault.Retried) || st.Retried != int64(batch) {
+		t.Fatalf("/status retried = %d, RunReport retried = %d, want both %d (the retried batch's windows)",
+			st.Retried, s.Report.Fault.Retried, batch)
+	}
+	if st.Phase != "done" || st.WindowsDone != spec.Count || st.WindowsTotal != spec.Count {
+		t.Fatalf("/status after the run = %+v", st)
+	}
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	if st := j.Status(); st.Retried != 0 || st.WindowsDone != spec.Count {
+		t.Fatalf("/status after a clean second run = %+v, want retried 0 and %d windows", st, spec.Count)
+	}
+	reg := obs.NewRegistry()
+	j.RegisterOn(reg)
+	var prom strings.Builder
+	reg.WriteProm(&prom)
+	for _, want := range []string{
+		fmt.Sprintf("pmpr_engine_fault_retries_total %d\n", batch),
+		fmt.Sprintf("pmpr_window_wall_seconds_count %d\n", 2*spec.Count),
+	} {
+		if !strings.Contains(prom.String(), want) {
+			t.Fatalf("/metrics lacks cumulative %q:\n%s", want, prom.String())
+		}
+	}
+}
+
+// reportFromJSONL rebuilds the per-window part of a RunReport from a
+// -journal-out file alone: one window_done line per window.
+func reportFromJSONL(t *testing.T, jsonl []byte, windows int) RunReport {
+	t.Helper()
+	rep := RunReport{WindowWallSeconds: make([]float64, windows), WindowWorkers: make([]int, windows)}
+	decided := make([]bool, windows)
+	for i, line := range bytes.Split(bytes.TrimSpace(jsonl), []byte("\n")) {
+		var e obs.Event
+		if err := json.Unmarshal(line, &e); err != nil {
+			t.Fatalf("line %d: %v\n%s", i+1, err, line)
+		}
+		if e.Type != obs.EvWindowDone {
+			continue
+		}
+		if decided[e.Window] {
+			t.Fatalf("window %d decided twice", e.Window)
+		}
+		decided[e.Window] = true
+		rep.WindowWallSeconds[e.Window] = e.Seconds
+		rep.WindowWorkers[e.Window] = e.Worker
+		rep.TotalIterations += e.Iterations
+		rep.Residuals.Max = math.Max(rep.Residuals.Max, e.Residual)
+		if !e.Converged {
+			rep.Residuals.Unconverged++
+		}
+		switch e.Status {
+		case WindowRetried.String():
+			rep.Fault.Retried++
+		case WindowDegraded.String():
+			rep.Fault.Degraded++
+		case WindowResumed.String():
+			rep.Fault.Resumed++
+		case WindowFailed.String():
+			rep.Fault.Quarantined = append(rep.Fault.Quarantined, e.Window)
+		}
+	}
+	for w, ok := range decided {
+		if !ok {
+			t.Fatalf("window %d has no window_done line", w)
+		}
+	}
+	sort.Ints(rep.Fault.Quarantined)
+	return rep
+}
+
+// TestJournalReproducesRunReport rebuilds a run's per-window report
+// from its -journal-out JSONL and requires exact equality with the live
+// RunReport, for both kernels, on a run that resumes checkpointed
+// windows and retries one injected failure.
+func TestJournalReproducesRunReport(t *testing.T) {
+	defer fault.Reset()
+	l := randomLog(t, 108, 25, 250, 700)
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, tc := range []struct {
+		kernel KernelID
+		point  string
+	}{{SpMV, PointSolveWindow}, {SpMM, PointSolveBatch}} {
+		t.Run(tc.kernel.String(), func(t *testing.T) {
+			fault.Reset()
+			cfg := equivCfg(tc.kernel, Nested, true)
+			cfg.Opts.MaxIter = 20 // leave some windows unconverged
+			cfg.Fault = FaultPolicy{MaxRetries: 2}
+			dir := t.TempDir()
+
+			// A full checkpointed run; then keep only the first window's
+			// record (with its whole SpMM batch) for the next run to resume.
+			first, err := NewEngine(l, spec, cfg, pool)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			store, err := checkpoint.Open(dir)
+			if err != nil {
+				t.Fatalf("checkpoint.Open: %v", err)
+			}
+			if _, err := first.SetCheckpoint(store, false); err != nil {
+				t.Fatalf("SetCheckpoint: %v", err)
+			}
+			if _, err := first.Run(context.Background()); err != nil {
+				t.Fatalf("checkpointed Run: %v", err)
+			}
+			keep := map[int]bool{0: true}
+			if u := first.Plan().Units; len(u) > 0 {
+				for r := 0; r < u[0].K; r++ {
+					keep[u[0].MW.WinLo+u[0].RegionStart[r]] = true
+				}
+			}
+			for w := 0; w < spec.Count; w++ {
+				if !keep[w] {
+					if err := os.Remove(filepath.Join(dir, fmt.Sprintf("window-%08d.pmck", w))); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+
+			var jsonl bytes.Buffer
+			cfg.Journal = obs.NewJournal(0)
+			cfg.Journal.SetSink(&jsonl)
+			eng, err := NewEngine(l, spec, cfg, pool)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			if n, err := eng.SetCheckpoint(store, true); err != nil || n != len(keep) {
+				t.Fatalf("SetCheckpoint(resume) = %d, %v; want %d windows", n, err, len(keep))
+			}
+			cancel := fault.Arm(fault.Rule{Point: tc.point, Mode: fault.ModeError, Count: 1})
+			s, err := eng.Run(context.Background())
+			cancel()
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			if err := cfg.Journal.CloseSink(); err != nil {
+				t.Fatalf("CloseSink: %v", err)
+			}
+			live := s.Report
+			if live.Fault.Retried == 0 || live.Fault.Resumed == 0 || live.Residuals.Unconverged == 0 {
+				t.Fatalf("run exercised too little: fault %+v, %d unconverged", live.Fault, live.Residuals.Unconverged)
+			}
+
+			got := reportFromJSONL(t, jsonl.Bytes(), spec.Count)
+			for w := 0; w < spec.Count; w++ {
+				if got.WindowWallSeconds[w] != live.WindowWallSeconds[w] || got.WindowWorkers[w] != live.WindowWorkers[w] {
+					t.Fatalf("window %d: journal wall %v worker %d, report wall %v worker %d", w,
+						got.WindowWallSeconds[w], got.WindowWorkers[w], live.WindowWallSeconds[w], live.WindowWorkers[w])
+				}
+			}
+			if got.TotalIterations != live.TotalIterations || got.Residuals.Max != live.Residuals.Max ||
+				got.Residuals.Unconverged != live.Residuals.Unconverged {
+				t.Fatalf("journal totals (iterations %d, max residual %v, unconverged %d) != report (%d, %v, %d)",
+					got.TotalIterations, got.Residuals.Max, got.Residuals.Unconverged,
+					live.TotalIterations, live.Residuals.Max, live.Residuals.Unconverged)
+			}
+			if got.Fault.Retried != live.Fault.Retried || got.Fault.Degraded != live.Fault.Degraded ||
+				got.Fault.Resumed != live.Fault.Resumed || fmt.Sprint(got.Fault.Quarantined) != fmt.Sprint(live.Fault.Quarantined) {
+				t.Fatalf("journal fault rollup %+v != report %+v", got.Fault, live.Fault)
+			}
+		})
 	}
 }

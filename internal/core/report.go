@@ -141,12 +141,9 @@ func (r *RunReport) PhaseSeconds(name string) (float64, bool) {
 	return 0, false
 }
 
-// JSON renders the report with indentation.
-func (r *RunReport) JSON() ([]byte, error) { return json.MarshalIndent(r, "", "  ") }
-
 // WriteJSON writes the indented report followed by a newline.
 func (r *RunReport) WriteJSON(w io.Writer) error {
-	b, err := r.JSON()
+	b, err := json.MarshalIndent(r, "", "  ")
 	if err != nil {
 		return err
 	}

@@ -183,87 +183,71 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEngineTraceRecordsWindowSpans checks the Chrome trace the
+// journal derives: one window span per window on a pool worker's tid
+// for both kernels (SpMM windows share their batch's wall time), and
+// one phase span per pipeline stage.
 func TestEngineTraceRecordsWindowSpans(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
-	cfg.Mode = Nested
-	cfg.NumMultiWindows = 2
-	cfg.Directed = true
-
 	l := randomLog(t, 31, 25, 600, 3000)
 	spec, err := events.Span(l, 400, 120)
 	if err != nil {
 		t.Fatalf("Span: %v", err)
 	}
-	eng, err := NewEngine(l, spec, cfg, pool)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	tr := obs.NewTrace()
-	eng.SetTrace(tr)
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := tr.Write(&buf); err != nil {
-		t.Fatalf("trace write: %v", err)
-	}
-	var obj struct {
-		TraceEvents []obs.TraceEvent `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("trace JSON: %v", err)
-	}
-	windows, phases := 0, 0
-	for _, e := range obj.TraceEvents {
-		switch e.Cat {
-		case "window":
-			windows++
-			if e.TID < 1 || e.TID > 2 {
-				t.Fatalf("window span on tid %d, want pool worker tids", e.TID)
+	for _, kernel := range []KernelID{SpMV, SpMM} {
+		t.Run(kernel.String(), func(t *testing.T) {
+			cfg := DefaultConfig()
+			cfg.Kernel = kernel
+			cfg.Mode = Nested
+			cfg.NumMultiWindows = 2
+			cfg.VectorLen = 4
+			cfg.Directed = true
+			cfg.Journal = obs.NewJournal(0)
+			tr := obs.NewTrace()
+			cfg.Journal.SetTrace(tr)
+			eng, err := NewEngine(l, spec, cfg, pool)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
 			}
-		case "phase":
-			phases++
-		}
-	}
-	if windows != spec.Count {
-		t.Fatalf("trace has %d window spans, want %d", windows, spec.Count)
-	}
-	if phases == 0 {
-		t.Fatal("no phase spans in trace")
-	}
-
-	// SpMM traces batch spans instead.
-	cfgM := DefaultConfig()
-	cfgM.NumMultiWindows = 2
-	cfgM.VectorLen = 4
-	cfgM.Directed = true
-	engM, err := NewEngine(l, spec, cfgM, pool)
-	if err != nil {
-		t.Fatalf("NewEngine spmm: %v", err)
-	}
-	trM := obs.NewTrace()
-	engM.SetTrace(trM)
-	if _, err := engM.Run(context.Background()); err != nil {
-		t.Fatalf("Run spmm: %v", err)
-	}
-	buf.Reset()
-	if err := trM.Write(&buf); err != nil {
-		t.Fatalf("trace write: %v", err)
-	}
-	if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-		t.Fatalf("trace JSON: %v", err)
-	}
-	batches := 0
-	for _, e := range obj.TraceEvents {
-		if e.Cat == "batch" {
-			batches++
-		}
-	}
-	if batches == 0 {
-		t.Fatal("spmm trace has no batch spans")
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			var buf bytes.Buffer
+			if err := tr.Write(&buf); err != nil {
+				t.Fatalf("trace write: %v", err)
+			}
+			var obj struct {
+				TraceEvents []obs.TraceEvent `json:"traceEvents"`
+			}
+			if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
+				t.Fatalf("trace JSON: %v", err)
+			}
+			windows := map[string]bool{}
+			phases := map[string]int{}
+			for _, e := range obj.TraceEvents {
+				switch e.Cat {
+				case "window":
+					if e.TID < 1 || e.TID > 2 {
+						t.Fatalf("window span on tid %d, want pool worker tids", e.TID)
+					}
+					if windows[e.Name] {
+						t.Fatalf("window span %q recorded twice", e.Name)
+					}
+					windows[e.Name] = true
+				case "phase":
+					phases[e.Name]++
+				}
+			}
+			if len(windows) != spec.Count {
+				t.Fatalf("trace has %d window spans, want %d", len(windows), spec.Count)
+			}
+			for _, stage := range []string{"build", "plan", "solve", "publish"} {
+				if phases[stage] != 1 {
+					t.Fatalf("trace has %d %q phase spans, want 1 (%v)", phases[stage], stage, phases)
+				}
+			}
+		})
 	}
 }
 

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -13,43 +12,25 @@ import (
 
 // SolveStage executes solve plans on a pool. It owns the scratch arena
 // (kernel working memory, reused across Run calls, so steady-state
-// iteration is allocation-free from the second window onward) and the
-// optional trace writer. One stage solves many plans sequentially;
-// concurrent Run calls on the same stage are not allowed (the Engine
-// guards this with ErrConcurrentRun).
+// iteration is allocation-free from the second window onward); its
+// only telemetry is the plan's Cfg.Journal. One stage solves many plans
+// sequentially; concurrent Run calls on the same stage are not allowed
+// (the Engine guards this with ErrConcurrentRun).
 type SolveStage struct {
 	pool  *sched.Pool
 	arena *scratchArena
-	trace *obs.Trace // optional; nil = no trace events
-	fault obs.FaultCounters
-	hist  *obs.SolveHistograms
 	ckpt  *ckptRun // optional; nil = no checkpointing
 
-	// cur points at the in-flight (or most recent) run so live surfaces
-	// (/status via Engine.Progress) can read its progress atomics
-	// without touching Run's state machine.
+	// cur points at the in-flight (or most recent) run, whose decided
+	// window count Completed reports.
 	cur atomic.Pointer[solveRun]
 }
 
 // NewSolveStage creates a solve stage for pool (nil = serial
 // execution).
 func NewSolveStage(pool *sched.Pool) *SolveStage {
-	return &SolveStage{pool: pool, arena: newArena(pool), hist: obs.NewSolveHistograms()}
+	return &SolveStage{pool: pool, arena: newArena(pool)}
 }
-
-// SetTrace attaches a Chrome trace writer; pass nil to detach. Do not
-// call concurrently with Run.
-func (st *SolveStage) SetTrace(t *obs.Trace) { st.trace = t }
-
-// FaultCounters exposes the stage's fault-tolerance counters (panics
-// recovered, retries, degrades, quarantines, checkpoint traffic) for
-// metrics registration (see obs.FaultCounters.RegisterOn).
-func (st *SolveStage) FaultCounters() *obs.FaultCounters { return &st.fault }
-
-// Histograms exposes the stage's per-window distributions (wall time,
-// iterations, residual) for metrics registration (see
-// obs.SolveHistograms.RegisterOn). They are cumulative across runs.
-func (st *SolveStage) Histograms() *obs.SolveHistograms { return st.hist }
 
 // Completed reports how many windows the in-flight (or most recent)
 // Run has decided. Safe to call concurrently with Run.
@@ -97,10 +78,7 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 	r := &solveRun{
 		plan:     plan,
 		arena:    st.arena,
-		trace:    st.trace,
 		kern:     plan.Kernel,
-		fault:    &st.fault,
-		hist:     st.hist,
 		journal:  plan.Cfg.Journal,
 		ckpt:     st.ckpt,
 		results:  make([]WindowResult, plan.Windows),
@@ -129,9 +107,6 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 	start := time.Now()
 	r.dispatch(ctx, st.pool)
 	dur := time.Since(start)
-	if st.trace != nil {
-		st.trace.Complete("solve", "phase", 0, start, dur, nil)
-	}
 	if r.canceledFlag.Load() || (ctx != nil && ctx.Err() != nil) {
 		var cause error
 		if ctx != nil {
@@ -188,13 +163,10 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 type solveRun struct {
 	plan     *SolvePlan
 	arena    *scratchArena
-	trace    *obs.Trace
 	val      *runValidator // nil unless Cfg.Validate
 	kern     Kernel
-	fault    *obs.FaultCounters   // stage-owned fault/checkpoint counters
-	hist     *obs.SolveHistograms // stage-owned per-window distributions
-	journal  *obs.Journal         // nil = no event emission
-	ckpt     *ckptRun             // nil = no checkpointing
+	journal  *obs.Journal // nil = no event emission
+	ckpt     *ckptRun     // nil = no checkpointing
 	results  []WindowResult
 	mwSweeps []int64
 
@@ -207,29 +179,15 @@ type solveRun struct {
 
 func (r *solveRun) canceled() bool { return r.canceledFlag.Load() }
 
-// windowDecided records a decided window on the stage's histograms and
-// the journal. Wall time is always observed; iterations only for
-// windows a kernel actually ran (quarantined windows may have died
-// before the first sweep), residuals only at convergence. Runs once per
-// window at batch boundaries — never inside iteration loops — so the
-// kernels' steady-state allocation guarantees are untouched.
+// windowDecided records a decided (solved, restored, or failed) window
+// on the journal, whose reducer derives the histograms, /status and
+// trace from it. Runs once per window at batch boundaries — never
+// inside iteration loops — so the kernels' steady-state allocation
+// guarantees are untouched.
 func (r *solveRun) windowDecided(res *WindowResult) {
-	if r.hist != nil {
-		r.hist.WindowWall.Observe(res.WallSeconds)
-		if res.Status != WindowFailed {
-			r.hist.Iterations.Observe(float64(res.Iterations))
-		}
-		if res.Converged {
-			r.hist.Residual.Observe(res.FinalResidual)
-		}
-	}
 	r.journal.EmitWindowDone(res.Window, res.Worker, res.Status.String(),
-		res.Iterations, res.FinalResidual, res.WallSeconds)
+		res.Iterations, res.FinalResidual, res.Converged, res.WallSeconds)
 }
-
-// traceTID maps a window-loop worker id to a trace thread id (tid 0 is
-// the main/serial thread, workers start at 1).
-func traceTID(wid int) int { return wid + 1 }
 
 // dispatch fans the plan's work units out according to the parallel
 // mode. Width-1 kernels parallelize over window ranges (warm-start
@@ -320,8 +278,8 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 		if cw := r.resumedWindow(w); cw != nil {
 			res := &r.results[w]
 			restoreResult(res, cw, mw, wid)
-			r.fault.CheckpointResumed.Inc()
 			r.journal.EmitCheckpointResume(w)
+			r.windowDecided(res)
 			prev, prevMW = res.ranks, mw
 			r.completed.Add(1)
 			continue
@@ -340,16 +298,8 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 			recycleUndecided(sb, b.results)
 			break // canceled or fail-fast aborted mid-attempt
 		}
-		dur := time.Since(t0)
 		res := &b.results[0]
-		res.WallSeconds = dur.Seconds()
-		if r.trace != nil {
-			r.trace.Complete(fmt.Sprintf("window %d", w), "window", traceTID(wid), t0, dur,
-				map[string]interface{}{
-					"window": w, "iterations": res.Iterations,
-					"active": res.ActiveVertices, "warm_start": res.UsedPartialInit,
-				})
-		}
+		res.WallSeconds = time.Since(t0).Seconds()
 		if res.Status != WindowFailed {
 			r.validateWindow(res)
 		}
@@ -485,13 +435,6 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 			r.completed.Add(1)
 		}
 		r.mwSweeps[ui] += sweeps
-		if r.trace != nil {
-			r.trace.Complete(fmt.Sprintf("mw %d batch %d", ui, j), "batch", traceTID(wid), t0, dur,
-				map[string]interface{}{
-					"mw": ui, "batch": j, "windows": len(b.results),
-					"first_window": b.results[0].Window, "sweeps": sweeps,
-				})
-		}
 		if cfg.DiscardRanks && j > 0 {
 			// Batch j-1's vectors have been consumed; recycle them.
 			for reg := 0; reg < K; reg++ {

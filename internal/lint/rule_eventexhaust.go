@@ -9,10 +9,12 @@ import (
 
 // eventexhaustRule turns journal schema drift into a build break. The
 // obs.EventType vocabulary is consumed in several places that must
-// stay in lockstep with it — Event.AppendJSON's per-type field
-// switch, and pmtop's required-fields validator map — and historically
-// a new event type silently fell through those switches until someone
-// noticed malformed JSONL. The rule enumerates every constant of the
+// stay in lockstep with it — Event.AppendJSON's per-type field switch
+// (which pmtop -validate round-trips every line through), the journal
+// reducer's switch that derives the counters, histograms, /status and
+// trace, and EventType.Known — and historically a new event type
+// silently fell through those switches until someone noticed malformed
+// JSONL. The rule enumerates every constant of the
 // obs EventType type, then checks module-wide:
 //
 //   - every switch whose tag has type obs.EventType and no default

@@ -152,7 +152,7 @@ func name(t EventType) string {
 		t.Errorf("default clause: want 0 findings, got %v", fs)
 	}
 
-	// Map literals keyed by EventType (the pmtop required-fields table)
+	// Map literals keyed by EventType (e.g. a per-type field table)
 	// need an entry per constant.
 	mapMissing := `package obs
 

@@ -35,7 +35,8 @@ const (
 	// on a worker.
 	EvWindowStart EventType = "window_start"
 	// EvWindowDone marks one window decided: status (ok, retried,
-	// degraded, resumed, failed), iterations, final residual, wall time.
+	// degraded, resumed, failed), iterations, final residual, whether it
+	// converged, and wall time (for SpMM, the batch's wall time).
 	EvWindowDone EventType = "window_done"
 	// EvRetry marks a failed window/batch attempt being retried.
 	EvRetry EventType = "retry"
@@ -44,7 +45,7 @@ const (
 	// EvQuarantine marks a window failing terminally.
 	EvQuarantine EventType = "quarantine"
 	// EvCheckpointWrite marks a decided window flushed to the checkpoint
-	// store.
+	// store, or, with err set, a failed flush.
 	EvCheckpointWrite EventType = "checkpoint_write"
 	// EvCheckpointResume marks a window restored from a checkpoint
 	// instead of solved.
@@ -57,48 +58,57 @@ const (
 // Event is one journal record. The struct is the union of every event
 // type's fields; which ones are meaningful — and which appear in the
 // JSON encoding — depends on Type. Window and Worker use -1 as "not
-// applicable" so window 0 and worker 0 stay representable.
+// applicable" so window 0 and worker 0 stay representable. The JSON
+// tags let a JSONL line decode back into an Event (pmtop -validate).
 type Event struct {
-	// Seq is the journal-assigned monotonic sequence number (1-based);
-	// the journal stamps it at append time.
-	Seq uint64
-	// TimeUnixNano is the append wall-clock time; the journal stamps it.
-	TimeUnixNano int64
-	// Type discriminates the record.
-	Type EventType
+	// Seq (monotonic, 1-based) and TimeUnixNano (wall clock) are
+	// stamped by the journal at append time; Type discriminates.
+	Seq          uint64    `json:"seq"`
+	TimeUnixNano int64     `json:"time_unix_nano"`
+	Type         EventType `json:"type"`
 
-	// Stage is the pipeline stage name (stage_start, stage_end).
-	Stage string
-	// Window is the global window index of window-scoped events; -1
-	// otherwise.
-	Window int
-	// Worker is the pool worker attribution; -1 outside the pool.
-	Worker int
+	// Stage names the pipeline stage (stage_start, stage_end).
+	Stage string `json:"stage"`
+	// Window is the global window index of window-scoped events and
+	// Worker the pool worker attribution; -1 when not applicable.
+	Window int `json:"window"`
+	Worker int `json:"worker"`
 	// Status is the window_done outcome (WindowStatus string) or the
 	// run_end outcome (completed, canceled, failed).
-	Status string
-	// Iterations is the window_done iteration count.
-	Iterations int
-	// Residual is the window_done final L1 residual.
-	Residual float64
+	Status string `json:"status"`
+	// Iterations, Residual (final L1), and Converged describe a
+	// window_done; Converged is encoded only when true.
+	Iterations int     `json:"iterations"`
+	Residual   float64 `json:"residual"`
+	Converged  bool    `json:"converged"`
 	// Seconds is the wall time (window_done, stage_end, run_end).
-	Seconds float64
+	Seconds float64 `json:"seconds"`
 	// Attempt is the 1-based attempt count (retry, quarantine).
-	Attempt int
-	// Err is the failure message (retry, quarantine, stage_end on
-	// error, run_end on failure).
-	Err string
-	// Windows is the run's total window count (run_start, run_end,
-	// cancel).
-	Windows int
-	// Done is the decided-window count (run_end, cancel).
-	Done int
-	// Kernel is the run's kernel name (run_start).
-	Kernel string
-	// Mode is the run's parallel mode (run_start).
-	Mode string
-	// Workers is the run's pool size (run_start).
-	Workers int
+	Attempt int `json:"attempt"`
+	// Panicked marks a retry, degrade, or quarantine caused by a
+	// recovered panic (encoded only when true).
+	Panicked bool `json:"panicked"`
+	// Err is the failure message (retry, quarantine, checkpoint_write,
+	// stage_end, run_end; encoded only when set).
+	Err string `json:"err"`
+	// Windows is the run's window count (run_start, run_end, cancel)
+	// and Done the decided-window count (run_end, cancel).
+	Windows int `json:"windows"`
+	Done    int `json:"done"`
+	// Kernel, Mode, and Workers (pool size) describe a run_start.
+	Kernel  string `json:"kernel"`
+	Mode    string `json:"mode"`
+	Workers int    `json:"workers"`
+}
+
+// Known reports whether t is one of the journal's event types.
+func (t EventType) Known() bool {
+	switch t {
+	case EvRunStart, EvRunEnd, EvStageStart, EvStageEnd, EvWindowStart, EvWindowDone,
+		EvRetry, EvDegrade, EvQuarantine, EvCheckpointWrite, EvCheckpointResume, EvCancel:
+		return true
+	}
+	return false
 }
 
 // jsonSafe reports whether s needs no JSON escaping (printable ASCII
@@ -147,6 +157,22 @@ func appendFloat(b []byte, key string, x float64) []byte {
 	return strconv.AppendFloat(b, x, 'g', -1, 64)
 }
 
+// appendErr appends the optional `,"err":msg` when msg is set.
+func appendErr(b []byte, msg string) []byte {
+	if msg == "" {
+		return b
+	}
+	return appendString(b, "err", msg)
+}
+
+// appendPanicked appends the optional `,"panicked":true`.
+func appendPanicked(b []byte, panicked bool) []byte {
+	if !panicked {
+		return b
+	}
+	return append(b, `,"panicked":true`...)
+}
+
 // AppendJSON appends the event's single-line JSON object to b and
 // returns the extended slice. Only the fields meaningful for the
 // event's type are emitted, so every line of a journal export follows
@@ -168,17 +194,13 @@ func (e *Event) AppendJSON(b []byte) []byte {
 		b = appendInt(b, "done", int64(e.Done))
 		b = appendInt(b, "windows", int64(e.Windows))
 		b = appendFloat(b, "seconds", e.Seconds)
-		if e.Err != "" {
-			b = appendString(b, "err", e.Err)
-		}
+		b = appendErr(b, e.Err)
 	case EvStageStart:
 		b = appendString(b, "stage", e.Stage)
 	case EvStageEnd:
 		b = appendString(b, "stage", e.Stage)
 		b = appendFloat(b, "seconds", e.Seconds)
-		if e.Err != "" {
-			b = appendString(b, "err", e.Err)
-		}
+		b = appendErr(b, e.Err)
 	case EvWindowStart:
 		b = appendInt(b, "window", int64(e.Window))
 		b = appendInt(b, "worker", int64(e.Worker))
@@ -188,25 +210,24 @@ func (e *Event) AppendJSON(b []byte) []byte {
 		b = appendString(b, "status", e.Status)
 		b = appendInt(b, "iterations", int64(e.Iterations))
 		b = appendFloat(b, "residual", e.Residual)
+		if e.Converged {
+			b = append(b, `,"converged":true`...)
+		}
 		b = appendFloat(b, "seconds", e.Seconds)
-	case EvRetry:
+	case EvRetry, EvQuarantine:
 		b = appendInt(b, "window", int64(e.Window))
 		b = appendInt(b, "worker", int64(e.Worker))
 		b = appendInt(b, "attempt", int64(e.Attempt))
-		if e.Err != "" {
-			b = appendString(b, "err", e.Err)
-		}
+		b = appendPanicked(b, e.Panicked)
+		b = appendErr(b, e.Err)
 	case EvDegrade:
 		b = appendInt(b, "window", int64(e.Window))
 		b = appendInt(b, "worker", int64(e.Worker))
-	case EvQuarantine:
+		b = appendPanicked(b, e.Panicked)
+	case EvCheckpointWrite:
 		b = appendInt(b, "window", int64(e.Window))
-		b = appendInt(b, "worker", int64(e.Worker))
-		b = appendInt(b, "attempt", int64(e.Attempt))
-		if e.Err != "" {
-			b = appendString(b, "err", e.Err)
-		}
-	case EvCheckpointWrite, EvCheckpointResume:
+		b = appendErr(b, e.Err)
+	case EvCheckpointResume:
 		b = appendInt(b, "window", int64(e.Window))
 	case EvCancel:
 		b = appendInt(b, "done", int64(e.Done))

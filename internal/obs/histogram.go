@@ -1,11 +1,9 @@
 // This file adds the registry's third metric kind: fixed-bucket
 // histograms with atomic counters, for distributions the counters
-// cannot express — window wall times, iterations-per-window, residuals
-// at convergence. Observation is two atomic adds plus a binary search
-// over a small immutable bound slice, so the solve stage can observe
-// every decided window without perturbing the hot path; rendering
-// (Prometheus exposition, quantile summaries) walks the counters at
-// read time.
+// cannot express — window wall times, iterations, residuals. Observe
+// is two atomic adds plus a binary search over a small immutable bound
+// slice; rendering (Prometheus exposition, quantile summaries) walks
+// the counters at read time.
 
 package obs
 
@@ -57,15 +55,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	for i := 0; i < n; i++ {
 		out[i] = v
 		v *= factor
-	}
-	return out
-}
-
-// LinearBuckets returns n bounds start, start+width, start+2*width, ...
-func LinearBuckets(start, width float64, n int) []float64 {
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = start + float64(i)*width
 	}
 	return out
 }
@@ -168,25 +157,18 @@ type HistogramSummary struct {
 	P99 float64 `json:"p99"`
 }
 
-// Summary condenses the snapshot to count/sum/p50/p95/p99.
-func (s HistogramSnapshot) Summary() HistogramSummary {
-	return HistogramSummary{
-		Count: s.Count,
-		Sum:   s.Sum,
-		P50:   s.Quantile(0.50),
-		P95:   s.Quantile(0.95),
-		P99:   s.Quantile(0.99),
-	}
+// Summary condenses the histogram's current state to
+// count/sum/p50/p95/p99.
+func (h *Histogram) Summary() HistogramSummary {
+	s := h.Snapshot()
+	return HistogramSummary{Count: s.Count, Sum: s.Sum,
+		P50: s.Quantile(0.50), P95: s.Quantile(0.95), P99: s.Quantile(0.99)}
 }
 
-// Summary condenses the histogram's current state.
-func (h *Histogram) Summary() HistogramSummary { return h.Snapshot().Summary() }
-
-// SolveHistograms bundles the three per-window distributions the solve
-// stage records: wall time, iterations, and residual at convergence.
-// Like RunCounters/FaultCounters, the owner (core.SolveStage) holds
-// the struct and observes directly; RegisterOn exposes the histograms
-// for scraping.
+// SolveHistograms bundles the three per-window distributions of a
+// solve: wall time, iterations, and residual at convergence. The
+// journal's reducer observes them from window_done events; RegisterOn
+// exposes the histograms for scraping.
 type SolveHistograms struct {
 	// WindowWall is the per-window solve wall time in seconds (for SpMM
 	// batches, every window of a batch reports the batch's wall time).

@@ -53,10 +53,6 @@ func TestBucketGenerators(t *testing.T) {
 	if want := []float64{1, 2, 4, 8}; len(exp) != 4 || exp[0] != want[0] || exp[3] != want[3] {
 		t.Fatalf("ExponentialBuckets = %v, want %v", exp, want)
 	}
-	lin := LinearBuckets(10, 5, 3)
-	if want := []float64{10, 15, 20}; len(lin) != 3 || lin[0] != want[0] || lin[2] != want[2] {
-		t.Fatalf("LinearBuckets = %v, want %v", lin, want)
-	}
 }
 
 func TestHistogramQuantile(t *testing.T) {
@@ -121,7 +117,8 @@ func TestHistogramConcurrentObserve(t *testing.T) {
 
 func TestRegistryWritePromHistogram(t *testing.T) {
 	r := NewRegistry()
-	h := r.Histogram("pmpr_test_seconds", "test latencies", []float64{0.1, 1, 10})
+	h := NewHistogram([]float64{0.1, 1, 10})
+	r.RegisterHistogram("pmpr_test_seconds", "test latencies", h)
 	h.Observe(0.0625)
 	h.Observe(0.5)
 	h.Observe(0.5)

@@ -1,21 +1,13 @@
 // This file implements the run journal: a bounded, sequence-numbered
-// ring of Events with subscriber fan-out and an optional JSONL sink.
-// The journal is the live counterpart of the scrape-only metrics
-// surfaces — /metrics tells you what a run has done so far in
-// aggregate; the journal tells you what is happening, in order, as it
-// happens, and is what the /events SSE endpoint and -journal-out files
-// stream.
+// ring of Events with subscriber fan-out, an optional JSONL sink, and
+// the reducer (views.go) that derives every other view from the stream.
 //
-// Concurrency model: one mutex guards the ring, the subscriber set,
-// and the sink. Appends happen at window/batch/stage boundaries (never
-// inside kernel iteration loops), so the lock is uncontended relative
-// to the solve's work; an append copies the fixed-size Event into a
-// preallocated slot and performs non-blocking channel sends, so the
-// steady state allocates nothing. Slow subscribers never stall an
-// append: when a subscriber's buffer is full the event is dropped for
-// that subscriber and its lag counter advances (drop-and-mark-lagged);
-// the subscriber detects the gap from the sequence numbers and can
-// re-read whatever is still in the ring.
+// One mutex guards all of it. Appends happen at window/batch/stage
+// boundaries, never inside kernel iteration loops, and copy a
+// fixed-size Event, update atomics, and make non-blocking sends, so the
+// steady state allocates nothing. A subscriber whose buffer is full
+// misses the event (drop-and-mark-lagged): it sees the seq gap and can
+// re-read whatever the ring still holds.
 
 package obs
 
@@ -42,6 +34,7 @@ type Journal struct {
 	ring []Event // fixed capacity; slot for seq s is ring[(s-1)%cap]
 	next uint64  // seq the next append receives (starts at 1)
 	subs []*Subscription
+	view views
 
 	sink    *bufio.Writer
 	sinkBuf []byte // reusable JSONL encode buffer
@@ -54,11 +47,8 @@ func NewJournal(capacity int) *Journal {
 	if capacity <= 0 {
 		capacity = DefaultJournalCapacity
 	}
-	return &Journal{ring: make([]Event, capacity), next: 1}
+	return &Journal{ring: make([]Event, capacity), next: 1, view: newViews()}
 }
-
-// Capacity returns the ring size.
-func (j *Journal) Capacity() int { return len(j.ring) }
 
 // LastSeq returns the sequence number of the most recent event (0 =
 // nothing appended yet).
@@ -72,9 +62,11 @@ func (j *Journal) LastSeq() uint64 {
 }
 
 // Append stamps e with the next sequence number and the current time,
-// stores it in the ring (evicting the oldest event once full), fans it
-// out to subscribers, and writes it to the sink when one is attached.
-// Nil-safe: a nil journal ignores the event.
+// applies it to the reducer, stores it in the ring (evicting the
+// oldest event once full), fans it out to subscribers, and writes it
+// to the sink when one is attached. The reducer runs first, under the
+// same lock, so every derived view has counted an event before any
+// consumer sees it. Nil-safe: a nil journal ignores the event.
 func (j *Journal) Append(e Event) {
 	if j == nil {
 		return
@@ -84,6 +76,7 @@ func (j *Journal) Append(e Event) {
 	e.Seq = j.next
 	e.TimeUnixNano = now
 	j.next++
+	j.view.apply(&e)
 	j.ring[(e.Seq-1)%uint64(len(j.ring))] = e
 	for _, s := range j.subs {
 		select {
@@ -231,22 +224,6 @@ func (j *Journal) CloseSink() error {
 	return j.sinkErr
 }
 
-// WriteJSONL writes the journal's retained events (oldest first) as
-// JSON lines — the same format the sink streams. It snapshots the ring
-// once; events appended during the write are not included.
-func (j *Journal) WriteJSONL(w io.Writer) error {
-	events, _ := j.Since(0)
-	var buf []byte
-	for i := range events {
-		buf = events[i].AppendJSON(buf[:0])
-		buf = append(buf, '\n')
-		if _, err := w.Write(buf); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // The Emit* helpers construct and append one event each. All are
 // nil-safe, so pipeline code calls them unconditionally and pays a
 // single nil check when no journal is attached.
@@ -282,29 +259,33 @@ func (j *Journal) EmitWindowStart(window, worker int) {
 }
 
 // EmitWindowDone records a window decided.
-func (j *Journal) EmitWindowDone(window, worker int, status string, iterations int, residual, seconds float64) {
-	j.Append(Event{Type: EvWindowDone, Window: window, Worker: worker,
-		Status: status, Iterations: iterations, Residual: residual, Seconds: seconds})
+func (j *Journal) EmitWindowDone(window, worker int, status string, iterations int, residual float64, converged bool, seconds float64) {
+	j.Append(Event{Type: EvWindowDone, Window: window, Worker: worker, Status: status,
+		Iterations: iterations, Residual: residual, Converged: converged, Seconds: seconds})
 }
 
-// EmitRetry records a failed attempt being retried.
-func (j *Journal) EmitRetry(window, worker, attempt int, errMsg string) {
-	j.Append(Event{Type: EvRetry, Window: window, Worker: worker, Attempt: attempt, Err: errMsg})
+// EmitRetry records a failed attempt being retried; panicked marks a
+// recovered panic.
+func (j *Journal) EmitRetry(window, worker, attempt int, errMsg string, panicked bool) {
+	j.Append(Event{Type: EvRetry, Window: window, Worker: worker, Attempt: attempt, Err: errMsg, Panicked: panicked})
 }
 
-// EmitDegrade records a window falling back to the serial kernel.
-func (j *Journal) EmitDegrade(window, worker int) {
-	j.Append(Event{Type: EvDegrade, Window: window, Worker: worker})
+// EmitDegrade records a window falling back to the serial kernel;
+// panicked marks a panic as the primary kernel's last failure.
+func (j *Journal) EmitDegrade(window, worker int, panicked bool) {
+	j.Append(Event{Type: EvDegrade, Window: window, Worker: worker, Panicked: panicked})
 }
 
-// EmitQuarantine records a window failing terminally.
-func (j *Journal) EmitQuarantine(window, worker, attempt int, errMsg string) {
-	j.Append(Event{Type: EvQuarantine, Window: window, Worker: worker, Attempt: attempt, Err: errMsg})
+// EmitQuarantine records a window failing terminally; panicked marks a
+// recovered panic among the failures.
+func (j *Journal) EmitQuarantine(window, worker, attempt int, errMsg string, panicked bool) {
+	j.Append(Event{Type: EvQuarantine, Window: window, Worker: worker, Attempt: attempt, Err: errMsg, Panicked: panicked})
 }
 
-// EmitCheckpointWrite records a window flushed to the checkpoint store.
-func (j *Journal) EmitCheckpointWrite(window int) {
-	j.Append(Event{Type: EvCheckpointWrite, Window: window, Worker: -1})
+// EmitCheckpointWrite records a window flushed to the checkpoint store;
+// errMsg is set when the write failed.
+func (j *Journal) EmitCheckpointWrite(window int, errMsg string) {
+	j.Append(Event{Type: EvCheckpointWrite, Window: window, Worker: -1, Err: errMsg})
 }
 
 // EmitCheckpointResume records a window restored from a checkpoint.

@@ -1,14 +1,11 @@
 // This file implements the live observability endpoints the obs mux
 // can host next to the scrape surfaces:
 //
-//	/status  a JSON snapshot of the run in flight (phase, windows
-//	         done/total/quarantined, histogram summaries)
+//	/status  a JSON snapshot of the run in flight (Journal.Status)
 //	/events  the run journal as Server-Sent Events, resumable from a
 //	         sequence number via the standard Last-Event-ID header
 //
-// These are the streaming channel a rank-serving daemon (ROADMAP item
-// 1) publishes per-window progress through; pmrank -live wires them up
-// today, and cmd/pmtop consumes /status.
+// pmrank -live and pmserve wire them up; cmd/pmtop consumes /status.
 
 package obs
 
@@ -20,8 +17,15 @@ import (
 )
 
 // Status is the JSON document /status serves: where the run is and how
-// far along. Producers fill it from live engine state; cmd/pmtop (and
-// any other watcher) unmarshals the same struct.
+// far along. Journal.Status derives it from the event stream;
+// cmd/pmtop (and any other watcher) unmarshals the same struct.
+//
+// Scopes: the window and fault counts cover the current (or most
+// recent) run only — run_start restarts them — and mean the same as
+// core.RunReport's Fault rollup (Retried counts windows decided with
+// status retried, not attempts). The histogram summaries are
+// cumulative over every run the journal recorded, like the /metrics
+// series they summarize.
 type Status struct {
 	// Phase is the run phase: "idle", "solve", "publish", "done",
 	// "canceled", or "failed".
@@ -32,24 +36,23 @@ type Status struct {
 	WindowsDone int `json:"windows_done"`
 	// WindowsQuarantined counts terminally failed windows.
 	WindowsQuarantined int `json:"windows_quarantined"`
-	// Retried, Degraded, and Resumed mirror the fault counters.
+	// Retried, Degraded, and Resumed count windows decided with that
+	// status.
 	Retried  int64 `json:"retried"`
 	Degraded int64 `json:"degraded"`
 	Resumed  int64 `json:"resumed"`
 	// LastSeq is the journal's most recent sequence number, so a
 	// watcher knows where to resume /events from.
 	LastSeq uint64 `json:"last_seq"`
-	// Histograms summarizes the per-window distributions by name (e.g.
-	// "window_wall_seconds", "window_iterations", "window_residual").
+	// Histograms summarizes the per-window distributions by name
+	// ("window_wall_seconds", "window_iterations", "window_residual").
 	Histograms map[string]HistogramSummary `json:"histograms,omitempty"`
 }
 
-// StatusFunc produces the current status snapshot. It is called once
-// per /status request and must be safe for concurrent use.
-type StatusFunc func() Status
-
-// StatusHandler serves fn's snapshot as JSON.
-func StatusHandler(fn StatusFunc) http.Handler {
+// StatusHandler serves fn's snapshot (typically Journal.Status) as
+// JSON. fn is called once per request and must be safe for concurrent
+// use.
+func StatusHandler(fn func() Status) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		b, err := json.MarshalIndent(fn(), "", "  ")
 		if err != nil {
@@ -173,30 +176,21 @@ func EventsHandler(j *Journal) http.Handler {
 				}
 				flusher.Flush()
 			case e := <-sub.C():
-				// The drop policy only ever skips events between channel
-				// receives, so a sequence jump here is the lag signal.
-				if e.Seq > lastSent+1 {
-					if !writeLagged(e.Seq) {
+				// Write it and whatever else is buffered, then flush once.
+				for more := true; more; {
+					// The drop policy only ever skips events between channel
+					// receives, so a sequence jump is the lag signal.
+					if e.Seq > lastSent+1 && !writeLagged(e.Seq) {
 						return
 					}
-				}
-				if !writeEvent(&e) {
-					return
-				}
-				lastSent = e.Seq
-				// Drain whatever else is buffered before flushing once.
-				for drained := false; !drained; {
+					if !writeEvent(&e) {
+						return
+					}
+					lastSent = e.Seq
 					select {
-					case e := <-sub.C():
-						if e.Seq > lastSent+1 && !writeLagged(e.Seq) {
-							return
-						}
-						if !writeEvent(&e) {
-							return
-						}
-						lastSent = e.Seq
+					case e = <-sub.C():
 					default:
-						drained = true
+						more = false
 					}
 				}
 				flusher.Flush()
@@ -207,7 +201,7 @@ func EventsHandler(j *Journal) http.Handler {
 
 // HandleLive mounts the live endpoints on mux: /status (when fn is
 // non-nil) and /events (when j is non-nil).
-func HandleLive(mux *http.ServeMux, j *Journal, fn StatusFunc) {
+func HandleLive(mux *http.ServeMux, j *Journal, fn func() Status) {
 	if fn != nil {
 		mux.Handle("/status", StatusHandler(fn))
 	}

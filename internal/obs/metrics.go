@@ -25,57 +25,27 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // state (pool stats, queue depths) is read only when someone asks.
 type GaugeFunc func() float64
 
-// RunCounters tracks the lifecycle of solve runs: how many were
-// started, how many completed, and how many were canceled mid-solve.
-// The zero value is ready to use; owners (core.Engine) hold the
-// counters and expose them to a registry via RegisterOn, so the hot
-// path increments plain atomics with no registry lookup.
-type RunCounters struct {
-	// Started counts Run entries (including runs that later cancel).
-	Started Counter
-	// Completed counts runs that produced a full series.
-	Completed Counter
-	// Canceled counts runs cut short by context cancellation.
-	Canceled Counter
-}
-
-// RegisterOn publishes the three counters on r under the prefix (e.g.
-// "pmpr_engine_runs"), producing <prefix>_started_total,
-// <prefix>_completed_total, and <prefix>_canceled_total.
-func (c *RunCounters) RegisterOn(r *Registry, prefix string) {
-	r.RegisterCounter(prefix+"_started_total", "solve runs started", &c.Started)
-	r.RegisterCounter(prefix+"_completed_total", "solve runs completed", &c.Completed)
-	r.RegisterCounter(prefix+"_canceled_total", "solve runs canceled mid-solve", &c.Canceled)
-}
-
-// FaultCounters tracks the solve stage's fault-tolerance activity:
-// recovered panics, retried and degraded solves, quarantined windows,
-// and checkpoint traffic. Like RunCounters, owners embed the struct
-// and increment plain atomics; RegisterOn exposes them for scraping.
+// FaultCounters tracks the solve stage's fault-tolerance activity. The
+// journal's reducer counts it from the event stream, per window: an
+// SpMM batch retry of K windows is K retry events. RegisterOn exposes
+// the counters.
 type FaultCounters struct {
-	// PanicsRecovered counts window/batch attempts that failed by panic
-	// and were converted into structured errors.
-	PanicsRecovered Counter
-	// Retries counts re-attempts of failed window/batch solves.
-	Retries Counter
-	// Degraded counts windows re-solved by the serial-SpMV fallback.
-	Degraded Counter
-	// Quarantined counts windows that failed terminally.
-	Quarantined Counter
-	// CheckpointWindows counts window checkpoints written.
-	CheckpointWindows Counter
-	// CheckpointResumed counts windows skipped because a checkpoint
-	// already held their result.
-	CheckpointResumed Counter
-	// CheckpointErrors counts failed checkpoint writes.
-	CheckpointErrors Counter
+	// PanicsRecovered counts retry, degrade, and quarantine events
+	// flagged panicked; Retries counts retry events.
+	PanicsRecovered, Retries Counter
+	// Degraded and Quarantined count windows re-solved by the serial
+	// fallback and windows failed terminally.
+	Degraded, Quarantined Counter
+	// CheckpointWindows, CheckpointResumed, and CheckpointErrors count
+	// checkpoint writes, windows restored from one, and failed writes.
+	CheckpointWindows, CheckpointResumed, CheckpointErrors Counter
 }
 
 // RegisterOn publishes the counters on r under the prefix (e.g.
 // "pmpr_engine_fault").
 func (c *FaultCounters) RegisterOn(r *Registry, prefix string) {
-	r.RegisterCounter(prefix+"_panics_recovered_total", "solve panics converted to errors", &c.PanicsRecovered)
-	r.RegisterCounter(prefix+"_retries_total", "window/batch solve retries", &c.Retries)
+	r.RegisterCounter(prefix+"_panics_recovered_total", "per-window solve failures recovered from a panic", &c.PanicsRecovered)
+	r.RegisterCounter(prefix+"_retries_total", "per-window solve retries", &c.Retries)
 	r.RegisterCounter(prefix+"_degraded_total", "windows re-solved by the serial fallback", &c.Degraded)
 	r.RegisterCounter(prefix+"_quarantined_total", "windows failed terminally", &c.Quarantined)
 	r.RegisterCounter(prefix+"_checkpoint_windows_total", "window checkpoints written", &c.CheckpointWindows)
@@ -103,18 +73,6 @@ type Registry struct {
 // NewRegistry creates an empty registry.
 func NewRegistry() *Registry { return &Registry{metrics: map[string]*metric{}} }
 
-// Counter registers (or returns the existing) counter with this name.
-func (r *Registry) Counter(name, help string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok && m.ctr != nil {
-		return m.ctr
-	}
-	c := &Counter{}
-	r.metrics[name] = &metric{name: name, help: help, kind: "counter", ctr: c}
-	return c
-}
-
 // RegisterCounter registers an externally-owned counter under name,
 // replacing any previous registration. It lets owners keep incrementing
 // a counter they embed (no registry indirection on the hot path) while
@@ -131,19 +89,6 @@ func (r *Registry) Gauge(name, help string, fn GaugeFunc) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	r.metrics[name] = &metric{name: name, help: help, kind: "gauge", fn: fn}
-}
-
-// Histogram registers (or returns the existing) histogram with this
-// name over the given bucket upper bounds.
-func (r *Registry) Histogram(name, help string, bounds []float64) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.metrics[name]; ok && m.hist != nil {
-		return m.hist
-	}
-	h := NewHistogram(bounds)
-	r.metrics[name] = &metric{name: name, help: help, kind: "histogram", hist: h}
-	return h
 }
 
 // RegisterHistogram registers an externally-owned histogram under name,

@@ -1,12 +1,14 @@
 // Package obs is the observability substrate of the repo: build-info
-// stamping, a small metrics registry (Prometheus text exposition), a
-// Chrome trace-event writer for visualizing which worker solved which
-// window when, and an HTTP server bundling /metrics and net/http/pprof.
+// stamping, the run journal (a sequence-numbered event stream) and the
+// views derived from it, a small metrics registry (Prometheus text
+// exposition), a Chrome trace-event writer, and an HTTP server bundling
+// /metrics, /status, /events and net/http/pprof.
 //
-// Everything here is opt-in and allocation-conscious: the engine and
-// scheduler collect nothing unless asked, so the default fast path is
-// unchanged (see sched.Pool.EnableMetrics and core.RunReport for the
-// producer side).
+// The journal is the only telemetry the solve pipeline emits
+// (core.Config.Journal). One reducer inside it derives the fault
+// counters, the per-window histograms, the /status snapshot, and the
+// optional Chrome trace; with no journal attached the engine collects
+// nothing beyond its RunReport.
 package obs
 
 import (

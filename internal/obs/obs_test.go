@@ -30,7 +30,7 @@ func TestTraceRoundTrip(t *testing.T) {
 	start := time.Now()
 	tr.Complete("window 3", "solve", 1, start, 5*time.Millisecond,
 		map[string]interface{}{"iterations": 12})
-	tr.Instant("converged", "solve", 1, nil)
+	tr.ThreadName(2, "worker 1")
 	tr.SetMeta("dataset", "enron")
 	if tr.Len() != 4 {
 		t.Fatalf("Len = %d, want 4", tr.Len())
@@ -96,14 +96,15 @@ func TestTraceConcurrent(t *testing.T) {
 
 func TestRegistry(t *testing.T) {
 	reg := NewRegistry()
-	c := reg.Counter("pmpr_windows_solved_total", "windows solved")
+	var stale, c Counter
+	stale.Add(9)
+	reg.RegisterCounter("pmpr_windows_solved_total", "windows solved", &stale)
+	// Re-registering a name replaces the earlier counter.
+	reg.RegisterCounter("pmpr_windows_solved_total", "windows solved", &c)
 	c.Add(3)
 	c.Inc()
 	if c.Value() != 4 {
 		t.Fatalf("counter = %d, want 4", c.Value())
-	}
-	if again := reg.Counter("pmpr_windows_solved_total", ""); again != c {
-		t.Fatal("re-registering a counter must return the same instance")
 	}
 	reg.Gauge("pmpr_load_imbalance", "max/mean busy", func() float64 { return 1.5 })
 
@@ -138,7 +139,9 @@ func get(t *testing.T, url string) (int, string) {
 
 func TestServeEndpoints(t *testing.T) {
 	reg := NewRegistry()
-	reg.Counter("pmpr_test_total", "test counter").Add(7)
+	var c Counter
+	c.Add(7)
+	reg.RegisterCounter("pmpr_test_total", "test counter", &c)
 	srv, err := ServeHandler("127.0.0.1:0", NewMux(reg))
 	if err != nil {
 		t.Fatalf("ServeHandler: %v", err)
@@ -158,36 +161,5 @@ func TestServeEndpoints(t *testing.T) {
 	}
 	if code, _ := get(t, base+"/debug/pprof/profile?seconds=1"); code != 200 {
 		t.Fatalf("/debug/pprof/profile: code=%d", code)
-	}
-}
-
-func TestRunCountersRegisterOn(t *testing.T) {
-	var rc RunCounters
-	rc.Started.Add(5)
-	rc.Completed.Add(3)
-	rc.Canceled.Inc()
-	reg := NewRegistry()
-	rc.RegisterOn(reg, "pmpr_engine_runs")
-	prom := func() string {
-		var buf bytes.Buffer
-		reg.WriteProm(&buf)
-		return buf.String()
-	}
-	out := prom()
-	for _, want := range []string{
-		"# TYPE pmpr_engine_runs_started_total counter\n",
-		"pmpr_engine_runs_started_total 5\n",
-		"pmpr_engine_runs_completed_total 3\n",
-		"pmpr_engine_runs_canceled_total 1\n",
-	} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("exposition missing %q:\n%s", want, out)
-		}
-	}
-	// The registry exposes the owner's counter, not a copy: later
-	// increments show up at the next scrape.
-	rc.Canceled.Inc()
-	if out := prom(); !strings.Contains(out, "pmpr_engine_runs_canceled_total 2\n") {
-		t.Fatalf("canceled after inc, want 2:\n%s", out)
 	}
 }

@@ -16,7 +16,8 @@ import (
 // test is the executable proof.
 func TestConcurrentScrape(t *testing.T) {
 	reg := NewRegistry()
-	base := reg.Counter("pmpr_test_events_total", "events seen")
+	base, worker := &Counter{}, &Counter{}
+	reg.RegisterCounter("pmpr_test_events_total", "events seen", base)
 	reg.Gauge("pmpr_test_load", "instantaneous load", func() float64 {
 		return float64(base.Value()) / 2
 	})
@@ -33,10 +34,10 @@ func TestConcurrentScrape(t *testing.T) {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			c := reg.Counter("pmpr_test_worker_total", "per-worker work items")
+			reg.RegisterCounter("pmpr_test_worker_total", "per-worker work items", worker)
 			for j := 0; j < rounds; j++ {
 				base.Inc()
-				c.Add(2)
+				worker.Add(2)
 			}
 		}(i)
 	}

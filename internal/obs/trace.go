@@ -59,11 +59,6 @@ func (t *Trace) Complete(name, cat string, tid int, start time.Time, dur time.Du
 	})
 }
 
-// Instant records an instant ("i") event at the current time.
-func (t *Trace) Instant(name, cat string, tid int, args map[string]interface{}) {
-	t.push(TraceEvent{Name: name, Cat: cat, Ph: "i", TS: t.micros(time.Now()), TID: tid, Args: args})
-}
-
 // ThreadName labels a tid in the trace viewer (metadata event).
 func (t *Trace) ThreadName(tid int, name string) {
 	t.push(TraceEvent{Name: "thread_name", Ph: "M", TID: tid,
