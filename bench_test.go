@@ -17,8 +17,6 @@ import (
 	"testing"
 
 	"pmpr/internal/analysis"
-	"pmpr/internal/betweenness"
-	"pmpr/internal/closeness"
 	"pmpr/internal/core"
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
@@ -411,15 +409,13 @@ func BenchmarkExtComponents(b *testing.B) {
 	defer pool.Close()
 	l := dataset(b, "wikitalk")
 	sp := spec(b, l, 90, 43200, 96)
-	eng, err := wcc.NewEngine(l, sp, wcc.DefaultConfig(), pool)
+	tg, err := tcsr.Build(l, sp, core.DefaultConfig().NumMultiWindows, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
+		wcc.Run(tg, pool)
 	}
 }
 
@@ -429,15 +425,13 @@ func BenchmarkExtKCore(b *testing.B) {
 	defer pool.Close()
 	l := dataset(b, "wikitalk")
 	sp := spec(b, l, 90, 43200, 96)
-	eng, err := kcore.NewEngine(l, sp, kcore.DefaultConfig(), pool)
+	tg, err := tcsr.Build(l, sp, core.DefaultConfig().NumMultiWindows, false)
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
+		kcore.Run(tg, pool)
 	}
 }
 
@@ -459,45 +453,5 @@ func BenchmarkAblationBalancedPartition(b *testing.B) {
 			cfg.BalancedPartition = balanced
 			runPostmortem(b, l, sp, cfg, pool)
 		})
-	}
-}
-
-// BenchmarkExtCloseness measures the sampled harmonic-closeness kernel.
-func BenchmarkExtCloseness(b *testing.B) {
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	l := dataset(b, "wikitalk")
-	sp := spec(b, l, 90, 43200, 48)
-	cfg := closeness.DefaultConfig()
-	cfg.SampleSources = 16
-	eng, err := closeness.NewEngine(l, sp, cfg, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExtBetweenness measures the sampled Brandes kernel.
-func BenchmarkExtBetweenness(b *testing.B) {
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	l := dataset(b, "wikitalk")
-	sp := spec(b, l, 90, 43200, 48)
-	cfg := betweenness.DefaultConfig()
-	cfg.SampleSources = 8
-	eng, err := betweenness.NewEngine(l, sp, cfg, pool)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := eng.Run(); err != nil {
-			b.Fatal(err)
-		}
 	}
 }

@@ -81,12 +81,23 @@ func TestCLIEndToEnd(t *testing.T) {
 	}
 
 	// The other models run on the same file.
-	for _, model := range []string{"streaming", "offline", "components", "kcore", "closeness"} {
+	for _, model := range []string{"streaming", "offline", "components", "kcore"} {
 		out := runTool(t, "./cmd/pmrank", "-in", ev, "-delta-days", "365", "-slide", "172800",
 			"-max-windows", "6", "-model", model)
 		if !strings.Contains(out, "6 windows") {
 			t.Fatalf("%s: unexpected output:\n%s", model, out)
 		}
+	}
+	// pmrank rejects a deleted model as unknown, with the usage-error
+	// status.
+	const deleted = "closeness"
+	bin := filepath.Join(tmp, "pmrank")
+	if msg, err := exec.Command("go", "build", "-o", bin, "./cmd/pmrank").CombinedOutput(); err != nil {
+		t.Fatalf("go build pmrank: %v\n%s", err, msg)
+	}
+	msg, err := exec.Command(bin, "-in", ev, "-max-windows", "6", "-model", deleted).CombinedOutput()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 2 || !strings.Contains(string(msg), "unknown model") {
+		t.Fatalf("pmrank -model %s: err %v, want exit status 2 and \"unknown model\":\n%s", deleted, err, msg)
 	}
 
 	// A quick harness experiment prints its table.

@@ -43,7 +43,6 @@ import (
 
 	"pmpr/internal/checkpoint"
 	"pmpr/internal/cliutil"
-	"pmpr/internal/closeness"
 	"pmpr/internal/core"
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
@@ -53,6 +52,7 @@ import (
 	"pmpr/internal/results"
 	"pmpr/internal/sched"
 	"pmpr/internal/streaming"
+	"pmpr/internal/tcsr"
 	"pmpr/internal/wcc"
 )
 
@@ -65,7 +65,7 @@ func main() {
 		ef        = cliutil.RegisterEngineFlags(flag.CommandLine)
 		top       = flag.Int("top", 5, "top-k vertices to print per reported window")
 		every     = flag.Int("every", 0, "report every n-th window (0 = auto)")
-		model     = flag.String("model", "postmortem", "analysis: postmortem, offline, streaming, components, kcore or closeness")
+		model     = flag.String("model", "postmortem", "analysis: postmortem, offline, streaming, components or kcore")
 		out       = flag.String("out", "", "write the rank series to this file (postmortem model only)")
 
 		ckptDir = flag.String("checkpoint-dir", "", "flush each solved window to this directory (postmortem model only)")
@@ -354,70 +354,33 @@ func main() {
 		}
 		fmt.Printf("streaming: %d windows, %d total iterations, %d inserts, %d removes, %.3fs\n",
 			len(stats), total, ins, rem, elapsed.Seconds())
-	case "components":
-		cfg := wcc.DefaultConfig()
-		cfg.Partitioner = engCfg.Partitioner
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
-		eng, err := wcc.NewEngine(l, spec, cfg, pool)
+	case "components", "kcore":
+		// Both kernels run over the representation the postmortem
+		// engine would build (-mw, -directed); their window loop has a
+		// fixed grain and partitioner, so -grain/-partitioner do not apply.
+		tg, err := tcsr.Build(l, spec, ef.MW, ef.Directed)
 		if err != nil {
 			fatal(err)
 		}
-		s, err := eng.Run()
-		if err != nil {
-			fatal(err)
+		if *model == "components" {
+			s := wcc.Run(tg, pool)
+			elapsed := time.Since(start)
+			for w := 0; w < len(s); w += step {
+				r := s[w]
+				fmt.Printf("window %4d: |V|=%d components=%d largest=%d\n",
+					w, r.ActiveVertices, r.Components, r.LargestSize)
+			}
+			fmt.Printf("components: %d windows, %.3fs\n", len(s), elapsed.Seconds())
+		} else {
+			s := kcore.Run(tg, pool)
+			elapsed := time.Since(start)
+			for w := 0; w < len(s); w += step {
+				r := s[w]
+				fmt.Printf("window %4d: |V|=%d maxcore=%d coresize=%d\n",
+					w, r.ActiveVertices, r.MaxCore, r.MaxCoreSize)
+			}
+			fmt.Printf("kcore: %d windows, %.3fs\n", len(s), elapsed.Seconds())
 		}
-		elapsed := time.Since(start)
-		for w := 0; w < s.Len(); w += step {
-			r := s.Window(w)
-			fmt.Printf("window %4d: |V|=%d components=%d largest=%d\n",
-				w, r.ActiveVertices, r.Components, r.LargestSize)
-		}
-		fmt.Printf("components: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
-	case "kcore":
-		cfg := kcore.DefaultConfig()
-		cfg.Partitioner = engCfg.Partitioner
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
-		eng, err := kcore.NewEngine(l, spec, cfg, pool)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := eng.Run()
-		if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(start)
-		for w := 0; w < s.Len(); w += step {
-			r := s.Window(w)
-			fmt.Printf("window %4d: |V|=%d maxcore=%d coresize=%d\n",
-				w, r.ActiveVertices, r.MaxCore, r.MaxCoreSize)
-		}
-		fmt.Printf("kcore: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
-	case "closeness":
-		cfg := closeness.DefaultConfig()
-		cfg.Partitioner = engCfg.Partitioner
-		cfg.Grain = ef.Grain
-		cfg.NumMultiWindows = ef.MW
-		cfg.Directed = ef.Directed
-		cfg.SampleSources = 16
-		eng, err := closeness.NewEngine(l, spec, cfg, pool)
-		if err != nil {
-			fatal(err)
-		}
-		s, err := eng.Run()
-		if err != nil {
-			fatal(err)
-		}
-		elapsed := time.Since(start)
-		for w := 0; w < s.Len(); w += step {
-			r := s.Window(w)
-			fmt.Printf("window %4d: |V|=%d top=%d score=%.3f (from %d sources)\n",
-				w, r.ActiveVertices, r.Top, r.TopScore, r.SampledSources)
-		}
-		fmt.Printf("closeness: %d windows, %.3fs\n", s.Len(), elapsed.Seconds())
 	default:
 		fmt.Fprintf(os.Stderr, "pmrank: unknown model %q\n", *model)
 		os.Exit(2)

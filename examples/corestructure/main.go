@@ -16,6 +16,7 @@ import (
 	"pmpr/internal/gen"
 	"pmpr/internal/kcore"
 	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
 	"pmpr/internal/wcc"
 )
 
@@ -33,29 +34,20 @@ func main() {
 	pool := sched.NewPool(0)
 	defer pool.Close()
 
-	wEng, err := wcc.NewEngine(l, spec, wcc.DefaultConfig(), pool)
+	// One temporal representation (six multi-window graphs, the
+	// PageRank engine's default) serves both kernels.
+	tg, err := tcsr.Build(l, spec, 6, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	comps, err := wEng.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	// Reuse the same temporal representation for the k-core pass.
-	kEng, err := kcore.NewEngineFromTemporal(wEng.Temporal(), kcore.DefaultConfig(), pool)
-	if err != nil {
-		log.Fatal(err)
-	}
-	cores, err := kEng.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
+	comps := wcc.Run(tg, pool)
+	cores := kcore.Run(tg, pool)
 
 	fmt.Printf("%d windows (delta=180d, sw=90d) over %d events\n\n", spec.Count, l.Len())
 	fmt.Printf("%-8s %10s %12s %14s %9s %14s\n",
 		"window", "|V|", "components", "giant share", "max core", "core size")
 	for w := 0; w < spec.Count; w++ {
-		cw, kw := comps.Window(w), cores.Window(w)
+		cw, kw := comps[w], cores[w]
 		share := 0.0
 		if cw.ActiveVertices > 0 {
 			share = float64(cw.LargestSize) / float64(cw.ActiveVertices)

@@ -16,7 +16,6 @@ import (
 	"sort"
 
 	"pmpr/internal/analysis"
-	"pmpr/internal/betweenness"
 	"pmpr/internal/core"
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
@@ -98,22 +97,4 @@ func main() {
 		}
 		fmt.Printf("  window %3d: %.0f%%%s\n", w, 100*analysis.TopKOverlap(pre, cur, 10), marker)
 	}
-
-	// Who brokers the crisis communication? Betweenness (sampled
-	// Brandes) over the same temporal representation identifies the
-	// go-between actors at the peak.
-	bwCfg := betweenness.DefaultConfig()
-	bwCfg.SampleSources = 32
-	bwCfg.Directed = false
-	bwEng, err := betweenness.NewEngineFromTemporal(eng.Temporal(), bwCfg, pool)
-	if err != nil {
-		log.Fatal(err)
-	}
-	bw, err := bwEng.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	peakBW := bw.Window(crisis)
-	fmt.Printf("top broker at the crisis peak: actor %d (betweenness ~%.0f across %d sampled sources)\n",
-		peakBW.Top, peakBW.TopScore, peakBW.SampledSources)
 }

@@ -1,8 +1,9 @@
 // Package kcore computes the k-core decomposition of every window of a
 // temporal graph, postmortem-style — another of the analyses the paper
 // lists for the sliding-window model (Sec. 3.1; cf. Gabert et al.'s
-// postmortem dense-region analysis cited there). It reuses the
-// multi-window temporal CSR and window-level parallelism.
+// postmortem dense-region analysis cited there). Run and Window take the
+// multi-window temporal CSR the caller built, and Run reuses its
+// window-level parallelism.
 //
 // Each window is solved with the classic linear-time peeling algorithm
 // (Batagelj–Zaveršnik bucket ordering) over the deduplicated undirected
@@ -10,33 +11,9 @@
 package kcore
 
 import (
-	"fmt"
-
-	"pmpr/internal/events"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
-
-// Config controls a k-core run.
-type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; coreness always uses
-	// the undirected view.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
-	// KeepCoreness retains each window's full coreness vector.
-	KeepCoreness bool
-}
-
-// DefaultConfig mirrors the PageRank engine's defaults.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
 
 // WindowResult summarizes one window's core structure.
 type WindowResult struct {
@@ -52,7 +29,8 @@ type WindowResult struct {
 }
 
 // Coreness returns the coreness of the global vertex in this window, or
-// -1 when inactive or not kept.
+// -1 when the vertex is inactive or r came from Run, which keeps no
+// coreness.
 func (r *WindowResult) Coreness(global int32) int32 {
 	if r.coreness == nil {
 		return -1
@@ -64,83 +42,47 @@ func (r *WindowResult) Coreness(global int32) int32 {
 	return r.coreness[local]
 }
 
-// Series is the per-window core summary sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
+// grain is the window-level loop's scheduler grain.
+const grain = 2
 
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
-
-// Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
-
-// NewEngine builds the temporal representation for l under spec.
-func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("kcore: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
-}
-
-// NewEngineFromTemporal reuses an existing representation.
-func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("kcore: nil temporal representation")
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
-}
-
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes the decomposition for every window; windows run in
-// parallel on the pool, serially with a nil pool.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var p peeler
+// Run computes the core summary of every window of tg. Windows run in
+// parallel on the pool, serially with a nil pool. The summaries carry
+// no coreness; Window solves one window with it.
+func Run(tg *tcsr.Temporal, pool *sched.Pool) []WindowResult {
+	results := make([]WindowResult, tg.Spec.Count)
+	body := func(_ *sched.Worker, lo, hi int) {
+		var s solver
 		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &p)
+			results[w] = s.solve(tg, w, false)
 		}
 	}
-	if e.pool == nil {
-		body(0, count)
+	if pool == nil {
+		body(nil, 0, len(results))
 	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
-		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
+		pool.ParallelFor(len(results), grain, sched.Auto, body)
 	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
+	return results
 }
 
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, p *peeler) WindowResult {
-	mw := e.tg.ForWindow(w)
+// Window computes window w of tg with its per-vertex coreness, so
+// Coreness answers.
+func Window(tg *tcsr.Temporal, w int) WindowResult {
+	var s solver
+	return s.solve(tg, w, true)
+}
+
+// solver holds one worker's reusable window view and peeler.
+type solver struct {
+	view tcsr.WindowView
+	p    peeler
+}
+
+func (s *solver) solve(tg *tcsr.Temporal, w int, keepCoreness bool) WindowResult {
+	mw := tg.ForWindow(w)
+	view := &s.view
 	mw.Materialize(w, view)
 	res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
-	core := p.run(view)
+	core := s.p.run(view)
 	var maxCore, maxSize int32
 	for v := range core {
 		if !view.Active[v] {
@@ -156,7 +98,7 @@ func (e *Engine) solveWindow(w int, view *tcsr.WindowView, p *peeler) WindowResu
 	}
 	res.MaxCore = maxCore
 	res.MaxCoreSize = maxSize
-	if e.cfg.KeepCoreness {
+	if keepCoreness {
 		res.coreness = make([]int32, len(core))
 		copy(res.coreness, core)
 	}
@@ -170,6 +112,7 @@ type peeler struct {
 	pos   []int32 // position of vertex in order
 	order []int32 // vertices sorted by current degree
 	bin   []int32 // start index of each degree bucket in order
+	next  []int32 // fill cursor per degree bucket while placing order
 }
 
 // run computes coreness per local vertex (-1 for inactive vertices).
@@ -196,8 +139,10 @@ func (p *peeler) run(view *tcsr.WindowView) []int32 {
 	}
 	if cap(p.bin) < int(maxDeg)+2 {
 		p.bin = make([]int32, maxDeg+2)
+		p.next = make([]int32, maxDeg+2)
 	}
 	p.bin = p.bin[:maxDeg+2]
+	next := p.next[:maxDeg+2]
 	for i := range p.bin {
 		p.bin[i] = 0
 	}
@@ -208,7 +153,6 @@ func (p *peeler) run(view *tcsr.WindowView) []int32 {
 		p.bin[d] += p.bin[d-1]
 	}
 	// bin[d] = first index of degree-d vertices in order.
-	next := make([]int32, len(p.bin))
 	copy(next, p.bin)
 	for v := 0; v < n; v++ {
 		p.pos[v] = next[p.deg[v]]

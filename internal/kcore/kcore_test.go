@@ -1,11 +1,13 @@
 package kcore
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"pmpr/internal/events"
 	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
 )
 
 func ev(u, v int32, t int64) events.Event { return events.Event{U: u, V: v, T: t} }
@@ -68,61 +70,101 @@ func naiveCoreness(l *events.Log, ts, te int64) map[int32]int32 {
 	return core
 }
 
+// builds are the two partitionings every oracle check runs over.
+var builds = []struct {
+	name  string
+	build func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)
+}{{"uniform", tcsr.Build}, {"balanced", tcsr.BuildBalanced}}
+
 func TestCorenessMatchesOracle(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(500 + trial)))
 		n := int32(rng.Intn(35) + 3)
-		l := randomLog(t, int64(600+trial), n, rng.Intn(400)+10, 2000)
-		spec, err := events.Span(l, int64(rng.Intn(400)+1), int64(rng.Intn(150)+1))
+		raw := randomLog(t, int64(600+trial), n, rng.Intn(400)+10, 2000)
+		spec, err := events.Span(raw, int64(rng.Intn(400)+1), int64(rng.Intn(150)+1))
 		if err != nil {
 			t.Fatalf("Span: %v", err)
 		}
-		for _, usePool := range []bool{false, true} {
-			p := pool
-			if !usePool {
-				p = nil
+		for _, directed := range []bool{true, false} {
+			l := raw
+			if !directed {
+				l = raw.Symmetrize() // directed=false expects a symmetrized log
 			}
-			cfg := DefaultConfig()
-			cfg.Directed = true
-			cfg.NumMultiWindows = 3
-			cfg.KeepCoreness = true
-			eng, err := NewEngine(l, spec, cfg, p)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			s, err := eng.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			for w := 0; w < spec.Count; w++ {
-				want := naiveCoreness(l, spec.Start(w), spec.End(w))
-				r := s.Window(w)
-				if int(r.ActiveVertices) != len(want) {
-					t.Fatalf("trial %d w %d: active %d, oracle %d", trial, w, r.ActiveVertices, len(want))
+			for _, bl := range builds {
+				tg, err := bl.build(l, spec, 3, directed)
+				if err != nil {
+					t.Fatalf("%s build: %v", bl.name, err)
 				}
-				var wantMax, wantMaxSize int32
-				for _, c := range want {
-					switch {
-					case c > wantMax:
-						wantMax = c
-						wantMaxSize = 1
-					case c == wantMax:
-						wantMaxSize++
+				tag := fmt.Sprintf("trial %d directed=%v %s", trial, directed, bl.name)
+				want := make([]WindowResult, spec.Count)
+				for w := range want {
+					oracle := naiveCoreness(l, spec.Start(w), spec.End(w))
+					r := Window(tg, w)
+					if int(r.ActiveVertices) != len(oracle) {
+						t.Fatalf("%s w %d: active %d, oracle %d", tag, w, r.ActiveVertices, len(oracle))
 					}
+					var wantMax, wantMaxSize int32
+					for _, c := range oracle {
+						switch {
+						case c > wantMax:
+							wantMax = c
+							wantMaxSize = 1
+						case c == wantMax:
+							wantMaxSize++
+						}
+					}
+					if r.MaxCore != wantMax || r.MaxCoreSize != wantMaxSize {
+						t.Fatalf("%s w %d: max core %d(size %d), oracle %d(size %d)",
+							tag, w, r.MaxCore, r.MaxCoreSize, wantMax, wantMaxSize)
+					}
+					for v, c := range oracle {
+						if got := r.Coreness(v); got != c {
+							t.Fatalf("%s w %d vertex %d: coreness %d, oracle %d", tag, w, v, got, c)
+						}
+					}
+					want[w] = r
 				}
-				if r.MaxCore != wantMax || r.MaxCoreSize != wantMaxSize {
-					t.Fatalf("trial %d w %d: max core %d(size %d), oracle %d(size %d)",
-						trial, w, r.MaxCore, r.MaxCoreSize, wantMax, wantMaxSize)
-				}
-				for v, c := range want {
-					if got := r.Coreness(v); got != c {
-						t.Fatalf("trial %d w %d vertex %d: coreness %d, oracle %d", trial, w, v, got, c)
+				// Run's summaries must equal Window's, serially and on the pool.
+				for _, p := range []*sched.Pool{nil, pool} {
+					got := Run(tg, p)
+					if len(got) != spec.Count {
+						t.Fatalf("%s pool=%v: Run returned %d windows, want %d", tag, p != nil, len(got), spec.Count)
+					}
+					for w, g := range got {
+						r := want[w]
+						if g.Window != r.Window || g.ActiveVertices != r.ActiveVertices ||
+							g.MaxCore != r.MaxCore || g.MaxCoreSize != r.MaxCoreSize {
+							t.Fatalf("%s pool=%v w %d: Run %+v, Window %+v", tag, p != nil, w, g, r)
+						}
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSolveDoesNotAllocate pins the peeler's buffer reuse: once a
+// solver has seen a window, solving it again allocates nothing.
+func TestSolveDoesNotAllocate(t *testing.T) {
+	raw := randomLog(t, 702, 30, 400, 2000)
+	l := raw.Symmetrize()
+	spec, err := events.Span(l, 400, 100)
+	if err != nil {
+		t.Fatalf("Span: %v", err)
+	}
+	tg, err := tcsr.Build(l, spec, 3, false)
+	if err != nil {
+		t.Fatalf("Build: %v", err)
+	}
+	var s solver
+	w := spec.Count / 2
+	if s.solve(tg, w, false).MaxCore == 0 {
+		t.Fatal("window has no edges; the measurement would be vacuous")
+	}
+	if allocs := testing.AllocsPerRun(20, func() { s.solve(tg, w, false) }); allocs != 0 {
+		t.Fatalf("solving a window allocates %v times, want 0", allocs)
 	}
 }
 
@@ -141,14 +183,11 @@ func TestKnownStructures(t *testing.T) {
 	raw, _ := events.NewLog(evs, 5)
 	l := raw.Symmetrize() // Directed=false expects a symmetrized log
 	spec := events.WindowSpec{T0: 0, Delta: 100, Slide: 100, Count: 1}
-	cfg := DefaultConfig()
-	cfg.KeepCoreness = true
-	eng, _ := NewEngine(l, spec, cfg, nil)
-	s, err := eng.Run()
+	tg, err := tcsr.Build(l, spec, 1, false)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	r := s.Window(0)
+	r := Window(tg, 0)
 	if r.MaxCore != 3 || r.MaxCoreSize != 4 {
 		t.Fatalf("clique core: max %d size %d", r.MaxCore, r.MaxCoreSize)
 	}
@@ -172,41 +211,15 @@ func TestCorePeelingOverTime(t *testing.T) {
 	raw, _ := events.NewLog(evs, 3)
 	l := raw.Symmetrize()
 	spec := events.WindowSpec{T0: 0, Delta: 10, Slide: 100, Count: 2}
-	eng, _ := NewEngine(l, spec, DefaultConfig(), nil)
-	s, err := eng.Run()
+	tg, err := tcsr.Build(l, spec, 2, false)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	if s.Window(0).MaxCore != 2 {
-		t.Fatalf("window 0 max core %d, want 2", s.Window(0).MaxCore)
+	s := Run(tg, nil)
+	if s[0].MaxCore != 2 {
+		t.Fatalf("window 0 max core %d, want 2", s[0].MaxCore)
 	}
-	if s.Window(1).MaxCore != 1 {
-		t.Fatalf("window 1 max core %d, want 1", s.Window(1).MaxCore)
-	}
-}
-
-func TestCorenessNotKeptByDefault(t *testing.T) {
-	l := randomLog(t, 700, 10, 50, 200)
-	spec, _ := events.Span(l, 100, 50)
-	eng, _ := NewEngine(l, spec, DefaultConfig(), nil)
-	s, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if s.Window(0).Coreness(0) != -1 {
-		t.Fatal("coreness should be absent without KeepCoreness")
-	}
-}
-
-func TestKcoreValidation(t *testing.T) {
-	l := randomLog(t, 701, 5, 10, 50)
-	spec, _ := events.Span(l, 20, 10)
-	cfg := DefaultConfig()
-	cfg.NumMultiWindows = -1
-	if _, err := NewEngine(l, spec, cfg, nil); err == nil {
-		t.Fatal("bad NumMultiWindows accepted")
-	}
-	if _, err := NewEngineFromTemporal(nil, DefaultConfig(), nil); err == nil {
-		t.Fatal("nil temporal accepted")
+	if s[1].MaxCore != 1 {
+		t.Fatalf("window 1 max core %d, want 1", s[1].MaxCore)
 	}
 }

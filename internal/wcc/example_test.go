@@ -5,6 +5,7 @@ import (
 	"log"
 
 	"pmpr/internal/events"
+	"pmpr/internal/tcsr"
 	"pmpr/internal/wcc"
 )
 
@@ -23,18 +24,12 @@ func Example() {
 	l := raw.Symmetrize()
 	spec := events.WindowSpec{T0: 0, Delta: 10, Slide: 45, Count: 2}
 
-	cfg := wcc.DefaultConfig()
-	cfg.KeepLabels = true
-	eng, err := wcc.NewEngine(l, spec, cfg, nil)
+	tg, err := tcsr.Build(l, spec, 1, false)
 	if err != nil {
 		log.Fatal(err)
 	}
-	series, err := eng.Run()
-	if err != nil {
-		log.Fatal(err)
-	}
-	for w := 0; w < series.Len(); w++ {
-		r := series.Window(w)
+	for w := 0; w < spec.Count; w++ {
+		r := wcc.Window(tg, w)
 		fmt.Printf("window %d: %d components, 0 and 3 connected: %v\n",
 			w, r.Components, r.SameComponent(0, 3))
 	}

@@ -1,8 +1,9 @@
 // Package wcc computes connected components on every window of a
 // temporal graph, postmortem-style. The paper focuses on PageRank but
 // names connected components among the analyses the sliding-window
-// formulation supports (Sec. 3.1); this engine reuses the same
-// multi-window temporal CSR and window-level parallelism.
+// formulation supports (Sec. 3.1); Run and Window take the same
+// multi-window temporal CSR the caller built for PageRank, and Run
+// reuses its window-level parallelism.
 //
 // Components are weak: edge direction is ignored (the per-window view
 // merges in- and out-adjacency). Each window is solved with union-find
@@ -10,34 +11,9 @@
 package wcc
 
 import (
-	"fmt"
-
-	"pmpr/internal/events"
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
-
-// Config controls a components run.
-type Config struct {
-	// NumMultiWindows partitions the window sequence (see tcsr.Build).
-	NumMultiWindows int
-	// BalancedPartition splits by event load instead of uniformly.
-	BalancedPartition bool
-	// Directed controls the representation build; components always
-	// treat edges as undirected.
-	Directed bool
-	// Partitioner and Grain configure the window-level loop.
-	Partitioner sched.Partitioner
-	Grain       int
-	// KeepLabels retains each window's component labeling (otherwise
-	// only summary statistics are kept).
-	KeepLabels bool
-}
-
-// DefaultConfig mirrors the PageRank engine's defaults.
-func DefaultConfig() Config {
-	return Config{NumMultiWindows: 6, Partitioner: sched.Auto, Grain: 2}
-}
 
 // WindowResult summarizes one window's component structure.
 type WindowResult struct {
@@ -55,7 +31,7 @@ type WindowResult struct {
 
 // Label returns the component id of the global vertex (an arbitrary but
 // consistent active vertex id within the window), or -1 when the vertex
-// is inactive or labels were not kept.
+// is inactive or r came from Run, which keeps no labels.
 func (r *WindowResult) Label(global int32) int32 {
 	if r.labels == nil {
 		return -1
@@ -71,87 +47,51 @@ func (r *WindowResult) Label(global int32) int32 {
 }
 
 // SameComponent reports whether two global vertices are connected in
-// this window. It requires kept labels.
+// this window. It requires a result from Window.
 func (r *WindowResult) SameComponent(a, b int32) bool {
 	la, lb := r.Label(a), r.Label(b)
 	return la >= 0 && la == lb
 }
 
-// Series is the per-window component summary sequence.
-type Series struct {
-	Spec    events.WindowSpec
-	Results []WindowResult
-}
+// grain is the window-level loop's scheduler grain.
+const grain = 2
 
-// Window returns the result for window i.
-func (s *Series) Window(i int) *WindowResult { return &s.Results[i] }
-
-// Len returns the number of windows.
-func (s *Series) Len() int { return len(s.Results) }
-
-// Engine computes the series.
-type Engine struct {
-	tg   *tcsr.Temporal
-	cfg  Config
-	pool *sched.Pool
-}
-
-// NewEngine builds the temporal representation for l under spec.
-func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if cfg.NumMultiWindows < 1 {
-		return nil, fmt.Errorf("wcc: NumMultiWindows %d must be >= 1", cfg.NumMultiWindows)
-	}
-	build := tcsr.Build
-	if cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
-	tg, err := build(l, spec, cfg.NumMultiWindows, cfg.Directed)
-	if err != nil {
-		return nil, err
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
-}
-
-// NewEngineFromTemporal reuses an existing representation.
-func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
-	if tg == nil {
-		return nil, fmt.Errorf("wcc: nil temporal representation")
-	}
-	return &Engine{tg: tg, cfg: cfg, pool: pool}, nil
-}
-
-// Temporal exposes the representation.
-func (e *Engine) Temporal() *tcsr.Temporal { return e.tg }
-
-// Run computes components for every window. Windows run in parallel on
-// the pool (the kernel itself is sequential, as in the offline model);
-// a nil pool runs serially.
-func (e *Engine) Run() (*Series, error) {
-	count := e.tg.Spec.Count
-	results := make([]WindowResult, count)
-	body := func(lo, hi int) {
-		var view tcsr.WindowView
-		var uf unionFind
+// Run computes the component summary of every window of tg. Windows run
+// in parallel on the pool (the kernel itself is sequential, as in the
+// offline model); a nil pool runs serially. The summaries carry no
+// labels; Window solves one window with them.
+func Run(tg *tcsr.Temporal, pool *sched.Pool) []WindowResult {
+	results := make([]WindowResult, tg.Spec.Count)
+	body := func(_ *sched.Worker, lo, hi int) {
+		var s solver
 		for w := lo; w < hi; w++ {
-			results[w] = e.solveWindow(w, &view, &uf)
+			results[w] = s.solve(tg, w, false)
 		}
 	}
-	if e.pool == nil {
-		body(0, count)
+	if pool == nil {
+		body(nil, 0, len(results))
 	} else {
-		grain := e.cfg.Grain
-		if grain < 1 {
-			grain = 1
-		}
-		e.pool.ParallelFor(count, grain, e.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
-			body(lo, hi)
-		})
+		pool.ParallelFor(len(results), grain, sched.Auto, body)
 	}
-	return &Series{Spec: e.tg.Spec, Results: results}, nil
+	return results
 }
 
-func (e *Engine) solveWindow(w int, view *tcsr.WindowView, uf *unionFind) WindowResult {
-	mw := e.tg.ForWindow(w)
+// Window computes window w of tg with its per-vertex labels, so Label
+// and SameComponent answer.
+func Window(tg *tcsr.Temporal, w int) WindowResult {
+	var s solver
+	return s.solve(tg, w, true)
+}
+
+// solver holds one worker's reusable window view and union-find.
+type solver struct {
+	view tcsr.WindowView
+	uf   unionFind
+}
+
+func (s *solver) solve(tg *tcsr.Temporal, w int, keepLabels bool) WindowResult {
+	mw := tg.ForWindow(w)
+	view, uf := &s.view, &s.uf
 	mw.Materialize(w, view)
 	n := int(mw.NumLocal())
 	res := WindowResult{Window: w, ActiveVertices: view.NumActive, mw: mw}
@@ -177,7 +117,7 @@ func (e *Engine) solveWindow(w int, view *tcsr.WindowView, uf *unionFind) Window
 	}
 	res.Components = comps
 	res.LargestSize = largest
-	if e.cfg.KeepLabels {
+	if keepLabels {
 		labels := make([]int32, n)
 		for v := 0; v < n; v++ {
 			if view.Active[v] {

@@ -1,11 +1,13 @@
 package wcc
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"pmpr/internal/events"
 	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
 )
 
 func ev(u, v int32, t int64) events.Event { return events.Event{U: u, V: v, T: t} }
@@ -65,136 +67,120 @@ func naiveComponents(l *events.Log, ts, te int64) (map[int32]int32, int32, int32
 	return labels, comps, largest
 }
 
+// builds are the two partitionings every oracle check runs over.
+var builds = []struct {
+	name  string
+	build func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)
+}{{"uniform", tcsr.Build}, {"balanced", tcsr.BuildBalanced}}
+
 func TestComponentsMatchOracle(t *testing.T) {
 	pool := sched.NewPool(3)
 	defer pool.Close()
 	for trial := 0; trial < 15; trial++ {
 		rng := rand.New(rand.NewSource(int64(200 + trial)))
 		n := int32(rng.Intn(40) + 3)
-		l := randomLog(t, int64(300+trial), n, rng.Intn(300)+10, 2000)
-		spec, err := events.Span(l, int64(rng.Intn(400)+1), int64(rng.Intn(150)+1))
+		raw := randomLog(t, int64(300+trial), n, rng.Intn(300)+10, 2000)
+		spec, err := events.Span(raw, int64(rng.Intn(400)+1), int64(rng.Intn(150)+1))
 		if err != nil {
 			t.Fatalf("Span: %v", err)
 		}
-		for _, usePool := range []bool{false, true} {
-			p := pool
-			if !usePool {
-				p = nil
+		for _, directed := range []bool{true, false} {
+			l := raw
+			if !directed {
+				l = raw.Symmetrize() // directed=false expects a symmetrized log
 			}
-			cfg := DefaultConfig()
-			cfg.Directed = true
-			cfg.NumMultiWindows = 3
-			cfg.KeepLabels = true
-			eng, err := NewEngine(l, spec, cfg, p)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			s, err := eng.Run()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			for w := 0; w < spec.Count; w++ {
-				labels, comps, largest := naiveComponents(l, spec.Start(w), spec.End(w))
-				r := s.Window(w)
-				if r.Components != comps {
-					t.Fatalf("trial %d w %d: %d components, oracle %d", trial, w, r.Components, comps)
+			for _, bl := range builds {
+				tg, err := bl.build(l, spec, 3, directed)
+				if err != nil {
+					t.Fatalf("%s build: %v", bl.name, err)
 				}
-				if r.LargestSize != largest {
-					t.Fatalf("trial %d w %d: largest %d, oracle %d", trial, w, r.LargestSize, largest)
-				}
-				if r.ActiveVertices != int32(len(labels)) {
-					t.Fatalf("trial %d w %d: active %d, oracle %d", trial, w, r.ActiveVertices, len(labels))
-				}
-				// Same-component equivalence must match the oracle.
-				for a := range labels {
-					for b := range labels {
-						if r.SameComponent(a, b) != (labels[a] == labels[b]) {
-							t.Fatalf("trial %d w %d: SameComponent(%d,%d) wrong", trial, w, a, b)
+				tag := fmt.Sprintf("trial %d directed=%v %s", trial, directed, bl.name)
+				want := make([]WindowResult, spec.Count)
+				for w := range want {
+					labels, comps, largest := naiveComponents(l, spec.Start(w), spec.End(w))
+					r := Window(tg, w)
+					if r.Components != comps {
+						t.Fatalf("%s w %d: %d components, oracle %d", tag, w, r.Components, comps)
+					}
+					if r.LargestSize != largest {
+						t.Fatalf("%s w %d: largest %d, oracle %d", tag, w, r.LargestSize, largest)
+					}
+					if r.ActiveVertices != int32(len(labels)) {
+						t.Fatalf("%s w %d: active %d, oracle %d", tag, w, r.ActiveVertices, len(labels))
+					}
+					// Same-component equivalence must match the oracle.
+					for a := range labels {
+						for b := range labels {
+							if r.SameComponent(a, b) != (labels[a] == labels[b]) {
+								t.Fatalf("%s w %d: SameComponent(%d,%d) wrong", tag, w, a, b)
+							}
+						}
+						if r.Label(a) < 0 {
+							t.Fatalf("%s w %d: active vertex %d unlabeled", tag, w, a)
 						}
 					}
-					if r.Label(a) < 0 {
-						t.Fatalf("trial %d w %d: active vertex %d unlabeled", trial, w, a)
+					want[w] = r
+				}
+				// Run's summaries must equal Window's, serially and on the pool.
+				for _, p := range []*sched.Pool{nil, pool} {
+					got := Run(tg, p)
+					if len(got) != spec.Count {
+						t.Fatalf("%s pool=%v: Run returned %d windows, want %d", tag, p != nil, len(got), spec.Count)
+					}
+					for w, g := range got {
+						r := want[w]
+						if g.Window != r.Window || g.ActiveVertices != r.ActiveVertices ||
+							g.Components != r.Components || g.LargestSize != r.LargestSize {
+							t.Fatalf("%s pool=%v w %d: Run %+v, Window %+v", tag, p != nil, w, g, r)
+						}
 					}
 				}
 			}
 		}
-	}
-}
-
-func TestLabelsNotKeptByDefault(t *testing.T) {
-	l := randomLog(t, 400, 10, 50, 200)
-	spec, _ := events.Span(l, 100, 50)
-	eng, err := NewEngine(l, spec, DefaultConfig(), nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s, err := eng.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	if s.Window(0).Label(0) != -1 {
-		t.Fatal("labels should be absent without KeepLabels")
 	}
 }
 
 func TestInactiveVertexLabel(t *testing.T) {
 	raw, _ := events.NewLog([]events.Event{ev(0, 1, 5)}, 4)
-	l := raw.Symmetrize() // Directed=false expects a symmetrized log
+	l := raw.Symmetrize() // directed=false expects a symmetrized log
 	spec := events.WindowSpec{T0: 5, Delta: 1, Slide: 1, Count: 1}
-	cfg := DefaultConfig()
-	cfg.KeepLabels = true
-	eng, _ := NewEngine(l, spec, cfg, nil)
-	s, err := eng.Run()
+	tg, err := tcsr.Build(l, spec, 1, false)
 	if err != nil {
-		t.Fatalf("Run: %v", err)
+		t.Fatalf("Build: %v", err)
 	}
-	if s.Window(0).Label(3) != -1 {
+	r := Window(tg, 0)
+	if r.Label(3) != -1 {
 		t.Fatal("inactive vertex should have label -1")
 	}
-	if s.Window(0).SameComponent(0, 3) {
+	if r.SameComponent(0, 3) {
 		t.Fatal("inactive vertex cannot share a component")
 	}
-	if !s.Window(0).SameComponent(0, 1) {
+	if !r.SameComponent(0, 1) {
 		t.Fatal("edge endpoints must share a component")
-	}
-}
-
-func TestEngineValidation(t *testing.T) {
-	l := randomLog(t, 401, 5, 10, 50)
-	spec, _ := events.Span(l, 20, 10)
-	cfg := DefaultConfig()
-	cfg.NumMultiWindows = 0
-	if _, err := NewEngine(l, spec, cfg, nil); err == nil {
-		t.Fatal("NumMultiWindows=0 accepted")
-	}
-	if _, err := NewEngineFromTemporal(nil, DefaultConfig(), nil); err == nil {
-		t.Fatal("nil temporal accepted")
 	}
 }
 
 func TestBalancedPartitionComponents(t *testing.T) {
 	l := randomLog(t, 402, 20, 400, 1500)
-	spec, _ := events.Span(l, 300, 100)
-	mk := func(balanced bool) *Series {
-		cfg := DefaultConfig()
-		cfg.Directed = true
-		cfg.NumMultiWindows = 4
-		cfg.BalancedPartition = balanced
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run()
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return s
+	spec, err := events.Span(l, 300, 100)
+	if err != nil {
+		t.Fatalf("Span: %v", err)
 	}
-	a, b := mk(false), mk(true)
+	run := func(bl func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)) []WindowResult {
+		tg, err := bl(l, spec, 4, true)
+		if err != nil {
+			t.Fatalf("build: %v", err)
+		}
+		return Run(tg, nil)
+	}
+	a, b := run(tcsr.Build), run(tcsr.BuildBalanced)
+	if len(a) != spec.Count || len(b) != spec.Count {
+		t.Fatalf("Run returned %d and %d windows, want %d", len(a), len(b), spec.Count)
+	}
 	for w := 0; w < spec.Count; w++ {
-		if a.Window(w).Components != b.Window(w).Components ||
-			a.Window(w).LargestSize != b.Window(w).LargestSize {
-			t.Fatalf("window %d: partitioning changed the result", w)
+		if a[w].Components != b[w].Components || a[w].LargestSize != b[w].LargestSize ||
+			a[w].ActiveVertices != b[w].ActiveVertices {
+			t.Fatalf("window %d: partitioning changed the result: %+v vs %+v", w, a[w], b[w])
 		}
 	}
 }
