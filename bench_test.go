@@ -434,24 +434,3 @@ func BenchmarkExtKCore(b *testing.B) {
 		kcore.Run(tg, pool)
 	}
 }
-
-// BenchmarkAblationBalancedPartition compares uniform vs event-balanced
-// multi-window partitioning on bursty data (the paper's future-work
-// decomposition).
-func BenchmarkAblationBalancedPartition(b *testing.B) {
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	l := dataset(b, "epinions")
-	sp := spec(b, l, 60, 86400, 96)
-	for _, balanced := range []bool{false, true} {
-		label := "uniform"
-		if balanced {
-			label = "balanced"
-		}
-		b.Run(label, func(b *testing.B) {
-			cfg := postmortemCfg(core.SpMM, core.Nested, sched.Auto, 2, 12)
-			cfg.BalancedPartition = balanced
-			runPostmortem(b, l, sp, cfg, pool)
-		})
-	}
-}

@@ -832,7 +832,8 @@ func TestCLIErrors(t *testing.T) {
 	}
 
 	// An unknown enum flag value is a usage error naming the valid
-	// values, never a silent fallback to a different configuration.
+	// values, never a silent fallback to a different configuration;
+	// conflicting flags are a usage error too.
 	ev := filepath.Join(t.TempDir(), "tiny.ev")
 	runTool(t, "./cmd/pmgen", "-dataset", "enron", "-scale", "0.01", "-seed", "1", "-o", ev)
 	usage := []struct {
@@ -842,6 +843,9 @@ func TestCLIErrors(t *testing.T) {
 		{[]string{"./cmd/pmrank", "-in", ev, "-kernel", "spmv-blocked"}, "valid: spmm, spmv"},
 		{[]string{"./cmd/pmrank", "-in", ev, "-mode", "bogus"}, "valid: nested, app, window"},
 		{[]string{"./cmd/pmserve", "-solve", "-in", ev, "-partitioner", "bogus"}, "valid: auto, simple, static"},
+		// -out cannot export what -discard-ranks drops; refused before
+		// the solve.
+		{[]string{"./cmd/pmrank", "-in", ev, "-out", filepath.Join(t.TempDir(), "x.pmrs"), "-discard-ranks"}, "-discard-ranks"},
 	}
 	for _, tc := range usage {
 		out, err := exec.Command("go", append([]string{"run"}, tc.args...)...).CombinedOutput()
@@ -851,5 +855,39 @@ func TestCLIErrors(t *testing.T) {
 		if !strings.Contains(string(out), tc.want) || !strings.Contains(string(out), "exit status 2") {
 			t.Errorf("%v: want a usage error listing %q and exit status 2, got:\n%s", tc.args, tc.want, out)
 		}
+	}
+}
+
+// TestCLIQuarantinedExport quarantines window 2 (its first attempt and
+// both retries fail, then the degrade attempt fails) and requires both
+// commands that export the series, pmrank -out and pmserve -solve, to
+// exit 1 with an error naming the window instead of panicking on its
+// missing ranks.
+func TestCLIQuarantinedExport(t *testing.T) {
+	if testing.Short() {
+		t.Skip("CLI e2e skipped in -short mode")
+	}
+	tmp := t.TempDir()
+	ev := filepath.Join(tmp, "ci.ev")
+	pmrs := filepath.Join(tmp, "x.pmrs")
+	runTool(t, "./cmd/pmgen", "-dataset", "enron", "-scale", "0.02", "-seed", "3", "-o", ev, "-format", "binary")
+	solve := []string{"-in", ev, "-delta-days", "365", "-slide", "172800", "-max-windows", "8", "-kernel", "spmv", "-workers", "1"}
+	for _, args := range [][]string{
+		append([]string{"./cmd/pmrank", "-out", pmrs}, solve...),
+		append([]string{"./cmd/pmserve", "-solve", "-addr", "127.0.0.1:0"}, solve...),
+	} {
+		cmd := exec.Command("go", append([]string{"run"}, args...)...)
+		cmd.Env = append(os.Environ(), "PMPR_FAULTPOINTS=core.solve.window:error:after=3,count=3;core.solve.degrade:error:count=1")
+		out, err := cmd.CombinedOutput()
+		if err == nil {
+			t.Fatalf("%s exported a series with a quarantined window:\n%s", args[0], out)
+		}
+		if strings.Contains(string(out), "panic") || !strings.Contains(string(out), "windows [2] were quarantined") ||
+			!strings.Contains(string(out), "exit status 1") {
+			t.Fatalf("%s: want exit status 1 with an error naming window 2, got:\n%s", args[0], out)
+		}
+	}
+	if _, err := os.Stat(pmrs); !os.IsNotExist(err) {
+		t.Fatalf("pmrank left a partial series behind: %v", err)
 	}
 }

@@ -99,6 +99,10 @@ func main() {
 		fmt.Fprintln(os.Stderr, "pmrank: -live requires -metrics-addr")
 		os.Exit(2)
 	}
+	if *out != "" && *discardRanks {
+		fmt.Fprintln(os.Stderr, "pmrank: -out needs the rank vectors that -discard-ranks drops")
+		os.Exit(2)
+	}
 	engCfg := core.DefaultConfig()
 	if err := ef.ApplyTo(&engCfg); err != nil {
 		fmt.Fprintf(os.Stderr, "pmrank: %v\n", err)
@@ -305,10 +309,8 @@ func main() {
 			fmt.Printf("schedule trace written to %s (%d events; load in Perfetto)\n", *traceOut, tr.Len())
 		}
 		if *out != "" {
-			if s.Len() > 0 {
-				if _, ok := s.Window(0).RankOK(0); !ok {
-					fatal(fmt.Errorf("-out needs retained rank vectors; drop -discard-ranks"))
-				}
+			if err := s.CheckExport(); err != nil {
+				fatal(err)
 			}
 			f, err := os.Create(*out)
 			if err != nil {

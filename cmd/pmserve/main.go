@@ -307,6 +307,9 @@ func solveStore(ctx context.Context, in string, deltaDays float64, slide int64, 
 	if err != nil {
 		return nil, err
 	}
+	if err := s.CheckExport(); err != nil {
+		return nil, err
+	}
 	return serve.NewStore(s.Export())
 }
 

@@ -31,7 +31,6 @@ func init() {
 	register("ablation-veclen", "SpMM vector length x partial initialization", expAblationVecLen)
 	register("ablation-replication", "Multi-window replication overhead vs count", expAblationReplication)
 	register("ablation-imbalance", "Parallelization level under spiky vs smooth load", expAblationImbalance)
-	register("ablation-partition", "Uniform vs event-balanced multi-window partitioning", expAblationPartition)
 	register("ext-kernels", "Other sliding-window kernels: components and k-core", expExtKernels)
 	register("profile-imbalance", "Per-window work distribution per dataset (Sec. 6.1)", expProfileImbalance)
 }
@@ -528,56 +527,6 @@ func expAblationImbalance(ctx context.Context, o Options) error {
 	}
 	t.Render(o.Out)
 	fmt.Fprintln(o.Out, "(spiky datasets favor app-level/nested; smooth many-window datasets tolerate window-level)")
-	return nil
-}
-
-func expAblationPartition(ctx context.Context, o Options) error {
-	o = o.withDefaults()
-	pool := sched.NewPool(o.Workers)
-	defer pool.Close()
-	t := NewTable("dataset", "partition", "max/mean events per MW", "time(s)", "speedup")
-	for _, name := range []string{"enron", "epinions", "wikitalk"} {
-		l, d, err := loadDataset(name, o)
-		if err != nil {
-			return err
-		}
-		spec, err := deriveSpec(l, d.SlidingOffsets[0], d.WindowDays[0], o)
-		if err != nil {
-			return err
-		}
-		var uniformT float64
-		for _, balanced := range []bool{false, true} {
-			cfg := suggestedConfig(spec)
-			cfg.BalancedPartition = balanced
-			cfg.Directed = false
-			cfg.DiscardRanks = true
-			eng, err := core.NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				return err
-			}
-			var maxE, sumE int
-			for _, mw := range eng.Temporal().MWs {
-				if mw.NumEvents() > maxE {
-					maxE = mw.NumEvents()
-				}
-				sumE += mw.NumEvents()
-			}
-			imb := float64(maxE) / (float64(sumE) / float64(len(eng.Temporal().MWs)))
-			secs, _, err := runPostmortemReusing(ctx, eng)
-			if err != nil {
-				return err
-			}
-			label := "uniform"
-			if balanced {
-				label = "balanced"
-			} else {
-				uniformT = secs
-			}
-			t.Rowf(name, label, imb, secs, uniformT/secs)
-		}
-	}
-	t.Render(o.Out)
-	fmt.Fprintln(o.Out, "(the event-balanced split is the non-uniform decomposition the paper's conclusion suggests)")
 	return nil
 }
 

@@ -78,8 +78,8 @@ type Manifest struct {
 	// NumMultiWindows is the partition count.
 	NumMultiWindows int
 	// PartitionHash fingerprints the exact window->multi-window
-	// assignment (boundaries), so balanced vs uniform partitionings of
-	// the same count do not mix.
+	// assignment (boundaries), so windows solved under one partitioning
+	// are never resumed under another.
 	PartitionHash uint64
 	// NumVertices is the vertex universe size.
 	NumVertices int32

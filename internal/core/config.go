@@ -12,63 +12,11 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"pmpr/internal/obs"
 	"pmpr/internal/pagerank"
 	"pmpr/internal/sched"
 )
-
-// FaultPolicy controls the solve stage's per-window fault tolerance.
-// The zero value retries nothing but still recovers panics, degrades
-// failed windows to the serial SpMV fallback, and quarantines windows
-// that fail even there — a run never aborts on a single bad window
-// unless FailFast asks it to.
-type FaultPolicy struct {
-	// MaxRetries is how many times a failed window or batch solve is
-	// re-attempted with the configured kernel before degrading.
-	MaxRetries int
-	// Backoff is the sleep before the first retry; each further retry
-	// doubles it, capped at MaxBackoff. Zero means no backoff sleep.
-	Backoff time.Duration
-	// MaxBackoff caps the exponential backoff (default: 32*Backoff when
-	// zero).
-	MaxBackoff time.Duration
-	// DisableDegrade skips the serial-SpMV fallback: windows whose
-	// retries are exhausted quarantine immediately.
-	DisableDegrade bool
-	// FailFast aborts the run with the first *WindowError instead of
-	// quarantining and continuing.
-	FailFast bool
-}
-
-// DefaultFaultPolicy retries twice with a 1ms..50ms exponential
-// backoff and degrades to serial SpMV before quarantining.
-func DefaultFaultPolicy() FaultPolicy {
-	return FaultPolicy{MaxRetries: 2, Backoff: time.Millisecond, MaxBackoff: 50 * time.Millisecond}
-}
-
-// backoffFor returns the sleep before retry attempt n (1-based).
-func (p FaultPolicy) backoffFor(n int) time.Duration {
-	if p.Backoff <= 0 || n < 1 {
-		return 0
-	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = 32 * p.Backoff
-	}
-	d := p.Backoff
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= maxB {
-			return maxB
-		}
-	}
-	if d > maxB {
-		return maxB
-	}
-	return d
-}
 
 // ParallelMode selects which level(s) of parallelism the engine uses
 // (paper Sec. 4.3).
@@ -133,11 +81,6 @@ type Config struct {
 	// NumMultiWindows is the number of multi-window graphs the window
 	// sequence is partitioned into (paper default: 6).
 	NumMultiWindows int
-	// BalancedPartition splits the window sequence by event load instead
-	// of uniformly by window count — the non-uniform decomposition the
-	// paper's conclusion suggests as future work. It evens the
-	// per-window sweep cost on temporally bursty datasets.
-	BalancedPartition bool
 	// Mode is the parallelization level.
 	Mode ParallelMode
 	// Kernel selects SpMV or SpMM iteration.
@@ -160,10 +103,6 @@ type Config struct {
 	// has consumed it, keeping only the per-window statistics. Used by
 	// benchmarks to avoid measuring result-retention memory traffic.
 	DiscardRanks bool
-	// Fault is the per-window fault-tolerance policy (retries, backoff,
-	// degrade, fail-fast). See FaultPolicy; the zero value never aborts
-	// a run on a single bad window.
-	Fault FaultPolicy
 	// Validate enables the structural invariant checks from
 	// internal/invariant: the temporal CSR layout and window coverage
 	// are validated when the engine is constructed, and every window's
@@ -196,7 +135,6 @@ func DefaultConfig() Config {
 		PartialInit:     true,
 		Partitioner:     sched.Auto,
 		Grain:           2,
-		Fault:           DefaultFaultPolicy(),
 	}
 }
 
@@ -220,12 +158,6 @@ func (c Config) Check() error {
 	if c.Grain < 0 {
 		return fmt.Errorf("core: Grain %d must be >= 0", c.Grain)
 	}
-	if c.Fault.MaxRetries < 0 {
-		return fmt.Errorf("core: Fault.MaxRetries %d must be >= 0", c.Fault.MaxRetries)
-	}
-	if c.Fault.Backoff < 0 || c.Fault.MaxBackoff < 0 {
-		return fmt.Errorf("core: Fault backoff durations must be >= 0")
-	}
 	return nil
 }
 
@@ -233,42 +165,36 @@ func (c Config) Check() error {
 // RunReport and trace metadata so results are attributable to the
 // parameters that produced them.
 type ConfigInfo struct {
-	Kernel            string  `json:"kernel"`
-	Mode              string  `json:"mode"`
-	Partitioner       string  `json:"partitioner"`
-	Grain             int     `json:"grain"`
-	VectorLen         int     `json:"vector_len,omitempty"`
-	NumMultiWindows   int     `json:"num_multi_windows"`
-	BalancedPartition bool    `json:"balanced_partition"`
-	PartialInit       bool    `json:"partial_init"`
-	Directed          bool    `json:"directed"`
-	DiscardRanks      bool    `json:"discard_ranks"`
-	MaxRetries        int     `json:"max_retries"`
-	FailFast          bool    `json:"fail_fast,omitempty"`
-	Validate          bool    `json:"validate,omitempty"`
-	Alpha             float64 `json:"alpha"`
-	Tol               float64 `json:"tol"`
-	MaxIter           int     `json:"max_iter"`
+	Kernel          string  `json:"kernel"`
+	Mode            string  `json:"mode"`
+	Partitioner     string  `json:"partitioner"`
+	Grain           int     `json:"grain"`
+	VectorLen       int     `json:"vector_len,omitempty"`
+	NumMultiWindows int     `json:"num_multi_windows"`
+	PartialInit     bool    `json:"partial_init"`
+	Directed        bool    `json:"directed"`
+	DiscardRanks    bool    `json:"discard_ranks"`
+	Validate        bool    `json:"validate,omitempty"`
+	Alpha           float64 `json:"alpha"`
+	Tol             float64 `json:"tol"`
+	MaxIter         int     `json:"max_iter"`
 }
 
 // Info summarizes the configuration for reports and trace metadata.
 func (c Config) Info() ConfigInfo {
 	info := ConfigInfo{
-		Kernel:            c.Kernel.String(),
-		Mode:              c.Mode.String(),
-		Partitioner:       c.Partitioner.String(),
-		Grain:             c.Grain,
-		NumMultiWindows:   c.NumMultiWindows,
-		BalancedPartition: c.BalancedPartition,
-		PartialInit:       c.PartialInit,
-		Directed:          c.Directed,
-		DiscardRanks:      c.DiscardRanks,
-		MaxRetries:        c.Fault.MaxRetries,
-		FailFast:          c.Fault.FailFast,
-		Validate:          c.Validate,
-		Alpha:             c.Opts.Alpha,
-		Tol:               c.Opts.Tol,
-		MaxIter:           c.Opts.MaxIter,
+		Kernel:          c.Kernel.String(),
+		Mode:            c.Mode.String(),
+		Partitioner:     c.Partitioner.String(),
+		Grain:           c.Grain,
+		NumMultiWindows: c.NumMultiWindows,
+		PartialInit:     c.PartialInit,
+		Directed:        c.Directed,
+		DiscardRanks:    c.DiscardRanks,
+		Validate:        c.Validate,
+		Alpha:           c.Opts.Alpha,
+		Tol:             c.Opts.Tol,
+		MaxIter:         c.Opts.MaxIter,
 	}
 	if c.Kernel == SpMM {
 		info.VectorLen = c.VectorLen

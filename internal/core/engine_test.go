@@ -455,8 +455,9 @@ func TestPaperExampleSeries(t *testing.T) {
 	checkAgainstOracle(t, sym, spec, s, "paper-example")
 }
 
-func TestBalancedPartitionMatchesOracle(t *testing.T) {
-	// Bursty log: the balanced partition must not change results.
+func TestBurstyLogMatchesOracle(t *testing.T) {
+	// Bursty log: one burst puts most events into one multi-window
+	// graph; every window must still match the oracle.
 	rng := rand.New(rand.NewSource(44))
 	var evs []events.Event
 	tcur := int64(0)
@@ -482,7 +483,6 @@ func TestBalancedPartitionMatchesOracle(t *testing.T) {
 		cfg.Kernel = kernel
 		cfg.Directed = true
 		cfg.NumMultiWindows = 4
-		cfg.BalancedPartition = true
 		eng, err := NewEngine(l, spec, cfg, nil)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -491,7 +491,7 @@ func TestBalancedPartitionMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Run: %v", err)
 		}
-		checkAgainstOracle(t, l, spec, s, "balanced/"+kernel.String())
+		checkAgainstOracle(t, l, spec, s, "bursty/"+kernel.String())
 	}
 }
 

@@ -205,3 +205,72 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		}
 	}
 }
+
+// TestTimeShiftIsInvariant is a metamorphic check of the window
+// semantics: moving every event time and the window origin by the same
+// constant must not change which events a window holds, so every
+// window's ranks, iteration count and residual must be bit-identical.
+// Runs are serial, whose warm-start chains are deterministic.
+func TestTimeShiftIsInvariant(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		l := randomLog(t, 700+seed, 30, 400, 1500)
+		spec, err := events.Span(l, 300, 70)
+		if err != nil {
+			t.Fatalf("Span: %v", err)
+		}
+		for _, shift := range []int64{-1_000_003, 1 << 40} {
+			evs := append([]events.Event(nil), l.Events()...)
+			for i := range evs {
+				evs[i].T += shift
+			}
+			moved, err := events.NewLogSorted(evs, l.NumVertices())
+			if err != nil {
+				t.Fatalf("NewLogSorted: %v", err)
+			}
+			movedSpec := spec
+			movedSpec.T0 += shift
+			for _, kernel := range []KernelID{SpMV, SpMM} {
+				for _, partial := range []bool{false, true} {
+					label := fmt.Sprintf("seed %d shift %d %v partial=%v", seed, shift, kernel, partial)
+					cfg := DefaultConfig()
+					cfg.Kernel = kernel
+					cfg.PartialInit = partial
+					cfg.Directed = true
+					cfg.NumMultiWindows = 3
+					cfg.VectorLen = 4
+					want := runSeries(t, l, spec, cfg, label)
+					got := runSeries(t, moved, movedSpec, cfg, label+" shifted")
+					for w := 0; w < want.Len(); w++ {
+						a, b := want.Window(w), got.Window(w)
+						if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual ||
+							a.ActiveVertices != b.ActiveVertices || a.Converged != b.Converged {
+							t.Fatalf("%s window %d: iterations %d, residual %v, active %d, converged %v shifted to %d, %v, %d, %v",
+								label, w, a.Iterations, a.FinalResidual, a.ActiveVertices, a.Converged,
+								b.Iterations, b.FinalResidual, b.ActiveVertices, b.Converged)
+						}
+						ra, rb := a.Dense(l.NumVertices()), b.Dense(l.NumVertices())
+						for v := range ra {
+							if ra[v] != rb[v] {
+								t.Fatalf("%s window %d vertex %d: rank %v shifted to %v", label, w, v, ra[v], rb[v])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// runSeries solves l over spec serially.
+func runSeries(t *testing.T, l *events.Log, spec events.WindowSpec, cfg Config, label string) *Series {
+	t.Helper()
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("%s: NewEngine: %v", label, err)
+	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("%s: Run: %v", label, err)
+	}
+	return s
+}

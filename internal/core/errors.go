@@ -29,10 +29,9 @@ func (e *RecoveredPanic) Unwrap() error {
 func recoveredError(rec any) error { return &RecoveredPanic{Value: rec} }
 
 // WindowError reports one window's solve failing terminally: every
-// retry (and, unless disabled, the serial-SpMV degrade attempt) failed.
-// The window is quarantined — its WindowResult carries WindowFailed and
-// this error — and, under Config.Fault.FailFast, the run aborts with
-// the first WindowError instead.
+// retry and the serial-SpMV degrade attempt failed. The window is
+// quarantined — its WindowResult carries WindowFailed and this error —
+// and the run goes on.
 type WindowError struct {
 	// Window is the global index of the failed window.
 	Window int

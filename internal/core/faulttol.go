@@ -5,14 +5,13 @@
 //	attempt   — run the batch under recover(), so a kernel panic (or a
 //	            sched.PanicError propagated from a nested vertex loop)
 //	            becomes an ordinary error instead of killing the run
-//	retry     — re-stage and re-run with exponential backoff, up to
-//	            Config.Fault.MaxRetries times; a retried attempt sees
-//	            inputs identical to the first, so a transient fault
-//	            leaves no trace in the results
+//	retry     — re-stage and re-run at once, up to maxRetries times; a
+//	            retried attempt sees inputs identical to the first, so a
+//	            transient fault leaves no trace in the results
 //	degrade   — solve each window of the batch alone on the serial
 //	            SpMV kernel, the simplest execution path available
 //	quarantine— mark the window WindowFailed with a *WindowError and
-//	            move on (or abort the run under Fault.FailFast)
+//	            move on; the run never aborts on a bad window
 //
 // Checkpointing rides the same per-window boundary: every decided
 // window is flushed before it is counted completed, and a resumed run
@@ -23,12 +22,17 @@ package core
 
 import (
 	"errors"
-	"time"
 
 	"pmpr/internal/checkpoint"
 	"pmpr/internal/fault"
 	"pmpr/internal/tcsr"
 )
+
+// maxRetries is how many times a failed window or batch solve is
+// re-attempted with the configured kernel before it degrades. Retries
+// run at once: the solve is in memory, so there is no contended
+// resource a backoff sleep would wait out.
+const maxRetries = 2
 
 // Fault-injection points covering the pipeline stages (see
 // internal/fault). The solve points fire once per attempt, before the
@@ -89,31 +93,24 @@ func isPanicErr(err error) bool {
 	return errors.As(err, &rp)
 }
 
-// solveBatchFT runs one staged batch under the fault policy and stamps
-// every slot's Status, Attempts, and (for quarantined slots) Err.
-// reset must re-stage the batch to the exact state it had before the
-// first attempt — same views, same warm-start vectors, zeroed results
-// — so a retried attempt computes the identical solution a fault-free
-// run would have. It returns false when the run was canceled (or
-// fail-fast aborted) before the batch could be decided; the caller
-// must then stop without consuming the batch's results.
+// solveBatchFT runs one staged batch through the failure ladder and
+// stamps every slot's Status, Attempts, and (for quarantined slots)
+// Err. reset must re-stage the batch to the exact state it had before
+// the first attempt — same views, same warm-start vectors, zeroed
+// results — so a retried attempt computes the identical solution a
+// fault-free run would have. It returns false when the run was
+// canceled before the batch could be decided; the caller must then
+// stop without consuming the batch's results.
 func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
-	pol := &r.plan.Cfg.Fault
 	attempts := 0
 	var err error
-	for try := 0; try <= pol.MaxRetries; try++ {
+	for try := 0; try <= maxRetries; try++ {
 		if try > 0 {
 			if r.journal != nil {
 				panicked := isPanicErr(err)
 				for s := range b.results {
 					r.journal.EmitRetry(b.results[s].Window, b.results[s].Worker, try, errString(err), panicked)
 				}
-			}
-			if d := pol.backoffFor(try); d > 0 {
-				time.Sleep(d)
-			}
-			if r.canceled() || r.aborted() {
-				return false
 			}
 			reset()
 		}
@@ -139,19 +136,9 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
 			return false
 		}
 	}
-	panicked := isPanicErr(err)
-	if !pol.DisableDegrade {
-		if r.canceled() || r.aborted() {
-			return false
-		}
-		reset()
-		r.degradeBatch(b, attempts, panicked)
-		return !b.truncated
-	}
-	for s := range b.results {
-		r.quarantine(&b.results[s], attempts, err, panicked)
-	}
-	return true
+	reset()
+	r.degradeBatch(b, attempts, isPanicErr(err))
+	return !b.truncated
 }
 
 // degradeBatch re-solves each window of a freshly re-staged batch
@@ -192,24 +179,15 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 	}
 }
 
-// quarantine marks res terminally failed with a *WindowError and, under
-// Fault.FailFast, arms the run-wide abort.
+// quarantine marks res terminally failed with a *WindowError.
 func (r *solveRun) quarantine(res *WindowResult, attempts int, cause error, panicked bool) {
-	we := &WindowError{Window: res.Window, Attempts: attempts, Panicked: panicked, Err: cause}
 	res.Status = WindowFailed
 	res.Attempts = attempts
-	res.Err = we
+	res.Err = &WindowError{Window: res.Window, Attempts: attempts, Panicked: panicked, Err: cause}
 	res.Converged = false
 	res.ranks = nil
 	r.journal.EmitQuarantine(res.Window, res.Worker, attempts, errString(cause), panicked)
-	if r.plan.Cfg.Fault.FailFast {
-		r.abort.CompareAndSwap(nil, we)
-	}
 }
-
-// aborted reports whether a fail-fast quarantine has armed the
-// run-wide abort; the drivers poll it alongside canceled().
-func (r *solveRun) aborted() bool { return r.abort.Load() != nil }
 
 // resumedWindow returns window w's checkpointed result when this run
 // is resuming and the checkpoint holds one.

@@ -16,14 +16,6 @@ import (
 	"pmpr/internal/sched"
 )
 
-// ftCfg is equivCfg with the default fault policy made explicit: two
-// retries, no backoff sleep (tests should not wait), degrade enabled.
-func ftCfg(kernel KernelID, mode ParallelMode) Config {
-	cfg := equivCfg(kernel, mode, true)
-	cfg.Fault = FaultPolicy{MaxRetries: 2}
-	return cfg
-}
-
 // oracleSeries solves the log serially, fault-free, and returns the
 // dense per-window rank vectors.
 func oracleSeries(t *testing.T, l *events.Log, spec events.WindowSpec, cfg Config) [][]float64 {
@@ -72,14 +64,14 @@ func TestInjectedFaultsAreRetriedTransparently(t *testing.T) {
 		{SpMV, PointSolveWindow},
 		{SpMM, PointSolveBatch},
 	} {
-		want := oracleSeries(t, l, spec, ftCfg(tc.kernel, AppLevel))
+		want := oracleSeries(t, l, spec, equivCfg(tc.kernel, AppLevel, true))
 		for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
 			for _, par := range []ParallelMode{AppLevel, Nested} {
 				label := fmt.Sprintf("%v/%v/%v", tc.kernel, tc.point, mode)
 				t.Run(label, func(t *testing.T) {
 					defer fault.Reset()
 					fault.Reset()
-					cfg := ftCfg(tc.kernel, par)
+					cfg := equivCfg(tc.kernel, par, true)
 					cfg.Journal = obs.NewJournal(0)
 					eng, err := NewEngine(l, spec, cfg, pool)
 					if err != nil {
@@ -135,10 +127,9 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 92, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	want := oracleSeries(t, l, spec, ftCfg(SpMM, AppLevel))
+	want := oracleSeries(t, l, spec, equivCfg(SpMM, AppLevel, true))
 
-	cfg := ftCfg(SpMM, AppLevel)
-	cfg.Fault.MaxRetries = 1
+	cfg := equivCfg(SpMM, AppLevel, true)
 	cfg.Journal = obs.NewJournal(0)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
@@ -154,8 +145,9 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 		t.Fatalf("quarantined windows %v; degrade should have rescued them", s.Quarantined())
 	}
 	for w := 0; w < s.Len(); w++ {
-		if st := s.Window(w).Status; st != WindowDegraded {
-			t.Fatalf("window %d status %v, want degraded", w, st)
+		// Every batch attempt and retry failed; the degrade attempt won.
+		if r := s.Window(w); r.Status != WindowDegraded || r.Attempts != maxRetries+2 {
+			t.Fatalf("window %d status %v after %d attempts, want degraded after %d", w, r.Status, r.Attempts, maxRetries+2)
 		}
 	}
 	if got := cfg.Journal.FaultCounters().Degraded.Value(); got != int64(s.Len()) {
@@ -178,18 +170,17 @@ func TestPersistentFaultQuarantinesWindow(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 93, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	want := oracleSeries(t, l, spec, ftCfg(SpMV, AppLevel))
+	want := oracleSeries(t, l, spec, equivCfg(SpMV, AppLevel, true))
 
-	cfg := ftCfg(SpMV, AppLevel)
-	cfg.Fault.MaxRetries = 1
-	eng, err := NewEngine(l, spec, cfg, nil)
+	eng, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
 	// The serial run hits the window point once per attempt in window
-	// order, so After=3 lands on window 2's first attempt; Count=2 also
-	// fails its retry, and the always-armed degrade rule finishes it off.
-	c1 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: 3, Count: 2})
+	// order, so After=3 lands on window 2's first attempt; Count also
+	// fails each of its retries, and the always-armed degrade rule
+	// finishes it off.
+	c1 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: 3, Count: maxRetries + 1})
 	defer c1()
 	c2 := fault.Arm(fault.Rule{Point: PointSolveDegrade, Mode: fault.ModePanic, Count: 0})
 	defer c2()
@@ -206,8 +197,8 @@ func TestPersistentFaultQuarantinesWindow(t *testing.T) {
 		t.Fatalf("window 2 = status %v err %v hasRanks %v", res.Status, res.Err, res.HasRanks())
 	}
 	var we *WindowError
-	if !errors.As(res.Err, &we) || we.Window != 2 || !we.Panicked {
-		t.Fatalf("window 2 error %v is not a panicked *WindowError for window 2", res.Err)
+	if !errors.As(res.Err, &we) || we.Window != 2 || !we.Panicked || we.Attempts != maxRetries+2 {
+		t.Fatalf("window 2 error %v is not a panicked *WindowError for window 2 after %d attempts", res.Err, maxRetries+2)
 	}
 	if got := s.Report.Fault.Quarantined; len(got) != 1 || got[0] != 2 {
 		t.Fatalf("report quarantined = %v, want [2]", got)
@@ -236,31 +227,6 @@ func denseSeries4Quarantine(t *testing.T, s *Series) [][]float64 {
 	return out
 }
 
-// TestFailFastAbortsRun verifies Fault.FailFast turns the first
-// quarantine into a run error.
-func TestFailFastAbortsRun(t *testing.T) {
-	defer fault.Reset()
-	fault.Reset()
-	l := randomLog(t, 94, 20, 200, 600)
-	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg := ftCfg(SpMV, AppLevel)
-	cfg.Fault.MaxRetries = 0
-	cfg.Fault.FailFast = true
-	eng, err := NewEngine(l, spec, cfg, nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	c1 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})
-	defer c1()
-	c2 := fault.Arm(fault.Rule{Point: PointSolveDegrade, Mode: fault.ModeError, Count: 0})
-	defer c2()
-	_, err = eng.Run(context.Background())
-	var we *WindowError
-	if !errors.As(err, &we) {
-		t.Fatalf("Run error %v, want *WindowError", err)
-	}
-}
-
 // TestStagePanicsBecomeStageErrors verifies the build/plan/publish
 // stages convert injected panics into *StageError instead of crashing.
 func TestStagePanicsBecomeStageErrors(t *testing.T) {
@@ -270,7 +236,7 @@ func TestStagePanicsBecomeStageErrors(t *testing.T) {
 	for _, point := range []string{PointBuild, PointPlan} {
 		fault.Reset()
 		cancel := fault.Arm(fault.Rule{Point: point, Mode: fault.ModePanic, Count: 1})
-		_, err := NewEngine(l, spec, ftCfg(SpMV, AppLevel), nil)
+		_, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
 		cancel()
 		var se *StageError
 		if !errors.As(err, &se) {
@@ -282,7 +248,7 @@ func TestStagePanicsBecomeStageErrors(t *testing.T) {
 		}
 	}
 	fault.Reset()
-	eng, err := NewEngine(l, spec, ftCfg(SpMV, AppLevel), nil)
+	eng, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -305,7 +271,7 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
 	for _, kernel := range []KernelID{SpMV, SpMM} {
 		t.Run(kernel.String(), func(t *testing.T) {
-			cfg := ftCfg(kernel, AppLevel)
+			cfg := equivCfg(kernel, AppLevel, true)
 			dir := filepath.Join(t.TempDir(), "ck")
 
 			// Uninterrupted reference.
@@ -421,7 +387,7 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eng1, err := NewEngine(l, spec, ftCfg(SpMV, AppLevel), nil)
+	eng1, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -432,7 +398,7 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 		t.Fatalf("Run: %v", err)
 	}
 	// Same log, different kernel => manifest mismatch.
-	eng2, err := NewEngine(l, spec, ftCfg(SpMM, AppLevel), nil)
+	eng2, err := NewEngine(l, spec, equivCfg(SpMM, AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -451,7 +417,7 @@ func TestCheckpointRejectsDiscardRanks(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 98, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg := ftCfg(SpMV, AppLevel)
+	cfg := equivCfg(SpMV, AppLevel, true)
 	cfg.DiscardRanks = true
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
@@ -492,7 +458,7 @@ func TestChaosAllPointsAllModes(t *testing.T) {
 					cancel := fault.Arm(fault.Rule{Point: point, Mode: mode, Count: 2})
 					defer cancel()
 					defer fault.Reset()
-					eng, err := NewEngine(l, spec, ftCfg(kernel, Nested), pool)
+					eng, err := NewEngine(l, spec, equivCfg(kernel, Nested, true), pool)
 					if err != nil {
 						if !isStructuredFault(err) {
 							t.Fatalf("NewEngine: unstructured error %v", err)
@@ -517,11 +483,10 @@ func TestChaosAllPointsAllModes(t *testing.T) {
 
 // isStructuredFault reports whether err is one of the typed failures
 // the fault machinery is allowed to surface: a *StageError (stage
-// panic converted), a *WindowError (fail-fast quarantine), or a bare
-// *fault.Error (an error-mode injection at a non-recovering seam).
+// panic converted) or a bare *fault.Error (an error-mode injection at a
+// non-recovering seam). A window fault never fails the run.
 func isStructuredFault(err error) bool {
 	var se *StageError
-	var we *WindowError
 	var fe *fault.Error
-	return errors.As(err, &se) || errors.As(err, &we) || errors.As(err, &fe)
+	return errors.As(err, &se) || errors.As(err, &fe)
 }

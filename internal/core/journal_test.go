@@ -147,7 +147,6 @@ func TestJournalRecordsRetries(t *testing.T) {
 	l := randomLog(t, 102, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
 	cfg, j := journalCfg(SpMV, AppLevel)
-	cfg.Fault = FaultPolicy{MaxRetries: 2}
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -185,7 +184,6 @@ func TestJournalRecordsDegrade(t *testing.T) {
 	l := randomLog(t, 106, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
 	cfg, j := journalCfg(SpMV, AppLevel)
-	cfg.Fault = FaultPolicy{MaxRetries: 1}
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -202,16 +200,16 @@ func TestJournalRecordsDegrade(t *testing.T) {
 			degraded++
 		}
 	}
-	if degraded == 0 {
-		t.Fatal("no window degraded; injection exercised nothing")
+	if degraded != spec.Count {
+		t.Fatalf("%d of %d windows degraded under a persistent fault", degraded, spec.Count)
 	}
 	evs, _ := j.Since(0)
 	byType := eventsByType(evs)
 	if got := len(byType[obs.EvDegrade]); got != degraded {
 		t.Fatalf("%d degrade events for %d degraded windows", got, degraded)
 	}
-	if len(byType[obs.EvRetry]) == 0 {
-		t.Fatal("no retry events before degrading")
+	if got := len(byType[obs.EvRetry]); got != maxRetries*degraded {
+		t.Fatalf("%d retry events before degrading, want %d per window", got, maxRetries)
 	}
 }
 
@@ -225,7 +223,6 @@ func TestJournalRecordsQuarantine(t *testing.T) {
 	l := randomLog(t, 103, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
 	cfg, j := journalCfg(SpMV, AppLevel)
-	cfg.Fault = FaultPolicy{MaxRetries: 1}
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -238,8 +235,8 @@ func TestJournalRecordsQuarantine(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	if len(s.Quarantined()) == 0 {
-		t.Fatal("no windows quarantined; injection exercised nothing")
+	if len(s.Quarantined()) != spec.Count {
+		t.Fatalf("%d of %d windows quarantined under a persistent fault", len(s.Quarantined()), spec.Count)
 	}
 	evs, _ := j.Since(0)
 	byType := eventsByType(evs)
@@ -247,8 +244,12 @@ func TestJournalRecordsQuarantine(t *testing.T) {
 	if len(q) != len(s.Quarantined()) {
 		t.Fatalf("%d quarantine events for %d quarantined windows", len(q), len(s.Quarantined()))
 	}
-	if q[0].Err == "" || q[0].Attempt < 1 {
-		t.Fatalf("quarantine event = %+v", q[0])
+	// The first attempt, every retry, and the degrade attempt failed.
+	if q[0].Err == "" || q[0].Attempt != maxRetries+2 {
+		t.Fatalf("quarantine event = %+v, want attempt %d", q[0], maxRetries+2)
+	}
+	if got := len(byType[obs.EvRetry]); got != maxRetries*spec.Count {
+		t.Fatalf("%d retry events, want %d per window", got, maxRetries)
 	}
 	if ends := byType[obs.EvRunEnd]; len(ends) != 1 || ends[0].Status != "completed" {
 		t.Fatalf("run_end = %+v", ends)
@@ -460,7 +461,6 @@ func TestJournalReproducesRunReport(t *testing.T) {
 			fault.Reset()
 			cfg := equivCfg(tc.kernel, Nested, true)
 			cfg.Opts.MaxIter = 20 // leave some windows unconverged
-			cfg.Fault = FaultPolicy{MaxRetries: 2}
 			dir := t.TempDir()
 
 			// A full checkpointed run; then keep only the first window's

@@ -34,8 +34,8 @@ type BuildInput struct {
 	Log *events.Log
 	// Spec is the sliding-window sequence.
 	Spec events.WindowSpec
-	// Cfg supplies NumMultiWindows, BalancedPartition, Directed, and
-	// Validate; the solve-side fields are ignored here.
+	// Cfg supplies NumMultiWindows, Directed, and Validate; the
+	// solve-side fields are ignored here.
 	Cfg Config
 }
 
@@ -80,12 +80,8 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 	if err := in.Cfg.Check(); err != nil {
 		return BuildOutput{}, err
 	}
-	build := tcsr.Build
-	if in.Cfg.BalancedPartition {
-		build = tcsr.BuildBalanced
-	}
 	start := time.Now()
-	tg, err := build(in.Log, in.Spec, in.Cfg.NumMultiWindows, in.Cfg.Directed)
+	tg, err := tcsr.Build(in.Log, in.Spec, in.Cfg.NumMultiWindows, in.Cfg.Directed)
 	if err != nil {
 		return BuildOutput{}, err
 	}

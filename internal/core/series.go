@@ -88,7 +88,7 @@ type WindowResult struct {
 // for vertices outside the window graph. It panics if the ranks were
 // discarded (Config.DiscardRanks); callers that cannot statically rule
 // out a discard (anything downstream of a user-supplied Config) must
-// use RankOK instead — see cmd/pmrank's -out guard.
+// use RankOK instead.
 func (r *WindowResult) Rank(global int32) float64 {
 	if r.ranks == nil {
 		// The discard/retain decision is made once, at Config time, so

@@ -68,11 +68,10 @@ type SolveOutput struct {
 // (matching ErrCanceled) carrying how many windows completed; the
 // scratch arena is left consistent — every kernel's Finalize runs even
 // on the cancel path — so the stage can be reused immediately. Window
-// faults (panics, injected errors) are absorbed by the fault policy:
+// faults (panics, injected errors) are absorbed by the failure ladder:
 // failed windows retry, degrade to the serial SpMV kernel, and finally
 // quarantine in the results, so the only error paths out of a started
-// run are cancellation, fail-fast (a *WindowError when
-// Cfg.Fault.FailFast is set), and validation.
+// run are cancellation and validation.
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
 	defer emitStage(plan.Cfg.Journal, "solve", &err)()
 	r := &solveRun{
@@ -125,9 +124,6 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		r.journal.EmitCancel(ce.Completed, ce.Total)
 		return SolveOutput{}, ce
 	}
-	if we := r.abort.Load(); we != nil {
-		return SolveOutput{}, we
-	}
 	if r.val != nil {
 		if err := r.val.err(); err != nil {
 			return SolveOutput{}, err
@@ -172,9 +168,6 @@ type solveRun struct {
 
 	canceledFlag atomic.Bool
 	completed    atomic.Int64
-	// abort carries the first fail-fast quarantine; drivers poll it like
-	// the cancel flag and Run returns it as the run's error.
-	abort atomic.Pointer[WindowError]
 }
 
 func (r *solveRun) canceled() bool { return r.canceledFlag.Load() }
@@ -271,7 +264,7 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 		b.isLive[0] = false
 	}
 	for w := lo; w < hi; w++ {
-		if r.canceled() || r.aborted() {
+		if r.canceled() {
 			break
 		}
 		mw := r.plan.Temporal.ForWindow(w)
@@ -296,7 +289,7 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage, PointSolveWindow) {
 			recycleUndecided(sb, b.results)
-			break // canceled or fail-fast aborted mid-attempt
+			break // canceled mid-attempt
 		}
 		res := &b.results[0]
 		res.WallSeconds = time.Since(t0).Seconds()
@@ -328,7 +321,7 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 // kernel.
 func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 	for i := lo; i < hi; i++ {
-		if r.canceled() || r.aborted() {
+		if r.canceled() {
 			return
 		}
 		r.solveUnit(i, wid, loop)
@@ -393,7 +386,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		b.live = liveBuf[:0]
 	}
 	for j := 0; j < u.NumBatches; j++ {
-		if r.canceled() || r.aborted() {
+		if r.canceled() {
 			break
 		}
 		if r.restoreBatch(u, j, wid, ranksByOffset) {
@@ -409,7 +402,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage, PointSolveBatch) {
 			recycleUndecided(sb, b.results)
-			break // canceled or fail-fast aborted mid-attempt
+			break // canceled mid-attempt
 		}
 		dur := time.Since(t0)
 		// One SpMM sweep of the shared CSR advances every live window

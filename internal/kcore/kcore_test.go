@@ -70,11 +70,9 @@ func naiveCoreness(l *events.Log, ts, te int64) map[int32]int32 {
 	return core
 }
 
-// builds are the two partitionings every oracle check runs over.
-var builds = []struct {
-	name  string
-	build func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)
-}{{"uniform", tcsr.Build}, {"balanced", tcsr.BuildBalanced}}
+// multiWindowCounts are the partitionings every oracle check runs
+// over: the whole sequence in one multi-window graph, and split in 3.
+var multiWindowCounts = []int{1, 3}
 
 func TestCorenessMatchesOracle(t *testing.T) {
 	pool := sched.NewPool(3)
@@ -92,12 +90,12 @@ func TestCorenessMatchesOracle(t *testing.T) {
 			if !directed {
 				l = raw.Symmetrize() // directed=false expects a symmetrized log
 			}
-			for _, bl := range builds {
-				tg, err := bl.build(l, spec, 3, directed)
+			for _, mw := range multiWindowCounts {
+				tg, err := tcsr.Build(l, spec, mw, directed)
 				if err != nil {
-					t.Fatalf("%s build: %v", bl.name, err)
+					t.Fatalf("Build(mw=%d): %v", mw, err)
 				}
-				tag := fmt.Sprintf("trial %d directed=%v %s", trial, directed, bl.name)
+				tag := fmt.Sprintf("trial %d directed=%v mw=%d", trial, directed, mw)
 				want := make([]WindowResult, spec.Count)
 				for w := range want {
 					oracle := naiveCoreness(l, spec.Start(w), spec.End(w))

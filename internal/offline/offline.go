@@ -18,18 +18,20 @@ import (
 type Config struct {
 	// Opts are the shared PageRank parameters.
 	Opts pagerank.Options
-	// Partitioner and Grain configure the window-level loop when a pool
-	// is supplied.
-	Partitioner sched.Partitioner
-	Grain       int
 	// DiscardRanks keeps only per-window statistics.
 	DiscardRanks bool
 }
 
 // DefaultConfig returns the standard offline setup.
 func DefaultConfig() Config {
-	return Config{Opts: pagerank.Defaults(), Partitioner: sched.Auto, Grain: 1}
+	return Config{Opts: pagerank.Defaults()}
 }
+
+// The window-level loop runs on the pool with these settings.
+const (
+	windowPartitioner = sched.Auto
+	windowGrain       = 1
+)
 
 // WindowStats describes one independently computed window.
 type WindowStats struct {
@@ -92,12 +94,8 @@ func Run(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Pool) ([
 		}
 		return out, nil
 	}
-	grain := cfg.Grain
-	if grain < 1 {
-		grain = 1
-	}
 	errs := make([]error, spec.Count)
-	pool.ParallelFor(spec.Count, grain, cfg.Partitioner, func(_ *sched.Worker, lo, hi int) {
+	pool.ParallelFor(spec.Count, windowGrain, windowPartitioner, func(_ *sched.Worker, lo, hi int) {
 		for w := lo; w < hi; w++ {
 			errs[w] = solve(w)
 		}

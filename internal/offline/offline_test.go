@@ -69,21 +69,17 @@ func TestOfflineParallelMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatalf("serial: %v", err)
 	}
-	for _, part := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
-		cfg := DefaultConfig()
-		cfg.Partitioner = part
-		par, err := Run(l, spec, cfg, pool)
-		if err != nil {
-			t.Fatalf("parallel: %v", err)
+	par, err := Run(l, spec, DefaultConfig(), pool)
+	if err != nil {
+		t.Fatalf("parallel: %v", err)
+	}
+	for w := range serial {
+		if serial[w].Iterations != par[w].Iterations {
+			t.Fatalf("window %d: iterations %d vs %d", w, serial[w].Iterations, par[w].Iterations)
 		}
-		for w := range serial {
-			if serial[w].Iterations != par[w].Iterations {
-				t.Fatalf("%v window %d: iterations %d vs %d", part, w, serial[w].Iterations, par[w].Iterations)
-			}
-			for v := range serial[w].Ranks {
-				if serial[w].Ranks[v] != par[w].Ranks[v] {
-					t.Fatalf("%v window %d vertex %d differs", part, w, v)
-				}
+		for v := range serial[w].Ranks {
+			if serial[w].Ranks[v] != par[w].Ranks[v] {
+				t.Fatalf("window %d vertex %d differs", w, v)
 			}
 		}
 	}

@@ -1,7 +1,6 @@
 package streaming
 
 import (
-	"fmt"
 	"math"
 	"sync/atomic"
 
@@ -10,41 +9,6 @@ import (
 	"pmpr/internal/sched"
 )
 
-// Strategy selects how the PageRank solution is updated after a batch
-// of edge changes.
-type Strategy int
-
-const (
-	// WarmRestart starts the power iteration from the previous window's
-	// solution (renormalized over the new active set) and iterates to
-	// convergence. It produces the same per-window results as the
-	// postmortem and offline models, which is the configuration the
-	// paper's comparison uses ("the code bases produce the same
-	// results").
-	WarmRestart Strategy = iota
-	// Recompute starts every window from the uniform vector.
-	Recompute
-	// Frontier is a Riedy-style incremental update (the role of Eq. 3):
-	// only vertices transitively affected by the batch are iterated,
-	// with Gauss-Seidel in-place updates. It is approximate — vertices
-	// outside the frontier keep their previous values.
-	Frontier
-)
-
-// String names the strategy as used in reports and CLI flags.
-func (s Strategy) String() string {
-	switch s {
-	case WarmRestart:
-		return "warm-restart"
-	case Recompute:
-		return "recompute"
-	case Frontier:
-		return "frontier"
-	default:
-		return fmt.Sprintf("Strategy(%d)", int(s))
-	}
-}
-
 // Config controls a streaming run.
 type Config struct {
 	// Opts are the shared PageRank parameters.
@@ -52,26 +16,22 @@ type Config struct {
 	// Directed keeps edge direction (the log must then not be
 	// symmetrized); false expects a symmetrized log.
 	Directed bool
-	// Strategy is the incremental update policy.
-	Strategy Strategy
-	// Partitioner and Grain configure the kernel's vertex loop when a
-	// pool is supplied. The streaming model has no window-level
-	// parallelism — windows are inherently sequential.
-	Partitioner sched.Partitioner
-	Grain       int
 	// DiscardRanks keeps only statistics per window.
 	DiscardRanks bool
 }
 
 // DefaultConfig mirrors the paper's streaming setup.
 func DefaultConfig() Config {
-	return Config{
-		Opts:        pagerank.Defaults(),
-		Strategy:    WarmRestart,
-		Partitioner: sched.Auto,
-		Grain:       64,
-	}
+	return Config{Opts: pagerank.Defaults()}
 }
+
+// The kernel's vertex loop runs on the pool with these settings. The
+// streaming model has no window-level parallelism — windows are
+// inherently sequential.
+const (
+	loopPartitioner = sched.Auto
+	loopGrain       = 64
+)
 
 // WindowStats describes one processed window of the stream.
 type WindowStats struct {
@@ -88,8 +48,11 @@ type WindowStats struct {
 
 // Runner drives the streaming model over a window sequence: per window
 // it injects the entering events, retires the departing ones, and
-// updates PageRank incrementally. The runner maintains exactly one
-// graph version, so windows are processed strictly in order.
+// re-solves PageRank warm-started from the previous window's solution
+// (renormalized over the new active set). That is the configuration
+// the paper's comparison uses: it produces the same per-window results
+// as the postmortem and offline models. The runner maintains exactly
+// one graph version, so windows are processed strictly in order.
 type Runner struct {
 	log  *events.Log
 	spec events.WindowSpec
@@ -107,9 +70,6 @@ func NewRunner(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Po
 	}
 	if err := spec.Validate(); err != nil {
 		return nil, err
-	}
-	if cfg.Strategy < WarmRestart || cfg.Strategy > Frontier {
-		return nil, fmt.Errorf("streaming: unknown strategy %d", int(cfg.Strategy))
 	}
 	return &Runner{
 		log:  l,
@@ -139,23 +99,12 @@ func (r *Runner) Run() ([]WindowStats, error) {
 
 // Step advances the stream to window w (which must be the next window).
 func (r *Runner) Step(w int) (WindowStats, error) {
-	ins, rem, seeds, err := r.slide(w)
+	ins, rem, err := r.slide(w)
 	if err != nil {
 		return WindowStats{}, err
 	}
 	st := WindowStats{Window: w, Inserted: ins, Removed: rem}
-	switch r.cfg.Strategy {
-	case Recompute:
-		r.solve(&st, false)
-	case WarmRestart:
-		r.solve(&st, w > 0)
-	case Frontier:
-		if w == 0 {
-			r.solve(&st, false)
-		} else {
-			r.solveFrontier(&st, seeds)
-		}
-	}
+	r.solve(&st, w > 0)
 	if !r.cfg.DiscardRanks {
 		st.Ranks = append([]float64(nil), r.x...)
 	}
@@ -163,17 +112,16 @@ func (r *Runner) Step(w int) (WindowStats, error) {
 }
 
 // slide applies the batch moving the graph from window w-1 to window w
-// and returns the batch sizes plus the set of touched vertices.
-func (r *Runner) slide(w int) (inserted, removed int, seeds map[int32]bool, err error) {
-	seeds = make(map[int32]bool)
+// and returns the batch sizes.
+func (r *Runner) slide(w int) (inserted, removed int, err error) {
 	if w == 0 {
 		for _, e := range r.log.Slice(r.spec.Start(0), r.spec.End(0)) {
 			if _, err := r.g.InsertEventAt(e.U, e.V, e.T); err != nil {
-				return 0, 0, nil, err
+				return 0, 0, err
 			}
 			inserted++
 		}
-		return inserted, 0, seeds, nil
+		return inserted, 0, nil
 	}
 	// Departing: events of window w-1 that precede window w.
 	depHi := r.spec.End(w - 1)
@@ -182,11 +130,9 @@ func (r *Runner) slide(w int) (inserted, removed int, seeds map[int32]bool, err 
 	}
 	for _, e := range r.log.Slice(r.spec.Start(w-1), depHi) {
 		if _, err := r.g.RemoveEvent(e.U, e.V); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 		removed++
-		seeds[e.U] = true
-		seeds[e.V] = true
 	}
 	// Entering: events of window w that follow window w-1.
 	entLo := r.spec.Start(w)
@@ -195,13 +141,11 @@ func (r *Runner) slide(w int) (inserted, removed int, seeds map[int32]bool, err 
 	}
 	for _, e := range r.log.Slice(entLo, r.spec.End(w)) {
 		if _, err := r.g.InsertEventAt(e.U, e.V, e.T); err != nil {
-			return 0, 0, nil, err
+			return 0, 0, err
 		}
 		inserted++
-		seeds[e.U] = true
-		seeds[e.V] = true
 	}
-	return inserted, removed, seeds, nil
+	return inserted, removed, nil
 }
 
 // loop runs body over [0, n), on the pool when available.
@@ -210,11 +154,7 @@ func (r *Runner) loop(n int, body func(lo, hi int)) {
 		body(0, n)
 		return
 	}
-	grain := r.cfg.Grain
-	if grain < 1 {
-		grain = 1
-	}
-	r.pool.ParallelFor(n, grain, r.cfg.Partitioner, func(_ *sched.Worker, lo, hi int) { body(lo, hi) })
+	r.pool.ParallelFor(n, loopGrain, loopPartitioner, func(_ *sched.Worker, lo, hi int) { body(lo, hi) })
 }
 
 // solve runs the power iteration on the current graph, optionally warm
@@ -343,106 +283,6 @@ func (r *Runner) solve(st *WindowStats, warm bool) {
 		if deltaA.load() < opt.Tol {
 			st.Converged = true
 			break
-		}
-	}
-}
-
-// solveFrontier performs the Riedy-style incremental update: only
-// vertices transitively affected by the batch are recomputed, expanding
-// the frontier while per-vertex changes exceed a local threshold.
-func (r *Runner) solveFrontier(st *WindowStats, seeds map[int32]bool) {
-	n := int(r.g.NumVertices())
-	na := r.g.ActiveCount()
-	st.ActiveVertices = na
-	if na == 0 {
-		for v := range r.x {
-			r.x[v] = 0
-		}
-		st.Converged = true
-		return
-	}
-	uniform := 1 / float64(na)
-	inFrontier := make([]bool, n)
-	var frontier []int32
-	push := func(v int32) {
-		if !inFrontier[v] {
-			inFrontier[v] = true
-			frontier = append(frontier, v)
-		}
-	}
-	for v := range seeds {
-		push(v)
-		// A changed out-degree of v rescales its contribution to every
-		// out-neighbor.
-		r.g.ForEachOutNeighbor(v, push)
-	}
-	// Vertices that left or joined the active set need their values
-	// reset before iterating.
-	for v := int32(0); v < int32(n); v++ {
-		act := r.g.Active(v)
-		if !act && r.x[v] != 0 {
-			r.x[v] = 0
-			push(v)
-			r.g.ForEachOutNeighbor(v, push)
-		}
-		if act && r.x[v] == 0 {
-			r.x[v] = uniform
-			push(v)
-			r.g.ForEachOutNeighbor(v, push)
-		}
-	}
-
-	opt := r.cfg.Opts
-	invNA := 1 / float64(na)
-	local := opt.Tol * invNA
-	for it := 0; it < opt.MaxIter; it++ {
-		st.Iterations = it + 1
-		var dangling float64
-		for u := int32(0); u < int32(n); u++ {
-			if r.g.Active(u) && r.g.OutDegree(u) == 0 {
-				dangling += r.x[u]
-			}
-		}
-		base := opt.Alpha*invNA + (1-opt.Alpha)*dangling*invNA
-		var delta float64
-		cur := frontier
-		for _, v := range cur {
-			if !r.g.Active(v) {
-				continue
-			}
-			var acc float64
-			r.g.ForEachInNeighbor(v, func(u int32) {
-				if deg := r.g.OutDegree(u); deg > 0 {
-					acc += r.x[u] / float64(deg)
-				}
-			})
-			nv := base + (1-opt.Alpha)*acc
-			d := math.Abs(nv - r.x[v])
-			r.x[v] = nv // Gauss-Seidel in place
-			delta += d
-			if d > local {
-				r.g.ForEachOutNeighbor(v, push)
-			}
-		}
-		if delta < opt.Tol {
-			st.Converged = true
-			break
-		}
-	}
-	// Untouched stale values can leave the vector slightly off unit
-	// mass; renormalize over the active set.
-	var sum float64
-	for v := int32(0); v < int32(n); v++ {
-		if r.g.Active(v) {
-			sum += r.x[v]
-		} else {
-			r.x[v] = 0
-		}
-	}
-	if sum > 0 {
-		inv := 1 / sum
-		for v := range r.x {
-			r.x[v] *= inv
 		}
 	}
 }

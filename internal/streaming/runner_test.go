@@ -7,6 +7,7 @@ import (
 
 	"pmpr/internal/csr"
 	"pmpr/internal/events"
+	"pmpr/internal/offline"
 	"pmpr/internal/pagerank"
 	"pmpr/internal/sched"
 )
@@ -48,25 +49,21 @@ func TestStreamingMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Span: %v", err)
 	}
-	for _, strat := range []Strategy{Recompute, WarmRestart} {
-		cfg := DefaultConfig()
-		cfg.Directed = true
-		cfg.Strategy = strat
-		r, err := NewRunner(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewRunner: %v", err)
-		}
-		stats, err := r.Run()
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		for w := 0; w < spec.Count; w++ {
-			want := oracle(t, l, spec, w)
-			for v := range want {
-				if math.Abs(stats[w].Ranks[v]-want[v]) > 1e-5 {
-					t.Fatalf("%v window %d vertex %d: got %v, oracle %v",
-						strat, w, v, stats[w].Ranks[v], want[v])
-				}
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	r, err := NewRunner(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewRunner: %v", err)
+	}
+	stats, err := r.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for w := 0; w < spec.Count; w++ {
+		want := oracle(t, l, spec, w)
+		for v := range want {
+			if math.Abs(stats[w].Ranks[v]-want[v]) > 1e-5 {
+				t.Fatalf("window %d vertex %d: got %v, oracle %v", w, v, stats[w].Ranks[v], want[v])
 			}
 		}
 	}
@@ -97,12 +94,15 @@ func TestStreamingParallelKernelMatches(t *testing.T) {
 	}
 }
 
-func TestFrontierApproximation(t *testing.T) {
-	l := randomLog(t, 63, 30, 2000, 4000)
-	spec, _ := events.Span(l, 1500, 200)
+// TestWarmRestartReducesIterations compares the streaming model's
+// warm-started solves against the offline model's cold solves of the
+// same windows.
+func TestWarmRestartReducesIterations(t *testing.T) {
+	l := randomLog(t, 64, 40, 3000, 5000)
+	spec, _ := events.Span(l, 2500, 120)
 	cfg := DefaultConfig()
 	cfg.Directed = true
-	cfg.Strategy = Frontier
+	cfg.DiscardRanks = true
 	r, err := NewRunner(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewRunner: %v", err)
@@ -111,45 +111,19 @@ func TestFrontierApproximation(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	for w := 0; w < spec.Count; w++ {
-		want := oracle(t, l, spec, w)
-		var l1 float64
-		for v := range want {
-			l1 += math.Abs(stats[w].Ranks[v] - want[v])
-		}
-		// The frontier update is approximate; it must stay close in L1.
-		if l1 > 0.02 {
-			t.Fatalf("window %d: frontier L1 error %v too large", w, l1)
-		}
+	coldCfg := offline.DefaultConfig()
+	coldCfg.DiscardRanks = true
+	coldStats, err := offline.Run(l, spec, coldCfg, nil)
+	if err != nil {
+		t.Fatalf("offline.Run: %v", err)
 	}
-}
-
-func TestWarmRestartReducesIterations(t *testing.T) {
-	l := randomLog(t, 64, 40, 3000, 5000)
-	spec, _ := events.Span(l, 2500, 120)
-	run := func(s Strategy) int {
-		cfg := DefaultConfig()
-		cfg.Directed = true
-		cfg.Strategy = s
-		cfg.DiscardRanks = true
-		r, err := NewRunner(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewRunner: %v", err)
-		}
-		stats, err := r.Run()
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		total := 0
-		for _, st := range stats {
-			total += st.Iterations
-		}
-		return total
+	warm, cold := 0, 0
+	for w := range stats {
+		warm += stats[w].Iterations
+		cold += coldStats[w].Iterations
 	}
-	cold := run(Recompute)
-	warm := run(WarmRestart)
 	if warm >= cold {
-		t.Fatalf("warm restart iterations %d not below recompute %d", warm, cold)
+		t.Fatalf("warm restart iterations %d not below offline cold start %d", warm, cold)
 	}
 }
 
@@ -203,19 +177,16 @@ func TestDisjointWindows(t *testing.T) {
 func TestEmptyWindowStreaming(t *testing.T) {
 	l, _ := events.NewLog([]events.Event{ev(0, 1, 0)}, 2)
 	spec := events.WindowSpec{T0: 0, Delta: 5, Slide: 50, Count: 3}
-	for _, strat := range []Strategy{Recompute, WarmRestart, Frontier} {
-		cfg := DefaultConfig()
-		cfg.Directed = true
-		cfg.Strategy = strat
-		r, _ := NewRunner(l, spec, cfg, nil)
-		stats, err := r.Run()
-		if err != nil {
-			t.Fatalf("%v: Run: %v", strat, err)
-		}
-		for w := 1; w < 3; w++ {
-			if stats[w].ActiveVertices != 0 || !stats[w].Converged {
-				t.Fatalf("%v: empty window %d mishandled: %+v", strat, w, stats[w])
-			}
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	r, _ := NewRunner(l, spec, cfg, nil)
+	stats, err := r.Run()
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for w := 1; w < 3; w++ {
+		if stats[w].ActiveVertices != 0 || !stats[w].Converged {
+			t.Fatalf("empty window %d mishandled: %+v", w, stats[w])
 		}
 	}
 }
@@ -227,11 +198,6 @@ func TestRunnerValidation(t *testing.T) {
 	cfg.Opts.Alpha = 7
 	if _, err := NewRunner(l, spec, cfg, nil); err == nil {
 		t.Fatal("bad options accepted")
-	}
-	cfg = DefaultConfig()
-	cfg.Strategy = Strategy(42)
-	if _, err := NewRunner(l, spec, cfg, nil); err == nil {
-		t.Fatal("bad strategy accepted")
 	}
 	if _, err := NewRunner(l, events.WindowSpec{}, DefaultConfig(), nil); err == nil {
 		t.Fatal("bad spec accepted")
@@ -252,54 +218,6 @@ func TestDiscardRanksStreaming(t *testing.T) {
 	for _, st := range stats {
 		if st.Ranks != nil {
 			t.Fatal("ranks retained despite DiscardRanks")
-		}
-	}
-}
-
-func TestStrategyString(t *testing.T) {
-	if WarmRestart.String() != "warm-restart" || Recompute.String() != "recompute" || Frontier.String() != "frontier" {
-		t.Fatal("strategy names wrong")
-	}
-	if Strategy(9).String() == "" {
-		t.Fatal("unknown strategy should format")
-	}
-}
-
-func TestFrontierFullTurnover(t *testing.T) {
-	// Disjoint windows force the frontier update to handle a complete
-	// graph replacement; results must stay close to exact.
-	rng := rand.New(rand.NewSource(66))
-	var evs []events.Event
-	for w := 0; w < 4; w++ {
-		base := int64(w) * 1000
-		for i := 0; i < 150; i++ {
-			evs = append(evs, ev(int32(rng.Intn(20)), int32(rng.Intn(20)), base+int64(rng.Intn(100))))
-		}
-	}
-	l, err := events.NewLogSorted(evs, 20)
-	if err != nil {
-		t.Fatalf("NewLogSorted: %v", err)
-	}
-	spec := events.WindowSpec{T0: 0, Delta: 99, Slide: 1000, Count: 4}
-	cfg := DefaultConfig()
-	cfg.Directed = true
-	cfg.Strategy = Frontier
-	r, err := NewRunner(l, spec, cfg, nil)
-	if err != nil {
-		t.Fatalf("NewRunner: %v", err)
-	}
-	stats, err := r.Run()
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for w := 0; w < 4; w++ {
-		want := oracle(t, l, spec, w)
-		var l1 float64
-		for v := range want {
-			l1 += math.Abs(stats[w].Ranks[v] - want[v])
-		}
-		if l1 > 0.05 {
-			t.Fatalf("window %d: frontier L1 error %v after full turnover", w, l1)
 		}
 	}
 }

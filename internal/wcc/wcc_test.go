@@ -67,11 +67,9 @@ func naiveComponents(l *events.Log, ts, te int64) (map[int32]int32, int32, int32
 	return labels, comps, largest
 }
 
-// builds are the two partitionings every oracle check runs over.
-var builds = []struct {
-	name  string
-	build func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)
-}{{"uniform", tcsr.Build}, {"balanced", tcsr.BuildBalanced}}
+// multiWindowCounts are the partitionings every oracle check runs
+// over: the whole sequence in one multi-window graph, and split in 3.
+var multiWindowCounts = []int{1, 3}
 
 func TestComponentsMatchOracle(t *testing.T) {
 	pool := sched.NewPool(3)
@@ -89,12 +87,12 @@ func TestComponentsMatchOracle(t *testing.T) {
 			if !directed {
 				l = raw.Symmetrize() // directed=false expects a symmetrized log
 			}
-			for _, bl := range builds {
-				tg, err := bl.build(l, spec, 3, directed)
+			for _, mw := range multiWindowCounts {
+				tg, err := tcsr.Build(l, spec, mw, directed)
 				if err != nil {
-					t.Fatalf("%s build: %v", bl.name, err)
+					t.Fatalf("Build(mw=%d): %v", mw, err)
 				}
-				tag := fmt.Sprintf("trial %d directed=%v %s", trial, directed, bl.name)
+				tag := fmt.Sprintf("trial %d directed=%v mw=%d", trial, directed, mw)
 				want := make([]WindowResult, spec.Count)
 				for w := range want {
 					labels, comps, largest := naiveComponents(l, spec.Start(w), spec.End(w))
@@ -166,14 +164,14 @@ func TestBalancedPartitionComponents(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Span: %v", err)
 	}
-	run := func(bl func(*events.Log, events.WindowSpec, int, bool) (*tcsr.Temporal, error)) []WindowResult {
-		tg, err := bl(l, spec, 4, true)
+	run := func(numMW int) []WindowResult {
+		tg, err := tcsr.Build(l, spec, numMW, true)
 		if err != nil {
-			t.Fatalf("build: %v", err)
+			t.Fatalf("Build(mw=%d): %v", numMW, err)
 		}
 		return Run(tg, nil)
 	}
-	a, b := run(tcsr.Build), run(tcsr.BuildBalanced)
+	a, b := run(1), run(4)
 	if len(a) != spec.Count || len(b) != spec.Count {
 		t.Fatalf("Run returned %d and %d windows, want %d", len(a), len(b), spec.Count)
 	}
