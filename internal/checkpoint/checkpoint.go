@@ -6,7 +6,7 @@
 //
 // The on-disk layout is one directory per run:
 //
-//	manifest.pmck          — run manifest (spec, kernel, partition hash)
+//	manifest.pmck          — run manifest (spec, kernel, batch width, partition hash)
 //	window-00000042.pmck   — one record per completed window
 //
 // Records use a little-endian binary codec with a CRC-32C trailer;
@@ -14,8 +14,8 @@
 // torn write (despite the atomic temp+rename protocol) or disk
 // corruption surfaces as an error and the window is simply re-solved.
 // A resumed run validates the manifest first: a checkpoint taken under
-// a different window spec, kernel, partitioning, or iteration option
-// set never silently mixes with the new run.
+// a different window spec, kernel, batch width, partitioning, or
+// iteration option set never silently mixes with the new run.
 package checkpoint
 
 import (
@@ -37,9 +37,10 @@ import (
 const (
 	manifestMagic = "PMCM"
 	windowMagic   = "PMCW"
-	codecVersion  = 1
-	manifestName  = "manifest.pmck"
-	windowGlob    = "window-*.pmck"
+	// codecVersion 2 added Manifest.BatchWidth.
+	codecVersion = 2
+	manifestName = "manifest.pmck"
+	windowGlob   = "window-*.pmck"
 )
 
 // Injection points covering checkpoint IO (see internal/fault).
@@ -73,8 +74,12 @@ type Manifest struct {
 	SpecDelta int64
 	SpecSlide int64
 	SpecCount int
-	// Kernel is the registry name of the solving kernel.
+	// Kernel is the name of the kernel id the run was configured with.
 	Kernel string
+	// BatchWidth is the number of windows one kernel sweep advances (1
+	// for SpMV). It decides which windows cold-start, so resumed runs
+	// must agree on it.
+	BatchWidth int
 	// NumMultiWindows is the partition count.
 	NumMultiWindows int
 	// PartitionHash fingerprints the exact window->multi-window
@@ -238,6 +243,7 @@ func EncodeManifest(m Manifest) []byte {
 	e.u64(uint64(m.SpecSlide))
 	e.u32(uint32(m.SpecCount))
 	e.str(m.Kernel)
+	e.u32(uint32(m.BatchWidth))
 	e.u32(uint32(m.NumMultiWindows))
 	e.u64(m.PartitionHash)
 	e.u32(uint32(m.NumVertices))
@@ -265,6 +271,7 @@ func DecodeManifest(b []byte) (Manifest, error) {
 	m.SpecSlide = int64(d.u64())
 	m.SpecCount = int(int32(d.u32()))
 	m.Kernel = d.str()
+	m.BatchWidth = int(int32(d.u32()))
 	m.NumMultiWindows = int(int32(d.u32()))
 	m.PartitionHash = d.u64()
 	m.NumVertices = int32(d.u32())

@@ -6,8 +6,8 @@
 //   - partial initialization from the previous window (Sec. 4.2),
 //   - window-level, application-level, or nested parallelism on a
 //     work-stealing pool (Sec. 4.3), and
-//   - an SpMV-style kernel (one window at a time) or the SpMM-inspired
-//     kernel that advances several windows per sweep (Sec. 4.4).
+//   - the SpMM-inspired kernel that advances K windows per sweep of the
+//     shared CSR (Sec. 4.4); SpMV is its K = 1 case.
 package core
 
 import (
@@ -49,12 +49,13 @@ func (m ParallelMode) String() string {
 }
 
 // KernelID selects the iteration kernel (paper Sec. 4.4). The id is a
-// stable enum for configs and CLI flags; the plan stage resolves it to
-// an implementation with KernelID.Kernel (see kernel.go).
+// stable enum for configs and CLI flags. Both ids run the one kernel
+// (kernel_spmm.go); the plan stage maps the id to a batch width with
+// Config.batchWidth.
 type KernelID int
 
 const (
-	// SpMV computes one window's PageRank at a time.
+	// SpMV computes one window's PageRank at a time: batch width 1.
 	SpMV KernelID = iota
 	// SpMM advances VectorLen windows of a multi-window graph per sweep
 	// of the shared temporal CSR.
@@ -149,7 +150,7 @@ func (c Config) Check() error {
 	if c.Mode < AppLevel || c.Mode > Nested {
 		return fmt.Errorf("core: unknown parallel mode %d", int(c.Mode))
 	}
-	if c.Kernel.Kernel() == nil {
+	if c.Kernel != SpMV && c.Kernel != SpMM {
 		return fmt.Errorf("core: unknown kernel %d", int(c.Kernel))
 	}
 	if c.Kernel == SpMM && (c.VectorLen < 1 || c.VectorLen > maxSlots) {
@@ -200,6 +201,15 @@ func (c Config) Info() ConfigInfo {
 		info.VectorLen = c.VectorLen
 	}
 	return info
+}
+
+// batchWidth is the number of windows one kernel sweep advances: 1 for
+// SpMV, VectorLen for SpMM.
+func (c Config) batchWidth() int {
+	if c.Kernel == SpMM {
+		return c.VectorLen
+	}
+	return 1
 }
 
 func (c Config) grain() int {

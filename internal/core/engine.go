@@ -107,9 +107,9 @@ func (e *Engine) Config() Config { return e.plan.Cfg }
 func (e *Engine) Plan() *SolvePlan { return e.plan }
 
 // Manifest renders the engine's run identity for checkpointing: the
-// window spec, kernel, partitioning, iteration options, and input
-// shape. Two engines may share a checkpoint directory iff their
-// manifests are equal.
+// window spec, kernel, batch width, partitioning, iteration options,
+// and input shape. Two engines may share a checkpoint directory iff
+// their manifests are equal.
 func (e *Engine) Manifest() checkpoint.Manifest {
 	t := e.plan.Temporal
 	cfg := &e.plan.Cfg
@@ -123,6 +123,7 @@ func (e *Engine) Manifest() checkpoint.Manifest {
 		SpecSlide:       t.Spec.Slide,
 		SpecCount:       t.Spec.Count,
 		Kernel:          cfg.Kernel.String(),
+		BatchWidth:      e.plan.Width,
 		NumMultiWindows: len(t.MWs),
 		PartitionHash:   checkpoint.HashPartition(bounds),
 		NumVertices:     t.NumVertices(),
@@ -141,10 +142,11 @@ func (e *Engine) Manifest() checkpoint.Manifest {
 //
 // With resume false the store is cleared and a fresh manifest written.
 // With resume true the store's manifest must match this engine's (same
-// spec, kernel, partitioning, options — see Manifest); matching window
-// records are then restored instead of re-solved, bit-identically,
-// with corrupt or mismatched records silently re-solved. resumed
-// reports how many windows the next Run will restore.
+// spec, kernel, batch width, partitioning, options — see Manifest);
+// matching window records are then restored instead of re-solved,
+// bit-identically, with corrupt or mismatched records silently
+// re-solved. resumed reports how many windows the next Run will
+// restore.
 //
 // Checkpointing requires retained ranks: it returns an error under
 // Config.DiscardRanks. Pass a nil store to disable checkpointing. Do

@@ -203,19 +203,21 @@ func TestPartialInitNotAcrossMultiWindowBoundary(t *testing.T) {
 	}
 }
 
+// TestSpMMEqualsSpMVExactlySerial pins every batch width to the
+// width-1 (SpMV) passes bit for bit. With cold starts (no partial init)
+// and a serial loop, a window's arithmetic does not depend on which
+// batch slot it occupies, so the K-slot passes and the width-1 passes
+// must produce the same ranks, iterations, residuals and active counts.
 func TestSpMMEqualsSpMVExactlySerial(t *testing.T) {
-	// With full init (no partial), serial SpMM and SpMV perform the
-	// same floating-point operations per window, so the iterates agree
-	// to near-machine precision.
 	l := randomLog(t, 36, 30, 800, 4000)
 	spec, _ := events.Span(l, 600, 150)
-	mk := func(kernel KernelID) *Series {
+	mk := func(kernel KernelID, width int, directed bool) *Series {
 		cfg := DefaultConfig()
 		cfg.Kernel = kernel
-		cfg.Directed = true
+		cfg.Directed = directed
 		cfg.PartialInit = false
 		cfg.NumMultiWindows = 2
-		cfg.VectorLen = 8
+		cfg.VectorLen = width
 		eng, err := NewEngine(l, spec, cfg, nil)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -226,17 +228,26 @@ func TestSpMMEqualsSpMVExactlySerial(t *testing.T) {
 		}
 		return s
 	}
-	a, b := mk(SpMV), mk(SpMM)
-	for w := 0; w < spec.Count; w++ {
-		ra, rb := a.Window(w), b.Window(w)
-		if ra.Iterations != rb.Iterations {
-			t.Fatalf("window %d: SpMV %d iterations, SpMM %d", w, ra.Iterations, rb.Iterations)
-		}
-		da := ra.Dense(l.NumVertices())
-		db := rb.Dense(l.NumVertices())
-		for v := range da {
-			if math.Abs(da[v]-db[v]) > 1e-12 {
-				t.Fatalf("window %d vertex %d: SpMV %v, SpMM %v", w, v, da[v], db[v])
+	for _, directed := range []bool{false, true} {
+		a := mk(SpMV, 0, directed)
+		for _, width := range []int{1, 2, 3, 8, 64} {
+			b := mk(SpMM, width, directed)
+			for w := 0; w < spec.Count; w++ {
+				ra, rb := a.Window(w), b.Window(w)
+				if ra.Iterations != rb.Iterations || math.Float64bits(ra.FinalResidual) != math.Float64bits(rb.FinalResidual) ||
+					ra.ActiveVertices != rb.ActiveVertices {
+					t.Fatalf("directed=%v width %d window %d: SpMV (%d it, residual %v, %d active), width %d (%d it, residual %v, %d active)",
+						directed, width, w, ra.Iterations, ra.FinalResidual, ra.ActiveVertices,
+						width, rb.Iterations, rb.FinalResidual, rb.ActiveVertices)
+				}
+				da := ra.Dense(l.NumVertices())
+				db := rb.Dense(l.NumVertices())
+				for v := range da {
+					if math.Float64bits(da[v]) != math.Float64bits(db[v]) {
+						t.Fatalf("directed=%v width %d window %d vertex %d: SpMV %v, width %d %v",
+							directed, width, w, v, da[v], width, db[v])
+					}
+				}
 			}
 		}
 	}

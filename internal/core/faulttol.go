@@ -8,8 +8,8 @@
 //	retry     — re-stage and re-run at once, up to maxRetries times; a
 //	            retried attempt sees inputs identical to the first, so a
 //	            transient fault leaves no trace in the results
-//	degrade   — solve each window of the batch alone on the serial
-//	            SpMV kernel, the simplest execution path available
+//	degrade   — solve each window of the batch alone at width 1 on the
+//	            serial loop, the simplest execution path available
 //	quarantine— mark the window WindowFailed with a *WindowError and
 //	            move on; the run never aborts on a bad window
 //
@@ -29,7 +29,7 @@ import (
 )
 
 // maxRetries is how many times a failed window or batch solve is
-// re-attempted with the configured kernel before it degrades. Retries
+// re-attempted at the plan's batch width before it degrades. Retries
 // run at once: the solve is in memory, so there is no contended
 // resource a backoff sleep would wait out.
 const maxRetries = 2
@@ -44,7 +44,8 @@ const (
 	PointPlan = "core.plan"
 	// PointSolveWindow fires before each width-1 window attempt.
 	PointSolveWindow = "core.solve.window"
-	// PointSolveBatch fires before each SpMM batch attempt.
+	// PointSolveBatch fires before each multi-window batch attempt
+	// (batch width > 1).
 	PointSolveBatch = "core.solve.batch"
 	// PointSolveDegrade fires before each serial-fallback attempt.
 	PointSolveDegrade = "core.solve.degrade"
@@ -54,10 +55,10 @@ const (
 
 func init() {
 	fault.RegisterPoint(PointBuild, "build stage entry (temporal CSR construction)")
-	fault.RegisterPoint(PointPlan, "plan stage entry (kernel resolution, batch layout)")
+	fault.RegisterPoint(PointPlan, "plan stage entry (batch width, batch layout)")
 	fault.RegisterPoint(PointSolveWindow, "width-1 window solve attempt")
-	fault.RegisterPoint(PointSolveBatch, "SpMM batch solve attempt")
-	fault.RegisterPoint(PointSolveDegrade, "serial-SpMV degrade attempt")
+	fault.RegisterPoint(PointSolveBatch, "multi-window batch solve attempt (width > 1)")
+	fault.RegisterPoint(PointSolveDegrade, "serial width-1 degrade attempt")
 	fault.RegisterPoint(PointPublish, "publish stage entry (series/report assembly)")
 }
 
@@ -69,12 +70,12 @@ type ckptRun struct {
 	resumed map[int]*checkpoint.Window
 }
 
-// attempt runs one staged batch on kern with panic isolation: a panic
+// attempt runs one staged batch with panic isolation: a panic
 // anywhere in the kernel (including a sched.PanicError rethrown from a
 // nested vertex loop) is converted into a *RecoveredPanic error. The
 // injection point fires before the kernel, so armed faults count solve
 // attempts.
-func (r *solveRun) attempt(kern Kernel, b *Batch, point string) (err error) {
+func (r *solveRun) attempt(b *Batch, point string) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = recoveredError(rec)
@@ -83,7 +84,7 @@ func (r *solveRun) attempt(kern Kernel, b *Batch, point string) (err error) {
 	if ferr := fault.Inject(point); ferr != nil {
 		return ferr
 	}
-	r.runBatch(kern, b)
+	r.runBatch(b)
 	return nil
 }
 
@@ -115,7 +116,7 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
 			reset()
 		}
 		attempts++
-		err = r.attempt(r.kern, b, point)
+		err = r.attempt(b, point)
 		if err == nil {
 			if b.truncated {
 				// Cancellation broke the convergence loop mid-batch; the
@@ -142,8 +143,8 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func(), point string) bool {
 }
 
 // degradeBatch re-solves each window of a freshly re-staged batch
-// alone on the serial SpMV kernel — the simplest execution path, with
-// no batching and no nested parallelism — quarantining only the slots
+// alone at width 1 on the serial loop — the simplest execution path,
+// with no batching and no nested parallelism — quarantining only the slots
 // that fail even there. Allocation here is fine: degrade is the cold
 // path of a cold path.
 func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
@@ -163,7 +164,7 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 		}
 		db.isLive[0] = false
 		res := &b.results[s]
-		serr := r.attempt(SpMV.Kernel(), &db, PointSolveDegrade)
+		serr := r.attempt(&db, PointSolveDegrade)
 		if db.truncated {
 			// Cancellation cut this slot's convergence loop; taint the
 			// outer batch so the driver does not checkpoint it.

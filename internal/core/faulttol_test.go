@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -408,6 +409,46 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 	}
 	if _, err := eng2.SetCheckpoint(store2, true); err == nil {
 		t.Fatal("SetCheckpoint(resume) accepted a mismatched manifest")
+	}
+}
+
+// TestCheckpointBatchWidthMismatch checkpoints a run at batch width 8
+// and resumes it at width 16. The width decides which windows
+// cold-start, so the widths' ranks differ; the manifest must refuse the
+// resume instead of restoring width-8 windows into a width-16 run.
+func TestCheckpointBatchWidthMismatch(t *testing.T) {
+	fault.Reset()
+	l := randomLog(t, 99, 30, 600, 3000)
+	spec := events.WindowSpec{T0: 0, Delta: 400, Slide: 60, Count: 40}
+	mk := func(width int) *Engine {
+		cfg := equivCfg(SpMM, AppLevel, true)
+		cfg.VectorLen = width
+		cfg.NumMultiWindows = 1
+		eng, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		return eng
+	}
+	dir := t.TempDir()
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	eng8 := mk(8)
+	if _, err := eng8.SetCheckpoint(store, false); err != nil {
+		t.Fatalf("SetCheckpoint: %v", err)
+	}
+	if _, err := eng8.Run(context.Background()); err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	store2, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	resumed, err := mk(16).SetCheckpoint(store2, true)
+	if err == nil || !strings.Contains(err.Error(), "manifest mismatch") {
+		t.Fatalf("width-16 resume of a width-8 checkpoint: resumed %d, err %v; want a manifest-mismatch error", resumed, err)
 	}
 }
 

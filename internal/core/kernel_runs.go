@@ -9,7 +9,7 @@ import (
 // mask is one uint64.
 const maxSlots = 64
 
-// runIndex is a batch's edge liveness, computed once in Kernel.Init so
+// runIndex is a batch's edge liveness, computed once in spmmKernel.Init so
 // the sweeps read no timestamps. It lists, per local vertex v, the
 // in-runs of the multi-window graph that are live in at least one slot
 // of the batch, in the graph's (neighbor, time) order: entries
@@ -91,6 +91,9 @@ func buildRunIndex(mw *tcsr.MultiWindow, views []tcsr.SolveView, loop forLoop, s
 	})
 	return ix
 }
+
+// size returns the number of indexed runs.
+func (ix runIndex) size() int64 { return ix.row[len(ix.row)-1] }
 
 // release returns the index's buffers to the arena.
 func (ix runIndex) release(sb *scratchBuf) {

@@ -10,10 +10,11 @@ import (
 
 // spmmKernel advances the PageRank vectors of a whole batch of windows
 // (all in one multi-window graph) simultaneously — the SpMM-inspired
-// kernel of paper Sec. 4.4. Vectors are interleaved — entry (v, k)
-// lives at v*K+k — so the random accesses of the pull pass hit one
-// cache line for all K windows, which is the SpMM effect the paper
-// exploits.
+// kernel of paper Sec. 4.4. It is the engine's only kernel: SpMV is its
+// width-1 case, where Init binds passes with no slot masks and no slot
+// loop. Vectors are interleaved — entry (v, k) lives at v*K+k — so the
+// random accesses of the pull pass hit one cache line for all K
+// windows, which is the SpMM effect the paper exploits.
 //
 // Edge liveness is resolved once per batch into a run index (see
 // runIndex): a sweep walks only the runs live in some slot and adds a
@@ -24,12 +25,10 @@ import (
 // reductions use lane-indexed K-wide slots — lane l owns
 // [l*K, (l+1)*K) — summed serially between passes, so the leaves of
 // the steady-state iteration loop neither allocate nor touch atomics.
-type spmmKernel struct{}
-
-// spmmState is the kernel's per-batch working set; the interleaved x
-// and y swap through the state pointer so the bound passes track them
-// for free.
-type spmmState struct {
+//
+// The value lives in Batch.kern; the interleaved x and y swap through
+// it, so the bound passes track them for free.
+type spmmKernel struct {
 	invdeg       []float64
 	active       []bool
 	na           []int32
@@ -42,24 +41,17 @@ type spmmState struct {
 	pass1, pass2 sched.Body
 }
 
-// BatchWidth is Config.VectorLen: the number of windows one sweep of
-// the shared temporal CSR advances.
-func (spmmKernel) BatchWidth(cfg *Config) int { return cfg.VectorLen }
-
 // Init stages the interleaved window states and starting vectors (Eq. 4
 // per slot where a predecessor vector is supplied, uniform otherwise),
 // builds the batch's run index, binds the two sweep passes, and marks
 // non-empty slots live.
-func (spmmKernel) Init(b *Batch) {
+func (s *spmmKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
 	K := b.width()
 	sb, loop := b.scratch, b.loop
 	opt := b.cfg.Opts
 	lanes := sb.lanes()
-	s := &spmmState{}
-	b.state = s
-
 	views := b.views
 
 	// Per-window inverse out-degrees, interleaved. First accumulate
@@ -198,6 +190,15 @@ func (spmmKernel) Init(b *Batch) {
 	laneDelta := sb.getF64(lanes * K)
 	baseK := sb.getF64(K)
 	s.laneDangling, s.laneDelta, s.baseK = laneDangling, laneDelta, baseK
+	sb.putF64(scale)
+	sb.putF64(uniform)
+	sb.putBool(partial)
+
+	damp := 1 - opt.Alpha
+	if K == 1 {
+		s.bindWidth1(damp)
+		return
+	}
 	isLive := b.isLive
 
 	// Pass 1 (by source): scaled contributions + dangling mass.
@@ -219,7 +220,6 @@ func (spmmKernel) Init(b *Batch) {
 	// Pass 2 (by target): one walk of the run index advances all live
 	// windows. acc lives on the leaf's stack and is zero at the start of
 	// every vertex: the slot loop clears each entry after reading it.
-	damp := 1 - opt.Alpha
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		xv, yv := s.x, s.y
 		liveMask := s.liveMask
@@ -251,16 +251,61 @@ func (spmmKernel) Init(b *Batch) {
 			}
 		}
 	}
+}
 
-	sb.putF64(scale)
-	sb.putF64(uniform)
-	sb.putBool(partial)
+// bindWidth1 binds the passes of a width-1 batch — the SpMV case. Every
+// indexed run is live in the one slot and a converged slot ends the
+// batch, so the passes read no slot masks and loop over no slots. The
+// lane sums run in a register from the lane's current value, which is
+// the same sequence of additions the K-slot passes make in memory: a
+// batch's bits do not depend on which passes its width selects.
+//
+// It must not be inlined: the passes' copies inside Init (a big
+// function) lose inlining of math.Abs and run about 1.3× slower.
+//
+//go:noinline
+func (s *spmmKernel) bindWidth1(damp float64) {
+	invdeg, active := s.invdeg, s.active
+	runRow, runCol, z := s.runs.row, s.runs.col, s.z
+	laneDangling, laneDelta := s.laneDangling, s.laneDelta
+	// Pass 1 (by source): scale ranks by inverse out-degree and collect
+	// dangling mass.
+	s.pass1 = func(wk *sched.Worker, lo, hi int) {
+		x := s.x
+		d := laneDangling[laneOf(wk)]
+		for u := lo; u < hi; u++ {
+			z[u] = x[u] * invdeg[u]
+			if active[u] && invdeg[u] == 0 {
+				d += x[u]
+			}
+		}
+		laneDangling[laneOf(wk)] = d
+	}
+	// Pass 2 (by target): pull contributions along the indexed runs.
+	s.pass2 = func(wk *sched.Worker, lo, hi int) {
+		x, y := s.x, s.y
+		base := s.baseK[0]
+		delta := laneDelta[laneOf(wk)]
+		for v := lo; v < hi; v++ {
+			if !active[v] {
+				y[v] = 0
+				continue
+			}
+			var acc float64
+			for _, c := range runCol[runRow[v]:runRow[v+1]] {
+				acc += z[c]
+			}
+			nv := base + damp*acc
+			delta += math.Abs(nv - x[v])
+			y[v] = nv
+		}
+		laneDelta[laneOf(wk)] = delta
+	}
 }
 
 // Iterate runs one sweep advancing all live slots: pass 1,
 // the per-slot dangling reductions, pass 2, and the vector swap.
-func (spmmKernel) Iterate(b *Batch) {
-	s := b.state.(*spmmState)
+func (s *spmmKernel) Iterate(b *Batch) {
 	K := b.width()
 	n := int(b.mw.NumLocal())
 	lanes := b.scratch.lanes()
@@ -285,8 +330,7 @@ func (spmmKernel) Iterate(b *Batch) {
 }
 
 // Residual sums slot's lane deltas of the last sweep.
-func (spmmKernel) Residual(b *Batch, slot int) float64 {
-	s := b.state.(*spmmState)
+func (s *spmmKernel) Residual(b *Batch, slot int) float64 {
 	K := b.width()
 	lanes := b.scratch.lanes()
 	var delta float64
@@ -297,20 +341,24 @@ func (spmmKernel) Residual(b *Batch, slot int) float64 {
 }
 
 // Finalize de-interleaves each slot's rank vector into its result and
-// returns all working memory.
-func (spmmKernel) Finalize(b *Batch) {
-	s := b.state.(*spmmState)
+// returns all working memory. A width-1 batch's x is already its rank
+// vector and is handed over as is.
+func (s *spmmKernel) Finalize(b *Batch) {
 	sb := b.scratch
 	n := int(b.mw.NumLocal())
 	K := b.width()
-	for k := 0; k < K; k++ {
-		ranks := sb.getF64(n)
-		for v := 0; v < n; v++ {
-			ranks[v] = s.x[v*K+k]
+	if K == 1 {
+		b.results[0].ranks = s.x
+	} else {
+		for k := 0; k < K; k++ {
+			ranks := sb.getF64(n)
+			for v := 0; v < n; v++ {
+				ranks[v] = s.x[v*K+k]
+			}
+			b.results[k].ranks = ranks
 		}
-		b.results[k].ranks = ranks
+		sb.putF64(s.x)
 	}
-	sb.putF64(s.x)
 	sb.putF64(s.y)
 	sb.putF64(s.z)
 	sb.putF64(s.invdeg)
@@ -320,5 +368,5 @@ func (spmmKernel) Finalize(b *Batch) {
 	sb.putF64(s.laneDangling)
 	sb.putF64(s.laneDelta)
 	sb.putF64(s.baseK)
-	b.state = nil
+	*s = spmmKernel{}
 }

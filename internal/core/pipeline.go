@@ -97,8 +97,7 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 }
 
 // PlanStage resolves a configuration against a built representation:
-// it resolves the kernel (KernelID.Kernel), decides the batch width, and
-// precomputes each multi-window graph's region/batch layout so the
+// it decides the batch width (Config.batchWidth) and precomputes each multi-window graph's region/batch layout so the
 // solve stage's hot path does no layout arithmetic.
 type PlanStage struct{}
 
@@ -113,8 +112,8 @@ type PlanInput struct {
 }
 
 // SolveUnit is one multi-window graph's precomputed batch layout. For
-// width-1 kernels units are not materialized (the window-chain driver
-// needs no layout); for the SpMM kernel a unit's windows are split into
+// width-1 plans units are not materialized (the window-chain driver
+// needs no layout); for wider plans a unit's windows are split into
 // K contiguous regions and batch j gathers the j-th window of every
 // region, so every batch after the first warm-starts from its region
 // predecessors.
@@ -138,8 +137,6 @@ type SolvePlan struct {
 	Cfg Config
 	// Temporal is the representation being solved.
 	Temporal *tcsr.Temporal
-	// Kernel is the implementation of Cfg.Kernel.
-	Kernel Kernel
 	// Width is the kernel's batch width under Cfg (>= 1).
 	Width int
 	// Units is the per-multi-window batch layout; empty when Width is 1.
@@ -168,15 +165,10 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 	}
 	start := time.Now()
 	cfg := in.Cfg
-	kern := cfg.Kernel.Kernel()
-	width := kern.BatchWidth(&cfg)
-	if width < 1 {
-		width = 1
-	}
+	width := cfg.batchWidth()
 	p := &SolvePlan{
 		Cfg:      cfg,
 		Temporal: in.Temporal,
-		Kernel:   kern,
 		Width:    width,
 		Windows:  in.Temporal.Spec.Count,
 		Workers:  in.Workers,
@@ -253,6 +245,7 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 		Workers:     plan.Workers,
 		Windows:     len(results),
 		MWSweeps:    mwSweeps,
+		RunsScanned: in.Solve.RunsScanned,
 		WallSeconds: in.Solve.Seconds,
 	}
 	rep.SetPhase("tcsr_build", in.BuildSeconds)
@@ -304,7 +297,7 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	if len(results) > 0 {
 		rep.Residuals.Mean = resSum / float64(len(results))
 	}
-	// Width-1 kernels sweep the CSR once per window iteration; the
+	// Width-1 plans sweep the CSR once per window iteration; the
 	// batched driver filled mwSweeps with per-batch maxima already.
 	if plan.Width == 1 {
 		for mwIdx, mw := range plan.Temporal.MWs {

@@ -66,7 +66,7 @@ type FaultReport struct {
 	// Retried counts windows that succeeded with the configured kernel
 	// after at least one failed attempt.
 	Retried int `json:"retried"`
-	// Degraded counts windows solved by the serial-SpMV fallback.
+	// Degraded counts windows solved by the serial width-1 fallback.
 	Degraded int `json:"degraded"`
 	// Resumed counts windows restored from a checkpoint.
 	Resumed int `json:"resumed"`
@@ -93,8 +93,13 @@ type RunReport struct {
 	// for SpMM the per-batch iteration maxima (one sweep advances all
 	// live windows of the batch), for SpMV the summed per-window
 	// iterations (each window sweeps alone).
-	MWSweeps    []int64       `json:"mw_sweeps"`
-	TotalSweeps int64         `json:"total_sweeps"`
+	MWSweeps    []int64 `json:"mw_sweeps"`
+	TotalSweeps int64   `json:"total_sweeps"`
+	// RunsScanned is the counted scan work: every batch adds its run
+	// index size (in-runs live in at least one of its windows) times
+	// the sweeps it ran. At width 1 that is each window's live in-runs
+	// × its iterations.
+	RunsScanned int64         `json:"runs_scanned"`
 	Residuals   ResidualStats `json:"residuals"`
 
 	// WindowWallSeconds[w] is window w's solve wall time; for the SpMM

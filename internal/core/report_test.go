@@ -10,6 +10,7 @@ import (
 	"pmpr/internal/events"
 	"pmpr/internal/obs"
 	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
 )
 
 // reportFixture runs the engine on an overlap-heavy log where every
@@ -276,5 +277,73 @@ func TestRankOK(t *testing.T) {
 	s, _, _ = reportFixture(t, cfg, nil)
 	if _, ok := s.Window(0).RankOK(probed); ok {
 		t.Fatal("RankOK reported ok on discarded ranks")
+	}
+}
+
+// liveInRuns counts mw's in-runs live in at least one of windows,
+// walking the temporal CSR directly rather than a run index.
+func liveInRuns(mw *tcsr.MultiWindow, windows []int) int64 {
+	var n int64
+	for v := 0; v < int(mw.NumLocal()); v++ {
+		i, end := mw.InRow[v], mw.InRow[v+1]
+		for i < end {
+			j := i + 1
+			for j < end && mw.InCol[j] == mw.InCol[i] {
+				j++
+			}
+			for _, w := range windows {
+				if ts, te := mw.Window(w); tcsr.RunActive(mw.InTime[i:j], ts, te) {
+					n++
+					break
+				}
+			}
+			i = j
+		}
+	}
+	return n
+}
+
+// TestRunsScannedMatchesBruteForce checks RunReport.RunsScanned against
+// a count over the temporal CSR's in-runs: at width 1, Σ over windows
+// of live in-runs × iterations; at width K, Σ over batches of the runs
+// live in any of the batch's windows × the batch's sweeps.
+func TestRunsScannedMatchesBruteForce(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, kernel := range []KernelID{SpMV, SpMM} {
+		for _, p := range []*sched.Pool{nil, pool} {
+			cfg := DefaultConfig()
+			cfg.Kernel = kernel
+			cfg.VectorLen = 3
+			cfg.NumMultiWindows = 2
+			s, _, eng := reportFixture(t, cfg, p)
+			plan := eng.Plan()
+			var want int64
+			if plan.Width == 1 {
+				for w := 0; w < s.Len(); w++ {
+					want += liveInRuns(plan.Temporal.ForWindow(w), []int{w}) * int64(s.Window(w).Iterations)
+				}
+			}
+			for _, u := range plan.Units {
+				for j := 0; j < u.NumBatches; j++ {
+					var windows []int
+					var sweeps int64
+					for reg := 0; reg < u.K; reg++ {
+						if off := u.RegionStart[reg] + j; off < u.RegionStart[reg+1] {
+							w := u.MW.WinLo + off
+							windows = append(windows, w)
+							sweeps = max(sweeps, int64(s.Window(w).Iterations))
+						}
+					}
+					want += liveInRuns(u.MW, windows) * sweeps
+				}
+			}
+			if want == 0 {
+				t.Fatalf("%v: fixture scans no runs", kernel)
+			}
+			if got := s.Report.RunsScanned; got != want {
+				t.Errorf("%v pool=%v: RunsScanned = %d, brute force %d", kernel, p != nil, got, want)
+			}
+		}
 	}
 }

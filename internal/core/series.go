@@ -20,7 +20,7 @@ const (
 	// WindowRetried succeeded with the configured kernel after at least
 	// one failed attempt.
 	WindowRetried
-	// WindowDegraded succeeded only on the serial-SpMV fallback after
+	// WindowDegraded succeeded only on the serial width-1 fallback after
 	// the configured kernel failed every attempt.
 	WindowDegraded
 	// WindowFailed is quarantined: every attempt (including the degrade

@@ -54,7 +54,7 @@ type SolveOutput struct {
 	// Results holds one entry per global window.
 	Results []WindowResult
 	// MWSweeps[i] counts shared-CSR sweeps of multi-window graph i; for
-	// width-1 kernels the publish stage recomputes it from iterations.
+	// width-1 plans the publish stage recomputes it from iterations.
 	MWSweeps []int64
 	// Seconds is the solve wall time (phase "solve").
 	Seconds float64
@@ -62,14 +62,17 @@ type SolveOutput struct {
 	Sched *SchedReport
 	// Scratch is the arena counter delta for this run.
 	Scratch *ScratchReport
+	// RunsScanned is the counted scan work: Σ over batches of the run
+	// index size × the sweeps the batch ran.
+	RunsScanned int64
 }
 
 // Run executes the plan. On cancellation it returns a *CanceledError
 // (matching ErrCanceled) carrying how many windows completed; the
-// scratch arena is left consistent — every kernel's Finalize runs even
+// scratch arena is left consistent — the kernel's Finalize runs even
 // on the cancel path — so the stage can be reused immediately. Window
 // faults (panics, injected errors) are absorbed by the failure ladder:
-// failed windows retry, degrade to the serial SpMV kernel, and finally
+// failed windows retry, degrade to the serial width-1 kernel, and finally
 // quarantine in the results, so the only error paths out of a started
 // run are cancellation and validation.
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
@@ -77,7 +80,6 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 	r := &solveRun{
 		plan:     plan,
 		arena:    st.arena,
-		kern:     plan.Kernel,
 		journal:  plan.Cfg.Journal,
 		ckpt:     st.ckpt,
 		results:  make([]WindowResult, plan.Windows),
@@ -130,9 +132,10 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		}
 	}
 	out = SolveOutput{
-		Results:  r.results,
-		MWSweeps: r.mwSweeps,
-		Seconds:  dur.Seconds(),
+		Results:     r.results,
+		MWSweeps:    r.mwSweeps,
+		Seconds:     dur.Seconds(),
+		RunsScanned: r.runsScanned.Load(),
 	}
 	if metrics {
 		d := st.pool.Stats().Delta(before)
@@ -160,14 +163,14 @@ type solveRun struct {
 	plan     *SolvePlan
 	arena    *scratchArena
 	val      *runValidator // nil unless Cfg.Validate
-	kern     Kernel
-	journal  *obs.Journal // nil = no event emission
-	ckpt     *ckptRun     // nil = no checkpointing
+	journal  *obs.Journal  // nil = no event emission
+	ckpt     *ckptRun      // nil = no checkpointing
 	results  []WindowResult
 	mwSweeps []int64
 
 	canceledFlag atomic.Bool
 	completed    atomic.Int64
+	runsScanned  atomic.Int64 // Σ run-index size × sweeps over batches
 }
 
 func (r *solveRun) canceled() bool { return r.canceledFlag.Load() }
@@ -183,8 +186,8 @@ func (r *solveRun) windowDecided(res *WindowResult) {
 }
 
 // dispatch fans the plan's work units out according to the parallel
-// mode. Width-1 kernels parallelize over window ranges (warm-start
-// chains form inside each range); wider kernels parallelize over
+// mode. Width-1 plans parallelize over window ranges (warm-start
+// chains form inside each range); wider plans parallelize over
 // multi-window units, whose batches are sequentially dependent through
 // partial initialization but mutually independent across units (this
 // is why Fig. 8's window-level runs improve with more multi-window
@@ -225,8 +228,8 @@ func (r *solveRun) dispatch(ctx context.Context, pool *sched.Pool) {
 	}
 }
 
-// windowRange processes windows [lo, hi) in order with a width-1
-// kernel, chaining partial initialization inside the range: a window
+// windowRange processes windows [lo, hi) in order in width-1 batches,
+// chaining partial initialization inside the range: a window
 // warm-starts iff its predecessor was computed in this same range and
 // lives in the same multi-window graph — exactly the paper's "if the
 // same thread processes Gi-1 and Gi, partial initialization occurs".
@@ -317,8 +320,8 @@ func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
 	sb.putViews(b.views)
 }
 
-// unitRange processes multi-window units [lo, hi) with a batched
-// kernel.
+// unitRange processes multi-window units [lo, hi) in batches of the
+// plan's width.
 func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 	for i := lo; i < hi; i++ {
 		if r.canceled() {
@@ -457,14 +460,13 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	sb.putVecs(ranksByOffset)
 }
 
-// runBatch is the shared convergence loop every kernel executes under:
-// Init stages and marks live slots, each iteration advances the live
-// set and retires slots whose residual drops below the tolerance, and
-// Finalize always runs — cancellation included — so the scratch lease
-// is returned on every exit path. kern is the attempting kernel: the
-// plan's on the normal path, the serial SpMV fallback on the degrade
-// path.
-func (r *solveRun) runBatch(kern Kernel, b *Batch) {
+// runBatch is the convergence loop of every batch, at every width and
+// on the degrade path alike: Init stages and marks live slots, each
+// iteration advances the live set and retires slots whose residual
+// drops below the tolerance, and Finalize always runs — cancellation
+// included — so the scratch lease is returned on every exit path. The
+// batch's scan work (indexed runs × sweeps) is counted with one add.
+func (r *solveRun) runBatch(b *Batch) {
 	b.truncated = false
 	if r.canceled() {
 		// Canceled before staging: leave the batch undecided instead of
@@ -473,8 +475,10 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 		b.truncated = true
 		return
 	}
+	kern := &b.kern
 	kern.Init(b)
 	opt := b.cfg.Opts
+	var sweeps int64
 	for it := 0; it < opt.MaxIter && len(b.live) > 0; it++ {
 		if r.canceled() {
 			b.truncated = true
@@ -484,6 +488,7 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 			b.results[s].Iterations = it + 1
 		}
 		kern.Iterate(b)
+		sweeps++
 		next := b.live[:0]
 		for _, s := range b.live {
 			res := kern.Residual(b, s)
@@ -497,6 +502,7 @@ func (r *solveRun) runBatch(kern Kernel, b *Batch) {
 		}
 		b.live = next
 	}
+	r.runsScanned.Add(kern.runs.size() * sweeps)
 	kern.Finalize(b)
 }
 

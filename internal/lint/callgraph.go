@@ -2,12 +2,11 @@
 // call graph over every loaded package. The rules layer (rule_*.go)
 // used to be purely syntactic — each rule looked at one statement at a
 // time — which cannot prove the whole-program properties the engine
-// now depends on ("nothing reachable from Kernel.Iterate allocates").
-// The graph makes those properties checkable: it resolves direct
-// calls, devirtualizes method calls through module interfaces
-// (`core.Kernel` implementations, `sched.Body`-style callbacks), and tracks
-// function values as they flow through assignments, struct fields,
-// parameters, and results, so a kernel pass bound to a field in Init
+// now depends on ("nothing reachable from spmmKernel.Iterate
+// allocates"). The graph makes those properties checkable: it resolves
+// direct calls, devirtualizes method calls through module interfaces,
+// and tracks function values as they flow through assignments, struct
+// fields, parameters, and results, so a kernel pass bound to a field in Init
 // and invoked through `b.loop(n, s.pass1)` three layers later is a
 // plain edge.
 //

@@ -7,7 +7,7 @@
 //
 // Summaries are deliberately syntactic and local. An effect is
 // recorded where it happens, with a position and a human-readable
-// description, so a rule that finds `core.spmvKernel.Iterate →
+// description, so a rule that finds `core.spmmKernel.Iterate →
 // fmt.Sprintf` three hops down can print both the chain and the exact
 // offending expression.
 
@@ -24,8 +24,8 @@ import (
 type EffectKind uint8
 
 // Alloc effects first, then block effects. The split matters to the
-// hotpath rule: Kernel.Init is allowed to allocate (the documented
-// contract amortizes one boxed state allocation per batch) but must
+// hotpath rule: the kernel's Init is allowed to allocate (the
+// documented contract binds its pass closures once per batch) but must
 // not block, while Iterate/Residual may do neither.
 const (
 	// AllocMake is a make() of a slice or channel.

@@ -9,7 +9,7 @@
 //
 // The engine has two layers. The facts layer (callgraph.go,
 // effects.go) builds a module-wide call graph — direct calls, method
-// calls devirtualized through module interfaces like core.Kernel,
+// calls devirtualized through module interfaces,
 // function values traced through fields, parameters, and results —
 // plus per-function effect summaries (allocates, blocks). The rules
 // layer consumes those facts: per-package Analyzers see one package at

@@ -16,11 +16,11 @@ import (
 // into a helper and the rule went quiet). This version walks the
 // module call graph from two families of entry points:
 //
-//   - Every type in internal/core implementing core.Kernel: Iterate
-//     and Residual may neither allocate nor block anywhere in their
-//     transitive call tree; Init may allocate (the documented kernel
-//     contract amortizes one boxed-state allocation per batch there)
-//     but must not block.
+//   - The engine's one kernel type, internal/core's spmmKernel (rooted
+//     by name): Iterate and Residual may neither allocate nor block
+//     anywhere in their transitive call tree; Init may allocate (the
+//     documented kernel contract binds its pass closures once per
+//     batch there) but must not block.
 //   - Every closure handed to ParallelFor/ParallelForCtx anywhere in
 //     the module: inside internal/core the full no-alloc/no-block ban
 //     applies; elsewhere
@@ -38,7 +38,7 @@ type hotpathRule struct{}
 
 func (hotpathRule) Name() string { return "hotpath" }
 func (hotpathRule) Doc() string {
-	return "no alloc/block effect reachable from kernels' Init/Iterate/Residual or ParallelFor bodies"
+	return "no alloc/block effect reachable from the kernel's Init/Iterate/Residual or ParallelFor bodies"
 }
 
 // Check is a no-op: hotpath is a module rule (see CheckModule).
@@ -133,11 +133,15 @@ func (r hotpathRule) CheckModule(m *Module) []Finding {
 	return out
 }
 
-// kernelMethodBans maps the Kernel hot methods to their ban levels.
-// Init is allowed to allocate by the documented kernel contract (one
-// boxed state + bound pass closures per batch, amortized across the
-// whole window sweep) but must never block; the steady-state methods
-// may do neither.
+// kernelType names the engine's one kernel type in internal/core.
+// Renaming the type without updating this root fails the repo gate
+// TestRepoHotpathCoversKernels.
+const kernelType = "spmmKernel"
+
+// kernelMethodBans maps the kernel's hot methods to their ban levels.
+// Init is allowed to allocate by the documented kernel contract (bound
+// pass closures per batch, amortized across the whole window sweep)
+// but must never block; the steady-state methods may do neither.
 var kernelMethodBans = []struct {
 	method string
 	ban    hotBan
@@ -147,72 +151,33 @@ var kernelMethodBans = []struct {
 	{"Residual", banAllocBlock},
 }
 
-// hotpathEntries discovers the traversal roots: every kernel type's
-// hot methods, plus loop bodies at ParallelFor call sites.
+// hotpathEntries discovers the traversal roots: the kernel type's hot
+// methods, plus loop bodies at ParallelFor call sites.
 func hotpathEntries(m *Module) []hotEntry {
 	g := m.Graph()
 	var entries []hotEntry
-	for _, typ := range kernelTypes(m) {
-		tn := typeDisplayName(typ)
+	for _, pkg := range m.Pkgs {
+		if pkg.Types == nil || !strings.HasSuffix(pkg.Path, "internal/core") {
+			continue
+		}
+		tn, ok := pkg.Types.Scope().Lookup(kernelType).(*types.TypeName)
+		if !ok {
+			continue
+		}
+		name := pkg.Types.Name() + "." + kernelType
 		for _, mb := range kernelMethodBans {
-			obj, _, _ := types.LookupFieldOrMethod(typ, true, nil, mb.method)
+			obj, _, _ := types.LookupFieldOrMethod(tn.Type(), true, nil, mb.method)
 			fn, ok := obj.(*types.Func)
 			if !ok {
 				continue
 			}
 			if node := g.NodeOf(fn); node != nil {
-				entries = append(entries, hotEntry{node: node, ban: mb.ban, desc: tn + "." + mb.method})
+				entries = append(entries, hotEntry{node: node, ban: mb.ban, desc: name + "." + mb.method})
 			}
 		}
 	}
 	entries = append(entries, parallelForEntries(m)...)
 	return entries
-}
-
-// kernelTypes returns every named type declared in internal/core whose
-// value or pointer method set implements that package's Kernel
-// interface. KernelID.Kernel is a closed switch over such types, so
-// this covers every kernel the engine can run, plus any implementation
-// not yet wired into the switch.
-func kernelTypes(m *Module) []types.Type {
-	var out []types.Type
-	for _, pkg := range m.Pkgs {
-		if pkg.Types == nil || !strings.HasSuffix(pkg.Path, "internal/core") {
-			continue
-		}
-		scope := pkg.Types.Scope()
-		kern, ok := scope.Lookup("Kernel").(*types.TypeName)
-		if !ok {
-			continue
-		}
-		iface, ok := kern.Type().Underlying().(*types.Interface)
-		if !ok {
-			continue
-		}
-		for _, name := range scope.Names() {
-			tn, ok := scope.Lookup(name).(*types.TypeName)
-			if !ok || tn.IsAlias() || types.IsInterface(tn.Type()) {
-				continue
-			}
-			t := tn.Type()
-			if types.Implements(t, iface) || types.Implements(types.NewPointer(t), iface) {
-				out = append(out, t)
-			}
-		}
-	}
-	return out
-}
-
-// typeDisplayName renders a short pkg.Type name for findings.
-func typeDisplayName(t types.Type) string {
-	if named, ok := deref(t).(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil {
-			return obj.Pkg().Name() + "." + obj.Name()
-		}
-		return obj.Name()
-	}
-	return t.String()
 }
 
 // hotLoopFile classifies files whose loop-dispatch call sites root a
@@ -301,8 +266,8 @@ func pathBase(p string) string {
 
 // HotpathEntryNames lists the rule's discovered traversal roots (the
 // entry descriptions, sorted). The repo gate's kernel-coverage test
-// uses this to prove every kernel core.KernelID.Kernel returns is
-// actually rooted here.
+// uses this to prove the kernel's hot methods are actually rooted
+// here.
 func HotpathEntryNames(m *Module) []string {
 	entries := hotpathEntries(m)
 	names := make([]string, 0, len(entries))

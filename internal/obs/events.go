@@ -40,7 +40,7 @@ const (
 	EvWindowDone EventType = "window_done"
 	// EvRetry marks a failed window/batch attempt being retried.
 	EvRetry EventType = "retry"
-	// EvDegrade marks a window falling back to the serial SpMV kernel.
+	// EvDegrade marks a window falling back to the serial width-1 kernel.
 	EvDegrade EventType = "degrade"
 	// EvQuarantine marks a window failing terminally.
 	EvQuarantine EventType = "quarantine"
