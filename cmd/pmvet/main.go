@@ -11,10 +11,9 @@
 //
 //	pmvet [flags] [packages]
 //
-//	-rules panic,hotpath,...  run a rule subset (default: all)
+//	-rules panic,floateq,...  run a rule subset (default: all)
 //	-list                     list the available rules and exit
 //	-json                     emit findings as a JSON array on stdout
-//	-graph                    dump the module call graph and exit
 //	-strict                   stale //pmvet:ignore directives (and ones
 //	                          naming no rule) fail the run instead of
 //	                          warning
@@ -49,11 +48,10 @@ type jsonFinding struct {
 
 func main() {
 	var (
-		rules    = flag.String("rules", "", "comma-separated rule subset (default: all)")
-		list     = flag.Bool("list", false, "list the available rules and exit")
-		jsonOut  = flag.Bool("json", false, "emit findings as JSON on stdout")
-		graphOut = flag.Bool("graph", false, "dump the module call graph and exit")
-		strict   = flag.Bool("strict", false, "stale //pmvet:ignore directives fail the run")
+		rules   = flag.String("rules", "", "comma-separated rule subset (default: all)")
+		list    = flag.Bool("list", false, "list the available rules and exit")
+		jsonOut = flag.Bool("json", false, "emit findings as JSON on stdout")
+		strict  = flag.Bool("strict", false, "stale //pmvet:ignore directives fail the run")
 	)
 	flag.Parse()
 
@@ -81,16 +79,7 @@ func main() {
 		fatal(err)
 	}
 
-	mod := lint.NewModule(pkgs)
-
-	if *graphOut {
-		if err := mod.Graph().WriteGraph(os.Stdout); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	rep := lint.Analyze(mod, analyzers)
+	rep := lint.Analyze(lint.NewModule(pkgs), analyzers)
 
 	failing := len(rep.Findings)
 	if *strict {

@@ -4,9 +4,13 @@ import (
 	"context"
 
 	"fmt"
+	"math"
+	"math/rand"
 	"testing"
 
 	"pmpr/internal/events"
+	"pmpr/internal/fault"
+	"pmpr/internal/obs"
 	"pmpr/internal/sched"
 )
 
@@ -168,42 +172,102 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	}
 }
 
-// TestSteadyStateIterationsDoNotAllocate compares the allocation count
-// of a 1-iteration run against a 101-iteration run of the same warmed
-// engine: the difference is what the 100 extra steady-state iterations
-// allocated, and it must be zero for every kernel.
+// TestSteadyStateIterationsDoNotAllocate is the hot-path allocation
+// gate: for every batch width, every pooled mode, the degrade rung and
+// an attached journal, it compares the allocation count of a
+// 1-iteration run against a 101-iteration run of the same warmed
+// engine. The difference is what the 100 extra steady-state iterations
+// allocated, and it must be zero in every cell. The degrade column arms
+// persistent faults on both solve points, so every batch solves on the
+// serial width-1 rung.
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
+	defer fault.Reset()
+	fault.Reset()
 	l := randomLog(t, 80, 25, 250, 700)
-	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		measure := func(maxIter int) float64 {
-			cfg := equivCfg(kernel, AppLevel, true)
-			cfg.DiscardRanks = true
-			cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
-			cfg.Opts.MaxIter = maxIter
-			eng, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			if _, err := eng.Run(context.Background()); err != nil { // warm the arena
-				t.Fatalf("warm-up Run: %v", err)
-			}
-			return testing.AllocsPerRun(3, func() {
-				if _, err := eng.Run(context.Background()); err != nil {
-					t.Fatalf("Run: %v", err)
+	// Two multi-windows of ten windows each: widths 3, 8 and 64 lay
+	// each one out as 4, 2 and 1 batches.
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 27, Count: 20}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	pools := []struct {
+		name string
+		mode ParallelMode
+		pool *sched.Pool
+	}{
+		{"serial", AppLevel, nil},
+		{"app", AppLevel, pool},
+		{"window", WindowLevel, pool},
+		{"nested", Nested, pool},
+	}
+	for _, width := range []int{1, 3, 8, 64} {
+		for _, p := range pools {
+			for _, degrade := range []bool{false, true} {
+				for _, journal := range []bool{false, true} {
+					label := fmt.Sprintf("K=%d/%s/degrade=%v/journal=%v", width, p.name, degrade, journal)
+					t.Run(label, func(t *testing.T) {
+						if degrade {
+							c1 := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeError, Count: 0})
+							defer c1()
+							c2 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})
+							defer c2()
+						}
+						cfg := equivCfg(SpMM, p.mode, true)
+						cfg.VectorLen = width
+						cfg.NumMultiWindows = 2
+						cfg.DiscardRanks = true
+						cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
+						if journal {
+							cfg.Journal = obs.NewJournal(256)
+						}
+						short := steadyStateAllocs(t, l, spec, cfg, 1, p.pool, degrade)
+						long := steadyStateAllocs(t, l, spec, cfg, 101, p.pool, degrade)
+						if long != short {
+							t.Errorf("100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
+								long-short, short, long)
+						}
+					})
 				}
-			})
-		}
-		short := measure(1)
-		long := measure(101)
-		if long != short {
-			t.Errorf("%v: 100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
-				kernel, long-short, short, long)
+			}
 		}
 	}
+}
+
+// steadyStateAllocs warms an engine running maxIter iterations per
+// window with one run, then returns the fewest allocations of several
+// further runs. A pool's sync.Pool
+// misses and deque growth depend on which thread a worker lands on
+// and on GC timing, so they add a few allocations to some runs; an
+// allocation in the iteration loop adds to every run and survives the
+// minimum. With degraded set it also checks every window solved on the
+// degrade rung.
+func steadyStateAllocs(t *testing.T, l *events.Log, spec events.WindowSpec, cfg Config, maxIter int, pool *sched.Pool, degraded bool) float64 {
+	t.Helper()
+	cfg.Opts.MaxIter = maxIter
+	eng, err := NewEngine(l, spec, cfg, pool)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s, err := eng.Run(context.Background()) // warm the arena
+	if err != nil {
+		t.Fatalf("warm-up Run: %v", err)
+	}
+	for w := 0; degraded && w < s.Len(); w++ {
+		if st := s.Window(w).Status; st != WindowDegraded {
+			t.Fatalf("window %d status %v, want degraded", w, st)
+		}
+	}
+	best := math.Inf(1)
+	for trial := 0; trial < 3; trial++ {
+		best = math.Min(best, testing.AllocsPerRun(2, func() {
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+		}))
+	}
+	return best
 }
 
 // TestTimeShiftIsInvariant is a metamorphic check of the window
@@ -252,6 +316,94 @@ func TestTimeShiftIsInvariant(t *testing.T) {
 						for v := range ra {
 							if ra[v] != rb[v] {
 								t.Fatalf("%s window %d vertex %d: rank %v shifted to %v", label, w, v, ra[v], rb[v])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestVertexRelabelAndTieOrderAreInvariant is a metamorphic check of
+// two orders the input fixes but the model does not. Relabeling the
+// vertices by a permutation must carry every window's ranks along the
+// permutation (to within rounding: the sums run in another order).
+// Reordering events that share a timestamp names the same edges, so
+// ranks, iteration counts and residuals must be bit-identical. Runs are
+// serial, whose warm-start chains are deterministic.
+func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
+	const n = 30
+	for seed := int64(0); seed < 5; seed++ {
+		l := randomLog(t, 800+seed, n, 400, 1200)
+		spec, err := events.Span(l, 240, 67)
+		if err != nil {
+			t.Fatalf("Span: %v", err)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		perm := rng.Perm(n)
+		relabeled := append([]events.Event(nil), l.Events()...)
+		for i := range relabeled {
+			relabeled[i].U, relabeled[i].V = int32(perm[relabeled[i].U]), int32(perm[relabeled[i].V])
+		}
+		shuffled := append([]events.Event(nil), l.Events()...)
+		tied := 0
+		for lo := 0; lo < len(shuffled); {
+			hi := lo + 1
+			for hi < len(shuffled) && shuffled[hi].T == shuffled[lo].T {
+				hi++
+			}
+			if hi-lo > 1 {
+				tied += hi - lo
+				group := shuffled[lo:hi]
+				rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+			}
+			lo = hi
+		}
+		if tied == 0 {
+			t.Fatalf("seed %d: log has no tied timestamps to shuffle", seed)
+		}
+		relabeledLog, err := events.NewLogSorted(relabeled, n)
+		if err != nil {
+			t.Fatalf("NewLogSorted: %v", err)
+		}
+		shuffledLog, err := events.NewLogSorted(shuffled, n)
+		if err != nil {
+			t.Fatalf("NewLogSorted: %v", err)
+		}
+		for _, kernel := range []KernelID{SpMV, SpMM} {
+			for _, partial := range []bool{false, true} {
+				for _, directed := range []bool{false, true} {
+					label := fmt.Sprintf("seed %d %v partial=%v directed=%v", seed, kernel, partial, directed)
+					cfg := DefaultConfig()
+					cfg.Kernel = kernel
+					cfg.PartialInit = partial
+					cfg.Directed = directed
+					cfg.NumMultiWindows = 3
+					cfg.VectorLen = 4
+					cfg.Opts.Tol = 1e-14
+					want := runSeries(t, l, spec, cfg, label)
+					moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
+					reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")
+					for w := 0; w < want.Len(); w++ {
+						a := want.Window(w)
+						ra := a.Dense(n)
+						rm := moved.Window(w).Dense(n)
+						for v := range ra {
+							if d := math.Abs(ra[v] - rm[perm[v]]); d > 1e-12 {
+								t.Fatalf("%s window %d vertex %d: rank %v relabeled to %v (|diff|=%v)",
+									label, w, v, ra[v], rm[perm[v]], d)
+							}
+						}
+						b := reordered.Window(w)
+						if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual {
+							t.Fatalf("%s window %d: iterations %d, residual %v tie-shuffled to %d, %v",
+								label, w, a.Iterations, a.FinalResidual, b.Iterations, b.FinalResidual)
+						}
+						rb := b.Dense(n)
+						for v := range ra {
+							if ra[v] != rb[v] {
+								t.Fatalf("%s window %d vertex %d: rank %v tie-shuffled to %v", label, w, v, ra[v], rb[v])
 							}
 						}
 					}

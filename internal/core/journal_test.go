@@ -302,47 +302,6 @@ func TestJournalRecordsCancel(t *testing.T) {
 	}
 }
 
-// TestJournalAttachedSteadyStateDoesNotAllocate is the journal's
-// counterpart of TestSteadyStateIterationsDoNotAllocate: with a journal
-// attached, 100 extra steady-state iterations must still allocate
-// nothing (events fire at window boundaries only, and Append itself is
-// allocation-free: a ring-slot copy plus non-blocking sends).
-func TestJournalAttachedSteadyStateDoesNotAllocate(t *testing.T) {
-	if raceEnabled {
-		t.Skip("allocation counts are not meaningful under the race detector")
-	}
-	fault.Reset()
-	l := randomLog(t, 105, 25, 250, 700)
-	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		measure := func(maxIter int) float64 {
-			cfg := equivCfg(kernel, AppLevel, true)
-			cfg.DiscardRanks = true
-			cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
-			cfg.Opts.MaxIter = maxIter
-			cfg.Journal = obs.NewJournal(256)
-			eng, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			if _, err := eng.Run(context.Background()); err != nil { // warm the arena
-				t.Fatalf("warm-up Run: %v", err)
-			}
-			return testing.AllocsPerRun(3, func() {
-				if _, err := eng.Run(context.Background()); err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-			})
-		}
-		short := measure(1)
-		long := measure(101)
-		if long != short {
-			t.Errorf("%v: with journal, 100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
-				kernel, long-short, short, long)
-		}
-	}
-}
-
 // TestStatusMatchesRunReport pins the /status scopes to RunReport's: an
 // SpMM batch retried once leaves every window of that batch with status
 // retried, and both views count those windows (not batch attempts). A

@@ -45,6 +45,14 @@ func FuzzReadBinary(f *testing.F) {
 		if err != nil {
 			return
 		}
+		maxID := int64(-1)
+		for _, e := range got.Events() {
+			maxID = max(maxID, int64(e.U), int64(e.V))
+		}
+		count := uint64(len(in)-len(binaryMagic)-16) / 16
+		if limit := maxDeclaredVertices(maxID, count); int64(got.NumVertices()) > limit {
+			t.Fatalf("accepted %d vertices from %d bytes (budget %d)", got.NumVertices(), len(in), limit)
+		}
 		var out bytes.Buffer
 		if err := WriteBinary(&out, got); err != nil {
 			t.Fatalf("WriteBinary after successful parse: %v", err)

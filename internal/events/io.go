@@ -157,19 +157,35 @@ func ReadBinary(r io.Reader) (*Log, error) {
 	// corrupt count must fail with a truncation error, not an
 	// out-of-memory allocation.
 	var evs []Event
+	maxID := int64(-1)
 	rec := make([]byte, 16)
 	for i := uint64(0); i < count; i++ {
 		if _, err := io.ReadFull(br, rec); err != nil {
 			return nil, fmt.Errorf("events: reading event %d of %d: %w", i, count, err)
 		}
-		evs = append(evs, Event{
+		e := Event{
 			U: int32(binary.LittleEndian.Uint32(rec[0:4])),
 			V: int32(binary.LittleEndian.Uint32(rec[4:8])),
 			T: int64(binary.LittleEndian.Uint64(rec[8:16])),
-		})
+		}
+		maxID = max(maxID, int64(e.U), int64(e.V))
+		evs = append(evs, e)
 	}
 	if _, err := br.ReadByte(); err != io.EOF {
 		return nil, fmt.Errorf("events: trailing bytes after %d events", count)
 	}
+	if limit := maxDeclaredVertices(maxID, count); int64(numVertices) > limit {
+		return nil, fmt.Errorf("events: declared vertex count %d exceeds %d (the %d events name ids up to %d)",
+			numVertices, limit, count, maxID)
+	}
 	return NewLog(evs, numVertices)
+}
+
+// maxDeclaredVertices bounds the vertex count a binary header may
+// declare. Every per-vertex array downstream is sized by that count,
+// so it may exceed the ids the events name only by slack that grows
+// with the file: generators declare some vertices no event uses, but a
+// 52-byte file must not make a reader allocate gigabytes.
+func maxDeclaredVertices(maxID int64, count uint64) int64 {
+	return maxID + 1 + max(2*int64(count), 1<<16)
 }

@@ -104,6 +104,42 @@ func TestReadTextRejectsMalformed(t *testing.T) {
 	}
 }
 
+// oversizedHeader is a 52-byte binary log that declares numVertices
+// vertices for two events naming only ids 0 and 1.
+func oversizedHeader(numVertices uint32) []byte {
+	b := []byte(binaryMagic)
+	b = binary.LittleEndian.AppendUint32(b, binaryVersion)
+	b = binary.LittleEndian.AppendUint32(b, numVertices)
+	b = binary.LittleEndian.AppendUint64(b, 2)
+	for _, e := range []Event{{U: 0, V: 1, T: 0}, {U: 1, V: 0, T: 30 * 86400}} {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.U))
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.V))
+		b = binary.LittleEndian.AppendUint64(b, uint64(e.T))
+	}
+	return b
+}
+
+// TestReadBinaryRejectsOversizedVertexCount pins the vertex budget: a
+// header may declare at most maxDeclaredVertices vertices, so a tiny
+// file cannot make a consumer size its per-vertex arrays at 2^31-1.
+func TestReadBinaryRejectsOversizedVertexCount(t *testing.T) {
+	in := oversizedHeader(1<<31 - 1)
+	if len(in) != 52 {
+		t.Fatalf("header is %d bytes, want 52", len(in))
+	}
+	_, err := ReadBinary(bytes.NewReader(in))
+	if err == nil || !strings.HasPrefix(err.Error(), "events: ") {
+		t.Fatalf("2^31-1 declared vertices: err = %v, want an events: error", err)
+	}
+	limit := maxDeclaredVertices(1, 2)
+	if l, err := ReadBinary(bytes.NewReader(oversizedHeader(uint32(limit)))); err != nil || l.NumVertices() != int32(limit) {
+		t.Fatalf("declared count at the budget (%d): %v", limit, err)
+	}
+	if _, err := ReadBinary(bytes.NewReader(oversizedHeader(uint32(limit + 1)))); err == nil {
+		t.Fatalf("declared count one past the budget (%d) accepted", limit+1)
+	}
+}
+
 func TestReadBinaryRejectsCorrupt(t *testing.T) {
 	l := randomLog(t, 3, 10)
 	var buf bytes.Buffer

@@ -1,11 +1,13 @@
 package gen
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
 
 	"pmpr/internal/analysis"
+	"pmpr/internal/events"
 )
 
 func TestAllProfilesGenerate(t *testing.T) {
@@ -43,6 +45,32 @@ func TestAllProfilesGenerate(t *testing.T) {
 		}
 		if len(d.SlidingOffsets) == 0 || len(d.WindowDays) == 0 {
 			t.Fatalf("%s: missing Table 1 parameter grid", name)
+		}
+	}
+}
+
+// TestEveryProfileRoundTripsBinary pins the binary reader's vertex
+// budget against the generator: every profile declares more vertices
+// than its events name, and each file it writes must still load.
+func TestEveryProfileRoundTripsBinary(t *testing.T) {
+	for _, name := range Names() {
+		d, _ := Get(name)
+		for _, scale := range []float64{0.001, 0.01, 0.2} {
+			l, err := d.Generate(scale, 1)
+			if err != nil {
+				t.Fatalf("%s@%v: Generate: %v", name, scale, err)
+			}
+			var buf bytes.Buffer
+			if err := events.WriteBinary(&buf, l); err != nil {
+				t.Fatalf("%s@%v: WriteBinary: %v", name, scale, err)
+			}
+			got, err := events.ReadBinary(&buf)
+			if err != nil {
+				t.Fatalf("%s@%v: ReadBinary: %v", name, scale, err)
+			}
+			if got.NumVertices() != l.NumVertices() || !reflect.DeepEqual(got.Events(), l.Events()) {
+				t.Fatalf("%s@%v: round trip changed the log", name, scale)
+			}
 		}
 	}
 }

@@ -4,18 +4,13 @@
 // rules the postmortem data structures depend on. The paper's speedups
 // come from shared-structure tricks — temporal CSR with local
 // relabeling, warm-started vectors, multi-window SpMM sweeps — where a
-// silent indexing or allocation mistake produces plausible-but-wrong
-// ranks; these rules make the dangerous patterns loud at review time.
+// silent mistake produces plausible-but-wrong ranks or a stuck solve;
+// these rules make the dangerous patterns loud at review time.
 //
-// The engine has two layers. The facts layer (callgraph.go,
-// effects.go) builds a module-wide call graph — direct calls, method
-// calls devirtualized through module interfaces,
-// function values traced through fields, parameters, and results —
-// plus per-function effect summaries (allocates, blocks). The rules
-// layer consumes those facts: per-package Analyzers see one package at
-// a time, and ModuleAnalyzers (hotpath, eventexhaust) see the whole
-// module through a Module and can prove reachability properties no
-// single-package rule can.
+// Per-package Analyzers see one package at a time. ModuleAnalyzers
+// (eventexhaust) see every loaded package at once through a Module, so
+// they can join facts across packages: an enum declared in one package
+// and switched on in another.
 //
 // Each rule is individually suppressible at a finding site with a
 //
@@ -77,10 +72,9 @@ type Analyzer interface {
 	Check(pkg *Package) []Finding
 }
 
-// ModuleAnalyzer is a rule that needs whole-module facts (the call
-// graph, cross-package effect joins). Its CheckModule runs once per
-// analysis; its per-package Check is a no-op so it still satisfies
-// Analyzer for -rules selection and -list.
+// ModuleAnalyzer is a rule that needs every package at once. Its
+// CheckModule runs once per analysis; its per-package Check is a no-op
+// so it still satisfies Analyzer for -rules selection and -list.
 type ModuleAnalyzer interface {
 	Analyzer
 	// CheckModule reports the rule's findings for the whole module.
@@ -88,37 +82,17 @@ type ModuleAnalyzer interface {
 }
 
 // Module is the whole-module view handed to ModuleAnalyzers: the
-// loaded packages plus lazily built facts (call graph, effect
-// summaries) shared by every rule that needs them.
+// loaded packages plus an index from filename to owning package.
 type Module struct {
 	// Pkgs are the loaded packages, in load order.
 	Pkgs []*Package
 
-	graph     *CallGraph
-	effects   map[*FuncNode]FuncEffects
 	fileOwner map[string]*Package
 }
 
 // NewModule wraps loaded packages for module-level analysis.
 func NewModule(pkgs []*Package) *Module {
 	return &Module{Pkgs: pkgs}
-}
-
-// Graph returns the module call graph, building it on first use.
-func (m *Module) Graph() *CallGraph {
-	if m.graph == nil {
-		m.graph = BuildCallGraph(m.Pkgs)
-	}
-	return m.graph
-}
-
-// Effects returns the per-function effect summaries, built on first
-// use alongside the graph.
-func (m *Module) Effects() map[*FuncNode]FuncEffects {
-	if m.effects == nil {
-		m.effects = ComputeEffects(m.Graph())
-	}
-	return m.effects
 }
 
 // PackageFor resolves the package that owns a filename, so module-rule
@@ -140,7 +114,6 @@ func Analyzers() []Analyzer {
 	return []Analyzer{
 		panicRule{},
 		recovercheckRule{},
-		hotpathRule{},
 		floateqRule{},
 		closecheckRule{},
 		docRule{},

@@ -41,27 +41,6 @@ func TestRepoLintsClean(t *testing.T) {
 	}
 }
 
-// TestRepoHotpathCoversKernels proves that the transitive hotpath rule
-// roots the engine's kernel in the real module: the Init, Iterate and
-// Residual methods of the named kernel type must all be entries.
-// Renaming the type or one of the methods without updating the rule's
-// root fails here, instead of silently dropping the kernel's coverage.
-func TestRepoHotpathCoversKernels(t *testing.T) {
-	if testing.Short() {
-		t.Skip("loads and type-checks the whole module from source")
-	}
-	entries := HotpathEntryNames(NewModule(loadRepo(t)))
-	have := make(map[string]bool, len(entries))
-	for _, e := range entries {
-		have[e] = true
-	}
-	for _, method := range []string{"Init", "Iterate", "Residual"} {
-		if name := "core." + kernelType + "." + method; !have[name] {
-			t.Errorf("%s not rooted by hotpath; entries: %v", name, entries)
-		}
-	}
-}
-
 // TestLoaderSinglePackage exercises non-recursive pattern resolution.
 func TestLoaderSinglePackage(t *testing.T) {
 	loader, err := NewLoader(".")

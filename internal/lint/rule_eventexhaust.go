@@ -164,6 +164,14 @@ func constOf(pkg *Package, e ast.Expr) *types.Const {
 	return nil
 }
 
+// useOf resolves an identifier to its object (uses, then defs).
+func useOf(pkg *Package, id *ast.Ident) types.Object {
+	if obj := pkg.Info.Uses[id]; obj != nil {
+		return obj
+	}
+	return pkg.Info.Defs[id]
+}
+
 // missingNames lists the constants not in covered, in sorted order.
 func missingNames(consts []*types.Const, covered map[string]bool) []string {
 	var missing []string

@@ -467,6 +467,14 @@ func isSyncLockRecv(pkg *Package, sel *ast.SelectorExpr) bool {
 	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
 }
 
+// deref strips one level of pointer from t.
+func deref(t types.Type) types.Type {
+	if p, ok := t.(*types.Pointer); ok {
+		return p.Elem()
+	}
+	return t
+}
+
 // stableExprKey renders a lock receiver as a stable key ("w.p.mu"), or
 // "" when the expression involves calls/indexing the interpreter
 // cannot treat as a constant location.

@@ -269,96 +269,3 @@ func boom() { panic("x") } //pmvet:ignore panic -- fixture rationale
 		t.Errorf("used directive: want no findings and no stale, got %v / %v", rep.Findings, rep.Stale)
 	}
 }
-
-func TestHotpathRuleTransitiveHelper(t *testing.T) {
-	// The pre-callgraph rule only looked inside the loop-body literal,
-	// so moving the append one call away defeated it. The transitive
-	// rule follows the edge and reports the chain.
-	src := `package core
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func gather(dst []int, x int) []int { return append(dst, x) }
-
-func kernel(xs []int) {
-	var out []int
-	loop(len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			out = gather(out, xs[i])
-		}
-	})
-	_ = out
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_helper_fixture.go", src)
-	fs := runRule(t, "hotpath", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("append behind a helper: want 1 finding, got %v", fs)
-	}
-	if !strings.Contains(fs[0].Msg, "gather") {
-		t.Errorf("finding %q should show the chain through the helper", fs[0].Msg)
-	}
-	if fs[0].Pos.Line != 5 {
-		t.Errorf("finding should point at the append inside the helper (line 5), got line %d", fs[0].Pos.Line)
-	}
-}
-
-// kernelFixture defines a miniature kernel world: spmmKernel carries
-// the name the hotpath rule roots, so its methods are entries. Init may
-// allocate but not block, Iterate/Residual may do neither.
-const kernelFixture = `package core
-
-type spmmKernel struct{ buf []float64 }
-
-func (k *spmmKernel) Init(ch chan int) {
-	k.buf = make([]float64, 8)
-	<-ch
-}
-
-func (k *spmmKernel) Iterate() {
-	k.buf = append(k.buf, 1)
-}
-
-func (k *spmmKernel) Residual() float64 { return 0 }
-`
-
-func TestHotpathRuleRegisteredKernel(t *testing.T) {
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg_fixture.go", kernelFixture)
-	fs := runRule(t, "hotpath", pkg)
-	if len(fs) != 2 {
-		t.Fatalf("want 2 findings (Init block, Iterate alloc), got %v", fs)
-	}
-	var sawInitBlock, sawIterateAlloc bool
-	for _, f := range fs {
-		switch {
-		case strings.Contains(f.Msg, "spmmKernel.Init") && strings.Contains(f.Msg, "block/chan"):
-			sawInitBlock = true
-		case strings.Contains(f.Msg, "spmmKernel.Iterate") && strings.Contains(f.Msg, "alloc/append"):
-			sawIterateAlloc = true
-		case strings.Contains(f.Msg, "spmmKernel.Init") && strings.Contains(f.Msg, "alloc/"):
-			t.Errorf("Init is allowed to allocate by the kernel contract, got %v", f)
-		default:
-			t.Errorf("unexpected finding %v", f)
-		}
-	}
-	if !sawInitBlock || !sawIterateAlloc {
-		t.Errorf("want Init-block and Iterate-alloc findings, got %v", fs)
-	}
-}
-
-func TestHotpathEntryNames(t *testing.T) {
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_reg2_fixture.go", kernelFixture)
-	names := HotpathEntryNames(NewModule([]*Package{pkg}))
-	for _, want := range []string{"core.spmmKernel.Init", "core.spmmKernel.Iterate", "core.spmmKernel.Residual"} {
-		found := false
-		for _, n := range names {
-			if n == want {
-				found = true
-				break
-			}
-		}
-		if !found {
-			t.Errorf("entry %q missing from HotpathEntryNames %v", want, names)
-		}
-	}
-}

@@ -36,190 +36,6 @@ func f() { panic("just a name") }
 	}
 }
 
-func TestHotpathRule(t *testing.T) {
-	bad := `package core
-
-import "fmt"
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func kernel(xs []int, names []string) {
-	var out []int
-	s := ""
-	loop(len(xs), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fmt.Println(xs[i])
-			out = append(out, xs[i])
-			seen := map[int]bool{}
-			_ = seen
-			m := make(map[int]int, 4)
-			_ = m
-			s += names[i]
-			t := names[i] + "!"
-			_ = t
-		}
-	})
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_fixture.go", bad)
-	fs := runRule(t, "hotpath", pkg)
-	if len(fs) != 6 {
-		t.Fatalf("hot file: want 6 findings (fmt, append, map literal, make map, +=, +), got %d: %v", len(fs), fs)
-	}
-	for _, f := range fs {
-		if !strings.Contains(f.Msg, "hot path reachable from") || !strings.Contains(f.Msg, "chain:") {
-			t.Errorf("finding message %q should carry the entry point and call chain", f.Msg)
-		}
-	}
-
-	// Identical code in a non-hot file of the same package is allowed.
-	pkg = loadFixture(t, "pmpr/internal/core", "setup.go", bad)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 0 {
-		t.Errorf("non-hot file: want 0 findings, got %v", fs)
-	}
-
-	// Allocation and formatting outside the loop closure are allowed,
-	// as is arithmetic inside it.
-	good := `package core
-
-import "fmt"
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func kernel(xs []int) int {
-	out := make([]int, 0, len(xs))
-	for _, x := range xs {
-		out = append(out, x)
-	}
-	sum := 0
-	loop(len(out), func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			sum += out[i]
-		}
-	})
-	fmt.Println(sum)
-	return sum
-}
-`
-	pkg = loadFixture(t, "pmpr/internal/core", "kernel_good.go", good)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 0 {
-		t.Errorf("conforming kernel: want 0 findings, got %v", fs)
-	}
-}
-
-func TestHotpathRuleMakeInCoreLoop(t *testing.T) {
-	// Any make() inside a core kernel loop body is flagged, slices
-	// included: the scratch arena exists so these bodies never allocate.
-	bad := `package core
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func kernel(xs []float64) {
-	loop(len(xs), func(lo, hi int) {
-		acc := make([]float64, 4)
-		_ = acc
-	})
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_fixture.go", bad)
-	fs := runRule(t, "hotpath", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("slice make in core loop: want 1 finding, got %d: %v", len(fs), fs)
-	}
-	if !strings.Contains(fs[0].Msg, "alloc/make") {
-		t.Errorf("finding %q should name the alloc/make effect", fs[0].Msg)
-	}
-
-	// Loop bodies bound to locals and passed by name are resolved and
-	// checked too — but only once, even when passed at several sites.
-	named := `package core
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func kernel(xs []float64) {
-	pass := func(lo, hi int) {
-		buf := make([]float64, 2)
-		_ = buf
-	}
-	loop(len(xs), pass)
-	loop(len(xs), pass)
-}
-`
-	pkg = loadFixture(t, "pmpr/internal/core", "kernel_named.go", named)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 1 {
-		t.Errorf("named body: want 1 finding (deduped), got %d: %v", len(fs), fs)
-	}
-
-	// make() outside the loop body, with only reads inside, is the
-	// pattern the arena enables; it stays silent.
-	good := `package core
-
-func loop(n int, body func(lo, hi int)) { body(0, n) }
-
-func kernel(xs []float64) float64 {
-	acc := make([]float64, 4)
-	pass := func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			acc[i%4] += xs[i]
-		}
-	}
-	loop(len(xs), pass)
-	return acc[0]
-}
-`
-	pkg = loadFixture(t, "pmpr/internal/core", "kernel_good.go", good)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 0 {
-		t.Errorf("hoisted make: want 0 findings, got %v", fs)
-	}
-
-	// Outside internal/core (here: the streaming runner), slice make in
-	// a loop body is not the arena's business — only the classic ban
-	// set (fmt/log, append, map alloc, concat) applies there.
-	streaming := `package streaming
-
-type pool struct{}
-
-func (pool) ParallelFor(n, grain int, body func(lo, hi int)) { body(0, n) }
-
-func drive(p pool, xs []int) {
-	p.ParallelFor(len(xs), 1, func(lo, hi int) {
-		tmp := make([]int, 2)
-		_ = tmp
-	})
-}
-`
-	pkg = loadFixture(t, "pmpr/internal/streaming", "runner.go", streaming)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 0 {
-		t.Errorf("non-core slice make: want 0 findings, got %v", fs)
-	}
-}
-
-func TestHotpathRuleParallelFor(t *testing.T) {
-	// The scheduler itself is the audited substrate and exempt, so
-	// ParallelFor coverage is pinned on the streaming runner, where the
-	// classic hot-loop bans (append here) apply transitively.
-	src := `package streaming
-
-type pool struct{}
-
-func (pool) ParallelFor(n, grain int, body func(lo, hi int)) { body(0, n) }
-
-func drive(p pool, xs []int) {
-	var log []int
-	p.ParallelFor(len(xs), 1, func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			log = append(log, xs[i])
-		}
-	})
-	_ = log
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/streaming", "runner.go", src)
-	if fs := runRule(t, "hotpath", pkg); len(fs) != 1 {
-		t.Errorf("ParallelFor body: want 1 finding, got %v", fs)
-	}
-}
-
 func TestFloateqRule(t *testing.T) {
 	bad := `package core
 func eq(a, b float64) bool { return a == b }
@@ -436,39 +252,6 @@ func run() error {
 	pkg = loadFixture(t, "pmpr/internal/core", "bg_suppressed.go", suppressed)
 	if fs := runRule(t, "ctxfirst", pkg); len(fs) != 0 {
 		t.Errorf("suppressed finding still reported: %v", fs)
-	}
-}
-
-func TestHotpathRuleFieldBoundClosures(t *testing.T) {
-	// The staged kernels bind their passes to state-struct fields once
-	// per solve and invoke them through the Batch's loop field; the rule
-	// must resolve both the selector call (`b.loop(...)`) and the
-	// selector-bound body (`s.pass1`).
-	bad := `package core
-
-import "fmt"
-
-type batch struct {
-	loop func(n int, body func(lo, hi int))
-}
-
-type state struct {
-	pass1 func(lo, hi int)
-}
-
-func kernel(b *batch, s *state, xs []int) {
-	s.pass1 = func(lo, hi int) {
-		for i := lo; i < hi; i++ {
-			fmt.Println(xs[i])
-		}
-	}
-	b.loop(len(xs), s.pass1)
-}
-`
-	pkg := loadFixture(t, "pmpr/internal/core", "kernel_field_fixture.go", bad)
-	fs := runRule(t, "hotpath", pkg)
-	if len(fs) != 1 {
-		t.Fatalf("field-bound body: want 1 finding (fmt), got %d: %v", len(fs), fs)
 	}
 }
 
