@@ -1,6 +1,6 @@
 // This file implements the solve stage's per-window fault tolerance
-// and checkpoint/resume plumbing. The drivers in solve.go stage each
-// batch and hand it to solveBatchFT, which owns the failure ladder:
+// and checkpoint/resume plumbing. The driver in solve.go stages each
+// batch and hands it to solveBatchFT, which owns the failure ladder:
 //
 //	attempt   — run the batch under recover(), so a kernel panic (or a
 //	            sched.PanicError propagated from a nested vertex loop)
@@ -42,10 +42,11 @@ const (
 	PointBuild = "core.build"
 	// PointPlan fires at the top of PlanStage.Run.
 	PointPlan = "core.plan"
-	// PointSolveWindow fires before each width-1 window attempt.
+	// PointSolveWindow fires before each batch attempt of a width-1
+	// plan, where a batch is one window.
 	PointSolveWindow = "core.solve.window"
-	// PointSolveBatch fires before each multi-window batch attempt
-	// (batch width > 1).
+	// PointSolveBatch fires before each batch attempt of a plan wider
+	// than 1.
 	PointSolveBatch = "core.solve.batch"
 	// PointSolveDegrade fires before each serial-fallback attempt.
 	PointSolveDegrade = "core.solve.degrade"
@@ -56,8 +57,8 @@ const (
 func init() {
 	fault.RegisterPoint(PointBuild, "build stage entry (temporal CSR construction)")
 	fault.RegisterPoint(PointPlan, "plan stage entry (batch width, batch layout)")
-	fault.RegisterPoint(PointSolveWindow, "width-1 window solve attempt")
-	fault.RegisterPoint(PointSolveBatch, "multi-window batch solve attempt (width > 1)")
+	fault.RegisterPoint(PointSolveWindow, "batch solve attempt, width-1 plans (one window per batch)")
+	fault.RegisterPoint(PointSolveBatch, "batch solve attempt, plans wider than 1")
 	fault.RegisterPoint(PointSolveDegrade, "serial width-1 degrade attempt")
 	fault.RegisterPoint(PointPublish, "publish stage entry (series/report assembly)")
 }
@@ -190,15 +191,6 @@ func (r *solveRun) quarantine(res *WindowResult, attempts int, cause error, pani
 	r.journal.EmitQuarantine(res.Window, res.Worker, attempts, errString(cause), panicked)
 }
 
-// resumedWindow returns window w's checkpointed result when this run
-// is resuming and the checkpoint holds one.
-func (r *solveRun) resumedWindow(w int) *checkpoint.Window {
-	if r.ckpt == nil {
-		return nil
-	}
-	return r.ckpt.resumed[w]
-}
-
 // restoreResult fills res from a checkpointed window. The restored
 // ranks are the original run's exact bits, so successors warm-start
 // from the same vectors they would have seen live.
@@ -239,12 +231,13 @@ func (r *solveRun) checkpointWindow(res *WindowResult) {
 	r.journal.EmitCheckpointWrite(res.Window, errString(r.ckpt.store.WriteWindow(cw)))
 }
 
-// restoreBatch restores SpMM batch j of unit u when every one of its
+// restoreBatch restores batch j of unit u when every one of its
 // windows is checkpointed; a partially checkpointed batch re-solves
 // whole (its checkpointed members are simply overwritten), keeping the
-// batch the unit of work on the SpMM path. Restored vectors are staged
-// into ranksByOffset so the next batch warm-starts from them.
-func (r *solveRun) restoreBatch(u *SolveUnit, j, wid int, ranksByOffset [][]float64) bool {
+// batch the unit of work. Restored vectors are staged into ranks
+// (indexed by window offset from u.RegionStart[0]) so the next batch
+// warm-starts from them.
+func (r *solveRun) restoreBatch(u *SolveUnit, j, wid int, ranks [][]float64) bool {
 	if r.ckpt == nil {
 		return false
 	}
@@ -266,7 +259,7 @@ func (r *solveRun) restoreBatch(u *SolveUnit, j, wid int, ranksByOffset [][]floa
 		w := mw.WinLo + off
 		cw := r.ckpt.resumed[w]
 		restoreResult(&r.results[w], cw, mw, wid)
-		ranksByOffset[off] = cw.Ranks
+		ranks[off-u.RegionStart[0]] = cw.Ranks
 		r.journal.EmitCheckpointResume(w)
 		r.windowDecided(&r.results[w])
 		r.completed.Add(1)

@@ -13,6 +13,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"time"
 
@@ -20,6 +21,7 @@ import (
 	"pmpr/internal/fault"
 	"pmpr/internal/invariant"
 	"pmpr/internal/obs"
+	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
@@ -97,8 +99,9 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 }
 
 // PlanStage resolves a configuration against a built representation:
-// it decides the batch width (Config.batchWidth) and precomputes each multi-window graph's region/batch layout so the
-// solve stage's hot path does no layout arithmetic.
+// it decides the batch width (Config.batchWidth) and lays the windows
+// out as solve units, so the solve stage's hot path does no layout
+// arithmetic.
 type PlanStage struct{}
 
 // PlanInput is what the plan stage consumes.
@@ -111,21 +114,22 @@ type PlanInput struct {
 	Workers int
 }
 
-// SolveUnit is one multi-window graph's precomputed batch layout. For
-// width-1 plans units are not materialized (the window-chain driver
-// needs no layout); for wider plans a unit's windows are split into
-// K contiguous regions and batch j gathers the j-th window of every
+// SolveUnit is a contiguous range of one multi-window graph's
+// windows and its precomputed batch layout: the range is split into K
+// contiguous regions and batch j gathers the j-th window of every
 // region, so every batch after the first warm-starts from its region
-// predecessors.
+// predecessors. At width 1 a unit is one warm-start chain (K = 1, batch
+// j is the range's j-th window); its first window cold-starts, so the
+// plan decides every warm-start break.
 type SolveUnit struct {
 	// MW is the multi-window graph this unit solves.
 	MW *tcsr.MultiWindow
 	// K is the unit's batch width: min(plan width, window count).
 	K int
 	// RegionStart[r] is the window offset (within MW) where region r
-	// starts; RegionStart[K] is the window count.
+	// starts; the unit covers offsets [RegionStart[0], RegionStart[K]).
 	RegionStart []int
-	// NumBatches is ceil(windows / K).
+	// NumBatches is ceil(unit windows / K).
 	NumBatches int
 }
 
@@ -139,7 +143,11 @@ type SolvePlan struct {
 	Temporal *tcsr.Temporal
 	// Width is the kernel's batch width under Cfg (>= 1).
 	Width int
-	// Units is the per-multi-window batch layout; empty when Width is 1.
+	// Units tile the windows in order; no unit crosses a multi-window
+	// graph. Each multi-window graph is one unit, except that pooled
+	// window-level and nested width-1 plans cut it into warm-start
+	// chains of sched.InitialSpan windows, the spans the pool's Auto
+	// partitioner would start from, so the pool can spread them.
 	Units []SolveUnit
 	// Windows is the total window count.
 	Windows int
@@ -173,32 +181,30 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 		Windows:  in.Temporal.Spec.Count,
 		Workers:  in.Workers,
 	}
-	if width > 1 {
-		p.Units = make([]SolveUnit, len(in.Temporal.MWs))
-		for i, mw := range in.Temporal.MWs {
-			p.Units[i] = planUnit(mw, width)
+	chain := 0 // 0 = one unit per multi-window graph
+	if width == 1 && in.Workers > 1 && cfg.Mode != AppLevel {
+		chain = sched.InitialSpan(p.Windows, in.Workers, cfg.grain())
+	}
+	for _, mw := range in.Temporal.MWs {
+		W := mw.NumWindows()
+		span := cmp.Or(chain, W)
+		for lo := 0; lo < W; lo += span {
+			p.Units = append(p.Units, planUnit(mw, lo, min(lo+span, W), width))
 		}
 	}
 	p.Seconds = time.Since(start).Seconds()
 	return p, nil
 }
 
-// planUnit splits mw's windows into min(width, W) contiguous regions of
-// near-equal size (the first W mod K regions get the extra window).
-func planUnit(mw *tcsr.MultiWindow, width int) SolveUnit {
-	W := mw.NumWindows()
-	u := SolveUnit{MW: mw}
-	if W == 0 {
-		return u
-	}
-	K := width
-	if K > W {
-		K = W
-	}
-	base := W / K
-	rem := W % K
-	u.K = K
-	u.RegionStart = make([]int, K+1)
+// planUnit splits mw's window offsets [lo, hi) into min(width, hi-lo)
+// contiguous regions of near-equal size (the first (hi-lo) mod K
+// regions get the extra window).
+func planUnit(mw *tcsr.MultiWindow, lo, hi, width int) SolveUnit {
+	W := hi - lo
+	K := min(width, W)
+	base, rem := W/K, W%K
+	u := SolveUnit{MW: mw, K: K, RegionStart: make([]int, K+1), NumBatches: base}
+	u.RegionStart[0] = lo
 	for r := 0; r < K; r++ {
 		size := base
 		if r < rem {
@@ -206,7 +212,6 @@ func planUnit(mw *tcsr.MultiWindow, width int) SolveUnit {
 		}
 		u.RegionStart[r+1] = u.RegionStart[r] + size
 	}
-	u.NumBatches = base
 	if rem > 0 {
 		u.NumBatches++
 	}
@@ -296,17 +301,6 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	}
 	if len(results) > 0 {
 		rep.Residuals.Mean = resSum / float64(len(results))
-	}
-	// Width-1 plans sweep the CSR once per window iteration; the
-	// batched driver filled mwSweeps with per-batch maxima already.
-	if plan.Width == 1 {
-		for mwIdx, mw := range plan.Temporal.MWs {
-			var s int64
-			for w := mw.WinLo; w < mw.WinHi; w++ {
-				s += int64(results[w].Iterations)
-			}
-			mwSweeps[mwIdx] = s
-		}
 	}
 	for _, s := range mwSweeps {
 		rep.TotalSweeps += s

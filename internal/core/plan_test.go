@@ -1,0 +1,138 @@
+package core
+
+import (
+	"context"
+	"fmt"
+	"math"
+	"testing"
+
+	"pmpr/internal/events"
+	"pmpr/internal/sched"
+	"pmpr/internal/tcsr"
+)
+
+// planFixture builds the 40-window representation of the report
+// fixture's log, partitioned into cfg.NumMultiWindows graphs.
+func planFixture(t *testing.T, cfg Config) *tcsr.Temporal {
+	t.Helper()
+	l := randomLog(t, 31, 25, 600, 3000)
+	spec, err := events.SpanCount(l, 400, 60, 40)
+	if err != nil {
+		t.Fatalf("SpanCount: %v", err)
+	}
+	build, err := (BuildStage{}).Run(BuildInput{Log: l, Spec: spec, Cfg: cfg})
+	if err != nil {
+		t.Fatalf("BuildStage: %v", err)
+	}
+	return build.Temporal
+}
+
+// TestPlanUnitsShape checks the plan's unit layout over widths, pool
+// sizes and modes: the units tile the windows exactly once and in
+// order, no unit crosses a multi-window graph, every unit's width and
+// batch count follow from its window count, and a multi-window graph is
+// cut into several width-1 chains only in pooled window-level and
+// nested plans.
+func TestPlanUnitsShape(t *testing.T) {
+	cfg := DefaultConfig()
+	tg := planFixture(t, cfg)
+	for _, width := range []int{1, 3, 8} {
+		for _, workers := range []int{0, 1, 2} {
+			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+				label := fmt.Sprintf("width=%d workers=%d %v", width, workers, mode)
+				cfg.Mode = mode
+				cfg.Kernel = SpMM
+				cfg.VectorLen = width
+				if width == 1 {
+					cfg.Kernel = SpMV
+				}
+				plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: PlanStage: %v", label, err)
+				}
+				chained := width == 1 && workers > 1 && mode != AppLevel
+				split := false
+				next := 0
+				for i, u := range plan.Units {
+					lo, hi := u.RegionStart[0], u.RegionStart[u.K]
+					n := hi - lo
+					if first := u.MW.WinLo + lo; first != next {
+						t.Fatalf("%s: unit %d starts at window %d, want %d", label, i, first, next)
+					}
+					if lo < 0 || hi > u.MW.NumWindows() || n < 1 {
+						t.Fatalf("%s: unit %d covers offsets [%d, %d) of a %d-window graph",
+							label, i, lo, hi, u.MW.NumWindows())
+					}
+					if u.K != min(width, n) {
+						t.Fatalf("%s: unit %d has K = %d, want min(%d, %d)", label, i, u.K, width, n)
+					}
+					for r := 0; r < u.K; r++ {
+						if u.RegionStart[r+1] <= u.RegionStart[r] {
+							t.Fatalf("%s: unit %d region %d is empty: %v", label, i, r, u.RegionStart)
+						}
+					}
+					if want := (n + u.K - 1) / u.K; u.NumBatches != want {
+						t.Fatalf("%s: unit %d has %d batches, want %d", label, i, u.NumBatches, want)
+					}
+					if n < u.MW.NumWindows() {
+						if !chained {
+							t.Fatalf("%s: unit %d covers %d of its graph's %d windows", label, i, n, u.MW.NumWindows())
+						}
+						split = true
+					}
+					next = u.MW.WinLo + hi
+				}
+				if next != plan.Windows {
+					t.Fatalf("%s: units end at window %d, want %d", label, next, plan.Windows)
+				}
+				if chained && !split {
+					t.Fatalf("%s: no multi-window graph was cut into chains", label)
+				}
+			}
+		}
+	}
+}
+
+// TestPooledWindowLevelEqualsSerialSolve solves one pooled window-level
+// plan serially and on a 2-worker pool: the pool only decides which
+// worker runs which unit, and every unit runs its windows serially in
+// plan order, so every rank must match bit for bit on every run.
+func TestPooledWindowLevelEqualsSerialSolve(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, width := range []int{1, 8} {
+		cfg := DefaultConfig()
+		cfg.Mode = WindowLevel
+		cfg.VectorLen = width
+		if width == 1 {
+			cfg.Kernel = SpMV
+		}
+		tg := planFixture(t, cfg)
+		plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: pool.NumWorkers()})
+		if err != nil {
+			t.Fatalf("PlanStage: %v", err)
+		}
+		want, err := NewSolveStage(nil).Run(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("width %d: serial solve: %v", width, err)
+		}
+		for run := 0; run < 5; run++ {
+			got, err := NewSolveStage(pool).Run(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("width %d run %d: pooled solve: %v", width, run, err)
+			}
+			for w := range want.Results {
+				a, b := want.Results[w].ranks, got.Results[w].ranks
+				if len(a) != len(b) {
+					t.Fatalf("width %d run %d window %d: %d ranks, serial %d", width, run, w, len(b), len(a))
+				}
+				for v := range a {
+					if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+						t.Fatalf("width %d run %d window %d vertex %d: pooled %v != serial %v",
+							width, run, w, v, b[v], a[v])
+					}
+				}
+			}
+		}
+	}
+}

@@ -20,10 +20,10 @@ type Phase struct {
 // Eligible counts the windows that could warm-start under ideal
 // scheduling: PartialInit is on and the window's predecessor lies in
 // the same multi-window graph. Hits counts the windows that actually
-// did. Serial SpMV runs hit every eligible window; work-stealing and
-// SpMM region boundaries (a region-first window's predecessor is solved
-// in a later batch) lower the rate, which is exactly what this metric
-// makes visible.
+// did. Serial SpMV runs hit every eligible window; the plan's unit
+// boundaries lower the rate (pooled width-1 chains, and SpMM regions,
+// whose first window's predecessor is solved in a later batch), which
+// is exactly what this metric makes visible.
 type WarmStartStats struct {
 	Eligible int     `json:"eligible"`
 	Hits     int     `json:"hits"`
@@ -89,10 +89,11 @@ type RunReport struct {
 	Windows         int            `json:"windows"`
 	TotalIterations int            `json:"total_iterations"`
 	WarmStart       WarmStartStats `json:"warm_start"`
-	// MWSweeps[i] counts sweeps of multi-window graph i's shared CSR:
-	// for SpMM the per-batch iteration maxima (one sweep advances all
-	// live windows of the batch), for SpMV the summed per-window
-	// iterations (each window sweeps alone).
+	// MWSweeps[i] counts the sweeps this run made over multi-window
+	// graph i's shared CSR: Σ over its solved batches of the batch's
+	// iteration maximum (one sweep advances every live window of the
+	// batch; at width 1 a batch is one window). Windows restored from a
+	// checkpoint add nothing, here, to TotalSweeps or to RunsScanned.
 	MWSweeps    []int64 `json:"mw_sweeps"`
 	TotalSweeps int64   `json:"total_sweeps"`
 	// RunsScanned is the counted scan work: every batch adds its run

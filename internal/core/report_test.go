@@ -5,8 +5,11 @@ import (
 
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"path/filepath"
 	"testing"
 
+	"pmpr/internal/checkpoint"
 	"pmpr/internal/events"
 	"pmpr/internal/obs"
 	"pmpr/internal/sched"
@@ -304,9 +307,9 @@ func liveInRuns(mw *tcsr.MultiWindow, windows []int) int64 {
 }
 
 // TestRunsScannedMatchesBruteForce checks RunReport.RunsScanned against
-// a count over the temporal CSR's in-runs: at width 1, Σ over windows
-// of live in-runs × iterations; at width K, Σ over batches of the runs
-// live in any of the batch's windows × the batch's sweeps.
+// a count over the temporal CSR's in-runs: Σ over the plan's batches of
+// the runs live in any of the batch's windows × the batch's sweeps (at
+// width 1, a batch is one window and its sweeps are its iterations).
 func TestRunsScannedMatchesBruteForce(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -319,11 +322,6 @@ func TestRunsScannedMatchesBruteForce(t *testing.T) {
 			s, _, eng := reportFixture(t, cfg, p)
 			plan := eng.Plan()
 			var want int64
-			if plan.Width == 1 {
-				for w := 0; w < s.Len(); w++ {
-					want += liveInRuns(plan.Temporal.ForWindow(w), []int{w}) * int64(s.Window(w).Iterations)
-				}
-			}
 			for _, u := range plan.Units {
 				for j := 0; j < u.NumBatches; j++ {
 					var windows []int
@@ -343,6 +341,62 @@ func TestRunsScannedMatchesBruteForce(t *testing.T) {
 			}
 			if got := s.Report.RunsScanned; got != want {
 				t.Errorf("%v pool=%v: RunsScanned = %d, brute force %d", kernel, p != nil, got, want)
+			}
+		}
+	}
+}
+
+// TestFullyResumedRunCountsNoSweeps checks that sweep and scan counts
+// record only the work a run did: a run that restores every window
+// from a checkpoint sweeps nothing, at width 1 and at width 8, serially
+// and on a pooled window-level plan.
+func TestFullyResumedRunCountsNoSweeps(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, width := range []int{1, 8} {
+		for _, p := range []*sched.Pool{nil, pool} {
+			label := fmt.Sprintf("width=%d pool=%v", width, p != nil)
+			cfg := DefaultConfig()
+			cfg.Mode = WindowLevel
+			cfg.VectorLen = width
+			if width == 1 {
+				cfg.Kernel = SpMV
+			}
+			store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ck"))
+			if err != nil {
+				t.Fatalf("checkpoint.Open: %v", err)
+			}
+			l := randomLog(t, 31, 25, 600, 3000)
+			spec, err := events.Span(l, 400, 120)
+			if err != nil {
+				t.Fatalf("Span: %v", err)
+			}
+			for _, resume := range []bool{false, true} {
+				eng, err := NewEngine(l, spec, cfg, p)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				if _, err := eng.SetCheckpoint(store, resume); err != nil {
+					t.Fatalf("SetCheckpoint(%v): %v", resume, err)
+				}
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s resume=%v: Run: %v", label, resume, err)
+				}
+				rep := s.Report
+				if !resume {
+					if rep.TotalSweeps == 0 || rep.RunsScanned == 0 {
+						t.Fatalf("%s: checkpointed run reports %d sweeps, %d runs scanned", label, rep.TotalSweeps, rep.RunsScanned)
+					}
+					continue
+				}
+				if rep.Fault.Resumed != spec.Count {
+					t.Fatalf("%s: %d of %d windows resumed", label, rep.Fault.Resumed, spec.Count)
+				}
+				if rep.TotalSweeps != 0 || rep.RunsScanned != 0 {
+					t.Errorf("%s: fully resumed run reports TotalSweeps = %d, RunsScanned = %d, want 0 and 0",
+						label, rep.TotalSweeps, rep.RunsScanned)
+				}
 			}
 		}
 	}

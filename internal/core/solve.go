@@ -7,7 +7,6 @@ import (
 
 	"pmpr/internal/obs"
 	"pmpr/internal/sched"
-	"pmpr/internal/tcsr"
 )
 
 // SolveStage executes solve plans on a pool. It owns the scratch arena
@@ -53,8 +52,9 @@ func (st *SolveStage) ScratchStats() ScratchStats { return st.arena.stats() }
 type SolveOutput struct {
 	// Results holds one entry per global window.
 	Results []WindowResult
-	// MWSweeps[i] counts shared-CSR sweeps of multi-window graph i; for
-	// width-1 plans the publish stage recomputes it from iterations.
+	// MWSweeps[i] counts the shared-CSR sweeps this run made over
+	// multi-window graph i: Σ over its solved batches of the batch's
+	// iteration maximum. Windows restored from a checkpoint add none.
 	MWSweeps []int64
 	// Seconds is the solve wall time (phase "solve").
 	Seconds float64
@@ -78,12 +78,12 @@ type SolveOutput struct {
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
 	defer emitStage(plan.Cfg.Journal, "solve", &err)()
 	r := &solveRun{
-		plan:     plan,
-		arena:    st.arena,
-		journal:  plan.Cfg.Journal,
-		ckpt:     st.ckpt,
-		results:  make([]WindowResult, plan.Windows),
-		mwSweeps: make([]int64, len(plan.Temporal.MWs)),
+		plan:       plan,
+		arena:      st.arena,
+		journal:    plan.Cfg.Journal,
+		ckpt:       st.ckpt,
+		results:    make([]WindowResult, plan.Windows),
+		unitSweeps: make([]int64, len(plan.Units)),
 	}
 	st.cur.Store(r)
 	if plan.Cfg.Validate {
@@ -133,9 +133,16 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 	}
 	out = SolveOutput{
 		Results:     r.results,
-		MWSweeps:    r.mwSweeps,
+		MWSweeps:    make([]int64, len(plan.Temporal.MWs)),
 		Seconds:     dur.Seconds(),
 		RunsScanned: r.runsScanned.Load(),
+	}
+	mi := 0
+	for ui := range plan.Units {
+		for plan.Temporal.MWs[mi] != plan.Units[ui].MW {
+			mi++
+		}
+		out.MWSweeps[mi] += r.unitSweeps[ui]
 	}
 	if metrics {
 		d := st.pool.Stats().Delta(before)
@@ -157,16 +164,18 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 }
 
 // solveRun is the per-Run state of the solve stage: the plan being
-// executed, the result sink, and the cancellation flag the drivers
-// poll between windows, batches, and iterations.
+// executed, the result sink, and the cancellation flag the driver
+// polls between units, batches, and iterations.
 type solveRun struct {
-	plan     *SolvePlan
-	arena    *scratchArena
-	val      *runValidator // nil unless Cfg.Validate
-	journal  *obs.Journal  // nil = no event emission
-	ckpt     *ckptRun      // nil = no checkpointing
-	results  []WindowResult
-	mwSweeps []int64
+	plan    *SolvePlan
+	arena   *scratchArena
+	val     *runValidator // nil unless Cfg.Validate
+	journal *obs.Journal  // nil = no event emission
+	ckpt    *ckptRun      // nil = no checkpointing
+	results []WindowResult
+	// unitSweeps[i] counts unit i's sweeps; each unit runs on one
+	// goroutine, so its slot needs no synchronization.
+	unitSweeps []int64
 
 	canceledFlag atomic.Bool
 	completed    atomic.Int64
@@ -185,143 +194,43 @@ func (r *solveRun) windowDecided(res *WindowResult) {
 		res.Iterations, res.FinalResidual, res.Converged, res.WallSeconds)
 }
 
-// dispatch fans the plan's work units out according to the parallel
-// mode. Width-1 plans parallelize over window ranges (warm-start
-// chains form inside each range); wider plans parallelize over
-// multi-window units, whose batches are sequentially dependent through
-// partial initialization but mutually independent across units (this
-// is why Fig. 8's window-level runs improve with more multi-window
-// graphs).
+// dispatch fans the plan's units out according to the parallel mode.
+// A unit's batches are sequentially dependent through partial
+// initialization but mutually independent across units (this is why
+// Fig. 8's window-level runs improve with more multi-window graphs), so
+// the unit is the outer loop's item at every width.
 func (r *solveRun) dispatch(ctx context.Context, pool *sched.Pool) {
 	cfg := &r.plan.Cfg
 	grain := cfg.grain()
 	part := cfg.Partitioner
-	count := r.plan.Windows
-	fn := r.windowRange
+	n := len(r.plan.Units)
 	outerGrain := grain
-	if r.plan.Width > 1 {
-		count = len(r.plan.Units)
-		fn = r.unitRange
-		if cfg.Mode == Nested {
-			outerGrain = 1
-		}
+	if cfg.Mode == Nested {
+		outerGrain = 1
 	}
 	switch {
 	case pool == nil:
-		fn(0, count, -1, serialLoop)
+		r.unitRange(0, n, -1, serialLoop)
 	case cfg.Mode == AppLevel:
 		// Windows strictly in order; all parallelism inside the kernel.
 		// The outer loop runs on one pool worker (via RunCtx) so the
 		// inner loops fork from a worker context instead of paying the
 		// external-submission path per parallel region.
 		pool.RunCtx(ctx, func(w *sched.Worker) {
-			fn(0, count, -1, workerLoop(ctx, w, grain, part))
+			r.unitRange(0, n, -1, workerLoop(ctx, w, grain, part))
 		})
 	case cfg.Mode == WindowLevel:
-		pool.ParallelForCtx(ctx, count, outerGrain, part, func(w *sched.Worker, lo, hi int) {
-			fn(lo, hi, w.ID(), serialLoop)
+		pool.ParallelForCtx(ctx, n, outerGrain, part, func(w *sched.Worker, lo, hi int) {
+			r.unitRange(lo, hi, w.ID(), serialLoop)
 		})
 	default: // Nested
-		pool.ParallelForCtx(ctx, count, outerGrain, part, func(w *sched.Worker, lo, hi int) {
-			fn(lo, hi, w.ID(), workerLoop(ctx, w, grain, part))
+		pool.ParallelForCtx(ctx, n, outerGrain, part, func(w *sched.Worker, lo, hi int) {
+			r.unitRange(lo, hi, w.ID(), workerLoop(ctx, w, grain, part))
 		})
 	}
 }
 
-// windowRange processes windows [lo, hi) in order in width-1 batches,
-// chaining partial initialization inside the range: a window
-// warm-starts iff its predecessor was computed in this same range and
-// lives in the same multi-window graph — exactly the paper's "if the
-// same thread processes Gi-1 and Gi, partial initialization occurs".
-// Each window runs under the fault policy (solveBatchFT): a failed
-// window retries, degrades, or quarantines, and its successor then
-// warm-starts from whatever vector survived (a quarantined window
-// leaves nil, so the successor cold-starts from the uniform vector).
-// Windows held by a resume checkpoint are restored instead of solved.
-func (r *solveRun) windowRange(lo, hi, wid int, loop forLoop) {
-	sb, release := r.arena.acquire(wid)
-	defer release()
-	cfg := &r.plan.Cfg
-	b := Batch{
-		cfg:     cfg,
-		scratch: sb,
-		loop:    loop,
-		views:   sb.getViews(1),
-		inits:   sb.getVecs(1),
-		isLive:  sb.getBool(1),
-	}
-	liveBuf := sb.getInt(1)
-	var prev []float64
-	var prevMW *tcsr.MultiWindow
-	// stage is the (single, hoisted) re-staging closure solveBatchFT
-	// calls before every attempt; cur* carry the window being attempted.
-	var curW, curWid int
-	var curMW *tcsr.MultiWindow
-	var curInit []float64
-	stage := func() {
-		b.mw = curMW
-		b.views[0] = curMW.ViewOf(curW)
-		b.inits[0] = curInit
-		b.results[0] = WindowResult{Window: curW, Worker: curWid, mw: curMW}
-		b.live = liveBuf[:0]
-		b.isLive[0] = false
-	}
-	for w := lo; w < hi; w++ {
-		if r.canceled() {
-			break
-		}
-		mw := r.plan.Temporal.ForWindow(w)
-		if cw := r.resumedWindow(w); cw != nil {
-			res := &r.results[w]
-			restoreResult(res, cw, mw, wid)
-			r.journal.EmitCheckpointResume(w)
-			r.windowDecided(res)
-			prev, prevMW = res.ranks, mw
-			r.completed.Add(1)
-			continue
-		}
-		if cfg.PartialInit && prevMW == mw && prev != nil {
-			curInit = prev
-		} else {
-			curInit = nil
-		}
-		curW, curWid, curMW = w, wid, mw
-		b.results = r.results[w : w+1]
-		stage()
-		r.journal.EmitWindowStart(w, wid)
-		t0 := time.Now()
-		if !r.solveBatchFT(&b, stage, PointSolveWindow) {
-			recycleUndecided(sb, b.results)
-			break // canceled mid-attempt
-		}
-		res := &b.results[0]
-		res.WallSeconds = time.Since(t0).Seconds()
-		if res.Status != WindowFailed {
-			r.validateWindow(res)
-		}
-		r.windowDecided(res)
-		if cfg.DiscardRanks && prev != nil {
-			// The predecessor vector has served its warm start; recycle.
-			sb.putF64(prev)
-		}
-		prev, prevMW = res.ranks, mw
-		if cfg.DiscardRanks {
-			res.ranks = nil
-		}
-		r.checkpointWindow(res)
-		r.completed.Add(1)
-	}
-	if cfg.DiscardRanks && prev != nil {
-		sb.putF64(prev)
-	}
-	sb.putInt(liveBuf)
-	sb.putBool(b.isLive)
-	sb.putVecs(b.inits)
-	sb.putViews(b.views)
-}
-
-// unitRange processes multi-window units [lo, hi) in batches of the
-// plan's width.
+// unitRange processes units [lo, hi) in order.
 func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 	for i := lo; i < hi; i++ {
 		if r.canceled() {
@@ -331,28 +240,32 @@ func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 	}
 }
 
-// solveUnit runs one multi-window graph's batch sequence. Batch j
-// gathers the j-th window of every region (layout precomputed by the
-// plan stage), so one kernel batch advances up to K windows and every
-// batch after the first warm-starts from its region predecessors.
-// Under Cfg.DiscardRanks a batch's rank vectors are recycled as soon
-// as the next batch has consumed them — including the final batch's
-// vectors after the loop.
+// solveUnit runs one unit's batch sequence. Batch j gathers the j-th
+// window of every region (layout precomputed by the plan stage), so one
+// kernel batch advances up to K windows and every batch after the first
+// warm-starts from its region predecessors. Each batch runs under the
+// failure ladder (solveBatchFT); a quarantined window leaves a nil
+// vector, so its successor cold-starts. Batches a resume checkpoint
+// holds are restored instead of solved (restoreBatch). Under
+// Cfg.DiscardRanks a batch's rank vectors are recycled as soon as the
+// next batch has consumed them — including the final batch's vectors
+// after the loop.
 func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	u := &r.plan.Units[ui]
 	mw := u.MW
-	W := mw.NumWindows()
-	if W == 0 {
-		return
-	}
+	K := u.K
+	base := u.RegionStart[0]
 	sb, release := r.arena.acquire(wid)
 	defer release()
 	cfg := &r.plan.Cfg
-	K := u.K
+	point := PointSolveBatch
+	if r.plan.Width == 1 {
+		point = PointSolveWindow
+	}
 
-	// ranksByOffset[o] is the rank vector of window mw.WinLo+o, kept
-	// until batch o+1 has consumed it for partial initialization.
-	ranksByOffset := sb.getVecs(W)
+	// ranks[o] is the rank vector of window offset base+o, kept until
+	// batch o+1 has consumed it for partial initialization.
+	ranks := sb.getVecs(u.RegionStart[K] - base)
 	viewsBuf := sb.getViews(K)
 	initsBuf := sb.getVecs(K)
 	resultsBuf := sb.getResults(K)
@@ -362,7 +275,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 
 	// stage re-stages batch curJ from scratch; solveBatchFT calls it
 	// before every attempt, so retries see the exact inputs (including
-	// warm-start vectors from ranksByOffset) of the first attempt.
+	// warm-start vectors from ranks) of the first attempt.
 	var curJ int
 	stage := func() {
 		slots := 0
@@ -374,7 +287,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 			w := mw.WinLo + off
 			viewsBuf[slots] = mw.ViewOf(w)
 			if curJ > 0 && cfg.PartialInit {
-				initsBuf[slots] = ranksByOffset[off-1]
+				initsBuf[slots] = ranks[off-1-base]
 			} else {
 				initsBuf[slots] = nil
 			}
@@ -392,7 +305,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		if r.canceled() {
 			break
 		}
-		if r.restoreBatch(u, j, wid, ranksByOffset) {
+		if r.restoreBatch(u, j, wid, ranks) {
 			continue
 		}
 		curJ = j
@@ -403,7 +316,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 			}
 		}
 		t0 := time.Now()
-		if !r.solveBatchFT(&b, stage, PointSolveBatch) {
+		if !r.solveBatchFT(&b, stage, point) {
 			recycleUndecided(sb, b.results)
 			break // canceled mid-attempt
 		}
@@ -422,7 +335,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 				r.validateWindow(res)
 			}
 			r.windowDecided(res)
-			ranksByOffset[res.Window-mw.WinLo] = res.ranks
+			ranks[res.Window-mw.WinLo-base] = res.ranks
 			if cfg.DiscardRanks {
 				res.ranks = nil
 			}
@@ -430,25 +343,25 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 			r.checkpointWindow(&r.results[res.Window])
 			r.completed.Add(1)
 		}
-		r.mwSweeps[ui] += sweeps
+		r.unitSweeps[ui] += sweeps
 		if cfg.DiscardRanks && j > 0 {
 			// Batch j-1's vectors have been consumed; recycle them.
 			for reg := 0; reg < K; reg++ {
 				if off := u.RegionStart[reg] + j - 1; off < u.RegionStart[reg+1] {
-					sb.putF64(ranksByOffset[off])
-					ranksByOffset[off] = nil
+					sb.putF64(ranks[off-base])
+					ranks[off-base] = nil
 				}
 			}
 		}
 	}
 	if cfg.DiscardRanks {
 		// The final batch's vectors have no consumer; recycle whatever
-		// is still staged so a multi-window graph does not hold K rank
-		// vectors past its solve.
-		for off := range ranksByOffset {
-			if ranksByOffset[off] != nil {
-				sb.putF64(ranksByOffset[off])
-				ranksByOffset[off] = nil
+		// is still staged so a unit does not hold K rank vectors past
+		// its solve.
+		for o := range ranks {
+			if ranks[o] != nil {
+				sb.putF64(ranks[o])
+				ranks[o] = nil
 			}
 		}
 	}
@@ -457,7 +370,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	sb.putResults(resultsBuf)
 	sb.putVecs(initsBuf)
 	sb.putViews(viewsBuf)
-	sb.putVecs(ranksByOffset)
+	sb.putVecs(ranks)
 }
 
 // runBatch is the convergence loop of every batch, at every width and

@@ -444,6 +444,15 @@ func (w *Worker) helpUntil(j *job) {
 	}
 }
 
+// InitialSpan is the span length above which the Auto partitioner
+// splits a loop of n iterations on a pool of workers workers whether or
+// not a worker is idle: a quarter of each worker's even share, but
+// never below grain. Planners that cut a loop into fixed chunks ahead
+// of time use it to match the chunks Auto would start from.
+func InitialSpan(n, workers, grain int) int {
+	return max(grain, n/(4*workers))
+}
+
 // newJob prepares a (possibly recycled) job descriptor. The returned
 // job has no completion channel; external submitters attach one before
 // seeding.
@@ -451,10 +460,7 @@ func (p *Pool) newJob(ctx context.Context, n, grain int, part Partitioner, body 
 	if grain < 1 {
 		grain = 1
 	}
-	initial := n / (4 * len(p.workers))
-	if initial < grain {
-		initial = grain
-	}
+	initial := InitialSpan(n, len(p.workers), grain)
 	j, _ := p.jobPool.Get().(*job)
 	if j == nil {
 		j = &job{}

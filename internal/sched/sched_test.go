@@ -457,3 +457,20 @@ func TestNestedParallelForDoesNotAllocate(t *testing.T) {
 		})
 	})
 }
+
+// TestInitialSpan pins the Auto partitioner's always-split threshold:
+// a quarter of each worker's even share of n, never below the grain.
+func TestInitialSpan(t *testing.T) {
+	for _, c := range []struct{ n, workers, grain, want int }{
+		{2600, 2, 2, 325},
+		{633, 2, 2, 79},
+		{40, 2, 2, 5},
+		{10, 2, 2, 2},
+		{10, 4, 1, 1},
+		{0, 1, 1, 1},
+	} {
+		if got := InitialSpan(c.n, c.workers, c.grain); got != c.want {
+			t.Errorf("InitialSpan(%d, %d, %d) = %d, want %d", c.n, c.workers, c.grain, got, c.want)
+		}
+	}
+}
