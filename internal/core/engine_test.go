@@ -4,6 +4,7 @@ import (
 	"context"
 
 	"bytes"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -250,6 +251,132 @@ func TestSpMMEqualsSpMVExactlySerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// sameWindows fails t unless a and b solved every window to the same
+// bits: ranks, iterations, final residual and active count.
+func sameWindows(t *testing.T, label string, numVertices int32, a, b *Series) {
+	t.Helper()
+	for w := 0; w < a.Len(); w++ {
+		ra, rb := a.Window(w), b.Window(w)
+		if ra.Iterations != rb.Iterations || math.Float64bits(ra.FinalResidual) != math.Float64bits(rb.FinalResidual) ||
+			ra.ActiveVertices != rb.ActiveVertices {
+			t.Fatalf("%s window %d: (%d it, residual %v, %d active) vs (%d it, residual %v, %d active)",
+				label, w, ra.Iterations, ra.FinalResidual, ra.ActiveVertices, rb.Iterations, rb.FinalResidual, rb.ActiveVertices)
+		}
+		da, db := ra.Dense(numVertices), rb.Dense(numVertices)
+		for v := range da {
+			if math.Float64bits(da[v]) != math.Float64bits(db[v]) {
+				t.Fatalf("%s window %d vertex %d: %v vs %v", label, w, v, da[v], db[v])
+			}
+		}
+	}
+}
+
+// TestMaskDegreesEqualOutRunWalk pins the kernel's two degree paths to
+// each other. Solved undirected, a symmetrized log's graph shares one
+// CSR for both directions, and Init takes each slot's out-degrees from
+// the run index's masks; solved as directed, the same log gets its own
+// out-CSR, whose runs Init walks against the views. Serially, at every
+// width and with partial init on and off, the two must give
+// bit-identical windows, and both must match the dense oracle.
+func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
+	l := randomLog(t, 52, 30, 700, 4000).Symmetrize()
+	spec, _ := events.Span(l, 600, 150)
+	mk := func(directed bool, width int, partial bool) *Series {
+		cfg := DefaultConfig()
+		cfg.Directed = directed
+		cfg.PartialInit = partial
+		cfg.NumMultiWindows = 2
+		cfg.VectorLen = width
+		eng, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		for _, mw := range eng.Temporal().MWs {
+			if mw.OutColAliased() == directed {
+				t.Fatalf("directed=%v: multi-window %d..%d has OutColAliased %v", directed, mw.WinLo, mw.WinHi, !directed)
+			}
+		}
+		s, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		return s
+	}
+	for _, width := range []int{1, 3, 8, 64} {
+		for _, partial := range []bool{false, true} {
+			label := fmt.Sprintf("width=%d partial=%v", width, partial)
+			masks, walk := mk(false, width, partial), mk(true, width, partial)
+			sameWindows(t, label+" masks vs walk", l.NumVertices(), masks, walk)
+			checkAgainstOracle(t, l, spec, masks, label+" masks")
+			checkAgainstOracle(t, l, spec, walk, label+" walk")
+		}
+	}
+}
+
+// TestSpMMSlotConvergesFirst solves one width-8 batch in which slot 0
+// holds a two-vertex graph that is converged from its uniform start,
+// with one vertex active in no other slot, while the other slots hold
+// random graphs that take many sweeps. The passes keep sweeping the
+// listed vertices for the live slots after slot 0 retires, so the
+// batch must still match the width-1 solve bit for bit, and the
+// oracle.
+func TestSpMMSlotConvergesFirst(t *testing.T) {
+	const n = 30
+	rng := rand.New(rand.NewSource(53))
+	evs := []events.Event{ev(0, 1, 5), ev(1, 0, 5)}
+	for w := int64(1); w < 8; w++ {
+		for i := 0; i < 60; i++ {
+			u := int32(rng.Intn(n))
+			if u == 1 {
+				u = 0
+			}
+			v := int32(2 + rng.Intn(n-2))
+			evs = append(evs, ev(u, v, w*100+int64(i)))
+		}
+	}
+	spec := events.WindowSpec{T0: 0, Delta: 99, Slide: 100, Count: 8}
+	for _, directed := range []bool{false, true} {
+		l, err := events.NewLog(evs, n)
+		if err != nil {
+			t.Fatalf("NewLog: %v", err)
+		}
+		if !directed {
+			l = l.Symmetrize()
+		}
+		mk := func(width int) *Series {
+			cfg := DefaultConfig()
+			cfg.Directed = directed
+			cfg.PartialInit = false
+			cfg.NumMultiWindows = 1
+			cfg.VectorLen = width
+			eng, err := NewEngine(l, spec, cfg, nil)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			s, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			return s
+		}
+		label := fmt.Sprintf("directed=%v", directed)
+		batch := mk(8)
+		first, rest := batch.Window(0).Iterations, 0
+		for w := 1; w < spec.Count; w++ {
+			rest = max(rest, batch.Window(w).Iterations)
+			if r := batch.Window(w).Dense(n); r[1] != 0 {
+				t.Fatalf("%s: vertex 1 ranked %v in window %d, want it active in window 0 only", label, r[1], w)
+			}
+		}
+		if !batch.Window(0).Converged || first >= rest {
+			t.Fatalf("%s: slot 0 ran %d sweeps (converged %v), the others up to %d; want it to retire first",
+				label, first, batch.Window(0).Converged, rest)
+		}
+		sameWindows(t, label+" width 8 vs 1", n, batch, mk(1))
+		checkAgainstOracle(t, l, spec, batch, label)
 	}
 }
 

@@ -160,10 +160,8 @@ func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 			views:   b.views[s : s+1],
 			inits:   b.inits[s : s+1],
 			results: b.results[s : s+1],
-			isLive:  b.isLive[s : s+1],
 			live:    live[:0],
 		}
-		db.isLive[0] = false
 		res := &b.results[s]
 		serr := r.attempt(&db, PointSolveDegrade)
 		if db.truncated {

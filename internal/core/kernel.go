@@ -27,11 +27,10 @@ type Batch struct {
 	scratch *scratchBuf // the lease: goroutine-confined free lists
 	loop    forLoop     // serial or worker-forked vertex loop
 
-	// live / isLive are maintained by runBatch: Init marks slots live,
-	// the driver retires them as they converge. Kernel passes read both
-	// (hoisted at leaf start) to skip finished windows mid-sweep.
-	live   []int
-	isLive []bool
+	// live is maintained by runBatch: Init marks slots live, and runBatch
+	// retires them as they converge. Iterate turns it into the slot mask
+	// the passes read to skip finished windows mid-sweep.
+	live []int
 
 	// truncated is set by runBatch when the convergence loop broke on
 	// cancellation: the staged results may be mid-iteration, so the
@@ -52,5 +51,4 @@ func (b *Batch) width() int { return len(b.views) }
 // every slot with at least one active vertex.
 func (b *Batch) markLive(slot int) {
 	b.live = append(b.live, slot)
-	b.isLive[slot] = true
 }

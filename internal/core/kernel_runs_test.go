@@ -140,13 +140,15 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 	}
 }
 
-// checkRunIndex fails t unless ix indexes mw's in-runs against views,
-// and returns how many runs it kept and dropped.
+// checkRunIndex fails t unless ix indexes mw's in-runs against views
+// and counts the runs it kept and walked, and returns how many runs it
+// kept and dropped.
 func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, views []tcsr.SolveView, ix runIndex) (kept, dropped int) {
 	t.Helper()
 	n := int(mw.NumLocal())
-	if len(ix.row) != n+1 || ix.row[0] != 0 {
-		t.Fatalf("%s: row has length %d and starts at %d, want %d and 0", label, len(ix.row), ix.row[0], n+1)
+	if len(ix.row) != n+1 || ix.row[0] != 0 || len(ix.end) != n {
+		t.Fatalf("%s: row has length %d and starts at %d, end has length %d, want %d, 0 and %d",
+			label, len(ix.row), ix.row[0], len(ix.end), n+1, n)
 	}
 	for v := 0; v < n; v++ {
 		r := ix.row[v]
@@ -163,7 +165,7 @@ func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, views []tcs
 				}
 			}
 			if want != 0 {
-				if r >= ix.row[v+1] {
+				if r >= ix.end[v] {
 					t.Fatalf("%s: vertex %d: run from %d (mask %#x) missing from the index", label, v, mw.InCol[i], want)
 				}
 				if ix.col[r] != mw.InCol[i] || ix.mask[r] != want {
@@ -176,9 +178,13 @@ func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, views []tcs
 			}
 			i = j
 		}
-		if r != ix.row[v+1] {
-			t.Fatalf("%s: vertex %d has %d indexed runs, want %d", label, v, ix.row[v+1]-ix.row[v], r-ix.row[v])
+		if r != ix.end[v] {
+			t.Fatalf("%s: vertex %d has %d indexed runs, want %d", label, v, ix.end[v]-ix.row[v], r-ix.row[v])
 		}
+		kept += int(r - ix.row[v])
 	}
-	return int(ix.row[n]), dropped
+	if ix.kept != int64(kept) || ix.visited != int64(kept+dropped) {
+		t.Fatalf("%s: index counts %d kept and %d visited runs, want %d and %d", label, ix.kept, ix.visited, kept, kept+dropped)
+	}
+	return kept, dropped
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/bits"
+	"sync/atomic"
 
 	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
@@ -19,10 +20,15 @@ import (
 // Edge liveness is resolved once per batch into a run index (see
 // runIndex): a sweep walks only the runs live in some slot and adds a
 // run's contribution to the slots set in its mask, reading no
-// timestamps. Working memory is drawn from the batch's scratch lease
-// and returned in Finalize; only the K per-window rank vectors stay
-// checked out (the driver recycles them once consumed). Cross-leaf
-// reductions use lane-indexed K-wide slots — lane l owns
+// timestamps. Vertex activity is compacted the same way: list holds the
+// vertices active in some slot, and amask[i] the slots list[i] is
+// active in. Both passes walk only list, and only its active slots, so
+// a sweep costs what the batch's windows see, not what the multi-window
+// graph holds. Entries of x, y and z outside the active pairs start at
+// zero and stay zero. Working memory is drawn from the batch's scratch
+// lease and returned in Finalize; only the K per-window rank vectors
+// stay checked out (solveUnit recycles them once consumed).
+// Cross-leaf reductions use lane-indexed K-wide slots — lane l owns
 // [l*K, (l+1)*K) — summed serially between passes, so the leaves of
 // the steady-state iteration loop neither allocate nor touch atomics.
 //
@@ -30,9 +36,11 @@ import (
 // it, so the bound passes track them for free.
 type spmmKernel struct {
 	invdeg       []float64
-	active       []bool
+	list         []int32  // vertices active in some slot, ascending
+	amask        []uint64 // amask[i]: the slots list[i] is active in
 	na           []int32
 	runs         runIndex
+	runsVisited  int64  // stored runs Init walked
 	liveMask     uint64 // bit k set iff slot k is live this sweep
 	x, y, z      []float64
 	laneDangling []float64
@@ -41,10 +49,10 @@ type spmmKernel struct {
 	pass1, pass2 sched.Body
 }
 
-// Init stages the interleaved window states and starting vectors (Eq. 4
+// Init builds the batch's run index, derives per-slot degrees and the
+// active list from it, stages the interleaved starting vectors (Eq. 4
 // per slot where a predecessor vector is supplied, uniform otherwise),
-// builds the batch's run index, binds the two sweep passes, and marks
-// non-empty slots live.
+// binds the two sweep passes, and marks non-empty slots live.
 func (s *spmmKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
@@ -54,69 +62,85 @@ func (s *spmmKernel) Init(b *Batch) {
 	lanes := sb.lanes()
 	views := b.views
 
-	// Per-window inverse out-degrees, interleaved. First accumulate
-	// counts, then invert in place.
-	invdeg := sb.getF64(n * K)
-	loop(n, func(_ *sched.Worker, lo, hi int) {
-		for u := lo; u < hi; u++ {
-			start, end := mw.OutRow[u], mw.OutRow[u+1]
-			i := start
-			for i < end {
-				j := i + 1
-				c := mw.OutCol[i]
-				for j < end && mw.OutCol[j] == c {
-					j++
-				}
-				times := mw.OutTime[i:j]
-				for k := 0; k < K; k++ {
-					if tcsr.RunActive(times, views[k].Ts, views[k].Te) {
-						invdeg[u*K+k]++
-					}
-				}
-				i = j
-			}
-			for k := 0; k < K; k++ {
-				if d := invdeg[u*K+k]; d > 0 {
-					invdeg[u*K+k] = 1 / d
-				}
-			}
-		}
-	})
-	s.invdeg = invdeg
-
 	runs := buildRunIndex(mw, views, loop, sb)
 	s.runs = runs
-	runRow, runCol, runMask := runs.row, runs.col, runs.mask
+	runRow, runEnd, runCol, runMask := runs.row, runs.end, runs.col, runs.mask
 
-	// Activity flags and |V_i| per window; counts reduce via lanes. A
-	// directed graph's vertex with only in-edges is active in the slots
-	// its live in-runs cover.
-	active := sb.getBool(n * K)
-	laneCnt := sb.getI32(lanes * K)
-	directed := b.cfg.Directed
-	loop(n, func(wk *sched.Worker, lo, hi int) {
-		cnt := laneCnt[laneOf(wk)*K:][:K]
-		for v := lo; v < hi; v++ {
+	// Per-slot inverse out-degrees, interleaved, and each vertex's
+	// activity mask: the slots where it has a live in- or out-run. A
+	// symmetrized graph's out-runs are its in-runs, so a vertex's
+	// degree in slot k is the number of its indexed runs with bit k set;
+	// only a directed graph walks its out-runs against the views. Counts
+	// accumulate first, then invert in place.
+	invdeg := sb.getF64(n * K)
+	amask := sb.getU64(n)
+	aliased := mw.OutColAliased()
+	var walked atomic.Int64 // out-runs, added once per leaf
+	loop(n, func(_ *sched.Worker, lo, hi int) {
+		var leafWalked int64
+		for u := lo; u < hi; u++ {
+			du := invdeg[u*K:][:K]
 			var in uint64
-			if directed {
-				for r := runRow[v]; r < runRow[v+1]; r++ {
-					in |= runMask[r]
+			for r := runRow[u]; r < runEnd[u]; r++ {
+				in |= runMask[r]
+				if aliased {
+					for m := runMask[r]; m != 0; m &= m - 1 {
+						du[bits.TrailingZeros64(m)]++
+					}
 				}
 			}
-			for k := 0; k < K; k++ {
-				if invdeg[v*K+k] > 0 || in&(1<<k) != 0 {
-					active[v*K+k] = true
-					cnt[k]++
+			out := in
+			if !aliased {
+				out = 0
+				i, end := mw.OutRow[u], mw.OutRow[u+1]
+				for i < end {
+					j := i + 1
+					c := mw.OutCol[i]
+					for j < end && mw.OutCol[j] == c {
+						j++
+					}
+					times := mw.OutTime[i:j]
+					for k := range du {
+						if tcsr.RunActive(times, views[k].Ts, views[k].Te) {
+							du[k]++
+							out |= 1 << k
+						}
+					}
+					leafWalked++
+					i = j
 				}
 			}
+			for k, d := range du {
+				if d > 0 {
+					du[k] = 1 / d
+				}
+			}
+			amask[u] = in | out
 		}
+		walked.Add(leafWalked)
 	})
-	s.active = active
+	s.invdeg = invdeg
+	s.runsVisited = runs.visited + walked.Load()
+
+	// Compact the activity into the list the passes walk, counting |V_i|
+	// per slot on the way. The i-th listed vertex is at least vertex i,
+	// so amask compacts in place.
+	list := sb.getI32(n)
 	na := sb.getI32(K)
-	for k := 0; k < K; k++ {
-		for l := 0; l < lanes; l++ {
-			na[k] += laneCnt[l*K+k]
+	listed := 0
+	for v, m := range amask {
+		if m == 0 {
+			continue
 		}
+		list[listed], amask[listed] = int32(v), m
+		listed++
+		for ; m != 0; m &= m - 1 {
+			na[bits.TrailingZeros64(m)]++
+		}
+	}
+	list, amask = list[:listed], amask[:listed]
+	s.list, s.amask = list, amask
+	for k := 0; k < K; k++ {
 		b.results[k].ActiveVertices = na[k]
 		if na[k] > 0 {
 			b.markLive(k)
@@ -124,7 +148,6 @@ func (s *spmmKernel) Init(b *Batch) {
 			b.results[k].Converged = true
 		}
 	}
-	sb.putI32(laneCnt)
 	s.na = na
 
 	// Initialization: Eq. 4 per window slot where a predecessor vector
@@ -136,13 +159,15 @@ func (s *spmmKernel) Init(b *Batch) {
 	inits := b.inits
 	laneSharedN := sb.getI64(lanes * K)
 	laneSharedSum := sb.getF64(lanes * K)
-	loop(n, func(wk *sched.Worker, lo, hi int) {
+	loop(listed, func(wk *sched.Worker, lo, hi int) {
 		lane := laneOf(wk)
 		cnt := laneSharedN[lane*K:][:K]
 		sum := laneSharedSum[lane*K:][:K]
-		for v := lo; v < hi; v++ {
-			for k := 0; k < K; k++ {
-				if p := inits[k]; p != nil && active[v*K+k] && p[v] > 0 {
+		for i := lo; i < hi; i++ {
+			v := list[i]
+			for m := amask[i]; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m)
+				if p := inits[k]; p != nil && p[v] > 0 {
 					cnt[k]++
 					sum[k] += p[v]
 				}
@@ -171,15 +196,14 @@ func (s *spmmKernel) Init(b *Batch) {
 	}
 	sb.putI64(laneSharedN)
 	sb.putF64(laneSharedSum)
-	loop(n, func(_ *sched.Worker, lo, hi int) {
-		for v := lo; v < hi; v++ {
-			for k := 0; k < K; k++ {
-				switch {
-				case !active[v*K+k]:
-					x[v*K+k] = 0
-				case partial[k] && inits[k][v] > 0:
+	loop(listed, func(_ *sched.Worker, lo, hi int) {
+		for i := lo; i < hi; i++ {
+			v := int(list[i])
+			for m := amask[i]; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m)
+				if partial[k] && inits[k][v] > 0 {
 					x[v*K+k] = inits[k][v] * scale[k]
-				default:
+				} else {
 					x[v*K+k] = uniform[k]
 				}
 			}
@@ -199,19 +223,20 @@ func (s *spmmKernel) Init(b *Batch) {
 		s.bindWidth1(damp)
 		return
 	}
-	isLive := b.isLive
 
-	// Pass 1 (by source): scaled contributions + dangling mass.
+	// Pass 1 (by source): scaled contributions + dangling mass, over the
+	// live slots each listed vertex is active in.
 	s.pass1 = func(wk *sched.Worker, lo, hi int) {
 		xv := s.x
-		live := b.live
+		liveMask := s.liveMask
 		d := laneDangling[laneOf(wk)*K:][:K]
-		for u := lo; u < hi; u++ {
-			xu, zu := xv[u*K:][:K], z[u*K:][:K]
-			du, au := invdeg[u*K:][:K], active[u*K:][:K]
-			for _, k := range live {
+		for i := lo; i < hi; i++ {
+			u := int(list[i])
+			xu, zu, du := xv[u*K:][:K], z[u*K:][:K], invdeg[u*K:][:K]
+			for m := amask[i] & liveMask; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m) & (maxSlots - 1)
 				zu[k] = xu[k] * du[k]
-				if au[k] && du[k] == 0 {
+				if du[k] == 0 {
 					d[k] += xu[k]
 				}
 			}
@@ -219,34 +244,34 @@ func (s *spmmKernel) Init(b *Batch) {
 	}
 	// Pass 2 (by target): one walk of the run index advances all live
 	// windows. acc lives on the leaf's stack and is zero at the start of
-	// every vertex: the slot loop clears each entry after reading it.
+	// every vertex: a live run reaches only slots its target is active
+	// in, and the slot loop clears each live entry after reading it.
 	s.pass2 = func(wk *sched.Worker, lo, hi int) {
 		xv, yv := s.x, s.y
 		liveMask := s.liveMask
 		dl := laneDelta[laneOf(wk)*K:][:K]
 		var acc [maxSlots]float64
-		for v := lo; v < hi; v++ {
-			for r := runRow[v]; r < runRow[v+1]; r++ {
+		for i := lo; i < hi; i++ {
+			v := int(list[i])
+			for r := runRow[v]; r < runEnd[v]; r++ {
 				zc := z[int(runCol[r])*K:][:K]
 				for m := runMask[r] & liveMask; m != 0; m &= m - 1 {
 					k := bits.TrailingZeros64(m) & (maxSlots - 1)
 					acc[k] += zc[k]
 				}
 			}
-			xr, yr, ar := xv[v*K:][:K], yv[v*K:][:K], active[v*K:][:K]
-			for k := range yr {
-				switch {
-				case !isLive[k]:
+			xr, yr := xv[v*K:][:K], yv[v*K:][:K]
+			for m := amask[i]; m != 0; m &= m - 1 {
+				k := bits.TrailingZeros64(m) & (maxSlots - 1)
+				if liveMask&(1<<k) == 0 {
 					// Keep converged windows' entries current so the
 					// array swap does not resurrect stale iterates.
 					yr[k] = xr[k]
-				case !ar[k]:
-					yr[k] = 0
-				default:
-					nv := baseK[k] + damp*acc[k]
-					dl[k] += math.Abs(nv - xr[k])
-					yr[k] = nv
+					continue
 				}
+				nv := baseK[k] + damp*acc[k]
+				dl[k] += math.Abs(nv - xr[k])
+				yr[k] = nv
 				acc[k] = 0
 			}
 		}
@@ -254,28 +279,29 @@ func (s *spmmKernel) Init(b *Batch) {
 }
 
 // bindWidth1 binds the passes of a width-1 batch — the SpMV case. Every
-// indexed run is live in the one slot and a converged slot ends the
-// batch, so the passes read no slot masks and loop over no slots. The
-// lane sums run in a register from the lane's current value, which is
-// the same sequence of additions the K-slot passes make in memory: a
-// batch's bits do not depend on which passes its width selects.
+// listed vertex and indexed run is live in the one slot and a converged
+// slot ends the batch, so the passes read no slot masks and loop over
+// no slots. The lane sums run in a register from the lane's current
+// value, which is the same sequence of additions the K-slot passes make
+// in memory: a batch's bits do not depend on which passes its width
+// selects.
 //
 // It must not be inlined: the passes' copies inside Init (a big
 // function) lose inlining of math.Abs and run about 1.3× slower.
 //
 //go:noinline
 func (s *spmmKernel) bindWidth1(damp float64) {
-	invdeg, active := s.invdeg, s.active
-	runRow, runCol, z := s.runs.row, s.runs.col, s.z
+	invdeg, list := s.invdeg, s.list
+	runRow, runEnd, runCol, z := s.runs.row, s.runs.end, s.runs.col, s.z
 	laneDangling, laneDelta := s.laneDangling, s.laneDelta
 	// Pass 1 (by source): scale ranks by inverse out-degree and collect
 	// dangling mass.
 	s.pass1 = func(wk *sched.Worker, lo, hi int) {
 		x := s.x
 		d := laneDangling[laneOf(wk)]
-		for u := lo; u < hi; u++ {
+		for _, u := range list[lo:hi] {
 			z[u] = x[u] * invdeg[u]
-			if active[u] && invdeg[u] == 0 {
+			if invdeg[u] == 0 {
 				d += x[u]
 			}
 		}
@@ -286,13 +312,9 @@ func (s *spmmKernel) bindWidth1(damp float64) {
 		x, y := s.x, s.y
 		base := s.baseK[0]
 		delta := laneDelta[laneOf(wk)]
-		for v := lo; v < hi; v++ {
-			if !active[v] {
-				y[v] = 0
-				continue
-			}
+		for _, v := range list[lo:hi] {
 			var acc float64
-			for _, c := range runCol[runRow[v]:runRow[v+1]] {
+			for _, c := range runCol[runRow[v]:runEnd[v]] {
 				acc += z[c]
 			}
 			nv := base + damp*acc
@@ -307,7 +329,6 @@ func (s *spmmKernel) bindWidth1(damp float64) {
 // the per-slot dangling reductions, pass 2, and the vector swap.
 func (s *spmmKernel) Iterate(b *Batch) {
 	K := b.width()
-	n := int(b.mw.NumLocal())
 	lanes := b.scratch.lanes()
 	alpha := b.cfg.Opts.Alpha
 	clear(s.laneDangling)
@@ -316,7 +337,7 @@ func (s *spmmKernel) Iterate(b *Batch) {
 	for _, k := range b.live {
 		s.liveMask |= 1 << k
 	}
-	b.loop(n, s.pass1)
+	b.loop(len(s.list), s.pass1)
 	for _, k := range b.live {
 		var d float64
 		for l := 0; l < lanes; l++ {
@@ -325,7 +346,7 @@ func (s *spmmKernel) Iterate(b *Batch) {
 		invNA := 1 / float64(s.na[k])
 		s.baseK[k] = alpha*invNA + (1-alpha)*d*invNA
 	}
-	b.loop(n, s.pass2)
+	b.loop(len(s.list), s.pass2)
 	s.x, s.y = s.y, s.x
 }
 
@@ -352,8 +373,8 @@ func (s *spmmKernel) Finalize(b *Batch) {
 	} else {
 		for k := 0; k < K; k++ {
 			ranks := sb.getF64(n)
-			for v := 0; v < n; v++ {
-				ranks[v] = s.x[v*K+k]
+			for _, v := range s.list {
+				ranks[v] = s.x[int(v)*K+k]
 			}
 			b.results[k].ranks = ranks
 		}
@@ -362,7 +383,8 @@ func (s *spmmKernel) Finalize(b *Batch) {
 	sb.putF64(s.y)
 	sb.putF64(s.z)
 	sb.putF64(s.invdeg)
-	sb.putBool(s.active)
+	sb.putI32(s.list)
+	sb.putU64(s.amask)
 	s.runs.release(sb)
 	sb.putI32(s.na)
 	sb.putF64(s.laneDangling)

@@ -245,13 +245,15 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	results := in.Solve.Results
 	mwSweeps := in.Solve.MWSweeps
 	rep := &RunReport{
-		Build:       obs.CollectBuildInfo(),
-		Config:      plan.Cfg.Info(),
-		Workers:     plan.Workers,
-		Windows:     len(results),
-		MWSweeps:    mwSweeps,
-		RunsScanned: in.Solve.RunsScanned,
-		WallSeconds: in.Solve.Seconds,
+		Build:           obs.CollectBuildInfo(),
+		Config:          plan.Cfg.Info(),
+		Workers:         plan.Workers,
+		Windows:         len(results),
+		MWSweeps:        mwSweeps,
+		RunsScanned:     in.Solve.RunsScanned,
+		InitRunsVisited: in.Solve.InitRunsVisited,
+		PairsSwept:      in.Solve.PairsSwept,
+		WallSeconds:     in.Solve.Seconds,
 	}
 	rep.SetPhase("tcsr_build", in.BuildSeconds)
 	rep.SetPhase("plan", plan.Seconds)

@@ -100,8 +100,16 @@ type RunReport struct {
 	// index size (in-runs live in at least one of its windows) times
 	// the sweeps it ran. At width 1 that is each window's live in-runs
 	// × its iterations.
-	RunsScanned int64         `json:"runs_scanned"`
-	Residuals   ResidualStats `json:"residuals"`
+	RunsScanned int64 `json:"runs_scanned"`
+	// InitRunsVisited is the stored runs every batch's Init walked: the
+	// multi-window graph's in-runs, once, to build the run index, plus
+	// its out-runs for a directed graph's degrees.
+	InitRunsVisited int64 `json:"init_runs_visited"`
+	// PairsSwept is the per-vertex work of the sweeps: Σ over sweeps of
+	// the live active (vertex, slot) pairs, which is Σ over windows of
+	// active vertices × iterations.
+	PairsSwept int64         `json:"pairs_swept"`
+	Residuals  ResidualStats `json:"residuals"`
 
 	// WindowWallSeconds[w] is window w's solve wall time; for the SpMM
 	// kernel every window of a batch reports the batch's wall time.

@@ -346,6 +346,105 @@ func TestRunsScannedMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// storedRuns counts the runs of one temporal CSR side: per vertex, the
+// maximal stretches of equal neighbors.
+func storedRuns(row []int64, col []int32) int64 {
+	var n int64
+	for v := 0; v+1 < len(row); v++ {
+		for i := row[v]; i < row[v+1]; i++ {
+			if i == row[v] || col[i] != col[i-1] {
+				n++
+			}
+		}
+	}
+	return n
+}
+
+// activeInWindow counts mw's vertices with an in- or out-run live in
+// window w, walking the temporal CSR directly.
+func activeInWindow(mw *tcsr.MultiWindow, w int) int64 {
+	ts, te := mw.Window(w)
+	live := func(row []int64, col []int32, times []int64, v int) bool {
+		i, end := row[v], row[v+1]
+		for i < end {
+			j := i + 1
+			for j < end && col[j] == col[i] {
+				j++
+			}
+			if tcsr.RunActive(times[i:j], ts, te) {
+				return true
+			}
+			i = j
+		}
+		return false
+	}
+	var n int64
+	for v := 0; v < int(mw.NumLocal()); v++ {
+		if live(mw.InRow, mw.InCol, mw.InTime, v) || live(mw.OutRow, mw.OutCol, mw.OutTime, v) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestInitAndPairCountsMatchBruteForce checks RunReport.InitRunsVisited
+// and RunReport.PairsSwept against counts over the temporal CSR. Every
+// batch's Init walks its multi-window graph's stored in-runs once, plus
+// its out-runs when the graph is directed; the sweeps advance each
+// window's active vertices once per iteration the window is live.
+func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, directed := range []bool{false, true} {
+		l := randomLog(t, 31, 25, 600, 3000)
+		if !directed {
+			l = l.Symmetrize()
+		}
+		spec, err := events.Span(l, 400, 120)
+		if err != nil {
+			t.Fatalf("Span: %v", err)
+		}
+		for _, kernel := range []KernelID{SpMV, SpMM} {
+			for _, p := range []*sched.Pool{nil, pool} {
+				label := fmt.Sprintf("directed=%v %v pool=%v", directed, kernel, p != nil)
+				cfg := DefaultConfig()
+				cfg.Kernel = kernel
+				cfg.Directed = directed
+				cfg.VectorLen = 3
+				cfg.NumMultiWindows = 2
+				eng, err := NewEngine(l, spec, cfg, p)
+				if err != nil {
+					t.Fatalf("%s: NewEngine: %v", label, err)
+				}
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s: Run: %v", label, err)
+				}
+				var wantRuns, wantPairs int64
+				for _, u := range eng.Plan().Units {
+					perInit := storedRuns(u.MW.InRow, u.MW.InCol)
+					if directed {
+						perInit += storedRuns(u.MW.OutRow, u.MW.OutCol)
+					}
+					wantRuns += perInit * int64(u.NumBatches)
+				}
+				for w := 0; w < spec.Count; w++ {
+					wantPairs += activeInWindow(eng.Temporal().ForWindow(w), w) * int64(s.Window(w).Iterations)
+				}
+				if wantRuns == 0 || wantPairs == 0 {
+					t.Fatalf("%s: fixture walks %d runs and sweeps %d pairs", label, wantRuns, wantPairs)
+				}
+				if got := s.Report.InitRunsVisited; got != wantRuns {
+					t.Errorf("%s: InitRunsVisited = %d, brute force %d", label, got, wantRuns)
+				}
+				if got := s.Report.PairsSwept; got != wantPairs {
+					t.Errorf("%s: PairsSwept = %d, brute force %d", label, got, wantPairs)
+				}
+			}
+		}
+	}
+}
+
 // TestFullyResumedRunCountsNoSweeps checks that sweep and scan counts
 // record only the work a run did: a run that restores every window
 // from a checkpoint sweeps nothing, at width 1 and at width 8, serially

@@ -65,6 +65,11 @@ type SolveOutput struct {
 	// RunsScanned is the counted scan work: Σ over batches of the run
 	// index size × the sweeps the batch ran.
 	RunsScanned int64
+	// InitRunsVisited is Σ over batch Inits of the stored runs walked.
+	InitRunsVisited int64
+	// PairsSwept is Σ over sweeps of the live active (vertex, slot)
+	// pairs.
+	PairsSwept int64
 }
 
 // Run executes the plan. On cancellation it returns a *CanceledError
@@ -132,10 +137,12 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 		}
 	}
 	out = SolveOutput{
-		Results:     r.results,
-		MWSweeps:    make([]int64, len(plan.Temporal.MWs)),
-		Seconds:     dur.Seconds(),
-		RunsScanned: r.runsScanned.Load(),
+		Results:         r.results,
+		MWSweeps:        make([]int64, len(plan.Temporal.MWs)),
+		Seconds:         dur.Seconds(),
+		RunsScanned:     r.runsScanned.Load(),
+		InitRunsVisited: r.initRunsVisited.Load(),
+		PairsSwept:      r.pairsSwept.Load(),
 	}
 	mi := 0
 	for ui := range plan.Units {
@@ -177,9 +184,11 @@ type solveRun struct {
 	// goroutine, so its slot needs no synchronization.
 	unitSweeps []int64
 
-	canceledFlag atomic.Bool
-	completed    atomic.Int64
-	runsScanned  atomic.Int64 // Σ run-index size × sweeps over batches
+	canceledFlag    atomic.Bool
+	completed       atomic.Int64
+	runsScanned     atomic.Int64 // Σ run-index size × sweeps over batches
+	initRunsVisited atomic.Int64 // Σ stored runs walked by batch Inits
+	pairsSwept      atomic.Int64 // Σ live active (vertex, slot) pairs over sweeps
 }
 
 func (r *solveRun) canceled() bool { return r.canceledFlag.Load() }
@@ -270,7 +279,6 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	initsBuf := sb.getVecs(K)
 	resultsBuf := sb.getResults(K)
 	liveBuf := sb.getInt(K)
-	isLiveBuf := sb.getBool(K)
 	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw}
 
 	// stage re-stages batch curJ from scratch; solveBatchFT calls it
@@ -292,13 +300,11 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 				initsBuf[slots] = nil
 			}
 			resultsBuf[slots] = WindowResult{Window: w, Worker: wid, mw: mw}
-			isLiveBuf[slots] = false
 			slots++
 		}
 		b.views = viewsBuf[:slots]
 		b.inits = initsBuf[:slots]
 		b.results = resultsBuf[:slots]
-		b.isLive = isLiveBuf[:slots]
 		b.live = liveBuf[:0]
 	}
 	for j := 0; j < u.NumBatches; j++ {
@@ -365,7 +371,6 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 			}
 		}
 	}
-	sb.putBool(isLiveBuf)
 	sb.putInt(liveBuf)
 	sb.putResults(resultsBuf)
 	sb.putVecs(initsBuf)
@@ -378,7 +383,9 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 // iteration advances the live set and retires slots whose residual
 // drops below the tolerance, and Finalize always runs — cancellation
 // included — so the scratch lease is returned on every exit path. The
-// batch's scan work (indexed runs × sweeps) is counted with one add.
+// batch's scan work (indexed runs × sweeps), the runs its Init walked
+// and the active pairs its sweeps advanced are counted with one add
+// each.
 func (r *solveRun) runBatch(b *Batch) {
 	b.truncated = false
 	if r.canceled() {
@@ -391,7 +398,7 @@ func (r *solveRun) runBatch(b *Batch) {
 	kern := &b.kern
 	kern.Init(b)
 	opt := b.cfg.Opts
-	var sweeps int64
+	var sweeps, pairs int64
 	for it := 0; it < opt.MaxIter && len(b.live) > 0; it++ {
 		if r.canceled() {
 			b.truncated = true
@@ -399,6 +406,7 @@ func (r *solveRun) runBatch(b *Batch) {
 		}
 		for _, s := range b.live {
 			b.results[s].Iterations = it + 1
+			pairs += int64(b.results[s].ActiveVertices)
 		}
 		kern.Iterate(b)
 		sweeps++
@@ -408,14 +416,15 @@ func (r *solveRun) runBatch(b *Batch) {
 			b.results[s].FinalResidual = res
 			if res < opt.Tol {
 				b.results[s].Converged = true
-				b.isLive[s] = false
 			} else {
 				next = append(next, s)
 			}
 		}
 		b.live = next
 	}
-	r.runsScanned.Add(kern.runs.size() * sweeps)
+	r.runsScanned.Add(kern.runs.kept * sweeps)
+	r.initRunsVisited.Add(kern.runsVisited)
+	r.pairsSwept.Add(pairs)
 	kern.Finalize(b)
 }
 
