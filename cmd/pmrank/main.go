@@ -6,7 +6,7 @@
 // Usage:
 //
 //	pmrank -in events.ev -delta-days 90 -slide 86400 \
-//	       [-kernel spmm|spmv] [-mode nested|app|window] [-mw 6] [-grain 2] \
+//	       [-kernel spmv|spmm] [-mode nested|app|window] [-mw 6] [-grain 2] \
 //	       [-partitioner auto|simple|static] [-no-partial] [-directed] \
 //	       [-top 5] [-every 10] [-workers 0] [-out ranks.pmrs]
 //	       [-model postmortem|offline|streaming|components|kcore]

@@ -277,20 +277,17 @@ func barebonePostmortem() core.Config {
 	return cfg
 }
 
-// suggestedConfig follows the paper's parameter guidance (Sec. 6.3.6):
-// SpMM, auto partitioner with grain under 4, nested parallelism unless
-// the workload is dominated by a couple of windows. The number of
+// suggestedConfig is core.DefaultConfig with the number of multi-window
+// graphs fitted to spec. The default follows the paper's parameter
+// guidance (Sec. 6.3.6: auto partitioner with grain under 4, nested
+// parallelism) except for the kernel: width 1, because width 8 loses
+// to width 1 at every measured layout (EXPERIMENTS.md). The number of
 // multi-window graphs is chosen so each one spans about two window
 // lengths of time — "large enough" per Fig. 8 (a window's sweep then
 // touches at most ~2x its own events) without wasting memory on
 // replication.
 func suggestedConfig(spec events.WindowSpec) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Kernel = core.SpMM
-	cfg.Partitioner = sched.Auto
-	cfg.Grain = 2
-	cfg.Mode = core.Nested
-	cfg.VectorLen = 16
 	numMW := int(int64(spec.Count) * spec.Slide / (spec.Delta + 1))
 	if numMW < 6 {
 		numMW = 6

@@ -443,6 +443,7 @@ func expAblationVecLen(ctx context.Context, o Options) error {
 	for _, vl := range lens {
 		for _, partial := range []bool{true, false} {
 			cfg := suggestedConfig(spec)
+			cfg.Kernel = core.SpMM
 			cfg.VectorLen = vl
 			cfg.PartialInit = partial
 			secs, s, err := runPostmortem(ctx, l, spec, cfg, pool)

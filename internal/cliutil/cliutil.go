@@ -18,7 +18,7 @@ import (
 )
 
 // EngineFlags carries the values of the shared engine flag set after
-// parsing. Field defaults mirror core.DefaultConfig.
+// parsing. Field defaults come from core.DefaultConfig.
 type EngineFlags struct {
 	// Kernel is the kernel name: spmm or spmv.
 	Kernel string
@@ -42,19 +42,20 @@ type EngineFlags struct {
 }
 
 // RegisterEngineFlags registers the shared engine flag set on fs with
-// the canonical names and defaults (-kernel, -mode, -partitioner, -mw,
-// -veclen, -grain, -no-partial, -directed, -workers) and returns the
-// struct the parsed values land in.
+// the canonical names (-kernel, -mode, -partitioner, -mw, -veclen,
+// -grain, -no-partial, -directed, -workers) and core.DefaultConfig's
+// values as defaults, and returns the struct the parsed values land in.
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
+	def := core.DefaultConfig()
 	ef := &EngineFlags{}
-	fs.StringVar(&ef.Kernel, "kernel", "spmm", "kernel: spmm or spmv")
-	fs.StringVar(&ef.Mode, "mode", "nested", "parallelism: nested, app or window")
-	fs.StringVar(&ef.Partitioner, "partitioner", "auto", "partitioner: auto, simple or static")
-	fs.IntVar(&ef.MW, "mw", 6, "number of multi-window graphs")
-	fs.IntVar(&ef.VecLen, "veclen", 8, "SpMM vector length: windows advanced per sweep, 1..64")
-	fs.IntVar(&ef.Grain, "grain", 2, "scheduler grain size")
-	fs.BoolVar(&ef.NoPartial, "no-partial", false, "disable partial initialization")
-	fs.BoolVar(&ef.Directed, "directed", false, "treat events as directed (default: symmetrize)")
+	fs.StringVar(&ef.Kernel, "kernel", def.Kernel.String(), "kernel: spmm or spmv")
+	fs.StringVar(&ef.Mode, "mode", def.Mode.String(), "parallelism: nested, app or window")
+	fs.StringVar(&ef.Partitioner, "partitioner", def.Partitioner.String(), "partitioner: auto, simple or static")
+	fs.IntVar(&ef.MW, "mw", def.NumMultiWindows, "number of multi-window graphs")
+	fs.IntVar(&ef.VecLen, "veclen", def.VectorLen, "SpMM vector length: windows advanced per sweep, 1..64")
+	fs.IntVar(&ef.Grain, "grain", def.Grain, "scheduler grain size")
+	fs.BoolVar(&ef.NoPartial, "no-partial", !def.PartialInit, "disable partial initialization")
+	fs.BoolVar(&ef.Directed, "directed", def.Directed, "treat events as directed (default: symmetrize)")
 	fs.IntVar(&ef.Workers, "workers", 0, "pool size (0 = GOMAXPROCS)")
 	return ef
 }

@@ -63,6 +63,37 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	}
 }
 
+// TestKernelFlagRoundTrips checks that every kernel and partitioner
+// renders (String) to a flag value its parser maps back to the same id,
+// so a default rendered from core.DefaultConfig parses whichever id it
+// names, and that -kernel spmm, no longer the default, reaches the
+// config. (The default mode, nested, is covered by
+// TestEngineFlagDefaultsMatchConfig.)
+func TestKernelFlagRoundTrips(t *testing.T) {
+	for _, k := range []core.KernelID{core.SpMV, core.SpMM} {
+		if got, err := ParseKernel(k.String()); err != nil || got != k {
+			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, p := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
+		if got, err := ParsePartitioner(p.String()); err != nil || got != p {
+			t.Errorf("ParsePartitioner(%q) = %v, %v; want %v", p.String(), got, err, p)
+		}
+	}
+	fs := flag.NewFlagSet("t", flag.ContinueOnError)
+	ef := RegisterEngineFlags(fs)
+	if err := fs.Parse([]string{"-kernel", "spmm"}); err != nil {
+		t.Fatal(err)
+	}
+	cfg := core.DefaultConfig()
+	if err := ef.ApplyTo(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Kernel != core.SpMM {
+		t.Fatalf("-kernel spmm applied as %v", cfg.Kernel)
+	}
+}
+
 // TestParsersRejectUnknown checks that an unknown enum flag value is
 // an error naming the valid values, never a silent fallback to the
 // default — including the removed spmv-blocked kernel — and that

@@ -29,8 +29,10 @@ const (
 	// WindowLevel parallelizes across time windows; each window's
 	// kernel runs serially.
 	WindowLevel
-	// Nested combines both: windows in parallel, and each kernel's
-	// vertex loops forked on the same pool.
+	// Nested runs windows in parallel and forks each kernel's vertex
+	// loops on the same pool when the plan's units cannot fill it
+	// (SolvePlan.ForkVertexLoops); with enough units it solves exactly
+	// as WindowLevel does.
 	Nested
 )
 
@@ -123,15 +125,19 @@ type Config struct {
 	Journal *obs.Journal
 }
 
-// DefaultConfig returns the paper's suggested parameters (Sec. 6.3.6):
-// SpMM kernel, auto partitioner with a small grain, nested parallelism,
-// partial initialization on, 6 multi-window graphs.
+// DefaultConfig returns the default parameters: the paper's suggested
+// auto partitioner with a small grain, nested parallelism, partial
+// initialization and 6 multi-window graphs (Sec. 6.3.6), but the SpMV
+// kernel (width 1) instead of the paper's SpMM: width 8 loses to width
+// 1 at every measured layout (EXPERIMENTS.md), and a pooled nested
+// width-1 plan runs warm-start chains that fill the pool without
+// forking the vertex loops. VectorLen is the width -kernel spmm uses.
 func DefaultConfig() Config {
 	return Config{
 		Opts:            pagerank.Defaults(),
 		NumMultiWindows: 6,
 		Mode:            Nested,
-		Kernel:          SpMM,
+		Kernel:          SpMV,
 		VectorLen:       8,
 		PartialInit:     true,
 		Partitioner:     sched.Auto,

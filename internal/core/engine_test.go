@@ -286,6 +286,7 @@ func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 	spec, _ := events.Span(l, 600, 150)
 	mk := func(directed bool, width int, partial bool) *Series {
 		cfg := DefaultConfig()
+		cfg.Kernel = SpMM
 		cfg.Directed = directed
 		cfg.PartialInit = partial
 		cfg.NumMultiWindows = 2
@@ -348,6 +349,7 @@ func TestSpMMSlotConvergesFirst(t *testing.T) {
 		}
 		mk := func(width int) *Series {
 			cfg := DefaultConfig()
+			cfg.Kernel = SpMM
 			cfg.Directed = directed
 			cfg.PartialInit = false
 			cfg.NumMultiWindows = 1

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"context"
 
 	"fmt"
@@ -179,7 +180,11 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 // engine. The difference is what the 100 extra steady-state iterations
 // allocated, and it must be zero in every cell. The degrade column arms
 // persistent faults on both solve points, so every batch solves on the
-// serial width-1 rung.
+// serial width-1 rung. The 2-worker nested plans have at least 2 units
+// and so do not fork their vertex loops; the nested-forked row plans
+// one multi-window, whose single unit cannot fill the pool, so its
+// healthy cells fork (width 1 has no such row: a pooled width-1 plan
+// always cuts the multi-window into enough chains).
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -196,14 +201,19 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		name string
 		mode ParallelMode
 		pool *sched.Pool
+		mws  int // multi-windows; 0 = 2
 	}{
-		{"serial", AppLevel, nil},
-		{"app", AppLevel, pool},
-		{"window", WindowLevel, pool},
-		{"nested", Nested, pool},
+		{"serial", AppLevel, nil, 0},
+		{"app", AppLevel, pool, 0},
+		{"window", WindowLevel, pool, 0},
+		{"nested", Nested, pool, 0},
+		{"nested-forked", Nested, pool, 1},
 	}
 	for _, width := range []int{1, 3, 8, 64} {
 		for _, p := range pools {
+			if p.mws == 1 && width == 1 {
+				continue
+			}
 			for _, degrade := range []bool{false, true} {
 				for _, journal := range []bool{false, true} {
 					label := fmt.Sprintf("K=%d/%s/degrade=%v/journal=%v", width, p.name, degrade, journal)
@@ -216,11 +226,17 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 						}
 						cfg := equivCfg(SpMM, p.mode, true)
 						cfg.VectorLen = width
-						cfg.NumMultiWindows = 2
+						cfg.NumMultiWindows = cmp.Or(p.mws, 2)
 						cfg.DiscardRanks = true
 						cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
 						if journal {
 							cfg.Journal = obs.NewJournal(256)
+						}
+						if p.mws == 1 {
+							eng, err := NewEngine(l, spec, cfg, p.pool)
+							if err != nil || !eng.Plan().ForkVertexLoops {
+								t.Fatalf("nested-forked plan does not fork (NewEngine err %v)", err)
+							}
 						}
 						short := steadyStateAllocs(t, l, spec, cfg, 1, p.pool, degrade)
 						long := steadyStateAllocs(t, l, spec, cfg, 101, p.pool, degrade)

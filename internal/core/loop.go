@@ -7,8 +7,8 @@ import (
 )
 
 // forLoop abstracts "run body over [0, n)" so each kernel is written
-// once and executed serially (window-level mode), or forked on the pool
-// from the calling worker (app-level and nested modes). The body is a
+// once and executed serially, or forked on the pool from the calling
+// worker when the plan forks vertex loops (SolvePlan.ForkVertexLoops). The body is a
 // sched.Body so loop implementations hand it to the scheduler without
 // wrapping it in a fresh closure — kernels bind their bodies once per
 // solve and the steady-state iteration loop stays allocation-free. A

@@ -99,9 +99,9 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 }
 
 // PlanStage resolves a configuration against a built representation:
-// it decides the batch width (Config.batchWidth) and lays the windows
-// out as solve units, so the solve stage's hot path does no layout
-// arithmetic.
+// it decides the batch width (Config.batchWidth), lays the windows out
+// as solve units and decides whether the units' vertex loops fork on
+// the pool, so the solve stage's hot path does no layout arithmetic.
 type PlanStage struct{}
 
 // PlanInput is what the plan stage consumes.
@@ -153,6 +153,14 @@ type SolvePlan struct {
 	Windows int
 	// Workers is the pool size the plan assumed (0 = serial).
 	Workers int
+	// ForkVertexLoops reports whether the solve forks each unit's
+	// vertex loops on the pool. App-level plans always do: the kernel is
+	// their only parallelism. Window-level plans never do. Nested plans
+	// do only when the units cannot give every worker one
+	// (len(Units) < Workers); otherwise outer parallelism already keeps
+	// the pool busy, and a nested plan solves exactly as the
+	// window-level plan of the same layout. Serial plans never fork.
+	ForkVertexLoops bool
 	// Seconds is the planning wall time (reported as phase "plan").
 	Seconds float64
 }
@@ -191,6 +199,12 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 		for lo := 0; lo < W; lo += span {
 			p.Units = append(p.Units, planUnit(mw, lo, min(lo+span, W), width))
 		}
+	}
+	switch cfg.Mode {
+	case AppLevel:
+		p.ForkVertexLoops = in.Workers > 0
+	case Nested:
+		p.ForkVertexLoops = len(p.Units) < in.Workers
 	}
 	p.Seconds = time.Since(start).Seconds()
 	return p, nil
@@ -247,6 +261,8 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	rep := &RunReport{
 		Build:           obs.CollectBuildInfo(),
 		Config:          plan.Cfg.Info(),
+		Units:           len(plan.Units),
+		ForkVertexLoops: plan.ForkVertexLoops,
 		Workers:         plan.Workers,
 		Windows:         len(results),
 		MWSweeps:        mwSweeps,

@@ -93,43 +93,97 @@ func TestPlanUnitsShape(t *testing.T) {
 	}
 }
 
+// TestPlanForksOnlyWhenUnitsCannotFillPool pins the plan's fork
+// decision: app-level plans always fork the vertex loops on a pool,
+// window-level plans never do, nested plans fork iff the units cannot
+// give every worker one, and no serial plan forks.
+func TestPlanForksOnlyWhenUnitsCannotFillPool(t *testing.T) {
+	cfg := DefaultConfig()
+	tg := planFixture(t, cfg)
+	nestedForks := map[bool]int{}
+	for _, width := range []int{1, 8} {
+		for _, workers := range []int{0, 2, 16} {
+			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+				label := fmt.Sprintf("width=%d workers=%d %v", width, workers, mode)
+				cfg.Mode = mode
+				cfg.Kernel = SpMM
+				cfg.VectorLen = width
+				if width == 1 {
+					cfg.Kernel = SpMV
+				}
+				plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
+				if err != nil {
+					t.Fatalf("%s: PlanStage: %v", label, err)
+				}
+				var want bool
+				switch {
+				case workers == 0:
+					want = false
+				case mode == AppLevel:
+					want = true
+				case mode == Nested:
+					want = len(plan.Units) < workers
+					nestedForks[want]++
+				}
+				if plan.ForkVertexLoops != want {
+					t.Errorf("%s: %d units, ForkVertexLoops = %v, want %v",
+						label, len(plan.Units), plan.ForkVertexLoops, want)
+				}
+			}
+		}
+	}
+	if nestedForks[true] == 0 || nestedForks[false] == 0 {
+		t.Fatalf("nested plans forked %d times and did not fork %d times; the fixture must show both",
+			nestedForks[true], nestedForks[false])
+	}
+}
+
 // TestPooledWindowLevelEqualsSerialSolve solves one pooled window-level
-// plan serially and on a 2-worker pool: the pool only decides which
-// worker runs which unit, and every unit runs its windows serially in
-// plan order, so every rank must match bit for bit on every run.
+// plan, and one nested plan whose units fill the pool, serially and on
+// a 2-worker pool: neither plan forks its vertex loops, so the pool only
+// decides which worker runs which unit, and every unit runs its windows
+// serially in plan order, so every rank must match bit for bit on every
+// run.
 func TestPooledWindowLevelEqualsSerialSolve(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	for _, width := range []int{1, 8} {
-		cfg := DefaultConfig()
-		cfg.Mode = WindowLevel
-		cfg.VectorLen = width
-		if width == 1 {
-			cfg.Kernel = SpMV
-		}
-		tg := planFixture(t, cfg)
-		plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: pool.NumWorkers()})
-		if err != nil {
-			t.Fatalf("PlanStage: %v", err)
-		}
-		want, err := NewSolveStage(nil).Run(context.Background(), plan)
-		if err != nil {
-			t.Fatalf("width %d: serial solve: %v", width, err)
-		}
-		for run := 0; run < 5; run++ {
-			got, err := NewSolveStage(pool).Run(context.Background(), plan)
-			if err != nil {
-				t.Fatalf("width %d run %d: pooled solve: %v", width, run, err)
+		for _, mode := range []ParallelMode{WindowLevel, Nested} {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			cfg.Kernel = SpMM
+			cfg.VectorLen = width
+			if width == 1 {
+				cfg.Kernel = SpMV
 			}
-			for w := range want.Results {
-				a, b := want.Results[w].ranks, got.Results[w].ranks
-				if len(a) != len(b) {
-					t.Fatalf("width %d run %d window %d: %d ranks, serial %d", width, run, w, len(b), len(a))
+			label := fmt.Sprintf("width %d %v", width, mode)
+			tg := planFixture(t, cfg)
+			plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: pool.NumWorkers()})
+			if err != nil {
+				t.Fatalf("PlanStage: %v", err)
+			}
+			if plan.ForkVertexLoops {
+				t.Fatalf("%s: plan with %d units forks on a %d-worker pool", label, len(plan.Units), pool.NumWorkers())
+			}
+			want, err := NewSolveStage(nil).Run(context.Background(), plan)
+			if err != nil {
+				t.Fatalf("%s: serial solve: %v", label, err)
+			}
+			for run := 0; run < 5; run++ {
+				got, err := NewSolveStage(pool).Run(context.Background(), plan)
+				if err != nil {
+					t.Fatalf("%s run %d: pooled solve: %v", label, run, err)
 				}
-				for v := range a {
-					if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-						t.Fatalf("width %d run %d window %d vertex %d: pooled %v != serial %v",
-							width, run, w, v, b[v], a[v])
+				for w := range want.Results {
+					a, b := want.Results[w].ranks, got.Results[w].ranks
+					if len(a) != len(b) {
+						t.Fatalf("%s run %d window %d: %d ranks, serial %d", label, run, w, len(b), len(a))
+					}
+					for v := range a {
+						if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+							t.Fatalf("%s run %d window %d vertex %d: pooled %v != serial %v",
+								label, run, w, v, b[v], a[v])
+						}
 					}
 				}
 			}

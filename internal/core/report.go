@@ -82,6 +82,11 @@ type FaultReport struct {
 type RunReport struct {
 	Build  obs.BuildInfo `json:"build"`
 	Config ConfigInfo    `json:"config"`
+	// Units is the plan's unit count (SolvePlan.Units), and
+	// ForkVertexLoops its decision to fork the units' vertex loops on
+	// the pool: a nested run forks only when Units < Workers.
+	Units           int  `json:"units"`
+	ForkVertexLoops bool `json:"fork_vertex_loops"`
 	// Workers is the pool size (0 = fully serial run).
 	Workers int     `json:"workers"`
 	Phases  []Phase `json:"phases"`

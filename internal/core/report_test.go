@@ -187,6 +187,65 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRunReportRecordsForkDecision checks that the report carries the
+// plan's unit count and fork decision, in Go and in its JSON, and that
+// the solve honors the decision: the pool runs more leaf tasks than the
+// plan has units iff the plan forks the vertex loops (each unforked
+// unit runs inside one leaf of the outer loop).
+func TestRunReportRecordsForkDecision(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	pool.EnableMetrics(true)
+	cases := []struct {
+		mode  ParallelMode
+		pool  *sched.Pool
+		mws   int
+		units int
+		fork  bool
+	}{
+		{AppLevel, nil, 1, 1, false},
+		{Nested, nil, 1, 1, false},
+		{AppLevel, pool, 1, 1, true},
+		{WindowLevel, pool, 1, 1, false},
+		{Nested, pool, 1, 1, true},  // one unit cannot fill two workers
+		{Nested, pool, 3, 3, false}, // three units can
+	}
+	for _, tc := range cases {
+		label := fmt.Sprintf("%v pooled=%v mws=%d", tc.mode, tc.pool != nil, tc.mws)
+		cfg := DefaultConfig()
+		cfg.Kernel = SpMM
+		cfg.Mode = tc.mode
+		cfg.NumMultiWindows = tc.mws
+		cfg.Directed = true
+		s, _, eng := reportFixture(t, cfg, tc.pool)
+		rep := s.Report
+		if rep.Units != tc.units || len(eng.Plan().Units) != tc.units {
+			t.Fatalf("%s: report has %d units, plan %d; want %d", label, rep.Units, len(eng.Plan().Units), tc.units)
+		}
+		if rep.ForkVertexLoops != tc.fork || eng.Plan().ForkVertexLoops != tc.fork {
+			t.Fatalf("%s: report ForkVertexLoops = %v, plan %v, want %v",
+				label, rep.ForkVertexLoops, eng.Plan().ForkVertexLoops, tc.fork)
+		}
+		if rep.Sched != nil {
+			if forked := rep.Sched.TotalTasks > int64(tc.units); forked != tc.fork {
+				t.Fatalf("%s: pool ran %d leaf tasks for %d units, want forked = %v",
+					label, rep.Sched.TotalTasks, tc.units, tc.fork)
+			}
+		}
+		var buf bytes.Buffer
+		if err := rep.WriteJSON(&buf); err != nil {
+			t.Fatalf("%s: WriteJSON: %v", label, err)
+		}
+		var back map[string]any
+		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+			t.Fatalf("%s: report JSON: %v", label, err)
+		}
+		if back["units"] != float64(tc.units) || back["fork_vertex_loops"] != tc.fork {
+			t.Fatalf("%s: JSON units = %v, fork_vertex_loops = %v", label, back["units"], back["fork_vertex_loops"])
+		}
+	}
+}
+
 // TestEngineTraceRecordsWindowSpans checks the Chrome trace the
 // journal derives: one window span per window on a pool worker's tid
 // for both kernels (SpMM windows share their batch's wall time), and
@@ -457,6 +516,7 @@ func TestFullyResumedRunCountsNoSweeps(t *testing.T) {
 			label := fmt.Sprintf("width=%d pool=%v", width, p != nil)
 			cfg := DefaultConfig()
 			cfg.Mode = WindowLevel
+			cfg.Kernel = SpMM
 			cfg.VectorLen = width
 			if width == 1 {
 				cfg.Kernel = SpMV

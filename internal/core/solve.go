@@ -203,40 +203,46 @@ func (r *solveRun) windowDecided(res *WindowResult) {
 		res.Iterations, res.FinalResidual, res.Converged, res.WallSeconds)
 }
 
-// dispatch fans the plan's units out according to the parallel mode.
-// A unit's batches are sequentially dependent through partial
-// initialization but mutually independent across units (this is why
-// Fig. 8's window-level runs improve with more multi-window graphs), so
-// the unit is the outer loop's item at every width.
+// dispatch fans the plan's units out on the pool. A unit's batches are
+// sequentially dependent through partial initialization but mutually
+// independent across units (this is why Fig. 8's window-level runs
+// improve with more multi-window graphs), so the unit is the outer
+// loop's item at every width. App-level runs the units in order on one
+// worker; the other modes spread them over the pool. Whether a unit's
+// vertex loops fork is the plan's decision (SolvePlan.ForkVertexLoops),
+// not the mode's.
 func (r *solveRun) dispatch(ctx context.Context, pool *sched.Pool) {
 	cfg := &r.plan.Cfg
+	n := len(r.plan.Units)
+	if pool == nil {
+		r.unitRange(0, n, -1, serialLoop)
+		return
+	}
 	grain := cfg.grain()
 	part := cfg.Partitioner
-	n := len(r.plan.Units)
-	outerGrain := grain
-	if cfg.Mode == Nested {
-		outerGrain = 1
+	loopOn := func(w *sched.Worker) forLoop {
+		if r.plan.ForkVertexLoops {
+			return workerLoop(ctx, w, grain, part)
+		}
+		return serialLoop
 	}
-	switch {
-	case pool == nil:
-		r.unitRange(0, n, -1, serialLoop)
-	case cfg.Mode == AppLevel:
+	if cfg.Mode == AppLevel {
 		// Windows strictly in order; all parallelism inside the kernel.
 		// The outer loop runs on one pool worker (via RunCtx) so the
 		// inner loops fork from a worker context instead of paying the
 		// external-submission path per parallel region.
 		pool.RunCtx(ctx, func(w *sched.Worker) {
-			r.unitRange(0, n, -1, workerLoop(ctx, w, grain, part))
+			r.unitRange(0, n, -1, loopOn(w))
 		})
-	case cfg.Mode == WindowLevel:
-		pool.ParallelForCtx(ctx, n, outerGrain, part, func(w *sched.Worker, lo, hi int) {
-			r.unitRange(lo, hi, w.ID(), serialLoop)
-		})
-	default: // Nested
-		pool.ParallelForCtx(ctx, n, outerGrain, part, func(w *sched.Worker, lo, hi int) {
-			r.unitRange(lo, hi, w.ID(), workerLoop(ctx, w, grain, part))
-		})
+		return
 	}
+	outerGrain := grain
+	if cfg.Mode == Nested {
+		outerGrain = 1
+	}
+	pool.ParallelForCtx(ctx, n, outerGrain, part, func(w *sched.Worker, lo, hi int) {
+		r.unitRange(lo, hi, w.ID(), loopOn(w))
+	})
 }
 
 // unitRange processes units [lo, hi) in order.
