@@ -64,20 +64,19 @@ func benchService(b *testing.B) (*Service, *RankStore) {
 }
 
 // BenchmarkTopKCold measures the uncached query path: extract the
-// precomputed top-k slice and render the JSON response. This is what
-// every cache miss pays.
+// precomputed top-k slice and render the JSON response with the
+// production encoder. This is what every cache miss pays.
 func BenchmarkTopKCold(b *testing.B) {
 	_, st := benchService(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ranks, err := st.TopK(i%st.NumWindows(), 100)
+		w := i % st.NumWindows()
+		ranks, err := st.TopK(w, 100)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := marshalBody(topkResponse{Window: i % st.NumWindows(), K: 100, Ranks: ranks}); err != nil {
-			b.Fatal(err)
-		}
+		benchSink = encodeTopK(w, st.spec.Start(w), st.spec.End(w), 100, ranks)
 	}
 }
 
@@ -95,7 +94,7 @@ func BenchmarkTopKHit(b *testing.B) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(topkResponse{Window: 3, K: 100, Ranks: ranks})
+		return encodeTopK(3, st.spec.Start(3), st.spec.End(3), 100, ranks), nil
 	}
 	if _, _, err := svc.answer(ctx, key, compute); err != nil {
 		b.Fatal(err)
@@ -110,7 +109,8 @@ func BenchmarkTopKHit(b *testing.B) {
 }
 
 // BenchmarkMoversCold measures the heaviest computed query: the linear
-// merge of two sparse windows plus the sort by |delta|.
+// merge of two sparse windows into a bounded heap of the best k by
+// |delta|, and the rendering of the response.
 func BenchmarkMoversCold(b *testing.B) {
 	_, st := benchService(b)
 	b.ReportAllocs()
@@ -121,11 +121,29 @@ func BenchmarkMoversCold(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := marshalBody(moversResponse{From: from, To: from + 1, K: 50, Movers: movers}); err != nil {
-			b.Fatal(err)
-		}
+		benchSink = encodeMovers(from, from+1, 50, movers)
 	}
 }
+
+// BenchmarkTrajectoryCold measures an uncached trajectory: one binary
+// search per window inside the vertex's span, and the rendering of
+// every window's rank.
+func BenchmarkTrajectoryCold(b *testing.B) {
+	_, st := benchService(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		v := int32(i) % st.NumVertices()
+		ranks, err := st.Trajectory(v)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = encodeTrajectory(v, st.spec, ranks)
+	}
+}
+
+// benchSink keeps the benchmarked bodies from being optimized away.
+var benchSink []byte
 
 // TestCachedQuerySpeedup encodes the serving-layer acceptance bar: a
 // cached query must be at least 10x faster than the cold compute path.
@@ -147,7 +165,7 @@ func TestCachedQuerySpeedup(t *testing.T) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(topkResponse{Window: 3, K: 100, Ranks: ranks})
+		return encodeTopK(3, st.spec.Start(3), st.spec.End(3), 100, ranks), nil
 	}
 	cold := testing.Benchmark(func(b *testing.B) {
 		for i := 0; i < b.N; i++ {

@@ -36,7 +36,9 @@ type PanicError struct {
 }
 
 // Error renders the contained panic.
-func (e *PanicError) Error() string { return fmt.Sprintf("serve: recovered panic in %s: %v", e.Op, e.Value) }
+func (e *PanicError) Error() string {
+	return fmt.Sprintf("serve: recovered panic in %s: %v", e.Op, e.Value)
+}
 
 // GuardConfig tunes the serving-path robustness layer. The zero value
 // disables every mechanism (no deadline, no admission control, no rate

@@ -5,10 +5,13 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 
+	"pmpr/internal/events"
 	"pmpr/internal/fault"
 )
 
@@ -337,15 +340,6 @@ func canonicalKey(gen uint64, endpoint string, params ...int) string {
 	return string(b)
 }
 
-// topkResponse is the /v1/topk JSON document.
-type topkResponse struct {
-	Window int      `json:"window"`
-	Start  int64    `json:"start"`
-	End    int64    `json:"end"`
-	K      int      `json:"k"`
-	Ranks  []Ranked `json:"ranks"`
-}
-
 func (s *Service) handleTopK(w http.ResponseWriter, r *http.Request) {
 	st, ok := s.loadStore(w)
 	if !ok {
@@ -371,23 +365,8 @@ func (s *Service) handleTopK(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(topkResponse{
-			Window: win, Start: st.spec.Start(win), End: st.spec.End(win),
-			K: k, Ranks: ranks,
-		})
+		return encodeTopK(win, st.spec.Start(win), st.spec.End(win), k, ranks), nil
 	})
-}
-
-// trajectoryResponse is the /v1/vertex/{id}/trajectory JSON document:
-// the vertex's rank in every window, with the spec fields needed to
-// map indices back to time.
-type trajectoryResponse struct {
-	Vertex  int32     `json:"vertex"`
-	Windows int       `json:"windows"`
-	T0      int64     `json:"t0"`
-	Delta   int64     `json:"delta"`
-	Slide   int64     `json:"slide"`
-	Ranks   []float64 `json:"ranks"`
 }
 
 func (s *Service) handleTrajectory(w http.ResponseWriter, r *http.Request) {
@@ -411,20 +390,8 @@ func (s *Service) handleTrajectory(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		spec := st.Spec()
-		return marshalBody(trajectoryResponse{
-			Vertex: v, Windows: spec.Count, T0: spec.T0, Delta: spec.Delta, Slide: spec.Slide,
-			Ranks: ranks,
-		})
+		return encodeTrajectory(v, st.Spec(), ranks), nil
 	})
-}
-
-// moversResponse is the /v1/movers JSON document.
-type moversResponse struct {
-	From   int     `json:"from"`
-	To     int     `json:"to"`
-	K      int     `json:"k"`
-	Movers []Mover `json:"movers"`
 }
 
 func (s *Service) handleMovers(w http.ResponseWriter, r *http.Request) {
@@ -461,7 +428,7 @@ func (s *Service) handleMovers(w http.ResponseWriter, r *http.Request) {
 		if err != nil {
 			return nil, err
 		}
-		return marshalBody(moversResponse{From: from, To: to, K: k, Movers: movers})
+		return encodeMovers(from, to, k, movers), nil
 	})
 }
 
@@ -515,12 +482,145 @@ func (s *Service) handleWindows(w http.ResponseWriter, r *http.Request) {
 }
 
 // marshalBody renders a response document as newline-terminated JSON.
+// Only /v1/windows uses it; the cached query documents are appended by
+// the encoders below.
 func marshalBody(v any) ([]byte, error) {
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// The /v1/topk, /v1/vertex/{id}/trajectory and /v1/movers documents
+// are appended field by field with strconv, in encoding/json's layout
+// (struct field order, no spaces, a trailing newline), so their bytes
+// equal marshalBody's for the same answer.
+
+// bodyPool holds the scratch buffers the query encoders append into.
+var bodyPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// scratch takes a pooled buffer for one document; finish returns it.
+func scratch() (*[]byte, []byte) {
+	bp := bodyPool.Get().(*[]byte)
+	return bp, (*bp)[:0]
+}
+
+// finish terminates the document b with a newline, returns the scratch
+// buffer to the pool and hands back an exact-length copy. The cache
+// keeps that copy, so no entry pins a scratch buffer's spare capacity.
+func finish(bp *[]byte, b []byte) []byte {
+	b = append(b, '\n')
+	out := make([]byte, len(b))
+	copy(out, b)
+	*bp = b
+	bodyPool.Put(bp)
+	return out
+}
+
+// appendFloat appends f as encoding/json renders a float64: the
+// shortest 'f' form, or the 'e' form outside [1e-6, 1e21) with a
+// two-digit negative exponent cut to one (e-07 becomes e-7). f must be
+// finite; the store's ranks and their differences always are.
+func appendFloat(b []byte, f float64) []byte {
+	if math.Float64bits(f) == 0 { // +0, most of a sparse trajectory
+		return append(b, '0')
+	}
+	format := byte('f')
+	if a := math.Abs(f); a != 0 && (a < 1e-6 || a >= 1e21) {
+		format = 'e'
+	}
+	b = strconv.AppendFloat(b, f, format, -1, 64)
+	if format == 'e' {
+		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
+			b[n-2] = b[n-1]
+			b = b[:n-1]
+		}
+	}
+	return b
+}
+
+// encodeTopK renders the /v1/topk document:
+// {"window":W,"start":S,"end":E,"k":K,"ranks":[{"vertex":V,"rank":R},...]}.
+func encodeTopK(win int, start, end int64, k int, ranks []Ranked) []byte {
+	bp, b := scratch()
+	b = append(b, `{"window":`...)
+	b = strconv.AppendInt(b, int64(win), 10)
+	b = append(b, `,"start":`...)
+	b = strconv.AppendInt(b, start, 10)
+	b = append(b, `,"end":`...)
+	b = strconv.AppendInt(b, end, 10)
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, `,"ranks":[`...)
+	for i, r := range ranks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"vertex":`...)
+		b = strconv.AppendInt(b, int64(r.Vertex), 10)
+		b = append(b, `,"rank":`...)
+		b = appendFloat(b, r.Rank)
+		b = append(b, '}')
+	}
+	b = append(b, "]}"...)
+	return finish(bp, b)
+}
+
+// encodeTrajectory renders the /v1/vertex/{id}/trajectory document, the
+// vertex's rank in every window with the spec fields that map indices
+// back to time:
+// {"vertex":V,"windows":N,"t0":T,"delta":D,"slide":S,"ranks":[R,...]}.
+func encodeTrajectory(v int32, spec events.WindowSpec, ranks []float64) []byte {
+	bp, b := scratch()
+	b = append(b, `{"vertex":`...)
+	b = strconv.AppendInt(b, int64(v), 10)
+	b = append(b, `,"windows":`...)
+	b = strconv.AppendInt(b, int64(spec.Count), 10)
+	b = append(b, `,"t0":`...)
+	b = strconv.AppendInt(b, spec.T0, 10)
+	b = append(b, `,"delta":`...)
+	b = strconv.AppendInt(b, spec.Delta, 10)
+	b = append(b, `,"slide":`...)
+	b = strconv.AppendInt(b, spec.Slide, 10)
+	b = append(b, `,"ranks":[`...)
+	for i, r := range ranks {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = appendFloat(b, r)
+	}
+	b = append(b, "]}"...)
+	return finish(bp, b)
+}
+
+// encodeMovers renders the /v1/movers document:
+// {"from":F,"to":T,"k":K,"movers":[{"vertex":V,"from_rank":A,"to_rank":B,"delta":D},...]}.
+func encodeMovers(from, to, k int, movers []Mover) []byte {
+	bp, b := scratch()
+	b = append(b, `{"from":`...)
+	b = strconv.AppendInt(b, int64(from), 10)
+	b = append(b, `,"to":`...)
+	b = strconv.AppendInt(b, int64(to), 10)
+	b = append(b, `,"k":`...)
+	b = strconv.AppendInt(b, int64(k), 10)
+	b = append(b, `,"movers":[`...)
+	for i, m := range movers {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, `{"vertex":`...)
+		b = strconv.AppendInt(b, int64(m.Vertex), 10)
+		b = append(b, `,"from_rank":`...)
+		b = appendFloat(b, m.From)
+		b = append(b, `,"to_rank":`...)
+		b = appendFloat(b, m.To)
+		b = append(b, `,"delta":`...)
+		b = appendFloat(b, m.Delta)
+		b = append(b, '}')
+	}
+	b = append(b, "]}"...)
+	return finish(bp, b)
 }
 
 // Mount registers the /v1 query endpoints on mux — typically the obs

@@ -478,3 +478,42 @@ func TestAnswerHitPathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("cache-hit path allocates %v allocs/op, want 0", allocs)
 	}
 }
+
+// TestMissPathAllocs bounds what a cache miss allocates: Movers only
+// its result, and each compute step (the store call plus its encoder)
+// only the store result and the exact-length response body.
+func TestMissPathAllocs(t *testing.T) {
+	st, err := NewStore(benchSeries(8, 2000, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := st.Spec()
+	if allocs := testing.AllocsPerRun(100, func() {
+		if _, err := st.Movers(1, 2, 20); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("Movers allocates %v allocs/op, want 1", allocs)
+	}
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	for name, compute := range map[string]func(){
+		"topk": func() {
+			ranks, _ := st.TopK(3, 100)
+			encodeTopK(3, spec.Start(3), spec.End(3), 100, ranks)
+		},
+		"trajectory": func() {
+			ranks, _ := st.Trajectory(17)
+			encodeTrajectory(17, spec, ranks)
+		},
+		"movers": func() {
+			movers, _ := st.Movers(1, 2, 20)
+			encodeMovers(1, 2, 20, movers)
+		},
+	} {
+		if allocs := testing.AllocsPerRun(100, compute); allocs != 2 {
+			t.Errorf("%s compute allocates %v allocs/op, want 2 (store result and body)", name, allocs)
+		}
+	}
+}

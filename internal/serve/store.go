@@ -12,7 +12,7 @@ package serve
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmpr/internal/events"
 	"pmpr/internal/results"
@@ -58,6 +58,15 @@ type storeWindow struct {
 	byRank []int32
 }
 
+// windowSpan is a vertex's window range [lo, hi).
+type windowSpan struct{ lo, hi int32 }
+
+// rankEntry is one (rank, entry index) pair of the byRank sort.
+type rankEntry struct {
+	rank float64
+	idx  int32
+}
+
 // RankStore is an immutable in-memory rank series laid out for
 // queries. All methods are safe for unlimited concurrent use: nothing
 // is mutated after NewStore returns, so readers share it without
@@ -67,6 +76,10 @@ type RankStore struct {
 	spec        events.WindowSpec
 	numVertices int32
 	windows     []storeWindow
+	// span holds, per vertex, the window range [lo, hi) its entries lie
+	// in (lo == hi for a vertex with no entry): Trajectory searches only
+	// those windows and leaves the rest at 0.
+	span []windowSpan
 	// generation distinguishes successively published stores; the query
 	// cache folds it into every key so entries from a replaced store can
 	// never be served against the new one.
@@ -86,7 +99,13 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, fmt.Errorf("serve: invalid window spec: %w", err)
 	}
-	st := &RankStore{spec: spec, numVertices: n, windows: make([]storeWindow, spec.Count)}
+	st := &RankStore{
+		spec: spec, numVertices: n,
+		windows: make([]storeWindow, spec.Count),
+		span:    make([]windowSpan, n),
+	}
+	// pairs is the byRank sort's scratch, reused for every window.
+	var pairs []rankEntry
 	for i := 0; i < spec.Count; i++ {
 		wr := src.WindowAt(i)
 		if err := wr.Validate(i, n); err != nil {
@@ -106,19 +125,29 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 			ranks:    wr.Ranks,
 			byRank:   make([]int32, wr.Len()),
 		}
-		for j := range sw.byRank {
-			sw.byRank[j] = int32(j)
+		// Validate guarantees strictly increasing vertices, so the entry
+		// index tie-break is the ascending-vertex tie-break.
+		pairs = slices.Grow(pairs[:0], len(sw.ranks))
+		for j, v := range sw.vertices {
+			sp := &st.span[v]
+			if sp.hi == 0 {
+				sp.lo = int32(i)
+			}
+			sp.hi = int32(i) + 1
+			pairs = append(pairs, rankEntry{rank: sw.ranks[j], idx: int32(j)})
 		}
-		sort.Slice(sw.byRank, func(x, y int) bool {
-			rx, ry := sw.ranks[sw.byRank[x]], sw.ranks[sw.byRank[y]]
-			if rx > ry {
-				return true
+		slices.SortFunc(pairs, func(x, y rankEntry) int {
+			switch {
+			case x.rank > y.rank:
+				return -1
+			case x.rank < y.rank:
+				return 1
 			}
-			if rx < ry {
-				return false
-			}
-			return sw.vertices[sw.byRank[x]] < sw.vertices[sw.byRank[y]]
+			return int(x.idx - y.idx)
 		})
+		for j, p := range pairs {
+			sw.byRank[j] = p.idx
+		}
 		if len(sw.byRank) > 0 {
 			sw.meta.MaxRank = sw.ranks[sw.byRank[0]]
 		}
@@ -165,16 +194,17 @@ func (s *RankStore) TopK(w, k int) ([]Ranked, error) {
 
 // Trajectory returns vertex v's rank in every window (0 where the
 // vertex has no positive rank): the per-vertex time series downstream
-// analyses plot.
+// analyses plot. Only the windows inside the vertex's span are
+// searched.
 func (s *RankStore) Trajectory(v int32) ([]float64, error) {
 	if v < 0 || v >= s.numVertices {
 		return nil, fmt.Errorf("serve: vertex %d outside [0, %d)", v, s.numVertices)
 	}
 	out := make([]float64, len(s.windows))
-	for w := range s.windows {
+	sp := s.span[v]
+	for w := sp.lo; w < sp.hi; w++ {
 		sw := &s.windows[w]
-		i := sort.Search(len(sw.vertices), func(i int) bool { return sw.vertices[i] >= v })
-		if i < len(sw.vertices) && sw.vertices[i] == v {
+		if i, ok := slices.BinarySearch(sw.vertices, v); ok {
 			out[w] = sw.ranks[i]
 		}
 	}
@@ -185,8 +215,9 @@ func (s *RankStore) Trajectory(v int32) ([]float64, error) {
 // the largest absolute rank change, ties broken by ascending vertex
 // id. A vertex absent from one of the windows contributes its full
 // rank as the delta, so risers from (and fallers to) zero are ranked
-// alongside in-both changes. The two sparse vectors are merged in one
-// linear pass over their union.
+// alongside in-both changes. One linear merge over the union of the
+// two sparse vectors feeds a bounded heap of the best k, which is then
+// sorted in place; the result is the only allocation.
 func (s *RankStore) Movers(from, to, k int) ([]Mover, error) {
 	if from < 0 || from >= len(s.windows) {
 		return nil, fmt.Errorf("serve: window %d outside [0, %d)", from, len(s.windows))
@@ -198,38 +229,85 @@ func (s *RankStore) Movers(from, to, k int) ([]Mover, error) {
 		return nil, fmt.Errorf("serve: negative k %d", k)
 	}
 	a, b := &s.windows[from], &s.windows[to]
-	movers := make([]Mover, 0, len(a.vertices)+len(b.vertices))
+	if most := len(a.vertices) + len(b.vertices); k > most {
+		k = most // the union has at most this many entries
+	}
+	h := make([]Mover, 0, k)
 	i, j := 0, 0
 	for i < len(a.vertices) || j < len(b.vertices) {
+		var m Mover
 		switch {
 		case j >= len(b.vertices) || (i < len(a.vertices) && a.vertices[i] < b.vertices[j]):
-			movers = append(movers, Mover{Vertex: a.vertices[i], From: a.ranks[i], Delta: -a.ranks[i]})
+			m = Mover{Vertex: a.vertices[i], From: a.ranks[i], Delta: -a.ranks[i]}
 			i++
 		case i >= len(a.vertices) || b.vertices[j] < a.vertices[i]:
-			movers = append(movers, Mover{Vertex: b.vertices[j], To: b.ranks[j], Delta: b.ranks[j]})
+			m = Mover{Vertex: b.vertices[j], To: b.ranks[j], Delta: b.ranks[j]}
 			j++
 		default: // present in both
-			m := Mover{Vertex: a.vertices[i], From: a.ranks[i], To: b.ranks[j]}
+			m = Mover{Vertex: a.vertices[i], From: a.ranks[i], To: b.ranks[j]}
 			m.Delta = m.To - m.From
-			movers = append(movers, m)
 			i++
 			j++
 		}
-	}
-	sort.Slice(movers, func(x, y int) bool {
-		ax, ay := abs(movers[x].Delta), abs(movers[y].Delta)
-		if ax > ay {
-			return true
+		switch {
+		case len(h) < k:
+			h = append(h, m)
+			siftUp(h, len(h)-1)
+		case k > 0 && worse(&h[0], &m):
+			h[0] = m
+			siftDown(h, 0)
 		}
-		if ax < ay {
-			return false
-		}
-		return movers[x].Vertex < movers[y].Vertex
-	})
-	if k < len(movers) {
-		movers = movers[:k]
 	}
-	return movers, nil
+	// Pop the worst kept entry to the back until the heap is empty,
+	// leaving h in answer order.
+	for n := len(h) - 1; n > 0; n-- {
+		h[0], h[n] = h[n], h[0]
+		siftDown(h[:n], 0)
+	}
+	return h, nil
+}
+
+// worse reports whether x comes after y in movers order: a smaller
+// |delta|, or an equal one and a larger vertex id.
+func worse(x, y *Mover) bool {
+	ax, ay := abs(x.Delta), abs(y.Delta)
+	if ax < ay {
+		return true
+	}
+	if ax > ay {
+		return false
+	}
+	return x.Vertex > y.Vertex
+}
+
+// siftUp and siftDown maintain h as a heap whose root is the worst
+// entry kept.
+func siftUp(h []Mover, i int) {
+	for i > 0 {
+		p := (i - 1) / 2
+		if !worse(&h[i], &h[p]) {
+			return
+		}
+		h[i], h[p] = h[p], h[i]
+		i = p
+	}
+}
+
+func siftDown(h []Mover, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if r := c + 1; r < len(h) && worse(&h[r], &h[c]) {
+			c = r
+		}
+		if !worse(&h[c], &h[i]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }
 
 // WindowInfos returns the per-window status listing, in window order.
