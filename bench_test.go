@@ -80,14 +80,12 @@ func spec(b *testing.B, l *events.Log, deltaDays float64, slideSec int64, maxWin
 	return s
 }
 
-func postmortemCfg(kernel core.KernelID, mode core.ParallelMode, part sched.Partitioner, grain, mw int) core.Config {
+func postmortemCfg(mode core.ParallelMode, part sched.Partitioner, grain, mw int) core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Kernel = kernel
 	cfg.Mode = mode
 	cfg.Partitioner = part
 	cfg.Grain = grain
 	cfg.NumMultiWindows = mw
-	cfg.VectorLen = 16
 	cfg.Directed = false
 	cfg.DiscardRanks = true
 	return cfg
@@ -181,7 +179,7 @@ func BenchmarkFig5ExecutionModels(b *testing.B) {
 		b.Run(c.name+"/offline", func(b *testing.B) { runOffline(b, l, sp, pool) })
 		b.Run(c.name+"/streaming", func(b *testing.B) { runStreaming(b, l, sp, pool) })
 		b.Run(c.name+"/postmortem", func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(core.SpMV, core.AppLevel, sched.Static, 64, 6), pool)
+			runPostmortem(b, l, sp, postmortemCfg(core.AppLevel, sched.Static, 64, 6), pool)
 		})
 	}
 }
@@ -197,7 +195,7 @@ func BenchmarkFig6PartialInit(b *testing.B) {
 		for _, partial := range []bool{false, true} {
 			label := fmt.Sprintf("delta%gd/partial=%v", deltaDays, partial)
 			b.Run(label, func(b *testing.B) {
-				cfg := postmortemCfg(core.SpMV, core.AppLevel, sched.Static, 64, 6)
+				cfg := postmortemCfg(core.AppLevel, sched.Static, 64, 6)
 				cfg.PartialInit = partial
 				runPostmortem(b, l, sp, cfg, pool)
 			})
@@ -206,7 +204,7 @@ func BenchmarkFig6PartialInit(b *testing.B) {
 }
 
 // BenchmarkFig7Partitioners reproduces Figure 7's sweep: partitioner x
-// parallelization level x kernel at a moderate window count.
+// parallelization level at a moderate window count.
 func BenchmarkFig7Partitioners(b *testing.B) {
 	pool := sched.NewPool(0)
 	defer pool.Close()
@@ -214,12 +212,9 @@ func BenchmarkFig7Partitioners(b *testing.B) {
 	sp := spec(b, l, 90, 43200, 96)
 	for _, part := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
 		for _, mode := range []core.ParallelMode{core.Nested, core.AppLevel, core.WindowLevel} {
-			for _, kernel := range []core.KernelID{core.SpMM, core.SpMV} {
-				label := fmt.Sprintf("%v/%v/%v", part, mode, kernel)
-				b.Run(label, func(b *testing.B) {
-					runPostmortem(b, l, sp, postmortemCfg(kernel, mode, part, 2, 12), pool)
-				})
-			}
+			b.Run(fmt.Sprintf("%v/%v", part, mode), func(b *testing.B) {
+				runPostmortem(b, l, sp, postmortemCfg(mode, part, 2, 12), pool)
+			})
 		}
 	}
 }
@@ -233,7 +228,7 @@ func BenchmarkFig8MultiWindow(b *testing.B) {
 	sp := spec(b, l, 90, 43200, 96)
 	for _, mw := range []int{1, 6, 24, 96} {
 		b.Run(fmt.Sprintf("mw%d", mw), func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(core.SpMM, core.Nested, sched.Auto, 2, mw), pool)
+			runPostmortem(b, l, sp, postmortemCfg(core.Nested, sched.Auto, 2, mw), pool)
 		})
 	}
 }
@@ -247,7 +242,7 @@ func BenchmarkFig9FewWindows(b *testing.B) {
 	sp := spec(b, l, 90, 43200, 6)
 	for _, mode := range []core.ParallelMode{core.Nested, core.AppLevel, core.WindowLevel} {
 		b.Run(mode.String(), func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(core.SpMM, mode, sched.Auto, 2, 6), pool)
+			runPostmortem(b, l, sp, postmortemCfg(mode, sched.Auto, 2, 6), pool)
 		})
 	}
 }
@@ -261,7 +256,7 @@ func BenchmarkFig10ManyWindows(b *testing.B) {
 	sp := spec(b, l, 90, 86400, 192)
 	for _, mode := range []core.ParallelMode{core.Nested, core.AppLevel, core.WindowLevel} {
 		b.Run(mode.String(), func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(core.SpMM, mode, sched.Auto, 2, 24), pool)
+			runPostmortem(b, l, sp, postmortemCfg(mode, sched.Auto, 2, 24), pool)
 		})
 	}
 }
@@ -282,7 +277,7 @@ func BenchmarkFig11BestVsStreaming(b *testing.B) {
 		}
 		b.Run(name+"/streaming", func(b *testing.B) { runStreaming(b, l, sp, pool) })
 		b.Run(name+"/postmortem", func(b *testing.B) {
-			runPostmortem(b, l, sp, postmortemCfg(core.SpMM, core.Nested, sched.Auto, 2, mw), pool)
+			runPostmortem(b, l, sp, postmortemCfg(core.Nested, sched.Auto, 2, mw), pool)
 		})
 	}
 }
@@ -301,7 +296,7 @@ func BenchmarkFig12Suggested(b *testing.B) {
 				mw = 6
 			}
 			b.Run(fmt.Sprintf("sw%d/delta%gd", sw, deltaDays), func(b *testing.B) {
-				runPostmortem(b, l, sp, postmortemCfg(core.SpMM, core.Nested, sched.Auto, 2, mw), pool)
+				runPostmortem(b, l, sp, postmortemCfg(core.Nested, sched.Auto, 2, mw), pool)
 			})
 		}
 	}
@@ -382,22 +377,6 @@ func BenchmarkSchedulerParallelFor(b *testing.B) {
 				})
 			}
 			_ = sink
-		})
-	}
-}
-
-// BenchmarkSpMMVectorLength measures the SpMM amortization as the
-// number of simultaneously advanced windows grows (Sec. 4.4).
-func BenchmarkSpMMVectorLength(b *testing.B) {
-	pool := sched.NewPool(0)
-	defer pool.Close()
-	l := dataset(b, "wikitalk")
-	sp := spec(b, l, 90, 43200, 64)
-	for _, vl := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("veclen%d", vl), func(b *testing.B) {
-			cfg := postmortemCfg(core.SpMM, core.AppLevel, sched.Auto, 64, 8)
-			cfg.VectorLen = vl
-			runPostmortem(b, l, sp, cfg, pool)
 		})
 	}
 }

@@ -175,9 +175,9 @@ func TestCLILiveObservability(t *testing.T) {
 
 	const windows = 12
 	cmd := exec.Command(bin, "-in", ev, "-delta-days", "365", "-slide", "172800",
-		"-max-windows", strconv.Itoa(windows), "-kernel", "spmv", "-workers", "1",
+		"-max-windows", strconv.Itoa(windows), "-workers", "1",
 		"-metrics-addr", "127.0.0.1:0", "-live", "-journal-out", journal)
-	// spmv windows pass the core.solve.window faultpoint; 25ms per
+	// Every window passes the core.solve.window faultpoint; 25ms per
 	// window keeps the run in flight for ~300ms without slowing CI much.
 	cmd.Env = append(os.Environ(), "PMPR_FAULTPOINTS=core.solve.window:delay:delay=25ms,count=0")
 	stdout, err := cmd.StdoutPipe()
@@ -833,14 +833,14 @@ func TestCLIErrors(t *testing.T) {
 
 	// An unknown enum flag value is a usage error naming the valid
 	// values, never a silent fallback to a different configuration;
-	// conflicting flags are a usage error too.
+	// removed flags and conflicting flags are usage errors too.
 	ev := filepath.Join(t.TempDir(), "tiny.ev")
 	runTool(t, "./cmd/pmgen", "-dataset", "enron", "-scale", "0.01", "-seed", "1", "-o", ev)
 	usage := []struct {
 		args []string
 		want string
 	}{
-		{[]string{"./cmd/pmrank", "-in", ev, "-kernel", "spmv-blocked"}, "valid: spmm, spmv"},
+		{[]string{"./cmd/pmrank", "-in", ev, "-kernel", "spmm"}, "not defined: -kernel"},
 		{[]string{"./cmd/pmrank", "-in", ev, "-mode", "bogus"}, "valid: nested, app, window"},
 		{[]string{"./cmd/pmserve", "-solve", "-in", ev, "-partitioner", "bogus"}, "valid: auto, simple, static"},
 		// -out cannot export what -discard-ranks drops; refused before
@@ -871,7 +871,7 @@ func TestCLIQuarantinedExport(t *testing.T) {
 	ev := filepath.Join(tmp, "ci.ev")
 	pmrs := filepath.Join(tmp, "x.pmrs")
 	runTool(t, "./cmd/pmgen", "-dataset", "enron", "-scale", "0.02", "-seed", "3", "-o", ev, "-format", "binary")
-	solve := []string{"-in", ev, "-delta-days", "365", "-slide", "172800", "-max-windows", "8", "-kernel", "spmv", "-workers", "1"}
+	solve := []string{"-in", ev, "-delta-days", "365", "-slide", "172800", "-max-windows", "8", "-workers", "1"}
 	for _, args := range [][]string{
 		append([]string{"./cmd/pmrank", "-out", pmrs}, solve...),
 		append([]string{"./cmd/pmserve", "-solve", "-addr", "127.0.0.1:0"}, solve...),

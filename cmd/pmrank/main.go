@@ -1,12 +1,12 @@
 // Command pmrank runs a postmortem PageRank analysis over a temporal
 // event file: it derives the sliding-window sequence, computes PageRank
-// for every window with the configured kernel/parallelism, and prints a
+// for every window with the configured parallelism, and prints a
 // per-window summary plus the top-k vertices of selected windows.
 //
 // Usage:
 //
 //	pmrank -in events.ev -delta-days 90 -slide 86400 \
-//	       [-kernel spmv|spmm] [-mode nested|app|window] [-mw 6] [-grain 2] \
+//	       [-mode nested|app|window] [-mw 6] [-grain 2] \
 //	       [-partitioner auto|simple|static] [-no-partial] [-directed] \
 //	       [-top 5] [-every 10] [-workers 0] [-out ranks.pmrs]
 //	       [-model postmortem|offline|streaming|components|kcore]

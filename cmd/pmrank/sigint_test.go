@@ -51,7 +51,7 @@ func TestSIGINTPartialProgress(t *testing.T) {
 	// Thousands of tiny windows: the run takes many seconds, and a
 	// cancel lands at a window boundary almost immediately.
 	cmd := exec.Command(bin, "-in", evPath, "-delta-days", "90", "-slide", "21600",
-		"-kernel", "spmm", "-mode", "nested", "-workers", "4")
+		"-mode", "nested", "-workers", "4")
 	var out bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &out

@@ -6,7 +6,7 @@
 //
 //	pmserve -load ranks.pmrs [-addr 127.0.0.1:8097] [-cache 4096] [-max-k 1000]
 //	pmserve -solve -in events.ev -delta-days 90 -slide 86400 \
-//	        [-kernel spmv|spmm] [-mode nested|app|window] [engine flags...]
+//	        [-mode nested|app|window] [engine flags...]
 //
 // Query endpoints (all GET, all JSON):
 //

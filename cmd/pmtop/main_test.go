@@ -29,7 +29,7 @@ func writeJournal(t *testing.T, lines ...string) string {
 
 func TestValidateJournalRejects(t *testing.T) {
 	const (
-		start = `{"seq":1,"time_unix_nano":5,"type":"run_start","windows":2,"kernel":"spmv","mode":"app","workers":0}`
+		start = `{"seq":1,"time_unix_nano":5,"type":"run_start","windows":2,"mode":"app","workers":0}`
 		done  = `{"seq":2,"time_unix_nano":6,"type":"window_done","window":0,"worker":-1,"status":"ok","iterations":7,"residual":3e-09,"converged":true,"seconds":0.25}`
 	)
 	for _, tc := range []struct {
@@ -55,10 +55,11 @@ func TestValidateJournalRejects(t *testing.T) {
 	}
 }
 
-// TestValidateJournalAcceptsEngineRuns validates the journal of real
-// engine runs for both kernels, with a checkpoint store attached and
-// one injected panic, so retry (panicked, err) and checkpoint_write
-// events are in the file next to the lifecycle and window events.
+// TestValidateJournalAcceptsEngineRuns validates the journal of a real
+// engine run, with a checkpoint store attached and one injected panic,
+// so retry (panicked, err) and checkpoint_write events are in the file
+// next to the lifecycle and window events. The subtest is named after
+// the engine's one kernel, SpMV.
 func TestValidateJournalAcceptsEngineRuns(t *testing.T) {
 	defer fault.Reset()
 	rng := rand.New(rand.NewSource(3))
@@ -71,49 +72,42 @@ func TestValidateJournalAcceptsEngineRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, tc := range []struct {
-		kernel core.KernelID
-		point  string
-	}{{core.SpMV, core.PointSolveWindow}, {core.SpMM, core.PointSolveBatch}} {
-		t.Run(tc.kernel.String(), func(t *testing.T) {
-			fault.Reset()
-			var buf bytes.Buffer
-			cfg := core.DefaultConfig()
-			cfg.Kernel = tc.kernel
-			cfg.Mode = core.AppLevel
-			cfg.VectorLen = 4
-			cfg.Journal = obs.NewJournal(0)
-			cfg.Journal.SetSink(&buf)
-			eng, err := core.NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("spmv", func(t *testing.T) {
+		fault.Reset()
+		var buf bytes.Buffer
+		cfg := core.DefaultConfig()
+		cfg.Mode = core.AppLevel
+		cfg.Journal = obs.NewJournal(0)
+		cfg.Journal.SetSink(&buf)
+		eng, err := core.NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store, err := checkpoint.Open(t.TempDir())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := eng.SetCheckpoint(store, false); err != nil {
+			t.Fatal(err)
+		}
+		defer fault.Arm(fault.Rule{Point: core.PointSolveWindow, Mode: fault.ModePanic, Count: 1})()
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		if err := cfg.Journal.CloseSink(); err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range []string{`"type":"retry"`, `"panicked":true`, `"type":"checkpoint_write"`, `"converged":true`} {
+			if !strings.Contains(buf.String(), want) {
+				t.Fatalf("journal has no %s line; the run exercised too little:\n%s", want, buf.String())
 			}
-			store, err := checkpoint.Open(t.TempDir())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if _, err := eng.SetCheckpoint(store, false); err != nil {
-				t.Fatal(err)
-			}
-			defer fault.Arm(fault.Rule{Point: tc.point, Mode: fault.ModePanic, Count: 1})()
-			if _, err := eng.Run(context.Background()); err != nil {
-				t.Fatal(err)
-			}
-			if err := cfg.Journal.CloseSink(); err != nil {
-				t.Fatal(err)
-			}
-			for _, want := range []string{`"type":"retry"`, `"panicked":true`, `"type":"checkpoint_write"`, `"converged":true`} {
-				if !strings.Contains(buf.String(), want) {
-					t.Fatalf("journal has no %s line; the run exercised too little:\n%s", want, buf.String())
-				}
-			}
-			path := filepath.Join(t.TempDir(), "run.jsonl")
-			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-				t.Fatal(err)
-			}
-			if code := validateJournal(path); code != 0 {
-				t.Fatalf("validateJournal rejected a real %v journal:\n%s", tc.kernel, buf.String())
-			}
-		})
-	}
+		}
+		path := filepath.Join(t.TempDir(), "run.jsonl")
+		if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if code := validateJournal(path); code != 0 {
+			t.Fatalf("validateJournal rejected a real journal:\n%s", buf.String())
+		}
+	})
 }

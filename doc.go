@@ -6,8 +6,10 @@
 //
 //   - postmortem (the paper's contribution, internal/core): a temporal
 //     CSR partitioned into multi-window graphs, partial initialization,
-//     window/application/nested parallelism, and an SpMM-inspired
-//     multi-vector kernel;
+//     window/application/nested parallelism, and a sparse
+//     matrix-vector kernel that sweeps one window at a time along
+//     warm-start chains (the paper's SpMM kernel, which batches K
+//     windows per sweep, loses to it here: EXPERIMENTS.md);
 //   - offline (internal/offline): rebuild each window graph from the
 //     event database and solve from scratch;
 //   - streaming (internal/streaming): a STINGER-like dynamic graph

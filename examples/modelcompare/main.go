@@ -62,8 +62,8 @@ func main() {
 	}
 	strT := time.Since(t0)
 
-	// Postmortem: temporal CSR + partial init, the default width-1
-	// warm-start chains in nested mode.
+	// Postmortem: temporal CSR + partial init, the default warm-start
+	// chains in nested mode.
 	cfg := core.DefaultConfig()
 	cfg.Directed = false
 	eng, err := core.NewEngine(l, spec, cfg, pool)

@@ -47,7 +47,7 @@ func main() {
 	// Sliding window: delta = 3.5 months (~106 days), sw = 1 month.
 	spec := events.WindowSpec{T0: 0, Delta: 106, Slide: 30, Count: 3}
 
-	cfg := core.DefaultConfig() // SpMV (width 1), nested parallelism, partial init
+	cfg := core.DefaultConfig() // nested parallelism, partial init
 	cfg.Directed = false
 	eng, err := core.NewEngine(l, spec, cfg, nil) // nil pool = serial
 	if err != nil {

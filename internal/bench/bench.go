@@ -61,7 +61,7 @@ func (o Options) withDefaults() Options {
 
 // Experiment is one reproducible table/figure.
 type Experiment struct {
-	// ID is the experiment key ("fig5", "table1", "ablation-veclen"...).
+	// ID is the experiment key ("fig5", "table1", "ablation-imbalance"...).
 	ID string
 	// Title describes what the paper reports there.
 	Title string
@@ -263,12 +263,11 @@ func runOffline(l *events.Log, spec events.WindowSpec, pool *sched.Pool) (float6
 	})
 }
 
-// barebonePostmortem is the untuned configuration of Sec. 6.2: SpMV
-// kernel, application-level parallelism, static scheduling, partial
+// barebonePostmortem is the untuned configuration of Sec. 6.2:
+// application-level parallelism, static scheduling, partial
 // initialization, 6 multi-window graphs.
 func barebonePostmortem() core.Config {
 	cfg := core.DefaultConfig()
-	cfg.Kernel = core.SpMV
 	cfg.Mode = core.AppLevel
 	cfg.Partitioner = sched.Static
 	cfg.Grain = 64
@@ -280,8 +279,7 @@ func barebonePostmortem() core.Config {
 // suggestedConfig is core.DefaultConfig with the number of multi-window
 // graphs fitted to spec. The default follows the paper's parameter
 // guidance (Sec. 6.3.6: auto partitioner with grain under 4, nested
-// parallelism) except for the kernel: width 1, because width 8 loses
-// to width 1 at every measured layout (EXPERIMENTS.md). The number of
+// parallelism), solving one window per sweep. The number of
 // multi-window graphs is chosen so each one spans about two window
 // lengths of time — "large enough" per Fig. 8 (a window's sweep then
 // touches at most ~2x its own events) without wasting memory on

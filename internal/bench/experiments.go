@@ -22,13 +22,12 @@ func init() {
 	register("fig4", "Temporal edge distribution over time (Figure 4)", expFig4)
 	register("fig5", "Offline vs Streaming vs Postmortem (Figure 5)", expFig5)
 	register("fig6", "Impact of partial initialization (Figure 6)", expFig6)
-	register("fig7", "Partitioner/level/kernel vs granularity, ~256 windows (Figure 7)", makeGrainFigure(256, 90))
+	register("fig7", "Partitioner/level vs granularity, ~256 windows (Figure 7)", makeGrainFigure(256, 90))
 	register("fig8", "Impact of the number of multi-window graphs (Figure 8)", expFig8)
 	register("fig9", "Same sweep with only 6 windows (Figure 9)", makeGrainFigure(6, 90))
 	register("fig10", "Same sweep with ~1024 windows (Figure 10)", makeGrainFigure(1024, 90))
 	register("fig11", "Best postmortem speedup over streaming (Figure 11)", expFig11)
 	register("fig12", "Suggested parameters on wiki-talk (Figure 12)", expFig12)
-	register("ablation-veclen", "SpMM vector length x partial initialization", expAblationVecLen)
 	register("ablation-replication", "Multi-window replication overhead vs count", expAblationReplication)
 	register("ablation-imbalance", "Parallelization level under spiky vs smooth load", expAblationImbalance)
 	register("ext-kernels", "Other sliding-window kernels: components and k-core", expExtKernels)
@@ -168,8 +167,8 @@ func expFig6(ctx context.Context, o Options) error {
 }
 
 // makeGrainFigure builds the Figs. 7/9/10 sweep: speedup over streaming
-// as a function of the scheduler grain, for every partitioner x
-// parallelization level x kernel, at a fixed number of windows.
+// as a function of the scheduler grain, for every parallelization
+// level x partitioner, at a fixed number of windows.
 func makeGrainFigure(windows int, deltaDays float64) func(ctx context.Context, o Options) error {
 	return func(ctx context.Context, o Options) error {
 		o = o.withDefaults()
@@ -207,44 +206,36 @@ func makeGrainFigure(windows int, deltaDays float64) func(ctx context.Context, o
 		}
 		parts := []sched.Partitioner{sched.Auto, sched.Simple, sched.Static}
 		modes := []core.ParallelMode{core.Nested, core.AppLevel, core.WindowLevel}
-		kernels := []core.KernelID{core.SpMM, core.SpMV}
 		grains := grainSweep(o.Quick)
-		for _, part := range parts {
-			t := NewTable(append([]string{"config (" + part.String() + ")"}, func() []string {
-				var h []string
-				for _, g := range grains {
-					h = append(h, fmt.Sprintf("g=%d", g))
-				}
-				return h
-			}()...)...)
-			for _, mode := range modes {
-				for _, kernel := range kernels {
-					row := []string{mode.String() + "/" + kernel.String()}
-					for _, g := range grains {
-						cfg := core.DefaultConfig()
-						cfg.Kernel = kernel
-						cfg.Mode = mode
-						cfg.Partitioner = part
-						cfg.Grain = g
-						cfg.VectorLen = 16
-						cfg.DiscardRanks = true
-						cfg.Directed = false
-						eng, err := core.NewEngineFromTemporal(tg, cfg, pool)
-						if err != nil {
-							return err
-						}
-						secs, _, err := runPostmortemReusing(ctx, eng)
-						if err != nil {
-							return err
-						}
-						row = append(row, fmt.Sprintf("%.1f", strT/secs))
-					}
-					t.Row(row...)
-				}
-			}
-			t.Render(o.Out)
-			fmt.Fprintln(o.Out)
+		head := []string{"mode/partitioner"}
+		for _, g := range grains {
+			head = append(head, fmt.Sprintf("g=%d", g))
 		}
+		t := NewTable(head...)
+		for _, mode := range modes {
+			for _, part := range parts {
+				row := []string{mode.String() + "/" + part.String()}
+				for _, g := range grains {
+					cfg := core.DefaultConfig()
+					cfg.Mode = mode
+					cfg.Partitioner = part
+					cfg.Grain = g
+					cfg.DiscardRanks = true
+					cfg.Directed = false
+					eng, err := core.NewEngineFromTemporal(tg, cfg, pool)
+					if err != nil {
+						return err
+					}
+					secs, _, err := runPostmortemReusing(ctx, eng)
+					if err != nil {
+						return err
+					}
+					row = append(row, fmt.Sprintf("%.1f", strT/secs))
+				}
+				t.Row(row...)
+			}
+		}
+		t.Render(o.Out)
 		return nil
 	}
 }
@@ -287,8 +278,6 @@ func expFig8(ctx context.Context, o Options) error {
 		for _, mw := range mwCounts {
 			row := []string{fmt.Sprintf("%d", mw)}
 			cfg := core.DefaultConfig()
-			cfg.Kernel = core.SpMM
-			cfg.VectorLen = 16
 			cfg.Mode = mode
 			cfg.NumMultiWindows = mw
 			cfg.DiscardRanks = true
@@ -416,45 +405,6 @@ func expFig12(ctx context.Context, o Options) error {
 	}
 	fmt.Fprintln(o.Out, "wiki-talk with the suggested parameters (speedup over streaming):")
 	h.Render(o.Out)
-	return nil
-}
-
-func expAblationVecLen(ctx context.Context, o Options) error {
-	o = o.withDefaults()
-	l, _, err := loadDataset("wikitalk", o)
-	if err != nil {
-		return err
-	}
-	windows := 128
-	if windows > o.MaxWindows {
-		windows = o.MaxWindows
-	}
-	spec, err := spanWindows(l, 90, windows)
-	if err != nil {
-		return err
-	}
-	pool := sched.NewPool(o.Workers)
-	defer pool.Close()
-	lens := []int{1, 2, 4, 8, 16, 32}
-	if o.Quick {
-		lens = []int{1, 8, 16}
-	}
-	t := NewTable("veclen", "partial", "time(s)", "total iters")
-	for _, vl := range lens {
-		for _, partial := range []bool{true, false} {
-			cfg := suggestedConfig(spec)
-			cfg.Kernel = core.SpMM
-			cfg.VectorLen = vl
-			cfg.PartialInit = partial
-			secs, s, err := runPostmortem(ctx, l, spec, cfg, pool)
-			if err != nil {
-				return err
-			}
-			t.Rowf(vl, fmt.Sprintf("%v", partial), secs, s.TotalIterations())
-		}
-	}
-	t.Render(o.Out)
-	fmt.Fprintln(o.Out, "(higher vector length reduces sweeps but the first batch of each region pays full init)")
 	return nil
 }
 

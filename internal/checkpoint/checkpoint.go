@@ -6,7 +6,7 @@
 //
 // The on-disk layout is one directory per run:
 //
-//	manifest.pmck          — run manifest (spec, kernel, batch width, partition hash)
+//	manifest.pmck          — run manifest (spec, partition hash, options)
 //	window-00000042.pmck   — one record per completed window
 //
 // Records use a little-endian binary codec with a CRC-32C trailer;
@@ -14,8 +14,9 @@
 // torn write (despite the atomic temp+rename protocol) or disk
 // corruption surfaces as an error and the window is simply re-solved.
 // A resumed run validates the manifest first: a checkpoint taken under
-// a different window spec, kernel, batch width, partitioning, or
-// iteration option set never silently mixes with the new run.
+// a different window spec, partitioning, or iteration option set never
+// silently mixes with the new run, and a directory written by another
+// codec version is refused rather than re-solved.
 package checkpoint
 
 import (
@@ -37,8 +38,10 @@ import (
 const (
 	manifestMagic = "PMCM"
 	windowMagic   = "PMCW"
-	// codecVersion 2 added Manifest.BatchWidth.
-	codecVersion = 2
+	// codecVersion 2 added the batch width to the manifest; version 3
+	// dropped it and the kernel name, since every run solves one window
+	// per sweep.
+	codecVersion = 3
 	manifestName = "manifest.pmck"
 	windowGlob   = "window-*.pmck"
 )
@@ -66,20 +69,14 @@ var ErrCorrupt = errors.New("checkpoint: corrupt record")
 
 // Manifest identifies the run a checkpoint belongs to. Two runs may
 // share checkpoints iff their manifests are equal: same window
-// sequence, kernel, multi-window partitioning, iteration options, and
-// input shape.
+// sequence, multi-window partitioning, iteration options, and input
+// shape.
 type Manifest struct {
 	// SpecT0, SpecDelta, SpecSlide, SpecCount are the window sequence.
 	SpecT0    int64
 	SpecDelta int64
 	SpecSlide int64
 	SpecCount int
-	// Kernel is the name of the kernel id the run was configured with.
-	Kernel string
-	// BatchWidth is the number of windows one kernel sweep advances (1
-	// for SpMV). It decides which windows cold-start, so resumed runs
-	// must agree on it.
-	BatchWidth int
 	// NumMultiWindows is the partition count.
 	NumMultiWindows int
 	// PartitionHash fingerprints the exact window->multi-window
@@ -134,10 +131,6 @@ func (e *encoder) u8(v uint8)    { e.buf = append(e.buf, v) }
 func (e *encoder) u32(v uint32)  { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
 func (e *encoder) u64(v uint64)  { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
 func (e *encoder) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *encoder) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
 func (e *encoder) seal() []byte {
 	e.u32(crc32.Checksum(e.buf, castagnoli))
 	return e.buf
@@ -169,7 +162,7 @@ func (d *decoder) open(magic string) {
 	d.buf = body
 	d.off = len(magic)
 	if v := d.u32(); d.err == nil && v != codecVersion {
-		d.err = fmt.Errorf("checkpoint: unsupported version %d (want %d)", v, codecVersion)
+		d.err = fmt.Errorf("checkpoint: unsupported codec version %d (this build reads version %d)", v, codecVersion)
 	}
 }
 
@@ -213,16 +206,6 @@ func (d *decoder) u64() uint64 {
 
 func (d *decoder) f64() float64 { return math.Float64frombits(d.u64()) }
 
-func (d *decoder) str() string {
-	n := int(d.u32())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.buf[d.off : d.off+n])
-	d.off += n
-	return s
-}
-
 // close rejects records with bytes beyond the decoded fields.
 func (d *decoder) close() error {
 	if d.err != nil {
@@ -242,8 +225,6 @@ func EncodeManifest(m Manifest) []byte {
 	e.u64(uint64(m.SpecDelta))
 	e.u64(uint64(m.SpecSlide))
 	e.u32(uint32(m.SpecCount))
-	e.str(m.Kernel)
-	e.u32(uint32(m.BatchWidth))
 	e.u32(uint32(m.NumMultiWindows))
 	e.u64(m.PartitionHash)
 	e.u32(uint32(m.NumVertices))
@@ -270,8 +251,6 @@ func DecodeManifest(b []byte) (Manifest, error) {
 	m.SpecDelta = int64(d.u64())
 	m.SpecSlide = int64(d.u64())
 	m.SpecCount = int(int32(d.u32()))
-	m.Kernel = d.str()
-	m.BatchWidth = int(int32(d.u32()))
 	m.NumMultiWindows = int(int32(d.u32()))
 	m.PartitionHash = d.u64()
 	m.NumVertices = int32(d.u32())

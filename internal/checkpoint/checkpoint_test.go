@@ -12,7 +12,7 @@ import (
 func testManifest() Manifest {
 	return Manifest{
 		SpecT0: -17, SpecDelta: 160, SpecSlide: 90, SpecCount: 12,
-		Kernel: "spmm", BatchWidth: 8, NumMultiWindows: 3, PartitionHash: 0xdeadbeefcafe,
+		NumMultiWindows: 3, PartitionHash: 0xdeadbeefcafe,
 		NumVertices: 512, Directed: true, PartialInit: true,
 		Alpha: 0.15, Tol: 1e-8, MaxIter: 100,
 	}

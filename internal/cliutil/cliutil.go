@@ -1,5 +1,5 @@
 // Package cliutil holds the command-line plumbing shared by the cmd/
-// front-ends: the engine flag set (kernel, parallel mode, partitioner,
+// front-ends: the engine flag set (parallel mode, partitioner,
 // multi-window and scheduler knobs) that pmrank and pmserve register
 // identically, the string-to-enum parsers behind those flags, and the
 // format-sniffing event-log reader. Keeping this in one place means a
@@ -20,8 +20,6 @@ import (
 // EngineFlags carries the values of the shared engine flag set after
 // parsing. Field defaults come from core.DefaultConfig.
 type EngineFlags struct {
-	// Kernel is the kernel name: spmm or spmv.
-	Kernel string
 	// Mode is the parallelism mode: nested, app, or window.
 	Mode string
 	// Partitioner selects the scheduler partitioner: auto, simple, or
@@ -29,8 +27,6 @@ type EngineFlags struct {
 	Partitioner string
 	// MW is the number of multi-window graphs.
 	MW int
-	// VecLen is the SpMM vector length.
-	VecLen int
 	// Grain is the scheduler grain size.
 	Grain int
 	// NoPartial disables partial initialization.
@@ -42,17 +38,15 @@ type EngineFlags struct {
 }
 
 // RegisterEngineFlags registers the shared engine flag set on fs with
-// the canonical names (-kernel, -mode, -partitioner, -mw, -veclen,
-// -grain, -no-partial, -directed, -workers) and core.DefaultConfig's
+// the canonical names (-mode, -partitioner, -mw, -grain, -no-partial,
+// -directed, -workers) and core.DefaultConfig's
 // values as defaults, and returns the struct the parsed values land in.
 func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 	def := core.DefaultConfig()
 	ef := &EngineFlags{}
-	fs.StringVar(&ef.Kernel, "kernel", def.Kernel.String(), "kernel: spmm or spmv")
 	fs.StringVar(&ef.Mode, "mode", def.Mode.String(), "parallelism: nested, app or window")
 	fs.StringVar(&ef.Partitioner, "partitioner", def.Partitioner.String(), "partitioner: auto, simple or static")
 	fs.IntVar(&ef.MW, "mw", def.NumMultiWindows, "number of multi-window graphs")
-	fs.IntVar(&ef.VecLen, "veclen", def.VectorLen, "SpMM vector length: windows advanced per sweep, 1..64")
 	fs.IntVar(&ef.Grain, "grain", def.Grain, "scheduler grain size")
 	fs.BoolVar(&ef.NoPartial, "no-partial", !def.PartialInit, "disable partial initialization")
 	fs.BoolVar(&ef.Directed, "directed", def.Directed, "treat events as directed (default: symmetrize)")
@@ -61,12 +55,8 @@ func RegisterEngineFlags(fs *flag.FlagSet) *EngineFlags {
 }
 
 // ApplyTo copies the flag values into an engine config. It fails on an
-// unknown -kernel, -mode or -partitioner value, naming the valid ones.
+// unknown -mode or -partitioner value, naming the valid ones.
 func (ef *EngineFlags) ApplyTo(cfg *core.Config) error {
-	kernel, err := ParseKernel(ef.Kernel)
-	if err != nil {
-		return err
-	}
 	mode, err := ParseMode(ef.Mode)
 	if err != nil {
 		return err
@@ -75,26 +65,13 @@ func (ef *EngineFlags) ApplyTo(cfg *core.Config) error {
 	if err != nil {
 		return err
 	}
-	cfg.Kernel = kernel
 	cfg.Mode = mode
 	cfg.Partitioner = part
 	cfg.NumMultiWindows = ef.MW
-	cfg.VectorLen = ef.VecLen
 	cfg.Grain = ef.Grain
 	cfg.PartialInit = !ef.NoPartial
 	cfg.Directed = ef.Directed
 	return nil
-}
-
-// ParseKernel maps a -kernel flag value to its id.
-func ParseKernel(s string) (core.KernelID, error) {
-	switch s {
-	case "spmm":
-		return core.SpMM, nil
-	case "spmv":
-		return core.SpMV, nil
-	}
-	return 0, fmt.Errorf("unknown -kernel %q (valid: spmm, spmv)", s)
 }
 
 // ParseMode maps a -mode flag value to its id.

@@ -23,11 +23,11 @@ func TestEngineFlagDefaultsMatchConfig(t *testing.T) {
 	if err := ef.ApplyTo(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Kernel != def.Kernel || cfg.Mode != def.Mode || cfg.Partitioner != def.Partitioner {
+	if cfg.Mode != def.Mode || cfg.Partitioner != def.Partitioner {
 		t.Fatalf("default engine flags diverge from DefaultConfig: %+v vs %+v", cfg, def)
 	}
-	if cfg.NumMultiWindows != 6 || cfg.VectorLen != 8 || cfg.Grain != 2 {
-		t.Fatalf("unexpected defaults: mw=%d veclen=%d grain=%d", cfg.NumMultiWindows, cfg.VectorLen, cfg.Grain)
+	if cfg.NumMultiWindows != 6 || cfg.Grain != 2 {
+		t.Fatalf("unexpected defaults: mw=%d grain=%d", cfg.NumMultiWindows, cfg.Grain)
 	}
 	if !cfg.PartialInit || cfg.Directed {
 		t.Fatalf("partial=%v directed=%v, want true/false", cfg.PartialInit, cfg.Directed)
@@ -38,8 +38,8 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	fs := flag.NewFlagSet("t", flag.ContinueOnError)
 	ef := RegisterEngineFlags(fs)
 	args := []string{
-		"-kernel", "spmv", "-mode", "window", "-partitioner", "static",
-		"-mw", "3", "-veclen", "4", "-grain", "7", "-no-partial", "-directed",
+		"-mode", "window", "-partitioner", "static",
+		"-mw", "3", "-grain", "7", "-no-partial", "-directed",
 		"-workers", "2",
 	}
 	if err := fs.Parse(args); err != nil {
@@ -49,10 +49,10 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	if err := ef.ApplyTo(&cfg); err != nil {
 		t.Fatal(err)
 	}
-	if cfg.Kernel != core.SpMV || cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
+	if cfg.Mode != core.WindowLevel || cfg.Partitioner != sched.Static {
 		t.Fatalf("enum flags not applied: %+v", cfg)
 	}
-	if cfg.NumMultiWindows != 3 || cfg.VectorLen != 4 || cfg.Grain != 7 {
+	if cfg.NumMultiWindows != 3 || cfg.Grain != 7 {
 		t.Fatalf("numeric flags not applied: %+v", cfg)
 	}
 	if cfg.PartialInit || !cfg.Directed {
@@ -63,47 +63,26 @@ func TestEngineFlagsApplyTo(t *testing.T) {
 	}
 }
 
-// TestKernelFlagRoundTrips checks that every kernel and partitioner
-// renders (String) to a flag value its parser maps back to the same id,
-// so a default rendered from core.DefaultConfig parses whichever id it
-// names, and that -kernel spmm, no longer the default, reaches the
-// config. (The default mode, nested, is covered by
+// TestPartitionerFlagRoundTrips checks that every partitioner renders
+// (String) to a flag value its parser maps back to the same id, so a
+// default rendered from core.DefaultConfig parses whichever id it
+// names. (The default mode, nested, is covered by
 // TestEngineFlagDefaultsMatchConfig.)
-func TestKernelFlagRoundTrips(t *testing.T) {
-	for _, k := range []core.KernelID{core.SpMV, core.SpMM} {
-		if got, err := ParseKernel(k.String()); err != nil || got != k {
-			t.Errorf("ParseKernel(%q) = %v, %v; want %v", k.String(), got, err, k)
-		}
-	}
+func TestPartitionerFlagRoundTrips(t *testing.T) {
 	for _, p := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
 		if got, err := ParsePartitioner(p.String()); err != nil || got != p {
 			t.Errorf("ParsePartitioner(%q) = %v, %v; want %v", p.String(), got, err, p)
 		}
 	}
-	fs := flag.NewFlagSet("t", flag.ContinueOnError)
-	ef := RegisterEngineFlags(fs)
-	if err := fs.Parse([]string{"-kernel", "spmm"}); err != nil {
-		t.Fatal(err)
-	}
-	cfg := core.DefaultConfig()
-	if err := ef.ApplyTo(&cfg); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.Kernel != core.SpMM {
-		t.Fatalf("-kernel spmm applied as %v", cfg.Kernel)
-	}
 }
 
 // TestParsersRejectUnknown checks that an unknown enum flag value is
 // an error naming the valid values, never a silent fallback to the
-// default — including the removed spmv-blocked kernel — and that
-// ApplyTo surfaces it without touching the config.
+// default, and that ApplyTo surfaces it without touching the config.
 func TestParsersRejectUnknown(t *testing.T) {
 	cases := []struct {
 		flag, value, valid string
 	}{
-		{"kernel", "nonsense", "spmm, spmv"},
-		{"kernel", "spmv-blocked", "spmm, spmv"},
 		{"mode", "nonsense", "nested, app, window"},
 		{"partitioner", "nonsense", "auto, simple, static"},
 	}
@@ -115,7 +94,7 @@ func TestParsersRejectUnknown(t *testing.T) {
 				t.Fatal(err)
 			}
 			cfg := core.DefaultConfig()
-			cfg.Kernel = core.SpMV
+			cfg.NumMultiWindows = 99
 			err := ef.ApplyTo(&cfg)
 			if err == nil {
 				t.Fatalf("-%s %s accepted", tc.flag, tc.value)
@@ -123,7 +102,7 @@ func TestParsersRejectUnknown(t *testing.T) {
 			if !strings.Contains(err.Error(), tc.valid) {
 				t.Fatalf("error %q does not list the valid values %q", err, tc.valid)
 			}
-			if cfg.Kernel != core.SpMV {
+			if cfg.NumMultiWindows != 99 {
 				t.Fatalf("rejected flags still modified the config: %+v", cfg)
 			}
 		})

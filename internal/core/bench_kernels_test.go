@@ -2,8 +2,6 @@ package core
 
 import (
 	"context"
-
-	"fmt"
 	"testing"
 
 	"pmpr/internal/events"
@@ -12,7 +10,7 @@ import (
 
 // benchSetup builds a shared log/spec for the kernel microbenchmarks:
 // big enough that an iteration does real work, small enough that the
-// full matrix of kernel×mode benchmarks stays fast.
+// full matrix of mode benchmarks stays fast.
 func benchLogSpec(b *testing.B) (*events.Log, events.WindowSpec) {
 	b.Helper()
 	l := benchRandomLog(b, 7, 2000, 40000, 20000)
@@ -40,18 +38,14 @@ func benchRandomLog(b *testing.B, seed int64, n int32, m int, span int64) *event
 	return l
 }
 
-func benchConfig(kernel KernelID, mode ParallelMode) Config {
+func benchConfig(mode ParallelMode) Config {
 	cfg := DefaultConfig()
-	cfg.Kernel = kernel
 	cfg.Mode = mode
 	cfg.NumMultiWindows = 2
 	cfg.Directed = true
 	cfg.DiscardRanks = true
-	cfg.VectorLen = 3
 	return cfg
 }
-
-var benchKernels = []KernelID{SpMV, SpMM}
 
 type benchMode struct {
 	name    string
@@ -67,79 +61,74 @@ var benchModes = []benchMode{
 }
 
 // BenchmarkIter measures one steady-state PageRank iteration per op for
-// every kernel×mode pair: MaxIter is set to b.N with a tolerance no run
-// reaches, so one Run performs exactly b.N iterations per window chain
-// and the per-solve setup cost amortizes away. ReportAllocs makes the
-// headline claim measurable: allocs/op is 0 once the arena is warm.
-// The nested SpMM case (2 units on 4 workers) still forks its vertex
-// loops; the nested SpMV case's 4 warm-start chains fill the pool, so
-// the plan runs them unforked, as window-level does.
+// every mode: MaxIter is set to b.N with a tolerance no run reaches,
+// so one Run performs exactly b.N iterations per window chain and the
+// per-solve setup cost amortizes away. ReportAllocs makes the headline
+// claim measurable: allocs/op is 0 once the arena is warm. The nested
+// case's 4 warm-start chains fill the pool, so the plan runs them
+// unforked, as window-level does.
 func BenchmarkIter(b *testing.B) {
 	l, spec := benchLogSpec(b)
-	for _, kernel := range benchKernels {
-		for _, m := range benchModes {
-			b.Run(fmt.Sprintf("%v/%s", kernel, m.name), func(b *testing.B) {
-				var pool *sched.Pool
-				if m.workers > 0 {
-					pool = sched.NewPool(m.workers)
-					defer pool.Close()
-				}
-				cfg := benchConfig(kernel, m.mode)
-				cfg.Opts.Tol = 1e-300
-				cfg.Opts.MaxIter = b.N
-				eng, err := NewEngine(l, spec, cfg, pool)
-				if err != nil {
-					b.Fatalf("NewEngine: %v", err)
-				}
-				// Warm the arena (and the scheduler's job pool) outside
-				// the measured region.
-				warm := cfg
-				warm.Opts.MaxIter = 2
-				wEng, err := NewEngineFromTemporal(eng.Temporal(), warm, pool)
-				if err != nil {
-					b.Fatalf("warm engine: %v", err)
-				}
-				if _, err := wEng.Run(context.Background()); err != nil {
-					b.Fatalf("warm Run: %v", err)
-				}
-				eng.solve.arena = wEng.solve.arena // share the warmed arena
-				b.ReportAllocs()
-				b.ResetTimer()
-				if _, err := eng.Run(context.Background()); err != nil {
-					b.Fatalf("Run: %v", err)
-				}
-			})
-		}
+	for _, m := range benchModes {
+		b.Run(m.name, func(b *testing.B) {
+			var pool *sched.Pool
+			if m.workers > 0 {
+				pool = sched.NewPool(m.workers)
+				defer pool.Close()
+			}
+			cfg := benchConfig(m.mode)
+			cfg.Opts.Tol = 1e-300
+			cfg.Opts.MaxIter = b.N
+			eng, err := NewEngine(l, spec, cfg, pool)
+			if err != nil {
+				b.Fatalf("NewEngine: %v", err)
+			}
+			// Warm the arena (and the scheduler's job pool) outside
+			// the measured region.
+			warm := cfg
+			warm.Opts.MaxIter = 2
+			wEng, err := NewEngineFromTemporal(eng.Temporal(), warm, pool)
+			if err != nil {
+				b.Fatalf("warm engine: %v", err)
+			}
+			if _, err := wEng.Run(context.Background()); err != nil {
+				b.Fatalf("warm Run: %v", err)
+			}
+			eng.solve.arena = wEng.solve.arena // share the warmed arena
+			b.ReportAllocs()
+			b.ResetTimer()
+			if _, err := eng.Run(context.Background()); err != nil {
+				b.Fatalf("Run: %v", err)
+			}
+		})
 	}
 }
 
 // BenchmarkRun measures a whole converging Run (default tolerance,
-// DiscardRanks) per op for every kernel×mode pair.
+// DiscardRanks) per op for every mode.
 func BenchmarkRun(b *testing.B) {
 	l, spec := benchLogSpec(b)
-	for _, kernel := range benchKernels {
-		for _, m := range benchModes {
-			b.Run(fmt.Sprintf("%v/%s", kernel, m.name), func(b *testing.B) {
-				var pool *sched.Pool
-				if m.workers > 0 {
-					pool = sched.NewPool(m.workers)
-					defer pool.Close()
-				}
-				eng, err := NewEngine(l, spec, benchConfig(kernel, m.mode), pool)
-				if err != nil {
-					b.Fatalf("NewEngine: %v", err)
-				}
+	for _, m := range benchModes {
+		b.Run(m.name, func(b *testing.B) {
+			var pool *sched.Pool
+			if m.workers > 0 {
+				pool = sched.NewPool(m.workers)
+				defer pool.Close()
+			}
+			eng, err := NewEngine(l, spec, benchConfig(m.mode), pool)
+			if err != nil {
+				b.Fatalf("NewEngine: %v", err)
+			}
+			if _, err := eng.Run(context.Background()); err != nil {
+				b.Fatalf("warm Run: %v", err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
 				if _, err := eng.Run(context.Background()); err != nil {
-					b.Fatalf("warm Run: %v", err)
+					b.Fatalf("Run: %v", err)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := eng.Run(context.Background()); err != nil {
-						b.Fatalf("Run: %v", err)
-					}
-				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -48,7 +48,6 @@ func cancelMidSolve(t *testing.T, cfg *Config) (ctx context.Context, canceledAt 
 	sub := j.Subscribe(1024)
 	fault.Reset()
 	slowWindow := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeDelay, Delay: 5 * time.Millisecond})
-	slowBatch := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeDelay, Delay: 5 * time.Millisecond})
 	ctx, cancel := context.WithCancel(context.Background())
 	at := make(chan time.Time, 1)
 	go func() {
@@ -69,7 +68,6 @@ func cancelMidSolve(t *testing.T, cfg *Config) (ctx context.Context, canceledAt 
 		cancel()
 		sub.Close()
 		slowWindow()
-		slowBatch()
 	}
 }
 
@@ -93,16 +91,14 @@ func runLifecycle(t *testing.T, j *obs.Journal) (started int, ended map[string]i
 	return started, ended
 }
 
+// cancelConfigs returns one config per parallel mode, keyed
+// "spmv/<mode>" after the engine's one kernel.
 func cancelConfigs() map[string]Config {
 	out := map[string]Config{}
-	for _, kern := range []KernelID{SpMV, SpMM} {
-		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-			cfg := DefaultConfig()
-			cfg.Kernel = kern
-			cfg.Mode = mode
-			cfg.VectorLen = 8
-			out[kern.String()+"/"+mode.String()] = cfg
-		}
+	for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		out["spmv/"+mode.String()] = cfg
 	}
 	return out
 }
@@ -132,7 +128,7 @@ func TestRunCancelMidSolve(t *testing.T) {
 			if ce.Total != spec.Count || ce.Completed < 1 || ce.Completed >= ce.Total {
 				t.Fatalf("progress %d/%d out of range (windows=%d)", ce.Completed, ce.Total, spec.Count)
 			}
-			// Cancellation is cooperative at window/batch/iteration
+			// Cancellation is cooperative at window/iteration
 			// boundaries; with this workload's tiny windows the solve must
 			// stop well inside 100ms of the cancel signal.
 			if lag := returned.Sub(<-canceledAt); lag > 110*time.Millisecond {
@@ -163,9 +159,7 @@ func TestRunCancelMidSolve(t *testing.T) {
 func TestRunCancelNoGoroutineLeak(t *testing.T) {
 	pool := sched.NewPool(4)
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMM
 	cfg.Mode = Nested
-	cfg.VectorLen = 8
 	eng, _ := slowEngine(t, cfg, pool)
 	// Warm up: pool workers and the runtime's background goroutines
 	// settle before we take the baseline.
@@ -210,9 +204,7 @@ func TestRunCancelScratchConsistent(t *testing.T) {
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMM
 	cfg.Mode = Nested
-	cfg.VectorLen = 8
 	ctx, _, stop := cancelMidSolve(t, &cfg)
 	defer stop()
 	eng, _ := slowEngine(t, cfg, pool)
@@ -243,7 +235,6 @@ func TestRunSequentialRerunsSupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.Journal = obs.NewJournal(0)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
@@ -281,7 +272,6 @@ func TestRunConcurrentCallsRejected(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.Mode = WindowLevel
 	eng, _ := slowEngine(t, cfg, pool)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -6,8 +6,11 @@
 //   - partial initialization from the previous window (Sec. 4.2),
 //   - window-level, application-level, or nested parallelism on a
 //     work-stealing pool (Sec. 4.3), and
-//   - the SpMM-inspired kernel that advances K windows per sweep of the
-//     shared CSR (Sec. 4.4); SpMV is its K = 1 case.
+//   - one sparse matrix-vector kernel over the multi-window graph's
+//     shared CSR, one window per sweep. The paper's SpMM kernel (Sec.
+//     4.4) advances K windows per sweep; here a multi-window graph fits
+//     in cache and width 1 is faster, so width K is not implemented
+//     (EXPERIMENTS.md "Width K — deleted").
 package core
 
 import (
@@ -50,33 +53,6 @@ func (m ParallelMode) String() string {
 	}
 }
 
-// KernelID selects the iteration kernel (paper Sec. 4.4). The id is a
-// stable enum for configs and CLI flags. Both ids run the one kernel
-// (kernel_spmm.go); the plan stage maps the id to a batch width with
-// Config.batchWidth.
-type KernelID int
-
-const (
-	// SpMV computes one window's PageRank at a time: batch width 1.
-	SpMV KernelID = iota
-	// SpMM advances VectorLen windows of a multi-window graph per sweep
-	// of the shared temporal CSR.
-	SpMM
-)
-
-// String names the kernel as used in reports, CLI flags, and
-// checkpoint manifests.
-func (k KernelID) String() string {
-	switch k {
-	case SpMV:
-		return "spmv"
-	case SpMM:
-		return "spmm"
-	default:
-		return fmt.Sprintf("KernelID(%d)", int(k))
-	}
-}
-
 // Config controls an Engine.
 type Config struct {
 	// Opts are the PageRank iteration parameters shared by all models.
@@ -86,11 +62,6 @@ type Config struct {
 	NumMultiWindows int
 	// Mode is the parallelization level.
 	Mode ParallelMode
-	// Kernel selects SpMV or SpMM iteration.
-	Kernel KernelID
-	// VectorLen is the number of PageRank vectors an SpMM sweep
-	// advances simultaneously (the paper uses 8 or 16), at most 64.
-	VectorLen int
 	// PartialInit enables warm-starting a window from its predecessor
 	// (Eq. 4). Disabled, every window starts from the uniform vector.
 	PartialInit bool
@@ -127,18 +98,14 @@ type Config struct {
 
 // DefaultConfig returns the default parameters: the paper's suggested
 // auto partitioner with a small grain, nested parallelism, partial
-// initialization and 6 multi-window graphs (Sec. 6.3.6), but the SpMV
-// kernel (width 1) instead of the paper's SpMM: width 8 loses to width
-// 1 at every measured layout (EXPERIMENTS.md), and a pooled nested
-// width-1 plan runs warm-start chains that fill the pool without
-// forking the vertex loops. VectorLen is the width -kernel spmm uses.
+// initialization and 6 multi-window graphs (Sec. 6.3.6). A pooled
+// nested plan runs warm-start chains that fill the pool without
+// forking the vertex loops.
 func DefaultConfig() Config {
 	return Config{
 		Opts:            pagerank.Defaults(),
 		NumMultiWindows: 6,
 		Mode:            Nested,
-		Kernel:          SpMV,
-		VectorLen:       8,
 		PartialInit:     true,
 		Partitioner:     sched.Auto,
 		Grain:           2,
@@ -156,12 +123,6 @@ func (c Config) Check() error {
 	if c.Mode < AppLevel || c.Mode > Nested {
 		return fmt.Errorf("core: unknown parallel mode %d", int(c.Mode))
 	}
-	if c.Kernel != SpMV && c.Kernel != SpMM {
-		return fmt.Errorf("core: unknown kernel %d", int(c.Kernel))
-	}
-	if c.Kernel == SpMM && (c.VectorLen < 1 || c.VectorLen > maxSlots) {
-		return fmt.Errorf("core: VectorLen %d must be in [1, %d] for the SpMM kernel (a batch's slot mask is one uint64)", c.VectorLen, maxSlots)
-	}
 	if c.Grain < 0 {
 		return fmt.Errorf("core: Grain %d must be >= 0", c.Grain)
 	}
@@ -172,11 +133,9 @@ func (c Config) Check() error {
 // RunReport and trace metadata so results are attributable to the
 // parameters that produced them.
 type ConfigInfo struct {
-	Kernel          string  `json:"kernel"`
 	Mode            string  `json:"mode"`
 	Partitioner     string  `json:"partitioner"`
 	Grain           int     `json:"grain"`
-	VectorLen       int     `json:"vector_len,omitempty"`
 	NumMultiWindows int     `json:"num_multi_windows"`
 	PartialInit     bool    `json:"partial_init"`
 	Directed        bool    `json:"directed"`
@@ -189,8 +148,7 @@ type ConfigInfo struct {
 
 // Info summarizes the configuration for reports and trace metadata.
 func (c Config) Info() ConfigInfo {
-	info := ConfigInfo{
-		Kernel:          c.Kernel.String(),
+	return ConfigInfo{
 		Mode:            c.Mode.String(),
 		Partitioner:     c.Partitioner.String(),
 		Grain:           c.Grain,
@@ -203,19 +161,6 @@ func (c Config) Info() ConfigInfo {
 		Tol:             c.Opts.Tol,
 		MaxIter:         c.Opts.MaxIter,
 	}
-	if c.Kernel == SpMM {
-		info.VectorLen = c.VectorLen
-	}
-	return info
-}
-
-// batchWidth is the number of windows one kernel sweep advances: 1 for
-// SpMV, VectorLen for SpMM.
-func (c Config) batchWidth() int {
-	if c.Kernel == SpMM {
-		return c.VectorLen
-	}
-	return 1
 }
 
 func (c Config) grain() int {

@@ -19,9 +19,10 @@ import (
 // plan stages run once at construction and are cached (build once,
 // solve many), Run executes the solve stage under the caller's
 // context, and the publish stage assembles the Series. Callers that
-// need finer control — re-planning with a different kernel against the
-// same representation, solving without a report — can drive the stage
-// values (BuildStage, PlanStage, SolveStage, PublishStage) directly.
+// need finer control — re-planning with a different configuration
+// against the same representation, solving without a report — can
+// drive the stage values (BuildStage, PlanStage, SolveStage,
+// PublishStage) directly.
 type Engine struct {
 	build BuildOutput
 	plan  *SolvePlan
@@ -66,9 +67,10 @@ func NewEngine(l *events.Log, spec events.WindowSpec, cfg Config, pool *sched.Po
 }
 
 // NewEngineFromTemporal wraps an existing representation, so that
-// several configurations (kernel, mode, grain, ...) can be benchmarked
-// without rebuilding the temporal CSR. cfg.NumMultiWindows is ignored;
-// the partitioning of tg is used. cfg.Directed must match the build.
+// several configurations (mode, grain, partial init, ...) can be
+// benchmarked without rebuilding the temporal CSR. cfg.NumMultiWindows
+// is ignored; the partitioning of tg is used. cfg.Directed must match
+// the build.
 func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*Engine, error) {
 	if err := cfg.Check(); err != nil {
 		return nil, err
@@ -101,15 +103,15 @@ func (e *Engine) Temporal() *tcsr.Temporal { return e.plan.Temporal }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.plan.Cfg }
 
-// Plan exposes the cached solve plan (kernel, batch layout). The plan
+// Plan exposes the cached solve plan (unit layout, forking). The plan
 // is immutable; re-plan by constructing a new engine or driving
 // PlanStage directly.
 func (e *Engine) Plan() *SolvePlan { return e.plan }
 
 // Manifest renders the engine's run identity for checkpointing: the
-// window spec, kernel, batch width, partitioning, iteration options,
-// and input shape. Two engines may share a checkpoint directory iff
-// their manifests are equal.
+// window spec, partitioning, iteration options, and input shape. Two
+// engines may share a checkpoint directory iff their manifests are
+// equal.
 func (e *Engine) Manifest() checkpoint.Manifest {
 	t := e.plan.Temporal
 	cfg := &e.plan.Cfg
@@ -122,8 +124,6 @@ func (e *Engine) Manifest() checkpoint.Manifest {
 		SpecDelta:       t.Spec.Delta,
 		SpecSlide:       t.Spec.Slide,
 		SpecCount:       t.Spec.Count,
-		Kernel:          cfg.Kernel.String(),
-		BatchWidth:      e.plan.Width,
 		NumMultiWindows: len(t.MWs),
 		PartitionHash:   checkpoint.HashPartition(bounds),
 		NumVertices:     t.NumVertices(),
@@ -142,7 +142,7 @@ func (e *Engine) Manifest() checkpoint.Manifest {
 //
 // With resume false the store is cleared and a fresh manifest written.
 // With resume true the store's manifest must match this engine's (same
-// spec, kernel, batch width, partitioning, options — see Manifest);
+// spec, partitioning, options — see Manifest);
 // matching window records are then restored instead of re-solved,
 // bit-identically, with corrupt or mismatched records silently
 // re-solved. resumed reports how many windows the next Run will
@@ -172,7 +172,7 @@ func (e *Engine) SetCheckpoint(store *checkpoint.Store, resume bool) (resumed in
 	}
 	have, ok, err := store.LoadManifest()
 	if err != nil {
-		return 0, err
+		return 0, fmt.Errorf("core: cannot resume from %s: %w; re-run without -resume to start over", store.Dir(), err)
 	}
 	if !ok {
 		// Nothing to resume from; start checkpointing fresh.
@@ -215,7 +215,7 @@ func (e *Engine) Run(ctx context.Context) (*Series, error) {
 	defer e.running.Store(false)
 	j := e.plan.Cfg.Journal
 	start := time.Now()
-	j.EmitRunStart(e.plan.Windows, e.plan.Cfg.Kernel.String(), e.plan.Cfg.Mode.String(), e.plan.Workers)
+	j.EmitRunStart(e.plan.Windows, e.plan.Cfg.Mode.String(), e.plan.Workers)
 	out, err := e.solve.Run(ctx, e.plan)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {

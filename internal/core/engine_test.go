@@ -72,30 +72,26 @@ func TestAllConfigurationsMatchOracle(t *testing.T) {
 	if spec.Count < 8 {
 		t.Fatalf("want a reasonable window count, got %d", spec.Count)
 	}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-			for _, part := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
-				for _, partial := range []bool{false, true} {
-					for _, numMW := range []int{1, 3} {
-						cfg := DefaultConfig()
-						cfg.Kernel = kernel
-						cfg.Mode = mode
-						cfg.Partitioner = part
-						cfg.PartialInit = partial
-						cfg.NumMultiWindows = numMW
-						cfg.Directed = true
-						cfg.VectorLen = 4
-						eng, err := NewEngine(l, spec, cfg, pool)
-						if err != nil {
-							t.Fatalf("NewEngine: %v", err)
-						}
-						s, err := eng.Run(context.Background())
-						if err != nil {
-							t.Fatalf("Run: %v", err)
-						}
-						label := kernel.String() + "/" + mode.String() + "/" + part.String()
-						checkAgainstOracle(t, l, spec, s, label)
+	for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+		for _, part := range []sched.Partitioner{sched.Auto, sched.Simple, sched.Static} {
+			for _, partial := range []bool{false, true} {
+				for _, numMW := range []int{1, 3} {
+					cfg := DefaultConfig()
+					cfg.Mode = mode
+					cfg.Partitioner = part
+					cfg.PartialInit = partial
+					cfg.NumMultiWindows = numMW
+					cfg.Directed = true
+					eng, err := NewEngine(l, spec, cfg, pool)
+					if err != nil {
+						t.Fatalf("NewEngine: %v", err)
 					}
+					s, err := eng.Run(context.Background())
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					label := mode.String() + "/" + part.String()
+					checkAgainstOracle(t, l, spec, s, label)
 				}
 			}
 		}
@@ -105,21 +101,18 @@ func TestAllConfigurationsMatchOracle(t *testing.T) {
 func TestSerialNilPoolMatchesOracle(t *testing.T) {
 	l := randomLog(t, 32, 20, 300, 2000)
 	spec, _ := events.Span(l, 300, 100)
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = true
-		cfg.NumMultiWindows = 2
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		checkAgainstOracle(t, l, spec, s, "serial/"+kernel.String())
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	cfg.NumMultiWindows = 2
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkAgainstOracle(t, l, spec, s, "serial")
 }
 
 func TestUndirectedSymmetrizedMatchesOracle(t *testing.T) {
@@ -146,7 +139,6 @@ func TestPartialInitReducesIterations(t *testing.T) {
 	spec, _ := events.Span(l, 2000, 100)
 	run := func(partial bool) *Series {
 		cfg := DefaultConfig()
-		cfg.Kernel = SpMV
 		cfg.Directed = true
 		cfg.PartialInit = partial
 		cfg.NumMultiWindows = 1
@@ -185,7 +177,6 @@ func TestPartialInitNotAcrossMultiWindowBoundary(t *testing.T) {
 	l := randomLog(t, 35, 20, 500, 2000)
 	spec, _ := events.SpanCount(l, 500, 100, 12)
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.Directed = true
 	cfg.PartialInit = true
 	cfg.NumMultiWindows = 4 // windows 0-2, 3-5, 6-8, 9-11
@@ -200,56 +191,6 @@ func TestPartialInitNotAcrossMultiWindowBoundary(t *testing.T) {
 	for _, first := range []int{0, 3, 6, 9} {
 		if s.Window(first).UsedPartialInit {
 			t.Fatalf("window %d is first of its multi-window graph but warm-started", first)
-		}
-	}
-}
-
-// TestSpMMEqualsSpMVExactlySerial pins every batch width to the
-// width-1 (SpMV) passes bit for bit. With cold starts (no partial init)
-// and a serial loop, a window's arithmetic does not depend on which
-// batch slot it occupies, so the K-slot passes and the width-1 passes
-// must produce the same ranks, iterations, residuals and active counts.
-func TestSpMMEqualsSpMVExactlySerial(t *testing.T) {
-	l := randomLog(t, 36, 30, 800, 4000)
-	spec, _ := events.Span(l, 600, 150)
-	mk := func(kernel KernelID, width int, directed bool) *Series {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = directed
-		cfg.PartialInit = false
-		cfg.NumMultiWindows = 2
-		cfg.VectorLen = width
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		return s
-	}
-	for _, directed := range []bool{false, true} {
-		a := mk(SpMV, 0, directed)
-		for _, width := range []int{1, 2, 3, 8, 64} {
-			b := mk(SpMM, width, directed)
-			for w := 0; w < spec.Count; w++ {
-				ra, rb := a.Window(w), b.Window(w)
-				if ra.Iterations != rb.Iterations || math.Float64bits(ra.FinalResidual) != math.Float64bits(rb.FinalResidual) ||
-					ra.ActiveVertices != rb.ActiveVertices {
-					t.Fatalf("directed=%v width %d window %d: SpMV (%d it, residual %v, %d active), width %d (%d it, residual %v, %d active)",
-						directed, width, w, ra.Iterations, ra.FinalResidual, ra.ActiveVertices,
-						width, rb.Iterations, rb.FinalResidual, rb.ActiveVertices)
-				}
-				da := ra.Dense(l.NumVertices())
-				db := rb.Dense(l.NumVertices())
-				for v := range da {
-					if math.Float64bits(da[v]) != math.Float64bits(db[v]) {
-						t.Fatalf("directed=%v width %d window %d vertex %d: SpMV %v, width %d %v",
-							directed, width, w, v, da[v], width, db[v])
-					}
-				}
-			}
 		}
 	}
 }
@@ -276,21 +217,19 @@ func sameWindows(t *testing.T, label string, numVertices int32, a, b *Series) {
 
 // TestMaskDegreesEqualOutRunWalk pins the kernel's two degree paths to
 // each other. Solved undirected, a symmetrized log's graph shares one
-// CSR for both directions, and Init takes each slot's out-degrees from
-// the run index's masks; solved as directed, the same log gets its own
-// out-CSR, whose runs Init walks against the views. Serially, at every
-// width and with partial init on and off, the two must give
-// bit-identical windows, and both must match the dense oracle.
+// CSR for both directions, and Init takes each vertex's out-degree from
+// its run-index entry count; solved as directed, the same log gets its
+// own out-CSR, whose runs Init walks against the view. Serially, with
+// partial init on and off, the two must give bit-identical windows,
+// and both must match the dense oracle.
 func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 	l := randomLog(t, 52, 30, 700, 4000).Symmetrize()
 	spec, _ := events.Span(l, 600, 150)
-	mk := func(directed bool, width int, partial bool) *Series {
+	mk := func(directed bool, partial bool) *Series {
 		cfg := DefaultConfig()
-		cfg.Kernel = SpMM
 		cfg.Directed = directed
 		cfg.PartialInit = partial
 		cfg.NumMultiWindows = 2
-		cfg.VectorLen = width
 		eng, err := NewEngine(l, spec, cfg, nil)
 		if err != nil {
 			t.Fatalf("NewEngine: %v", err)
@@ -306,79 +245,12 @@ func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 		}
 		return s
 	}
-	for _, width := range []int{1, 3, 8, 64} {
-		for _, partial := range []bool{false, true} {
-			label := fmt.Sprintf("width=%d partial=%v", width, partial)
-			masks, walk := mk(false, width, partial), mk(true, width, partial)
-			sameWindows(t, label+" masks vs walk", l.NumVertices(), masks, walk)
-			checkAgainstOracle(t, l, spec, masks, label+" masks")
-			checkAgainstOracle(t, l, spec, walk, label+" walk")
-		}
-	}
-}
-
-// TestSpMMSlotConvergesFirst solves one width-8 batch in which slot 0
-// holds a two-vertex graph that is converged from its uniform start,
-// with one vertex active in no other slot, while the other slots hold
-// random graphs that take many sweeps. The passes keep sweeping the
-// listed vertices for the live slots after slot 0 retires, so the
-// batch must still match the width-1 solve bit for bit, and the
-// oracle.
-func TestSpMMSlotConvergesFirst(t *testing.T) {
-	const n = 30
-	rng := rand.New(rand.NewSource(53))
-	evs := []events.Event{ev(0, 1, 5), ev(1, 0, 5)}
-	for w := int64(1); w < 8; w++ {
-		for i := 0; i < 60; i++ {
-			u := int32(rng.Intn(n))
-			if u == 1 {
-				u = 0
-			}
-			v := int32(2 + rng.Intn(n-2))
-			evs = append(evs, ev(u, v, w*100+int64(i)))
-		}
-	}
-	spec := events.WindowSpec{T0: 0, Delta: 99, Slide: 100, Count: 8}
-	for _, directed := range []bool{false, true} {
-		l, err := events.NewLog(evs, n)
-		if err != nil {
-			t.Fatalf("NewLog: %v", err)
-		}
-		if !directed {
-			l = l.Symmetrize()
-		}
-		mk := func(width int) *Series {
-			cfg := DefaultConfig()
-			cfg.Kernel = SpMM
-			cfg.Directed = directed
-			cfg.PartialInit = false
-			cfg.NumMultiWindows = 1
-			cfg.VectorLen = width
-			eng, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			s, err := eng.Run(context.Background())
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			return s
-		}
-		label := fmt.Sprintf("directed=%v", directed)
-		batch := mk(8)
-		first, rest := batch.Window(0).Iterations, 0
-		for w := 1; w < spec.Count; w++ {
-			rest = max(rest, batch.Window(w).Iterations)
-			if r := batch.Window(w).Dense(n); r[1] != 0 {
-				t.Fatalf("%s: vertex 1 ranked %v in window %d, want it active in window 0 only", label, r[1], w)
-			}
-		}
-		if !batch.Window(0).Converged || first >= rest {
-			t.Fatalf("%s: slot 0 ran %d sweeps (converged %v), the others up to %d; want it to retire first",
-				label, first, batch.Window(0).Converged, rest)
-		}
-		sameWindows(t, label+" width 8 vs 1", n, batch, mk(1))
-		checkAgainstOracle(t, l, spec, batch, label)
+	for _, partial := range []bool{false, true} {
+		label := fmt.Sprintf("partial=%v", partial)
+		counts, walk := mk(false, partial), mk(true, partial)
+		sameWindows(t, label+" run counts vs walk", l.NumVertices(), counts, walk)
+		checkAgainstOracle(t, l, spec, counts, label+" run counts")
+		checkAgainstOracle(t, l, spec, walk, label+" walk")
 	}
 }
 
@@ -387,38 +259,35 @@ func TestDiscardRanks(t *testing.T) {
 	defer pool.Close()
 	l := randomLog(t, 37, 15, 200, 1000)
 	spec, _ := events.Span(l, 200, 80)
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = true
-		cfg.DiscardRanks = true
-		cfg.NumMultiWindows = 2
-		eng, err := NewEngine(l, spec, cfg, pool)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		for w := 0; w < s.Len(); w++ {
-			if s.Window(w).HasRanks() {
-				t.Fatalf("%v: window %d retained ranks despite DiscardRanks", kernel, w)
-			}
-		}
-		// Iterations statistics must still be present.
-		if s.TotalIterations() == 0 {
-			t.Fatalf("%v: no iteration statistics", kernel)
-		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%v: Rank on discarded result did not panic", kernel)
-				}
-			}()
-			s.Window(0).Rank(0)
-		}()
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	cfg.DiscardRanks = true
+	cfg.NumMultiWindows = 2
+	eng, err := NewEngine(l, spec, cfg, pool)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	for w := 0; w < s.Len(); w++ {
+		if s.Window(w).HasRanks() {
+			t.Fatalf("window %d retained ranks despite DiscardRanks", w)
+		}
+	}
+	// Iterations statistics must still be present.
+	if s.TotalIterations() == 0 {
+		t.Fatal("no iteration statistics")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("Rank on discarded result did not panic")
+			}
+		}()
+		s.Window(0).Rank(0)
+	}()
 }
 
 func TestEmptyWindowsHandled(t *testing.T) {
@@ -426,26 +295,23 @@ func TestEmptyWindowsHandled(t *testing.T) {
 	evs := []events.Event{ev(0, 1, 0), ev(1, 2, 5)}
 	l, _ := events.NewLog(evs, 3)
 	spec := events.WindowSpec{T0: 0, Delta: 10, Slide: 100, Count: 5}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = true
-		cfg.NumMultiWindows = 2
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		if !s.AllConverged() {
-			t.Fatalf("%v: empty windows did not converge", kernel)
-		}
-		for w := 1; w < 5; w++ {
-			if s.Window(w).ActiveVertices != 0 {
-				t.Fatalf("%v: window %d should be empty", kernel, w)
-			}
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	cfg.NumMultiWindows = 2
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	if !s.AllConverged() {
+		t.Fatal("empty windows did not converge")
+	}
+	for w := 1; w < 5; w++ {
+		if s.Window(w).ActiveVertices != 0 {
+			t.Fatalf("window %d should be empty", w)
 		}
 	}
 }
@@ -473,9 +339,6 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Opts.Alpha = 2 },
 		func(c *Config) { c.NumMultiWindows = 0 },
 		func(c *Config) { c.Mode = ParallelMode(9) },
-		func(c *Config) { c.Kernel = KernelID(7) },
-		func(c *Config) { c.Kernel = SpMM; c.VectorLen = 0 },
-		func(c *Config) { c.Kernel = SpMM; c.VectorLen = 65 },
 		func(c *Config) { c.Grain = -1 },
 	}
 	for i, mutate := range bad {
@@ -542,14 +405,11 @@ func TestSeriesAPI(t *testing.T) {
 	}
 }
 
-func TestModeAndKernelStrings(t *testing.T) {
+func TestModeStrings(t *testing.T) {
 	if AppLevel.String() != "app-level" || WindowLevel.String() != "window-level" || Nested.String() != "nested" {
 		t.Fatal("mode names wrong")
 	}
-	if SpMV.String() != "spmv" || SpMM.String() != "spmm" {
-		t.Fatal("kernel names wrong")
-	}
-	if ParallelMode(9).String() == "" || KernelID(9).String() == "" {
+	if ParallelMode(9).String() == "" {
 		t.Fatal("unknown values should still format")
 	}
 }
@@ -618,21 +478,18 @@ func TestBurstyLogMatchesOracle(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Span: %v", err)
 	}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.Directed = true
-		cfg.NumMultiWindows = 4
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
-		}
-		checkAgainstOracle(t, l, spec, s, "bursty/"+kernel.String())
+	cfg := DefaultConfig()
+	cfg.Directed = true
+	cfg.NumMultiWindows = 4
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
 	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run: %v", err)
+	}
+	checkAgainstOracle(t, l, spec, s, "bursty")
 }
 
 func TestExportRoundTrip(t *testing.T) {
@@ -671,52 +528,15 @@ func TestExportRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSpMMRegionStridedOrder(t *testing.T) {
-	// One multi-window graph, 16 windows, vector length 4: regions are
-	// {0..3},{4..7},{8..11},{12..15}. Batch 0 takes the first window of
-	// each region (0,4,8,12) with full initialization; every later
-	// batch warm-starts from its region predecessor (paper Sec. 4.4).
-	l := randomLog(t, 46, 30, 2000, 40000)
-	_, last, _ := l.TimeRange()
-	slide := last / 20
-	spec, _ := events.SpanCount(l, 6*slide, slide, 16)
-	cfg := DefaultConfig()
-	cfg.Kernel = SpMM
-	cfg.VectorLen = 4
-	cfg.NumMultiWindows = 1
-	cfg.Directed = true
-	cfg.PartialInit = true
-	eng, err := NewEngine(l, spec, cfg, nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	for w := 0; w < 16; w++ {
-		isRegionFirst := w%4 == 0
-		got := s.Window(w).UsedPartialInit
-		if isRegionFirst && got {
-			t.Fatalf("window %d is a region head but warm-started", w)
-		}
-		if !isRegionFirst && !got {
-			t.Fatalf("window %d should warm-start from window %d", w, w-1)
-		}
-	}
-}
-
 func TestRankSumsInvariantQuick(t *testing.T) {
 	// Every window's retained ranks must sum to 1 (or 0 when empty),
 	// across random configurations.
 	l := randomLog(t, 47, 20, 400, 2000)
 	spec, _ := events.Span(l, 300, 150)
-	f := func(kernelRaw, modeRaw, mwRaw, vlRaw uint8, partial bool) bool {
+	f := func(modeRaw, mwRaw uint8, partial bool) bool {
 		cfg := DefaultConfig()
-		cfg.Kernel = KernelID(kernelRaw % 2)
 		cfg.Mode = ParallelMode(modeRaw % 3)
 		cfg.NumMultiWindows = int(mwRaw%4) + 1
-		cfg.VectorLen = int(vlRaw%8) + 1
 		cfg.PartialInit = partial
 		cfg.Directed = true
 		eng, err := NewEngine(l, spec, cfg, nil)

@@ -14,7 +14,7 @@ import (
 // TestRunWithValidation is the end-to-end invariant gate: a multi-window
 // series computed with Config.Validate on must pass every structural
 // check (TCSR layout, window coverage, per-window rank stochasticity)
-// for each kernel and parallel mode.
+// for each parallel mode.
 func TestRunWithValidation(t *testing.T) {
 	l := randomLog(t, 11, 40, 400, 1000)
 	spec := events.WindowSpec{T0: 0, Delta: 200, Slide: 90, Count: 10}
@@ -26,25 +26,22 @@ func TestRunWithValidation(t *testing.T) {
 		if !directed {
 			log = l.Symmetrize()
 		}
-		for _, kernel := range []KernelID{SpMV, SpMM} {
-			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-				cfg := DefaultConfig()
-				cfg.Kernel = kernel
-				cfg.Mode = mode
-				cfg.NumMultiWindows = 3
-				cfg.Directed = directed
-				cfg.Validate = true
-				eng, err := NewEngine(log, spec, cfg, pool)
-				if err != nil {
-					t.Fatalf("%v/%v directed=%v: NewEngine: %v", kernel, mode, directed, err)
-				}
-				s, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%v/%v directed=%v: Run: %v", kernel, mode, directed, err)
-				}
-				if len(s.Results) != spec.Count {
-					t.Fatalf("%v/%v: %d results, want %d", kernel, mode, len(s.Results), spec.Count)
-				}
+		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+			cfg := DefaultConfig()
+			cfg.Mode = mode
+			cfg.NumMultiWindows = 3
+			cfg.Directed = directed
+			cfg.Validate = true
+			eng, err := NewEngine(log, spec, cfg, pool)
+			if err != nil {
+				t.Fatalf("%v directed=%v: NewEngine: %v", mode, directed, err)
+			}
+			s, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%v directed=%v: Run: %v", mode, directed, err)
+			}
+			if len(s.Results) != spec.Count {
+				t.Fatalf("%v: %d results, want %d", mode, len(s.Results), spec.Count)
 			}
 		}
 	}
@@ -55,24 +52,21 @@ func TestRunWithValidation(t *testing.T) {
 func TestRunWithValidationDiscardRanks(t *testing.T) {
 	l := randomLog(t, 12, 30, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 150, Slide: 80, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := DefaultConfig()
-		cfg.Kernel = kernel
-		cfg.NumMultiWindows = 2
-		cfg.Directed = true
-		cfg.Validate = true
-		cfg.DiscardRanks = true
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("%v: NewEngine: %v", kernel, err)
-		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("%v: Run with DiscardRanks: %v", kernel, err)
-		}
-		if s.Window(0).HasRanks() {
-			t.Fatalf("%v: ranks retained despite DiscardRanks", kernel)
-		}
+	cfg := DefaultConfig()
+	cfg.NumMultiWindows = 2
+	cfg.Directed = true
+	cfg.Validate = true
+	cfg.DiscardRanks = true
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("Run with DiscardRanks: %v", err)
+	}
+	if s.Window(0).HasRanks() {
+		t.Fatal("ranks retained despite DiscardRanks")
 	}
 }
 
@@ -116,8 +110,8 @@ func TestConfigCheck(t *testing.T) {
 		t.Error("NumMultiWindows=0 accepted")
 	}
 	bad = DefaultConfig()
-	bad.Kernel = KernelID(99)
+	bad.Mode = ParallelMode(99)
 	if err := bad.Check(); err == nil {
-		t.Error("unknown kernel accepted")
+		t.Error("unknown mode accepted")
 	}
 }

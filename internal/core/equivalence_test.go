@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"context"
 
 	"fmt"
@@ -19,14 +18,12 @@ import (
 // tolerance, so runs that take different warm-start paths (work
 // stealing moves range boundaries) still land within 1e-12 of the same
 // fixed point and the series are comparable entry-wise.
-func equivCfg(kernel KernelID, mode ParallelMode, partial bool) Config {
+func equivCfg(mode ParallelMode, partial bool) Config {
 	cfg := DefaultConfig()
-	cfg.Kernel = kernel
 	cfg.Mode = mode
 	cfg.PartialInit = partial
 	cfg.NumMultiWindows = 3
 	cfg.Directed = true
-	cfg.VectorLen = 4
 	cfg.Opts.Tol = 1e-14
 	cfg.Opts.MaxIter = 2000
 	return cfg
@@ -45,55 +42,54 @@ func denseSeries(t *testing.T, s *Series, label string) [][]float64 {
 	return out
 }
 
-// TestScratchRewriteMatchesSerial pins the arena-backed kernels to the
-// serial execution of the same configuration: every kernel, parallel
-// mode, and PartialInit setting must produce the same rank series to
-// within 1e-12 on a work-stealing pool.
+// TestScratchRewriteMatchesSerial pins the arena-backed kernel to the
+// serial execution of the same configuration: every parallel mode and
+// PartialInit setting must produce the same rank series to within
+// 1e-12 on a work-stealing pool. Subtests are named after the engine's
+// one kernel, SpMV.
 func TestScratchRewriteMatchesSerial(t *testing.T) {
 	l := randomLog(t, 77, 30, 300, 900)
 	spec := events.WindowSpec{T0: 0, Delta: 180, Slide: 95, Count: 8}
 	pool := sched.NewPool(4)
 	defer pool.Close()
 
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		for _, partial := range []bool{false, true} {
-			cfg := equivCfg(kernel, AppLevel, partial)
-			serialEng, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("serial NewEngine: %v", err)
-			}
-			serialSeries, err := serialEng.Run(context.Background())
-			if err != nil {
-				t.Fatalf("serial Run: %v", err)
-			}
-			want := denseSeries(t, serialSeries, "serial")
+	for _, partial := range []bool{false, true} {
+		cfg := equivCfg(AppLevel, partial)
+		serialEng, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("serial NewEngine: %v", err)
+		}
+		serialSeries, err := serialEng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("serial Run: %v", err)
+		}
+		want := denseSeries(t, serialSeries, "serial")
 
-			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-				label := fmt.Sprintf("%v/%v/partial=%v", kernel, mode, partial)
-				t.Run(label, func(t *testing.T) {
-					eng, err := NewEngine(l, spec, equivCfg(kernel, mode, partial), pool)
-					if err != nil {
-						t.Fatalf("NewEngine: %v", err)
-					}
-					s, err := eng.Run(context.Background())
-					if err != nil {
-						t.Fatalf("Run: %v", err)
-					}
-					got := denseSeries(t, s, label)
-					for w := range want {
-						for v := range want[w] {
-							d := got[w][v] - want[w][v]
-							if d < 0 {
-								d = -d
-							}
-							if d > 1e-12 {
-								t.Fatalf("window %d vertex %d: got %v want %v (|diff|=%v)",
-									w, v, got[w][v], want[w][v], d)
-							}
+		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+			label := fmt.Sprintf("spmv/%v/partial=%v", mode, partial)
+			t.Run(label, func(t *testing.T) {
+				eng, err := NewEngine(l, spec, equivCfg(mode, partial), pool)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("Run: %v", err)
+				}
+				got := denseSeries(t, s, label)
+				for w := range want {
+					for v := range want[w] {
+						d := got[w][v] - want[w][v]
+						if d < 0 {
+							d = -d
+						}
+						if d > 1e-12 {
+							t.Fatalf("window %d vertex %d: got %v want %v (|diff|=%v)",
+								w, v, got[w][v], want[w][v], d)
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }
@@ -105,35 +101,33 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 func TestSerialRunTwiceBitIdentical(t *testing.T) {
 	l := randomLog(t, 78, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		eng, err := NewEngine(l, spec, equivCfg(kernel, AppLevel, true), nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		s1, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("first Run: %v", err)
-		}
-		first := denseSeries(t, s1, "first")
-		s2, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("second Run: %v", err)
-		}
-		second := denseSeries(t, s2, "second")
-		for w := range first {
-			for v := range first[w] {
-				if first[w][v] != second[w][v] {
-					t.Fatalf("%v: window %d vertex %d differs across runs: %v vs %v",
-						kernel, w, v, first[w][v], second[w][v])
-				}
+	eng, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	s1, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("first Run: %v", err)
+	}
+	first := denseSeries(t, s1, "first")
+	s2, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	second := denseSeries(t, s2, "second")
+	for w := range first {
+		for v := range first[w] {
+			if first[w][v] != second[w][v] {
+				t.Fatalf("window %d vertex %d differs across runs: %v vs %v",
+					w, v, first[w][v], second[w][v])
 			}
 		}
 	}
 }
 
 // TestDiscardRanksSteadyStateHasZeroMisses is the regression test for
-// the final-batch rank leak: under DiscardRanks every buffer — the
-// SpMM staging vectors of the last batch included — must return to the
+// the final-window rank leak: under DiscardRanks every buffer — the
+// rank vector of each unit's last window included — must return to the
 // arena, so a second Run is served entirely from the free lists.
 func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	if raceEnabled {
@@ -145,46 +139,49 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	}
 	l := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		cfg := equivCfg(kernel, AppLevel, true)
-		cfg.DiscardRanks = true
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		if _, err := eng.Run(context.Background()); err != nil {
-			t.Fatalf("warm-up Run: %v", err)
-		}
-		before := eng.ScratchStats()
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("second Run: %v", err)
-		}
-		d := eng.ScratchStats().Delta(before)
-		if d.Gets == 0 {
-			t.Fatalf("%v: second run made no buffer requests", kernel)
-		}
-		if d.Misses != 0 {
-			t.Fatalf("%v: second run allocated %d fresh buffers (leak): %+v", kernel, d.Misses, d)
-		}
-		if s.Report.Scratch == nil || s.Report.Scratch.HitRate != 1 {
-			t.Fatalf("%v: report scratch = %+v, want hit rate 1", kernel, s.Report.Scratch)
-		}
+	cfg := equivCfg(AppLevel, true)
+	cfg.DiscardRanks = true
+	eng, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if _, err := eng.Run(context.Background()); err != nil {
+		t.Fatalf("warm-up Run: %v", err)
+	}
+	before := eng.ScratchStats()
+	s, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("second Run: %v", err)
+	}
+	d := eng.ScratchStats().Delta(before)
+	if d.Gets == 0 {
+		t.Fatalf("second run made no buffer requests")
+	}
+	if d.Misses != 0 {
+		t.Fatalf("second run allocated %d fresh buffers (leak): %+v", d.Misses, d)
+	}
+	if s.Report.Scratch == nil || s.Report.Scratch.HitRate != 1 {
+		t.Fatalf("report scratch = %+v, want hit rate 1", s.Report.Scratch)
 	}
 }
 
 // TestSteadyStateIterationsDoNotAllocate is the hot-path allocation
-// gate: for every batch width, every pooled mode, the degrade rung and
-// an attached journal, it compares the allocation count of a
+// gate: for every chain grain K, every pooled mode, the degrade rung
+// and an attached journal, it compares the allocation count of a
 // 1-iteration run against a 101-iteration run of the same warmed
 // engine. The difference is what the 100 extra steady-state iterations
 // allocated, and it must be zero in every cell. The degrade column arms
-// persistent faults on both solve points, so every batch solves on the
-// serial width-1 rung. The 2-worker nested plans have at least 2 units
-// and so do not fork their vertex loops; the nested-forked row plans
-// one multi-window, whose single unit cannot fill the pool, so its
-// healthy cells fork (width 1 has no such row: a pooled width-1 plan
-// always cuts the multi-window into enough chains).
+// a persistent fault on the solve point, so every window solves on the
+// serial rung.
+//
+// K is Config.Grain. It is the grain of the app-level plans' forked
+// vertex loops and the shortest warm-start chain a pooled window-level
+// or nested plan cuts (sched.InitialSpan): at K = 1, 3, 8 and 64 each
+// ten-window multi-window becomes 5, 4, 2 and 1 chains. The serial row
+// has no pool, so its plan ignores K and runs only at K=1. The 2-worker
+// nested plans have at least 2 units and do not fork; the
+// nested-forked row plans one multi-window, which only K=64 keeps as a
+// single unit that cannot fill the pool, so its healthy cells fork.
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -192,8 +189,6 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	l := randomLog(t, 80, 25, 250, 700)
-	// Two multi-windows of ten windows each: widths 3, 8 and 64 lay
-	// each one out as 4, 2 and 1 batches.
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 27, Count: 20}
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -201,32 +196,29 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		name string
 		mode ParallelMode
 		pool *sched.Pool
-		mws  int // multi-windows; 0 = 2
+		mws  int // multi-windows
 	}{
-		{"serial", AppLevel, nil, 0},
-		{"app", AppLevel, pool, 0},
-		{"window", WindowLevel, pool, 0},
-		{"nested", Nested, pool, 0},
+		{"serial", AppLevel, nil, 2},
+		{"app", AppLevel, pool, 2},
+		{"window", WindowLevel, pool, 2},
+		{"nested", Nested, pool, 2},
 		{"nested-forked", Nested, pool, 1},
 	}
-	for _, width := range []int{1, 3, 8, 64} {
+	for _, grain := range []int{1, 3, 8, 64} {
 		for _, p := range pools {
-			if p.mws == 1 && width == 1 {
+			if (p.pool == nil && grain != 1) || (p.mws == 1 && grain < spec.Count) {
 				continue
 			}
 			for _, degrade := range []bool{false, true} {
 				for _, journal := range []bool{false, true} {
-					label := fmt.Sprintf("K=%d/%s/degrade=%v/journal=%v", width, p.name, degrade, journal)
+					label := fmt.Sprintf("K=%d/%s/degrade=%v/journal=%v", grain, p.name, degrade, journal)
 					t.Run(label, func(t *testing.T) {
 						if degrade {
-							c1 := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeError, Count: 0})
-							defer c1()
-							c2 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})
-							defer c2()
+							defer fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})()
 						}
-						cfg := equivCfg(SpMM, p.mode, true)
-						cfg.VectorLen = width
-						cfg.NumMultiWindows = cmp.Or(p.mws, 2)
+						cfg := equivCfg(p.mode, true)
+						cfg.Grain = grain
+						cfg.NumMultiWindows = p.mws
 						cfg.DiscardRanks = true
 						cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
 						if journal {
@@ -309,30 +301,26 @@ func TestTimeShiftIsInvariant(t *testing.T) {
 			}
 			movedSpec := spec
 			movedSpec.T0 += shift
-			for _, kernel := range []KernelID{SpMV, SpMM} {
-				for _, partial := range []bool{false, true} {
-					label := fmt.Sprintf("seed %d shift %d %v partial=%v", seed, shift, kernel, partial)
-					cfg := DefaultConfig()
-					cfg.Kernel = kernel
-					cfg.PartialInit = partial
-					cfg.Directed = true
-					cfg.NumMultiWindows = 3
-					cfg.VectorLen = 4
-					want := runSeries(t, l, spec, cfg, label)
-					got := runSeries(t, moved, movedSpec, cfg, label+" shifted")
-					for w := 0; w < want.Len(); w++ {
-						a, b := want.Window(w), got.Window(w)
-						if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual ||
-							a.ActiveVertices != b.ActiveVertices || a.Converged != b.Converged {
-							t.Fatalf("%s window %d: iterations %d, residual %v, active %d, converged %v shifted to %d, %v, %d, %v",
-								label, w, a.Iterations, a.FinalResidual, a.ActiveVertices, a.Converged,
-								b.Iterations, b.FinalResidual, b.ActiveVertices, b.Converged)
-						}
-						ra, rb := a.Dense(l.NumVertices()), b.Dense(l.NumVertices())
-						for v := range ra {
-							if ra[v] != rb[v] {
-								t.Fatalf("%s window %d vertex %d: rank %v shifted to %v", label, w, v, ra[v], rb[v])
-							}
+			for _, partial := range []bool{false, true} {
+				label := fmt.Sprintf("seed %d shift %d partial=%v", seed, shift, partial)
+				cfg := DefaultConfig()
+				cfg.PartialInit = partial
+				cfg.Directed = true
+				cfg.NumMultiWindows = 3
+				want := runSeries(t, l, spec, cfg, label)
+				got := runSeries(t, moved, movedSpec, cfg, label+" shifted")
+				for w := 0; w < want.Len(); w++ {
+					a, b := want.Window(w), got.Window(w)
+					if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual ||
+						a.ActiveVertices != b.ActiveVertices || a.Converged != b.Converged {
+						t.Fatalf("%s window %d: iterations %d, residual %v, active %d, converged %v shifted to %d, %v, %d, %v",
+							label, w, a.Iterations, a.FinalResidual, a.ActiveVertices, a.Converged,
+							b.Iterations, b.FinalResidual, b.ActiveVertices, b.Converged)
+					}
+					ra, rb := a.Dense(l.NumVertices()), b.Dense(l.NumVertices())
+					for v := range ra {
+						if ra[v] != rb[v] {
+							t.Fatalf("%s window %d vertex %d: rank %v shifted to %v", label, w, v, ra[v], rb[v])
 						}
 					}
 				}
@@ -387,40 +375,36 @@ func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 		if err != nil {
 			t.Fatalf("NewLogSorted: %v", err)
 		}
-		for _, kernel := range []KernelID{SpMV, SpMM} {
-			for _, partial := range []bool{false, true} {
-				for _, directed := range []bool{false, true} {
-					label := fmt.Sprintf("seed %d %v partial=%v directed=%v", seed, kernel, partial, directed)
-					cfg := DefaultConfig()
-					cfg.Kernel = kernel
-					cfg.PartialInit = partial
-					cfg.Directed = directed
-					cfg.NumMultiWindows = 3
-					cfg.VectorLen = 4
-					cfg.Opts.Tol = 1e-14
-					want := runSeries(t, l, spec, cfg, label)
-					moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
-					reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")
-					for w := 0; w < want.Len(); w++ {
-						a := want.Window(w)
-						ra := a.Dense(n)
-						rm := moved.Window(w).Dense(n)
-						for v := range ra {
-							if d := math.Abs(ra[v] - rm[perm[v]]); d > 1e-12 {
-								t.Fatalf("%s window %d vertex %d: rank %v relabeled to %v (|diff|=%v)",
-									label, w, v, ra[v], rm[perm[v]], d)
-							}
+		for _, partial := range []bool{false, true} {
+			for _, directed := range []bool{false, true} {
+				label := fmt.Sprintf("seed %d partial=%v directed=%v", seed, partial, directed)
+				cfg := DefaultConfig()
+				cfg.PartialInit = partial
+				cfg.Directed = directed
+				cfg.NumMultiWindows = 3
+				cfg.Opts.Tol = 1e-14
+				want := runSeries(t, l, spec, cfg, label)
+				moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
+				reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")
+				for w := 0; w < want.Len(); w++ {
+					a := want.Window(w)
+					ra := a.Dense(n)
+					rm := moved.Window(w).Dense(n)
+					for v := range ra {
+						if d := math.Abs(ra[v] - rm[perm[v]]); d > 1e-12 {
+							t.Fatalf("%s window %d vertex %d: rank %v relabeled to %v (|diff|=%v)",
+								label, w, v, ra[v], rm[perm[v]], d)
 						}
-						b := reordered.Window(w)
-						if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual {
-							t.Fatalf("%s window %d: iterations %d, residual %v tie-shuffled to %d, %v",
-								label, w, a.Iterations, a.FinalResidual, b.Iterations, b.FinalResidual)
-						}
-						rb := b.Dense(n)
-						for v := range ra {
-							if ra[v] != rb[v] {
-								t.Fatalf("%s window %d vertex %d: rank %v tie-shuffled to %v", label, w, v, ra[v], rb[v])
-							}
+					}
+					b := reordered.Window(w)
+					if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual {
+						t.Fatalf("%s window %d: iterations %d, residual %v tie-shuffled to %d, %v",
+							label, w, a.Iterations, a.FinalResidual, b.Iterations, b.FinalResidual)
+					}
+					rb := b.Dense(n)
+					for v := range ra {
+						if ra[v] != rb[v] {
+							t.Fatalf("%s window %d vertex %d: rank %v tie-shuffled to %v", label, w, v, ra[v], rb[v])
 						}
 					}
 				}

@@ -29,7 +29,7 @@ func (e *RecoveredPanic) Unwrap() error {
 func recoveredError(rec any) error { return &RecoveredPanic{Value: rec} }
 
 // WindowError reports one window's solve failing terminally: every
-// retry and the serial width-1 degrade attempt failed. The window is
+// retry and the serial degrade attempt failed. The window is
 // quarantined — its WindowResult carries WindowFailed and this error —
 // and the run goes on.
 type WindowError struct {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"path/filepath"
 	"runtime"
-	"strings"
 	"testing"
 	"time"
 
@@ -51,92 +50,86 @@ func maxAbsDiff(a, b []float64) float64 {
 // (error and panic modes) at each solve injection point and verifies
 // the run completes with every window's ranks within 1e-12 of the
 // fault-free oracle — a retried attempt reuses identical inputs, so a
-// transient fault must leave no numerical trace.
+// transient fault must leave no numerical trace. Subtests are named
+// after the engine's one kernel, SpMV, and the point; the second of
+// each pair (suffix #01) runs nested instead of app-level.
 func TestInjectedFaultsAreRetriedTransparently(t *testing.T) {
 	l := randomLog(t, 91, 30, 300, 900)
 	spec := events.WindowSpec{T0: 0, Delta: 180, Slide: 95, Count: 8}
 	pool := sched.NewPool(4)
 	defer pool.Close()
 
-	for _, tc := range []struct {
-		kernel KernelID
-		point  string
-	}{
-		{SpMV, PointSolveWindow},
-		{SpMM, PointSolveBatch},
-	} {
-		want := oracleSeries(t, l, spec, equivCfg(tc.kernel, AppLevel, true))
-		for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
-			for _, par := range []ParallelMode{AppLevel, Nested} {
-				label := fmt.Sprintf("%v/%v/%v", tc.kernel, tc.point, mode)
-				t.Run(label, func(t *testing.T) {
-					defer fault.Reset()
-					fault.Reset()
-					cfg := equivCfg(tc.kernel, par, true)
-					cfg.Journal = obs.NewJournal(0)
-					eng, err := NewEngine(l, spec, cfg, pool)
-					if err != nil {
-						t.Fatalf("NewEngine: %v", err)
+	want := oracleSeries(t, l, spec, equivCfg(AppLevel, true))
+	for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
+		for _, par := range []ParallelMode{AppLevel, Nested} {
+			label := fmt.Sprintf("spmv/%v/%v", PointSolveWindow, mode)
+			t.Run(label, func(t *testing.T) {
+				defer fault.Reset()
+				fault.Reset()
+				cfg := equivCfg(par, true)
+				cfg.Journal = obs.NewJournal(0)
+				eng, err := NewEngine(l, spec, cfg, pool)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				// One fault on the third attempt-eligible hit: exercises a
+				// mid-run window, not just the first.
+				cancel := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: mode, After: 2, Count: 1})
+				defer cancel()
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("Run with injected %v: %v", mode, err)
+				}
+				if fault.Injected() == 0 {
+					t.Fatal("fault was never injected; test exercised nothing")
+				}
+				if !s.AllOK() {
+					t.Fatalf("quarantined windows %v after a transient fault", s.Quarantined())
+				}
+				retried := 0
+				for w := 0; w < s.Len(); w++ {
+					if st := s.Window(w).Status; st == WindowRetried || st == WindowDegraded {
+						retried++
 					}
-					// One fault on the third attempt-eligible hit: exercises a
-					// mid-run window, not just the first.
-					cancel := fault.Arm(fault.Rule{Point: tc.point, Mode: mode, After: 2, Count: 1})
-					defer cancel()
-					s, err := eng.Run(context.Background())
-					if err != nil {
-						t.Fatalf("Run with injected %v: %v", mode, err)
+				}
+				if retried == 0 {
+					t.Fatal("no window reports a retried/degraded status")
+				}
+				if s.Report.Fault.Retried+s.Report.Fault.Degraded == 0 {
+					t.Fatalf("report fault rollup empty: %+v", s.Report.Fault)
+				}
+				got := denseSeries(t, s, label)
+				for w := range want {
+					if d := maxAbsDiff(got[w], want[w]); d > 1e-12 {
+						t.Fatalf("window %d diverges from oracle by %v", w, d)
 					}
-					if fault.Injected() == 0 {
-						t.Fatal("fault was never injected; test exercised nothing")
-					}
-					if !s.AllOK() {
-						t.Fatalf("quarantined windows %v after a transient fault", s.Quarantined())
-					}
-					retried := 0
-					for w := 0; w < s.Len(); w++ {
-						if st := s.Window(w).Status; st == WindowRetried || st == WindowDegraded {
-							retried++
-						}
-					}
-					if retried == 0 {
-						t.Fatal("no window reports a retried/degraded status")
-					}
-					if s.Report.Fault.Retried+s.Report.Fault.Degraded == 0 {
-						t.Fatalf("report fault rollup empty: %+v", s.Report.Fault)
-					}
-					got := denseSeries(t, s, label)
-					for w := range want {
-						if d := maxAbsDiff(got[w], want[w]); d > 1e-12 {
-							t.Fatalf("window %d diverges from oracle by %v", w, d)
-						}
-					}
-					if cfg.Journal.FaultCounters().PanicsRecovered.Value() == 0 && mode == fault.ModePanic {
-						t.Fatal("panic mode injected but no panic recovered")
-					}
-				})
-			}
+				}
+				if cfg.Journal.FaultCounters().PanicsRecovered.Value() == 0 && mode == fault.ModePanic {
+					t.Fatal("panic mode injected but no panic recovered")
+				}
+			})
 		}
 	}
 }
 
 // TestPersistentFaultDegradesToSerialKernel arms a persistent fault on
-// the SpMM batch point; every batch then falls back to the serial SpMV
-// kernel, and the results must still match the oracle (same math,
+// the window point; every window then falls back to the serial degrade
+// rung, and the results must still match the oracle (same math,
 // simpler path).
 func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 	defer fault.Reset()
 	fault.Reset()
 	l := randomLog(t, 92, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	want := oracleSeries(t, l, spec, equivCfg(SpMM, AppLevel, true))
+	want := oracleSeries(t, l, spec, equivCfg(AppLevel, true))
 
-	cfg := equivCfg(SpMM, AppLevel, true)
+	cfg := equivCfg(AppLevel, true)
 	cfg.Journal = obs.NewJournal(0)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	cancel := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModePanic, Count: 0})
+	cancel := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModePanic, Count: 0})
 	defer cancel()
 	s, err := eng.Run(context.Background())
 	if err != nil {
@@ -146,7 +139,7 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 		t.Fatalf("quarantined windows %v; degrade should have rescued them", s.Quarantined())
 	}
 	for w := 0; w < s.Len(); w++ {
-		// Every batch attempt and retry failed; the degrade attempt won.
+		// Every window attempt and retry failed; the degrade attempt won.
 		if r := s.Window(w); r.Status != WindowDegraded || r.Attempts != maxRetries+2 {
 			t.Fatalf("window %d status %v after %d attempts, want degraded after %d", w, r.Status, r.Attempts, maxRetries+2)
 		}
@@ -171,9 +164,9 @@ func TestPersistentFaultQuarantinesWindow(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 93, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	want := oracleSeries(t, l, spec, equivCfg(SpMV, AppLevel, true))
+	want := oracleSeries(t, l, spec, equivCfg(AppLevel, true))
 
-	eng, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
+	eng, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -237,7 +230,7 @@ func TestStagePanicsBecomeStageErrors(t *testing.T) {
 	for _, point := range []string{PointBuild, PointPlan} {
 		fault.Reset()
 		cancel := fault.Arm(fault.Rule{Point: point, Mode: fault.ModePanic, Count: 1})
-		_, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
+		_, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
 		cancel()
 		var se *StageError
 		if !errors.As(err, &se) {
@@ -249,7 +242,7 @@ func TestStagePanicsBecomeStageErrors(t *testing.T) {
 		}
 	}
 	fault.Reset()
-	eng, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
+	eng, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -265,116 +258,113 @@ func TestStagePanicsBecomeStageErrors(t *testing.T) {
 // TestCheckpointResumeBitIdentical runs with checkpointing, cancels
 // mid-run, then resumes on a fresh engine and requires (a) the resumed
 // run to restore rather than re-solve the completed windows and (b)
-// the final ranks to be bit-identical to an uninterrupted run.
+// the final ranks to be bit-identical to an uninterrupted run. The
+// subtest is named after the engine's one kernel, SpMV.
 func TestCheckpointResumeBitIdentical(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 96, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		t.Run(kernel.String(), func(t *testing.T) {
-			cfg := equivCfg(kernel, AppLevel, true)
-			dir := filepath.Join(t.TempDir(), "ck")
+	t.Run("spmv", func(t *testing.T) {
+		cfg := equivCfg(AppLevel, true)
+		dir := filepath.Join(t.TempDir(), "ck")
 
-			// Uninterrupted reference.
-			ref, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			refSeries, err := ref.Run(context.Background())
-			if err != nil {
-				t.Fatalf("reference Run: %v", err)
-			}
+		// Uninterrupted reference.
+		ref, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		refSeries, err := ref.Run(context.Background())
+		if err != nil {
+			t.Fatalf("reference Run: %v", err)
+		}
 
-			// Interrupted run: cancel once half the windows completed.
-			store, err := checkpoint.Open(dir)
-			if err != nil {
-				t.Fatalf("checkpoint.Open: %v", err)
+		// Interrupted run: cancel once half the windows completed.
+		store, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatalf("checkpoint.Open: %v", err)
+		}
+		cfg1 := cfg
+		cfg1.Journal = obs.NewJournal(0)
+		ckpts := &cfg1.Journal.FaultCounters().CheckpointWindows
+		eng1, err := NewEngine(l, spec, cfg1, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		if _, err := eng1.SetCheckpoint(store, false); err != nil {
+			t.Fatalf("SetCheckpoint: %v", err)
+		}
+		// Slow every attempt down so the watcher's cancel reliably
+		// lands mid-run rather than after the final window.
+		slow := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeDelay, Delay: 20 * time.Millisecond, Count: 0})
+		ctx, stop := context.WithCancel(context.Background())
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for ckpts.Value() < 3 {
+				runtime.Gosched()
 			}
-			cfg1 := cfg
-			cfg1.Journal = obs.NewJournal(0)
-			ckpts := &cfg1.Journal.FaultCounters().CheckpointWindows
-			eng1, err := NewEngine(l, spec, cfg1, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			if _, err := eng1.SetCheckpoint(store, false); err != nil {
-				t.Fatalf("SetCheckpoint: %v", err)
-			}
-			// Slow every attempt down so the watcher's cancel reliably
-			// lands mid-run rather than after the final window.
-			slow1 := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeDelay, Delay: 20 * time.Millisecond, Count: 0})
-			slow2 := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeDelay, Delay: 20 * time.Millisecond, Count: 0})
-			ctx, stop := context.WithCancel(context.Background())
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for ckpts.Value() < 3 {
-					runtime.Gosched()
-				}
-				stop()
-			}()
-			_, err = eng1.Run(ctx)
-			<-done
-			slow1()
-			slow2()
-			var ce *CanceledError
-			if !errors.As(err, &ce) {
-				// The run may have finished before the cancel landed; then
-				// there is nothing to resume and the test is vacuous.
-				t.Fatalf("interrupted Run returned %v, want *CanceledError", err)
-			}
-			if ce.Checkpoint != dir {
-				t.Fatalf("CanceledError.Checkpoint = %q, want %q", ce.Checkpoint, dir)
-			}
-			if ce.Completed == 0 || ce.Completed >= spec.Count {
-				t.Fatalf("cancel landed at %d/%d windows; test needs a partial run (ckpt=%d injected=%d)",
-					ce.Completed, spec.Count, ckpts.Value(), fault.Injected())
-			}
+			stop()
+		}()
+		_, err = eng1.Run(ctx)
+		<-done
+		slow()
+		var ce *CanceledError
+		if !errors.As(err, &ce) {
+			// The run may have finished before the cancel landed; then
+			// there is nothing to resume and the test is vacuous.
+			t.Fatalf("interrupted Run returned %v, want *CanceledError", err)
+		}
+		if ce.Checkpoint != dir {
+			t.Fatalf("CanceledError.Checkpoint = %q, want %q", ce.Checkpoint, dir)
+		}
+		if ce.Completed == 0 || ce.Completed >= spec.Count {
+			t.Fatalf("cancel landed at %d/%d windows; test needs a partial run (ckpt=%d injected=%d)",
+				ce.Completed, spec.Count, ckpts.Value(), fault.Injected())
+		}
 
-			// Resume on a fresh engine.
-			store2, err := checkpoint.Open(dir)
-			if err != nil {
-				t.Fatalf("checkpoint.Open: %v", err)
+		// Resume on a fresh engine.
+		store2, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatalf("checkpoint.Open: %v", err)
+		}
+		eng2, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		resumed, err := eng2.SetCheckpoint(store2, true)
+		if err != nil {
+			t.Fatalf("SetCheckpoint(resume): %v", err)
+		}
+		if resumed == 0 {
+			t.Fatal("resume found no checkpointed windows")
+		}
+		s, err := eng2.Run(context.Background())
+		if err != nil {
+			t.Fatalf("resumed Run: %v", err)
+		}
+		gotResumed := 0
+		for w := 0; w < s.Len(); w++ {
+			if s.Window(w).Status == WindowResumed {
+				gotResumed++
 			}
-			eng2, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			resumed, err := eng2.SetCheckpoint(store2, true)
-			if err != nil {
-				t.Fatalf("SetCheckpoint(resume): %v", err)
-			}
-			if resumed == 0 {
-				t.Fatal("resume found no checkpointed windows")
-			}
-			s, err := eng2.Run(context.Background())
-			if err != nil {
-				t.Fatalf("resumed Run: %v", err)
-			}
-			gotResumed := 0
-			for w := 0; w < s.Len(); w++ {
-				if s.Window(w).Status == WindowResumed {
-					gotResumed++
-				}
-			}
-			if gotResumed != resumed {
-				t.Fatalf("series reports %d resumed windows, SetCheckpoint promised %d", gotResumed, resumed)
-			}
-			if s.Report.Fault.Resumed != resumed {
-				t.Fatalf("report resumed = %d, want %d", s.Report.Fault.Resumed, resumed)
-			}
-			want := denseSeries(t, refSeries, "reference")
-			got := denseSeries(t, s, "resumed")
-			for w := range want {
-				for v := range want[w] {
-					if got[w][v] != want[w][v] {
-						t.Fatalf("window %d vertex %d: resumed %v != reference %v (must be bit-identical)",
-							w, v, got[w][v], want[w][v])
-					}
+		}
+		if gotResumed != resumed {
+			t.Fatalf("series reports %d resumed windows, SetCheckpoint promised %d", gotResumed, resumed)
+		}
+		if s.Report.Fault.Resumed != resumed {
+			t.Fatalf("report resumed = %d, want %d", s.Report.Fault.Resumed, resumed)
+		}
+		want := denseSeries(t, refSeries, "reference")
+		got := denseSeries(t, s, "resumed")
+		for w := range want {
+			for v := range want[w] {
+				if got[w][v] != want[w][v] {
+					t.Fatalf("window %d vertex %d: resumed %v != reference %v (must be bit-identical)",
+						w, v, got[w][v], want[w][v])
 				}
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestCheckpointManifestMismatch verifies a checkpoint taken under a
@@ -388,7 +378,7 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Open: %v", err)
 	}
-	eng1, err := NewEngine(l, spec, equivCfg(SpMV, AppLevel, true), nil)
+	eng1, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -398,8 +388,8 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 	if _, err := eng1.Run(context.Background()); err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	// Same log, different kernel => manifest mismatch.
-	eng2, err := NewEngine(l, spec, equivCfg(SpMM, AppLevel, true), nil)
+	// Same log, no partial initialization => manifest mismatch.
+	eng2, err := NewEngine(l, spec, equivCfg(AppLevel, false), nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
@@ -412,53 +402,13 @@ func TestCheckpointManifestMismatch(t *testing.T) {
 	}
 }
 
-// TestCheckpointBatchWidthMismatch checkpoints a run at batch width 8
-// and resumes it at width 16. The width decides which windows
-// cold-start, so the widths' ranks differ; the manifest must refuse the
-// resume instead of restoring width-8 windows into a width-16 run.
-func TestCheckpointBatchWidthMismatch(t *testing.T) {
-	fault.Reset()
-	l := randomLog(t, 99, 30, 600, 3000)
-	spec := events.WindowSpec{T0: 0, Delta: 400, Slide: 60, Count: 40}
-	mk := func(width int) *Engine {
-		cfg := equivCfg(SpMM, AppLevel, true)
-		cfg.VectorLen = width
-		cfg.NumMultiWindows = 1
-		eng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("NewEngine: %v", err)
-		}
-		return eng
-	}
-	dir := t.TempDir()
-	store, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	eng8 := mk(8)
-	if _, err := eng8.SetCheckpoint(store, false); err != nil {
-		t.Fatalf("SetCheckpoint: %v", err)
-	}
-	if _, err := eng8.Run(context.Background()); err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	store2, err := checkpoint.Open(dir)
-	if err != nil {
-		t.Fatalf("Open: %v", err)
-	}
-	resumed, err := mk(16).SetCheckpoint(store2, true)
-	if err == nil || !strings.Contains(err.Error(), "manifest mismatch") {
-		t.Fatalf("width-16 resume of a width-8 checkpoint: resumed %d, err %v; want a manifest-mismatch error", resumed, err)
-	}
-}
-
 // TestCheckpointRejectsDiscardRanks verifies the retained-ranks
 // requirement is enforced.
 func TestCheckpointRejectsDiscardRanks(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 98, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg := equivCfg(SpMV, AppLevel, true)
+	cfg := equivCfg(AppLevel, true)
 	cfg.DiscardRanks = true
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
@@ -487,19 +437,19 @@ func TestChaosAllPointsAllModes(t *testing.T) {
 	defer fault.Reset()
 
 	points := []string{
-		PointBuild, PointPlan, PointSolveWindow, PointSolveBatch,
-		PointSolveDegrade, PointPublish,
+		PointBuild, PointPlan, PointSolveWindow, PointSolveDegrade,
+		PointPublish,
 	}
 	for _, point := range points {
 		for _, mode := range []fault.Mode{fault.ModeError, fault.ModePanic} {
-			for _, kernel := range []KernelID{SpMV, SpMM} {
-				label := fmt.Sprintf("%s/%v/%v", point, mode, kernel)
+			{
+				label := fmt.Sprintf("%s/%v/spmv", point, mode)
 				t.Run(label, func(t *testing.T) {
 					fault.Reset()
 					cancel := fault.Arm(fault.Rule{Point: point, Mode: mode, Count: 2})
 					defer cancel()
 					defer fault.Reset()
-					eng, err := NewEngine(l, spec, equivCfg(kernel, Nested, true), pool)
+					eng, err := NewEngine(l, spec, equivCfg(Nested, true), pool)
 					if err != nil {
 						if !isStructuredFault(err) {
 							t.Fatalf("NewEngine: unstructured error %v", err)

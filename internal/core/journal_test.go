@@ -22,8 +22,8 @@ import (
 )
 
 // journalCfg attaches a fresh journal to an equivalence config.
-func journalCfg(kernel KernelID, mode ParallelMode) (Config, *obs.Journal) {
-	cfg := equivCfg(kernel, mode, true)
+func journalCfg(mode ParallelMode) (Config, *obs.Journal) {
+	cfg := equivCfg(mode, true)
 	j := obs.NewJournal(4096)
 	cfg.Journal = j
 	return cfg, j
@@ -41,102 +41,101 @@ func eventsByType(evs []obs.Event) map[obs.EventType][]obs.Event {
 // TestRunEmitsOrderedJournal runs a full engine with a journal attached
 // and checks the event stream's shape: contiguous sequence numbers, the
 // documented lifecycle order (stages, run_start before windows, run_end
-// last), and one window_start/window_done pair per window.
+// last), and one window_start/window_done pair per window. The subtest
+// is named after the engine's one kernel, SpMV.
 func TestRunEmitsOrderedJournal(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 101, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		t.Run(kernel.String(), func(t *testing.T) {
-			cfg, j := journalCfg(kernel, AppLevel)
-			eng, err := NewEngine(l, spec, cfg, nil)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
+	t.Run("spmv", func(t *testing.T) {
+		cfg, j := journalCfg(AppLevel)
+		eng, err := NewEngine(l, spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		evs, complete := j.Since(0)
+		if !complete {
+			t.Fatal("journal evicted events; ring sized too small for the run")
+		}
+		for i, e := range evs {
+			if e.Seq != uint64(i+1) {
+				t.Fatalf("event %d has seq %d; want contiguous from 1", i, e.Seq)
 			}
-			if _, err := eng.Run(context.Background()); err != nil {
-				t.Fatalf("Run: %v", err)
+			if e.TimeUnixNano == 0 {
+				t.Fatalf("event %d has no timestamp", i)
 			}
-			evs, complete := j.Since(0)
-			if !complete {
-				t.Fatal("journal evicted events; ring sized too small for the run")
-			}
-			for i, e := range evs {
-				if e.Seq != uint64(i+1) {
-					t.Fatalf("event %d has seq %d; want contiguous from 1", i, e.Seq)
-				}
-				if e.TimeUnixNano == 0 {
-					t.Fatalf("event %d has no timestamp", i)
-				}
-			}
-			byType := eventsByType(evs)
+		}
+		byType := eventsByType(evs)
 
-			// NewEngine ran build and plan; Run ran solve and publish.
-			stages := map[string]bool{}
-			for _, e := range byType[obs.EvStageEnd] {
-				if e.Err != "" {
-					t.Fatalf("stage %s ended with error %q", e.Stage, e.Err)
-				}
-				stages[e.Stage] = true
+		// NewEngine ran build and plan; Run ran solve and publish.
+		stages := map[string]bool{}
+		for _, e := range byType[obs.EvStageEnd] {
+			if e.Err != "" {
+				t.Fatalf("stage %s ended with error %q", e.Stage, e.Err)
 			}
-			for _, want := range []string{"build", "plan", "solve", "publish"} {
-				if !stages[want] {
-					t.Fatalf("no stage_end for %q (have %v)", want, stages)
-				}
+			stages[e.Stage] = true
+		}
+		for _, want := range []string{"build", "plan", "solve", "publish"} {
+			if !stages[want] {
+				t.Fatalf("no stage_end for %q (have %v)", want, stages)
 			}
-			if len(byType[obs.EvStageStart]) != len(byType[obs.EvStageEnd]) {
-				t.Fatalf("%d stage_start vs %d stage_end events",
-					len(byType[obs.EvStageStart]), len(byType[obs.EvStageEnd]))
-			}
+		}
+		if len(byType[obs.EvStageStart]) != len(byType[obs.EvStageEnd]) {
+			t.Fatalf("%d stage_start vs %d stage_end events",
+				len(byType[obs.EvStageStart]), len(byType[obs.EvStageEnd]))
+		}
 
-			windows := spec.Count
-			if got := len(byType[obs.EvWindowStart]); got != windows {
-				t.Fatalf("window_start count = %d, want %d", got, windows)
+		windows := spec.Count
+		if got := len(byType[obs.EvWindowStart]); got != windows {
+			t.Fatalf("window_start count = %d, want %d", got, windows)
+		}
+		if got := len(byType[obs.EvWindowDone]); got != windows {
+			t.Fatalf("window_done count = %d, want %d", got, windows)
+		}
+		seen := map[int]bool{}
+		for _, e := range byType[obs.EvWindowDone] {
+			if seen[e.Window] {
+				t.Fatalf("window %d decided twice", e.Window)
 			}
-			if got := len(byType[obs.EvWindowDone]); got != windows {
-				t.Fatalf("window_done count = %d, want %d", got, windows)
+			seen[e.Window] = true
+			if e.Status != WindowOK.String() {
+				t.Fatalf("window %d status %q, want %q", e.Window, e.Status, WindowOK)
 			}
-			seen := map[int]bool{}
-			for _, e := range byType[obs.EvWindowDone] {
-				if seen[e.Window] {
-					t.Fatalf("window %d decided twice", e.Window)
-				}
-				seen[e.Window] = true
-				if e.Status != WindowOK.String() {
-					t.Fatalf("window %d status %q, want %q", e.Window, e.Status, WindowOK)
-				}
-				// Empty windows legitimately decide in 0 iterations.
-				if e.Iterations < 0 || e.Seconds < 0 {
-					t.Fatalf("window %d: iterations=%d seconds=%g", e.Window, e.Iterations, e.Seconds)
-				}
+			// Empty windows legitimately decide in 0 iterations.
+			if e.Iterations < 0 || e.Seconds < 0 {
+				t.Fatalf("window %d: iterations=%d seconds=%g", e.Window, e.Iterations, e.Seconds)
 			}
+		}
 
-			starts := byType[obs.EvRunStart]
-			if len(starts) != 1 {
-				t.Fatalf("run_start count = %d", len(starts))
+		starts := byType[obs.EvRunStart]
+		if len(starts) != 1 {
+			t.Fatalf("run_start count = %d", len(starts))
+		}
+		rs := starts[0]
+		if rs.Windows != windows || rs.Mode != AppLevel.String() {
+			t.Fatalf("run_start = %+v", rs)
+		}
+		ends := byType[obs.EvRunEnd]
+		if len(ends) != 1 {
+			t.Fatalf("run_end count = %d", len(ends))
+		}
+		re := ends[0]
+		if re.Status != "completed" || re.Done != windows || re.Windows != windows {
+			t.Fatalf("run_end = %+v", re)
+		}
+		if evs[len(evs)-1].Type != obs.EvRunEnd {
+			t.Fatalf("last event is %s, want run_end", evs[len(evs)-1].Type)
+		}
+		// Every window event happens between run_start and run_end.
+		for _, e := range append(byType[obs.EvWindowStart], byType[obs.EvWindowDone]...) {
+			if e.Seq < rs.Seq || e.Seq > re.Seq {
+				t.Fatalf("window event seq %d outside run bounds [%d,%d]", e.Seq, rs.Seq, re.Seq)
 			}
-			rs := starts[0]
-			if rs.Windows != windows || rs.Kernel != kernel.String() {
-				t.Fatalf("run_start = %+v", rs)
-			}
-			ends := byType[obs.EvRunEnd]
-			if len(ends) != 1 {
-				t.Fatalf("run_end count = %d", len(ends))
-			}
-			re := ends[0]
-			if re.Status != "completed" || re.Done != windows || re.Windows != windows {
-				t.Fatalf("run_end = %+v", re)
-			}
-			if evs[len(evs)-1].Type != obs.EvRunEnd {
-				t.Fatalf("last event is %s, want run_end", evs[len(evs)-1].Type)
-			}
-			// Every window event happens between run_start and run_end.
-			for _, e := range append(byType[obs.EvWindowStart], byType[obs.EvWindowDone]...) {
-				if e.Seq < rs.Seq || e.Seq > re.Seq {
-					t.Fatalf("window event seq %d outside run bounds [%d,%d]", e.Seq, rs.Seq, re.Seq)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestJournalRecordsRetries verifies a transient injected fault leaves
@@ -146,7 +145,7 @@ func TestJournalRecordsRetries(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 102, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg, j := journalCfg(SpMV, AppLevel)
+	cfg, j := journalCfg(AppLevel)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -175,7 +174,7 @@ func TestJournalRecordsRetries(t *testing.T) {
 	}
 }
 
-// TestJournalRecordsDegrade verifies a persistent primary-kernel fault
+// TestJournalRecordsDegrade verifies a persistent window-solve fault
 // with a healthy serial fallback leaves one degrade event per degraded
 // window.
 func TestJournalRecordsDegrade(t *testing.T) {
@@ -183,7 +182,7 @@ func TestJournalRecordsDegrade(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 106, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg, j := journalCfg(SpMV, AppLevel)
+	cfg, j := journalCfg(AppLevel)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -222,7 +221,7 @@ func TestJournalRecordsQuarantine(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 103, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg, j := journalCfg(SpMV, AppLevel)
+	cfg, j := journalCfg(AppLevel)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -266,7 +265,7 @@ func TestJournalRecordsCancel(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 104, 20, 200, 600)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 5}
-	cfg, j := journalCfg(SpMV, AppLevel)
+	cfg, j := journalCfg(AppLevel)
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
@@ -302,9 +301,8 @@ func TestJournalRecordsCancel(t *testing.T) {
 	}
 }
 
-// TestStatusMatchesRunReport pins the /status scopes to RunReport's: an
-// SpMM batch retried once leaves every window of that batch with status
-// retried, and both views count those windows (not batch attempts). A
+// TestStatusMatchesRunReport pins the /status scopes to RunReport's: a
+// window retried once has status retried, and both views count it. A
 // second run restarts the per-run status counts while the /metrics
 // fault counters stay cumulative.
 func TestStatusMatchesRunReport(t *testing.T) {
@@ -312,27 +310,22 @@ func TestStatusMatchesRunReport(t *testing.T) {
 	fault.Reset()
 	l := randomLog(t, 107, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	cfg, j := journalCfg(SpMM, AppLevel)
-	cfg.VectorLen = 4
+	cfg, j := journalCfg(AppLevel)
 	cfg.NumMultiWindows = 1
 	eng, err := NewEngine(l, spec, cfg, nil)
 	if err != nil {
 		t.Fatalf("NewEngine: %v", err)
 	}
-	batch := eng.Plan().Units[0].K
-	if batch < 2 {
-		t.Fatalf("first batch holds %d windows; the test needs a multi-window batch", batch)
-	}
-	cancel := fault.Arm(fault.Rule{Point: PointSolveBatch, Mode: fault.ModeError, Count: 1})
+	cancel := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 1})
 	s, err := eng.Run(context.Background())
 	cancel()
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	st := j.Status()
-	if st.Retried != int64(s.Report.Fault.Retried) || st.Retried != int64(batch) {
-		t.Fatalf("/status retried = %d, RunReport retried = %d, want both %d (the retried batch's windows)",
-			st.Retried, s.Report.Fault.Retried, batch)
+	if st.Retried != int64(s.Report.Fault.Retried) || st.Retried != 1 {
+		t.Fatalf("/status retried = %d, RunReport retried = %d, want both 1 (the retried window)",
+			st.Retried, s.Report.Fault.Retried)
 	}
 	if st.Phase != "done" || st.WindowsDone != spec.Count || st.WindowsTotal != spec.Count {
 		t.Fatalf("/status after the run = %+v", st)
@@ -348,7 +341,7 @@ func TestStatusMatchesRunReport(t *testing.T) {
 	var prom strings.Builder
 	reg.WriteProm(&prom)
 	for _, want := range []string{
-		fmt.Sprintf("pmpr_engine_fault_retries_total %d\n", batch),
+		"pmpr_engine_fault_retries_total 1\n",
 		fmt.Sprintf("pmpr_window_wall_seconds_count %d\n", 2*spec.Count),
 	} {
 		if !strings.Contains(prom.String(), want) {
@@ -404,95 +397,83 @@ func reportFromJSONL(t *testing.T, jsonl []byte, windows int) RunReport {
 
 // TestJournalReproducesRunReport rebuilds a run's per-window report
 // from its -journal-out JSONL and requires exact equality with the live
-// RunReport, for both kernels, on a run that resumes checkpointed
-// windows and retries one injected failure.
+// RunReport on a run that resumes a checkpointed window and retries
+// one injected failure. The subtest is named after the engine's one
+// kernel, SpMV.
 func TestJournalReproducesRunReport(t *testing.T) {
 	defer fault.Reset()
 	l := randomLog(t, 108, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	for _, tc := range []struct {
-		kernel KernelID
-		point  string
-	}{{SpMV, PointSolveWindow}, {SpMM, PointSolveBatch}} {
-		t.Run(tc.kernel.String(), func(t *testing.T) {
-			fault.Reset()
-			cfg := equivCfg(tc.kernel, Nested, true)
-			cfg.Opts.MaxIter = 20 // leave some windows unconverged
-			dir := t.TempDir()
+	t.Run("spmv", func(t *testing.T) {
+		fault.Reset()
+		cfg := equivCfg(Nested, true)
+		cfg.Opts.MaxIter = 20 // leave some windows unconverged
+		dir := t.TempDir()
 
-			// A full checkpointed run; then keep only the first window's
-			// record (with its whole SpMM batch) for the next run to resume.
-			first, err := NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
+		// A full checkpointed run; then keep only the first window's
+		// record for the next run to resume.
+		first, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		store, err := checkpoint.Open(dir)
+		if err != nil {
+			t.Fatalf("checkpoint.Open: %v", err)
+		}
+		if _, err := first.SetCheckpoint(store, false); err != nil {
+			t.Fatalf("SetCheckpoint: %v", err)
+		}
+		if _, err := first.Run(context.Background()); err != nil {
+			t.Fatalf("checkpointed Run: %v", err)
+		}
+		for w := 1; w < spec.Count; w++ {
+			if err := os.Remove(filepath.Join(dir, fmt.Sprintf("window-%08d.pmck", w))); err != nil {
+				t.Fatal(err)
 			}
-			store, err := checkpoint.Open(dir)
-			if err != nil {
-				t.Fatalf("checkpoint.Open: %v", err)
-			}
-			if _, err := first.SetCheckpoint(store, false); err != nil {
-				t.Fatalf("SetCheckpoint: %v", err)
-			}
-			if _, err := first.Run(context.Background()); err != nil {
-				t.Fatalf("checkpointed Run: %v", err)
-			}
-			keep := map[int]bool{0: true}
-			if u := first.Plan().Units; len(u) > 0 {
-				for r := 0; r < u[0].K; r++ {
-					keep[u[0].MW.WinLo+u[0].RegionStart[r]] = true
-				}
-			}
-			for w := 0; w < spec.Count; w++ {
-				if !keep[w] {
-					if err := os.Remove(filepath.Join(dir, fmt.Sprintf("window-%08d.pmck", w))); err != nil {
-						t.Fatal(err)
-					}
-				}
-			}
+		}
 
-			var jsonl bytes.Buffer
-			cfg.Journal = obs.NewJournal(0)
-			cfg.Journal.SetSink(&jsonl)
-			eng, err := NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			if n, err := eng.SetCheckpoint(store, true); err != nil || n != len(keep) {
-				t.Fatalf("SetCheckpoint(resume) = %d, %v; want %d windows", n, err, len(keep))
-			}
-			cancel := fault.Arm(fault.Rule{Point: tc.point, Mode: fault.ModeError, Count: 1})
-			s, err := eng.Run(context.Background())
-			cancel()
-			if err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			if err := cfg.Journal.CloseSink(); err != nil {
-				t.Fatalf("CloseSink: %v", err)
-			}
-			live := s.Report
-			if live.Fault.Retried == 0 || live.Fault.Resumed == 0 || live.Residuals.Unconverged == 0 {
-				t.Fatalf("run exercised too little: fault %+v, %d unconverged", live.Fault, live.Residuals.Unconverged)
-			}
+		var jsonl bytes.Buffer
+		cfg.Journal = obs.NewJournal(0)
+		cfg.Journal.SetSink(&jsonl)
+		eng, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		if n, err := eng.SetCheckpoint(store, true); err != nil || n != 1 {
+			t.Fatalf("SetCheckpoint(resume) = %d, %v; want 1 window", n, err)
+		}
+		cancel := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 1})
+		s, err := eng.Run(context.Background())
+		cancel()
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		if err := cfg.Journal.CloseSink(); err != nil {
+			t.Fatalf("CloseSink: %v", err)
+		}
+		live := s.Report
+		if live.Fault.Retried == 0 || live.Fault.Resumed == 0 || live.Residuals.Unconverged == 0 {
+			t.Fatalf("run exercised too little: fault %+v, %d unconverged", live.Fault, live.Residuals.Unconverged)
+		}
 
-			got := reportFromJSONL(t, jsonl.Bytes(), spec.Count)
-			for w := 0; w < spec.Count; w++ {
-				if got.WindowWallSeconds[w] != live.WindowWallSeconds[w] || got.WindowWorkers[w] != live.WindowWorkers[w] {
-					t.Fatalf("window %d: journal wall %v worker %d, report wall %v worker %d", w,
-						got.WindowWallSeconds[w], got.WindowWorkers[w], live.WindowWallSeconds[w], live.WindowWorkers[w])
-				}
+		got := reportFromJSONL(t, jsonl.Bytes(), spec.Count)
+		for w := 0; w < spec.Count; w++ {
+			if got.WindowWallSeconds[w] != live.WindowWallSeconds[w] || got.WindowWorkers[w] != live.WindowWorkers[w] {
+				t.Fatalf("window %d: journal wall %v worker %d, report wall %v worker %d", w,
+					got.WindowWallSeconds[w], got.WindowWorkers[w], live.WindowWallSeconds[w], live.WindowWorkers[w])
 			}
-			if got.TotalIterations != live.TotalIterations || got.Residuals.Max != live.Residuals.Max ||
-				got.Residuals.Unconverged != live.Residuals.Unconverged {
-				t.Fatalf("journal totals (iterations %d, max residual %v, unconverged %d) != report (%d, %v, %d)",
-					got.TotalIterations, got.Residuals.Max, got.Residuals.Unconverged,
-					live.TotalIterations, live.Residuals.Max, live.Residuals.Unconverged)
-			}
-			if got.Fault.Retried != live.Fault.Retried || got.Fault.Degraded != live.Fault.Degraded ||
-				got.Fault.Resumed != live.Fault.Resumed || fmt.Sprint(got.Fault.Quarantined) != fmt.Sprint(live.Fault.Quarantined) {
-				t.Fatalf("journal fault rollup %+v != report %+v", got.Fault, live.Fault)
-			}
-		})
-	}
+		}
+		if got.TotalIterations != live.TotalIterations || got.Residuals.Max != live.Residuals.Max ||
+			got.Residuals.Unconverged != live.Residuals.Unconverged {
+			t.Fatalf("journal totals (iterations %d, max residual %v, unconverged %d) != report (%d, %v, %d)",
+				got.TotalIterations, got.Residuals.Max, got.Residuals.Unconverged,
+				live.TotalIterations, live.Residuals.Max, live.Residuals.Unconverged)
+		}
+		if got.Fault.Retried != live.Fault.Retried || got.Fault.Degraded != live.Fault.Degraded ||
+			got.Fault.Resumed != live.Fault.Resumed || fmt.Sprint(got.Fault.Quarantined) != fmt.Sprint(live.Fault.Quarantined) {
+			t.Fatalf("journal fault rollup %+v != report %+v", got.Fault, live.Fault)
+		}
+	})
 }

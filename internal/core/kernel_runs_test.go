@@ -82,16 +82,13 @@ func runIndexCases(t *testing.T) []runIndexCase {
 
 // TestRunIndexMatchesRunActive checks buildRunIndex against
 // tcsr.RunActive on the original runs: for every vertex, the index
-// lists exactly the in-runs live in at least one slot, in order, with
-// the neighbor and one mask bit per slot RunActive reports live. Slots
-// are drawn at random (repeats allowed) from each multi-window graph,
-// at widths from 1 (the SpMV case) to the 64-slot maximum, and each
-// index reuses the buffers the previous one returned. A pooled build
-// must agree with the serial one.
+// lists exactly the in-runs live in the window, in order, with their
+// neighbors. Every window of every multi-window graph is indexed, and
+// each index reuses the buffers the previous one returned. A pooled
+// build must agree with the serial one.
 func TestRunIndexMatchesRunActive(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	rng := rand.New(rand.NewSource(11))
 	arena := newScratchArena(0)
 	sb, release := arena.acquire(-1)
 	defer release()
@@ -107,25 +104,19 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 				t.Fatalf("%s: Build: %v", c.name, err)
 			}
 			for mi, mw := range tg.MWs {
-				if mw.NumWindows() == 0 {
-					continue
-				}
-				for _, width := range []int{1, 2, 8, maxSlots} {
-					views := make([]tcsr.SolveView, width)
-					for k := range views {
-						views[k] = mw.ViewOf(mw.WinLo + rng.Intn(mw.NumWindows()))
-					}
-					label := fmt.Sprintf("%s directed=%v mw=%d width=%d", c.name, directed, mi, width)
-					ix := buildRunIndex(mw, views, serialLoop, sb)
-					k, d := checkRunIndex(t, label, mw, views, ix)
+				for w := mw.WinLo; w < mw.WinHi; w++ {
+					view := mw.ViewOf(w)
+					label := fmt.Sprintf("%s directed=%v mw=%d window=%d", c.name, directed, mi, w)
+					ix := buildRunIndex(mw, view, serialLoop, sb)
+					k, d := checkRunIndex(t, label, mw, view, ix)
 					kept, dropped = kept+k, dropped+d
 					var par runIndex
-					if err := pool.RunCtx(context.Background(), func(w *sched.Worker) {
-						par = buildRunIndex(mw, views, workerLoop(context.Background(), w, 1, sched.Auto), sb)
+					if err := pool.RunCtx(context.Background(), func(wk *sched.Worker) {
+						par = buildRunIndex(mw, view, workerLoop(context.Background(), wk, 1, sched.Auto), sb)
 					}); err != nil {
 						t.Fatal(err)
 					}
-					checkRunIndex(t, label+" pooled", mw, views, par)
+					checkRunIndex(t, label+" pooled", mw, view, par)
 					par.release(sb)
 					ix.release(sb)
 				}
@@ -140,10 +131,10 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 	}
 }
 
-// checkRunIndex fails t unless ix indexes mw's in-runs against views
+// checkRunIndex fails t unless ix indexes mw's in-runs against view
 // and counts the runs it kept and walked, and returns how many runs it
 // kept and dropped.
-func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, views []tcsr.SolveView, ix runIndex) (kept, dropped int) {
+func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, view tcsr.SolveView, ix runIndex) (kept, dropped int) {
 	t.Helper()
 	n := int(mw.NumLocal())
 	if len(ix.row) != n+1 || ix.row[0] != 0 || len(ix.end) != n {
@@ -158,19 +149,12 @@ func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, views []tcs
 			for j < end && mw.InCol[j] == mw.InCol[i] {
 				j++
 			}
-			var want uint64
-			for k, view := range views {
-				if tcsr.RunActive(mw.InTime[i:j], view.Ts, view.Te) {
-					want |= 1 << k
-				}
-			}
-			if want != 0 {
+			if tcsr.RunActive(mw.InTime[i:j], view.Ts, view.Te) {
 				if r >= ix.end[v] {
-					t.Fatalf("%s: vertex %d: run from %d (mask %#x) missing from the index", label, v, mw.InCol[i], want)
+					t.Fatalf("%s: vertex %d: run from %d missing from the index", label, v, mw.InCol[i])
 				}
-				if ix.col[r] != mw.InCol[i] || ix.mask[r] != want {
-					t.Fatalf("%s: vertex %d entry %d = (%d, %#x), want (%d, %#x)",
-						label, v, r, ix.col[r], ix.mask[r], mw.InCol[i], want)
+				if ix.col[r] != mw.InCol[i] {
+					t.Fatalf("%s: vertex %d entry %d = %d, want %d", label, v, r, ix.col[r], mw.InCol[i])
 				}
 				r++
 			} else {

@@ -1,13 +1,13 @@
 // This file defines the staged solve pipeline the Engine orchestrates:
 //
 //	build   — temporal CSR construction + multi-window partitioning
-//	plan    — kernel resolution, batch layout, worker layout
+//	plan    — unit layout, vertex-loop forking
 //	solve   — kernel execution on the pool (solve.go)
 //	publish — Series + RunReport assembly
 //
 // Each stage is a value with typed inputs and outputs, so stages can be
 // re-run, swapped, or cached independently: build once, plan/solve many
-// times with different kernels or configs, publish only when a report
+// times with different configs, publish only when a report
 // is wanted.
 
 package core
@@ -99,9 +99,9 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 }
 
 // PlanStage resolves a configuration against a built representation:
-// it decides the batch width (Config.batchWidth), lays the windows out
-// as solve units and decides whether the units' vertex loops fork on
-// the pool, so the solve stage's hot path does no layout arithmetic.
+// it lays the windows out as solve units and decides whether the
+// units' vertex loops fork on the pool, so the solve stage's hot path
+// does no layout arithmetic.
 type PlanStage struct{}
 
 // PlanInput is what the plan stage consumes.
@@ -114,23 +114,15 @@ type PlanInput struct {
 	Workers int
 }
 
-// SolveUnit is a contiguous range of one multi-window graph's
-// windows and its precomputed batch layout: the range is split into K
-// contiguous regions and batch j gathers the j-th window of every
-// region, so every batch after the first warm-starts from its region
-// predecessors. At width 1 a unit is one warm-start chain (K = 1, batch
-// j is the range's j-th window); its first window cold-starts, so the
-// plan decides every warm-start break.
+// SolveUnit is one warm-start chain: the window offsets [Lo, Hi)
+// within a multi-window graph, solved in order, each window after the
+// first warm-starting from its predecessor. The first window
+// cold-starts, so the plan decides every warm-start break.
 type SolveUnit struct {
 	// MW is the multi-window graph this unit solves.
 	MW *tcsr.MultiWindow
-	// K is the unit's batch width: min(plan width, window count).
-	K int
-	// RegionStart[r] is the window offset (within MW) where region r
-	// starts; the unit covers offsets [RegionStart[0], RegionStart[K]).
-	RegionStart []int
-	// NumBatches is ceil(unit windows / K).
-	NumBatches int
+	// Lo and Hi bound the unit's window offsets within MW.
+	Lo, Hi int
 }
 
 // SolvePlan is the plan stage's product: everything the solve stage
@@ -141,13 +133,11 @@ type SolvePlan struct {
 	Cfg Config
 	// Temporal is the representation being solved.
 	Temporal *tcsr.Temporal
-	// Width is the kernel's batch width under Cfg (>= 1).
-	Width int
 	// Units tile the windows in order; no unit crosses a multi-window
 	// graph. Each multi-window graph is one unit, except that pooled
-	// window-level and nested width-1 plans cut it into warm-start
-	// chains of sched.InitialSpan windows, the spans the pool's Auto
-	// partitioner would start from, so the pool can spread them.
+	// window-level and nested plans cut it into warm-start chains of
+	// sched.InitialSpan windows, the spans the pool's Auto partitioner
+	// would start from, so the pool can spread them.
 	Units []SolveUnit
 	// Windows is the total window count.
 	Windows int
@@ -181,23 +171,21 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 	}
 	start := time.Now()
 	cfg := in.Cfg
-	width := cfg.batchWidth()
 	p := &SolvePlan{
 		Cfg:      cfg,
 		Temporal: in.Temporal,
-		Width:    width,
 		Windows:  in.Temporal.Spec.Count,
 		Workers:  in.Workers,
 	}
 	chain := 0 // 0 = one unit per multi-window graph
-	if width == 1 && in.Workers > 1 && cfg.Mode != AppLevel {
+	if in.Workers > 1 && cfg.Mode != AppLevel {
 		chain = sched.InitialSpan(p.Windows, in.Workers, cfg.grain())
 	}
 	for _, mw := range in.Temporal.MWs {
 		W := mw.NumWindows()
 		span := cmp.Or(chain, W)
 		for lo := 0; lo < W; lo += span {
-			p.Units = append(p.Units, planUnit(mw, lo, min(lo+span, W), width))
+			p.Units = append(p.Units, SolveUnit{MW: mw, Lo: lo, Hi: min(lo+span, W)})
 		}
 	}
 	switch cfg.Mode {
@@ -208,28 +196,6 @@ func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
 	}
 	p.Seconds = time.Since(start).Seconds()
 	return p, nil
-}
-
-// planUnit splits mw's window offsets [lo, hi) into min(width, hi-lo)
-// contiguous regions of near-equal size (the first (hi-lo) mod K
-// regions get the extra window).
-func planUnit(mw *tcsr.MultiWindow, lo, hi, width int) SolveUnit {
-	W := hi - lo
-	K := min(width, W)
-	base, rem := W/K, W%K
-	u := SolveUnit{MW: mw, K: K, RegionStart: make([]int, K+1), NumBatches: base}
-	u.RegionStart[0] = lo
-	for r := 0; r < K; r++ {
-		size := base
-		if r < rem {
-			size++
-		}
-		u.RegionStart[r+1] = u.RegionStart[r] + size
-	}
-	if rem > 0 {
-		u.NumBatches++
-	}
-	return u
 }
 
 // PublishStage assembles the user-facing Series and its RunReport from

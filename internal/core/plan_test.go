@@ -27,67 +27,47 @@ func planFixture(t *testing.T, cfg Config) *tcsr.Temporal {
 	return build.Temporal
 }
 
-// TestPlanUnitsShape checks the plan's unit layout over widths, pool
-// sizes and modes: the units tile the windows exactly once and in
-// order, no unit crosses a multi-window graph, every unit's width and
-// batch count follow from its window count, and a multi-window graph is
-// cut into several width-1 chains only in pooled window-level and
-// nested plans.
+// TestPlanUnitsShape checks the plan's unit layout over pool sizes and
+// modes: the units tile the windows exactly once and in order, no unit
+// crosses a multi-window graph, and a multi-window graph is cut into
+// several warm-start chains only in pooled window-level and nested
+// plans.
 func TestPlanUnitsShape(t *testing.T) {
 	cfg := DefaultConfig()
 	tg := planFixture(t, cfg)
-	for _, width := range []int{1, 3, 8} {
-		for _, workers := range []int{0, 1, 2} {
-			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-				label := fmt.Sprintf("width=%d workers=%d %v", width, workers, mode)
-				cfg.Mode = mode
-				cfg.Kernel = SpMM
-				cfg.VectorLen = width
-				if width == 1 {
-					cfg.Kernel = SpMV
+	for _, workers := range []int{0, 1, 2} {
+		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+			label := fmt.Sprintf("workers=%d %v", workers, mode)
+			cfg.Mode = mode
+			plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: PlanStage: %v", label, err)
+			}
+			chained := workers > 1 && mode != AppLevel
+			split := false
+			next := 0
+			for i, u := range plan.Units {
+				n := u.Hi - u.Lo
+				if first := u.MW.WinLo + u.Lo; first != next {
+					t.Fatalf("%s: unit %d starts at window %d, want %d", label, i, first, next)
 				}
-				plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: PlanStage: %v", label, err)
+				if u.Lo < 0 || u.Hi > u.MW.NumWindows() || n < 1 {
+					t.Fatalf("%s: unit %d covers offsets [%d, %d) of a %d-window graph",
+						label, i, u.Lo, u.Hi, u.MW.NumWindows())
 				}
-				chained := width == 1 && workers > 1 && mode != AppLevel
-				split := false
-				next := 0
-				for i, u := range plan.Units {
-					lo, hi := u.RegionStart[0], u.RegionStart[u.K]
-					n := hi - lo
-					if first := u.MW.WinLo + lo; first != next {
-						t.Fatalf("%s: unit %d starts at window %d, want %d", label, i, first, next)
+				if n < u.MW.NumWindows() {
+					if !chained {
+						t.Fatalf("%s: unit %d covers %d of its graph's %d windows", label, i, n, u.MW.NumWindows())
 					}
-					if lo < 0 || hi > u.MW.NumWindows() || n < 1 {
-						t.Fatalf("%s: unit %d covers offsets [%d, %d) of a %d-window graph",
-							label, i, lo, hi, u.MW.NumWindows())
-					}
-					if u.K != min(width, n) {
-						t.Fatalf("%s: unit %d has K = %d, want min(%d, %d)", label, i, u.K, width, n)
-					}
-					for r := 0; r < u.K; r++ {
-						if u.RegionStart[r+1] <= u.RegionStart[r] {
-							t.Fatalf("%s: unit %d region %d is empty: %v", label, i, r, u.RegionStart)
-						}
-					}
-					if want := (n + u.K - 1) / u.K; u.NumBatches != want {
-						t.Fatalf("%s: unit %d has %d batches, want %d", label, i, u.NumBatches, want)
-					}
-					if n < u.MW.NumWindows() {
-						if !chained {
-							t.Fatalf("%s: unit %d covers %d of its graph's %d windows", label, i, n, u.MW.NumWindows())
-						}
-						split = true
-					}
-					next = u.MW.WinLo + hi
+					split = true
 				}
-				if next != plan.Windows {
-					t.Fatalf("%s: units end at window %d, want %d", label, next, plan.Windows)
-				}
-				if chained && !split {
-					t.Fatalf("%s: no multi-window graph was cut into chains", label)
-				}
+				next = u.MW.WinLo + u.Hi
+			}
+			if next != plan.Windows {
+				t.Fatalf("%s: units end at window %d, want %d", label, next, plan.Windows)
+			}
+			if chained && !split {
+				t.Fatalf("%s: no multi-window graph was cut into chains", label)
 			}
 		}
 	}
@@ -96,39 +76,33 @@ func TestPlanUnitsShape(t *testing.T) {
 // TestPlanForksOnlyWhenUnitsCannotFillPool pins the plan's fork
 // decision: app-level plans always fork the vertex loops on a pool,
 // window-level plans never do, nested plans fork iff the units cannot
-// give every worker one, and no serial plan forks.
+// give every worker one, and no serial plan forks. The fixture's 40
+// windows cut into enough chains for 2 workers but not for 64.
 func TestPlanForksOnlyWhenUnitsCannotFillPool(t *testing.T) {
 	cfg := DefaultConfig()
 	tg := planFixture(t, cfg)
 	nestedForks := map[bool]int{}
-	for _, width := range []int{1, 8} {
-		for _, workers := range []int{0, 2, 16} {
-			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-				label := fmt.Sprintf("width=%d workers=%d %v", width, workers, mode)
-				cfg.Mode = mode
-				cfg.Kernel = SpMM
-				cfg.VectorLen = width
-				if width == 1 {
-					cfg.Kernel = SpMV
-				}
-				plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
-				if err != nil {
-					t.Fatalf("%s: PlanStage: %v", label, err)
-				}
-				var want bool
-				switch {
-				case workers == 0:
-					want = false
-				case mode == AppLevel:
-					want = true
-				case mode == Nested:
-					want = len(plan.Units) < workers
-					nestedForks[want]++
-				}
-				if plan.ForkVertexLoops != want {
-					t.Errorf("%s: %d units, ForkVertexLoops = %v, want %v",
-						label, len(plan.Units), plan.ForkVertexLoops, want)
-				}
+	for _, workers := range []int{0, 2, 64} {
+		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+			label := fmt.Sprintf("workers=%d %v", workers, mode)
+			cfg.Mode = mode
+			plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: workers})
+			if err != nil {
+				t.Fatalf("%s: PlanStage: %v", label, err)
+			}
+			var want bool
+			switch {
+			case workers == 0:
+				want = false
+			case mode == AppLevel:
+				want = true
+			case mode == Nested:
+				want = len(plan.Units) < workers
+				nestedForks[want]++
+			}
+			if plan.ForkVertexLoops != want {
+				t.Errorf("%s: %d units, ForkVertexLoops = %v, want %v",
+					label, len(plan.Units), plan.ForkVertexLoops, want)
 			}
 		}
 	}
@@ -147,43 +121,36 @@ func TestPlanForksOnlyWhenUnitsCannotFillPool(t *testing.T) {
 func TestPooledWindowLevelEqualsSerialSolve(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	for _, width := range []int{1, 8} {
-		for _, mode := range []ParallelMode{WindowLevel, Nested} {
-			cfg := DefaultConfig()
-			cfg.Mode = mode
-			cfg.Kernel = SpMM
-			cfg.VectorLen = width
-			if width == 1 {
-				cfg.Kernel = SpMV
-			}
-			label := fmt.Sprintf("width %d %v", width, mode)
-			tg := planFixture(t, cfg)
-			plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: pool.NumWorkers()})
+	for _, mode := range []ParallelMode{WindowLevel, Nested} {
+		cfg := DefaultConfig()
+		cfg.Mode = mode
+		label := mode.String()
+		tg := planFixture(t, cfg)
+		plan, err := (PlanStage{}).Run(PlanInput{Temporal: tg, Cfg: cfg, Workers: pool.NumWorkers()})
+		if err != nil {
+			t.Fatalf("PlanStage: %v", err)
+		}
+		if plan.ForkVertexLoops {
+			t.Fatalf("%s: plan with %d units forks on a %d-worker pool", label, len(plan.Units), pool.NumWorkers())
+		}
+		want, err := NewSolveStage(nil).Run(context.Background(), plan)
+		if err != nil {
+			t.Fatalf("%s: serial solve: %v", label, err)
+		}
+		for run := 0; run < 5; run++ {
+			got, err := NewSolveStage(pool).Run(context.Background(), plan)
 			if err != nil {
-				t.Fatalf("PlanStage: %v", err)
+				t.Fatalf("%s run %d: pooled solve: %v", label, run, err)
 			}
-			if plan.ForkVertexLoops {
-				t.Fatalf("%s: plan with %d units forks on a %d-worker pool", label, len(plan.Units), pool.NumWorkers())
-			}
-			want, err := NewSolveStage(nil).Run(context.Background(), plan)
-			if err != nil {
-				t.Fatalf("%s: serial solve: %v", label, err)
-			}
-			for run := 0; run < 5; run++ {
-				got, err := NewSolveStage(pool).Run(context.Background(), plan)
-				if err != nil {
-					t.Fatalf("%s run %d: pooled solve: %v", label, run, err)
+			for w := range want.Results {
+				a, b := want.Results[w].ranks, got.Results[w].ranks
+				if len(a) != len(b) {
+					t.Fatalf("%s run %d window %d: %d ranks, serial %d", label, run, w, len(b), len(a))
 				}
-				for w := range want.Results {
-					a, b := want.Results[w].ranks, got.Results[w].ranks
-					if len(a) != len(b) {
-						t.Fatalf("%s run %d window %d: %d ranks, serial %d", label, run, w, len(b), len(a))
-					}
-					for v := range a {
-						if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-							t.Fatalf("%s run %d window %d vertex %d: pooled %v != serial %v",
-								label, run, w, v, b[v], a[v])
-						}
+				for v := range a {
+					if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
+						t.Fatalf("%s run %d window %d vertex %d: pooled %v != serial %v",
+							label, run, w, v, b[v], a[v])
 					}
 				}
 			}

@@ -20,10 +20,10 @@ type Phase struct {
 // Eligible counts the windows that could warm-start under ideal
 // scheduling: PartialInit is on and the window's predecessor lies in
 // the same multi-window graph. Hits counts the windows that actually
-// did. Serial SpMV runs hit every eligible window; the plan's unit
-// boundaries lower the rate (pooled width-1 chains, and SpMM regions,
-// whose first window's predecessor is solved in a later batch), which
-// is exactly what this metric makes visible.
+// did. Serial runs hit every eligible window; the plan's unit
+// boundaries lower the rate (a pooled plan cuts a multi-window graph
+// into several warm-start chains), which is exactly what this metric
+// makes visible.
 type WarmStartStats struct {
 	Eligible int     `json:"eligible"`
 	Hits     int     `json:"hits"`
@@ -59,14 +59,14 @@ type ScratchReport struct {
 }
 
 // FaultReport summarizes how the fault-tolerance machinery touched a
-// run's windows: how many needed retries, how many fell back to the
-// serial kernel, how many were restored from a checkpoint, and which
+// run's windows: how many needed retries, how many fell back to a
+// serial re-solve, how many were restored from a checkpoint, and which
 // were quarantined. An all-zero report is the healthy case.
 type FaultReport struct {
-	// Retried counts windows that succeeded with the configured kernel
-	// after at least one failed attempt.
+	// Retried counts windows that succeeded after at least one failed
+	// attempt.
 	Retried int `json:"retried"`
-	// Degraded counts windows solved by the serial width-1 fallback.
+	// Degraded counts windows solved by the serial fallback.
 	Degraded int `json:"degraded"`
 	// Resumed counts windows restored from a checkpoint.
 	Resumed int `json:"resumed"`
@@ -95,29 +95,24 @@ type RunReport struct {
 	TotalIterations int            `json:"total_iterations"`
 	WarmStart       WarmStartStats `json:"warm_start"`
 	// MWSweeps[i] counts the sweeps this run made over multi-window
-	// graph i's shared CSR: Σ over its solved batches of the batch's
-	// iteration maximum (one sweep advances every live window of the
-	// batch; at width 1 a batch is one window). Windows restored from a
-	// checkpoint add nothing, here, to TotalSweeps or to RunsScanned.
+	// graph i's shared CSR: Σ over its solved windows of their
+	// iterations. Windows restored from a checkpoint add nothing, here,
+	// to TotalSweeps or to RunsScanned.
 	MWSweeps    []int64 `json:"mw_sweeps"`
 	TotalSweeps int64   `json:"total_sweeps"`
-	// RunsScanned is the counted scan work: every batch adds its run
-	// index size (in-runs live in at least one of its windows) times
-	// the sweeps it ran. At width 1 that is each window's live in-runs
-	// × its iterations.
+	// RunsScanned is the counted scan work: every solved window adds
+	// its run index size (its live in-runs) times the sweeps it ran.
 	RunsScanned int64 `json:"runs_scanned"`
-	// InitRunsVisited is the stored runs every batch's Init walked: the
+	// InitRunsVisited is the stored runs every window's Init walked: the
 	// multi-window graph's in-runs, once, to build the run index, plus
 	// its out-runs for a directed graph's degrees.
 	InitRunsVisited int64 `json:"init_runs_visited"`
-	// PairsSwept is the per-vertex work of the sweeps: Σ over sweeps of
-	// the live active (vertex, slot) pairs, which is Σ over windows of
+	// PairsSwept is the per-vertex work of the sweeps: Σ over windows of
 	// active vertices × iterations.
 	PairsSwept int64         `json:"pairs_swept"`
 	Residuals  ResidualStats `json:"residuals"`
 
-	// WindowWallSeconds[w] is window w's solve wall time; for the SpMM
-	// kernel every window of a batch reports the batch's wall time.
+	// WindowWallSeconds[w] is window w's solve wall time.
 	WindowWallSeconds []float64 `json:"window_wall_seconds"`
 	// WindowWorkers[w] is the pool worker that solved window w (-1 when
 	// the window loop ran outside the pool, e.g. serial or app-level).

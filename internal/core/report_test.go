@@ -38,7 +38,6 @@ func reportFixture(t *testing.T, cfg Config, pool *sched.Pool) (*Series, events.
 
 func TestRunReportSerialSpMVWarmStartIsPerfect(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.NumMultiWindows = 3
 	cfg.Directed = true
 	s, spec, _ := reportFixture(t, cfg, nil)
@@ -68,12 +67,12 @@ func TestRunReportSerialSpMVWarmStartIsPerfect(t *testing.T) {
 	if _, ok := rep.PhaseSeconds("tcsr_build"); !ok {
 		t.Fatal("missing tcsr_build phase")
 	}
-	// SpMV sweeps the CSR once per window iteration.
+	// Each window iteration sweeps the CSR once.
 	if len(rep.MWSweeps) != cfg.NumMultiWindows {
 		t.Fatalf("MWSweeps len = %d, want %d", len(rep.MWSweeps), cfg.NumMultiWindows)
 	}
 	if rep.TotalSweeps != int64(rep.TotalIterations) {
-		t.Fatalf("spmv sweeps %d != iterations %d", rep.TotalSweeps, rep.TotalIterations)
+		t.Fatalf("sweeps %d != iterations %d", rep.TotalSweeps, rep.TotalIterations)
 	}
 	if s.AllConverged() {
 		if rep.Residuals.Unconverged != 0 || rep.Residuals.Max >= cfg.Opts.Tol {
@@ -88,43 +87,8 @@ func TestRunReportSerialSpMVWarmStartIsPerfect(t *testing.T) {
 	if rep.Sched != nil {
 		t.Fatal("serial run must not carry scheduler stats")
 	}
-	if rep.Build.GoVersion == "" || rep.Config.Kernel != "spmv" {
+	if rep.Build.GoVersion == "" || rep.Config.Mode != cfg.Mode.String() {
 		t.Fatalf("missing build/config stamp: %+v %+v", rep.Build, rep.Config)
-	}
-}
-
-func TestRunReportSerialSpMMWarmStart(t *testing.T) {
-	// VectorLen 1 degenerates SpMM to a serial chain: hit rate 1.
-	cfg := DefaultConfig()
-	cfg.Kernel = SpMM
-	cfg.VectorLen = 1
-	cfg.NumMultiWindows = 3
-	cfg.Directed = true
-	s, _, _ := reportFixture(t, cfg, nil)
-	if s.Report.WarmStart.HitRate != 1.0 {
-		t.Fatalf("spmm K=1 serial hit rate = %v, want 1.0", s.Report.WarmStart.HitRate)
-	}
-	if s.Report.TotalSweeps <= 0 || s.Report.TotalSweeps > int64(s.Report.TotalIterations) {
-		t.Fatalf("sweeps %d outside (0, iterations=%d]", s.Report.TotalSweeps, s.Report.TotalIterations)
-	}
-
-	// With K regions per multi-window graph, the K-1 region-first
-	// windows (beyond the graph's own first window) cannot warm-start:
-	// hits = sum over graphs of W - min(K, W).
-	cfg.VectorLen = 4
-	s, _, eng := reportFixture(t, cfg, nil)
-	wantHits := 0
-	for _, mw := range eng.Temporal().MWs {
-		k := cfg.VectorLen
-		if w := mw.NumWindows(); w > 0 {
-			if k > w {
-				k = w
-			}
-			wantHits += w - k
-		}
-	}
-	if s.Report.WarmStart.Hits != wantHits {
-		t.Fatalf("spmm K=4 hits = %d, want %d", s.Report.WarmStart.Hits, wantHits)
 	}
 }
 
@@ -133,7 +97,6 @@ func TestRunReportSchedStatsDelta(t *testing.T) {
 	defer pool.Close()
 	pool.EnableMetrics(true)
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.Mode = WindowLevel
 	cfg.NumMultiWindows = 3
 	cfg.Directed = true
@@ -169,7 +132,6 @@ func TestRunReportSchedStatsDelta(t *testing.T) {
 
 func TestRunReportJSONRoundTrip(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.NumMultiWindows = 2
 	cfg.Directed = true
 	s, _, _ := reportFixture(t, cfg, nil)
@@ -181,7 +143,7 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatalf("report JSON does not round-trip: %v", err)
 	}
-	if back.Windows != s.Report.Windows || back.Config.Kernel != "spmv" ||
+	if back.Windows != s.Report.Windows || back.Config.Mode != s.Report.Config.Mode ||
 		back.WarmStart.HitRate != s.Report.WarmStart.HitRate {
 		t.Fatalf("round-trip mismatch: %+v", back)
 	}
@@ -191,29 +153,35 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 // plan's unit count and fork decision, in Go and in its JSON, and that
 // the solve honors the decision: the pool runs more leaf tasks than the
 // plan has units iff the plan forks the vertex loops (each unforked
-// unit runs inside one leaf of the outer loop).
+// unit runs inside one leaf of the outer loop). The pooled
+// window-level and nested cases use a grain above the window count, so
+// each multi-window graph is one warm-start chain.
 func TestRunReportRecordsForkDecision(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pool.EnableMetrics(true)
+	const oneChain = 1000 // grain: no multi-window graph is cut
 	cases := []struct {
 		mode  ParallelMode
 		pool  *sched.Pool
 		mws   int
+		grain int // 0 = DefaultConfig's
 		units int
 		fork  bool
 	}{
-		{AppLevel, nil, 1, 1, false},
-		{Nested, nil, 1, 1, false},
-		{AppLevel, pool, 1, 1, true},
-		{WindowLevel, pool, 1, 1, false},
-		{Nested, pool, 1, 1, true},  // one unit cannot fill two workers
-		{Nested, pool, 3, 3, false}, // three units can
+		{AppLevel, nil, 1, 0, 1, false},
+		{Nested, nil, 1, 0, 1, false},
+		{AppLevel, pool, 1, 0, 1, true},
+		{WindowLevel, pool, 1, oneChain, 1, false},
+		{Nested, pool, 1, oneChain, 1, true},  // one unit cannot fill two workers
+		{Nested, pool, 3, oneChain, 3, false}, // three units can
 	}
 	for _, tc := range cases {
 		label := fmt.Sprintf("%v pooled=%v mws=%d", tc.mode, tc.pool != nil, tc.mws)
 		cfg := DefaultConfig()
-		cfg.Kernel = SpMM
+		if tc.grain > 0 {
+			cfg.Grain = tc.grain
+		}
 		cfg.Mode = tc.mode
 		cfg.NumMultiWindows = tc.mws
 		cfg.Directed = true
@@ -247,9 +215,9 @@ func TestRunReportRecordsForkDecision(t *testing.T) {
 }
 
 // TestEngineTraceRecordsWindowSpans checks the Chrome trace the
-// journal derives: one window span per window on a pool worker's tid
-// for both kernels (SpMM windows share their batch's wall time), and
-// one phase span per pipeline stage.
+// journal derives: one window span per window on a pool worker's tid,
+// and one phase span per pipeline stage. The subtest is named after the
+// engine's one kernel, SpMV.
 func TestEngineTraceRecordsWindowSpans(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -258,65 +226,60 @@ func TestEngineTraceRecordsWindowSpans(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Span: %v", err)
 	}
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		t.Run(kernel.String(), func(t *testing.T) {
-			cfg := DefaultConfig()
-			cfg.Kernel = kernel
-			cfg.Mode = Nested
-			cfg.NumMultiWindows = 2
-			cfg.VectorLen = 4
-			cfg.Directed = true
-			cfg.Journal = obs.NewJournal(0)
-			tr := obs.NewTrace()
-			cfg.Journal.SetTrace(tr)
-			eng, err := NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				t.Fatalf("NewEngine: %v", err)
-			}
-			if _, err := eng.Run(context.Background()); err != nil {
-				t.Fatalf("Run: %v", err)
-			}
-			var buf bytes.Buffer
-			if err := tr.Write(&buf); err != nil {
-				t.Fatalf("trace write: %v", err)
-			}
-			var obj struct {
-				TraceEvents []obs.TraceEvent `json:"traceEvents"`
-			}
-			if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
-				t.Fatalf("trace JSON: %v", err)
-			}
-			windows := map[string]bool{}
-			phases := map[string]int{}
-			for _, e := range obj.TraceEvents {
-				switch e.Cat {
-				case "window":
-					if e.TID < 1 || e.TID > 2 {
-						t.Fatalf("window span on tid %d, want pool worker tids", e.TID)
-					}
-					if windows[e.Name] {
-						t.Fatalf("window span %q recorded twice", e.Name)
-					}
-					windows[e.Name] = true
-				case "phase":
-					phases[e.Name]++
+	t.Run("spmv", func(t *testing.T) {
+		cfg := DefaultConfig()
+		cfg.Mode = Nested
+		cfg.NumMultiWindows = 2
+		cfg.Directed = true
+		cfg.Journal = obs.NewJournal(0)
+		tr := obs.NewTrace()
+		cfg.Journal.SetTrace(tr)
+		eng, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		if _, err := eng.Run(context.Background()); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		var buf bytes.Buffer
+		if err := tr.Write(&buf); err != nil {
+			t.Fatalf("trace write: %v", err)
+		}
+		var obj struct {
+			TraceEvents []obs.TraceEvent `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &obj); err != nil {
+			t.Fatalf("trace JSON: %v", err)
+		}
+		windows := map[string]bool{}
+		phases := map[string]int{}
+		for _, e := range obj.TraceEvents {
+			switch e.Cat {
+			case "window":
+				if e.TID < 1 || e.TID > 2 {
+					t.Fatalf("window span on tid %d, want pool worker tids", e.TID)
 				}
-			}
-			if len(windows) != spec.Count {
-				t.Fatalf("trace has %d window spans, want %d", len(windows), spec.Count)
-			}
-			for _, stage := range []string{"build", "plan", "solve", "publish"} {
-				if phases[stage] != 1 {
-					t.Fatalf("trace has %d %q phase spans, want 1 (%v)", phases[stage], stage, phases)
+				if windows[e.Name] {
+					t.Fatalf("window span %q recorded twice", e.Name)
 				}
+				windows[e.Name] = true
+			case "phase":
+				phases[e.Name]++
 			}
-		})
-	}
+		}
+		if len(windows) != spec.Count {
+			t.Fatalf("trace has %d window spans, want %d", len(windows), spec.Count)
+		}
+		for _, stage := range []string{"build", "plan", "solve", "publish"} {
+			if phases[stage] != 1 {
+				t.Fatalf("trace has %d %q phase spans, want 1 (%v)", phases[stage], stage, phases)
+			}
+		}
+	})
 }
 
 func TestRankOK(t *testing.T) {
 	cfg := DefaultConfig()
-	cfg.Kernel = SpMV
 	cfg.NumMultiWindows = 2
 	cfg.Directed = true
 	s, _, _ := reportFixture(t, cfg, nil)
@@ -342,9 +305,10 @@ func TestRankOK(t *testing.T) {
 	}
 }
 
-// liveInRuns counts mw's in-runs live in at least one of windows,
-// walking the temporal CSR directly rather than a run index.
-func liveInRuns(mw *tcsr.MultiWindow, windows []int) int64 {
+// liveInRun counts mw's in-runs live in window w, walking the temporal
+// CSR directly rather than a run index.
+func liveInRun(mw *tcsr.MultiWindow, w int) int64 {
+	ts, te := mw.Window(w)
 	var n int64
 	for v := 0; v < int(mw.NumLocal()); v++ {
 		i, end := mw.InRow[v], mw.InRow[v+1]
@@ -353,11 +317,8 @@ func liveInRuns(mw *tcsr.MultiWindow, windows []int) int64 {
 			for j < end && mw.InCol[j] == mw.InCol[i] {
 				j++
 			}
-			for _, w := range windows {
-				if ts, te := mw.Window(w); tcsr.RunActive(mw.InTime[i:j], ts, te) {
-					n++
-					break
-				}
+			if tcsr.RunActive(mw.InTime[i:j], ts, te) {
+				n++
 			}
 			i = j
 		}
@@ -366,41 +327,24 @@ func liveInRuns(mw *tcsr.MultiWindow, windows []int) int64 {
 }
 
 // TestRunsScannedMatchesBruteForce checks RunReport.RunsScanned against
-// a count over the temporal CSR's in-runs: Σ over the plan's batches of
-// the runs live in any of the batch's windows × the batch's sweeps (at
-// width 1, a batch is one window and its sweeps are its iterations).
+// a count over the temporal CSR's in-runs: Σ over the windows of the
+// runs live in the window × its sweeps (its iterations).
 func TestRunsScannedMatchesBruteForce(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	for _, kernel := range []KernelID{SpMV, SpMM} {
-		for _, p := range []*sched.Pool{nil, pool} {
-			cfg := DefaultConfig()
-			cfg.Kernel = kernel
-			cfg.VectorLen = 3
-			cfg.NumMultiWindows = 2
-			s, _, eng := reportFixture(t, cfg, p)
-			plan := eng.Plan()
-			var want int64
-			for _, u := range plan.Units {
-				for j := 0; j < u.NumBatches; j++ {
-					var windows []int
-					var sweeps int64
-					for reg := 0; reg < u.K; reg++ {
-						if off := u.RegionStart[reg] + j; off < u.RegionStart[reg+1] {
-							w := u.MW.WinLo + off
-							windows = append(windows, w)
-							sweeps = max(sweeps, int64(s.Window(w).Iterations))
-						}
-					}
-					want += liveInRuns(u.MW, windows) * sweeps
-				}
-			}
-			if want == 0 {
-				t.Fatalf("%v: fixture scans no runs", kernel)
-			}
-			if got := s.Report.RunsScanned; got != want {
-				t.Errorf("%v pool=%v: RunsScanned = %d, brute force %d", kernel, p != nil, got, want)
-			}
+	for _, p := range []*sched.Pool{nil, pool} {
+		cfg := DefaultConfig()
+		cfg.NumMultiWindows = 2
+		s, spec, eng := reportFixture(t, cfg, p)
+		var want int64
+		for w := 0; w < spec.Count; w++ {
+			want += liveInRun(eng.Temporal().ForWindow(w), w) * int64(s.Window(w).Iterations)
+		}
+		if want == 0 {
+			t.Fatal("fixture scans no runs")
+		}
+		if got := s.Report.RunsScanned; got != want {
+			t.Errorf("pool=%v: RunsScanned = %d, brute force %d", p != nil, got, want)
 		}
 	}
 }
@@ -448,9 +392,9 @@ func activeInWindow(mw *tcsr.MultiWindow, w int) int64 {
 
 // TestInitAndPairCountsMatchBruteForce checks RunReport.InitRunsVisited
 // and RunReport.PairsSwept against counts over the temporal CSR. Every
-// batch's Init walks its multi-window graph's stored in-runs once, plus
-// its out-runs when the graph is directed; the sweeps advance each
-// window's active vertices once per iteration the window is live.
+// window's Init walks its multi-window graph's stored in-runs once,
+// plus its out-runs when the graph is directed; the sweeps advance each
+// window's active vertices once per iteration.
 func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -463,42 +407,38 @@ func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Span: %v", err)
 		}
-		for _, kernel := range []KernelID{SpMV, SpMM} {
-			for _, p := range []*sched.Pool{nil, pool} {
-				label := fmt.Sprintf("directed=%v %v pool=%v", directed, kernel, p != nil)
-				cfg := DefaultConfig()
-				cfg.Kernel = kernel
-				cfg.Directed = directed
-				cfg.VectorLen = 3
-				cfg.NumMultiWindows = 2
-				eng, err := NewEngine(l, spec, cfg, p)
-				if err != nil {
-					t.Fatalf("%s: NewEngine: %v", label, err)
+		for _, p := range []*sched.Pool{nil, pool} {
+			label := fmt.Sprintf("directed=%v pool=%v", directed, p != nil)
+			cfg := DefaultConfig()
+			cfg.Directed = directed
+			cfg.NumMultiWindows = 2
+			eng, err := NewEngine(l, spec, cfg, p)
+			if err != nil {
+				t.Fatalf("%s: NewEngine: %v", label, err)
+			}
+			s, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("%s: Run: %v", label, err)
+			}
+			var wantRuns, wantPairs int64
+			for _, u := range eng.Plan().Units {
+				perInit := storedRuns(u.MW.InRow, u.MW.InCol)
+				if directed {
+					perInit += storedRuns(u.MW.OutRow, u.MW.OutCol)
 				}
-				s, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%s: Run: %v", label, err)
-				}
-				var wantRuns, wantPairs int64
-				for _, u := range eng.Plan().Units {
-					perInit := storedRuns(u.MW.InRow, u.MW.InCol)
-					if directed {
-						perInit += storedRuns(u.MW.OutRow, u.MW.OutCol)
-					}
-					wantRuns += perInit * int64(u.NumBatches)
-				}
-				for w := 0; w < spec.Count; w++ {
-					wantPairs += activeInWindow(eng.Temporal().ForWindow(w), w) * int64(s.Window(w).Iterations)
-				}
-				if wantRuns == 0 || wantPairs == 0 {
-					t.Fatalf("%s: fixture walks %d runs and sweeps %d pairs", label, wantRuns, wantPairs)
-				}
-				if got := s.Report.InitRunsVisited; got != wantRuns {
-					t.Errorf("%s: InitRunsVisited = %d, brute force %d", label, got, wantRuns)
-				}
-				if got := s.Report.PairsSwept; got != wantPairs {
-					t.Errorf("%s: PairsSwept = %d, brute force %d", label, got, wantPairs)
-				}
+				wantRuns += perInit * int64(u.Hi-u.Lo)
+			}
+			for w := 0; w < spec.Count; w++ {
+				wantPairs += activeInWindow(eng.Temporal().ForWindow(w), w) * int64(s.Window(w).Iterations)
+			}
+			if wantRuns == 0 || wantPairs == 0 {
+				t.Fatalf("%s: fixture walks %d runs and sweeps %d pairs", label, wantRuns, wantPairs)
+			}
+			if got := s.Report.InitRunsVisited; got != wantRuns {
+				t.Errorf("%s: InitRunsVisited = %d, brute force %d", label, got, wantRuns)
+			}
+			if got := s.Report.PairsSwept; got != wantPairs {
+				t.Errorf("%s: PairsSwept = %d, brute force %d", label, got, wantPairs)
 			}
 		}
 	}
@@ -506,56 +446,49 @@ func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
 
 // TestFullyResumedRunCountsNoSweeps checks that sweep and scan counts
 // record only the work a run did: a run that restores every window
-// from a checkpoint sweeps nothing, at width 1 and at width 8, serially
-// and on a pooled window-level plan.
+// from a checkpoint sweeps nothing, serially and on a pooled
+// window-level plan.
 func TestFullyResumedRunCountsNoSweeps(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
-	for _, width := range []int{1, 8} {
-		for _, p := range []*sched.Pool{nil, pool} {
-			label := fmt.Sprintf("width=%d pool=%v", width, p != nil)
-			cfg := DefaultConfig()
-			cfg.Mode = WindowLevel
-			cfg.Kernel = SpMM
-			cfg.VectorLen = width
-			if width == 1 {
-				cfg.Kernel = SpMV
-			}
-			store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ck"))
+	for _, p := range []*sched.Pool{nil, pool} {
+		label := fmt.Sprintf("pool=%v", p != nil)
+		cfg := DefaultConfig()
+		cfg.Mode = WindowLevel
+		store, err := checkpoint.Open(filepath.Join(t.TempDir(), "ck"))
+		if err != nil {
+			t.Fatalf("checkpoint.Open: %v", err)
+		}
+		l := randomLog(t, 31, 25, 600, 3000)
+		spec, err := events.Span(l, 400, 120)
+		if err != nil {
+			t.Fatalf("Span: %v", err)
+		}
+		for _, resume := range []bool{false, true} {
+			eng, err := NewEngine(l, spec, cfg, p)
 			if err != nil {
-				t.Fatalf("checkpoint.Open: %v", err)
+				t.Fatalf("NewEngine: %v", err)
 			}
-			l := randomLog(t, 31, 25, 600, 3000)
-			spec, err := events.Span(l, 400, 120)
+			if _, err := eng.SetCheckpoint(store, resume); err != nil {
+				t.Fatalf("SetCheckpoint(%v): %v", resume, err)
+			}
+			s, err := eng.Run(context.Background())
 			if err != nil {
-				t.Fatalf("Span: %v", err)
+				t.Fatalf("%s resume=%v: Run: %v", label, resume, err)
 			}
-			for _, resume := range []bool{false, true} {
-				eng, err := NewEngine(l, spec, cfg, p)
-				if err != nil {
-					t.Fatalf("NewEngine: %v", err)
+			rep := s.Report
+			if !resume {
+				if rep.TotalSweeps == 0 || rep.RunsScanned == 0 {
+					t.Fatalf("%s: checkpointed run reports %d sweeps, %d runs scanned", label, rep.TotalSweeps, rep.RunsScanned)
 				}
-				if _, err := eng.SetCheckpoint(store, resume); err != nil {
-					t.Fatalf("SetCheckpoint(%v): %v", resume, err)
-				}
-				s, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatalf("%s resume=%v: Run: %v", label, resume, err)
-				}
-				rep := s.Report
-				if !resume {
-					if rep.TotalSweeps == 0 || rep.RunsScanned == 0 {
-						t.Fatalf("%s: checkpointed run reports %d sweeps, %d runs scanned", label, rep.TotalSweeps, rep.RunsScanned)
-					}
-					continue
-				}
-				if rep.Fault.Resumed != spec.Count {
-					t.Fatalf("%s: %d of %d windows resumed", label, rep.Fault.Resumed, spec.Count)
-				}
-				if rep.TotalSweeps != 0 || rep.RunsScanned != 0 {
-					t.Errorf("%s: fully resumed run reports TotalSweeps = %d, RunsScanned = %d, want 0 and 0",
-						label, rep.TotalSweeps, rep.RunsScanned)
-				}
+				continue
+			}
+			if rep.Fault.Resumed != spec.Count {
+				t.Fatalf("%s: %d of %d windows resumed", label, rep.Fault.Resumed, spec.Count)
+			}
+			if rep.TotalSweeps != 0 || rep.RunsScanned != 0 {
+				t.Errorf("%s: fully resumed run reports TotalSweeps = %d, RunsScanned = %d, want 0 and 0",
+					label, rep.TotalSweeps, rep.RunsScanned)
 			}
 		}
 	}

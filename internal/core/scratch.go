@@ -5,14 +5,13 @@ import (
 	"sync/atomic"
 
 	"pmpr/internal/sched"
-	"pmpr/internal/tcsr"
 )
 
 // This file implements the engine's scratch-memory arena. The kernels
 // used to allocate their working vectors (x/y/z, inverse out-degrees,
-// activity flags, per-leaf accumulators) on every window or batch
-// solve; under the default nested mode with a small grain that is
-// millions of short-lived allocations per run. The arena replaces all
+// activity flags, per-leaf accumulators) on every window solve; under
+// the default nested mode with a small grain that is millions of
+// short-lived allocations per run. The arena replaces all
 // of them with reusable per-worker buffers:
 //
 //   - Every buffer that does not escape a solve is taken from a
@@ -160,21 +159,15 @@ func (l *freeList[T]) put(a *scratchArena, s []T) {
 	l.free = append(l.free, s)
 }
 
-// scratchBuf bundles the free lists of every buffer shape the kernels
-// use. Acquired via scratchArena.acquire; see the file comment for the
+// scratchBuf bundles the free lists of every buffer shape the kernel
+// uses. Acquired via scratchArena.acquire; see the file comment for the
 // confinement rules that make it lock-free.
 type scratchBuf struct {
 	arena *scratchArena
 
-	f64     freeList[float64]
-	i64     freeList[int64]
-	i32     freeList[int32]
-	u64     freeList[uint64]
-	ints    freeList[int]
-	bools   freeList[bool]
-	vecs    freeList[[]float64]
-	results freeList[WindowResult]
-	views   freeList[tcsr.SolveView]
+	f64 freeList[float64]
+	i64 freeList[int64]
+	i32 freeList[int32]
 }
 
 // lanes returns the number of reduction lanes leaf bodies may index.
@@ -188,37 +181,3 @@ func (b *scratchBuf) putI64(s []int64)     { b.i64.put(b.arena, s) }
 
 func (b *scratchBuf) getI32(n int) []int32 { return b.i32.get(b.arena, n) }
 func (b *scratchBuf) putI32(s []int32)     { b.i32.put(b.arena, s) }
-
-func (b *scratchBuf) getU64(n int) []uint64 { return b.u64.get(b.arena, n) }
-func (b *scratchBuf) putU64(s []uint64)     { b.u64.put(b.arena, s) }
-
-func (b *scratchBuf) getInt(n int) []int { return b.ints.get(b.arena, n) }
-func (b *scratchBuf) putInt(s []int)     { b.ints.put(b.arena, s) }
-
-func (b *scratchBuf) getBool(n int) []bool { return b.bools.get(b.arena, n) }
-func (b *scratchBuf) putBool(s []bool)     { b.bools.put(b.arena, s) }
-
-// getVecs/putVecs manage [][]float64 holders (SpMM rank staging). put
-// clears the elements first so the free list never pins rank vectors.
-func (b *scratchBuf) getVecs(n int) [][]float64 { return b.vecs.get(b.arena, n) }
-func (b *scratchBuf) putVecs(s [][]float64) {
-	clear(s)
-	b.vecs.put(b.arena, s)
-}
-
-// getResults/putResults manage []WindowResult staging for SpMM batches.
-// put clears the elements so recycled entries never pin rank vectors.
-func (b *scratchBuf) getResults(n int) []WindowResult { return b.results.get(b.arena, n) }
-func (b *scratchBuf) putResults(s []WindowResult) {
-	clear(s)
-	b.results.put(b.arena, s)
-}
-
-// getViews/putViews manage the batch drivers' []tcsr.SolveView staging.
-// put clears the elements so the free list never pins a multi-window
-// graph through its view pointers.
-func (b *scratchBuf) getViews(n int) []tcsr.SolveView { return b.views.get(b.arena, n) }
-func (b *scratchBuf) putViews(s []tcsr.SolveView) {
-	clear(s)
-	b.views.put(b.arena, s)
-}

@@ -13,15 +13,14 @@ import (
 type WindowStatus uint8
 
 const (
-	// WindowOK is a first-attempt solve with the configured kernel.
+	// WindowOK is a first-attempt solve.
 	WindowOK WindowStatus = iota
 	// WindowResumed was loaded from a checkpoint instead of solved.
 	WindowResumed
-	// WindowRetried succeeded with the configured kernel after at least
-	// one failed attempt.
+	// WindowRetried succeeded after at least one failed attempt.
 	WindowRetried
-	// WindowDegraded succeeded only on the serial width-1 fallback after
-	// the configured kernel failed every attempt.
+	// WindowDegraded succeeded only on the serial fallback after every
+	// attempt under the plan's vertex loop failed.
 	WindowDegraded
 	// WindowFailed is quarantined: every attempt (including the degrade
 	// fallback) failed. The result carries no ranks and Err is set.
@@ -63,8 +62,7 @@ type WindowResult struct {
 	// FinalResidual is the L1 delta of the last iteration performed
 	// (below the tolerance iff Converged).
 	FinalResidual float64
-	// WallSeconds is the solve wall time of this window; for the SpMM
-	// kernel it is the wall time of the batch that advanced it.
+	// WallSeconds is the solve wall time of this window.
 	WallSeconds float64
 	// Worker is the pool worker id whose window-loop range solved this
 	// window, or -1 when the window loop ran outside the pool (serial

@@ -53,8 +53,8 @@ type SolveOutput struct {
 	// Results holds one entry per global window.
 	Results []WindowResult
 	// MWSweeps[i] counts the shared-CSR sweeps this run made over
-	// multi-window graph i: Σ over its solved batches of the batch's
-	// iteration maximum. Windows restored from a checkpoint add none.
+	// multi-window graph i: Σ over its solved windows of their
+	// iterations. Windows restored from a checkpoint add none.
 	MWSweeps []int64
 	// Seconds is the solve wall time (phase "solve").
 	Seconds float64
@@ -62,13 +62,12 @@ type SolveOutput struct {
 	Sched *SchedReport
 	// Scratch is the arena counter delta for this run.
 	Scratch *ScratchReport
-	// RunsScanned is the counted scan work: Σ over batches of the run
-	// index size × the sweeps the batch ran.
+	// RunsScanned is the counted scan work: Σ over solved windows of
+	// the run index size × the sweeps the window ran.
 	RunsScanned int64
-	// InitRunsVisited is Σ over batch Inits of the stored runs walked.
+	// InitRunsVisited is Σ over kernel Inits of the stored runs walked.
 	InitRunsVisited int64
-	// PairsSwept is Σ over sweeps of the live active (vertex, slot)
-	// pairs.
+	// PairsSwept is Σ over sweeps of the window's active vertices.
 	PairsSwept int64
 }
 
@@ -77,7 +76,7 @@ type SolveOutput struct {
 // scratch arena is left consistent — the kernel's Finalize runs even
 // on the cancel path — so the stage can be reused immediately. Window
 // faults (panics, injected errors) are absorbed by the failure ladder:
-// failed windows retry, degrade to the serial width-1 kernel, and finally
+// failed windows retry, degrade to the serial vertex loop, and finally
 // quarantine in the results, so the only error paths out of a started
 // run are cancellation and validation.
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
@@ -172,7 +171,7 @@ func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput
 
 // solveRun is the per-Run state of the solve stage: the plan being
 // executed, the result sink, and the cancellation flag the driver
-// polls between units, batches, and iterations.
+// polls between units, windows, and iterations.
 type solveRun struct {
 	plan    *SolvePlan
 	arena   *scratchArena
@@ -186,16 +185,16 @@ type solveRun struct {
 
 	canceledFlag    atomic.Bool
 	completed       atomic.Int64
-	runsScanned     atomic.Int64 // Σ run-index size × sweeps over batches
-	initRunsVisited atomic.Int64 // Σ stored runs walked by batch Inits
-	pairsSwept      atomic.Int64 // Σ live active (vertex, slot) pairs over sweeps
+	runsScanned     atomic.Int64 // Σ run-index size × sweeps over windows
+	initRunsVisited atomic.Int64 // Σ stored runs walked by kernel Inits
+	pairsSwept      atomic.Int64 // Σ active vertices over sweeps
 }
 
 func (r *solveRun) canceled() bool { return r.canceledFlag.Load() }
 
 // windowDecided records a decided (solved, restored, or failed) window
 // on the journal, whose reducer derives the histograms, /status and
-// trace from it. Runs once per window at batch boundaries — never
+// trace from it. Runs once per window at window boundaries — never
 // inside iteration loops — so the kernels' steady-state allocation
 // guarantees are untouched.
 func (r *solveRun) windowDecided(res *WindowResult) {
@@ -203,14 +202,14 @@ func (r *solveRun) windowDecided(res *WindowResult) {
 		res.Iterations, res.FinalResidual, res.Converged, res.WallSeconds)
 }
 
-// dispatch fans the plan's units out on the pool. A unit's batches are
+// dispatch fans the plan's units out on the pool. A unit's windows are
 // sequentially dependent through partial initialization but mutually
 // independent across units (this is why Fig. 8's window-level runs
 // improve with more multi-window graphs), so the unit is the outer
-// loop's item at every width. App-level runs the units in order on one
-// worker; the other modes spread them over the pool. Whether a unit's
-// vertex loops fork is the plan's decision (SolvePlan.ForkVertexLoops),
-// not the mode's.
+// loop's item. App-level runs the units in order on one worker; the
+// other modes spread them over the pool. Whether a unit's vertex loops
+// fork is the plan's decision (SolvePlan.ForkVertexLoops), not the
+// mode's.
 func (r *solveRun) dispatch(ctx context.Context, pool *sched.Pool) {
 	cfg := &r.plan.Cfg
 	n := len(r.plan.Units)
@@ -255,194 +254,121 @@ func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 	}
 }
 
-// solveUnit runs one unit's batch sequence. Batch j gathers the j-th
-// window of every region (layout precomputed by the plan stage), so one
-// kernel batch advances up to K windows and every batch after the first
-// warm-starts from its region predecessors. Each batch runs under the
-// failure ladder (solveBatchFT); a quarantined window leaves a nil
-// vector, so its successor cold-starts. Batches a resume checkpoint
-// holds are restored instead of solved (restoreBatch). Under
-// Cfg.DiscardRanks a batch's rank vectors are recycled as soon as the
-// next batch has consumed them — including the final batch's vectors
-// after the loop.
+// solveUnit runs one unit's warm-start chain: each window after the
+// unit's first warm-starts from its predecessor's rank vector. Each
+// window runs under the failure ladder (solveBatchFT); a quarantined
+// window leaves a nil vector, so its successor cold-starts. Windows a
+// resume checkpoint holds are restored instead of solved
+// (restoreWindow). Under Cfg.DiscardRanks a window's rank vector is
+// recycled as soon as its successor has consumed it — including the
+// final window's vector after the loop.
 func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	u := &r.plan.Units[ui]
 	mw := u.MW
-	K := u.K
-	base := u.RegionStart[0]
 	sb, release := r.arena.acquire(wid)
 	defer release()
 	cfg := &r.plan.Cfg
-	point := PointSolveBatch
-	if r.plan.Width == 1 {
-		point = PointSolveWindow
-	}
-
-	// ranks[o] is the rank vector of window offset base+o, kept until
-	// batch o+1 has consumed it for partial initialization.
-	ranks := sb.getVecs(u.RegionStart[K] - base)
-	viewsBuf := sb.getViews(K)
-	initsBuf := sb.getVecs(K)
-	resultsBuf := sb.getResults(K)
-	liveBuf := sb.getInt(K)
 	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw}
 
-	// stage re-stages batch curJ from scratch; solveBatchFT calls it
+	// prev is the rank vector of the window before w, kept until w has
+	// consumed it for partial initialization.
+	var prev []float64
+	var w int
+	// stage re-stages window w from scratch; solveBatchFT calls it
 	// before every attempt, so retries see the exact inputs (including
-	// warm-start vectors from ranks) of the first attempt.
-	var curJ int
+	// the warm-start vector) of the first attempt.
 	stage := func() {
-		slots := 0
-		for reg := 0; reg < K; reg++ {
-			off := u.RegionStart[reg] + curJ
-			if off >= u.RegionStart[reg+1] {
-				continue
-			}
-			w := mw.WinLo + off
-			viewsBuf[slots] = mw.ViewOf(w)
-			if curJ > 0 && cfg.PartialInit {
-				initsBuf[slots] = ranks[off-1-base]
-			} else {
-				initsBuf[slots] = nil
-			}
-			resultsBuf[slots] = WindowResult{Window: w, Worker: wid, mw: mw}
-			slots++
+		b.view = mw.ViewOf(w)
+		b.init = nil
+		if cfg.PartialInit {
+			b.init = prev
 		}
-		b.views = viewsBuf[:slots]
-		b.inits = initsBuf[:slots]
-		b.results = resultsBuf[:slots]
-		b.live = liveBuf[:0]
+		b.result = WindowResult{Window: w, Worker: wid, mw: mw}
 	}
-	for j := 0; j < u.NumBatches; j++ {
+	for w = mw.WinLo + u.Lo; w < mw.WinLo+u.Hi; w++ {
 		if r.canceled() {
 			break
 		}
-		if r.restoreBatch(u, j, wid, ranks) {
+		if r.restoreWindow(mw, w, wid) {
+			prev = r.results[w].ranks
 			continue
 		}
-		curJ = j
 		stage()
-		if r.journal != nil {
-			for s := range b.results {
-				r.journal.EmitWindowStart(b.results[s].Window, wid)
-			}
-		}
+		r.journal.EmitWindowStart(w, wid)
 		t0 := time.Now()
-		if !r.solveBatchFT(&b, stage, point) {
-			recycleUndecided(sb, b.results)
+		if !r.solveBatchFT(&b, stage) {
+			recycleUndecided(sb, &b.result)
 			break // canceled mid-attempt
 		}
-		dur := time.Since(t0)
-		// One SpMM sweep of the shared CSR advances every live window
-		// of the batch, so the batch's sweep count is its iteration
-		// maximum.
-		var sweeps int64
-		for s := range b.results {
-			res := &b.results[s]
-			if it := int64(res.Iterations); it > sweeps {
-				sweeps = it
-			}
-			res.WallSeconds = dur.Seconds()
-			if res.Status != WindowFailed {
-				r.validateWindow(res)
-			}
-			r.windowDecided(res)
-			ranks[res.Window-mw.WinLo-base] = res.ranks
-			if cfg.DiscardRanks {
-				res.ranks = nil
-			}
-			r.results[res.Window] = *res
-			r.checkpointWindow(&r.results[res.Window])
-			r.completed.Add(1)
+		res := &b.result
+		res.WallSeconds = time.Since(t0).Seconds()
+		if res.Status != WindowFailed {
+			r.validateWindow(res)
 		}
-		r.unitSweeps[ui] += sweeps
-		if cfg.DiscardRanks && j > 0 {
-			// Batch j-1's vectors have been consumed; recycle them.
-			for reg := 0; reg < K; reg++ {
-				if off := u.RegionStart[reg] + j - 1; off < u.RegionStart[reg+1] {
-					sb.putF64(ranks[off-base])
-					ranks[off-base] = nil
-				}
-			}
+		r.windowDecided(res)
+		if cfg.DiscardRanks && prev != nil {
+			// w has consumed its predecessor's vector; recycle it.
+			sb.putF64(prev)
 		}
+		prev = res.ranks
+		if cfg.DiscardRanks {
+			res.ranks = nil
+		}
+		r.results[w] = *res
+		r.checkpointWindow(&r.results[w])
+		r.completed.Add(1)
+		r.unitSweeps[ui] += int64(res.Iterations)
 	}
-	if cfg.DiscardRanks {
-		// The final batch's vectors have no consumer; recycle whatever
-		// is still staged so a unit does not hold K rank vectors past
-		// its solve.
-		for o := range ranks {
-			if ranks[o] != nil {
-				sb.putF64(ranks[o])
-				ranks[o] = nil
-			}
-		}
+	if cfg.DiscardRanks && prev != nil {
+		// The final window's vector has no consumer.
+		sb.putF64(prev)
 	}
-	sb.putInt(liveBuf)
-	sb.putResults(resultsBuf)
-	sb.putVecs(initsBuf)
-	sb.putViews(viewsBuf)
-	sb.putVecs(ranks)
 }
 
-// runBatch is the convergence loop of every batch, at every width and
-// on the degrade path alike: Init stages and marks live slots, each
-// iteration advances the live set and retires slots whose residual
-// drops below the tolerance, and Finalize always runs — cancellation
-// included — so the scratch lease is returned on every exit path. The
-// batch's scan work (indexed runs × sweeps), the runs its Init walked
-// and the active pairs its sweeps advanced are counted with one add
-// each.
+// runBatch is the convergence loop of every window, on the plan's
+// vertex loop and on the degrade path alike: Init stages the window,
+// each iteration advances it until its residual drops below the
+// tolerance, and Finalize always runs — cancellation included — so the
+// scratch lease is returned on every exit path. The window's scan work
+// (indexed runs × sweeps), the runs its Init walked and the active
+// vertices its sweeps advanced are counted with one add each.
 func (r *solveRun) runBatch(b *Batch) {
 	b.truncated = false
 	if r.canceled() {
 		// Canceled before staging: leave the batch undecided instead of
-		// letting a trivially convergent one (e.g. all-empty windows,
-		// whose loop below never runs) complete after the cancel landed.
+		// letting a trivially convergent one (e.g. an empty window, whose
+		// loop below never runs) complete after the cancel landed.
 		b.truncated = true
 		return
 	}
 	kern := &b.kern
 	kern.Init(b)
+	res := &b.result
 	opt := b.cfg.Opts
-	var sweeps, pairs int64
-	for it := 0; it < opt.MaxIter && len(b.live) > 0; it++ {
+	for res.Iterations < opt.MaxIter && !res.Converged {
 		if r.canceled() {
 			b.truncated = true
 			break
 		}
-		for _, s := range b.live {
-			b.results[s].Iterations = it + 1
-			pairs += int64(b.results[s].ActiveVertices)
-		}
 		kern.Iterate(b)
-		sweeps++
-		next := b.live[:0]
-		for _, s := range b.live {
-			res := kern.Residual(b, s)
-			b.results[s].FinalResidual = res
-			if res < opt.Tol {
-				b.results[s].Converged = true
-			} else {
-				next = append(next, s)
-			}
-		}
-		b.live = next
+		res.Iterations++
+		res.FinalResidual = kern.Residual()
+		res.Converged = res.FinalResidual < opt.Tol
 	}
+	sweeps := int64(res.Iterations)
 	r.runsScanned.Add(kern.runs.kept * sweeps)
 	r.initRunsVisited.Add(kern.runsVisited)
-	r.pairsSwept.Add(pairs)
+	r.pairsSwept.Add(int64(res.ActiveVertices) * sweeps)
 	kern.Finalize(b)
 }
 
-// recycleUndecided returns the rank vectors Finalize staged for a
-// batch that solveBatchFT left undecided: the run is ending with an
-// error, so nothing will consume them.
-func recycleUndecided(sb *scratchBuf, results []WindowResult) {
-	for i := range results {
-		if results[i].ranks != nil {
-			sb.putF64(results[i].ranks)
-			results[i].ranks = nil
-		}
+// recycleUndecided returns the rank vector Finalize staged for a
+// window that solveBatchFT left undecided: the run is ending with an
+// error, so nothing will consume it.
+func recycleUndecided(sb *scratchBuf, res *WindowResult) {
+	if res.ranks != nil {
+		sb.putF64(res.ranks)
+		res.ranks = nil
 	}
 }
 

@@ -25,7 +25,7 @@
 // (error text). Examples:
 //
 //	PMPR_FAULTPOINTS='core.solve.window:panic'            # first window solve panics once
-//	PMPR_FAULTPOINTS='core.solve.batch:error:after=3,count=0'  # every batch from the 3rd errors
+//	PMPR_FAULTPOINTS='core.solve.window:error:after=3,count=0' # every window attempt from the 3rd errors
 //	PMPR_FAULTPOINTS='events.read_binary:delay:delay=50ms'
 package fault
 

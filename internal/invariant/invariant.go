@@ -2,8 +2,8 @@
 // postmortem representation and its outputs. The paper's speedups rest
 // on shared-structure tricks — temporal CSR with local vertex
 // relabeling (Sec. 4.1, Fig. 3), warm-started vectors (Sec. 4.2,
-// Eq. 4), and SpMM sweeps that advance many windows through one
-// multi-window graph (Sec. 4.4) — exactly the kind of layout where a
+// Eq. 4), and many windows' sweeps sharing one multi-window graph
+// (Sec. 4.4) — exactly the kind of layout where a
 // silent indexing or aliasing bug produces plausible-but-wrong ranks.
 // These validators are callable from tests, fuzz targets, and the
 // opt-in core.Config.Validate engine hook; see DESIGN.md for the

@@ -3,9 +3,10 @@
 // loads this module's packages from source and enforces the domain
 // rules the postmortem data structures depend on. The paper's speedups
 // come from shared-structure tricks — temporal CSR with local
-// relabeling, warm-started vectors, multi-window SpMM sweeps — where a
-// silent mistake produces plausible-but-wrong ranks or a stuck solve;
-// these rules make the dangerous patterns loud at review time.
+// relabeling, warm-started vectors, sweeps over shared multi-window
+// graphs — where a silent mistake produces plausible-but-wrong ranks or
+// a stuck solve; these rules make the dangerous patterns loud at review
+// time.
 //
 // Per-package Analyzers see one package at a time. ModuleAnalyzers
 // (eventexhaust) see every loaded package at once through a Module, so

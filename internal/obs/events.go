@@ -20,7 +20,7 @@ type EventType string
 // time_unix_nano, and type; the remaining fields depend on the type
 // (see Event.AppendJSON for the exact per-type field sets).
 const (
-	// EvRunStart opens a run: total windows, kernel, mode, pool size.
+	// EvRunStart opens a run: total windows, mode, pool size.
 	EvRunStart EventType = "run_start"
 	// EvRunEnd closes a run with its status (completed, canceled,
 	// failed), the windows decided, and the solve wall time.
@@ -36,11 +36,11 @@ const (
 	EvWindowStart EventType = "window_start"
 	// EvWindowDone marks one window decided: status (ok, retried,
 	// degraded, resumed, failed), iterations, final residual, whether it
-	// converged, and wall time (for SpMM, the batch's wall time).
+	// converged, and wall time.
 	EvWindowDone EventType = "window_done"
-	// EvRetry marks a failed window/batch attempt being retried.
+	// EvRetry marks a failed window attempt being retried.
 	EvRetry EventType = "retry"
-	// EvDegrade marks a window falling back to the serial width-1 kernel.
+	// EvDegrade marks a window falling back to a serial re-solve.
 	EvDegrade EventType = "degrade"
 	// EvQuarantine marks a window failing terminally.
 	EvQuarantine EventType = "quarantine"
@@ -95,8 +95,7 @@ type Event struct {
 	// and Done the decided-window count (run_end, cancel).
 	Windows int `json:"windows"`
 	Done    int `json:"done"`
-	// Kernel, Mode, and Workers (pool size) describe a run_start.
-	Kernel  string `json:"kernel"`
+	// Mode and Workers (pool size) describe a run_start.
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
 }
@@ -186,7 +185,6 @@ func (e *Event) AppendJSON(b []byte) []byte {
 	switch e.Type {
 	case EvRunStart:
 		b = appendInt(b, "windows", int64(e.Windows))
-		b = appendString(b, "kernel", e.Kernel)
 		b = appendString(b, "mode", e.Mode)
 		b = appendInt(b, "workers", int64(e.Workers))
 	case EvRunEnd:

@@ -170,8 +170,7 @@ func (h *Histogram) Summary() HistogramSummary {
 // journal's reducer observes them from window_done events; RegisterOn
 // exposes the histograms for scraping.
 type SolveHistograms struct {
-	// WindowWall is the per-window solve wall time in seconds (for SpMM
-	// batches, every window of a batch reports the batch's wall time).
+	// WindowWall is the per-window solve wall time in seconds.
 	WindowWall *Histogram
 	// Iterations is the per-window PageRank iteration count.
 	Iterations *Histogram

@@ -2,7 +2,7 @@
 // ring of Events with subscriber fan-out, an optional JSONL sink, and
 // the reducer (views.go) that derives every other view from the stream.
 //
-// One mutex guards all of it. Appends happen at window/batch/stage
+// One mutex guards all of it. Appends happen at window and stage
 // boundaries, never inside kernel iteration loops, and copy a
 // fixed-size Event, update atomics, and make non-blocking sends, so the
 // steady state allocates nothing. A subscriber whose buffer is full
@@ -229,9 +229,9 @@ func (j *Journal) CloseSink() error {
 // single nil check when no journal is attached.
 
 // EmitRunStart records a run beginning.
-func (j *Journal) EmitRunStart(windows int, kernel, mode string, workers int) {
+func (j *Journal) EmitRunStart(windows int, mode string, workers int) {
 	j.Append(Event{Type: EvRunStart, Window: -1, Worker: -1,
-		Windows: windows, Kernel: kernel, Mode: mode, Workers: workers})
+		Windows: windows, Mode: mode, Workers: workers})
 }
 
 // EmitRunEnd records a run finishing with the given status
@@ -270,8 +270,8 @@ func (j *Journal) EmitRetry(window, worker, attempt int, errMsg string, panicked
 	j.Append(Event{Type: EvRetry, Window: window, Worker: worker, Attempt: attempt, Err: errMsg, Panicked: panicked})
 }
 
-// EmitDegrade records a window falling back to the serial kernel;
-// panicked marks a panic as the primary kernel's last failure.
+// EmitDegrade records a window falling back to a serial re-solve;
+// panicked marks a panic as the last failure before it.
 func (j *Journal) EmitDegrade(window, worker int, panicked bool) {
 	j.Append(Event{Type: EvDegrade, Window: window, Worker: worker, Panicked: panicked})
 }

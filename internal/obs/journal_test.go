@@ -47,7 +47,7 @@ func TestJournalAppendSinceAndEviction(t *testing.T) {
 func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.Append(Event{Type: EvCancel})
-	j.EmitRunStart(1, "spmv", "nested", 2)
+	j.EmitRunStart(1, "nested", 2)
 	j.EmitWindowDone(0, 0, "ok", 1, 0, true, 0)
 	if got := j.LastSeq(); got != 0 {
 		t.Fatalf("nil journal LastSeq = %d", got)
@@ -187,7 +187,7 @@ func TestJournalSinkWritesJSONL(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJournal(16)
 	j.SetSink(&buf)
-	j.EmitRunStart(3, "spmv", "nested", 2)
+	j.EmitRunStart(3, "nested", 2)
 	j.EmitWindowStart(0, 1)
 	j.EmitWindowDone(0, 1, "ok", 7, 3.5e-9, true, 0.25)
 	j.EmitRunEnd("completed", 3, 3, 1.5, "")

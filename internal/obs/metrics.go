@@ -26,9 +26,8 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 type GaugeFunc func() float64
 
 // FaultCounters tracks the solve stage's fault-tolerance activity. The
-// journal's reducer counts it from the event stream, per window: an
-// SpMM batch retry of K windows is K retry events. RegisterOn exposes
-// the counters.
+// journal's reducer counts it from the event stream, one event per
+// window attempt. RegisterOn exposes the counters.
 type FaultCounters struct {
 	// PanicsRecovered counts retry, degrade, and quarantine events
 	// flagged panicked; Retries counts retry events.

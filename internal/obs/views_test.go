@@ -18,7 +18,7 @@ func TestJournalViews(t *testing.T) {
 		t.Fatalf("fresh status = %+v", st)
 	}
 	j.EmitStageEnd("build", 0.5, "")
-	j.EmitRunStart(4, "spmm", "nested", 2)
+	j.EmitRunStart(4, "nested", 2)
 	j.EmitRetry(0, 1, 1, "boom", true)
 	j.EmitRetry(1, 1, 1, "boom", true)
 	j.EmitWindowDone(0, 1, "retried", 7, 1e-9, true, 0.25)
@@ -51,7 +51,7 @@ func TestJournalViews(t *testing.T) {
 	}
 
 	// A second run restarts the status counts; the counters accumulate.
-	j.EmitRunStart(1, "spmm", "nested", 2)
+	j.EmitRunStart(1, "nested", 2)
 	j.EmitQuarantine(0, 0, 3, "boom", true)
 	j.EmitWindowDone(0, 0, "failed", 0, 0, false, 0.01)
 	j.EmitRunEnd("failed", 1, 1, 1, "x")
