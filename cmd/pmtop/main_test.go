@@ -29,7 +29,7 @@ func writeJournal(t *testing.T, lines ...string) string {
 
 func TestValidateJournalRejects(t *testing.T) {
 	const (
-		start = `{"seq":1,"time_unix_nano":5,"type":"run_start","windows":2,"mode":"app","workers":0}`
+		start = `{"seq":1,"time_unix_nano":5,"type":"run_start","windows":2,"mode":"app","workers":0,"update":"gauss-seidel"}`
 		done  = `{"seq":2,"time_unix_nano":6,"type":"window_done","window":0,"worker":-1,"status":"ok","iterations":7,"residual":3e-09,"converged":true,"seconds":0.25}`
 	)
 	for _, tc := range []struct {
@@ -39,6 +39,7 @@ func TestValidateJournalRejects(t *testing.T) {
 	}{
 		{"conforming", []string{start, done}, true},
 		{"missing field", []string{start, strings.Replace(done, `,"residual":3e-09`, "", 1)}, false},
+		{"run_start without update", []string{strings.Replace(start, `,"update":"gauss-seidel"`, "", 1), done}, false},
 		{"extra field", []string{start, strings.Replace(done, `"seconds":0.25`, `"seconds":0.25,"stage":"solve"`, 1)}, false},
 		{"field of another type", []string{strings.Replace(start, `"workers":0`, `"workers":0,"err":"x"`, 1)}, false},
 		{"converged false spelled out", []string{start, strings.Replace(done, `"converged":true`, `"converged":false`, 1)}, false},

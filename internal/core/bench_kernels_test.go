@@ -66,7 +66,10 @@ var benchModes = []benchMode{
 // per-solve setup cost amortizes away. ReportAllocs makes the headline
 // claim measurable: allocs/op is 0 once the arena is warm. The nested
 // case's 4 warm-start chains fill the pool, so the plan runs them
-// unforked, as window-level does.
+// unforked, as window-level does. The CI alloc gate therefore covers
+// both sweep updates: the serial, window-level and nested cells run the
+// in-place Gauss–Seidel pass, and the app-level cell, whose plan forks,
+// runs Jacobi.
 func BenchmarkIter(b *testing.B) {
 	l, spec := benchLogSpec(b)
 	for _, m := range benchModes {

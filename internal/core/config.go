@@ -10,7 +10,10 @@
 //     shared CSR, one window per sweep. The paper's SpMM kernel (Sec.
 //     4.4) advances K windows per sweep; here a multi-window graph fits
 //     in cache and width 1 is faster, so width K is not implemented
-//     (EXPERIMENTS.md "Width K — deleted").
+//     (EXPERIMENTS.md "Width K — deleted"). A sweep is an in-place
+//     Gauss–Seidel pass wherever the plan does not fork the vertex
+//     loops, and a two-pass Jacobi update where it does
+//     (SolvePlan.Update).
 package core
 
 import (

@@ -215,7 +215,7 @@ func (e *Engine) Run(ctx context.Context) (*Series, error) {
 	defer e.running.Store(false)
 	j := e.plan.Cfg.Journal
 	start := time.Now()
-	j.EmitRunStart(e.plan.Windows, e.plan.Cfg.Mode.String(), e.plan.Workers)
+	j.EmitRunStart(e.plan.Windows, e.plan.Cfg.Mode.String(), e.plan.Workers, e.plan.Update())
 	out, err := e.solve.Run(ctx, e.plan)
 	if err != nil {
 		if errors.Is(err, ErrCanceled) {

@@ -132,6 +132,93 @@ func TestUndirectedSymmetrizedMatchesOracle(t *testing.T) {
 	checkAgainstOracle(t, l, spec, s, "undirected")
 }
 
+// TestErrorBoundHoldsAgainstOracle checks every window's ErrorBound
+// against the dense oracle solved far past the default tolerance: the
+// L1 distance of the window's ranks from the exact vector must not
+// exceed (1−α)/α · FinalResidual. The table crosses both updates (the
+// serial plan's Gauss–Seidel pass and the 2-worker app-level plan's
+// forked Jacobi), cold and partial starts, and a MaxIter of 100 or 5.
+// At 5 most windows stop short of the tolerance, which is where a bound
+// taken from the tolerance would be false. The runs validate every
+// window with CheckRanks, so a truncated Gauss–Seidel window must also
+// leave Finalize with unit mass.
+func TestErrorBoundHoldsAgainstOracle(t *testing.T) {
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	exact := pagerank.Defaults()
+	exact.Tol, exact.MaxIter = 1e-14, 2000
+	paths := []struct {
+		name   string
+		pool   *sched.Pool
+		update string
+	}{
+		{"serial", nil, UpdateGaussSeidel},
+		{"app-2", pool, UpdateJacobi},
+	}
+	for _, seed := range []int64{41, 42, 43} {
+		l := randomLog(t, seed, 25, 500, 2500)
+		spec, err := events.Span(l, 400, 150)
+		if err != nil {
+			t.Fatalf("Span: %v", err)
+		}
+		want := make([][]float64, spec.Count)
+		for w := range want {
+			g, err := csr.FromLogWindow(l, spec.Start(w), spec.End(w))
+			if err != nil {
+				t.Fatalf("oracle graph window %d: %v", w, err)
+			}
+			if want[w], err = pagerank.Reference(g, exact); err != nil {
+				t.Fatalf("oracle window %d: %v", w, err)
+			}
+		}
+		for _, p := range paths {
+			for _, partial := range []bool{false, true} {
+				for _, maxIter := range []int{100, 5} {
+					label := fmt.Sprintf("seed %d %s partial=%v maxiter=%d", seed, p.name, partial, maxIter)
+					cfg := DefaultConfig()
+					cfg.Mode = AppLevel
+					cfg.PartialInit = partial
+					cfg.Directed = true
+					cfg.NumMultiWindows = 2
+					cfg.Opts.MaxIter = maxIter
+					cfg.Validate = true // CheckRanks: unit mass, truncated windows included
+					eng, err := NewEngine(l, spec, cfg, p.pool)
+					if err != nil {
+						t.Fatalf("%s: NewEngine: %v", label, err)
+					}
+					s, err := eng.Run(context.Background())
+					if err != nil {
+						t.Fatalf("%s: Run: %v", label, err)
+					}
+					if s.Report.Update != p.update {
+						t.Fatalf("%s: update %q, want %q", label, s.Report.Update, p.update)
+					}
+					truncated := 0
+					for w := range want {
+						res := s.Window(w)
+						if !res.Converged {
+							truncated++
+						}
+						got := res.Dense(l.NumVertices())
+						var dist float64
+						for v := range got {
+							dist += math.Abs(got[v] - want[w][v])
+						}
+						// 1e-12 absorbs the oracle's own error and rounding.
+						if dist > res.ErrorBound+1e-12 {
+							t.Fatalf("%s window %d: L1 distance %v to the oracle exceeds the bound %v (residual %v, %d iterations)",
+								label, w, dist, res.ErrorBound, res.FinalResidual, res.Iterations)
+						}
+					}
+					if maxIter == 5 && truncated == 0 {
+						t.Fatalf("%s: no window stopped at MaxIter", label)
+					}
+				}
+			}
+		}
+	}
+}
+
 func TestPartialInitReducesIterations(t *testing.T) {
 	// Overlapping windows on a slowly-evolving graph: warm starts must
 	// reduce total iterations (the effect Fig. 6 measures).

@@ -332,10 +332,14 @@ func TestTimeShiftIsInvariant(t *testing.T) {
 // TestVertexRelabelAndTieOrderAreInvariant is a metamorphic check of
 // two orders the input fixes but the model does not. Relabeling the
 // vertices by a permutation must carry every window's ranks along the
-// permutation (to within rounding: the sums run in another order).
-// Reordering events that share a timestamp names the same edges, so
-// ranks, iteration counts and residuals must be bit-identical. Runs are
-// serial, whose warm-start chains are deterministic.
+// permutation to within the two runs' error bounds: the serial plan
+// sweeps Gauss–Seidel in local-id order, so a relabeled run takes
+// another path to the fixed point, and the L1 distance between the two
+// windows may be at most ErrorBound(a) + ErrorBound(b). Reordering
+// events that share a timestamp names the same edges in the same
+// vertex order, so ranks, iteration counts and residuals must be
+// bit-identical. Runs are serial, whose warm-start chains are
+// deterministic.
 func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 	const n = 30
 	for seed := int64(0); seed < 5; seed++ {
@@ -387,14 +391,15 @@ func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 				moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
 				reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")
 				for w := 0; w < want.Len(); w++ {
-					a := want.Window(w)
-					ra := a.Dense(n)
-					rm := moved.Window(w).Dense(n)
+					a, m := want.Window(w), moved.Window(w)
+					ra, rm := a.Dense(n), m.Dense(n)
+					var dist float64
 					for v := range ra {
-						if d := math.Abs(ra[v] - rm[perm[v]]); d > 1e-12 {
-							t.Fatalf("%s window %d vertex %d: rank %v relabeled to %v (|diff|=%v)",
-								label, w, v, ra[v], rm[perm[v]], d)
-						}
+						dist += math.Abs(ra[v] - rm[perm[v]])
+					}
+					if bound := a.ErrorBound + m.ErrorBound; dist > bound {
+						t.Fatalf("%s window %d: relabeled ranks are %v apart in L1, beyond the bounds' sum %v",
+							label, w, dist, bound)
 					}
 					b := reordered.Window(w)
 					if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual {

@@ -133,7 +133,9 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func()) bool {
 
 // degradeBatch re-solves a freshly re-staged window on the serial loop
 // — the simplest execution path, with no nested parallelism —
-// quarantining it only if it fails even there.
+// quarantining it only if it fails even there. It keeps the batch's
+// update (Batch.gaussSeidel), so a degraded window of a forked plan
+// still sweeps Jacobi.
 func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 	attempts := priorAttempts + 1
 	loop := b.loop
@@ -197,6 +199,7 @@ func (r *solveRun) restoreWindow(mw *tcsr.MultiWindow, w, wid int) bool {
 		ActiveVertices:  cw.ActiveVertices,
 		UsedPartialInit: cw.UsedPartialInit,
 		FinalResidual:   cw.FinalResidual,
+		ErrorBound:      errorBound(r.plan.Cfg.Opts.Alpha, cw.FinalResidual),
 		WallSeconds:     cw.WallSeconds,
 		Worker:          wid,
 		Status:          WindowResumed,

@@ -155,6 +155,58 @@ func TestPersistentFaultDegradesToSerialKernel(t *testing.T) {
 	}
 }
 
+// TestDegradedForkedWindowKeepsJacobi fails every attempt of one
+// window of a forked plan (2-worker app-level) on the plan's vertex
+// loop, so the window degrades to the serial loop. The degrade rung
+// swaps the loop but keeps the plan's update: the run reports Jacobi,
+// the degraded window matches the dense oracle, and it takes the
+// healthy forked run's sweep count for that window, not the serial
+// plan's Gauss–Seidel count.
+func TestDegradedForkedWindowKeepsJacobi(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	l := randomLog(t, 94, 25, 250, 700)
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
+	cfg := DefaultConfig()
+	cfg.Mode = AppLevel
+	cfg.PartialInit = true
+	cfg.Directed = true
+	run := func(pool *sched.Pool, label string) *Series {
+		eng, err := NewEngine(l, spec, cfg, pool)
+		if err != nil {
+			t.Fatalf("%s: NewEngine: %v", label, err)
+		}
+		s, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("%s: Run: %v", label, err)
+		}
+		return s
+	}
+	healthy := run(pool, "healthy")
+	gaussSeidel := run(nil, "serial")
+	// App-level runs its windows in order on one worker, so After=3
+	// lands on window 2's first attempt and Count fails its retries.
+	disarm := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: 3, Count: maxRetries + 1})
+	s := run(pool, "degraded")
+	disarm()
+	if s.Report.Update != UpdateJacobi || s.Report.Fault.Degraded != 1 {
+		t.Fatalf("report update %q with %d degraded windows, want %q with 1", s.Report.Update, s.Report.Fault.Degraded, UpdateJacobi)
+	}
+	res := s.Window(2)
+	if res.Status != WindowDegraded {
+		t.Fatalf("window 2 status %v, want degraded", res.Status)
+	}
+	if want := healthy.Window(2).Iterations; res.Iterations != want {
+		t.Fatalf("degraded window 2 ran %d sweeps, the healthy forked run %d", res.Iterations, want)
+	}
+	if gs := gaussSeidel.Window(2).Iterations; res.Iterations == gs {
+		t.Fatalf("degraded window 2 ran %d sweeps, as many as the Gauss–Seidel run", gs)
+	}
+	checkAgainstOracle(t, l, spec, s, "degraded forked")
+}
+
 // TestPersistentFaultQuarantinesWindow makes both the window solve and
 // the degrade fallback fail persistently for exactly one window: the
 // run must complete with that window quarantined (structured

@@ -115,7 +115,7 @@ func TestRunEmitsOrderedJournal(t *testing.T) {
 			t.Fatalf("run_start count = %d", len(starts))
 		}
 		rs := starts[0]
-		if rs.Windows != windows || rs.Mode != AppLevel.String() {
+		if rs.Windows != windows || rs.Mode != AppLevel.String() || rs.Update != UpdateGaussSeidel {
 			t.Fatalf("run_start = %+v", rs)
 		}
 		ends := byType[obs.EvRunEnd]

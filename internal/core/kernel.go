@@ -28,6 +28,13 @@ type Batch struct {
 	scratch *scratchBuf // the lease: goroutine-confined free lists
 	loop    forLoop     // serial or worker-forked vertex loop
 
+	// gaussSeidel selects the kernel's in-place Gauss–Seidel sweep over
+	// the two-pass Jacobi sweep. solveUnit sets it from the plan: only a
+	// plan that does not fork vertex loops may update in place. The
+	// degrade rung swaps loop but keeps it, so a degraded window solves
+	// with the same update as a healthy one.
+	gaussSeidel bool
+
 	// truncated is set by runBatch when the convergence loop broke on
 	// cancellation: the staged result may be mid-iteration, so the
 	// batch is undecided — solveBatchFT returns false and the driver

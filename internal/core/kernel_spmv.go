@@ -18,14 +18,27 @@ import (
 // Edge liveness is resolved once per window into a run index (see
 // runIndex): a sweep walks only the in-runs live in the window, reading
 // no timestamps. Vertex activity is compacted the same way: list holds
-// the window's active vertices, and both passes walk only list, so a
+// the window's active vertices, and every pass walks only list, so a
 // sweep costs what the window sees, not what the multi-window graph
 // holds. Entries of x, y and z outside list start at zero and stay
 // zero. Working memory is drawn from the batch's scratch lease and
 // returned in Finalize; only the rank vector stays checked out
-// (solveUnit recycles it once consumed). Cross-leaf reductions use
-// lane-indexed slots summed serially between passes, so the leaves of
-// the steady-state iteration loop neither allocate nor touch atomics.
+// (solveUnit recycles it once consumed).
+//
+// A sweep runs one of two updates, chosen by the plan
+// (Batch.gaussSeidel):
+//
+//   - Gauss–Seidel, when the plan does not fork vertex loops: one
+//     serial in-place pass (sweepInPlace) that reads each in-neighbour's
+//     value from the current sweep once it has been updated. It does
+//     not preserve mass on its own; its teleport term corrects the mass
+//     the previous sweep left (see sweepInPlace), and Finalize
+//     renormalizes the active entries once.
+//   - Jacobi, when it does: pass 1 scales ranks by inverse out-degree,
+//     pass 2 pulls into y, and the vectors swap. The update preserves
+//     mass up to rounding. Cross-leaf reductions use lane-indexed slots
+//     summed serially between passes, so the leaves of the steady-state
+//     iteration loop neither allocate nor touch atomics.
 //
 // The value lives in Batch.kern; x and y swap through it, so the bound
 // passes track them for free.
@@ -39,13 +52,22 @@ type spmvKernel struct {
 	laneDelta    []float64
 	base         float64 // the teleport-plus-dangling term of this sweep
 	pass1, pass2 sched.Body
+
+	// The Gauss–Seidel pass's state: whether it runs, and what its last
+	// sweep (or Init) left — the active mass, the dangling mass, and the
+	// L1 change of the rank vector.
+	inPlace               bool
+	mass, dangling, delta float64
 }
 
 // Init builds the window's run index, derives out-degrees and the
-// active list from it, stages the starting vector (Eq. 4 where a
-// predecessor vector is supplied, uniform otherwise) and binds the two
-// sweep passes. It records the active count in the result; a window
-// with no active vertex is converged before its first sweep.
+// active list from it, and stages the starting vector (Eq. 4 where a
+// predecessor vector is supplied, uniform otherwise). For the
+// Gauss–Seidel update it then scales the vector by inverse out-degree
+// and sums its mass once (stageInPlace); for Jacobi it draws y and the
+// lanes and binds the two sweep passes. It records the active count in
+// the result; a window with no active vertex is converged before its
+// first sweep.
 func (s *spmvKernel) Init(b *Batch) {
 	mw := b.mw
 	n := int(mw.NumLocal())
@@ -109,8 +131,7 @@ func (s *spmvKernel) Init(b *Batch) {
 	// Initialization: Eq. 4 where a predecessor vector is supplied,
 	// uniform otherwise.
 	x := sb.getF64(n)
-	s.x, s.y, s.z = x, sb.getF64(n), sb.getF64(n)
-	s.laneDangling, s.laneDelta = sb.getF64(lanes), sb.getF64(lanes)
+	s.x, s.z = x, sb.getF64(n)
 	init := b.init
 	var scale float64
 	partial := false
@@ -152,11 +173,68 @@ func (s *spmvKernel) Init(b *Batch) {
 			}
 		}
 	})
+	if b.gaussSeidel {
+		s.inPlace = true
+		s.stageInPlace()
+		return
+	}
+	s.y = sb.getF64(n)
+	s.laneDangling, s.laneDelta = sb.getF64(lanes), sb.getF64(lanes)
 	s.bindPasses(1 - b.cfg.Opts.Alpha)
 }
 
-// bindPasses binds the two sweep passes. Each leaf keeps its lane's sum
-// in a register, starting from the lane's current value.
+// stageInPlace prepares the Gauss–Seidel pass: z = x·invdeg, and the
+// active and dangling mass of x.
+func (s *spmvKernel) stageInPlace() {
+	x, z, invdeg := s.x, s.z, s.invdeg
+	var mass, dangling float64
+	for _, v := range s.list {
+		xv, id := x[v], invdeg[v]
+		z[v] = xv * id
+		mass += xv
+		if id == 0 {
+			dangling += xv
+		}
+	}
+	s.mass, s.dangling = mass, dangling
+}
+
+// sweepInPlace runs one Gauss–Seidel sweep: for each active vertex in
+// list order it pulls along the indexed runs, where z already holds the
+// values this sweep has updated, and writes the new value to x and z
+// in place.
+//
+// The teleport term corrects mass. With S the active mass and d the
+// dangling mass the previous sweep left, base = (1 − damp·(S − d)) / n:
+// the teleport share plus whatever mass the non-dangling pull will not
+// deliver. At S = 1 it equals Jacobi's α/n + damp·d/n, so the fixed
+// point is PageRank's. A base of α/n + damp·d/n alone would leave a
+// mass error that decays only at 1 − α per sweep.
+func (s *spmvKernel) sweepInPlace(damp float64) {
+	x, z, invdeg := s.x, s.z, s.invdeg
+	runRow, runEnd, runCol := s.runs.row, s.runs.end, s.runs.col
+	base := (1 - damp*(s.mass-s.dangling)) / float64(len(s.list))
+	var mass, dangling, delta float64
+	for _, v := range s.list {
+		var acc float64
+		for _, c := range runCol[runRow[v]:runEnd[v]] {
+			acc += z[c]
+		}
+		nv := base + damp*acc
+		delta += math.Abs(nv - x[v])
+		x[v] = nv
+		id := invdeg[v]
+		z[v] = nv * id
+		mass += nv
+		if id == 0 {
+			dangling += nv
+		}
+	}
+	s.mass, s.dangling, s.delta = mass, dangling, delta
+}
+
+// bindPasses binds the two Jacobi sweep passes. Each leaf keeps its
+// lane's sum in a register, starting from the lane's current value.
 //
 // It must not be inlined: the passes' copies inside Init (a big
 // function) lose inlining of math.Abs and run about 1.3× slower.
@@ -197,10 +275,14 @@ func (s *spmvKernel) bindPasses(damp float64) {
 	}
 }
 
-// Iterate runs one sweep: pass 1, the dangling reduction, pass 2, and
-// the vector swap.
+// Iterate runs one sweep: the in-place Gauss–Seidel pass, or Jacobi's
+// pass 1, the dangling reduction, pass 2, and the vector swap.
 func (s *spmvKernel) Iterate(b *Batch) {
 	alpha := b.cfg.Opts.Alpha
+	if s.inPlace {
+		s.sweepInPlace(1 - alpha)
+		return
+	}
 	clear(s.laneDangling)
 	clear(s.laneDelta)
 	b.loop(len(s.list), s.pass1)
@@ -214,9 +296,12 @@ func (s *spmvKernel) Iterate(b *Batch) {
 	s.x, s.y = s.y, s.x
 }
 
-// Residual sums the lane deltas of the last sweep: the L1 change of the
-// rank vector.
+// Residual returns the L1 change of the rank vector in the last sweep:
+// the Gauss–Seidel pass's sum, or Jacobi's lane deltas summed.
 func (s *spmvKernel) Residual() float64 {
+	if s.inPlace {
+		return s.delta
+	}
 	var delta float64
 	for _, ld := range s.laneDelta {
 		delta += ld
@@ -225,16 +310,26 @@ func (s *spmvKernel) Residual() float64 {
 }
 
 // Finalize hands x over as the window's rank vector and returns all
-// other working memory.
+// other working memory. A Gauss–Seidel vector is first renormalized
+// once, so its active entries sum to 1 as a Jacobi vector's do.
 func (s *spmvKernel) Finalize(b *Batch) {
 	sb := b.scratch
+	if s.inPlace {
+		if s.mass > 0 {
+			inv := 1 / s.mass
+			for _, v := range s.list {
+				s.x[v] *= inv
+			}
+		}
+	} else {
+		sb.putF64(s.y)
+		sb.putF64(s.laneDangling)
+		sb.putF64(s.laneDelta)
+	}
 	b.result.ranks = s.x
-	sb.putF64(s.y)
 	sb.putF64(s.z)
 	sb.putF64(s.invdeg)
 	sb.putI32(s.list)
 	s.runs.release(sb)
-	sb.putF64(s.laneDangling)
-	sb.putF64(s.laneDelta)
 	*s = spmvKernel{}
 }

@@ -155,6 +155,23 @@ type SolvePlan struct {
 	Seconds float64
 }
 
+// The sweep updates a plan can run (SolvePlan.Update).
+const (
+	UpdateGaussSeidel = "gauss-seidel"
+	UpdateJacobi      = "jacobi"
+)
+
+// Update names the sweep update every window of the plan runs, the
+// degraded ones included. A plan that does not fork vertex loops solves
+// each unit on one goroutine, so it updates in place (Gauss–Seidel); a
+// forked plan would race on an in-place update and keeps Jacobi.
+func (p *SolvePlan) Update() string {
+	if p.ForkVertexLoops {
+		return UpdateJacobi
+	}
+	return UpdateGaussSeidel
+}
+
 // Run lays out the solve. It fails when Cfg is invalid or Temporal is
 // nil; a panic during layout becomes a *StageError.
 func (PlanStage) Run(in PlanInput) (plan *SolvePlan, err error) {
@@ -229,6 +246,7 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 		Config:          plan.Cfg.Info(),
 		Units:           len(plan.Units),
 		ForkVertexLoops: plan.ForkVertexLoops,
+		Update:          plan.Update(),
 		Workers:         plan.Workers,
 		Windows:         len(results),
 		MWSweeps:        mwSweeps,

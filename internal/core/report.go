@@ -87,6 +87,10 @@ type RunReport struct {
 	// the pool: a nested run forks only when Units < Workers.
 	Units           int  `json:"units"`
 	ForkVertexLoops bool `json:"fork_vertex_loops"`
+	// Update is the sweep update every window ran (SolvePlan.Update):
+	// "gauss-seidel" when the plan does not fork vertex loops, "jacobi"
+	// when it does.
+	Update string `json:"update"`
 	// Workers is the pool size (0 = fully serial run).
 	Workers int     `json:"workers"`
 	Phases  []Phase `json:"phases"`

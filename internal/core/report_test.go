@@ -150,10 +150,13 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 }
 
 // TestRunReportRecordsForkDecision checks that the report carries the
-// plan's unit count and fork decision, in Go and in its JSON, and that
+// plan's unit count, fork decision and sweep update, in Go and in its
+// JSON, that the journal's run_start carries the same update, and that
 // the solve honors the decision: the pool runs more leaf tasks than the
 // plan has units iff the plan forks the vertex loops (each unforked
-// unit runs inside one leaf of the outer loop). The pooled
+// unit runs inside one leaf of the outer loop). Unforked plans (serial,
+// pooled window-level, unforked nested) update Gauss–Seidel; forked
+// ones (pooled app-level, forked nested) Jacobi. The pooled
 // window-level and nested cases use a grain above the window count, so
 // each multi-window graph is one warm-start chain.
 func TestRunReportRecordsForkDecision(t *testing.T) {
@@ -185,8 +188,20 @@ func TestRunReportRecordsForkDecision(t *testing.T) {
 		cfg.Mode = tc.mode
 		cfg.NumMultiWindows = tc.mws
 		cfg.Directed = true
+		cfg.Journal = obs.NewJournal(0)
 		s, _, eng := reportFixture(t, cfg, tc.pool)
 		rep := s.Report
+		update := UpdateGaussSeidel
+		if tc.fork {
+			update = UpdateJacobi
+		}
+		if rep.Update != update || eng.Plan().Update() != update {
+			t.Fatalf("%s: report update %q, plan %q, want %q", label, rep.Update, eng.Plan().Update(), update)
+		}
+		evs, _ := cfg.Journal.Since(0)
+		if starts := eventsByType(evs)[obs.EvRunStart]; len(starts) != 1 || starts[0].Update != update {
+			t.Fatalf("%s: run_start events %+v, want one with update %q", label, starts, update)
+		}
 		if rep.Units != tc.units || len(eng.Plan().Units) != tc.units {
 			t.Fatalf("%s: report has %d units, plan %d; want %d", label, rep.Units, len(eng.Plan().Units), tc.units)
 		}
@@ -208,8 +223,9 @@ func TestRunReportRecordsForkDecision(t *testing.T) {
 		if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 			t.Fatalf("%s: report JSON: %v", label, err)
 		}
-		if back["units"] != float64(tc.units) || back["fork_vertex_loops"] != tc.fork {
-			t.Fatalf("%s: JSON units = %v, fork_vertex_loops = %v", label, back["units"], back["fork_vertex_loops"])
+		if back["units"] != float64(tc.units) || back["fork_vertex_loops"] != tc.fork || back["update"] != update {
+			t.Fatalf("%s: JSON units = %v, fork_vertex_loops = %v, update = %v",
+				label, back["units"], back["fork_vertex_loops"], back["update"])
 		}
 	}
 }

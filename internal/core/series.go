@@ -62,6 +62,12 @@ type WindowResult struct {
 	// FinalResidual is the L1 delta of the last iteration performed
 	// (below the tolerance iff Converged).
 	FinalResidual float64
+	// ErrorBound bounds the L1 distance of the ranks from the window's
+	// exact PageRank vector: (1−α)/α · FinalResidual (DESIGN.md
+	// "Per-window error bound"). It is derived from the residual the
+	// window stopped at, not from the tolerance, so it also holds for a
+	// window that stopped at MaxIter.
+	ErrorBound float64
 	// WallSeconds is the solve wall time of this window.
 	WallSeconds float64
 	// Worker is the pool worker id whose window-loop range solved this

@@ -268,7 +268,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	sb, release := r.arena.acquire(wid)
 	defer release()
 	cfg := &r.plan.Cfg
-	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw}
+	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw, gaussSeidel: r.plan.Update() == UpdateGaussSeidel}
 
 	// prev is the rank vector of the window before w, kept until w has
 	// consumed it for partial initialization.
@@ -355,11 +355,20 @@ func (r *solveRun) runBatch(b *Batch) {
 		res.FinalResidual = kern.Residual()
 		res.Converged = res.FinalResidual < opt.Tol
 	}
+	res.ErrorBound = errorBound(opt.Alpha, res.FinalResidual)
 	sweeps := int64(res.Iterations)
 	r.runsScanned.Add(kern.runs.kept * sweeps)
 	r.initRunsVisited.Add(kern.runsVisited)
 	r.pairsSwept.Add(int64(res.ActiveVertices) * sweeps)
 	kern.Finalize(b)
+}
+
+// errorBound is the L1 distance to the exact PageRank vector that a
+// window's final residual guarantees: (1−α)/α · residual. For Jacobi,
+// an L1 contraction by 1−α, it is the standard a-posteriori bound; for
+// the Gauss–Seidel pass it is checked against the oracle, not proven.
+func errorBound(alpha, residual float64) float64 {
+	return (1 - alpha) / alpha * residual
 }
 
 // recycleUndecided returns the rank vector Finalize staged for a

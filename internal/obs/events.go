@@ -20,7 +20,8 @@ type EventType string
 // time_unix_nano, and type; the remaining fields depend on the type
 // (see Event.AppendJSON for the exact per-type field sets).
 const (
-	// EvRunStart opens a run: total windows, mode, pool size.
+	// EvRunStart opens a run: total windows, mode, pool size, and the
+	// sweep update (gauss-seidel or jacobi).
 	EvRunStart EventType = "run_start"
 	// EvRunEnd closes a run with its status (completed, canceled,
 	// failed), the windows decided, and the solve wall time.
@@ -95,9 +96,11 @@ type Event struct {
 	// and Done the decided-window count (run_end, cancel).
 	Windows int `json:"windows"`
 	Done    int `json:"done"`
-	// Mode and Workers (pool size) describe a run_start.
+	// Mode, Workers (pool size) and Update (the sweep update:
+	// gauss-seidel or jacobi) describe a run_start.
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
+	Update  string `json:"update"`
 }
 
 // Known reports whether t is one of the journal's event types.
@@ -187,6 +190,7 @@ func (e *Event) AppendJSON(b []byte) []byte {
 		b = appendInt(b, "windows", int64(e.Windows))
 		b = appendString(b, "mode", e.Mode)
 		b = appendInt(b, "workers", int64(e.Workers))
+		b = appendString(b, "update", e.Update)
 	case EvRunEnd:
 		b = appendString(b, "status", e.Status)
 		b = appendInt(b, "done", int64(e.Done))

@@ -228,10 +228,11 @@ func (j *Journal) CloseSink() error {
 // nil-safe, so pipeline code calls them unconditionally and pays a
 // single nil check when no journal is attached.
 
-// EmitRunStart records a run beginning.
-func (j *Journal) EmitRunStart(windows int, mode string, workers int) {
+// EmitRunStart records a run beginning and the sweep update its
+// windows run.
+func (j *Journal) EmitRunStart(windows int, mode string, workers int, update string) {
 	j.Append(Event{Type: EvRunStart, Window: -1, Worker: -1,
-		Windows: windows, Mode: mode, Workers: workers})
+		Windows: windows, Mode: mode, Workers: workers, Update: update})
 }
 
 // EmitRunEnd records a run finishing with the given status

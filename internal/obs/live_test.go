@@ -126,7 +126,7 @@ func openStream(t *testing.T, url string, lastEventID uint64) (*bufio.Reader, fu
 
 func TestEventsHandlerStreamsLive(t *testing.T) {
 	j := NewJournal(64)
-	j.EmitRunStart(3, "nested", 1)
+	j.EmitRunStart(3, "nested", 1, "gauss-seidel")
 	srv := httptest.NewServer(EventsHandler(j))
 	defer srv.Close()
 
@@ -241,7 +241,7 @@ func TestEventsHandlerQuerySince(t *testing.T) {
 // at the deadline and report success, not an error.
 func TestShutdownForceClosesSSEStreams(t *testing.T) {
 	j := NewJournal(16)
-	j.EmitRunStart(1, "nested", 1)
+	j.EmitRunStart(1, "nested", 1, "gauss-seidel")
 	mux := http.NewServeMux()
 	HandleLive(mux, j, nil)
 	srv, err := ServeHandler("127.0.0.1:0", mux)
@@ -269,7 +269,7 @@ func TestShutdownForceClosesSSEStreams(t *testing.T) {
 
 func TestHandleLiveMounts(t *testing.T) {
 	j := NewJournal(16)
-	j.EmitRunStart(1, "nested", 1)
+	j.EmitRunStart(1, "nested", 1, "gauss-seidel")
 	mux := http.NewServeMux()
 	HandleLive(mux, j, func() Status { return Status{Phase: "idle"} })
 	srv := httptest.NewServer(mux)
