@@ -8,15 +8,24 @@ import (
 	"pmpr/internal/sched"
 )
 
-// benchSetup builds a shared log/spec for the kernel microbenchmarks:
+// benchLogSpec builds a shared log/spec for the kernel microbenchmarks:
 // big enough that an iteration does real work, small enough that the
-// full matrix of mode benchmarks stays fast.
+// full matrix of mode benchmarks stays fast. Every window holds events,
+// so a run crosses real window changes; the setup fails otherwise.
 func benchLogSpec(b *testing.B) (*events.Log, events.WindowSpec) {
 	b.Helper()
 	l := benchRandomLog(b, 7, 2000, 40000, 20000)
-	return l, events.WindowSpec{T0: 0, Delta: 5000, Slide: 2500, Count: 6}
+	spec := events.WindowSpec{T0: 0, Delta: 5000, Slide: 2500, Count: 6}
+	for w := 0; w < spec.Count; w++ {
+		if l.CountInRange(spec.Interval(w)) == 0 {
+			b.Fatalf("window %d of the benchmark log holds no event", w)
+		}
+	}
+	return l, spec
 }
 
+// benchRandomLog draws m events between n vertices, spread evenly over
+// the time span [0, span).
 func benchRandomLog(b *testing.B, seed int64, n int32, m int, span int64) *events.Log {
 	b.Helper()
 	evs := make([]events.Event, m)
@@ -26,10 +35,8 @@ func benchRandomLog(b *testing.B, seed int64, n int32, m int, span int64) *event
 		v := int64(state >> 33)
 		return v % mod
 	}
-	tcur := int64(0)
 	for i := range evs {
-		tcur += next(span/int64(m) + 1)
-		evs[i] = events.Event{U: int32(next(int64(n))), V: int32(next(int64(n))), T: tcur}
+		evs[i] = events.Event{U: int32(next(int64(n))), V: int32(next(int64(n))), T: int64(i) * span / int64(m)}
 	}
 	l, err := events.NewLog(evs, n)
 	if err != nil {
@@ -60,11 +67,12 @@ var benchModes = []benchMode{
 	{"nested", Nested, 4},
 }
 
-// BenchmarkIter measures one steady-state PageRank iteration per op for
-// every mode: MaxIter is set to b.N with a tolerance no run reaches,
-// so one Run performs exactly b.N iterations per window chain and the
-// per-solve setup cost amortizes away. ReportAllocs makes the headline
-// claim measurable: allocs/op is 0 once the arena is warm. The nested
+// BenchmarkIter measures one steady-state PageRank iteration of every
+// window per op for every mode: MaxIter is set to b.N with a tolerance
+// no run reaches, so one Run performs exactly b.N iterations per window
+// and the per-solve setup cost amortizes away. ReportAllocs makes the
+// headline claim measurable: allocs/op is 0 once the arena is warm, in
+// runs that cross six windows' enter/leave deltas. The nested
 // case's 4 warm-start chains fill the pool, so the plan runs them
 // unforked, as window-level does. The CI alloc gate therefore covers
 // both sweep updates: the serial, window-level and nested cells run the

@@ -304,11 +304,11 @@ func sameWindows(t *testing.T, label string, numVertices int32, a, b *Series) {
 
 // TestMaskDegreesEqualOutRunWalk pins the kernel's two degree paths to
 // each other. Solved undirected, a symmetrized log's graph shares one
-// CSR for both directions, and Init takes each vertex's out-degree from
-// its run-index entry count; solved as directed, the same log gets its
-// own out-CSR, whose runs Init walks against the view. Serially, with
-// partial init on and off, the two must give bit-identical windows,
-// and both must match the dense oracle.
+// CSR for both directions, and each vertex's out-degree is its
+// run-index entry count; solved as directed, the same log gets its own
+// out-CSR, whose runs the chain's index counts as they enter and
+// leave. Serially, with partial init on and off, the two must give
+// bit-identical windows, and both must match the dense oracle.
 func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 	l := randomLog(t, 52, 30, 700, 4000).Symmetrize()
 	spec, _ := events.Span(l, 600, 150)

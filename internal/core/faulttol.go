@@ -68,13 +68,15 @@ type ckptRun struct {
 
 // attempt runs one staged window with panic isolation: a panic
 // anywhere in the kernel (including a sched.PanicError rethrown from a
-// nested vertex loop) is converted into a *RecoveredPanic error. The
-// injection point fires before the kernel, so armed faults count solve
-// attempts.
+// nested vertex loop) is converted into a *RecoveredPanic error, and
+// the chain's index is invalidated, so the next attempt rebuilds it.
+// The injection point fires before the kernel, so armed faults count
+// solve attempts.
 func (r *solveRun) attempt(b *Batch, point string) (err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			err = recoveredError(rec)
+			b.chain.invalidate()
 		}
 	}()
 	if ferr := fault.Inject(point); ferr != nil {

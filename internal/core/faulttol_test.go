@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -532,4 +533,106 @@ func isStructuredFault(err error) bool {
 	var se *StageError
 	var fe *fault.Error
 	return errors.As(err, &se) || errors.As(err, &fe)
+}
+
+// TestChainIndexSurvivesFaultsMidChain checks that the run index a
+// chain carries from window to window recovers from every rung of the
+// failure ladder and from a resume: a retried window (an error on an
+// attempt mid-chain), a panicked attempt (which invalidates the index,
+// so the retry rebuilds it), degraded windows (every attempt from a
+// mid-chain one on fails on the plan's loop), and a resume that
+// restores every third window from a checkpoint (so each window after
+// a restored one rebuilds) must all give a series bit-identical to the
+// clean run of the same plan, with the same sweep counts. It runs
+// serially and on a 2-worker pool, undirected and directed, whose
+// default plan solves several warm-start chains unforked.
+func TestChainIndexSurvivesFaultsMidChain(t *testing.T) {
+	defer fault.Reset()
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, directed := range []bool{false, true} {
+		l := randomLog(t, 57, 30, 900, 4000)
+		if !directed {
+			l = l.Symmetrize()
+		}
+		spec, err := events.Span(l, 400, 70)
+		if err != nil || spec.Count < 20 {
+			t.Fatalf("Span: %d windows, %v", spec.Count, err)
+		}
+		for _, p := range []*sched.Pool{nil, pool} {
+			cfg := DefaultConfig()
+			cfg.Directed = directed
+			cfg.NumMultiWindows = 2
+			base := fmt.Sprintf("directed=%v pool=%v", directed, p != nil)
+			run := func(label string, rule *fault.Rule, ck *checkpoint.Store, resume bool) *Series {
+				t.Helper()
+				fault.Reset()
+				eng, err := NewEngine(l, spec, cfg, p)
+				if err != nil {
+					t.Fatalf("%s: NewEngine: %v", label, err)
+				}
+				if eng.Plan().ForkVertexLoops {
+					t.Fatalf("%s: the plan forks its vertex loops", label)
+				}
+				if ck != nil {
+					if _, err := eng.SetCheckpoint(ck, resume); err != nil {
+						t.Fatalf("%s: SetCheckpoint: %v", label, err)
+					}
+				}
+				if rule != nil {
+					defer fault.Arm(*rule)()
+				}
+				s, err := eng.Run(context.Background())
+				if err != nil {
+					t.Fatalf("%s: Run: %v", label, err)
+				}
+				if rule != nil && fault.Injected() == 0 {
+					t.Fatalf("%s: the fault was never injected", label)
+				}
+				return s
+			}
+			dir := filepath.Join(t.TempDir(), "ck")
+			store, err := checkpoint.Open(dir)
+			if err != nil {
+				t.Fatalf("checkpoint.Open: %v", err)
+			}
+			clean := run(base+" clean", nil, store, false)
+			want := denseSeries(t, clean, base+" clean")
+
+			check := func(label string, s *Series, status WindowStatus) {
+				t.Helper()
+				got := denseSeries(t, s, label)
+				seen := false
+				for w := range want {
+					r := s.Window(w)
+					seen = seen || r.Status == status
+					if r.Iterations != clean.Window(w).Iterations {
+						t.Fatalf("%s: window %d ran %d sweeps, the clean run %d", label, w, r.Iterations, clean.Window(w).Iterations)
+					}
+					for v := range want[w] {
+						if got[w][v] != want[w][v] {
+							t.Fatalf("%s: window %d vertex %d: %v, clean run %v (must be bit-identical)", label, w, v, got[w][v], want[w][v])
+						}
+					}
+				}
+				if !seen {
+					t.Fatalf("%s: no window reports status %v", label, status)
+				}
+			}
+			const mid = 7 // a mid-chain attempt
+			check(base+" retry", run(base+" retry", &fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: mid, Count: 1}, nil, false), WindowRetried)
+			check(base+" panic", run(base+" panic", &fault.Rule{Point: PointSolveWindow, Mode: fault.ModePanic, After: mid, Count: 1}, nil, false), WindowRetried)
+			check(base+" degrade", run(base+" degrade", &fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: mid}, nil, false), WindowDegraded)
+
+			// Keep every third window's checkpoint and resume from it.
+			for w := 0; w < spec.Count; w++ {
+				if w%3 != 0 {
+					if err := os.Remove(filepath.Join(dir, fmt.Sprintf("window-%08d.pmck", w))); err != nil {
+						t.Fatalf("removing window %d's checkpoint: %v", w, err)
+					}
+				}
+			}
+			check(base+" resume", run(base+" resume", nil, store, true), WindowResumed)
+		}
+	}
 }

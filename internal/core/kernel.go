@@ -3,15 +3,15 @@ package core
 import "pmpr/internal/tcsr"
 
 // Batch is the unit of kernel execution: one window of a multi-window
-// graph, its optional warm-start vector, and the scratch lease all
-// working memory is drawn from. The solve driver stages batches and
-// owns the convergence loop (runBatch); the kernel only reads the
-// staged fields and keeps its per-window working set in kern. The
-// contract with runBatch:
+// graph, its optional warm-start vector, the chain's run index, and the
+// scratch lease all working memory is drawn from. The solve driver
+// stages batches and owns the convergence loop (runBatch); the kernel
+// only reads the staged fields and keeps its per-window working set in
+// kern. The contract with runBatch:
 //
-//	Init      stages the window (run index, active list, starting
-//	          vector, bound loop bodies); a window with no active vertex
-//	          is converged before its first sweep.
+//	Init      stages the window (brings the chain's index to it, then
+//	          the starting vector and bound loop bodies); a window with
+//	          no active vertex is converged before its first sweep.
 //	Iterate   advances the rank vector by one PageRank sweep.
 //	Residual  returns the L1 delta of the last Iterate.
 //	Finalize  hands the rank vector to the result and returns all
@@ -21,9 +21,9 @@ import "pmpr/internal/tcsr"
 //	          on every exit path.
 type Batch struct {
 	mw      *tcsr.MultiWindow
-	view    tcsr.SolveView // the window, in mw
-	init    []float64      // predecessor ranks; nil = uniform start
-	result  WindowResult   // filled by Init, runBatch and Finalize
+	w       int          // the global window
+	init    []float64    // predecessor ranks; nil = uniform start
+	result  WindowResult // filled by Init, runBatch and Finalize
 	cfg     *Config
 	scratch *scratchBuf // the lease: goroutine-confined free lists
 	loop    forLoop     // serial or worker-forked vertex loop
@@ -42,7 +42,12 @@ type Batch struct {
 	// returning a *CanceledError and a resume re-solves it).
 	truncated bool
 
-	// kern is the kernel's per-window working set (vectors, run index,
-	// bound loop bodies); Init fills it and Finalize clears it.
+	// chain is the unit's run index, degrees and active list, carried
+	// from window to window; solveUnit opens and closes it, Init seeks
+	// it to w, and a panicked attempt invalidates it.
+	chain chainIndex
+
+	// kern is the kernel's per-window working set (vectors, bound loop
+	// bodies); Init fills it and Finalize clears it.
 	kern spmvKernel
 }

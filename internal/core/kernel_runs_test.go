@@ -1,14 +1,13 @@
 package core
 
 import (
-	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmpr/internal/events"
 	"pmpr/internal/gen"
-	"pmpr/internal/sched"
 	"pmpr/internal/tcsr"
 )
 
@@ -68,6 +67,8 @@ func runIndexCases(t *testing.T) []runIndexCase {
 		}
 		loops = append(loops, ev(u, v, i*3))
 	}
+	// Slide > Delta: gaps between windows that hold events of their own.
+	mk("slide-gaps", 7, gap, events.WindowSpec{T0: 0, Delta: 20, Slide: 45, Count: 25})
 	mk("self-loops", 12, loops, events.WindowSpec{T0: 0, Delta: 90, Slide: 30, Count: 28})
 	var burst []events.Event
 	for i := 0; i < 400; i++ {
@@ -80,19 +81,23 @@ func runIndexCases(t *testing.T) []runIndexCase {
 	return cases
 }
 
-// TestRunIndexMatchesRunActive checks buildRunIndex against
-// tcsr.RunActive on the original runs: for every vertex, the index
-// lists exactly the in-runs live in the window, in order, with their
-// neighbors. Every window of every multi-window graph is indexed, and
-// each index reuses the buffers the previous one returned. A pooled
-// build must agree with the serial one.
+// TestRunIndexMatchesRunActive steps a chain's index through every
+// window of every unit and checks it against tcsr.RunActive on the
+// original runs after each step: for every vertex, the index lists
+// exactly the in-runs live in the window, in order, with their
+// neighbours; the inverse out-degrees and the ascending active list
+// match a walk of the stored runs; and seek reports the runs it
+// inserted or removed (every live run for a rebuild, the symmetric
+// difference with the previous window for a delta). Each multi-window
+// graph is stepped as one unit and as chains of three windows, and
+// every unit is rebuilt once mid-chain, from an index left half-changed
+// as by a panic during a seek, then carries on with deltas from the
+// rebuilt index. The index's buffers go back to the arena.
 func TestRunIndexMatchesRunActive(t *testing.T) {
-	pool := sched.NewPool(2)
-	defer pool.Close()
 	arena := newScratchArena(0)
 	sb, release := arena.acquire(-1)
 	defer release()
-	var kept, dropped int
+	var kept, dropped, deltas, rebuilds int
 	for _, c := range runIndexCases(t) {
 		for _, directed := range []bool{false, true} {
 			l := c.log
@@ -104,43 +109,153 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 				t.Fatalf("%s: Build: %v", c.name, err)
 			}
 			for mi, mw := range tg.MWs {
-				for w := mw.WinLo; w < mw.WinHi; w++ {
-					view := mw.ViewOf(w)
-					label := fmt.Sprintf("%s directed=%v mw=%d window=%d", c.name, directed, mi, w)
-					ix := buildRunIndex(mw, view, serialLoop, sb)
-					k, d := checkRunIndex(t, label, mw, view, ix)
-					kept, dropped = kept+k, dropped+d
-					var par runIndex
-					if err := pool.RunCtx(context.Background(), func(wk *sched.Worker) {
-						par = buildRunIndex(mw, view, workerLoop(context.Background(), wk, 1, sched.Auto), sb)
-					}); err != nil {
-						t.Fatal(err)
+				for _, chain := range []int{mw.NumWindows(), 3} {
+					for lo := mw.WinLo; lo < mw.WinHi; lo += chain {
+						hi := min(lo+chain, mw.WinHi)
+						var ix chainIndex
+						ix.open(mw, lo, hi, sb)
+						if want := storedRunCount(mw, directed); ix.walked != want {
+							t.Fatalf("%s directed=%v mw=%d: unit walked %d runs, want %d", c.name, directed, mi, ix.walked, want)
+						}
+						var prev map[liveRun]bool
+						for w := lo; w < hi; w++ {
+							label := fmt.Sprintf("%s directed=%v mw=%d unit=[%d,%d) window=%d", c.name, directed, mi, lo, hi, w)
+							live := liveRuns(mw, w)
+							want := int64(len(live)) // a rebuild inserts every live run
+							if prev != nil {
+								want = symmetricDifference(prev, live)
+								deltas++
+							} else {
+								rebuilds++
+							}
+							if got := ix.seek(w); got != want {
+								t.Fatalf("%s: seek applied %d runs, want %d", label, got, want)
+							}
+							k, d := checkChainIndex(t, label, mw, w, &ix)
+							kept, dropped = kept+k, dropped+d
+							if w == (lo+hi)/2 {
+								// Leave the index as a seek that panicked
+								// midway would: a run removed, its flip
+								// not merged into the list.
+								k := int32(w - lo)
+								for i := range ix.ivLo {
+									if ix.ivLo[i] <= k && k <= ix.ivHi[i] {
+										ix.remove(int32(i))
+										break
+									}
+								}
+								ix.invalidate()
+								if got := ix.seek(w); got != int64(len(live)) {
+									t.Fatalf("%s: forced rebuild applied %d runs, want %d", label, got, len(live))
+								}
+								checkChainIndex(t, label+" rebuilt", mw, w, &ix)
+								rebuilds++
+							}
+							prev = live
+						}
+						ix.close(sb)
 					}
-					checkRunIndex(t, label+" pooled", mw, view, par)
-					par.release(sb)
-					ix.release(sb)
 				}
 			}
 		}
 	}
-	if kept == 0 || dropped == 0 {
-		t.Fatalf("cases kept %d runs and dropped %d; both paths need exercising", kept, dropped)
+	if kept == 0 || dropped == 0 || deltas == 0 || rebuilds == 0 {
+		t.Fatalf("cases kept %d runs, dropped %d, stepped %d deltas and %d rebuilds; every path needs exercising",
+			kept, dropped, deltas, rebuilds)
 	}
 	if st := arena.stats(); st.Outstanding() != 0 {
 		t.Fatalf("index buffers not returned: %+v", st)
 	}
 }
 
-// checkRunIndex fails t unless ix indexes mw's in-runs against view
-// and counts the runs it kept and walked, and returns how many runs it
-// kept and dropped.
-func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, view tcsr.SolveView, ix runIndex) (kept, dropped int) {
+// liveRun names a stored run by its side and its first position in
+// that side's CSR.
+type liveRun struct {
+	out bool
+	at  int64
+}
+
+// liveRuns returns the runs of mw live in window w by tcsr.RunActive:
+// the in-runs, plus a directed graph's out-runs.
+func liveRuns(mw *tcsr.MultiWindow, w int) map[liveRun]bool {
+	ts, te := mw.Window(w)
+	live := make(map[liveRun]bool)
+	side := func(out bool, row []int64, col []int32, tim []int64) {
+		for v := 0; v+1 < len(row); v++ {
+			i, end := row[v], row[v+1]
+			for i < end {
+				j := i + 1
+				for j < end && col[j] == col[i] {
+					j++
+				}
+				if tcsr.RunActive(tim[i:j], ts, te) {
+					live[liveRun{out, i}] = true
+				}
+				i = j
+			}
+		}
+	}
+	side(false, mw.InRow, mw.InCol, mw.InTime)
+	if !mw.OutColAliased() {
+		side(true, mw.OutRow, mw.OutCol, mw.OutTime)
+	}
+	return live
+}
+
+// symmetricDifference counts the runs live in exactly one of a and b.
+func symmetricDifference(a, b map[liveRun]bool) int64 {
+	var n int64
+	for r := range a {
+		if !b[r] {
+			n++
+		}
+	}
+	for r := range b {
+		if !a[r] {
+			n++
+		}
+	}
+	return n
+}
+
+// storedRunCount counts mw's stored in-runs, plus its out-runs when
+// directed.
+func storedRunCount(mw *tcsr.MultiWindow, directed bool) int64 {
+	n := storedRuns(mw.InRow, mw.InCol)
+	if directed {
+		n += storedRuns(mw.OutRow, mw.OutCol)
+	}
+	return n
+}
+
+// checkChainIndex fails t unless ix describes window w of mw: its run
+// index lists the in-runs live by tcsr.RunActive, in order, and counts
+// them; its inverse out-degrees count the live out-runs; and its list
+// holds, ascending, the vertices with a live in-run or out-run. It
+// returns how many in-runs the index kept and dropped.
+func checkChainIndex(t *testing.T, label string, mw *tcsr.MultiWindow, w int, ix *chainIndex) (kept, dropped int) {
 	t.Helper()
+	ts, te := mw.Window(w)
 	n := int(mw.NumLocal())
 	if len(ix.row) != n+1 || ix.row[0] != 0 || len(ix.end) != n {
 		t.Fatalf("%s: row has length %d and starts at %d, end has length %d, want %d, 0 and %d",
 			label, len(ix.row), ix.row[0], len(ix.end), n+1, n)
 	}
+	outDeg := make([]int, n)
+	for u := 0; u < n; u++ {
+		i, end := mw.OutRow[u], mw.OutRow[u+1]
+		for i < end {
+			j := i + 1
+			for j < end && mw.OutCol[j] == mw.OutCol[i] {
+				j++
+			}
+			if tcsr.RunActive(mw.OutTime[i:j], ts, te) {
+				outDeg[u]++
+			}
+			i = j
+		}
+	}
+	var list []int32
 	for v := 0; v < n; v++ {
 		r := ix.row[v]
 		i, end := mw.InRow[v], mw.InRow[v+1]
@@ -149,7 +264,7 @@ func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, view tcsr.S
 			for j < end && mw.InCol[j] == mw.InCol[i] {
 				j++
 			}
-			if tcsr.RunActive(mw.InTime[i:j], view.Ts, view.Te) {
+			if tcsr.RunActive(mw.InTime[i:j], ts, te) {
 				if r >= ix.end[v] {
 					t.Fatalf("%s: vertex %d: run from %d missing from the index", label, v, mw.InCol[i])
 				}
@@ -166,9 +281,22 @@ func checkRunIndex(t *testing.T, label string, mw *tcsr.MultiWindow, view tcsr.S
 			t.Fatalf("%s: vertex %d has %d indexed runs, want %d", label, v, ix.end[v]-ix.row[v], r-ix.row[v])
 		}
 		kept += int(r - ix.row[v])
+		var inv float64
+		if outDeg[v] > 0 {
+			inv = 1 / float64(outDeg[v])
+		}
+		if ix.invdeg[v] != inv {
+			t.Fatalf("%s: vertex %d has inverse out-degree %v, want %v", label, v, ix.invdeg[v], inv)
+		}
+		if r > ix.row[v] || outDeg[v] > 0 {
+			list = append(list, int32(v))
+		}
 	}
-	if ix.kept != int64(kept) || ix.visited != int64(kept+dropped) {
-		t.Fatalf("%s: index counts %d kept and %d visited runs, want %d and %d", label, ix.kept, ix.visited, kept, kept+dropped)
+	if ix.kept != int64(kept) {
+		t.Fatalf("%s: index counts %d kept runs, want %d", label, ix.kept, kept)
+	}
+	if !slices.Equal(ix.list, list) {
+		t.Fatalf("%s: active list %v, want %v", label, ix.list, list)
 	}
 	return kept, dropped
 }

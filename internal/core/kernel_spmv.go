@@ -2,10 +2,8 @@ package core
 
 import (
 	"math"
-	"sync/atomic"
 
 	"pmpr/internal/sched"
-	"pmpr/internal/tcsr"
 )
 
 // spmvKernel advances one window's PageRank vector by sparse
@@ -15,15 +13,16 @@ import (
 // sweep, warm-started from its predecessor, is faster (EXPERIMENTS.md
 // "Width K — deleted").
 //
-// Edge liveness is resolved once per window into a run index (see
-// runIndex): a sweep walks only the in-runs live in the window, reading
-// no timestamps. Vertex activity is compacted the same way: list holds
-// the window's active vertices, and every pass walks only list, so a
-// sweep costs what the window sees, not what the multi-window graph
-// holds. Entries of x, y and z outside list start at zero and stay
-// zero. Working memory is drawn from the batch's scratch lease and
-// returned in Finalize; only the rank vector stays checked out
-// (solveUnit recycles it once consumed).
+// Edge liveness comes from the chain's run index (see chainIndex),
+// brought to the window once in Init: a sweep walks only the in-runs
+// live in the window, reading no timestamps. Vertex activity is
+// compacted the same way: list holds the window's active vertices, and
+// every pass walks only list, so a sweep costs what the window sees,
+// not what the multi-window graph holds. Entries of x, y and z outside
+// list start at zero and stay zero. The index, degrees and list belong
+// to the chain; the window's vectors are drawn from the batch's scratch
+// lease and returned in Finalize, except the rank vector, which stays
+// checked out (solveUnit recycles it once consumed).
 //
 // A sweep runs one of two updates, chosen by the plan
 // (Batch.gaussSeidel):
@@ -46,7 +45,7 @@ type spmvKernel struct {
 	invdeg       []float64
 	list         []int32 // the window's active vertices, ascending
 	runs         runIndex
-	runsVisited  int64 // stored runs Init walked
+	runsVisited  int64 // runs Init inserted into or removed from the chain's index
 	x, y, z      []float64
 	laneDangling []float64
 	laneDelta    []float64
@@ -60,71 +59,25 @@ type spmvKernel struct {
 	mass, dangling, delta float64
 }
 
-// Init builds the window's run index, derives out-degrees and the
-// active list from it, and stages the starting vector (Eq. 4 where a
-// predecessor vector is supplied, uniform otherwise). For the
-// Gauss–Seidel update it then scales the vector by inverse out-degree
-// and sums its mass once (stageInPlace); for Jacobi it draws y and the
-// lanes and binds the two sweep passes. It records the active count in
-// the result; a window with no active vertex is converged before its
-// first sweep.
+// Init brings the chain's index to the window (chainIndex.seek: the
+// window's enter and leave deltas, or a rebuild) and takes its run
+// index, inverse out-degrees and active list, then stages the starting
+// vector over the list (Eq. 4 where a predecessor vector is supplied,
+// uniform otherwise). For the Gauss–Seidel update it then scales the
+// vector by inverse out-degree and sums its mass once (stageInPlace);
+// for Jacobi it draws y and the lanes and binds the two sweep passes.
+// It records the active count in the result; a window with no active
+// vertex is converged before its first sweep.
 func (s *spmvKernel) Init(b *Batch) {
-	mw := b.mw
-	n := int(mw.NumLocal())
+	n := int(b.mw.NumLocal())
 	sb, loop := b.scratch, b.loop
 	lanes := sb.lanes()
-	view := b.view
 
-	runs := buildRunIndex(mw, view, loop, sb)
-	s.runs = runs
-	runRow, runEnd := runs.row, runs.end
-
-	// Inverse out-degrees. A symmetrized graph's out-runs are its
-	// in-runs, so a vertex's degree is its indexed run count; only a
-	// directed graph walks its out-runs against the view.
-	invdeg := sb.getF64(n)
-	aliased := mw.OutColAliased()
-	var walked atomic.Int64 // out-runs, added once per leaf
-	loop(n, func(_ *sched.Worker, lo, hi int) {
-		var leafWalked int64
-		for u := lo; u < hi; u++ {
-			d := float64(runEnd[u] - runRow[u])
-			if !aliased {
-				d = 0
-				i, end := mw.OutRow[u], mw.OutRow[u+1]
-				for i < end {
-					j := i + 1
-					c := mw.OutCol[i]
-					for j < end && mw.OutCol[j] == c {
-						j++
-					}
-					if tcsr.RunActive(mw.OutTime[i:j], view.Ts, view.Te) {
-						d++
-					}
-					leafWalked++
-					i = j
-				}
-			}
-			if d > 0 {
-				invdeg[u] = 1 / d
-			}
-		}
-		walked.Add(leafWalked)
-	})
-	s.invdeg = invdeg
-	s.runsVisited = runs.visited + walked.Load()
-
-	// The active list: vertices with a live in-run or out-run.
-	list := sb.getI32(n)
-	listed := 0
-	for v := 0; v < n; v++ {
-		if runEnd[v] > runRow[v] || invdeg[v] > 0 {
-			list[listed] = int32(v)
-			listed++
-		}
-	}
-	list = list[:listed]
-	s.list = list
+	ix := &b.chain
+	s.runsVisited = ix.seek(b.w)
+	s.runs, s.invdeg, s.list = ix.runIndex, ix.invdeg, ix.list
+	list := s.list
+	listed := len(list)
 	b.result.ActiveVertices = int32(listed)
 	b.result.Converged = listed == 0
 
@@ -309,9 +262,10 @@ func (s *spmvKernel) Residual() float64 {
 	return delta
 }
 
-// Finalize hands x over as the window's rank vector and returns all
-// other working memory. A Gauss–Seidel vector is first renormalized
-// once, so its active entries sum to 1 as a Jacobi vector's do.
+// Finalize hands x over as the window's rank vector and returns the
+// window's other working memory; the run index, degrees and list stay
+// with the chain. A Gauss–Seidel vector is first renormalized once, so
+// its active entries sum to 1 as a Jacobi vector's do.
 func (s *spmvKernel) Finalize(b *Batch) {
 	sb := b.scratch
 	if s.inPlace {
@@ -328,8 +282,5 @@ func (s *spmvKernel) Finalize(b *Batch) {
 	}
 	b.result.ranks = s.x
 	sb.putF64(s.z)
-	sb.putF64(s.invdeg)
-	sb.putI32(s.list)
-	s.runs.release(sb)
 	*s = spmvKernel{}
 }

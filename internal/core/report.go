@@ -107,9 +107,11 @@ type RunReport struct {
 	// RunsScanned is the counted scan work: every solved window adds
 	// its run index size (its live in-runs) times the sweeps it ran.
 	RunsScanned int64 `json:"runs_scanned"`
-	// InitRunsVisited is the stored runs every window's Init walked: the
-	// multi-window graph's in-runs, once, to build the run index, plus
-	// its out-runs for a directed graph's degrees.
+	// InitRunsVisited is the run-index work: each unit walks its
+	// multi-window graph's stored in-runs once (plus its out-runs when
+	// the graph is directed), and each window's Init adds the runs it
+	// inserted into or removed from the chain's index, which are its
+	// entering and leaving runs, or every live run when it rebuilds.
 	InitRunsVisited int64 `json:"init_runs_visited"`
 	// PairsSwept is the per-vertex work of the sweeps: Σ over windows of
 	// active vertices × iterations.

@@ -408,9 +408,12 @@ func activeInWindow(mw *tcsr.MultiWindow, w int) int64 {
 
 // TestInitAndPairCountsMatchBruteForce checks RunReport.InitRunsVisited
 // and RunReport.PairsSwept against counts over the temporal CSR. Every
-// window's Init walks its multi-window graph's stored in-runs once,
-// plus its out-runs when the graph is directed; the sweeps advance each
-// window's active vertices once per iteration.
+// unit walks its multi-window graph's stored in-runs once, plus its
+// out-runs when the graph is directed; its first window's Init then
+// inserts every run live in that window, and each later window's Init
+// inserts and removes the runs live in exactly one of it and its
+// predecessor (tcsr.RunActive). The sweeps advance each window's
+// active vertices once per iteration.
 func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -438,11 +441,17 @@ func TestInitAndPairCountsMatchBruteForce(t *testing.T) {
 			}
 			var wantRuns, wantPairs int64
 			for _, u := range eng.Plan().Units {
-				perInit := storedRuns(u.MW.InRow, u.MW.InCol)
-				if directed {
-					perInit += storedRuns(u.MW.OutRow, u.MW.OutCol)
+				wantRuns += storedRunCount(u.MW, directed)
+				var prev map[liveRun]bool
+				for w := u.MW.WinLo + u.Lo; w < u.MW.WinLo+u.Hi; w++ {
+					live := liveRuns(u.MW, w)
+					if prev == nil {
+						wantRuns += int64(len(live))
+					} else {
+						wantRuns += symmetricDifference(prev, live)
+					}
+					prev = live
 				}
-				wantRuns += perInit * int64(u.Hi-u.Lo)
 			}
 			for w := 0; w < spec.Count; w++ {
 				wantPairs += activeInWindow(eng.Temporal().ForWindow(w), w) * int64(s.Window(w).Iterations)

@@ -65,7 +65,9 @@ type SolveOutput struct {
 	// RunsScanned is the counted scan work: Σ over solved windows of
 	// the run index size × the sweeps the window ran.
 	RunsScanned int64
-	// InitRunsVisited is Σ over kernel Inits of the stored runs walked.
+	// InitRunsVisited is the stored runs each unit walked once, plus
+	// the runs each window's Init inserted into or removed from its
+	// chain's index (its deltas, or a rebuild).
 	InitRunsVisited int64
 	// PairsSwept is Σ over sweeps of the window's active vertices.
 	PairsSwept int64
@@ -186,7 +188,7 @@ type solveRun struct {
 	canceledFlag    atomic.Bool
 	completed       atomic.Int64
 	runsScanned     atomic.Int64 // Σ run-index size × sweeps over windows
-	initRunsVisited atomic.Int64 // Σ stored runs walked by kernel Inits
+	initRunsVisited atomic.Int64 // Σ unit walks + runs Inits inserted or removed
 	pairsSwept      atomic.Int64 // Σ active vertices over sweeps
 }
 
@@ -255,8 +257,11 @@ func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 }
 
 // solveUnit runs one unit's warm-start chain: each window after the
-// unit's first warm-starts from its predecessor's rank vector. Each
-// window runs under the failure ladder (solveBatchFT); a quarantined
+// unit's first warm-starts from its predecessor's rank vector, and
+// takes its run index, degrees and active list from its predecessor's
+// by applying the runs that enter and leave (chainIndex), which the
+// unit walks the multi-window graph once to find. Each window runs
+// under the failure ladder (solveBatchFT); a quarantined
 // window leaves a nil vector, so its successor cold-starts. Windows a
 // resume checkpoint holds are restored instead of solved
 // (restoreWindow). Under Cfg.DiscardRanks a window's rank vector is
@@ -269,6 +274,9 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	defer release()
 	cfg := &r.plan.Cfg
 	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw, gaussSeidel: r.plan.Update() == UpdateGaussSeidel}
+	b.chain.open(mw, mw.WinLo+u.Lo, mw.WinLo+u.Hi, sb)
+	defer b.chain.close(sb)
+	r.initRunsVisited.Add(b.chain.walked)
 
 	// prev is the rank vector of the window before w, kept until w has
 	// consumed it for partial initialization.
@@ -278,7 +286,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	// before every attempt, so retries see the exact inputs (including
 	// the warm-start vector) of the first attempt.
 	stage := func() {
-		b.view = mw.ViewOf(w)
+		b.w = w
 		b.init = nil
 		if cfg.PartialInit {
 			b.init = prev
@@ -330,8 +338,9 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 // each iteration advances it until its residual drops below the
 // tolerance, and Finalize always runs — cancellation included — so the
 // scratch lease is returned on every exit path. The window's scan work
-// (indexed runs × sweeps), the runs its Init walked and the active
-// vertices its sweeps advanced are counted with one add each.
+// (indexed runs × sweeps), the runs its Init inserted into or removed
+// from the chain's index and the active vertices its sweeps advanced
+// are counted with one add each.
 func (r *solveRun) runBatch(b *Batch) {
 	b.truncated = false
 	if r.canceled() {

@@ -430,3 +430,138 @@ func TestRunActive(t *testing.T) {
 		}
 	}
 }
+
+// TestRunActiveMatchesWindowSpec pins RunActive's closed window
+// [Ts, Te] to the window semantics everything else uses: on every
+// window of every spec, a run is live exactly when one of its
+// timestamps lies in the window by WindowSpec.Contains and, equally,
+// when Covering places the timestamp in a window range holding it; and
+// the edges live in a window of the built representation are exactly
+// csr.FromLogWindow's edges over [Start, End]. The specs cover
+// overlapping windows, gaps (Slide > Delta), instantaneous windows and
+// windows past the data; the events sit on window starts and ends, one
+// tick outside them, before T0 and at random times.
+func TestRunActiveMatchesWindowSpec(t *testing.T) {
+	specs := []events.WindowSpec{
+		{T0: 100, Delta: 30, Slide: 10, Count: 12}, // overlapping
+		{T0: 100, Delta: 10, Slide: 25, Count: 10}, // gaps between windows
+		{T0: 100, Delta: 0, Slide: 7, Count: 15},   // instantaneous windows
+		{T0: 100, Delta: 20, Slide: 20, Count: 30}, // tiling; the last third is past the data
+	}
+	rng := rand.New(rand.NewSource(17))
+	const n = 6
+	for si, spec := range specs {
+		// The data stops about two thirds of the way through the windows.
+		dataWindows := 2 * spec.Count / 3
+		var probes []int64
+		for w := 0; w < dataWindows; w++ {
+			ts, te := spec.Interval(w)
+			probes = append(probes, ts-1, ts, te, te+1)
+		}
+		probes = append(probes, spec.T0-5, spec.T0-1)
+		for i := 0; i < 40; i++ {
+			probes = append(probes, spec.T0-10+rng.Int63n(spec.End(dataWindows-1)-spec.T0+10))
+		}
+
+		// RunActive against Contains and Covering on ascending slices of
+		// the probe times, including empty ones.
+		sort.Slice(probes, func(i, j int) bool { return probes[i] < probes[j] })
+		var boundary int
+		for trial := 0; trial < 200; trial++ {
+			var times []int64
+			for _, p := range probes {
+				if rng.Intn(len(probes)) < 3 {
+					times = append(times, p)
+				}
+			}
+			for w := 0; w < spec.Count; w++ {
+				ts, te := spec.Interval(w)
+				contains, covered := false, false
+				for _, tm := range times {
+					contains = contains || spec.Contains(w, tm)
+					lo, hi, ok := spec.Covering(tm)
+					covered = covered || (ok && lo <= w && w <= hi)
+				}
+				got := RunActive(times, ts, te)
+				if got != contains || got != covered {
+					t.Fatalf("spec %d %+v window %d times %v: RunActive %v, Contains %v, Covering %v",
+						si, spec, w, times, got, contains, covered)
+				}
+				if got && (times[0] == ts || times[len(times)-1] == te) {
+					boundary++
+				}
+			}
+		}
+		if boundary == 0 {
+			t.Fatalf("spec %d: no live run touched a window boundary", si)
+		}
+
+		// The built representation against the oracle's window graph.
+		var evs []events.Event
+		for _, p := range probes {
+			evs = append(evs, ev(int32(rng.Intn(n)), int32(rng.Intn(n)), p))
+		}
+		l := sortedLog(t, evs, n)
+		tg, err := Build(l, spec, 3, true)
+		if err != nil {
+			t.Fatalf("spec %d: Build: %v", si, err)
+		}
+		past := 0
+		for w := 0; w < spec.Count; w++ {
+			mw := tg.ForWindow(w)
+			ts, te := mw.Window(w)
+			got := map[[2]int32]bool{}
+			for u := int32(0); u < mw.NumLocal(); u++ {
+				i, end := mw.OutRow[u], mw.OutRow[u+1]
+				for i < end {
+					j := i + 1
+					for j < end && mw.OutCol[j] == mw.OutCol[i] {
+						j++
+					}
+					if RunActive(mw.OutTime[i:j], ts, te) {
+						got[[2]int32{mw.GlobalID(u), mw.GlobalID(mw.OutCol[i])}] = true
+					}
+					i = j
+				}
+			}
+			g, err := csr.FromLogWindow(l, spec.Start(w), spec.End(w))
+			if err != nil {
+				t.Fatalf("spec %d window %d: FromLogWindow: %v", si, w, err)
+			}
+			want := map[[2]int32]bool{}
+			for u := int32(0); u < g.NumVertices(); u++ {
+				for _, v := range g.OutNeighbors(u) {
+					want[[2]int32{u, v}] = true
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("spec %d window %d: %d live edges, FromLogWindow has %d", si, w, len(got), len(want))
+			}
+			for e := range want {
+				if !got[e] {
+					t.Fatalf("spec %d window %d: FromLogWindow edge %v is not live", si, w, e)
+				}
+			}
+			if spec.Start(w) > probes[len(probes)-1] {
+				past++
+				if len(got) != 0 {
+					t.Fatalf("spec %d window %d past the data has %d live edges", si, w, len(got))
+				}
+			}
+		}
+		if past == 0 {
+			t.Fatalf("spec %d: no window lies past the data", si)
+		}
+	}
+}
+
+// sortedLog builds a log from evs after sorting them by time.
+func sortedLog(t *testing.T, evs []events.Event, n int32) *events.Log {
+	t.Helper()
+	sort.SliceStable(evs, func(i, j int) bool { return evs[i].T < evs[j].T })
+	l, err := events.NewLog(evs, n)
+	if err != nil {
+		t.Fatalf("NewLog: %v", err)
+	}
+	return l
+}

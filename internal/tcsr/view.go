@@ -21,29 +21,6 @@ type WindowView struct {
 	NumActive int32
 }
 
-// SolveView is the build→solve handoff for the PageRank kernels: one
-// window of a multi-window graph with its global id and time bounds
-// already resolved. A kernel consumes the view instead of re-deriving
-// window bounds from the representation, so the solve stage depends
-// only on what the build stage hands it. The view is a cheap value
-// (three words); it borrows the multi-window graph rather than copying
-// edges, unlike the materialized WindowView.
-type SolveView struct {
-	// MW is the multi-window graph the window lives in.
-	MW *MultiWindow
-	// W is the global window index (WinLo-based id within Temporal.Spec).
-	W int
-	// Ts and Te bound the window's live events as consumed by RunActive:
-	// an event at time t is in the window iff Ts <= t <= Te.
-	Ts, Te int64
-}
-
-// ViewOf resolves global window w of mw into a solve view.
-func (mw *MultiWindow) ViewOf(w int) SolveView {
-	ts, te := mw.Window(w)
-	return SolveView{MW: mw, W: w, Ts: ts, Te: te}
-}
-
 // Materialize fills the view with window w's adjacency. The view's
 // slices are reused when large enough.
 func (mw *MultiWindow) Materialize(w int, view *WindowView) {
