@@ -319,7 +319,9 @@ func DecodeWindow(b []byte) (*Window, error) {
 			d.err = fmt.Errorf("%w: rank count %d exceeds remaining %d bytes", ErrCorrupt, n, remaining)
 		}
 	}
-	if d.err == nil && n > 0 {
+	if d.err == nil {
+		// An empty vector stays non-nil: a window of a multi-window
+		// graph with no local vertices has ranks, all zero.
 		w.Ranks = make([]float64, n)
 		for i := range w.Ranks {
 			w.Ranks[i] = d.f64()

@@ -70,6 +70,11 @@ func TestWindowRoundTripEmptyRanks(t *testing.T) {
 	if got.Index != 0 || len(got.Ranks) != 0 {
 		t.Fatalf("got %+v, want empty window 0", got)
 	}
+	// A window of a multi-window graph with no local vertices has an
+	// empty rank vector, not none: the decoded vector must be non-nil.
+	if got.Ranks == nil {
+		t.Fatalf("empty rank vector decoded as nil")
+	}
 }
 
 // TestDecodeRejectsEveryBitFlip flips each byte of valid encodings and

@@ -198,9 +198,9 @@ func TestRunCancelScratchConsistent(t *testing.T) {
 	// DiscardRanks nothing outlives a Run, so the arena has no buffer
 	// checked out after the canceled Run or after either full re-run.
 	// (Misses are not asserted here: in nested mode steal order decides
-	// which worker's free list serves which unit, so a steady-state miss
-	// is legitimate; TestDiscardRanksSteadyStateHasZeroMisses checks
-	// misses on a serial engine.)
+	// which workspace serves which unit, so a steady-state miss is
+	// legitimate; TestDiscardRanksSteadyStateHasZeroMisses checks misses
+	// on a serial engine.)
 	pool := sched.NewPool(4)
 	defer pool.Close()
 	cfg := DefaultConfig()

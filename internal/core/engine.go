@@ -33,14 +33,6 @@ type Engine struct {
 	running atomic.Bool
 }
 
-// newArena sizes the scratch arena for pool (nil = serial engine).
-func newArena(pool *sched.Pool) *scratchArena {
-	if pool == nil {
-		return newScratchArena(0)
-	}
-	return newScratchArena(pool.NumWorkers())
-}
-
 // newEngine plans cfg against a built representation and assembles the
 // cached pipeline.
 func newEngine(build BuildOutput, cfg Config, pool *sched.Pool) (*Engine, error) {
@@ -94,7 +86,9 @@ func NewEngineFromTemporal(tg *tcsr.Temporal, cfg Config, pool *sched.Pool) (*En
 
 // ScratchStats snapshots the scratch arena's buffer-reuse counters.
 // After a warm-up Run with Config.DiscardRanks the miss delta across
-// further Run calls is zero: the steady state allocates nothing.
+// further Run calls is zero once every workspace has served the
+// largest unit (from the second Run on for a serial engine): the
+// steady state allocates nothing.
 func (e *Engine) ScratchStats() ScratchStats { return e.solve.ScratchStats() }
 
 // Temporal exposes the underlying representation.

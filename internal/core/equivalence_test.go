@@ -96,8 +96,8 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 
 // TestSerialRunTwiceBitIdentical reruns the same serial engine and
 // demands bit-identical ranks. The second run executes entirely on
-// recycled arena buffers, so any stale state surviving a buffer's
-// round trip through the free lists would show up here.
+// the workspace's recycled buffers, so any stale state surviving a
+// buffer's reuse would show up here.
 func TestSerialRunTwiceBitIdentical(t *testing.T) {
 	l := randomLog(t, 78, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
@@ -128,15 +128,8 @@ func TestSerialRunTwiceBitIdentical(t *testing.T) {
 // TestDiscardRanksSteadyStateHasZeroMisses is the regression test for
 // the final-window rank leak: under DiscardRanks every buffer — the
 // rank vector of each unit's last window included — must return to the
-// arena, so a second Run is served entirely from the free lists.
+// arena, so a second Run is served entirely from the workspace.
 func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
-	if raceEnabled {
-		// The serial engine's scratch buffer travels through a
-		// sync.Pool, and under the race detector sync.Pool randomly
-		// drops a fraction of Puts by design, so miss counts are not
-		// deterministic here.
-		t.Skip("sync.Pool drops Puts at random under the race detector")
-	}
 	l := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
 	cfg := equivCfg(AppLevel, true)

@@ -420,6 +420,80 @@ func TestCheckpointResumeBitIdentical(t *testing.T) {
 	})
 }
 
+// TestResumeOverGapExports checks a resumed series over a log with a
+// gap: the multi-window graphs inside the gap have no local vertices,
+// so their windows' rank vectors are empty, and a window restored from
+// the checkpoint must still have ranks (an empty vector, not none), so
+// that Export can serialize every window, as pmrank -resume -out does.
+func TestResumeOverGapExports(t *testing.T) {
+	fault.Reset()
+	var evs []events.Event
+	for _, t0 := range []int64{0, 5000} {
+		for i := int64(0); i < 40; i++ {
+			evs = append(evs, ev(int32(i%7), int32((i*3+1)%7), t0+i*25))
+		}
+	}
+	l, err := events.NewLog(evs, 7)
+	if err != nil {
+		t.Fatalf("NewLog: %v", err)
+	}
+	spec := events.WindowSpec{T0: 0, Delta: 300, Slide: 250, Count: 23}
+	cfg := DefaultConfig()
+	cfg.NumMultiWindows = 4
+	dir := filepath.Join(t.TempDir(), "ck")
+
+	eng, err := NewEngine(l.Symmetrize(), spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	empty := 0
+	for _, mw := range eng.Temporal().MWs {
+		if mw.NumLocal() == 0 {
+			empty++
+		}
+	}
+	if empty == 0 {
+		t.Fatalf("no multi-window graph is empty; the gap is not exercised")
+	}
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatalf("checkpoint.Open: %v", err)
+	}
+	if _, err := eng.SetCheckpoint(store, false); err != nil {
+		t.Fatalf("SetCheckpoint: %v", err)
+	}
+	want, err := eng.Run(context.Background())
+	if err != nil {
+		t.Fatalf("checkpointed Run: %v", err)
+	}
+
+	eng2, err := NewEngine(l.Symmetrize(), spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	resumed, err := eng2.SetCheckpoint(store, true)
+	if err != nil {
+		t.Fatalf("SetCheckpoint(resume): %v", err)
+	}
+	if resumed != spec.Count {
+		t.Fatalf("resume restores %d windows, want all %d", resumed, spec.Count)
+	}
+	got, err := eng2.Run(context.Background())
+	if err != nil {
+		t.Fatalf("resumed Run: %v", err)
+	}
+	we, ge := want.Export(), got.Export()
+	for w := 0; w < spec.Count; w++ {
+		if !got.Window(w).HasRanks() {
+			t.Fatalf("resumed window %d has no ranks", w)
+		}
+		a, b := we.WindowAt(w), ge.WindowAt(w)
+		if fmt.Sprint(a) != fmt.Sprint(b) {
+			t.Fatalf("window %d exports %v resumed, %v solved", w, b, a)
+		}
+	}
+}
+
 // TestCheckpointManifestMismatch verifies a checkpoint taken under a
 // different configuration refuses to resume.
 func TestCheckpointManifestMismatch(t *testing.T) {

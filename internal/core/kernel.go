@@ -4,7 +4,7 @@ import "pmpr/internal/tcsr"
 
 // Batch is the unit of kernel execution: one window of a multi-window
 // graph, its optional warm-start vector, the chain's run index, and the
-// scratch lease all working memory is drawn from. The solve driver
+// unit's workspace all working memory is drawn from. The solve driver
 // stages batches and owns the convergence loop (runBatch); the kernel
 // only reads the staged fields and keeps its per-window working set in
 // kern. The contract with runBatch:
@@ -14,19 +14,19 @@ import "pmpr/internal/tcsr"
 //	          no active vertex is converged before its first sweep.
 //	Iterate   advances the rank vector by one PageRank sweep.
 //	Residual  returns the L1 delta of the last Iterate.
-//	Finalize  hands the rank vector to the result and returns all
-//	          other working memory to the scratch lease. It runs
+//	Finalize  hands the rank vector to the result and stashes the
+//	          window's other rank-class vector. It runs
 //	          unconditionally — after convergence, MaxIter exhaustion,
-//	          or a cancellation break — so the arena stays consistent
-//	          on every exit path.
+//	          or a cancellation break — so the workspace stays
+//	          consistent on every exit path.
 type Batch struct {
-	mw      *tcsr.MultiWindow
-	w       int          // the global window
-	init    []float64    // predecessor ranks; nil = uniform start
-	result  WindowResult // filled by Init, runBatch and Finalize
-	cfg     *Config
-	scratch *scratchBuf // the lease: goroutine-confined free lists
-	loop    forLoop     // serial or worker-forked vertex loop
+	mw     *tcsr.MultiWindow
+	w      int          // the global window
+	init   []float64    // predecessor ranks; nil = uniform start
+	result WindowResult // filled by Init, runBatch and Finalize
+	cfg    *Config
+	ws     *workspace // the unit's working memory
+	loop   forLoop    // serial or worker-forked vertex loop
 
 	// gaussSeidel selects the kernel's in-place Gauss–Seidel sweep over
 	// the two-pass Jacobi sweep. solveUnit sets it from the plan: only a
@@ -43,8 +43,8 @@ type Batch struct {
 	truncated bool
 
 	// chain is the unit's run index, degrees and active list, carried
-	// from window to window; solveUnit opens and closes it, Init seeks
-	// it to w, and a panicked attempt invalidates it.
+	// from window to window; solveUnit opens it, Init seeks it to w,
+	// and a panicked attempt invalidates it.
 	chain chainIndex
 
 	// kern is the kernel's per-window working set (vectors, bound loop

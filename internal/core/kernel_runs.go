@@ -51,11 +51,9 @@ type runIndex struct {
 // at the predecessor and applies the window's deltas as the first
 // attempt would have.
 //
-// Every buffer comes from the unit's scratch lease and is sized by the
-// graph (its local vertices, its stored events, the unit's windows),
-// so units of one graph repeat the same requests and the arena's
-// steady state keeps its zero miss rate. The int32 arrays are carved
-// from one buffer per size class, so a unit makes five requests.
+// Every buffer comes from the unit's workspace and is sized by the
+// graph (its local vertices, its stored events, the unit's windows).
+// The int32 arrays are carved from one buffer, so a unit sizes three.
 type chainIndex struct {
 	runIndex
 	outdeg []int32   // live out-runs per vertex; nil when the graph is symmetrized
@@ -73,9 +71,6 @@ type chainIndex struct {
 	// those whose last offset is k−1, each in walk order.
 	enterAt, enter, leaveAt, leave []int32
 
-	// The arena buffers the int32 arrays above are carved from.
-	perVertex, perEvent, perWindow []int32
-
 	first  int   // the unit's first global window
 	at     int   // the unit offset the index describes; -1 = invalid
 	walked int64 // stored runs open walked
@@ -83,8 +78,8 @@ type chainIndex struct {
 
 // open walks mw's stored runs once for the unit of global windows
 // [lo, hi) and leaves the index invalid, so the unit's first seek
-// rebuilds it.
-func (ix *chainIndex) open(mw *tcsr.MultiWindow, lo, hi int, sb *scratchBuf) {
+// rebuilds it. Its buffers are ws's, until the unit gives ws back.
+func (ix *chainIndex) open(mw *tcsr.MultiWindow, lo, hi int, ws *workspace) {
 	n, nw := int(mw.NumLocal()), hi-lo
 	// Every interval holds at least one stored event of its side.
 	bound := len(mw.InCol)
@@ -94,16 +89,11 @@ func (ix *chainIndex) open(mw *tcsr.MultiWindow, lo, hi int, sb *scratchBuf) {
 		bound += len(mw.OutCol)
 		vertexArrays++ // outdeg
 	}
-	*ix = chainIndex{
-		perVertex: sb.getI32(vertexArrays * n),
-		perEvent:  sb.getI32(len(mw.InCol) + 6*bound),
-		perWindow: sb.getI32(2 * (nw + 1)),
-		first:     lo,
-		at:        -1,
-	}
-	ix.runIndex = runIndex{row: mw.InRow, end: sb.getI64(n)}
-	ix.invdeg = sb.getF64(n)
-	v, e := ix.perVertex, ix.perEvent
+	*ix = chainIndex{first: lo, at: -1}
+	ix.runIndex = runIndex{row: mw.InRow, end: size(ws, &ws.end, n)}
+	ix.invdeg = size(ws, &ws.invdeg, n)
+	buf := size(ws, &ws.index, vertexArrays*n+len(mw.InCol)+6*bound+2*(nw+1))
+	v, e, wn := buf[:vertexArrays*n], buf[vertexArrays*n:len(buf)-2*(nw+1)], buf[len(buf)-2*(nw+1):]
 	ix.list, ix.spare = v[0:0:n], v[n:n:2*n]
 	// A seek's leaves can only deactivate a vertex and its enters only
 	// activate one, so a vertex flips at most twice.
@@ -115,7 +105,7 @@ func (ix *chainIndex) open(mw *tcsr.MultiWindow, lo, hi int, sb *scratchBuf) {
 	ix.ivVert, ix.ivCol = e[0:0:bound], e[bound:bound:2*bound]
 	ix.ivLo, ix.ivHi = e[2*bound:2*bound:3*bound], e[3*bound:3*bound:4*bound]
 	ix.enter, ix.leave = e[4*bound:5*bound], e[5*bound:6*bound]
-	ix.enterAt, ix.leaveAt = ix.perWindow[:nw+1], ix.perWindow[nw+1:]
+	ix.enterAt, ix.leaveAt = wn[:nw+1], wn[nw+1:]
 
 	ix.walkSide(mw, mw.InRow, mw.InCol, mw.InTime, false, hi)
 	if !aliased {
@@ -217,16 +207,6 @@ func bucket(at, items, key []int32, shift int32, nw int) {
 	// Each bucket's cursor now sits at the next bucket's start.
 	copy(at[1:], at[:nw])
 	at[0] = 0
-}
-
-// close returns the index's buffers to the arena.
-func (ix *chainIndex) close(sb *scratchBuf) {
-	sb.putI64(ix.end)
-	sb.putF64(ix.invdeg)
-	sb.putI32(ix.perVertex)
-	sb.putI32(ix.perEvent)
-	sb.putI32(ix.perWindow)
-	*ix = chainIndex{}
 }
 
 // invalidate makes the next seek rebuild.

@@ -92,11 +92,11 @@ func runIndexCases(t *testing.T) []runIndexCase {
 // graph is stepped as one unit and as chains of three windows, and
 // every unit is rebuilt once mid-chain, from an index left half-changed
 // as by a panic during a seek, then carries on with deltas from the
-// rebuilt index. The index's buffers go back to the arena.
+// rebuilt index. The index's buffers go back to the arena with the
+// workspace.
 func TestRunIndexMatchesRunActive(t *testing.T) {
-	arena := newScratchArena(0)
-	sb, release := arena.acquire(-1)
-	defer release()
+	arena := newScratchArena(nil)
+	ws := arena.take()
 	var kept, dropped, deltas, rebuilds int
 	for _, c := range runIndexCases(t) {
 		for _, directed := range []bool{false, true} {
@@ -113,7 +113,7 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 					for lo := mw.WinLo; lo < mw.WinHi; lo += chain {
 						hi := min(lo+chain, mw.WinHi)
 						var ix chainIndex
-						ix.open(mw, lo, hi, sb)
+						ix.open(mw, lo, hi, ws)
 						if want := storedRunCount(mw, directed); ix.walked != want {
 							t.Fatalf("%s directed=%v mw=%d: unit walked %d runs, want %d", c.name, directed, mi, ix.walked, want)
 						}
@@ -153,7 +153,6 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 							}
 							prev = live
 						}
-						ix.close(sb)
 					}
 				}
 			}
@@ -163,6 +162,7 @@ func TestRunIndexMatchesRunActive(t *testing.T) {
 		t.Fatalf("cases kept %d runs, dropped %d, stepped %d deltas and %d rebuilds; every path needs exercising",
 			kept, dropped, deltas, rebuilds)
 	}
+	arena.give(ws)
 	if st := arena.stats(); st.Outstanding() != 0 {
 		t.Fatalf("index buffers not returned: %+v", st)
 	}

@@ -19,10 +19,10 @@ import (
 // compacted the same way: list holds the window's active vertices, and
 // every pass walks only list, so a sweep costs what the window sees,
 // not what the multi-window graph holds. Entries of x, y and z outside
-// list start at zero and stay zero. The index, degrees and list belong
-// to the chain; the window's vectors are drawn from the batch's scratch
-// lease and returned in Finalize, except the rank vector, which stays
-// checked out (solveUnit recycles it once consumed).
+// list start at zero and stay zero. The index, degrees, list, z and
+// lanes belong to the unit's workspace; the window's rank-class
+// vectors (x, and Jacobi's y) come from its stash, and the rank vector
+// stays checked out (solveUnit recycles it once consumed).
 //
 // A sweep runs one of two updates, chosen by the plan
 // (Batch.gaussSeidel):
@@ -65,13 +65,13 @@ type spmvKernel struct {
 // vector over the list (Eq. 4 where a predecessor vector is supplied,
 // uniform otherwise). For the Gauss–Seidel update it then scales the
 // vector by inverse out-degree and sums its mass once (stageInPlace);
-// for Jacobi it draws y and the lanes and binds the two sweep passes.
+// for Jacobi it draws y and binds the two sweep passes.
 // It records the active count in the result; a window with no active
 // vertex is converged before its first sweep.
 func (s *spmvKernel) Init(b *Batch) {
 	n := int(b.mw.NumLocal())
-	sb, loop := b.scratch, b.loop
-	lanes := sb.lanes()
+	ws, loop := b.ws, b.loop
+	retained := !b.cfg.DiscardRanks
 
 	ix := &b.chain
 	s.runsVisited = ix.seek(b.w)
@@ -83,14 +83,18 @@ func (s *spmvKernel) Init(b *Batch) {
 
 	// Initialization: Eq. 4 where a predecessor vector is supplied,
 	// uniform otherwise.
-	x := sb.getF64(n)
-	s.x, s.z = x, sb.getF64(n)
+	x := ws.rank(n, retained)
+	// z is sized (zeroed) per window, not per unit: a run may come from
+	// a vertex outside the list when the stored graph is not symmetric,
+	// and its z must read zero, not a previous window's value.
+	s.x, s.z = x, size(ws, &ws.z, n)
 	init := b.init
 	var scale float64
 	partial := false
 	if init != nil && listed > 0 {
-		laneSharedN := sb.getI64(lanes)
-		laneSharedSum := sb.getF64(lanes)
+		laneSharedN, laneSharedSum := ws.laneN, ws.laneSum
+		clear(laneSharedN)
+		clear(laneSharedSum)
 		loop(listed, func(wk *sched.Worker, lo, hi int) {
 			lane := laneOf(wk)
 			cnt, sum := laneSharedN[lane], laneSharedSum[lane]
@@ -104,12 +108,10 @@ func (s *spmvKernel) Init(b *Batch) {
 		})
 		var sh int64
 		var sm float64
-		for l := 0; l < lanes; l++ {
+		for l := range laneSharedN {
 			sh += laneSharedN[l]
 			sm += laneSharedSum[l]
 		}
-		sb.putI64(laneSharedN)
-		sb.putF64(laneSharedSum)
 		if sh > 0 && sm > 0 {
 			scale = float64(sh) / float64(listed) / sm
 			partial = true
@@ -131,8 +133,8 @@ func (s *spmvKernel) Init(b *Batch) {
 		s.stageInPlace()
 		return
 	}
-	s.y = sb.getF64(n)
-	s.laneDangling, s.laneDelta = sb.getF64(lanes), sb.getF64(lanes)
+	s.y = ws.rank(n, retained)
+	s.laneDangling, s.laneDelta = ws.laneD, ws.laneR
 	s.bindPasses(1 - b.cfg.Opts.Alpha)
 }
 
@@ -262,12 +264,11 @@ func (s *spmvKernel) Residual() float64 {
 	return delta
 }
 
-// Finalize hands x over as the window's rank vector and returns the
-// window's other working memory; the run index, degrees and list stay
-// with the chain. A Gauss–Seidel vector is first renormalized once, so
-// its active entries sum to 1 as a Jacobi vector's do.
+// Finalize hands x over as the window's rank vector and stashes
+// Jacobi's other vector; everything else stays with the workspace. A
+// Gauss–Seidel vector is first renormalized once, so its active
+// entries sum to 1 as a Jacobi vector's do.
 func (s *spmvKernel) Finalize(b *Batch) {
-	sb := b.scratch
 	if s.inPlace {
 		if s.mass > 0 {
 			inv := 1 / s.mass
@@ -276,11 +277,8 @@ func (s *spmvKernel) Finalize(b *Batch) {
 			}
 		}
 	} else {
-		sb.putF64(s.y)
-		sb.putF64(s.laneDangling)
-		sb.putF64(s.laneDelta)
+		b.ws.recycle(s.y)
 	}
 	b.result.ranks = s.x
-	sb.putF64(s.z)
 	*s = spmvKernel{}
 }

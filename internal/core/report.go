@@ -48,8 +48,9 @@ type SchedReport struct {
 }
 
 // ScratchReport is the scratch arena's share of a run: how many buffer
-// requests the kernels made and how many were served from the free
-// lists. A warmed-up engine under Config.DiscardRanks reports
+// requests the units made of their workspaces (role-buffer sizings and
+// rank-vector takes) and how many were served without allocating. A
+// warmed-up serial engine under Config.DiscardRanks reports
 // Misses == 0 and HitRate == 1.
 type ScratchReport struct {
 	Gets    int64   `json:"gets"`

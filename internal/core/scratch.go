@@ -7,51 +7,41 @@ import (
 	"pmpr/internal/sched"
 )
 
-// This file implements the engine's scratch-memory arena. The kernels
-// used to allocate their working vectors (x/y/z, inverse out-degrees,
-// activity flags, per-leaf accumulators) on every window solve; under
-// the default nested mode with a small grain that is millions of
-// short-lived allocations per run. The arena replaces all
-// of them with reusable per-worker buffers:
-//
-//   - Every buffer that does not escape a solve is taken from a
-//     free list and returned when the solve finishes.
-//   - Rank vectors escape (they become WindowResult.ranks and feed the
-//     next window's partial initialization), so they stay checked out
-//     until the consumer recycles them — immediately under
-//     Config.DiscardRanks, never when results are retained.
-//   - Leaf closures never allocate: cross-leaf reductions write into
-//     lane-indexed slots (one lane per pool worker) that are summed
-//     serially after the loop, replacing the old atomic accumulators.
-//
-// Ownership: a scratchBuf is confined to the goroutine of the
-// window-loop worker that acquired it (buffers are keyed by
-// sched.Worker ID), so its free lists need no locking — including
-// under re-entrancy, when a worker helping a nested loop steals
-// another window-range span and starts a second solve on the same
-// scratchBuf: the inner solve simply pops further buffers while the
-// outer solve's remain checked out. Serial and app-level callers have
-// no worker identity and draw a scratchBuf from a sync.Pool instead.
+// This file implements the engine's scratch memory: one workspace per
+// running unit. solveUnit takes a workspace when its warm-start chain
+// starts and gives it back when the chain ends. A workspace holds one
+// buffer per role (the chain index's arrays, the kernel's z, the
+// reduction lanes), grown only when a unit needs more and zeroed when
+// a unit sizes it, plus a small stash of rank vectors, which escape
+// (they become WindowResult.ranks and feed the next window's partial
+// initialization) and come back only when their consumer recycles
+// them. A workspace is confined to its unit's goroutine, so only the
+// arena's stack of idle workspaces needs a lock; a worker that steals
+// a second unit while it helps a nested loop takes a second workspace.
 
-// scratchArena owns one scratchBuf per pool worker plus a pooled path
-// for loops running outside the pool. An Engine creates one arena and
-// keeps it across Run calls, so steady-state iteration is
-// allocation-free from the second window onward.
+// stashSize bounds the rank stash: a unit holds at most its
+// predecessor's vector, x, and Jacobi's y at once.
+const stashSize = 3
+
+// scratchArena owns the engine's workspaces, at most one per unit that
+// ran concurrently. An Engine keeps one arena across Run calls, so
+// steady-state iteration is allocation-free.
 type scratchArena struct {
-	perWorker []scratchBuf
-	pooled    sync.Pool
-	lanes     int // reduction lanes (pool workers, min 1)
+	lanes int // reduction lanes (pool workers, min 1)
+
+	mu   sync.Mutex
+	idle []*workspace // workspaces no running unit holds
 
 	gets   atomic.Int64 // buffer requests served
 	misses atomic.Int64 // requests that had to allocate fresh memory
 	puts   atomic.Int64 // buffers handed back
 }
 
-// ScratchStats is a snapshot of the arena's buffer-reuse counters.
-// Hits = Gets - Misses; a warmed-up engine solving with DiscardRanks
-// should report a miss delta of zero across Run calls. Gets - Puts is
-// the number of buffers still checked out: zero after every Run under
-// DiscardRanks, when no rank vector outlives its consumer.
+// ScratchStats is a snapshot of the arena's buffer-reuse counters. A
+// get is a role-buffer sizing or a rank-vector take, a miss a get that
+// allocated, a put a recycled rank vector or a role buffer given back
+// with its workspace; Hits = Gets - Misses. Gets - Puts is the number
+// of buffers checked out: zero after every Run under DiscardRanks.
 type ScratchStats struct {
 	Gets   int64 `json:"gets"`
 	Hits   int64 `json:"hits"`
@@ -72,17 +62,14 @@ func (s ScratchStats) Delta(before ScratchStats) ScratchStats {
 	}
 }
 
-func newScratchArena(workers int) *scratchArena {
-	lanes := workers
-	if lanes < 1 {
-		lanes = 1
+// newScratchArena gives pool's workers a reduction lane each (one lane
+// for a serial engine, pool == nil).
+func newScratchArena(pool *sched.Pool) *scratchArena {
+	lanes := 1
+	if pool != nil {
+		lanes = max(pool.NumWorkers(), 1)
 	}
-	a := &scratchArena{perWorker: make([]scratchBuf, workers), lanes: lanes}
-	for i := range a.perWorker {
-		a.perWorker[i].arena = a
-	}
-	a.pooled.New = func() interface{} { return &scratchBuf{arena: a} }
-	return a
+	return &scratchArena{lanes: lanes}
 }
 
 // stats snapshots the reuse counters.
@@ -91,16 +78,33 @@ func (a *scratchArena) stats() ScratchStats {
 	return ScratchStats{Gets: gets, Hits: gets - misses, Misses: misses, Puts: a.puts.Load()}
 }
 
-// acquire returns the scratch buffer of window-loop worker wid and a
-// release function. wid < 0 (serial and app-level ranges, which run
-// without a worker identity) takes the sync.Pool-backed path; release
-// is a no-op for the per-worker path.
-func (a *scratchArena) acquire(wid int) (*scratchBuf, func()) {
-	if wid >= 0 && wid < len(a.perWorker) {
-		return &a.perWorker[wid], func() {}
+// take hands a unit an idle workspace, or a new one when every
+// workspace is held by a running unit.
+func (a *scratchArena) take() *workspace {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if n := len(a.idle); n > 0 {
+		ws := a.idle[n-1]
+		a.idle = a.idle[:n-1]
+		return ws
 	}
-	sb := a.pooled.Get().(*scratchBuf)
-	return sb, func() { a.pooled.Put(sb) }
+	return &workspace{
+		arena:   a,
+		ranks:   make([][]float64, 0, stashSize),
+		laneN:   make([]int64, a.lanes),
+		laneSum: make([]float64, a.lanes),
+		laneD:   make([]float64, a.lanes),
+		laneR:   make([]float64, a.lanes),
+	}
+}
+
+// give puts a unit's workspace, and the role buffers it sized, back.
+func (a *scratchArena) give(ws *workspace) {
+	a.puts.Add(ws.sized)
+	ws.sized = 0
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	a.idle = append(a.idle, ws)
 }
 
 // laneOf maps the worker executing a leaf to its reduction lane; nil
@@ -112,72 +116,78 @@ func laneOf(w *sched.Worker) int {
 	return w.ID()
 }
 
-// freeList holds reusable slices of one element type. get returns a
-// zeroed slice of length n using best fit — the smallest sufficient
-// capacity, most recently returned among equals — so a small request
-// never consumes a large buffer that a later request (e.g. the run
-// index's edge-sized columns) needs; under a repeated request sequence
-// the steady state then has zero misses. put makes a slice available
-// for reuse. Not safe for concurrent use — each scratchBuf is
-// goroutine-confined (see the file comment).
-type freeList[T any] struct {
-	free [][]T
-}
-
-func (l *freeList[T]) get(a *scratchArena, n int) []T {
-	a.gets.Add(1)
-	best := -1
-	for i := len(l.free) - 1; i >= 0; i-- {
-		c := cap(l.free[i])
-		if c < n {
-			continue
-		}
-		if best < 0 || c < cap(l.free[best]) {
-			best = i
-		}
-		if c == n {
-			break // exact fit; scanning back-to-front keeps LIFO ties
-		}
-	}
-	if best >= 0 {
-		s := l.free[best][:n]
-		l.free[best] = l.free[len(l.free)-1]
-		l.free[len(l.free)-1] = nil
-		l.free = l.free[:len(l.free)-1]
-		clear(s)
-		return s
-	}
-	a.misses.Add(1)
-	return make([]T, n)
-}
-
-func (l *freeList[T]) put(a *scratchArena, s []T) {
-	a.puts.Add(1)
-	if cap(s) == 0 {
-		return
-	}
-	l.free = append(l.free, s)
-}
-
-// scratchBuf bundles the free lists of every buffer shape the kernel
-// uses. Acquired via scratchArena.acquire; see the file comment for the
-// confinement rules that make it lock-free.
-type scratchBuf struct {
+// workspace is one running unit's working memory.
+type workspace struct {
 	arena *scratchArena
 
-	f64 freeList[float64]
-	i64 freeList[int64]
-	i32 freeList[int32]
+	// The chain index's buffers (chainIndex.open): per-vertex run ends,
+	// inverse out-degrees, and one int32 buffer its arrays are carved
+	// from.
+	end    []int64
+	invdeg []float64
+	index  []int32
+	// z is the kernel's rank vector scaled by inverse out-degree.
+	z []float64
+	// The reduction lanes: Init's warm-start count and sum, and
+	// Jacobi's dangling mass and L1 delta.
+	laneN                 []int64
+	laneSum, laneD, laneR []float64
+
+	ranks [][]float64 // the rank stash, at most stashSize vectors
+	sized int64       // role buffers sized for the running unit
 }
 
-// lanes returns the number of reduction lanes leaf bodies may index.
-func (b *scratchBuf) lanes() int { return b.arena.lanes }
+// size returns *buf resized to n zeroed entries, growing it only when
+// n exceeds its capacity.
+func size[T any](ws *workspace, buf *[]T, n int) []T {
+	a := ws.arena
+	a.gets.Add(1)
+	ws.sized++
+	if cap(*buf) < n {
+		a.misses.Add(1)
+		*buf = make([]T, n)
+	} else {
+		*buf = (*buf)[:n]
+		clear(*buf)
+	}
+	return *buf
+}
 
-func (b *scratchBuf) getF64(n int) []float64 { return b.f64.get(b.arena, n) }
-func (b *scratchBuf) putF64(s []float64)     { b.f64.put(b.arena, s) }
+// rank returns a zeroed rank-class vector of length n: the smallest
+// stashed vector that fits, or a fresh one. A vector the run may
+// retain (retained) must not pin more memory than its length, so then
+// only a stashed vector of capacity n fits. A fresh vector replaces a
+// stashed one that did not fit, so the stash never holds more vectors
+// than a unit has used at once.
+func (ws *workspace) rank(n int, retained bool) []float64 {
+	a := ws.arena
+	a.gets.Add(1)
+	best := -1
+	for i, s := range ws.ranks {
+		if c := cap(s); c >= n && (!retained || c == n) && (best < 0 || c < cap(ws.ranks[best])) {
+			best = i
+		}
+	}
+	last := len(ws.ranks) - 1
+	if best < 0 {
+		a.misses.Add(1)
+		if last >= 0 {
+			ws.ranks[last] = nil
+			ws.ranks = ws.ranks[:last]
+		}
+		return make([]float64, n)
+	}
+	s := ws.ranks[best][:n]
+	ws.ranks[best], ws.ranks[last] = ws.ranks[last], nil
+	ws.ranks = ws.ranks[:last]
+	clear(s)
+	return s
+}
 
-func (b *scratchBuf) getI64(n int) []int64 { return b.i64.get(b.arena, n) }
-func (b *scratchBuf) putI64(s []int64)     { b.i64.put(b.arena, s) }
-
-func (b *scratchBuf) getI32(n int) []int32 { return b.i32.get(b.arena, n) }
-func (b *scratchBuf) putI32(s []int32)     { b.i32.put(b.arena, s) }
+// recycle stashes a rank vector nothing will read again.
+func (ws *workspace) recycle(s []float64) {
+	ws.arena.puts.Add(1)
+	if len(ws.ranks) < stashSize {
+		ws.ranks = append(ws.ranks, s)
+	}
+}

@@ -1,111 +1,262 @@
 package core
 
-import "testing"
+import (
+	"context"
+	"testing"
+	"unsafe"
 
-func TestFreeListReuseAndZeroing(t *testing.T) {
-	a := newScratchArena(0)
-	sb, release := a.acquire(-1)
-	defer release()
+	"pmpr/internal/events"
+	"pmpr/internal/sched"
+)
 
-	s := sb.getF64(64)
-	if len(s) != 64 {
-		t.Fatalf("len = %d, want 64", len(s))
-	}
+func TestWorkspaceReusedBufferReadsZero(t *testing.T) {
+	a := newScratchArena(nil)
+	ws := a.take()
+
+	s := size(ws, &ws.z, 64)
 	for i := range s {
 		s[i] = float64(i) + 1
 	}
-	p := &s[0]
-	sb.putF64(s)
-
-	got := sb.getF64(32)
-	if &got[0] != p {
-		t.Fatalf("expected the recycled backing array to be reused")
+	r := ws.rank(64, false)
+	for i := range r {
+		r[i] = float64(i) + 1
 	}
-	for i, v := range got {
-		if v != 0 {
-			t.Fatalf("recycled buffer not zeroed at %d: %v", i, v)
+	ws.recycle(r)
+	a.give(ws)
+
+	ws = a.take()
+	got := size(ws, &ws.z, 32)
+	if &got[0] != &s[0] {
+		t.Fatalf("a smaller request must reuse the role buffer")
+	}
+	gotRank := ws.rank(32, false)
+	if &gotRank[0] != &r[0] {
+		t.Fatalf("a discarded-rank request must reuse the stashed vector")
+	}
+	for i := range got {
+		if got[i] != 0 || gotRank[i] != 0 {
+			t.Fatalf("reused buffers not zeroed at %d: z %v, rank %v", i, got[i], gotRank[i])
 		}
 	}
-	if st := a.stats(); st.Gets != 2 || st.Misses != 1 || st.Hits != 1 {
-		t.Fatalf("stats = %+v, want 2 gets / 1 hit / 1 miss", st)
+	ws.recycle(gotRank)
+	a.give(ws)
+	if st := a.stats(); st.Gets != 4 || st.Misses != 2 || st.Hits != 2 || st.Outstanding() != 0 {
+		t.Fatalf("stats = %+v, want 4 gets / 2 hits / 2 misses / none outstanding", st)
 	}
 }
 
-func TestFreeListPrefersMostRecent(t *testing.T) {
-	a := newScratchArena(0)
-	sb, release := a.acquire(-1)
-	defer release()
+func TestWorkspaceGrowsOnlyWhenNeeded(t *testing.T) {
+	a := newScratchArena(nil)
+	ws := a.take()
+	defer a.give(ws)
 
-	first := sb.getF64(16)
-	second := sb.getF64(16)
-	p1, p2 := &first[0], &second[0]
-	sb.putF64(first)
-	sb.putF64(second)
-	if got := sb.getF64(16); &got[0] != p2 {
-		t.Fatalf("expected LIFO reuse of the last returned buffer")
+	size(ws, &ws.index, 4)
+	big := size(ws, &ws.index, 1024) // the 4-entry buffer can't serve this
+	if st := a.stats(); st.Misses != 2 {
+		t.Fatalf("misses = %d, want 2 (both requests had to allocate)", st.Misses)
 	}
-	if got := sb.getF64(16); &got[0] != p1 {
-		t.Fatalf("expected the older buffer next")
-	}
-}
-
-func TestFreeListSkipsTooSmall(t *testing.T) {
-	a := newScratchArena(0)
-	sb, release := a.acquire(-1)
-	defer release()
-
-	small := sb.getI32(4)
-	sb.putI32(small)
-	big := sb.getI32(1024) // small buffer can't serve this
-	if cap(big) < 1024 {
-		t.Fatalf("cap = %d, want >= 1024", cap(big))
+	if got := size(ws, &ws.index, 16); &got[0] != &big[0] || cap(got) != 1024 {
+		t.Fatalf("a smaller request must reuse the grown buffer")
 	}
 	if st := a.stats(); st.Misses != 2 {
-		t.Fatalf("misses = %d, want 2 (both gets had to allocate)", st.Misses)
+		t.Fatalf("misses = %d after a fitting request, want 2", st.Misses)
 	}
 }
 
-func TestAcquirePerWorkerIdentity(t *testing.T) {
-	a := newScratchArena(3)
-	b0, rel0 := a.acquire(0)
-	b0again, rel0again := a.acquire(0)
-	b1, rel1 := a.acquire(1)
-	defer rel0()
-	defer rel0again()
-	defer rel1()
-	if b0 != b0again {
-		t.Fatalf("acquire(0) must return the same per-worker buffer")
+// TestSecondTakeReusesWorkspace checks the arena's stack: a unit that
+// starts after another gave its workspace back gets that workspace,
+// and a unit that starts while another holds one (a nested steal) gets
+// its own. Every workspace has one lane per pool worker.
+func TestSecondTakeReusesWorkspace(t *testing.T) {
+	pool := sched.NewPool(3)
+	defer pool.Close()
+	a := newScratchArena(pool)
+	first := a.take()
+	a.give(first)
+	again := a.take()
+	if again != first {
+		t.Fatalf("a second take must reuse the idle workspace")
 	}
-	if b0 == b1 {
-		t.Fatalf("workers 0 and 1 must not share a buffer")
+	nested := a.take()
+	if nested == again {
+		t.Fatalf("a take while the workspace is held must not share it")
 	}
-	if b0.lanes() != 3 {
-		t.Fatalf("lanes = %d, want 3", b0.lanes())
+	if len(again.laneN) != 3 || len(nested.laneD) != 3 {
+		t.Fatalf("lanes = %d/%d, want 3", len(again.laneN), len(nested.laneD))
+	}
+	a.give(nested)
+	a.give(again)
+	if len(a.idle) != 2 {
+		t.Fatalf("idle workspaces = %d, want 2", len(a.idle))
 	}
 }
 
-func TestAcquirePooledPathRoundTrips(t *testing.T) {
-	a := newScratchArena(2)
-	sb, release := a.acquire(-1)
-	for i := 0; i < 2; i++ {
-		if sb == &a.perWorker[i] {
-			t.Fatalf("pooled acquire must not hand out a per-worker buffer")
+// TestRetainedRankVectorIsExactLength checks that a rank vector the run
+// may retain never pins more memory than its length: the stash serves
+// a larger vector only to runs that discard their ranks, and a run
+// retaining ranks over units of different sizes — Jacobi, whose
+// stashed y is reused — hands out vectors with capacity == length.
+func TestRetainedRankVectorIsExactLength(t *testing.T) {
+	a := newScratchArena(nil)
+	ws := a.take()
+	ws.recycle(make([]float64, 100))
+	r := ws.rank(10, false)
+	if cap(r) != 100 {
+		t.Fatalf("a discarded rank vector should reuse the stashed 100-entry one, got capacity %d", cap(r))
+	}
+	ws.recycle(r)
+	if r := ws.rank(10, true); cap(r) != 10 {
+		t.Fatalf("retained rank vector has capacity %d for length 10", cap(r))
+	}
+	if len(ws.ranks) != 0 {
+		t.Fatalf("the stash kept %d vectors that fit no request", len(ws.ranks))
+	}
+	a.give(ws)
+
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	l := randomLog(t, 81, 40, 400, 1200)
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 60, Count: 18}
+	cfg := equivCfg(AppLevel, true)
+	cfg.NumMultiWindows = spec.Count
+	eng, err := NewEngine(l, spec, cfg, pool)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if eng.Plan().Update() != UpdateJacobi {
+		t.Fatalf("a 2-worker app-level plan should sweep Jacobi")
+	}
+	for run := 0; run < 2; run++ {
+		s, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+		for w := range s.Results {
+			if r := s.Results[w].ranks; r == nil || cap(r) != len(r) {
+				t.Fatalf("run %d window %d: ranks len %d cap %d (nil %v)", run, w, len(r), cap(r), r == nil)
+			}
 		}
 	}
-	// Warm the buffer, return it, and re-acquire: the free list travels
-	// with the scratchBuf through the sync.Pool.
-	s := sb.getF64(8)
-	sb.putF64(s)
-	release()
-	sb2, release2 := a.acquire(-1)
-	defer release2()
-	if sb2 != sb {
-		// sync.Pool may drop entries; only check behavior when it kept it.
-		t.Skip("sync.Pool did not return the same buffer")
+}
+
+// TestOneWindowPerUnitPinsOneWorkspacePerRunningUnit runs the layout
+// with one window per multi-window, whose units all differ in size,
+// several times. The arena must hold at most one workspace per unit
+// that ran at once, and when one unit runs at a time, from the second
+// Run on, under DiscardRanks, serve every request from what it holds
+// (two workspaces may each meet the largest unit later). A workspace may pin, role by
+// role, what the largest unit needs in that role: each role buffer at
+// most its largest size over the units solved alone, and the stash at
+// most the most rank vectors a unit held, each at most the longest.
+func TestOneWindowPerUnitPinsOneWorkspacePerRunningUnit(t *testing.T) {
+	l := randomLog(t, 82, 60, 900, 3000)
+	spec := events.WindowSpec{T0: 0, Delta: 300, Slide: 90, Count: 30}
+	pool := sched.NewPool(2)
+	defer pool.Close()
+	for _, c := range []struct {
+		name    string
+		mode    ParallelMode
+		pool    *sched.Pool
+		running int // units that can run at once
+	}{
+		{"serial", AppLevel, nil, 1},
+		{"window-2", WindowLevel, pool, 2},
+		{"app-2", AppLevel, pool, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := equivCfg(c.mode, true)
+			cfg.NumMultiWindows = spec.Count
+			cfg.DiscardRanks = true
+			eng, err := NewEngine(l, spec, cfg, c.pool)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			if len(eng.Plan().Units) != spec.Count {
+				t.Fatalf("plan has %d units, want one per window", len(eng.Plan().Units))
+			}
+			largest := largestUnitFootprint(t, eng, c.pool).bytes()
+			for run := 1; run <= 3; run++ {
+				before := eng.ScratchStats()
+				if _, err := eng.Run(context.Background()); err != nil {
+					t.Fatalf("Run %d: %v", run, err)
+				}
+				d := eng.ScratchStats().Delta(before)
+				if run > 1 && c.running == 1 && d.Misses != 0 {
+					t.Fatalf("Run %d allocated %d buffers: %+v", run, d.Misses, d)
+				}
+				if d.Outstanding() != 0 {
+					t.Fatalf("Run %d left %d buffers checked out", run, d.Outstanding())
+				}
+				idle := eng.solve.arena.idle
+				if len(idle) < 1 || len(idle) > c.running {
+					t.Fatalf("Run %d: arena holds %d workspaces, want 1..%d", run, len(idle), c.running)
+				}
+				var bytes int64
+				for _, ws := range idle {
+					bytes += footprintOf(ws).bytes()
+				}
+				if bytes > int64(len(idle))*largest {
+					t.Fatalf("Run %d: %d workspaces pin %d bytes, more than %d × the largest unit's %d",
+						run, len(idle), bytes, len(idle), largest)
+				}
+			}
+		})
 	}
-	before := a.stats()
-	sb2.putF64(sb2.getF64(8))
-	if d := a.stats().Delta(before); d.Misses != 0 {
-		t.Fatalf("re-acquired pooled buffer lost its free list: %+v", d)
+}
+
+// footprint is what a workspace pins: the bytes of each role buffer,
+// and its stash's vector count and longest vector.
+type footprint struct {
+	roles        [5]int64 // end, invdeg, index, z, lanes
+	ranks, rankN int
+}
+
+func footprintOf(ws *workspace) footprint {
+	f := footprint{roles: [5]int64{
+		bufBytes(ws.end), bufBytes(ws.invdeg), bufBytes(ws.index), bufBytes(ws.z),
+		bufBytes(ws.laneN) + bufBytes(ws.laneSum) + bufBytes(ws.laneD) + bufBytes(ws.laneR),
+	}}
+	for _, r := range ws.ranks {
+		f.ranks, f.rankN = f.ranks+1, max(f.rankN, cap(r))
 	}
+	return f
+}
+
+func (f footprint) bytes() int64 {
+	b := int64(f.ranks*f.rankN) * 8
+	for _, r := range f.roles {
+		b += r
+	}
+	return b
+}
+
+// largestUnitFootprint solves each of eng's units alone on a fresh
+// stage and returns the role-by-role maximum of their workspaces.
+func largestUnitFootprint(t *testing.T, eng *Engine, pool *sched.Pool) footprint {
+	t.Helper()
+	var largest footprint
+	for ui, u := range eng.Plan().Units {
+		plan := *eng.Plan()
+		plan.Units = []SolveUnit{u}
+		st := NewSolveStage(pool)
+		if _, err := st.Run(context.Background(), &plan); err != nil {
+			t.Fatalf("unit %d alone: %v", ui, err)
+		}
+		for _, ws := range st.arena.idle {
+			f := footprintOf(ws)
+			for r := range f.roles {
+				largest.roles[r] = max(largest.roles[r], f.roles[r])
+			}
+			largest.ranks, largest.rankN = max(largest.ranks, f.ranks), max(largest.rankN, f.rankN)
+		}
+	}
+	if largest.bytes() == 0 {
+		t.Fatalf("no unit pinned any memory")
+	}
+	return largest
+}
+
+func bufBytes[T any](s []T) int64 {
+	var zero T
+	return int64(cap(s)) * int64(unsafe.Sizeof(zero))
 }

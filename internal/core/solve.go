@@ -10,11 +10,11 @@ import (
 )
 
 // SolveStage executes solve plans on a pool. It owns the scratch arena
-// (kernel working memory, reused across Run calls, so steady-state
-// iteration is allocation-free from the second window onward); its
-// only telemetry is the plan's Cfg.Journal. One stage solves many plans
-// sequentially; concurrent Run calls on the same stage are not allowed
-// (the Engine guards this with ErrConcurrentRun).
+// (one workspace per running unit, reused across Run calls, so
+// steady-state iteration is allocation-free from the second window
+// onward); its only telemetry is the plan's Cfg.Journal. One stage
+// solves many plans sequentially; concurrent Run calls on the same
+// stage are not allowed (the Engine guards this with ErrConcurrentRun).
 type SolveStage struct {
 	pool  *sched.Pool
 	arena *scratchArena
@@ -28,7 +28,7 @@ type SolveStage struct {
 // NewSolveStage creates a solve stage for pool (nil = serial
 // execution).
 func NewSolveStage(pool *sched.Pool) *SolveStage {
-	return &SolveStage{pool: pool, arena: newArena(pool)}
+	return &SolveStage{pool: pool, arena: newScratchArena(pool)}
 }
 
 // Completed reports how many windows the in-flight (or most recent)
@@ -76,11 +76,12 @@ type SolveOutput struct {
 // Run executes the plan. On cancellation it returns a *CanceledError
 // (matching ErrCanceled) carrying how many windows completed; the
 // scratch arena is left consistent — the kernel's Finalize runs even
-// on the cancel path — so the stage can be reused immediately. Window
-// faults (panics, injected errors) are absorbed by the failure ladder:
-// failed windows retry, degrade to the serial vertex loop, and finally
-// quarantine in the results, so the only error paths out of a started
-// run are cancellation and validation.
+// on the cancel path, and every unit gives its workspace back — so the
+// stage can be reused immediately. Window faults (panics, injected
+// errors) are absorbed by the failure ladder: failed windows retry,
+// degrade to the serial vertex loop, and finally quarantine in the
+// results, so the only error paths out of a started run are
+// cancellation and validation.
 func (st *SolveStage) Run(ctx context.Context, plan *SolvePlan) (out SolveOutput, err error) {
 	defer emitStage(plan.Cfg.Journal, "solve", &err)()
 	r := &solveRun{
@@ -266,16 +267,16 @@ func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 // resume checkpoint holds are restored instead of solved
 // (restoreWindow). Under Cfg.DiscardRanks a window's rank vector is
 // recycled as soon as its successor has consumed it — including the
-// final window's vector after the loop.
+// final window's vector after the loop. The unit holds one workspace
+// from the arena throughout; all its windows' buffers come from it.
 func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	u := &r.plan.Units[ui]
 	mw := u.MW
-	sb, release := r.arena.acquire(wid)
-	defer release()
+	ws := r.arena.take()
+	defer r.arena.give(ws)
 	cfg := &r.plan.Cfg
-	b := Batch{cfg: cfg, scratch: sb, loop: loop, mw: mw, gaussSeidel: r.plan.Update() == UpdateGaussSeidel}
-	b.chain.open(mw, mw.WinLo+u.Lo, mw.WinLo+u.Hi, sb)
-	defer b.chain.close(sb)
+	b := Batch{cfg: cfg, ws: ws, loop: loop, mw: mw, gaussSeidel: r.plan.Update() == UpdateGaussSeidel}
+	b.chain.open(mw, mw.WinLo+u.Lo, mw.WinLo+u.Hi, ws)
 	r.initRunsVisited.Add(b.chain.walked)
 
 	// prev is the rank vector of the window before w, kept until w has
@@ -305,7 +306,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		r.journal.EmitWindowStart(w, wid)
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage) {
-			recycleUndecided(sb, &b.result)
+			recycleUndecided(ws, &b.result)
 			break // canceled mid-attempt
 		}
 		res := &b.result
@@ -316,7 +317,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		r.windowDecided(res)
 		if cfg.DiscardRanks && prev != nil {
 			// w has consumed its predecessor's vector; recycle it.
-			sb.putF64(prev)
+			ws.recycle(prev)
 		}
 		prev = res.ranks
 		if cfg.DiscardRanks {
@@ -329,7 +330,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	}
 	if cfg.DiscardRanks && prev != nil {
 		// The final window's vector has no consumer.
-		sb.putF64(prev)
+		ws.recycle(prev)
 	}
 }
 
@@ -337,7 +338,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 // vertex loop and on the degrade path alike: Init stages the window,
 // each iteration advances it until its residual drops below the
 // tolerance, and Finalize always runs — cancellation included — so the
-// scratch lease is returned on every exit path. The window's scan work
+// workspace stays consistent on every exit path. The window's scan work
 // (indexed runs × sweeps), the runs its Init inserted into or removed
 // from the chain's index and the active vertices its sweeps advanced
 // are counted with one add each.
@@ -383,9 +384,9 @@ func errorBound(alpha, residual float64) float64 {
 // recycleUndecided returns the rank vector Finalize staged for a
 // window that solveBatchFT left undecided: the run is ending with an
 // error, so nothing will consume it.
-func recycleUndecided(sb *scratchBuf, res *WindowResult) {
+func recycleUndecided(ws *workspace, res *WindowResult) {
 	if res.ranks != nil {
-		sb.putF64(res.ranks)
+		ws.recycle(res.ranks)
 		res.ranks = nil
 	}
 }

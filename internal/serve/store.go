@@ -78,7 +78,10 @@ type RankStore struct {
 	windows     []storeWindow
 	// span holds, per vertex, the window range [lo, hi) its entries lie
 	// in (lo == hi for a vertex with no entry): Trajectory searches only
-	// those windows and leaves the rest at 0.
+	// those windows and leaves the rest at 0. It reaches only the largest
+	// vertex id any window names, not the declared universe, so a header
+	// declaring billions of vertices costs nothing; ids past it have no
+	// entries.
 	span []windowSpan
 	// generation distinguishes successively published stores; the query
 	// cache folds it into every key so entries from a replaced store can
@@ -102,7 +105,6 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 	st := &RankStore{
 		spec: spec, numVertices: n,
 		windows: make([]storeWindow, spec.Count),
-		span:    make([]windowSpan, n),
 	}
 	// pairs is the byRank sort's scratch, reused for every window.
 	var pairs []rankEntry
@@ -128,6 +130,10 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 		// Validate guarantees strictly increasing vertices, so the entry
 		// index tie-break is the ascending-vertex tie-break.
 		pairs = slices.Grow(pairs[:0], len(sw.ranks))
+		if k := len(sw.vertices); k > 0 && int(sw.vertices[k-1]) >= len(st.span) {
+			// The last vertex is the window's largest.
+			st.span = append(st.span, make([]windowSpan, int(sw.vertices[k-1])+1-len(st.span))...)
+		}
 		for j, v := range sw.vertices {
 			sp := &st.span[v]
 			if sp.hi == 0 {
@@ -201,6 +207,9 @@ func (s *RankStore) Trajectory(v int32) ([]float64, error) {
 		return nil, fmt.Errorf("serve: vertex %d outside [0, %d)", v, s.numVertices)
 	}
 	out := make([]float64, len(s.windows))
+	if int(v) >= len(s.span) {
+		return out, nil
+	}
 	sp := s.span[v]
 	for w := sp.lo; w < sp.hi; w++ {
 		sw := &s.windows[w]

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -182,6 +184,45 @@ func TestTrajectoryMatchesPerWindowSearch(t *testing.T) {
 		if !reflect.DeepEqual(at, present) {
 			t.Fatalf("vertex %d present in windows %v, want %v", v, at, present)
 		}
+	}
+}
+
+// TestStoreIgnoresDeclaredUniverse feeds NewStore a tiny .pmrs file
+// whose header declares 2³¹−1 vertices: the header plus one empty
+// window. It passes results.Read, and the store must build without
+// sizing anything by the declared count; a trajectory of an id no
+// window names reads zero in every window.
+func TestStoreIgnoresDeclaredUniverse(t *testing.T) {
+	const n = math.MaxInt32
+	var buf bytes.Buffer
+	src := &results.Series{
+		Spec:        events.WindowSpec{T0: 0, Delta: 10, Slide: 10, Count: 1},
+		NumVertices: n,
+		Windows:     []results.WindowRanks{{Window: 0}},
+	}
+	if err := results.Write(&buf, src); err != nil {
+		t.Fatal(err)
+	}
+	if buf.Len() > 64 {
+		t.Fatalf("file is %d bytes; want a header and one empty window", buf.Len())
+	}
+	decoded, err := results.Read(&buf)
+	if err != nil {
+		t.Fatalf("results.Read: %v", err)
+	}
+	st, err := NewStore(decoded)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	if len(st.span) != 0 || st.NumVertices() != n {
+		t.Fatalf("span has %d entries for %d declared vertices, want none", len(st.span), st.NumVertices())
+	}
+	got, err := st.Trajectory(n - 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, []float64{0}) {
+		t.Fatalf("Trajectory(%d) = %v, want [0]", n-1, got)
 	}
 }
 
