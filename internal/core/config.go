@@ -74,17 +74,18 @@ type Config struct {
 	// Grain is the scheduler grain size (the figures' "WS granularity").
 	Grain int
 	// Directed keeps edge direction; when false the caller is expected
-	// to have symmetrized the log.
+	// to have symmetrized the log (Validate checks it).
 	Directed bool
 	// DiscardRanks drops each window's rank vector once its successor
 	// has consumed it, keeping only the per-window statistics. Used by
 	// benchmarks to avoid measuring result-retention memory traffic.
 	DiscardRanks bool
 	// Validate enables the structural invariant checks from
-	// internal/invariant: the temporal CSR layout and window coverage
-	// are validated when the engine is constructed, and every window's
-	// rank vector is validated (stochasticity, non-negativity, active
-	// count) after its solve. Validation is read-only and adds O(events
+	// internal/invariant: the temporal CSR layout, window coverage and,
+	// when Directed is false, the log's symmetry are validated when the
+	// engine is constructed, and every window's rank vector is
+	// validated (stochasticity, non-negativity, active count) after its
+	// solve. Validation is read-only and adds O(events
 	// + windows*vertices) work, so it is meant for tests, fuzzing, and
 	// debugging rather than benchmark runs.
 	Validate bool

@@ -99,6 +99,31 @@ func TestNewEngineRejectsCorruptTemporal(t *testing.T) {
 	}
 }
 
+// TestNewEngineRejectsUnsymmetrizedLog checks the undirected input
+// contract: with Validate on, an undirected engine refuses a log the
+// caller did not symmetrize and accepts its symmetrized form, and a
+// directed engine accepts either.
+func TestNewEngineRejectsUnsymmetrizedLog(t *testing.T) {
+	l := randomLog(t, 14, 20, 100, 400)
+	spec := events.WindowSpec{T0: 0, Delta: 120, Slide: 70, Count: 5}
+	cfg := DefaultConfig()
+	cfg.Validate = true
+	_, err := NewEngine(l, spec, cfg, nil)
+	if err == nil {
+		t.Fatal("undirected engine accepted an unsymmetrized log with Validate on")
+	}
+	if !strings.Contains(err.Error(), "invariant") {
+		t.Fatalf("unexpected rejection: %v", err)
+	}
+	if _, err := NewEngine(l.Symmetrize(), spec, cfg, nil); err != nil {
+		t.Fatalf("symmetrized log rejected: %v", err)
+	}
+	cfg.Directed = true
+	if _, err := NewEngine(l, spec, cfg, nil); err != nil {
+		t.Fatalf("directed engine rejected a directed log: %v", err)
+	}
+}
+
 // TestConfigCheck covers the renamed parameter checker.
 func TestConfigCheck(t *testing.T) {
 	if err := DefaultConfig().Check(); err != nil {

@@ -332,54 +332,61 @@ func TestTimeShiftIsInvariant(t *testing.T) {
 // events that share a timestamp names the same edges in the same
 // vertex order, so ranks, iteration counts and residuals must be
 // bit-identical. Runs are serial, whose warm-start chains are
-// deterministic.
+// deterministic. The undirected half solves the symmetrized log, as
+// Config.Directed requires (Validate checks it), and shuffles its ties
+// after symmetrizing, so an edge and its reverse trade places too.
 func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 	const n = 30
 	for seed := int64(0); seed < 5; seed++ {
-		l := randomLog(t, 800+seed, n, 400, 1200)
-		spec, err := events.Span(l, 240, 67)
+		raw := randomLog(t, 800+seed, n, 400, 1200)
+		spec, err := events.Span(raw, 240, 67)
 		if err != nil {
 			t.Fatalf("Span: %v", err)
 		}
 		rng := rand.New(rand.NewSource(seed))
 		perm := rng.Perm(n)
-		relabeled := append([]events.Event(nil), l.Events()...)
-		for i := range relabeled {
-			relabeled[i].U, relabeled[i].V = int32(perm[relabeled[i].U]), int32(perm[relabeled[i].V])
-		}
-		shuffled := append([]events.Event(nil), l.Events()...)
-		tied := 0
-		for lo := 0; lo < len(shuffled); {
-			hi := lo + 1
-			for hi < len(shuffled) && shuffled[hi].T == shuffled[lo].T {
-				hi++
+		for _, directed := range []bool{false, true} {
+			l := raw
+			if !directed {
+				l = raw.Symmetrize()
 			}
-			if hi-lo > 1 {
-				tied += hi - lo
-				group := shuffled[lo:hi]
-				rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+			relabeled := append([]events.Event(nil), l.Events()...)
+			for i := range relabeled {
+				relabeled[i].U, relabeled[i].V = int32(perm[relabeled[i].U]), int32(perm[relabeled[i].V])
 			}
-			lo = hi
-		}
-		if tied == 0 {
-			t.Fatalf("seed %d: log has no tied timestamps to shuffle", seed)
-		}
-		relabeledLog, err := events.NewLogSorted(relabeled, n)
-		if err != nil {
-			t.Fatalf("NewLogSorted: %v", err)
-		}
-		shuffledLog, err := events.NewLogSorted(shuffled, n)
-		if err != nil {
-			t.Fatalf("NewLogSorted: %v", err)
-		}
-		for _, partial := range []bool{false, true} {
-			for _, directed := range []bool{false, true} {
+			shuffled := append([]events.Event(nil), l.Events()...)
+			tied := 0
+			for lo := 0; lo < len(shuffled); {
+				hi := lo + 1
+				for hi < len(shuffled) && shuffled[hi].T == shuffled[lo].T {
+					hi++
+				}
+				if hi-lo > 1 {
+					tied += hi - lo
+					group := shuffled[lo:hi]
+					rng.Shuffle(len(group), func(i, j int) { group[i], group[j] = group[j], group[i] })
+				}
+				lo = hi
+			}
+			if tied == 0 {
+				t.Fatalf("seed %d directed=%v: log has no tied timestamps to shuffle", seed, directed)
+			}
+			relabeledLog, err := events.NewLogSorted(relabeled, n)
+			if err != nil {
+				t.Fatalf("NewLogSorted: %v", err)
+			}
+			shuffledLog, err := events.NewLogSorted(shuffled, n)
+			if err != nil {
+				t.Fatalf("NewLogSorted: %v", err)
+			}
+			for _, partial := range []bool{false, true} {
 				label := fmt.Sprintf("seed %d partial=%v directed=%v", seed, partial, directed)
 				cfg := DefaultConfig()
 				cfg.PartialInit = partial
 				cfg.Directed = directed
 				cfg.NumMultiWindows = 3
 				cfg.Opts.Tol = 1e-14
+				cfg.Validate = true
 				want := runSeries(t, l, spec, cfg, label)
 				moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
 				reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")

@@ -15,6 +15,7 @@ package core
 import (
 	"cmp"
 	"errors"
+	"fmt"
 	"time"
 
 	"pmpr/internal/events"
@@ -81,6 +82,11 @@ func (BuildStage) Run(in BuildInput) (out BuildOutput, err error) {
 	}
 	if err := in.Cfg.Check(); err != nil {
 		return BuildOutput{}, err
+	}
+	if in.Cfg.Validate && !in.Cfg.Directed {
+		if err := invariant.CheckSymmetric(in.Log); err != nil {
+			return BuildOutput{}, fmt.Errorf("core: undirected solve of an unsymmetrized log: %w", err)
+		}
 	}
 	start := time.Now()
 	tg, err := tcsr.Build(in.Log, in.Spec, in.Cfg.NumMultiWindows, in.Cfg.Directed)

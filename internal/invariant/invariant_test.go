@@ -239,3 +239,31 @@ func TestViolationTruncation(t *testing.T) {
 		t.Error("truncation not announced")
 	}
 }
+
+func TestCheckSymmetric(t *testing.T) {
+	if err := invariant.CheckSymmetric(testLog(t).Symmetrize()); err != nil {
+		t.Errorf("symmetrized log rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		evs  []events.Event
+		ok   bool
+	}{
+		{"self-loop", []events.Event{{U: 2, V: 2, T: 1}}, true},
+		{"pair at one time", []events.Event{{U: 0, V: 1, T: 4}, {U: 1, V: 0, T: 4}}, true},
+		{"one direction", []events.Event{{U: 0, V: 1, T: 4}}, false},
+		{"reverse at another time", []events.Event{{U: 0, V: 1, T: 4}, {U: 1, V: 0, T: 5}}, false},
+		{"unbalanced duplicate", []events.Event{{U: 0, V: 1, T: 4}, {U: 0, V: 1, T: 4}, {U: 1, V: 0, T: 4}}, false},
+	} {
+		l, err := events.NewLog(tc.evs, 3)
+		if err != nil {
+			t.Fatalf("%s: NewLog: %v", tc.name, err)
+		}
+		if err := invariant.CheckSymmetric(l); (err == nil) != tc.ok {
+			t.Errorf("%s: CheckSymmetric = %v, want ok=%v", tc.name, err, tc.ok)
+		}
+	}
+	if err := invariant.CheckSymmetric(testLog(t)); err == nil {
+		t.Error("directed log accepted as symmetric")
+	}
+}

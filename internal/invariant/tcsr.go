@@ -189,6 +189,35 @@ func CheckCoverage(tg *tcsr.Temporal, l *events.Log) error {
 	return v.err()
 }
 
+// CheckSymmetric validates the undirected input contract: at every
+// timestamp, each edge (u, v) occurs as often as (v, u), as
+// events.Log.Symmetrize leaves a log. An undirected build reads a
+// vertex's in-edges as its out-edges, which is right only for such a
+// log.
+func CheckSymmetric(l *events.Log) error {
+	var v violations
+	evs := l.Events()
+	balance := make(map[[2]int32]int)
+	for lo := 0; lo < len(evs); {
+		hi := lo
+		for hi < len(evs) && evs[hi].T == evs[lo].T {
+			e := evs[hi]
+			balance[[2]int32{e.U, e.V}]++
+			balance[[2]int32{e.V, e.U}]--
+			hi++
+		}
+		for uv, d := range balance {
+			if d > 0 {
+				v.addf("invariant: edge (%d,%d) occurs %d more times than (%d,%d) at t=%d",
+					uv[0], uv[1], d, uv[1], uv[0], evs[lo].T)
+			}
+		}
+		clear(balance)
+		lo = hi
+	}
+	return v.err()
+}
+
 // hasEntry reports whether the out-adjacency of local vertex u holds an
 // entry (c, t). Rows are sorted by (neighbor, time) but duplicates are
 // legal, so a linear scan with early exit is simplest and safe.

@@ -7,7 +7,8 @@ import (
 )
 
 // FuzzRead asserts the series decoder never panics on corrupt input,
-// and that anything it accepts satisfies the full validation contract:
+// never allocates more than a constant per input byte plus one chunk
+// (readAllocBudget), and that anything it accepts satisfies the full validation contract:
 // structurally consistent windows (sequential labels, sorted in-range
 // vertices, positive finite ranks) that survive a Write/Read round
 // trip unchanged. Together these are the properties internal/serve
@@ -20,7 +21,12 @@ func FuzzRead(f *testing.F) {
 	f.Add([]byte("PMRS"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, in []byte) {
-		s, err := Read(bytes.NewReader(in))
+		var s *Series
+		var err error
+		alloc := allocatedBy(func() { s, err = Read(bytes.NewReader(in)) })
+		if budget := readAllocBudget(len(in)); alloc > budget {
+			t.Fatalf("Read allocated %d bytes for a %d-byte input (budget %d, err %v)", alloc, len(in), budget, err)
+		}
 		if err != nil {
 			return
 		}

@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 	"sort"
 
 	"pmpr/internal/events"
@@ -37,6 +38,15 @@ const (
 
 	flagConverged   = 1 << 0
 	flagPartialInit = 1 << 1
+
+	// windowHeaderSize is a window record's header: index, iterations,
+	// flags and entry count.
+	windowHeaderSize = 4 + 4 + 1 + 4
+	// entrySize is one encoded (vertex int32, rank float64) entry.
+	entrySize = 4 + 8
+	// chunkEntries bounds the entries Read decodes per read call (48 KB),
+	// and so what it allocates for a window before its bytes arrive.
+	chunkEntries = 4096
 )
 
 // CorruptError reports a structural violation found while decoding or
@@ -191,7 +201,9 @@ func Write(w io.Writer, src SeriesSource) error {
 	if _, err := bw.Write(hdr); err != nil {
 		return err
 	}
-	rec := make([]byte, 12)
+	// buf holds one window's record (header and entries), reused for
+	// every window so bufio sees a single Write per window.
+	var buf []byte
 	for i := 0; i < spec.Count; i++ {
 		wr := src.WindowAt(i)
 		if err := wr.Validate(i, n); err != nil {
@@ -204,20 +216,20 @@ func Write(w io.Writer, src SeriesSource) error {
 		if wr.UsedPartialInit {
 			flags |= flagPartialInit
 		}
-		whdr := make([]byte, 13)
-		binary.LittleEndian.PutUint32(whdr[0:], uint32(wr.Window))
-		binary.LittleEndian.PutUint32(whdr[4:], uint32(wr.Iterations))
-		whdr[8] = flags
-		binary.LittleEndian.PutUint32(whdr[9:], uint32(len(wr.Vertices)))
-		if _, err := bw.Write(whdr); err != nil {
-			return err
-		}
+		size := windowHeaderSize + entrySize*len(wr.Vertices)
+		buf = slices.Grow(buf[:0], size)[:size]
+		binary.LittleEndian.PutUint32(buf[0:], uint32(wr.Window))
+		binary.LittleEndian.PutUint32(buf[4:], uint32(wr.Iterations))
+		buf[8] = flags
+		binary.LittleEndian.PutUint32(buf[9:], uint32(len(wr.Vertices)))
+		entries := buf[windowHeaderSize:]
 		for j, v := range wr.Vertices {
-			binary.LittleEndian.PutUint32(rec[0:], uint32(v))
-			binary.LittleEndian.PutUint64(rec[4:], uint64(floatBits(wr.Ranks[j])))
-			if _, err := bw.Write(rec); err != nil {
-				return err
-			}
+			e := entries[entrySize*j : entrySize*j+entrySize]
+			binary.LittleEndian.PutUint32(e[0:], uint32(v))
+			binary.LittleEndian.PutUint64(e[4:], math.Float64bits(wr.Ranks[j]))
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
 		}
 	}
 	return bw.Flush()
@@ -263,10 +275,12 @@ func Read(r io.Reader) (*Series, error) {
 		// universe would turn every in-range check below into nonsense.
 		return nil, corruptf(-1, "negative vertex count %d", s.NumVertices)
 	}
-	rec := make([]byte, 12)
+	var whdr [windowHeaderSize]byte
+	// chunk holds up to chunkEntries encoded entries, reused for every
+	// window; it grows to one chunk at most.
+	var chunk []byte
 	for i := 0; i < s.Spec.Count; i++ {
-		whdr := make([]byte, 13)
-		if _, err := io.ReadFull(br, whdr); err != nil {
+		if _, err := io.ReadFull(br, whdr[:]); err != nil {
 			return nil, fmt.Errorf("results: window %d header: %w", i, err)
 		}
 		wr := WindowRanks{
@@ -275,18 +289,36 @@ func Read(r io.Reader) (*Series, error) {
 			Converged:       whdr[8]&flagConverged != 0,
 			UsedPartialInit: whdr[8]&flagPartialInit != 0,
 		}
-		count := binary.LittleEndian.Uint32(whdr[9:])
-		if count > maxReasonable {
-			return nil, corruptf(i, "implausible entry count %d", count)
+		declared := binary.LittleEndian.Uint32(whdr[9:])
+		if declared > maxReasonable {
+			return nil, corruptf(i, "implausible entry count %d", declared)
 		}
-		// Grow incrementally so a corrupt count fails with a truncation
-		// error rather than a huge allocation.
-		for j := uint32(0); j < count; j++ {
-			if _, err := io.ReadFull(br, rec); err != nil {
-				return nil, fmt.Errorf("results: window %d entry %d: %w", i, j, err)
+		count := int(declared)
+		if count > 0 {
+			// Sized by at most one chunk: a corrupt count fails with a
+			// truncation error below, before the slices grow past the
+			// bytes that actually arrived.
+			wr.Vertices = make([]int32, 0, min(count, chunkEntries))
+			wr.Ranks = make([]float64, 0, min(count, chunkEntries))
+		}
+		for done := 0; done < count; {
+			k := min(count-done, chunkEntries)
+			if cap(chunk) < entrySize*k {
+				chunk = make([]byte, entrySize*k)
 			}
-			wr.Vertices = append(wr.Vertices, int32(binary.LittleEndian.Uint32(rec[0:])))
-			wr.Ranks = append(wr.Ranks, bitsFloat(binary.LittleEndian.Uint64(rec[4:])))
+			chunk = chunk[:entrySize*k]
+			if _, err := io.ReadFull(br, chunk); err != nil {
+				return nil, fmt.Errorf("results: window %d entries %d to %d: %w", i, done, done+k-1, err)
+			}
+			wr.Vertices = slices.Grow(wr.Vertices, k)[:done+k]
+			wr.Ranks = slices.Grow(wr.Ranks, k)[:done+k]
+			vs, rs := wr.Vertices[done:], wr.Ranks[done:]
+			for j := range vs {
+				e := chunk[entrySize*j : entrySize*j+entrySize]
+				vs[j] = int32(binary.LittleEndian.Uint32(e[0:]))
+				rs[j] = math.Float64frombits(binary.LittleEndian.Uint64(e[4:]))
+			}
+			done += k
 		}
 		if err := wr.Validate(i, s.NumVertices); err != nil {
 			return nil, err
@@ -295,6 +327,3 @@ func Read(r io.Reader) (*Series, error) {
 	}
 	return s, nil
 }
-
-func floatBits(f float64) uint64 { return math.Float64bits(f) }
-func bitsFloat(b uint64) float64 { return math.Float64frombits(b) }

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"io"
 	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"pmpr/internal/events"
@@ -62,6 +65,87 @@ func TestRoundTrip(t *testing.T) {
 		if !reflect.DeepEqual(got.Windows[w], src.windows[w]) {
 			t.Fatalf("window %d mismatch:\n got %+v\nwant %+v", w, got.Windows[w], src.windows[w])
 		}
+	}
+}
+
+// goldenSource is the series behind testdata/golden.pmrs:
+// randomSource(6) with window 3 emptied and a few ranks at the ends of
+// the float64 range. The file was written by the earlier encoder that
+// wrote one 12-byte entry at a time.
+func goldenSource() memSource {
+	src := randomSource(6)
+	src.windows[3].Vertices, src.windows[3].Ranks = nil, nil
+	src.windows[1].Ranks[0] = math.SmallestNonzeroFloat64
+	src.windows[1].Ranks[1] = math.Nextafter(math.SmallestNonzeroFloat64, 1)
+	src.windows[5].Ranks[2] = math.MaxFloat64
+	return src
+}
+
+// TestGoldenBytes pins the format to committed bytes: Write must
+// reproduce testdata/golden.pmrs exactly, and Read must decode it to
+// the series it was written from.
+func TestGoldenBytes(t *testing.T) {
+	want, err := os.ReadFile("testdata/golden.pmrs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := goldenSource()
+	var empty, bothFlags bool
+	for _, wr := range src.windows {
+		empty = empty || len(wr.Vertices) == 0
+		bothFlags = bothFlags || (wr.Converged && wr.UsedPartialInit && len(wr.Vertices) > 0)
+	}
+	if !empty || !bothFlags {
+		t.Fatalf("golden source lacks an empty window (%v) or a non-empty window with both flags (%v)", empty, bothFlags)
+	}
+	var buf bytes.Buffer
+	if err := Write(&buf, src); err != nil {
+		t.Fatalf("Write: %v", err)
+	}
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("Write produced %d bytes that differ from the golden file's %d", buf.Len(), len(want))
+	}
+	got, err := Read(bytes.NewReader(want))
+	if err != nil {
+		t.Fatalf("Read: %v", err)
+	}
+	if wantSeries := (&Series{Spec: src.spec, NumVertices: src.n, Windows: src.windows}); !reflect.DeepEqual(got, wantSeries) {
+		t.Fatalf("Read decoded the golden file to\n%+v,\nwant %+v", got, wantSeries)
+	}
+}
+
+// allocatedBy returns the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// readAllocBudget bounds what Read may allocate for an input of size
+// bytes, accepted or rejected: a constant per input byte (an empty
+// window is 13 bytes that decode to a WindowRanks in a doubling
+// slice) plus one chunk, which is paid twice before its bytes are
+// known to exist (the read buffer and the window's first slices), plus
+// the bufio buffer and the header.
+func readAllocBudget(size int) uint64 {
+	return uint64(32*size + 2*entrySize*chunkEntries + 16<<10)
+}
+
+// TestReadOverdeclaredWindowFailsCheaply feeds Read a window whose
+// header declares 2²⁸−1 entries but which carries one entry's 12
+// bytes: it must fail as a truncation, allocating well under 1 MB.
+func TestReadOverdeclaredWindowFailsCheaply(t *testing.T) {
+	raw := writeRaw(t, oneWindowSource(4, WindowRanks{Vertices: []int32{1}, Ranks: []float64{1}}))
+	binary.LittleEndian.PutUint32(raw[len(raw)-entrySize-4:], 1<<28-1)
+	var err error
+	alloc := allocatedBy(func() { _, err = Read(bytes.NewReader(raw)) })
+	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+		t.Fatalf("Read = %v, want a truncation error", err)
+	}
+	if alloc >= 1<<20 || alloc > readAllocBudget(len(raw)) {
+		t.Fatalf("Read allocated %d bytes for a %d-byte input", alloc, len(raw))
 	}
 }
 

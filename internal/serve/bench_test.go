@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"pmpr/internal/events"
@@ -141,6 +142,67 @@ func BenchmarkTrajectoryCold(b *testing.B) {
 		benchSink = encodeTrajectory(v, st.spec, ranks)
 	}
 }
+
+// storeShapes are the series of perf/'s two inputs: overlap (wikitalk,
+// 633 90-day windows sliding 3 days, ~935 entries each, at most 2,033)
+// and short (stackoverflow, 2,598 10-day windows sliding 1 day, ~34
+// entries each, at most 98). Entry counts are uniform in [lo, hi)
+// except one window of exactly peak entries.
+var storeShapes = []struct {
+	name         string
+	windows      int
+	n            int32
+	lo, hi, peak int
+}{
+	{name: "overlap", windows: 633, n: 8018, lo: 72, hi: 1798, peak: 2033},
+	{name: "short", windows: 2598, n: 4825, lo: 2, hi: 66, peak: 98},
+}
+
+// BenchmarkNewStore builds the serving layout of each shape's series.
+// Like a solved series, about half of each window's ranks repeat one
+// of a few values (vertices with the same in-edges share a rank).
+func BenchmarkNewStore(b *testing.B) {
+	for _, sh := range storeShapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			s := &results.Series{
+				Spec:        events.WindowSpec{T0: 0, Delta: 100, Slide: 10, Count: sh.windows},
+				NumVertices: sh.n,
+			}
+			tied := []float64{0.15, 0.2, 0.25, 0.4}
+			for w := 0; w < sh.windows; w++ {
+				k := sh.lo + rng.Intn(sh.hi-sh.lo)
+				if w == sh.windows/2 {
+					k = sh.peak
+				}
+				wr := results.WindowRanks{Window: w, Iterations: 20, Converged: true}
+				for _, v := range rng.Perm(int(sh.n))[:k] {
+					wr.Vertices = append(wr.Vertices, int32(v))
+				}
+				slices.Sort(wr.Vertices)
+				for range wr.Vertices {
+					r := tied[rng.Intn(len(tied))]
+					if rng.Intn(2) == 0 {
+						r += rng.ExpFloat64()
+					}
+					wr.Ranks = append(wr.Ranks, r/float64(k))
+				}
+				s.Windows = append(s.Windows, wr)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				st, err := NewStore(s)
+				if err != nil {
+					b.Fatal(err)
+				}
+				storeSink = st
+			}
+		})
+	}
+}
+
+var storeSink *RankStore
 
 // benchSink keeps the benchmarked bodies from being optimized away.
 var benchSink []byte

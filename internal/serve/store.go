@@ -12,6 +12,7 @@ package serve
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
 	"pmpr/internal/events"
@@ -61,12 +62,6 @@ type storeWindow struct {
 // windowSpan is a vertex's window range [lo, hi).
 type windowSpan struct{ lo, hi int32 }
 
-// rankEntry is one (rank, entry index) pair of the byRank sort.
-type rankEntry struct {
-	rank float64
-	idx  int32
-}
-
 // RankStore is an immutable in-memory rank series laid out for
 // queries. All methods are safe for unlimited concurrent use: nothing
 // is mutated after NewStore returns, so readers share it without
@@ -106,8 +101,7 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 		spec: spec, numVertices: n,
 		windows: make([]storeWindow, spec.Count),
 	}
-	// pairs is the byRank sort's scratch, reused for every window.
-	var pairs []rankEntry
+	var order rankOrder // the byRank sort's scratch, reused for every window
 	for i := 0; i < spec.Count; i++ {
 		wr := src.WindowAt(i)
 		if err := wr.Validate(i, n); err != nil {
@@ -127,39 +121,120 @@ func NewStore(src results.SeriesSource) (*RankStore, error) {
 			ranks:    wr.Ranks,
 			byRank:   make([]int32, wr.Len()),
 		}
-		// Validate guarantees strictly increasing vertices, so the entry
-		// index tie-break is the ascending-vertex tie-break.
-		pairs = slices.Grow(pairs[:0], len(sw.ranks))
 		if k := len(sw.vertices); k > 0 && int(sw.vertices[k-1]) >= len(st.span) {
 			// The last vertex is the window's largest.
 			st.span = append(st.span, make([]windowSpan, int(sw.vertices[k-1])+1-len(st.span))...)
 		}
-		for j, v := range sw.vertices {
+		for _, v := range sw.vertices {
 			sp := &st.span[v]
 			if sp.hi == 0 {
 				sp.lo = int32(i)
 			}
 			sp.hi = int32(i) + 1
-			pairs = append(pairs, rankEntry{rank: sw.ranks[j], idx: int32(j)})
 		}
-		slices.SortFunc(pairs, func(x, y rankEntry) int {
-			switch {
-			case x.rank > y.rank:
-				return -1
-			case x.rank < y.rank:
-				return 1
-			}
-			return int(x.idx - y.idx)
-		})
-		for j, p := range pairs {
-			sw.byRank[j] = p.idx
-		}
+		order.sort(sw.byRank, sw.ranks)
 		if len(sw.byRank) > 0 {
 			sw.meta.MaxRank = sw.ranks[sw.byRank[0]]
 		}
 		st.windows[i] = sw
 	}
 	return st, nil
+}
+
+// radixCutoff is the window size from which byRank is built by radix
+// passes; shorter windows keep the comparison sort, which a radix pass's
+// 256-bucket histograms cost more than. perf/'s short series has at
+// most 98 entries per window, its overlap series ~935.
+const radixCutoff = 256
+
+// rankOrder orders a window's entries by descending rank with
+// ascending entry index (= ascending vertex, which Validate makes
+// strictly increasing) as the tie-break. Its buffers are reused from
+// window to window, so they end sized to the largest window.
+type rankOrder struct {
+	pairs      []rankEntry
+	keys, tmpK []uint64
+	tmpI       []int32
+}
+
+// rankEntry is one (rank, entry index) pair of the comparison sort.
+type rankEntry struct {
+	rank float64
+	idx  int32
+}
+
+// sort writes into byRank the entry indices of ranks in byRank order.
+func (o *rankOrder) sort(byRank []int32, ranks []float64) {
+	if len(ranks) < radixCutoff {
+		o.comparison(byRank, ranks)
+		return
+	}
+	o.radix(byRank, ranks)
+}
+
+// comparison sorts (rank, entry index) pairs with a comparison sort.
+func (o *rankOrder) comparison(byRank []int32, ranks []float64) {
+	o.pairs = o.pairs[:0]
+	for j, r := range ranks {
+		o.pairs = append(o.pairs, rankEntry{rank: r, idx: int32(j)})
+	}
+	slices.SortFunc(o.pairs, func(x, y rankEntry) int {
+		switch {
+		case x.rank > y.rank:
+			return -1
+		case x.rank < y.rank:
+			return 1
+		}
+		return int(x.idx - y.idx)
+	})
+	for j, p := range o.pairs {
+		byRank[j] = p.idx
+	}
+}
+
+// radix is a stable LSD radix sort over 8-bit digits of the key
+// ^Float64bits(rank). Validate guarantees every rank is positive and
+// finite, and the bits of positive finite floats ascend as the floats
+// do, so the key ascends as the rank descends. Stability keeps equal
+// keys in ascending entry order, which is the tie-break. A digit that
+// is the same in every key moves nothing and is skipped.
+func (o *rankOrder) radix(byRank []int32, ranks []float64) {
+	n := len(ranks)
+	o.keys = slices.Grow(o.keys[:0], n)[:n]
+	o.tmpK = slices.Grow(o.tmpK[:0], n)[:n]
+	o.tmpI = slices.Grow(o.tmpI[:0], n)[:n]
+	var counts [8][256]int32
+	keys, idx := o.keys, byRank
+	for j, r := range ranks {
+		k := ^math.Float64bits(r)
+		keys[j], idx[j] = k, int32(j)
+		for d := range counts {
+			counts[d][byte(k>>(8*d))]++
+		}
+	}
+	dstK, dstI := o.tmpK, o.tmpI
+	for d := range counts {
+		c := &counts[d]
+		if c[byte(keys[0]>>(8*d))] == int32(n) {
+			continue
+		}
+		var sum int32
+		for b, m := range c {
+			c[b] = sum
+			sum += m
+		}
+		shift := 8 * d
+		for j, k := range keys {
+			b := byte(k >> shift)
+			dstK[c[b]], dstI[c[b]] = k, idx[j]
+			c[b]++
+		}
+		keys, dstK = dstK, keys
+		idx, dstI = dstI, idx
+	}
+	if &idx[0] != &byRank[0] {
+		copy(byRank, idx)
+	}
 }
 
 // Spec returns the window spec the store serves.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -226,25 +227,32 @@ func TestStoreIgnoresDeclaredUniverse(t *testing.T) {
 	}
 }
 
+// refByRank is the reference byRank order of sw: a comparison sort by
+// rank descending, then vertex ascending.
+func refByRank(sw *storeWindow) []int32 {
+	order := make([]int32, len(sw.vertices))
+	for j := range order {
+		order[j] = int32(j)
+	}
+	sort.Slice(order, func(x, y int) bool {
+		rx, ry := sw.ranks[order[x]], sw.ranks[order[y]]
+		if rx > ry {
+			return true
+		}
+		if rx < ry {
+			return false
+		}
+		return sw.vertices[order[x]] < sw.vertices[order[y]]
+	})
+	return order
+}
+
 func TestTopKOrder(t *testing.T) {
 	st := newRefStore(t)
 	var ties int
 	for w := range st.windows {
 		sw := &st.windows[w]
-		order := make([]int32, len(sw.vertices))
-		for j := range order {
-			order[j] = int32(j)
-		}
-		sort.Slice(order, func(x, y int) bool {
-			rx, ry := sw.ranks[order[x]], sw.ranks[order[y]]
-			if rx > ry {
-				return true
-			}
-			if rx < ry {
-				return false
-			}
-			return sw.vertices[order[x]] < sw.vertices[order[y]]
-		})
+		order := refByRank(sw)
 		if !reflect.DeepEqual(sw.byRank, order) {
 			t.Fatalf("window %d byRank = %v,\nwant %v", w, sw.byRank, order)
 		}
@@ -263,5 +271,70 @@ func TestTopKOrder(t *testing.T) {
 	}
 	if ties == 0 {
 		t.Fatal("no rank ties drawn; the tie-break went unchecked")
+	}
+}
+
+// TestByRankOrderAcrossCutoff checks byRank against the comparison
+// order on windows on both sides of radixCutoff, with ranks drawn to
+// trip a radix sort: bit-exact ties, neighbours one ULP apart,
+// subnormals, exponents spread over the whole float64 range, a window
+// whose entries are all equal, and a mix of these.
+func TestByRankOrderAcrossCutoff(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	draws := []struct {
+		name string
+		rank func() float64
+	}{
+		{"ties", func() float64 { return []float64{0.25, 1.0 / 3, 1e-5}[rng.Intn(3)] }},
+		{"ulp-neighbours", func() float64 { return math.Float64frombits(math.Float64bits(1.0/7) + uint64(rng.Intn(5))) }},
+		{"subnormal", func() float64 { return math.Float64frombits(1 + uint64(rng.Int63n(1<<52-1))) }},
+		{"exponents", func() float64 { return math.Ldexp(0.5+rng.Float64()/2, rng.Intn(2044)-1073) }},
+		{"all-equal", func() float64 { return 0.125 }},
+		{"mixed", func() float64 {
+			switch rng.Intn(4) {
+			case 0:
+				return math.SmallestNonzeroFloat64 * float64(1+rng.Intn(3))
+			case 1:
+				return math.MaxFloat64
+			case 2:
+				return math.Nextafter(0.5, float64(rng.Intn(2)))
+			}
+			return rng.ExpFloat64() + math.SmallestNonzeroFloat64
+		}},
+	}
+	sizes := []int{radixCutoff - 1, radixCutoff, radixCutoff + 1, 2100}
+	const n = 5000
+	s := &results.Series{
+		Spec:        events.WindowSpec{T0: 0, Delta: 10, Slide: 10, Count: len(draws) * len(sizes)},
+		NumVertices: n,
+	}
+	for _, d := range draws {
+		for _, k := range sizes {
+			wr := results.WindowRanks{Window: len(s.Windows)}
+			for _, v := range rng.Perm(n)[:k] {
+				wr.Vertices = append(wr.Vertices, int32(v))
+			}
+			slices.Sort(wr.Vertices)
+			for range wr.Vertices {
+				wr.Ranks = append(wr.Ranks, d.rank())
+			}
+			s.Windows = append(s.Windows, wr)
+		}
+	}
+	st, err := NewStore(s)
+	if err != nil {
+		t.Fatalf("NewStore: %v", err)
+	}
+	for w := range st.windows {
+		sw := &st.windows[w]
+		if want := refByRank(sw); !reflect.DeepEqual(sw.byRank, want) {
+			d, k := draws[w/len(sizes)], sizes[w%len(sizes)]
+			for i := range want {
+				if sw.byRank[i] != want[i] {
+					t.Fatalf("%s, %d entries: byRank[%d] = entry %d (rank %v), want entry %d (rank %v)",
+						d.name, k, i, sw.byRank[i], sw.ranks[sw.byRank[i]], want[i], sw.ranks[want[i]])
+				}
+			}
+		}
 	}
 }
