@@ -2,14 +2,46 @@ package checkpoint
 
 import (
 	"bytes"
+	"encoding/binary"
+	"runtime"
 	"testing"
 )
 
+// allocatedBy returns the heap bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// decodeAllocBudget bounds what a decoder may allocate for an input of
+// size bytes, accepted or rejected: the constant per input byte the
+// .pmrs decoder is held to (FuzzRead in internal/results), plus a
+// constant for the decoded record and an error message, whose fmt
+// buffers a GC may have taken back. A length field must never make a
+// decoder allocate for bytes that did not arrive.
+func decodeAllocBudget(size int) uint64 {
+	return uint64(32*size + 16<<10)
+}
+
+// checkDecodeAlloc fails the fuzz case if decode allocated more than
+// decodeAllocBudget allows for in.
+func checkDecodeAlloc(t *testing.T, in []byte, decode func() error) {
+	t.Helper()
+	var err error
+	alloc := allocatedBy(func() { err = decode() })
+	if budget := decodeAllocBudget(len(in)); alloc > budget {
+		t.Fatalf("decoding allocated %d bytes for a %d-byte input (budget %d, err %v)", alloc, len(in), budget, err)
+	}
+}
+
 // FuzzDecodeWindow feeds arbitrary bytes to the window decoder. The
-// decoder must never panic or OOM; when it does accept an input, a
-// re-encode of the decoded window must reproduce the input exactly
-// (the codec has a single canonical form, so acceptance implies
-// integrity).
+// decoder must never panic, and never allocate more than
+// decodeAllocBudget; when it does accept an input, a re-encode of the
+// decoded window must reproduce the input exactly (the codec has a
+// single canonical form, so acceptance implies integrity).
 func FuzzDecodeWindow(f *testing.F) {
 	f.Add(EncodeWindow(testWindow(0)))
 	f.Add(EncodeWindow(testWindow(7)))
@@ -19,8 +51,11 @@ func FuzzDecodeWindow(f *testing.F) {
 	corrupt := EncodeWindow(testWindow(3))
 	corrupt[len(corrupt)/2] ^= 1
 	f.Add(corrupt)
+	f.Add(overdeclaredWindow())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		w, err := DecodeWindow(data)
+		var w *Window
+		var err error
+		checkDecodeAlloc(t, data, func() error { w, err = DecodeWindow(data); return err })
 		if err != nil {
 			return
 		}
@@ -30,7 +65,18 @@ func FuzzDecodeWindow(f *testing.F) {
 	})
 }
 
-// FuzzDecodeManifest is the manifest analogue of FuzzDecodeWindow.
+// overdeclaredWindow is a rankless window record whose rank count
+// claims 2¹⁶ ranks, resealed with a valid CRC so the decoder reaches
+// the count: it must fail without allocating for the missing ranks.
+func overdeclaredWindow() []byte {
+	rec := EncodeWindow(&Window{Index: 2})
+	body := rec[:len(rec)-4]
+	binary.LittleEndian.PutUint64(body[len(body)-8:], 1<<16)
+	return (&encoder{buf: body}).seal()
+}
+
+// FuzzDecodeManifest is the manifest analogue of FuzzDecodeWindow,
+// under the same allocation budget.
 func FuzzDecodeManifest(f *testing.F) {
 	f.Add(EncodeManifest(testManifest()))
 	f.Add(EncodeManifest(Manifest{}))
@@ -39,7 +85,9 @@ func FuzzDecodeManifest(f *testing.F) {
 	corrupt[8] ^= 0x10
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeManifest(data)
+		var m Manifest
+		var err error
+		checkDecodeAlloc(t, data, func() error { m, err = DecodeManifest(data); return err })
 		if err != nil {
 			return
 		}

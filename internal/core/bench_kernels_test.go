@@ -75,9 +75,9 @@ var benchModes = []benchMode{
 // runs that cross six windows' enter/leave deltas. The nested
 // case's 4 warm-start chains fill the pool, so the plan runs them
 // unforked, as window-level does. The CI alloc gate therefore covers
-// both sweep updates: the serial, window-level and nested cells run the
-// in-place Gauss–Seidel pass, and the app-level cell, whose plan forks,
-// runs Jacobi.
+// both sweep updates: the serial, window-level and nested cells run
+// Gauss–Seidel, and the app-level cell, whose plan forks, runs Jacobi
+// over windows that span several chunks, so its sweeps fork.
 func BenchmarkIter(b *testing.B) {
 	l, spec := benchLogSpec(b)
 	for _, m := range benchModes {
@@ -102,8 +102,12 @@ func BenchmarkIter(b *testing.B) {
 			if err != nil {
 				b.Fatalf("warm engine: %v", err)
 			}
-			if _, err := wEng.Run(context.Background()); err != nil {
+			warmed, err := wEng.Run(context.Background())
+			if err != nil {
 				b.Fatalf("warm Run: %v", err)
+			}
+			if eng.Plan().ForkVertexLoops {
+				checkWindowsSpanChunks(b, warmed)
 			}
 			eng.solve.arena = wEng.solve.arena // share the warmed arena
 			b.ReportAllocs()

@@ -10,9 +10,10 @@
 //     shared CSR, one window per sweep. The paper's SpMM kernel (Sec.
 //     4.4) advances K windows per sweep; here a multi-window graph fits
 //     in cache and width 1 is faster, so width K is not implemented
-//     (EXPERIMENTS.md "Width K — deleted"). A sweep is an in-place
-//     Gauss–Seidel pass wherever the plan does not fork the vertex
-//     loops, and a two-pass Jacobi update where it does
+//     (EXPERIMENTS.md "Width K — deleted"). A sweep is one in-place
+//     pass: a Gauss–Seidel update wherever the plan does not fork the
+//     vertex loops, and a Jacobi update over fixed chunks of the
+//     active list, summed in chunk order, where it does
 //     (SolvePlan.Update).
 package core
 
@@ -72,6 +73,9 @@ type Config struct {
 	// for both the window loop and the vertex loops.
 	Partitioner sched.Partitioner
 	// Grain is the scheduler grain size (the figures' "WS granularity").
+	// A forked vertex loop ranges over fixed chunks of the active list,
+	// so there it counts chunks, not vertices; the chunks, and so the
+	// ranks, do not depend on it.
 	Grain int
 	// Directed keeps edge direction; when false the caller is expected
 	// to have symmetrized the log (Validate checks it).

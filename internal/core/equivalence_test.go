@@ -167,7 +167,7 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 // a persistent fault on the solve point, so every window solves on the
 // serial rung.
 //
-// K is Config.Grain. It is the grain of the app-level plans' forked
+// K is Config.Grain. It is the grain, in chunks, of the forked plans'
 // vertex loops and the shortest warm-start chain a pooled window-level
 // or nested plan cuts (sched.InitialSpan): at K = 1, 3, 8 and 64 each
 // ten-window multi-window becomes 5, 4, 2 and 1 chains. The serial row
@@ -175,30 +175,38 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 // nested plans have at least 2 units and do not fork; the
 // nested-forked row plans one multi-window, which only K=64 keeps as a
 // single unit that cannot fill the pool, so its healthy cells fork.
+// The rows whose plans fork (app, nested-forked) solve the forked
+// fixture, whose windows span several chunks, so their sweeps fork too.
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	defer fault.Reset()
 	fault.Reset()
-	l := randomLog(t, 80, 25, 250, 700)
-	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 27, Count: 20}
+	small := randomLog(t, 80, 25, 250, 700)
+	smallSpec := events.WindowSpec{T0: 0, Delta: 160, Slide: 27, Count: 20}
+	big, bigSpec := forkedFixture(t, true, 10)
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pools := []struct {
-		name string
-		mode ParallelMode
-		pool *sched.Pool
-		mws  int // multi-windows
+		name   string
+		mode   ParallelMode
+		pool   *sched.Pool
+		mws    int  // multi-windows
+		forked bool // solves the forked fixture
 	}{
-		{"serial", AppLevel, nil, 2},
-		{"app", AppLevel, pool, 2},
-		{"window", WindowLevel, pool, 2},
-		{"nested", Nested, pool, 2},
-		{"nested-forked", Nested, pool, 1},
+		{"serial", AppLevel, nil, 2, false},
+		{"app", AppLevel, pool, 2, true},
+		{"window", WindowLevel, pool, 2, false},
+		{"nested", Nested, pool, 2, false},
+		{"nested-forked", Nested, pool, 1, true},
 	}
 	for _, grain := range []int{1, 3, 8, 64} {
 		for _, p := range pools {
+			l, spec := small, smallSpec
+			if p.forked {
+				l, spec = big, bigSpec
+			}
 			if (p.pool == nil && grain != 1) || (p.mws == 1 && grain < spec.Count) {
 				continue
 			}
@@ -243,7 +251,8 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 // and on GC timing, so they add a few allocations to some runs; an
 // allocation in the iteration loop adds to every run and survives the
 // minimum. With degraded set it also checks every window solved on the
-// degrade rung.
+// degrade rung; a plan that forks its vertex loops must see windows
+// that span several chunks.
 func steadyStateAllocs(t *testing.T, l *events.Log, spec events.WindowSpec, cfg Config, maxIter int, pool *sched.Pool, degraded bool) float64 {
 	t.Helper()
 	cfg.Opts.MaxIter = maxIter
@@ -254,6 +263,9 @@ func steadyStateAllocs(t *testing.T, l *events.Log, spec events.WindowSpec, cfg 
 	s, err := eng.Run(context.Background()) // warm the arena
 	if err != nil {
 		t.Fatalf("warm-up Run: %v", err)
+	}
+	if eng.Plan().ForkVertexLoops {
+		checkWindowsSpanChunks(t, s)
 	}
 	for w := 0; degraded && w < s.Len(); w++ {
 		if st := s.Window(w).Status; st != WindowDegraded {

@@ -137,7 +137,8 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func()) bool {
 // — the simplest execution path, with no nested parallelism —
 // quarantining it only if it fails even there. It keeps the batch's
 // update (Batch.gaussSeidel), so a degraded window of a forked plan
-// still sweeps Jacobi.
+// still sweeps Jacobi over the same chunks, and writes the healthy
+// window's bits.
 func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 	attempts := priorAttempts + 1
 	loop := b.loop

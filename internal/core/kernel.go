@@ -10,12 +10,11 @@ import "pmpr/internal/tcsr"
 // kern. The contract with runBatch:
 //
 //	Init      stages the window (brings the chain's index to it, then
-//	          the starting vector and bound loop bodies); a window with
-//	          no active vertex is converged before its first sweep.
+//	          the starting vector); a window with no active vertex is
+//	          converged before its first sweep.
 //	Iterate   advances the rank vector by one PageRank sweep.
 //	Residual  returns the L1 delta of the last Iterate.
-//	Finalize  hands the rank vector to the result and stashes the
-//	          window's other rank-class vector. It runs
+//	Finalize  hands the rank vector to the result. It runs
 //	          unconditionally — after convergence, MaxIter exhaustion,
 //	          or a cancellation break — so the workspace stays
 //	          consistent on every exit path.
@@ -26,13 +25,15 @@ type Batch struct {
 	result WindowResult // filled by Init, runBatch and Finalize
 	cfg    *Config
 	ws     *workspace // the unit's working memory
-	loop   forLoop    // serial or worker-forked vertex loop
+	loop   forLoop    // serial or worker-forked loop over Jacobi's chunks
 
-	// gaussSeidel selects the kernel's in-place Gauss–Seidel sweep over
-	// the two-pass Jacobi sweep. solveUnit sets it from the plan: only a
-	// plan that does not fork vertex loops may update in place. The
-	// degrade rung swaps loop but keeps it, so a degraded window solves
-	// with the same update as a healthy one.
+	// gaussSeidel selects the update the kernel's one sweep body runs:
+	// Gauss–Seidel reads the current sweep's z, Jacobi the previous
+	// sweep's, over fixed chunks on loop. solveUnit sets it from the
+	// plan: only a plan that does not fork vertex loops may read the
+	// current sweep. The degrade rung swaps loop but keeps it, so a
+	// degraded window solves with the same update, and the same chunks,
+	// as a healthy one.
 	gaussSeidel bool
 
 	// truncated is set by runBatch when the convergence loop broke on
@@ -47,7 +48,7 @@ type Batch struct {
 	// and a panicked attempt invalidates it.
 	chain chainIndex
 
-	// kern is the kernel's per-window working set (vectors, bound loop
-	// bodies); Init fills it and Finalize clears it.
+	// kern is the kernel's per-window working set (vectors and sums);
+	// Init fills it and Finalize clears it, keeping its chunk body.
 	kern spmvKernel
 }

@@ -95,7 +95,7 @@ func runIndexCases(t *testing.T) []runIndexCase {
 // rebuilt index. The index's buffers go back to the arena with the
 // workspace.
 func TestRunIndexMatchesRunActive(t *testing.T) {
-	arena := newScratchArena(nil)
+	arena := &scratchArena{}
 	ws := arena.take()
 	var kept, dropped, deltas, rebuilds int
 	for _, c := range runIndexCases(t) {

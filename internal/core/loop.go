@@ -6,14 +6,15 @@ import (
 	"pmpr/internal/sched"
 )
 
-// forLoop abstracts "run body over [0, n)" so each kernel is written
-// once and executed serially, or forked on the pool from the calling
-// worker when the plan forks vertex loops (SolvePlan.ForkVertexLoops). The body is a
-// sched.Body so loop implementations hand it to the scheduler without
-// wrapping it in a fresh closure — kernels bind their bodies once per
-// solve and the steady-state iteration loop stays allocation-free. A
-// serial loop invokes the body with a nil worker; bodies that reduce
-// across leaves index their lane with laneOf.
+// forLoop abstracts "run body over [0, n)" so the kernel's chunked
+// sweep is written once and executed serially, or forked on the pool
+// from the calling worker when the plan forks vertex loops
+// (SolvePlan.ForkVertexLoops). n counts chunks of the active list, so
+// the grain does too. The body is a sched.Body so loop implementations
+// hand it to the scheduler without wrapping it in a fresh closure — the
+// kernel binds its body once per unit and the steady-state iteration
+// loop stays allocation-free. A serial loop invokes the body with a nil
+// worker.
 type forLoop func(n int, body sched.Body)
 
 func serialLoop(n int, body sched.Body) {

@@ -169,8 +169,9 @@ const (
 
 // Update names the sweep update every window of the plan runs, the
 // degraded ones included. A plan that does not fork vertex loops solves
-// each unit on one goroutine, so it updates in place (Gauss–Seidel); a
-// forked plan would race on an in-place update and keeps Jacobi.
+// each unit on one goroutine, so each vertex reads its neighbours'
+// values from the current sweep (Gauss–Seidel); a forked plan's chunks
+// would race on those reads, so it reads the previous sweep's (Jacobi).
 func (p *SolvePlan) Update() string {
 	if p.ForkVertexLoops {
 		return UpdateJacobi

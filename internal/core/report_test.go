@@ -158,7 +158,9 @@ func TestRunReportJSONRoundTrip(t *testing.T) {
 // pooled window-level, unforked nested) update Gauss–Seidel; forked
 // ones (pooled app-level, forked nested) Jacobi. The pooled
 // window-level and nested cases use a grain above the window count, so
-// each multi-window graph is one warm-start chain.
+// each multi-window graph is one warm-start chain. The forked cases
+// solve the forked fixture, whose windows span several chunks, since a
+// window of one chunk sweeps without forking.
 func TestRunReportRecordsForkDecision(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
@@ -189,7 +191,21 @@ func TestRunReportRecordsForkDecision(t *testing.T) {
 		cfg.NumMultiWindows = tc.mws
 		cfg.Directed = true
 		cfg.Journal = obs.NewJournal(0)
-		s, _, eng := reportFixture(t, cfg, tc.pool)
+		var s *Series
+		var eng *Engine
+		if tc.fork {
+			l, spec := forkedFixture(t, true, 6)
+			var err error
+			if eng, err = NewEngine(l, spec, cfg, tc.pool); err != nil {
+				t.Fatalf("%s: NewEngine: %v", label, err)
+			}
+			if s, err = eng.Run(context.Background()); err != nil {
+				t.Fatalf("%s: Run: %v", label, err)
+			}
+			checkWindowsSpanChunks(t, s)
+		} else {
+			s, _, eng = reportFixture(t, cfg, tc.pool)
+		}
 		rep := s.Report
 		update := UpdateGaussSeidel
 		if tc.fork {

@@ -3,15 +3,13 @@ package core
 import (
 	"sync"
 	"sync/atomic"
-
-	"pmpr/internal/sched"
 )
 
 // This file implements the engine's scratch memory: one workspace per
 // running unit. solveUnit takes a workspace when its warm-start chain
 // starts and gives it back when the chain ends. A workspace holds one
-// buffer per role (the chain index's arrays, the kernel's z, the
-// reduction lanes), grown only when a unit needs more and zeroed when
+// buffer per role (the chain index's arrays, the kernel's z, Jacobi's
+// zin and chunk sums), grown only when a unit needs more and zeroed when
 // a unit sizes it, plus a small stash of rank vectors, which escape
 // (they become WindowResult.ranks and feed the next window's partial
 // initialization) and come back only when their consumer recycles
@@ -20,15 +18,13 @@ import (
 // a second unit while it helps a nested loop takes a second workspace.
 
 // stashSize bounds the rank stash: a unit holds at most its
-// predecessor's vector, x, and Jacobi's y at once.
-const stashSize = 3
+// predecessor's vector and x at once.
+const stashSize = 2
 
 // scratchArena owns the engine's workspaces, at most one per unit that
 // ran concurrently. An Engine keeps one arena across Run calls, so
 // steady-state iteration is allocation-free.
 type scratchArena struct {
-	lanes int // reduction lanes (pool workers, min 1)
-
 	mu   sync.Mutex
 	idle []*workspace // workspaces no running unit holds
 
@@ -62,16 +58,6 @@ func (s ScratchStats) Delta(before ScratchStats) ScratchStats {
 	}
 }
 
-// newScratchArena gives pool's workers a reduction lane each (one lane
-// for a serial engine, pool == nil).
-func newScratchArena(pool *sched.Pool) *scratchArena {
-	lanes := 1
-	if pool != nil {
-		lanes = max(pool.NumWorkers(), 1)
-	}
-	return &scratchArena{lanes: lanes}
-}
-
 // stats snapshots the reuse counters.
 func (a *scratchArena) stats() ScratchStats {
 	gets, misses := a.gets.Load(), a.misses.Load()
@@ -88,14 +74,7 @@ func (a *scratchArena) take() *workspace {
 		a.idle = a.idle[:n-1]
 		return ws
 	}
-	return &workspace{
-		arena:   a,
-		ranks:   make([][]float64, 0, stashSize),
-		laneN:   make([]int64, a.lanes),
-		laneSum: make([]float64, a.lanes),
-		laneD:   make([]float64, a.lanes),
-		laneR:   make([]float64, a.lanes),
-	}
+	return &workspace{arena: a, ranks: make([][]float64, 0, stashSize)}
 }
 
 // give puts a unit's workspace, and the role buffers it sized, back.
@@ -105,15 +84,6 @@ func (a *scratchArena) give(ws *workspace) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.idle = append(a.idle, ws)
-}
-
-// laneOf maps the worker executing a leaf to its reduction lane; nil
-// (a serial loop) is lane 0.
-func laneOf(w *sched.Worker) int {
-	if w == nil {
-		return 0
-	}
-	return w.ID()
 }
 
 // workspace is one running unit's working memory.
@@ -126,12 +96,10 @@ type workspace struct {
 	end    []int64
 	invdeg []float64
 	index  []int32
-	// z is the kernel's rank vector scaled by inverse out-degree.
-	z []float64
-	// The reduction lanes: Init's warm-start count and sum, and
-	// Jacobi's dangling mass and L1 delta.
-	laneN                 []int64
-	laneSum, laneD, laneR []float64
+	// z is the kernel's rank vector scaled by inverse out-degree; zin
+	// is Jacobi's previous-sweep z and sums its chunk slots.
+	z, zin []float64
+	sums   []chunkSum
 
 	ranks [][]float64 // the rank stash, at most stashSize vectors
 	sized int64       // role buffers sized for the running unit

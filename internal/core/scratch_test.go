@@ -10,7 +10,7 @@ import (
 )
 
 func TestWorkspaceReusedBufferReadsZero(t *testing.T) {
-	a := newScratchArena(nil)
+	a := &scratchArena{}
 	ws := a.take()
 
 	s := size(ws, &ws.z, 64)
@@ -46,7 +46,7 @@ func TestWorkspaceReusedBufferReadsZero(t *testing.T) {
 }
 
 func TestWorkspaceGrowsOnlyWhenNeeded(t *testing.T) {
-	a := newScratchArena(nil)
+	a := &scratchArena{}
 	ws := a.take()
 	defer a.give(ws)
 
@@ -66,11 +66,9 @@ func TestWorkspaceGrowsOnlyWhenNeeded(t *testing.T) {
 // TestSecondTakeReusesWorkspace checks the arena's stack: a unit that
 // starts after another gave its workspace back gets that workspace,
 // and a unit that starts while another holds one (a nested steal) gets
-// its own. Every workspace has one lane per pool worker.
+// its own.
 func TestSecondTakeReusesWorkspace(t *testing.T) {
-	pool := sched.NewPool(3)
-	defer pool.Close()
-	a := newScratchArena(pool)
+	a := &scratchArena{}
 	first := a.take()
 	a.give(first)
 	again := a.take()
@@ -80,9 +78,6 @@ func TestSecondTakeReusesWorkspace(t *testing.T) {
 	nested := a.take()
 	if nested == again {
 		t.Fatalf("a take while the workspace is held must not share it")
-	}
-	if len(again.laneN) != 3 || len(nested.laneD) != 3 {
-		t.Fatalf("lanes = %d/%d, want 3", len(again.laneN), len(nested.laneD))
 	}
 	a.give(nested)
 	a.give(again)
@@ -94,10 +89,10 @@ func TestSecondTakeReusesWorkspace(t *testing.T) {
 // TestRetainedRankVectorIsExactLength checks that a rank vector the run
 // may retain never pins more memory than its length: the stash serves
 // a larger vector only to runs that discard their ranks, and a run
-// retaining ranks over units of different sizes — Jacobi, whose
-// stashed y is reused — hands out vectors with capacity == length.
+// retaining ranks over units of different sizes — a forked Jacobi
+// plan among them — hands out vectors with capacity == length.
 func TestRetainedRankVectorIsExactLength(t *testing.T) {
-	a := newScratchArena(nil)
+	a := &scratchArena{}
 	ws := a.take()
 	ws.recycle(make([]float64, 100))
 	r := ws.rank(10, false)
@@ -207,14 +202,14 @@ func TestOneWindowPerUnitPinsOneWorkspacePerRunningUnit(t *testing.T) {
 // footprint is what a workspace pins: the bytes of each role buffer,
 // and its stash's vector count and longest vector.
 type footprint struct {
-	roles        [5]int64 // end, invdeg, index, z, lanes
+	roles        [6]int64 // end, invdeg, index, z, zin, sums
 	ranks, rankN int
 }
 
 func footprintOf(ws *workspace) footprint {
-	f := footprint{roles: [5]int64{
+	f := footprint{roles: [6]int64{
 		bufBytes(ws.end), bufBytes(ws.invdeg), bufBytes(ws.index), bufBytes(ws.z),
-		bufBytes(ws.laneN) + bufBytes(ws.laneSum) + bufBytes(ws.laneD) + bufBytes(ws.laneR),
+		bufBytes(ws.zin), bufBytes(ws.sums),
 	}}
 	for _, r := range ws.ranks {
 		f.ranks, f.rankN = f.ranks+1, max(f.rankN, cap(r))

@@ -28,7 +28,7 @@ type SolveStage struct {
 // NewSolveStage creates a solve stage for pool (nil = serial
 // execution).
 func NewSolveStage(pool *sched.Pool) *SolveStage {
-	return &SolveStage{pool: pool, arena: newScratchArena(pool)}
+	return &SolveStage{pool: pool, arena: &scratchArena{}}
 }
 
 // Completed reports how many windows the in-flight (or most recent)
@@ -376,7 +376,7 @@ func (r *solveRun) runBatch(b *Batch) {
 // errorBound is the L1 distance to the exact PageRank vector that a
 // window's final residual guarantees: (1−α)/α · residual. For Jacobi,
 // an L1 contraction by 1−α, it is the standard a-posteriori bound; for
-// the Gauss–Seidel pass it is checked against the oracle, not proven.
+// Gauss–Seidel it is checked against the oracle, not proven.
 func errorBound(alpha, residual float64) float64 {
 	return (1 - alpha) / alpha * residual
 }

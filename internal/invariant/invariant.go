@@ -17,10 +17,9 @@ import (
 )
 
 // DefaultRankTol is the tolerance used for the rank-vector
-// stochasticity check: the Jacobi update preserves mass and the
-// Gauss–Seidel pass is renormalized once when the window finishes, so
-// either accumulates only rounding error and a generous absolute
-// budget suffices.
+// stochasticity check: the kernel renormalizes every window's vector
+// once when the window finishes, so it accumulates only rounding error
+// and a generous absolute budget suffices.
 const DefaultRankTol = 1e-8
 
 // maxViolations bounds how many violations a single check reports; a
@@ -54,9 +53,9 @@ func (v *violations) err() error {
 // CheckRanks validates a solved PageRank vector over a window's local
 // vertex set: every entry finite and non-negative, exactly zero mass
 // when the window is empty, and otherwise exactly active positive
-// entries summing to 1 within tol (Sec. 4.2: the Jacobi update
-// preserves mass, and the Gauss–Seidel pass is renormalized once in the
-// kernel's Finalize). tol <= 0 selects DefaultRankTol.
+// entries summing to 1 within tol (Sec. 4.2: the kernel's Finalize
+// renormalizes the active entries once). tol <= 0 selects
+// DefaultRankTol.
 func CheckRanks(ranks []float64, active int32, tol float64) error {
 	if tol <= 0 {
 		tol = DefaultRankTol

@@ -251,7 +251,7 @@ func Read(r io.Reader) (*Series, error) {
 		return nil, fmt.Errorf("results: bad magic %q", m)
 	}
 	hdr := make([]byte, 4+8*3+4+4)
-	if _, err := io.ReadFull(br, hdr); err != nil {
+	if err := readRecord(br, hdr); err != nil {
 		return nil, fmt.Errorf("results: reading header: %w", err)
 	}
 	if v := binary.LittleEndian.Uint32(hdr[0:]); v != version {
@@ -280,7 +280,7 @@ func Read(r io.Reader) (*Series, error) {
 	// window; it grows to one chunk at most.
 	var chunk []byte
 	for i := 0; i < s.Spec.Count; i++ {
-		if _, err := io.ReadFull(br, whdr[:]); err != nil {
+		if err := readRecord(br, whdr[:]); err != nil {
 			return nil, fmt.Errorf("results: window %d header: %w", i, err)
 		}
 		wr := WindowRanks{
@@ -307,7 +307,7 @@ func Read(r io.Reader) (*Series, error) {
 				chunk = make([]byte, entrySize*k)
 			}
 			chunk = chunk[:entrySize*k]
-			if _, err := io.ReadFull(br, chunk); err != nil {
+			if err := readRecord(br, chunk); err != nil {
 				return nil, fmt.Errorf("results: window %d entries %d to %d: %w", i, done, done+k-1, err)
 			}
 			wr.Vertices = slices.Grow(wr.Vertices, k)[:done+k]
@@ -326,4 +326,17 @@ func Read(r io.Reader) (*Series, error) {
 		s.Windows = append(s.Windows, wr)
 	}
 	return s, nil
+}
+
+// readRecord fills buf with the next bytes of a file whose magic has
+// been read. Past the magic the header declares what must follow, so
+// an end of input there is a truncation even at a record boundary: it
+// fails with io.ErrUnexpectedEOF, never a bare io.EOF a caller could
+// take for a clean end.
+func readRecord(r io.Reader, buf []byte) error {
+	_, err := io.ReadFull(r, buf)
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }

@@ -141,7 +141,7 @@ func TestReadOverdeclaredWindowFailsCheaply(t *testing.T) {
 	binary.LittleEndian.PutUint32(raw[len(raw)-entrySize-4:], 1<<28-1)
 	var err error
 	alloc := allocatedBy(func() { _, err = Read(bytes.NewReader(raw)) })
-	if !errors.Is(err, io.ErrUnexpectedEOF) && !errors.Is(err, io.EOF) {
+	if !errors.Is(err, io.ErrUnexpectedEOF) {
 		t.Fatalf("Read = %v, want a truncation error", err)
 	}
 	if alloc >= 1<<20 || alloc > readAllocBudget(len(raw)) {
@@ -250,6 +250,23 @@ func TestReadRejectsCorrupt(t *testing.T) {
 	bad[4] = 0x7F // version
 	if _, err := Read(bytes.NewReader(bad)); err == nil {
 		t.Error("bad version accepted")
+	}
+}
+
+// TestReadTruncatedAtEveryOffset cuts the golden file at every offset
+// past its magic. Each cut, including those at a record boundary, must
+// fail as io.ErrUnexpectedEOF and never as a bare io.EOF, which a
+// caller could take for a clean end of input.
+func TestReadTruncatedAtEveryOffset(t *testing.T) {
+	full, err := os.ReadFile("testdata/golden.pmrs")
+	if err != nil {
+		t.Fatalf("reading golden file: %v", err)
+	}
+	for cut := len(magic); cut < len(full); cut++ {
+		_, err := Read(bytes.NewReader(full[:cut]))
+		if !errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, io.EOF) {
+			t.Fatalf("cut at %d of %d bytes: Read = %v, want io.ErrUnexpectedEOF and not io.EOF", cut, len(full), err)
+		}
 	}
 }
 
