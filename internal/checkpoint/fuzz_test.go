@@ -37,11 +37,25 @@ func checkDecodeAlloc(t *testing.T, in []byte, decode func() error) {
 	}
 }
 
-// FuzzDecodeWindow feeds arbitrary bytes to the window decoder. The
-// decoder must never panic, and never allocate more than
-// decodeAllocBudget; when it does accept an input, a re-encode of the
-// decoded window must reproduce the input exactly (the codec has a
-// single canonical form, so acceptance implies integrity).
+// decodeInputs returns what a decoder fuzz case decodes: the input as
+// given, and, for an input of at least 4 bytes, a copy whose CRC
+// trailer is recomputed over the rest. Almost every mutation breaks
+// the CRC, so only the resealed copy lets the fuzzer reach the fields
+// behind it.
+func decodeInputs(data []byte) [][]byte {
+	if len(data) < 4 {
+		return [][]byte{data}
+	}
+	body := append([]byte{}, data[:len(data)-4]...)
+	return [][]byte{data, (&encoder{buf: body}).seal()}
+}
+
+// FuzzDecodeWindow feeds arbitrary bytes, as given and resealed
+// (decodeInputs), to the window decoder. The decoder must never panic,
+// and never allocate more than decodeAllocBudget; when it does accept
+// an input, a re-encode of the decoded window must reproduce the input
+// exactly (the codec has a single canonical form, so acceptance
+// implies integrity).
 func FuzzDecodeWindow(f *testing.F) {
 	f.Add(EncodeWindow(testWindow(0)))
 	f.Add(EncodeWindow(testWindow(7)))
@@ -53,14 +67,16 @@ func FuzzDecodeWindow(f *testing.F) {
 	f.Add(corrupt)
 	f.Add(overdeclaredWindow())
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var w *Window
-		var err error
-		checkDecodeAlloc(t, data, func() error { w, err = DecodeWindow(data); return err })
-		if err != nil {
-			return
-		}
-		if got := EncodeWindow(w); !bytes.Equal(got, data) {
-			t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", data, got)
+		for _, in := range decodeInputs(data) {
+			var w *Window
+			var err error
+			checkDecodeAlloc(t, in, func() error { w, err = DecodeWindow(in); return err })
+			if err != nil {
+				continue
+			}
+			if got := EncodeWindow(w); !bytes.Equal(got, in) {
+				t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", in, got)
+			}
 		}
 	})
 }
@@ -85,14 +101,16 @@ func FuzzDecodeManifest(f *testing.F) {
 	corrupt[8] ^= 0x10
 	f.Add(corrupt)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var m Manifest
-		var err error
-		checkDecodeAlloc(t, data, func() error { m, err = DecodeManifest(data); return err })
-		if err != nil {
-			return
-		}
-		if got := EncodeManifest(m); !bytes.Equal(got, data) {
-			t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", data, got)
+		for _, in := range decodeInputs(data) {
+			var m Manifest
+			var err error
+			checkDecodeAlloc(t, in, func() error { m, err = DecodeManifest(in); return err })
+			if err != nil {
+				continue
+			}
+			if got := EncodeManifest(m); !bytes.Equal(got, in) {
+				t.Fatalf("accepted input is not canonical:\n in  %x\n out %x", in, got)
+			}
 		}
 	})
 }

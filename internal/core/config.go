@@ -80,9 +80,9 @@ type Config struct {
 	// Directed keeps edge direction; when false the caller is expected
 	// to have symmetrized the log (Validate checks it).
 	Directed bool
-	// DiscardRanks drops each window's rank vector once its successor
-	// has consumed it, keeping only the per-window statistics. Used by
-	// benchmarks to avoid measuring result-retention memory traffic.
+	// DiscardRanks keeps no window's ranks (WindowResult entries), only
+	// the per-window statistics. Used by benchmarks to avoid measuring
+	// result-retention memory traffic.
 	DiscardRanks bool
 	// Validate enables the structural invariant checks from
 	// internal/invariant: the temporal CSR layout, window coverage and,

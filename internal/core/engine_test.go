@@ -367,6 +367,9 @@ func TestDiscardRanks(t *testing.T) {
 	if s.TotalIterations() == 0 {
 		t.Fatal("no iteration statistics")
 	}
+	if err := s.CheckExport(); err == nil {
+		t.Error("CheckExport accepted a series whose ranks were discarded")
+	}
 	func() {
 		defer func() {
 			if recover() == nil {

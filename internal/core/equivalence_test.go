@@ -126,35 +126,47 @@ func TestSerialRunTwiceBitIdentical(t *testing.T) {
 }
 
 // TestDiscardRanksSteadyStateHasZeroMisses is the regression test for
-// the final-window rank leak: under DiscardRanks every buffer — the
-// rank vector of each unit's last window included — must return to the
-// arena, so a second Run is served entirely from the workspace.
+// the final-window rank leak, with ranks discarded and retained: every
+// buffer — the rank vector of each unit's last window included — must
+// return to the arena, so a second Run is served entirely from the
+// workspace. A retained window keeps its entries, never the unit's
+// dense vector.
 func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 	l := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
-	cfg := equivCfg(AppLevel, true)
-	cfg.DiscardRanks = true
-	eng, err := NewEngine(l, spec, cfg, nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	if _, err := eng.Run(context.Background()); err != nil {
-		t.Fatalf("warm-up Run: %v", err)
-	}
-	before := eng.ScratchStats()
-	s, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	d := eng.ScratchStats().Delta(before)
-	if d.Gets == 0 {
-		t.Fatalf("second run made no buffer requests")
-	}
-	if d.Misses != 0 {
-		t.Fatalf("second run allocated %d fresh buffers (leak): %+v", d.Misses, d)
-	}
-	if s.Report.Scratch == nil || s.Report.Scratch.HitRate != 1 {
-		t.Fatalf("report scratch = %+v, want hit rate 1", s.Report.Scratch)
+	for _, discard := range []bool{true, false} {
+		t.Run(fmt.Sprintf("discard=%v", discard), func(t *testing.T) {
+			cfg := equivCfg(AppLevel, true)
+			cfg.DiscardRanks = discard
+			eng, err := NewEngine(l, spec, cfg, nil)
+			if err != nil {
+				t.Fatalf("NewEngine: %v", err)
+			}
+			if _, err := eng.Run(context.Background()); err != nil {
+				t.Fatalf("warm-up Run: %v", err)
+			}
+			before := eng.ScratchStats()
+			s, err := eng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("second Run: %v", err)
+			}
+			d := eng.ScratchStats().Delta(before)
+			if d.Gets == 0 {
+				t.Fatalf("second run made no buffer requests")
+			}
+			if d.Misses != 0 || d.Outstanding() != 0 {
+				t.Fatalf("second run allocated %d fresh buffers and left %d checked out (leak): %+v",
+					d.Misses, d.Outstanding(), d)
+			}
+			if s.Report.Scratch == nil || s.Report.Scratch.HitRate != 1 {
+				t.Fatalf("report scratch = %+v, want hit rate 1", s.Report.Scratch)
+			}
+			for w := range s.Results {
+				if s.Window(w).HasRanks() == discard {
+					t.Fatalf("window %d: HasRanks = %v under DiscardRanks = %v", w, !discard, discard)
+				}
+			}
+		})
 	}
 }
 

@@ -161,15 +161,14 @@ func (r *solveRun) quarantine(res *WindowResult, attempts int, cause error, pani
 	res.Attempts = attempts
 	res.Err = &WindowError{Window: res.Window, Attempts: attempts, Panicked: panicked, Err: cause}
 	res.Converged = false
-	res.ranks = nil
 	r.journal.EmitQuarantine(res.Window, res.Worker, attempts, errString(cause), panicked)
 }
 
-// checkpointWindow flushes a decided window to the checkpoint store.
-// Failed windows are not written (a resumed run gets another chance at
-// them) and write errors never fail the run — the window's result is
-// already in memory; a resume would simply re-solve it.
-func (r *solveRun) checkpointWindow(res *WindowResult) {
+// checkpointWindow flushes a decided window and its dense rank vector x
+// to the checkpoint store. Failed windows are not written (a resumed
+// run gets another chance at them) and write errors never fail the run
+// — the window's result is already in memory; a resume would re-solve it.
+func (r *solveRun) checkpointWindow(res *WindowResult, x []float64) {
 	if r.ckpt == nil || res.Status == WindowFailed || res.Status == WindowResumed {
 		return
 	}
@@ -181,36 +180,34 @@ func (r *solveRun) checkpointWindow(res *WindowResult) {
 		ActiveVertices:  res.ActiveVertices,
 		FinalResidual:   res.FinalResidual,
 		WallSeconds:     res.WallSeconds,
-		Ranks:           res.ranks,
+		Ranks:           x,
 	}
 	r.journal.EmitCheckpointWrite(res.Window, errString(r.ckpt.store.WriteWindow(cw)))
 }
 
 // restoreWindow restores window w of mw from the resume checkpoint,
-// if it holds w, and reports whether it did. The restored ranks are
-// the original run's exact bits, so the successor warm-starts from the
-// same vector it would have seen live.
-func (r *solveRun) restoreWindow(mw *tcsr.MultiWindow, w, wid int) bool {
+// if it holds w, and reports whether it did, with the window's dense
+// rank vector. The restored ranks are the original run's exact bits, so
+// the successor warm-starts from the same vector it would have seen
+// live. The vector belongs to the checkpoint state, not the unit.
+func (r *solveRun) restoreWindow(mw *tcsr.MultiWindow, w, wid int) (x []float64, ok bool) {
 	if r.ckpt == nil || r.ckpt.resumed[w] == nil {
-		return false
+		return nil, false
 	}
 	cw := r.ckpt.resumed[w]
-	r.results[w] = WindowResult{
-		Window:          cw.Index,
-		Iterations:      cw.Iterations,
-		Converged:       cw.Converged,
-		ActiveVertices:  cw.ActiveVertices,
-		UsedPartialInit: cw.UsedPartialInit,
-		FinalResidual:   cw.FinalResidual,
-		ErrorBound:      errorBound(r.plan.Cfg.Opts.Alpha, cw.FinalResidual),
-		WallSeconds:     cw.WallSeconds,
-		Worker:          wid,
-		Status:          WindowResumed,
-		ranks:           cw.Ranks,
-		mw:              mw,
+	res := &r.results[w]
+	*res = WindowResult{
+		ActiveVertices: cw.ActiveVertices,
+		FinalResidual:  cw.FinalResidual,
+		ErrorBound:     errorBound(r.plan.Cfg.Opts.Alpha, cw.FinalResidual),
+		WallSeconds:    cw.WallSeconds,
+		Worker:         wid,
+		Status:         WindowResumed,
 	}
+	res.Window, res.Iterations, res.Converged, res.UsedPartialInit = cw.Index, cw.Iterations, cw.Converged, cw.UsedPartialInit
+	res.Vertices, res.Ranks = rankEntries(mw, cw.Ranks)
 	r.journal.EmitCheckpointResume(w)
-	r.windowDecided(&r.results[w])
+	r.windowDecided(res)
 	r.completed.Add(1)
-	return true
+	return cw.Ranks, true
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -490,6 +491,79 @@ func TestResumeOverGapExports(t *testing.T) {
 		a, b := we.WindowAt(w), ge.WindowAt(w)
 		if fmt.Sprint(a) != fmt.Sprint(b) {
 			t.Fatalf("window %d exports %v resumed, %v solved", w, b, a)
+		}
+	}
+}
+
+// TestRerunResumedEngineBitIdentical resumes an engine from a partial
+// checkpoint, one whose tail windows were quarantined and so never
+// written, and runs it twice. A restored window's dense vector belongs
+// to the checkpoint state, which every Run restores from; it warm-starts
+// the solved successors but must never return to a unit's rank stash,
+// where a later window would overwrite it. Both runs must export the
+// uninterrupted reference's entries bit for bit.
+func TestRerunResumedEngineBitIdentical(t *testing.T) {
+	defer fault.Reset()
+	fault.Reset()
+	l := randomLog(t, 97, 25, 250, 700)
+	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 60, Count: 9}
+	cfg := equivCfg(AppLevel, true)
+	cfg.NumMultiWindows = 1
+	dir := filepath.Join(t.TempDir(), "ck")
+
+	ref, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	want, err := ref.Run(context.Background())
+	if err != nil {
+		t.Fatalf("reference Run: %v", err)
+	}
+
+	// Every attempt from the sixth on fails, so windows 5.. quarantine
+	// and the checkpoint holds windows 0..4.
+	store, err := checkpoint.Open(dir)
+	if err != nil {
+		t.Fatalf("checkpoint.Open: %v", err)
+	}
+	eng1, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if _, err := eng1.SetCheckpoint(store, false); err != nil {
+		t.Fatalf("SetCheckpoint: %v", err)
+	}
+	stop := fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, After: 6})
+	stopDegrade := fault.Arm(fault.Rule{Point: PointSolveDegrade, Mode: fault.ModeError})
+	partial, err := eng1.Run(context.Background())
+	stop()
+	stopDegrade()
+	if err != nil {
+		t.Fatalf("faulted Run: %v", err)
+	}
+	if q := partial.Quarantined(); len(q) != spec.Count-5 || q[0] != 5 {
+		t.Fatalf("quarantined windows %v, want 5..%d", q, spec.Count-1)
+	}
+
+	eng2, err := NewEngine(l, spec, cfg, nil)
+	if err != nil {
+		t.Fatalf("NewEngine: %v", err)
+	}
+	if resumed, err := eng2.SetCheckpoint(store, true); err != nil || resumed != 5 {
+		t.Fatalf("SetCheckpoint(resume) = %d, %v; want 5 windows", resumed, err)
+	}
+	for run := 1; run <= 2; run++ {
+		got, err := eng2.Run(context.Background())
+		if err != nil {
+			t.Fatalf("resumed Run %d: %v", run, err)
+		}
+		for w := range want.Results {
+			if st := got.Window(w).Status; (w < 5) != (st == WindowResumed) {
+				t.Fatalf("run %d window %d: status %v", run, w, st)
+			}
+			if a, b := want.WindowAt(w), got.WindowAt(w); !reflect.DeepEqual(a, b) {
+				t.Fatalf("run %d window %d exports %v, reference %v", run, w, b, a)
+			}
 		}
 	}
 }

@@ -14,7 +14,7 @@ import "pmpr/internal/tcsr"
 //	          converged before its first sweep.
 //	Iterate   advances the rank vector by one PageRank sweep.
 //	Residual  returns the L1 delta of the last Iterate.
-//	Finalize  hands the rank vector to the result. It runs
+//	Finalize  hands the rank vector to the batch (x). It runs
 //	          unconditionally — after convergence, MaxIter exhaustion,
 //	          or a cancellation break — so the workspace stays
 //	          consistent on every exit path.
@@ -22,7 +22,8 @@ type Batch struct {
 	mw     *tcsr.MultiWindow
 	w      int          // the global window
 	init   []float64    // predecessor ranks; nil = uniform start
-	result WindowResult // filled by Init, runBatch and Finalize
+	result WindowResult // filled by Init and runBatch
+	x      []float64    // the dense rank vector Finalize hands over
 	cfg    *Config
 	ws     *workspace // the unit's working memory
 	loop   forLoop    // serial or worker-forked loop over Jacobi's chunks

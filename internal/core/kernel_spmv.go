@@ -21,8 +21,8 @@ import (
 // not what the multi-window graph holds. Entries of x and z outside
 // list start at zero and stay zero. The index, degrees, list, z, zin
 // and the chunk sums belong to the unit's workspace; the rank vector x
-// comes from its stash and stays checked out (solveUnit recycles it
-// once consumed).
+// comes from its stash and stays checked out until solveUnit recycles
+// it, once the successor window has consumed it.
 //
 // A sweep has one body (sweep) for both updates the plan chooses
 // between (Batch.gaussSeidel). For each active vertex it pulls along
@@ -89,7 +89,7 @@ func (s *spmvKernel) Init(b *Batch) {
 	b.result.Converged = listed == 0
 	s.damp = 1 - b.cfg.Opts.Alpha
 
-	x := ws.rank(n, !b.cfg.DiscardRanks)
+	x := ws.rank(n)
 	// z is sized (zeroed) per window, not per unit: a run may come from
 	// a vertex outside the list when the stored graph is not symmetric,
 	// and its z must read zero, not a previous window's value.
@@ -214,8 +214,8 @@ func (s *spmvKernel) Iterate(b *Batch) {
 func (s *spmvKernel) Residual() float64 { return s.delta }
 
 // Finalize renormalizes the active entries of x once, so they sum to 1,
-// and hands x over as the window's rank vector; everything else stays
-// with the workspace.
+// and hands x over to the batch as the window's rank vector; everything
+// else stays with the workspace.
 func (s *spmvKernel) Finalize(b *Batch) {
 	if s.mass > 0 {
 		inv := 1 / s.mass
@@ -223,6 +223,6 @@ func (s *spmvKernel) Finalize(b *Batch) {
 			s.x[v] *= inv
 		}
 	}
-	b.result.ranks = s.x
+	b.x = s.x
 	*s = spmvKernel{chunked: s.chunked}
 }

@@ -143,14 +143,14 @@ func TestPooledWindowLevelEqualsSerialSolve(t *testing.T) {
 				t.Fatalf("%s run %d: pooled solve: %v", label, run, err)
 			}
 			for w := range want.Results {
-				a, b := want.Results[w].ranks, got.Results[w].ranks
-				if len(a) != len(b) {
-					t.Fatalf("%s run %d window %d: %d ranks, serial %d", label, run, w, len(b), len(a))
+				a, b := &want.Results[w], &got.Results[w]
+				if !a.HasRanks() || len(a.Vertices) != len(b.Vertices) {
+					t.Fatalf("%s run %d window %d: %d entries, serial %d", label, run, w, len(b.Vertices), len(a.Vertices))
 				}
-				for v := range a {
-					if math.Float64bits(a[v]) != math.Float64bits(b[v]) {
-						t.Fatalf("%s run %d window %d vertex %d: pooled %v != serial %v",
-							label, run, w, v, b[v], a[v])
+				for i, v := range a.Vertices {
+					if b.Vertices[i] != v || math.Float64bits(a.Ranks[i]) != math.Float64bits(b.Ranks[i]) {
+						t.Fatalf("%s run %d window %d entry %d: pooled (%d, %v) != serial (%d, %v)",
+							label, run, w, i, b.Vertices[i], b.Ranks[i], v, a.Ranks[i])
 					}
 				}
 			}

@@ -50,8 +50,8 @@ type SchedReport struct {
 // ScratchReport is the scratch arena's share of a run: how many buffer
 // requests the units made of their workspaces (role-buffer sizings and
 // rank-vector takes) and how many were served without allocating. A
-// warmed-up serial engine under Config.DiscardRanks reports
-// Misses == 0 and HitRate == 1.
+// warmed-up serial engine reports Misses == 0 and HitRate == 1, whether
+// it retains or discards ranks.
 type ScratchReport struct {
 	Gets    int64   `json:"gets"`
 	Hits    int64   `json:"hits"`

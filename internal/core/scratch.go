@@ -10,12 +10,14 @@ import (
 // starts and gives it back when the chain ends. A workspace holds one
 // buffer per role (the chain index's arrays, the kernel's z, Jacobi's
 // zin and chunk sums), grown only when a unit needs more and zeroed when
-// a unit sizes it, plus a small stash of rank vectors, which escape
-// (they become WindowResult.ranks and feed the next window's partial
-// initialization) and come back only when their consumer recycles
-// them. A workspace is confined to its unit's goroutine, so only the
-// arena's stack of idle workspaces needs a lock; a worker that steals
-// a second unit while it helps a nested loop takes a second workspace.
+// a unit sizes it, plus a small stash of dense rank vectors. A rank
+// vector never leaves its unit: it feeds the next window's partial
+// initialization and the checkpoint record, and the window keeps its
+// ranks as results.WindowRanks entries, so the unit recycles the vector
+// once its successor has consumed it. A workspace is confined to its
+// unit's goroutine, so only the arena's stack of idle workspaces needs
+// a lock; a worker that steals a second unit while it helps a nested
+// loop takes a second workspace.
 
 // stashSize bounds the rank stash: a unit holds at most its
 // predecessor's vector and x at once.
@@ -37,7 +39,8 @@ type scratchArena struct {
 // get is a role-buffer sizing or a rank-vector take, a miss a get that
 // allocated, a put a recycled rank vector or a role buffer given back
 // with its workspace; Hits = Gets - Misses. Gets - Puts is the number
-// of buffers checked out: zero after every Run under DiscardRanks.
+// of buffers checked out: zero after every Run in which no window
+// attempt panicked.
 type ScratchStats struct {
 	Gets   int64 `json:"gets"`
 	Hits   int64 `json:"hits"`
@@ -121,18 +124,16 @@ func size[T any](ws *workspace, buf *[]T, n int) []T {
 	return *buf
 }
 
-// rank returns a zeroed rank-class vector of length n: the smallest
-// stashed vector that fits, or a fresh one. A vector the run may
-// retain (retained) must not pin more memory than its length, so then
-// only a stashed vector of capacity n fits. A fresh vector replaces a
-// stashed one that did not fit, so the stash never holds more vectors
-// than a unit has used at once.
-func (ws *workspace) rank(n int, retained bool) []float64 {
+// rank returns a zeroed rank vector of length n: the smallest stashed
+// vector that fits, or a fresh one. A fresh vector replaces a stashed
+// one that did not fit, so the stash never holds more vectors than a
+// unit has used at once.
+func (ws *workspace) rank(n int) []float64 {
 	a := ws.arena
 	a.gets.Add(1)
 	best := -1
 	for i, s := range ws.ranks {
-		if c := cap(s); c >= n && (!retained || c == n) && (best < 0 || c < cap(ws.ranks[best])) {
+		if c := cap(s); c >= n && (best < 0 || c < cap(ws.ranks[best])) {
 			best = i
 		}
 	}

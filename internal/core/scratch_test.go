@@ -17,7 +17,7 @@ func TestWorkspaceReusedBufferReadsZero(t *testing.T) {
 	for i := range s {
 		s[i] = float64(i) + 1
 	}
-	r := ws.rank(64, false)
+	r := ws.rank(64)
 	for i := range r {
 		r[i] = float64(i) + 1
 	}
@@ -29,9 +29,9 @@ func TestWorkspaceReusedBufferReadsZero(t *testing.T) {
 	if &got[0] != &s[0] {
 		t.Fatalf("a smaller request must reuse the role buffer")
 	}
-	gotRank := ws.rank(32, false)
+	gotRank := ws.rank(32)
 	if &gotRank[0] != &r[0] {
-		t.Fatalf("a discarded-rank request must reuse the stashed vector")
+		t.Fatalf("a smaller rank request must reuse the stashed vector")
 	}
 	for i := range got {
 		if got[i] != 0 || gotRank[i] != 0 {
@@ -86,22 +86,22 @@ func TestSecondTakeReusesWorkspace(t *testing.T) {
 	}
 }
 
-// TestRetainedRankVectorIsExactLength checks that a rank vector the run
-// may retain never pins more memory than its length: the stash serves
-// a larger vector only to runs that discard their ranks, and a run
+// TestRetainedRankVectorIsExactLength checks that a retained window
+// never pins more memory than its entries: the stash serves any rank
+// vector that fits, since no vector leaves its unit, and a run
 // retaining ranks over units of different sizes — a forked Jacobi
-// plan among them — hands out vectors with capacity == length.
+// plan among them — keeps entries with capacity == length.
 func TestRetainedRankVectorIsExactLength(t *testing.T) {
 	a := &scratchArena{}
 	ws := a.take()
 	ws.recycle(make([]float64, 100))
-	r := ws.rank(10, false)
+	r := ws.rank(10)
 	if cap(r) != 100 {
-		t.Fatalf("a discarded rank vector should reuse the stashed 100-entry one, got capacity %d", cap(r))
+		t.Fatalf("a rank vector should reuse the stashed 100-entry one, got capacity %d", cap(r))
 	}
 	ws.recycle(r)
-	if r := ws.rank(10, true); cap(r) != 10 {
-		t.Fatalf("retained rank vector has capacity %d for length 10", cap(r))
+	if r := ws.rank(200); cap(r) != 200 {
+		t.Fatalf("fresh rank vector has capacity %d for length 200", cap(r))
 	}
 	if len(ws.ranks) != 0 {
 		t.Fatalf("the stash kept %d vectors that fit no request", len(ws.ranks))
@@ -127,8 +127,10 @@ func TestRetainedRankVectorIsExactLength(t *testing.T) {
 			t.Fatalf("Run: %v", err)
 		}
 		for w := range s.Results {
-			if r := s.Results[w].ranks; r == nil || cap(r) != len(r) {
-				t.Fatalf("run %d window %d: ranks len %d cap %d (nil %v)", run, w, len(r), cap(r), r == nil)
+			r := &s.Results[w]
+			if !r.HasRanks() || cap(r.Vertices) != len(r.Vertices) || cap(r.Ranks) != len(r.Ranks) {
+				t.Fatalf("run %d window %d: %d vertices (cap %d), %d ranks (cap %d), retained %v",
+					run, w, len(r.Vertices), cap(r.Vertices), len(r.Ranks), cap(r.Ranks), r.HasRanks())
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"pmpr/internal/events"
+	"pmpr/internal/results"
 	"pmpr/internal/tcsr"
 )
 
@@ -48,17 +49,15 @@ func (s WindowStatus) String() string {
 // WindowResult holds the PageRank outcome for one window of the
 // sequence.
 type WindowResult struct {
-	// Window is the global window index.
-	Window int
-	// Iterations performed until convergence (or MaxIter).
-	Iterations int
-	// Converged reports whether the kernel reached the tolerance.
-	Converged bool
+	// WindowRanks is the window's index, iteration count, convergence,
+	// warm start (Eq. 4) and ranks: every positive rank, in ascending
+	// global id, converted once from the unit's dense vector when the
+	// window is decided. Vertices and Ranks are nil when the ranks were
+	// discarded (Config.DiscardRanks) or the window was quarantined,
+	// and empty but non-nil for a retained window with no active vertex.
+	results.WindowRanks
 	// ActiveVertices is |V_i| of the window graph.
 	ActiveVertices int32
-	// UsedPartialInit reports whether this window warm-started from its
-	// predecessor (Eq. 4) rather than the uniform vector.
-	UsedPartialInit bool
 	// FinalResidual is the L1 delta of the last iteration performed
 	// (below the tolerance iff Converged).
 	FinalResidual float64
@@ -83,9 +82,28 @@ type WindowResult struct {
 	// Err is the terminal failure of a quarantined window (Status ==
 	// WindowFailed); nil otherwise.
 	Err error
+}
 
-	ranks []float64 // local-id ranks; nil when discarded or failed
-	mw    *tcsr.MultiWindow
+// rankEntries converts a window's dense local-id rank vector to its
+// retained entries: every positive rank, in ascending global id
+// (GlobalIDs is sorted). Both slices are sized exactly, so a retained
+// window pins nothing beyond its entries, and are non-nil even when
+// empty.
+func rankEntries(mw *tcsr.MultiWindow, x []float64) ([]int32, []float64) {
+	n := 0
+	for _, r := range x {
+		if r > 0 {
+			n++
+		}
+	}
+	vs, rs := make([]int32, 0, n), make([]float64, 0, n)
+	for local, r := range x {
+		if r > 0 {
+			vs = append(vs, mw.GlobalID(int32(local)))
+			rs = append(rs, r)
+		}
+	}
+	return vs, rs
 }
 
 // Rank returns the PageRank of the global vertex id in this window; 0
@@ -94,7 +112,7 @@ type WindowResult struct {
 // out a discard (anything downstream of a user-supplied Config) must
 // use RankOK instead.
 func (r *WindowResult) Rank(global int32) float64 {
-	if r.ranks == nil {
+	if !r.HasRanks() {
 		// The discard/retain decision is made once, at Config time, so
 		// reading a discarded vector is a programming error at the call
 		// site, not a runtime condition to handle; RankOK is the
@@ -102,46 +120,36 @@ func (r *WindowResult) Rank(global int32) float64 {
 		//pmvet:ignore panic -- documented misuse contract; RankOK is the error-safe accessor
 		panic("core: ranks were discarded (Config.DiscardRanks)")
 	}
-	local := r.mw.LocalID(global)
-	if local < 0 {
-		return 0
-	}
-	return r.ranks[local]
+	rank, _ := r.WindowRanks.Rank(global)
+	return rank
 }
 
 // RankOK is the non-panicking variant of Rank: ok is false when the
 // ranks were discarded (Config.DiscardRanks), and the rank is 0 for
 // vertices outside the window graph.
 func (r *WindowResult) RankOK(global int32) (rank float64, ok bool) {
-	if r.ranks == nil {
+	if !r.HasRanks() {
 		return 0, false
 	}
-	local := r.mw.LocalID(global)
-	if local < 0 {
-		return 0, true
-	}
-	return r.ranks[local], true
+	rank, _ = r.WindowRanks.Rank(global)
+	return rank, true
 }
 
-// HasRanks reports whether the rank vector was retained.
-func (r *WindowResult) HasRanks() bool { return r.ranks != nil }
+// HasRanks reports whether the ranks were retained.
+func (r *WindowResult) HasRanks() bool { return r.Vertices != nil }
 
 // ForEach calls f for every vertex with a positive rank, in ascending
 // global-id order. Like Rank it panics when the ranks were discarded
 // (Config.DiscardRanks); check HasRanks first when the config is not
 // statically known.
 func (r *WindowResult) ForEach(f func(global int32, rank float64)) {
-	if r.ranks == nil {
+	if !r.HasRanks() {
 		// Same contract as Rank: HasRanks/RankOK are the guards for
 		// dynamically-configured callers.
 		//pmvet:ignore panic -- documented misuse contract; HasRanks is the guard
 		panic("core: ranks were discarded (Config.DiscardRanks)")
 	}
-	for local, rank := range r.ranks {
-		if rank > 0 {
-			f(r.mw.GlobalID(int32(local)), rank)
-		}
-	}
+	r.WindowRanks.ForEach(f)
 }
 
 // Dense expands the window's ranks to a dense vector over the global

@@ -5,7 +5,9 @@ import (
 	"sync/atomic"
 	"time"
 
+	"pmpr/internal/invariant"
 	"pmpr/internal/obs"
+	"pmpr/internal/results"
 	"pmpr/internal/sched"
 )
 
@@ -265,10 +267,11 @@ func (r *solveRun) unitRange(lo, hi, wid int, loop forLoop) {
 // under the failure ladder (solveBatchFT); a quarantined
 // window leaves a nil vector, so its successor cold-starts. Windows a
 // resume checkpoint holds are restored instead of solved
-// (restoreWindow). Under Cfg.DiscardRanks a window's rank vector is
-// recycled as soon as its successor has consumed it — including the
-// final window's vector after the loop. The unit holds one workspace
-// from the arena throughout; all its windows' buffers come from it.
+// (restoreWindow). A decided window keeps its ranks as entries (unless
+// Cfg.DiscardRanks); its dense vector is the unit's working memory,
+// recycled as soon as its successor has consumed it — the final
+// window's after the loop. The unit holds one workspace from the arena
+// throughout; all its windows' buffers come from it.
 func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	u := &r.plan.Units[ui]
 	mw := u.MW
@@ -279,59 +282,64 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	b.chain.open(mw, mw.WinLo+u.Lo, mw.WinLo+u.Hi, ws)
 	r.initRunsVisited.Add(b.chain.walked)
 
-	// prev is the rank vector of the window before w, kept until w has
-	// consumed it for partial initialization.
+	// prev is the dense rank vector of the window before w, kept until
+	// w has consumed it for partial initialization. A vector restored
+	// from the checkpoint (restored) belongs to ckptRun.resumed, which a
+	// second Run restores from again, so it is never recycled.
 	var prev []float64
+	var restored bool
+	release := func() {
+		if prev != nil && !restored {
+			ws.recycle(prev)
+		}
+	}
 	var w int
 	// stage re-stages window w from scratch; solveBatchFT calls it
 	// before every attempt, so retries see the exact inputs (including
 	// the warm-start vector) of the first attempt.
 	stage := func() {
-		b.w = w
-		b.init = nil
+		b.w, b.init, b.x = w, nil, nil
 		if cfg.PartialInit {
 			b.init = prev
 		}
-		b.result = WindowResult{Window: w, Worker: wid, mw: mw}
+		b.result = WindowResult{WindowRanks: results.WindowRanks{Window: w}, Worker: wid}
 	}
 	for w = mw.WinLo + u.Lo; w < mw.WinLo+u.Hi; w++ {
 		if r.canceled() {
 			break
 		}
-		if r.restoreWindow(mw, w, wid) {
-			prev = r.results[w].ranks
+		if x, ok := r.restoreWindow(mw, w, wid); ok {
+			release()
+			prev, restored = x, true
 			continue
 		}
 		stage()
 		r.journal.EmitWindowStart(w, wid)
 		t0 := time.Now()
 		if !r.solveBatchFT(&b, stage) {
-			recycleUndecided(ws, &b.result)
+			recycleUndecided(&b)
 			break // canceled mid-attempt
 		}
 		res := &b.result
 		res.WallSeconds = time.Since(t0).Seconds()
+		x := b.x
 		if res.Status != WindowFailed {
-			r.validateWindow(res)
+			r.validateWindow(res, x)
+			if !cfg.DiscardRanks {
+				res.Vertices, res.Ranks = rankEntries(mw, x)
+			}
 		}
 		r.windowDecided(res)
-		if cfg.DiscardRanks && prev != nil {
-			// w has consumed its predecessor's vector; recycle it.
-			ws.recycle(prev)
-		}
-		prev = res.ranks
-		if cfg.DiscardRanks {
-			res.ranks = nil
-		}
 		r.results[w] = *res
-		r.checkpointWindow(&r.results[w])
+		r.checkpointWindow(&r.results[w], x)
+		// w has consumed its predecessor's vector; recycle it.
+		release()
+		prev, restored = x, false
 		r.completed.Add(1)
 		r.unitSweeps[ui] += int64(res.Iterations)
 	}
-	if cfg.DiscardRanks && prev != nil {
-		// The final window's vector has no consumer.
-		ws.recycle(prev)
-	}
+	// The final window's vector has no consumer.
+	release()
 }
 
 // runBatch is the convergence loop of every window, on the plan's
@@ -384,21 +392,20 @@ func errorBound(alpha, residual float64) float64 {
 // recycleUndecided returns the rank vector Finalize staged for a
 // window that solveBatchFT left undecided: the run is ending with an
 // error, so nothing will consume it.
-func recycleUndecided(ws *workspace, res *WindowResult) {
-	if res.ranks != nil {
-		ws.recycle(res.ranks)
-		res.ranks = nil
+func recycleUndecided(b *Batch) {
+	if b.x != nil {
+		b.ws.recycle(b.x)
 	}
 }
 
-// validateWindow checks a freshly solved window's rank vector against
-// the invariant catalog. It must run before DiscardRanks nils the
-// vector. No-op unless the run set up a validator (Cfg.Validate).
-func (r *solveRun) validateWindow(res *WindowResult) {
+// validateWindow checks a freshly solved window's dense rank vector x
+// against the invariant catalog. No-op unless the run set up a
+// validator (Cfg.Validate).
+func (r *solveRun) validateWindow(res *WindowResult, x []float64) {
 	if r.val == nil {
 		return
 	}
-	if err := checkWindowRanks(res); err != nil {
+	if err := invariant.CheckRanks(x, res.ActiveVertices, invariant.DefaultRankTol); err != nil {
 		r.val.addf("core: window %d: %w", res.Window, err)
 	}
 }

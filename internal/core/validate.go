@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-
-	"pmpr/internal/invariant"
 )
 
 // runValidator collects invariant violations found while windows solve.
@@ -26,10 +24,4 @@ func (v *runValidator) err() error {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	return errors.Join(v.errs...)
-}
-
-// checkWindowRanks runs the invariant catalog's rank checks on a
-// freshly solved window (stochasticity, non-negativity, active count).
-func checkWindowRanks(r *WindowResult) error {
-	return invariant.CheckRanks(r.ranks, r.ActiveVertices, invariant.DefaultRankTol)
 }

@@ -196,41 +196,6 @@ func RunActive(times []int64, ts, te int64) bool {
 	return false
 }
 
-// OutDegrees fills deg (length NumLocal) with the per-window
-// out-degrees: the number of distinct out-neighbors of each local
-// vertex active in global window w. It returns the number of active
-// vertices (vertices with at least one active incident edge; for the
-// directed case a vertex with only in-edges is counted via indegMark).
-func (mw *MultiWindow) OutDegrees(w int, deg []int32) (active int32) {
-	ts, te := mw.Window(w)
-	n := mw.NumLocal()
-	hasIn := make([]bool, n)
-	for v := int32(0); v < n; v++ {
-		deg[v] = 0
-	}
-	for u := int32(0); u < n; u++ {
-		start, end := mw.OutRow[u], mw.OutRow[u+1]
-		i := start
-		for i < end {
-			j := i + 1
-			for j < end && mw.OutCol[j] == mw.OutCol[i] {
-				j++
-			}
-			if RunActive(mw.OutTime[i:j], ts, te) {
-				deg[u]++
-				hasIn[mw.OutCol[i]] = true
-			}
-			i = j
-		}
-	}
-	for v := int32(0); v < n; v++ {
-		if deg[v] > 0 || hasIn[v] {
-			active++
-		}
-	}
-	return active
-}
-
 // ActiveEdges counts the distinct directed edges active in window w.
 func (mw *MultiWindow) ActiveEdges(w int) int64 {
 	ts, te := mw.Window(w)

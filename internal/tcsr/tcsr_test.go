@@ -290,42 +290,6 @@ func TestLocalIDMapping(t *testing.T) {
 	}
 }
 
-func TestOutDegreesMatchOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	for trial := 0; trial < 20; trial++ {
-		n := int32(rng.Intn(25) + 2)
-		evs := randomTemporalLog(rng, n, rng.Intn(300)+5, 1500)
-		l, _ := events.NewLog(evs, n)
-		spec, err := events.Span(l, int64(rng.Intn(200)+1), int64(rng.Intn(100)+1))
-		if err != nil {
-			t.Fatalf("Span: %v", err)
-		}
-		tg, err := Build(l, spec, 3, true)
-		if err != nil {
-			t.Fatalf("Build: %v", err)
-		}
-		for w := 0; w < spec.Count; w++ {
-			mw := tg.ForWindow(w)
-			deg := make([]int32, mw.NumLocal())
-			active := mw.OutDegrees(w, deg)
-			g, err := csr.FromLogWindow(l, spec.Start(w), spec.End(w))
-			if err != nil {
-				t.Fatalf("oracle: %v", err)
-			}
-			if active != g.ActiveCount() {
-				t.Fatalf("trial %d window %d: active = %d, oracle %d", trial, w, active, g.ActiveCount())
-			}
-			for local := int32(0); local < mw.NumLocal(); local++ {
-				gid := mw.GlobalID(local)
-				if int64(deg[local]) != g.OutDegree(gid) {
-					t.Fatalf("trial %d window %d vertex %d: deg %d, oracle %d",
-						trial, w, gid, deg[local], g.OutDegree(gid))
-				}
-			}
-		}
-	}
-}
-
 func TestDirectedBuildsDistinctInView(t *testing.T) {
 	evs := []events.Event{ev(0, 1, 5)}
 	l, _ := events.NewLog(evs, 2)
