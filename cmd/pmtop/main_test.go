@@ -38,6 +38,7 @@ func TestValidateJournalRejects(t *testing.T) {
 		ok    bool
 	}{
 		{"conforming", []string{start, done}, true},
+		{"conforming cg run", []string{strings.Replace(start, `"gauss-seidel"`, `"cg"`, 1), done}, true},
 		{"missing field", []string{start, strings.Replace(done, `,"residual":3e-09`, "", 1)}, false},
 		{"run_start without update", []string{strings.Replace(start, `,"update":"gauss-seidel"`, "", 1), done}, false},
 		{"extra field", []string{start, strings.Replace(done, `"seconds":0.25`, `"seconds":0.25,"stage":"solve"`, 1)}, false},

@@ -75,48 +75,85 @@ var benchModes = []benchMode{
 // runs that cross six windows' enter/leave deltas. The nested
 // case's 4 warm-start chains fill the pool, so the plan runs them
 // unforked, as window-level does. The CI alloc gate therefore covers
-// both sweep updates: the serial, window-level and nested cells run
-// Gauss–Seidel, and the app-level cell, whose plan forks, runs Jacobi
-// over windows that span several chunks, so its sweeps fork.
+// all three updates: the serial, window-level and nested cells run
+// Gauss–Seidel, and their undirected twins (prefix "undirected/"),
+// which solve the symmetrized log, conjugate gradient; both app-level
+// cells, whose plans fork, run Jacobi over windows that span several
+// chunks, so their sweeps fork.
+//
+// The measured Run solves on an arena warmArena built: which unit
+// lands on which workspace depends on the pool's schedule, so a pooled
+// warm-up Run can leave a workspace too small for the unit the measured
+// Run hands it, or make fewer workspaces than that Run holds at once.
+// The measured Run would then grow buffers, which B/op shows as
+// kilobytes.
 func BenchmarkIter(b *testing.B) {
-	l, spec := benchLogSpec(b)
-	for _, m := range benchModes {
-		b.Run(m.name, func(b *testing.B) {
-			var pool *sched.Pool
-			if m.workers > 0 {
-				pool = sched.NewPool(m.workers)
-				defer pool.Close()
-			}
-			cfg := benchConfig(m.mode)
-			cfg.Opts.Tol = 1e-300
-			cfg.Opts.MaxIter = b.N
-			eng, err := NewEngine(l, spec, cfg, pool)
-			if err != nil {
-				b.Fatalf("NewEngine: %v", err)
-			}
-			// Warm the arena (and the scheduler's job pool) outside
-			// the measured region.
-			warm := cfg
-			warm.Opts.MaxIter = 2
-			wEng, err := NewEngineFromTemporal(eng.Temporal(), warm, pool)
-			if err != nil {
-				b.Fatalf("warm engine: %v", err)
-			}
-			warmed, err := wEng.Run(context.Background())
-			if err != nil {
-				b.Fatalf("warm Run: %v", err)
-			}
-			if eng.Plan().ForkVertexLoops {
-				checkWindowsSpanChunks(b, warmed)
-			}
-			eng.solve.arena = wEng.solve.arena // share the warmed arena
-			b.ReportAllocs()
-			b.ResetTimer()
-			if _, err := eng.Run(context.Background()); err != nil {
-				b.Fatalf("Run: %v", err)
-			}
-		})
+	raw, spec := benchLogSpec(b)
+	for _, d := range directions {
+		l := d.input(raw)
+		for _, m := range benchModes {
+			b.Run(d.label+m.name, func(b *testing.B) {
+				var pool *sched.Pool
+				if m.workers > 0 {
+					pool = sched.NewPool(m.workers)
+					defer pool.Close()
+				}
+				cfg := benchConfig(m.mode)
+				cfg.Directed = d.directed
+				cfg.Opts.Tol = 1e-300
+				cfg.Opts.MaxIter = b.N
+				eng, err := NewEngine(l, spec, cfg, pool)
+				if err != nil {
+					b.Fatalf("NewEngine: %v", err)
+				}
+				// Warm the scheduler's job pool outside the measured
+				// region.
+				warm := cfg
+				warm.Opts.MaxIter = 2
+				wEng, err := NewEngineFromTemporal(eng.Temporal(), warm, pool)
+				if err != nil {
+					b.Fatalf("warm engine: %v", err)
+				}
+				warmed, err := wEng.Run(context.Background())
+				if err != nil {
+					b.Fatalf("warm Run: %v", err)
+				}
+				if eng.Plan().ForkVertexLoops {
+					checkWindowsSpanChunks(b, warmed)
+				}
+				eng.solve.arena = warmArena(b, wEng.Plan(), m.workers)
+				b.ReportAllocs()
+				b.ResetTimer()
+				if _, err := eng.Run(context.Background()); err != nil {
+					b.Fatalf("Run: %v", err)
+				}
+			})
+		}
 	}
+}
+
+// warmArena returns an arena of one workspace per pool worker (one
+// when serial), the most units an unforked plan runs at once, each of
+// which has solved every unit of plan alone, so it holds every role
+// buffer and rank vector at the largest size any unit asks for.
+func warmArena(b *testing.B, plan *SolvePlan, workers int) *scratchArena {
+	b.Helper()
+	a := &scratchArena{}
+	for i := 0; i < max(1, workers); i++ {
+		st := NewSolveStage(nil)
+		for _, u := range plan.Units {
+			p := *plan
+			p.Units = []SolveUnit{u}
+			if _, err := st.Run(context.Background(), &p); err != nil {
+				b.Fatalf("warming a workspace: %v", err)
+			}
+		}
+		for _, ws := range st.arena.idle {
+			ws.arena = a
+			a.idle = append(a.idle, ws)
+		}
+	}
+	return a
 }
 
 // BenchmarkRun measures a whole converging Run (default tolerance,

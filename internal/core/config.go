@@ -10,10 +10,11 @@
 //     shared CSR, one window per sweep. The paper's SpMM kernel (Sec.
 //     4.4) advances K windows per sweep; here a multi-window graph fits
 //     in cache and width 1 is faster, so width K is not implemented
-//     (EXPERIMENTS.md "Width K — deleted"). A sweep is one in-place
-//     pass: a Gauss–Seidel update wherever the plan does not fork the
-//     vertex loops, and a Jacobi update over fixed chunks of the
-//     active list, summed in chunk order, where it does
+//     (EXPERIMENTS.md "Width K — deleted"). Where the plan forks the
+//     vertex loops, a sweep is one in-place Jacobi pass over fixed
+//     chunks of the active list, summed in chunk order; where it does
+//     not, an undirected solve of a symmetrized log runs conjugate
+//     gradient and any other solve in-place Gauss–Seidel sweeps
 //     (SolvePlan.Update).
 package core
 

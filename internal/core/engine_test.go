@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -135,50 +136,57 @@ func TestUndirectedSymmetrizedMatchesOracle(t *testing.T) {
 // TestErrorBoundHoldsAgainstOracle checks every window's ErrorBound
 // against the dense oracle solved far past the default tolerance: the
 // L1 distance of the window's ranks from the exact vector must not
-// exceed (1−α)/α · FinalResidual. The table crosses both updates (the
-// serial plan's Gauss–Seidel pass and the 2-worker app-level plan's
-// forked Jacobi), cold and partial starts, and a MaxIter of 100 or 5.
-// At 5 most windows stop short of the tolerance, which is where a bound
-// taken from the tolerance would be false. The runs validate every
-// window with CheckRanks, so a truncated Gauss–Seidel window must also
-// leave Finalize with unit mass.
+// exceed (1−α)/α · FinalResidual. The table crosses the three updates
+// (the serial plan's Gauss–Seidel pass, the 2-worker app-level plan's
+// forked Jacobi, and the serial plan's conjugate gradient on the
+// symmetrized log solved undirected), cold and partial starts, and a
+// MaxIter of 100 or 5. At 5 most windows stop short of the tolerance,
+// which is where a bound taken from the tolerance would be false. The
+// runs validate every window with CheckRanks, so a truncated window
+// must also leave Finalize with unit mass.
 func TestErrorBoundHoldsAgainstOracle(t *testing.T) {
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	exact := pagerank.Defaults()
 	exact.Tol, exact.MaxIter = 1e-14, 2000
 	paths := []struct {
-		name   string
-		pool   *sched.Pool
-		update string
+		name     string
+		pool     *sched.Pool
+		directed bool
+		update   string
 	}{
-		{"serial", nil, UpdateGaussSeidel},
-		{"app-2", pool, UpdateJacobi},
+		{"serial", nil, true, UpdateGaussSeidel},
+		{"app-2", pool, true, UpdateJacobi},
+		{"cg", nil, false, UpdateCG},
 	}
 	for _, seed := range []int64{41, 42, 43} {
-		l := randomLog(t, seed, 25, 500, 2500)
-		spec, err := events.Span(l, 400, 150)
+		raw := randomLog(t, seed, 25, 500, 2500)
+		spec, err := events.Span(raw, 400, 150)
 		if err != nil {
 			t.Fatalf("Span: %v", err)
 		}
-		want := make([][]float64, spec.Count)
-		for w := range want {
-			g, err := csr.FromLogWindow(l, spec.Start(w), spec.End(w))
-			if err != nil {
-				t.Fatalf("oracle graph window %d: %v", w, err)
-			}
-			if want[w], err = pagerank.Reference(g, exact); err != nil {
-				t.Fatalf("oracle window %d: %v", w, err)
-			}
-		}
 		for _, p := range paths {
+			l := raw
+			if !p.directed {
+				l = raw.Symmetrize()
+			}
+			want := make([][]float64, spec.Count)
+			for w := range want {
+				g, err := csr.FromLogWindow(l, spec.Start(w), spec.End(w))
+				if err != nil {
+					t.Fatalf("oracle graph window %d: %v", w, err)
+				}
+				if want[w], err = pagerank.Reference(g, exact); err != nil {
+					t.Fatalf("oracle window %d: %v", w, err)
+				}
+			}
 			for _, partial := range []bool{false, true} {
 				for _, maxIter := range []int{100, 5} {
 					label := fmt.Sprintf("seed %d %s partial=%v maxiter=%d", seed, p.name, partial, maxIter)
 					cfg := DefaultConfig()
 					cfg.Mode = AppLevel
 					cfg.PartialInit = partial
-					cfg.Directed = true
+					cfg.Directed = p.directed
 					cfg.NumMultiWindows = 2
 					cfg.Opts.MaxIter = maxIter
 					cfg.Validate = true // CheckRanks: unit mass, truncated windows included
@@ -307,12 +315,15 @@ func sameWindows(t *testing.T, label string, numVertices int32, a, b *Series) {
 // CSR for both directions, and each vertex's out-degree is its
 // run-index entry count; solved as directed, the same log gets its own
 // out-CSR, whose runs the chain's index counts as they enter and
-// leave. Serially, with partial init on and off, the two must give
-// bit-identical windows, and both must match the dense oracle.
+// leave. Brought to every window in turn, the two chain indexes must
+// hold the same active list, bit-identical inverse degrees and the same
+// live in-runs. The two plans run different updates (conjugate gradient
+// undirected, Gauss–Seidel directed), so their ranks are compared with
+// the dense oracle, serially, with partial init on and off.
 func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 	l := randomLog(t, 52, 30, 700, 4000).Symmetrize()
 	spec, _ := events.Span(l, 600, 150)
-	mk := func(directed bool, partial bool) *Series {
+	mk := func(directed bool, partial bool) *Engine {
 		cfg := DefaultConfig()
 		cfg.Directed = directed
 		cfg.PartialInit = partial
@@ -326,18 +337,44 @@ func TestMaskDegreesEqualOutRunWalk(t *testing.T) {
 				t.Fatalf("directed=%v: multi-window %d..%d has OutColAliased %v", directed, mw.WinLo, mw.WinHi, !directed)
 			}
 		}
-		s, err := eng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("Run: %v", err)
+		return eng
+	}
+	counts, walk := mk(false, true), mk(true, true)
+	arena := &scratchArena{}
+	for i, mc := range counts.Temporal().MWs {
+		mw := walk.Temporal().MWs[i]
+		var ic, iw chainIndex
+		ic.open(mc, mc.WinLo, mc.WinHi, arena.take())
+		iw.open(mw, mw.WinLo, mw.WinHi, arena.take())
+		if ic.outdeg != nil || iw.outdeg == nil {
+			t.Fatalf("multi-window %d: the aliased index walks out-runs, or the directed one does not", i)
 		}
-		return s
+		for w := mc.WinLo; w < mc.WinHi; w++ {
+			ic.seek(w)
+			iw.seek(w)
+			if !slices.Equal(ic.list, iw.list) {
+				t.Fatalf("window %d: active list %v from run counts, %v from the walk", w, ic.list, iw.list)
+			}
+			for v := range ic.invdeg {
+				if math.Float64bits(ic.invdeg[v]) != math.Float64bits(iw.invdeg[v]) {
+					t.Fatalf("window %d vertex %d: invdeg %v from run counts, %v from the walk", w, v, ic.invdeg[v], iw.invdeg[v])
+				}
+				rc := ic.col[ic.row[v]:ic.end[v]]
+				if rw := iw.col[iw.row[v]:iw.end[v]]; !slices.Equal(rc, rw) {
+					t.Fatalf("window %d vertex %d: live in-runs %v from run counts, %v from the walk", w, v, rc, rw)
+				}
+			}
+		}
 	}
 	for _, partial := range []bool{false, true} {
 		label := fmt.Sprintf("partial=%v", partial)
-		counts, walk := mk(false, partial), mk(true, partial)
-		sameWindows(t, label+" run counts vs walk", l.NumVertices(), counts, walk)
-		checkAgainstOracle(t, l, spec, counts, label+" run counts")
-		checkAgainstOracle(t, l, spec, walk, label+" walk")
+		for _, directed := range []bool{false, true} {
+			s, err := mk(directed, partial).Run(context.Background())
+			if err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			checkAgainstOracle(t, l, spec, s, fmt.Sprintf("%s directed=%v %s", label, directed, s.Report.Update))
+		}
 	}
 }
 

@@ -29,6 +29,25 @@ func equivCfg(mode ParallelMode, partial bool) Config {
 	return cfg
 }
 
+// direction is one of the two ways the tests solve a log: as given,
+// directed (whose unforked plans sweep Gauss–Seidel), or symmetrized
+// and undirected (whose unforked plans run conjugate gradient). label
+// prefixes the undirected cases' names; the directed ones keep theirs.
+type direction struct {
+	label    string
+	directed bool
+}
+
+var directions = []direction{{"", true}, {"undirected/", false}}
+
+// input returns l as d solves it.
+func (d direction) input(l *events.Log) *events.Log {
+	if d.directed {
+		return l
+	}
+	return l.Symmetrize()
+}
+
 func denseSeries(t *testing.T, s *Series, label string) [][]float64 {
 	t.Helper()
 	out := make([][]float64, s.Len())
@@ -48,48 +67,54 @@ func denseSeries(t *testing.T, s *Series, label string) [][]float64 {
 // 1e-12 on a work-stealing pool. Subtests are named after the engine's
 // one kernel, SpMV.
 func TestScratchRewriteMatchesSerial(t *testing.T) {
-	l := randomLog(t, 77, 30, 300, 900)
+	raw := randomLog(t, 77, 30, 300, 900)
 	spec := events.WindowSpec{T0: 0, Delta: 180, Slide: 95, Count: 8}
 	pool := sched.NewPool(4)
 	defer pool.Close()
 
-	for _, partial := range []bool{false, true} {
-		cfg := equivCfg(AppLevel, partial)
-		serialEng, err := NewEngine(l, spec, cfg, nil)
-		if err != nil {
-			t.Fatalf("serial NewEngine: %v", err)
-		}
-		serialSeries, err := serialEng.Run(context.Background())
-		if err != nil {
-			t.Fatalf("serial Run: %v", err)
-		}
-		want := denseSeries(t, serialSeries, "serial")
+	for _, d := range directions {
+		l := d.input(raw)
+		for _, partial := range []bool{false, true} {
+			cfg := equivCfg(AppLevel, partial)
+			cfg.Directed = d.directed
+			serialEng, err := NewEngine(l, spec, cfg, nil)
+			if err != nil {
+				t.Fatalf("serial NewEngine: %v", err)
+			}
+			serialSeries, err := serialEng.Run(context.Background())
+			if err != nil {
+				t.Fatalf("serial Run: %v", err)
+			}
+			want := denseSeries(t, serialSeries, "serial")
 
-		for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
-			label := fmt.Sprintf("spmv/%v/partial=%v", mode, partial)
-			t.Run(label, func(t *testing.T) {
-				eng, err := NewEngine(l, spec, equivCfg(mode, partial), pool)
-				if err != nil {
-					t.Fatalf("NewEngine: %v", err)
-				}
-				s, err := eng.Run(context.Background())
-				if err != nil {
-					t.Fatalf("Run: %v", err)
-				}
-				got := denseSeries(t, s, label)
-				for w := range want {
-					for v := range want[w] {
-						d := got[w][v] - want[w][v]
-						if d < 0 {
-							d = -d
-						}
-						if d > 1e-12 {
-							t.Fatalf("window %d vertex %d: got %v want %v (|diff|=%v)",
-								w, v, got[w][v], want[w][v], d)
+			for _, mode := range []ParallelMode{AppLevel, WindowLevel, Nested} {
+				label := fmt.Sprintf("spmv/%s%v/partial=%v", d.label, mode, partial)
+				t.Run(label, func(t *testing.T) {
+					cfg := equivCfg(mode, partial)
+					cfg.Directed = d.directed
+					eng, err := NewEngine(l, spec, cfg, pool)
+					if err != nil {
+						t.Fatalf("NewEngine: %v", err)
+					}
+					s, err := eng.Run(context.Background())
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					got := denseSeries(t, s, label)
+					for w := range want {
+						for v := range want[w] {
+							d := got[w][v] - want[w][v]
+							if d < 0 {
+								d = -d
+							}
+							if d > 1e-12 {
+								t.Fatalf("window %d vertex %d: got %v want %v (|diff|=%v)",
+									w, v, got[w][v], want[w][v], d)
+							}
 						}
 					}
-				}
-			})
+				})
+			}
 		}
 	}
 }
@@ -99,27 +124,31 @@ func TestScratchRewriteMatchesSerial(t *testing.T) {
 // the workspace's recycled buffers, so any stale state surviving a
 // buffer's reuse would show up here.
 func TestSerialRunTwiceBitIdentical(t *testing.T) {
-	l := randomLog(t, 78, 25, 250, 700)
+	raw := randomLog(t, 78, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 6}
-	eng, err := NewEngine(l, spec, equivCfg(AppLevel, true), nil)
-	if err != nil {
-		t.Fatalf("NewEngine: %v", err)
-	}
-	s1, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("first Run: %v", err)
-	}
-	first := denseSeries(t, s1, "first")
-	s2, err := eng.Run(context.Background())
-	if err != nil {
-		t.Fatalf("second Run: %v", err)
-	}
-	second := denseSeries(t, s2, "second")
-	for w := range first {
-		for v := range first[w] {
-			if first[w][v] != second[w][v] {
-				t.Fatalf("window %d vertex %d differs across runs: %v vs %v",
-					w, v, first[w][v], second[w][v])
+	for _, d := range directions {
+		cfg := equivCfg(AppLevel, true)
+		cfg.Directed = d.directed
+		eng, err := NewEngine(d.input(raw), spec, cfg, nil)
+		if err != nil {
+			t.Fatalf("NewEngine: %v", err)
+		}
+		s1, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("first Run: %v", err)
+		}
+		first := denseSeries(t, s1, "first")
+		s2, err := eng.Run(context.Background())
+		if err != nil {
+			t.Fatalf("second Run: %v", err)
+		}
+		second := denseSeries(t, s2, "second")
+		for w := range first {
+			for v := range first[w] {
+				if first[w][v] != second[w][v] {
+					t.Fatalf("%swindow %d vertex %d differs across runs: %v vs %v",
+						d.label, w, v, first[w][v], second[w][v])
+				}
 			}
 		}
 	}
@@ -132,13 +161,18 @@ func TestSerialRunTwiceBitIdentical(t *testing.T) {
 // workspace. A retained window keeps its entries, never the unit's
 // dense vector.
 func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
-	l := randomLog(t, 79, 25, 250, 700)
+	raw := randomLog(t, 79, 25, 250, 700)
 	spec := events.WindowSpec{T0: 0, Delta: 160, Slide: 90, Count: 7}
-	for _, discard := range []bool{true, false} {
-		t.Run(fmt.Sprintf("discard=%v", discard), func(t *testing.T) {
+	for _, c := range []struct {
+		direction
+		discard bool
+	}{{directions[0], true}, {directions[0], false}, {directions[1], true}, {directions[1], false}} {
+		discard := c.discard
+		t.Run(fmt.Sprintf("%sdiscard=%v", c.label, discard), func(t *testing.T) {
 			cfg := equivCfg(AppLevel, true)
+			cfg.Directed = c.directed
 			cfg.DiscardRanks = discard
-			eng, err := NewEngine(l, spec, cfg, nil)
+			eng, err := NewEngine(c.input(raw), spec, cfg, nil)
 			if err != nil {
 				t.Fatalf("NewEngine: %v", err)
 			}
@@ -189,15 +223,17 @@ func TestDiscardRanksSteadyStateHasZeroMisses(t *testing.T) {
 // single unit that cannot fill the pool, so its healthy cells fork.
 // The rows whose plans fork (app, nested-forked) solve the forked
 // fixture, whose windows span several chunks, so their sweeps fork too.
+// Every cell runs directed and, symmetrized, undirected (prefix
+// "undirected/"), where the unforked rows run conjugate gradient, whose
+// runs at this tolerance end every window in its MaxIter stop.
 func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
 	}
 	defer fault.Reset()
 	fault.Reset()
-	small := randomLog(t, 80, 25, 250, 700)
+	rawSmall := randomLog(t, 80, 25, 250, 700)
 	smallSpec := events.WindowSpec{T0: 0, Delta: 160, Slide: 27, Count: 20}
-	big, bigSpec := forkedFixture(t, true, 10)
 	pool := sched.NewPool(2)
 	defer pool.Close()
 	pools := []struct {
@@ -213,43 +249,48 @@ func TestSteadyStateIterationsDoNotAllocate(t *testing.T) {
 		{"nested", Nested, pool, 2, false},
 		{"nested-forked", Nested, pool, 1, true},
 	}
-	for _, grain := range []int{1, 3, 8, 64} {
-		for _, p := range pools {
-			l, spec := small, smallSpec
-			if p.forked {
-				l, spec = big, bigSpec
-			}
-			if (p.pool == nil && grain != 1) || (p.mws == 1 && grain < spec.Count) {
-				continue
-			}
-			for _, degrade := range []bool{false, true} {
-				for _, journal := range []bool{false, true} {
-					label := fmt.Sprintf("K=%d/%s/degrade=%v/journal=%v", grain, p.name, degrade, journal)
-					t.Run(label, func(t *testing.T) {
-						if degrade {
-							defer fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})()
-						}
-						cfg := equivCfg(p.mode, true)
-						cfg.Grain = grain
-						cfg.NumMultiWindows = p.mws
-						cfg.DiscardRanks = true
-						cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
-						if journal {
-							cfg.Journal = obs.NewJournal(256)
-						}
-						if p.mws == 1 {
-							eng, err := NewEngine(l, spec, cfg, p.pool)
-							if err != nil || !eng.Plan().ForkVertexLoops {
-								t.Fatalf("nested-forked plan does not fork (NewEngine err %v)", err)
+	for _, d := range directions {
+		small := d.input(rawSmall)
+		big, bigSpec := forkedFixture(t, d.directed, 10)
+		for _, grain := range []int{1, 3, 8, 64} {
+			for _, p := range pools {
+				l, spec := small, smallSpec
+				if p.forked {
+					l, spec = big, bigSpec
+				}
+				if (p.pool == nil && grain != 1) || (p.mws == 1 && grain < spec.Count) {
+					continue
+				}
+				for _, degrade := range []bool{false, true} {
+					for _, journal := range []bool{false, true} {
+						label := fmt.Sprintf("%sK=%d/%s/degrade=%v/journal=%v", d.label, grain, p.name, degrade, journal)
+						t.Run(label, func(t *testing.T) {
+							if degrade {
+								defer fault.Arm(fault.Rule{Point: PointSolveWindow, Mode: fault.ModeError, Count: 0})()
 							}
-						}
-						short := steadyStateAllocs(t, l, spec, cfg, 1, p.pool, degrade)
-						long := steadyStateAllocs(t, l, spec, cfg, 101, p.pool, degrade)
-						if long != short {
-							t.Errorf("100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
-								long-short, short, long)
-						}
-					})
+							cfg := equivCfg(p.mode, true)
+							cfg.Directed = d.directed
+							cfg.Grain = grain
+							cfg.NumMultiWindows = p.mws
+							cfg.DiscardRanks = true
+							cfg.Opts.Tol = 1e-300 // never converge early; iterate MaxIter times
+							if journal {
+								cfg.Journal = obs.NewJournal(256)
+							}
+							if p.mws == 1 {
+								eng, err := NewEngine(l, spec, cfg, p.pool)
+								if err != nil || !eng.Plan().ForkVertexLoops {
+									t.Fatalf("nested-forked plan does not fork (NewEngine err %v)", err)
+								}
+							}
+							short := steadyStateAllocs(t, l, spec, cfg, 1, p.pool, degrade)
+							long := steadyStateAllocs(t, l, spec, cfg, 101, p.pool, degrade)
+							if long != short {
+								t.Errorf("100 extra iterations allocated %.1f objects (run allocs %.1f -> %.1f)",
+									long-short, short, long)
+							}
+						})
+					}
 				}
 			}
 		}
@@ -358,7 +399,12 @@ func TestTimeShiftIsInvariant(t *testing.T) {
 // bit-identical. Runs are serial, whose warm-start chains are
 // deterministic. The undirected half solves the symmetrized log, as
 // Config.Directed requires (Validate checks it), and shuffles its ties
-// after symmetrizing, so an edge and its reverse trade places too.
+// after symmetrizing, so an edge and its reverse trade places too. Only
+// Symmetrize marks a log symmetric, so the relabeled and shuffled
+// copies, which NewLogSorted makes, sweep Gauss–Seidel; the undirected
+// half compares them with an unmarked copy of the log, and the log
+// itself, which runs conjugate gradient, with the relabeled raw log
+// symmetrized.
 func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 	const n = 30
 	for seed := int64(0); seed < 5; seed++ {
@@ -374,10 +420,18 @@ func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 			if !directed {
 				l = raw.Symmetrize()
 			}
-			relabeled := append([]events.Event(nil), l.Events()...)
-			for i := range relabeled {
-				relabeled[i].U, relabeled[i].V = int32(perm[relabeled[i].U]), int32(perm[relabeled[i].V])
+			relabel := func(l *events.Log) *events.Log {
+				evs := append([]events.Event(nil), l.Events()...)
+				for i := range evs {
+					evs[i].U, evs[i].V = int32(perm[evs[i].U]), int32(perm[evs[i].V])
+				}
+				moved, err := events.NewLogSorted(evs, n)
+				if err != nil {
+					t.Fatalf("NewLogSorted: %v", err)
+				}
+				return moved
 			}
+			relabeledLog := relabel(l)
 			shuffled := append([]events.Event(nil), l.Events()...)
 			tied := 0
 			for lo := 0; lo < len(shuffled); {
@@ -395,13 +449,15 @@ func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 			if tied == 0 {
 				t.Fatalf("seed %d directed=%v: log has no tied timestamps to shuffle", seed, directed)
 			}
-			relabeledLog, err := events.NewLogSorted(relabeled, n)
-			if err != nil {
-				t.Fatalf("NewLogSorted: %v", err)
-			}
 			shuffledLog, err := events.NewLogSorted(shuffled, n)
 			if err != nil {
 				t.Fatalf("NewLogSorted: %v", err)
+			}
+			base := l
+			if !directed {
+				if base, err = events.NewLog(l.Events(), n); err != nil {
+					t.Fatalf("NewLog: %v", err)
+				}
 			}
 			for _, partial := range []bool{false, true} {
 				label := fmt.Sprintf("seed %d partial=%v directed=%v", seed, partial, directed)
@@ -411,26 +467,39 @@ func TestVertexRelabelAndTieOrderAreInvariant(t *testing.T) {
 				cfg.NumMultiWindows = 3
 				cfg.Opts.Tol = 1e-14
 				cfg.Validate = true
-				want := runSeries(t, l, spec, cfg, label)
-				moved := runSeries(t, relabeledLog, spec, cfg, label+" relabeled")
+				// within fails t unless every window of moved lies within
+				// the two runs' error bounds of want's, carried along perm.
+				within := func(want, moved *Series, label string) {
+					for w := 0; w < want.Len(); w++ {
+						a, m := want.Window(w), moved.Window(w)
+						ra, rm := a.Dense(n), m.Dense(n)
+						var dist float64
+						for v := range ra {
+							dist += math.Abs(ra[v] - rm[perm[v]])
+						}
+						if bound := a.ErrorBound + m.ErrorBound; dist > bound {
+							t.Fatalf("%s window %d: relabeled ranks are %v apart in L1, beyond the bounds' sum %v",
+								label, w, dist, bound)
+						}
+					}
+				}
+				want := runSeries(t, base, spec, cfg, label)
+				within(want, runSeries(t, relabeledLog, spec, cfg, label+" relabeled"), label)
+				if !directed {
+					cg := runSeries(t, l, spec, cfg, label+" marked")
+					if cg.Report.Update != UpdateCG {
+						t.Fatalf("%s: the symmetrized log runs %q, want %q", label, cg.Report.Update, UpdateCG)
+					}
+					within(cg, runSeries(t, relabel(raw).Symmetrize(), spec, cfg, label+" relabeled marked"), label+" marked")
+				}
 				reordered := runSeries(t, shuffledLog, spec, cfg, label+" tie-shuffled")
 				for w := 0; w < want.Len(); w++ {
-					a, m := want.Window(w), moved.Window(w)
-					ra, rm := a.Dense(n), m.Dense(n)
-					var dist float64
-					for v := range ra {
-						dist += math.Abs(ra[v] - rm[perm[v]])
-					}
-					if bound := a.ErrorBound + m.ErrorBound; dist > bound {
-						t.Fatalf("%s window %d: relabeled ranks are %v apart in L1, beyond the bounds' sum %v",
-							label, w, dist, bound)
-					}
-					b := reordered.Window(w)
+					a, b := want.Window(w), reordered.Window(w)
 					if a.Iterations != b.Iterations || a.FinalResidual != b.FinalResidual {
 						t.Fatalf("%s window %d: iterations %d, residual %v tie-shuffled to %d, %v",
 							label, w, a.Iterations, a.FinalResidual, b.Iterations, b.FinalResidual)
 					}
-					rb := b.Dense(n)
+					ra, rb := a.Dense(n), b.Dense(n)
 					for v := range ra {
 						if ra[v] != rb[v] {
 							t.Fatalf("%s window %d vertex %d: rank %v tie-shuffled to %v", label, w, v, ra[v], rb[v])

@@ -136,9 +136,9 @@ func (r *solveRun) solveBatchFT(b *Batch, reset func()) bool {
 // degradeBatch re-solves a freshly re-staged window on the serial loop
 // — the simplest execution path, with no nested parallelism —
 // quarantining it only if it fails even there. It keeps the batch's
-// update (Batch.gaussSeidel), so a degraded window of a forked plan
-// still sweeps Jacobi over the same chunks, and writes the healthy
-// window's bits.
+// update (Batch.update), so a degraded window of a forked plan still
+// sweeps Jacobi over the same chunks, and writes the healthy window's
+// bits.
 func (r *solveRun) degradeBatch(b *Batch, priorAttempts int, panicked bool) {
 	attempts := priorAttempts + 1
 	loop := b.loop
@@ -205,7 +205,7 @@ func (r *solveRun) restoreWindow(mw *tcsr.MultiWindow, w, wid int) (x []float64,
 		Status:         WindowResumed,
 	}
 	res.Window, res.Iterations, res.Converged, res.UsedPartialInit = cw.Index, cw.Iterations, cw.Converged, cw.UsedPartialInit
-	res.Vertices, res.Ranks = rankEntries(mw, cw.Ranks)
+	res.Vertices, res.Ranks = denseRankEntries(mw, cw.Ranks)
 	r.journal.EmitCheckpointResume(w)
 	r.windowDecided(res)
 	r.completed.Add(1)

@@ -12,8 +12,9 @@ import "pmpr/internal/tcsr"
 //	Init      stages the window (brings the chain's index to it, then
 //	          the starting vector); a window with no active vertex is
 //	          converged before its first sweep.
-//	Iterate   advances the rank vector by one PageRank sweep.
-//	Residual  returns the L1 delta of the last Iterate.
+//	Iterate   advances the rank vector by one iteration of the update.
+//	Residual  returns what the stop test compares with the tolerance:
+//	          the last sweep's L1 delta, or CG's scaled residual norm.
 //	Finalize  hands the rank vector to the batch (x). It runs
 //	          unconditionally — after convergence, MaxIter exhaustion,
 //	          or a cancellation break — so the workspace stays
@@ -28,14 +29,12 @@ type Batch struct {
 	ws     *workspace // the unit's working memory
 	loop   forLoop    // serial or worker-forked loop over Jacobi's chunks
 
-	// gaussSeidel selects the update the kernel's one sweep body runs:
-	// Gauss–Seidel reads the current sweep's z, Jacobi the previous
-	// sweep's, over fixed chunks on loop. solveUnit sets it from the
-	// plan: only a plan that does not fork vertex loops may read the
-	// current sweep. The degrade rung swaps loop but keeps it, so a
-	// degraded window solves with the same update, and the same chunks,
-	// as a healthy one.
-	gaussSeidel bool
+	// update is the plan's update (SolvePlan.Update), which solveUnit
+	// copies here: Gauss–Seidel and Jacobi sweeps, the latter over fixed
+	// chunks on loop, or conjugate gradient. The degrade rung swaps loop
+	// but keeps the update, so a degraded window solves with the same
+	// update, and the same chunks, as a healthy one.
+	update string
 
 	// truncated is set by runBatch when the convergence loop broke on
 	// cancellation: the staged result may be mid-iteration, so the

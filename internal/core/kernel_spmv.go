@@ -7,7 +7,7 @@ import (
 )
 
 // spmvKernel advances one window's PageRank vector by sparse
-// matrix-vector sweeps over its multi-window graph — the engine's only
+// matrix-vector passes over its multi-window graph — the engine's only
 // kernel. Paper Sec. 4.4 batches K windows per sweep to save memory
 // traffic; here a multi-window graph fits in cache, so one window per
 // sweep, warm-started from its predecessor, is faster (EXPERIMENTS.md
@@ -19,19 +19,20 @@ import (
 // compacted the same way: list holds the window's active vertices, and
 // every loop walks only list, so a sweep costs what the window sees,
 // not what the multi-window graph holds. Entries of x and z outside
-// list start at zero and stay zero. The index, degrees, list, z, zin
-// and the chunk sums belong to the unit's workspace; the rank vector x
-// comes from its stash and stays checked out until solveUnit recycles
-// it, once the successor window has consumed it.
+// list start at zero and stay zero. The index, degrees, list, z, zin,
+// the chunk sums and CG's r, p and q belong to the unit's workspace;
+// the rank vector x comes from its stash and stays checked out until
+// solveUnit recycles it, once the successor window has consumed it.
 //
-// A sweep has one body (sweep) for both updates the plan chooses
-// between (Batch.gaussSeidel). For each active vertex it pulls along
+// The kernel runs the update the plan chooses (Batch.update). The two
+// sweeps share one body (sweep): for each active vertex it pulls along
 // the indexed runs from zin and writes the new value to x and z in
-// place:
+// place.
 //
-//   - Gauss–Seidel, when the plan does not fork vertex loops: zin is z
-//     itself, so a vertex reads each in-neighbour's value from the
-//     current sweep once it has been updated.
+//   - Gauss–Seidel, when the plan does not fork vertex loops and does
+//     not run conjugate gradient: zin is z itself, so a vertex reads
+//     each in-neighbour's value from the current sweep once it has been
+//     updated.
 //   - Jacobi, when it does: zin is the previous sweep's z, and z and
 //     zin swap before each sweep. A vertex reads only its own old x[v],
 //     so the update needs no second rank vector.
@@ -42,19 +43,29 @@ import (
 // chunk order, so the split, and the result, depend only on the list
 // length, never on which worker runs a chunk. A window of at most one
 // chunk calls the body directly.
+//
+// The third update, conjugate gradient, replaces the sweeps of an
+// unforked undirected plan on a symmetrized graph (iterateCG). Its
+// passes walk the same list and pull along the same runs.
 type spmvKernel struct {
+	update      string // the window's update: the plan's (Batch.update)
 	invdeg      []float64
 	list        []int32 // the window's active vertices, ascending
 	runs        runIndex
 	runsVisited int64 // runs Init inserted into or removed from the chain's index
 	x, z, zin   []float64
-	sums        []chunkSum // Jacobi's per-chunk slots; nil under Gauss–Seidel
+	sums        []chunkSum // Jacobi's per-chunk slots; nil otherwise
 	damp        float64    // 1 − α
 	base        float64    // the teleport term of the running sweep
 
 	// What the last sweep (or Init) left: the active mass, the dangling
-	// mass, and the L1 change of the rank vector.
-	mass, dangling, delta float64
+	// mass, and the residual the stop test reads (Residual).
+	mass, dangling, residual float64
+
+	// Conjugate gradient's state: the residual r, the search direction p
+	// (z holds invdeg∘p), q = M·p, ρ = ‖r‖²_W and the teleport term α/n.
+	r, p, q  []float64
+	rho, tel float64
 
 	// chunked runs the body over a range of chunks. It is bound once
 	// per unit, so the steady-state sweep does not allocate.
@@ -73,9 +84,10 @@ type chunkSum struct{ mass, dangling, delta float64 }
 // index, inverse out-degrees and active list, then stages the starting
 // vector over the list (Eq. 4 where a predecessor vector is supplied,
 // uniform otherwise), its inverse-degree scaling z and its mass.
-// Jacobi also sizes zin and its chunk slots. It records the active
-// count in the result; a window with no active vertex is converged
-// before its first sweep.
+// Jacobi also sizes zin and its chunk slots, and conjugate gradient
+// pulls the start's residual. It records the active count in the
+// result; a window with no active vertex is converged before its first
+// iteration.
 func (s *spmvKernel) Init(b *Batch) {
 	n := int(b.mw.NumLocal())
 	ws := b.ws
@@ -87,6 +99,7 @@ func (s *spmvKernel) Init(b *Batch) {
 	listed := len(list)
 	b.result.ActiveVertices = int32(listed)
 	b.result.Converged = listed == 0
+	s.update = b.update
 	s.damp = 1 - b.cfg.Opts.Alpha
 
 	x := ws.rank(n)
@@ -95,7 +108,7 @@ func (s *spmvKernel) Init(b *Batch) {
 	// and its z must read zero, not a previous window's value.
 	s.x, s.z = x, size(ws, &ws.z, n)
 	s.zin = s.z
-	if !b.gaussSeidel {
+	if s.update == UpdateJacobi {
 		s.zin = size(ws, &ws.zin, n)
 		s.sums = size(ws, &ws.sums, (listed+chunkLen-1)/chunkLen)
 		if s.chunked == nil {
@@ -139,6 +152,22 @@ func (s *spmvKernel) Init(b *Batch) {
 		}
 	}
 	s.mass, s.dangling = mass, dangling
+
+	if s.update != UpdateCG || listed == 0 {
+		return
+	}
+	if dangling > 0 {
+		// A dangling vertex makes M non-symmetric. A graph marked
+		// symmetric has none; should one appear, the window sweeps.
+		s.update = UpdateGaussSeidel
+		return
+	}
+	// r, p and q were sized once per unit (solveUnit); each is written
+	// at every active entry before it is read.
+	s.r, s.p, s.q = ws.r, ws.p, ws.q
+	s.tel = b.cfg.Opts.Alpha / float64(listed)
+	s.pullResidual()
+	s.restart()
 }
 
 // sweep runs the update over vs, a stretch of the active list: for
@@ -183,9 +212,10 @@ func (s *spmvKernel) sweepChunks(_ *sched.Worker, lo, hi int) {
 	}
 }
 
-// Iterate runs one sweep. z and zin swap first: under Gauss–Seidel
-// they are one vector, and under Jacobi zin becomes the z the previous
-// sweep wrote.
+// Iterate runs one iteration of the window's update: a conjugate
+// gradient step (iterateCG) or one sweep. Before a sweep z and zin
+// swap: under Gauss–Seidel they are one vector, and under Jacobi zin
+// becomes the z the previous sweep wrote.
 //
 // The teleport term corrects mass. With S the active mass and d the
 // dangling mass the previous sweep left, base = (1 − damp·(S − d)) / n:
@@ -194,10 +224,14 @@ func (s *spmvKernel) sweepChunks(_ *sched.Worker, lo, hi int) {
 // point is PageRank's. A base of α/n + damp·d/n alone would leave a
 // Gauss–Seidel mass error that decays only at 1 − α per sweep.
 func (s *spmvKernel) Iterate(b *Batch) {
+	if s.update == UpdateCG {
+		s.iterateCG(b)
+		return
+	}
 	s.base = (1 - s.damp*(s.mass-s.dangling)) / float64(len(s.list))
 	s.z, s.zin = s.zin, s.z
 	if len(s.sums) <= 1 {
-		s.mass, s.dangling, s.delta = s.sweep(s.list)
+		s.mass, s.dangling, s.residual = s.sweep(s.list)
 		return
 	}
 	b.loop(len(s.sums), s.chunked)
@@ -207,17 +241,145 @@ func (s *spmvKernel) Iterate(b *Batch) {
 		dangling += c.dangling
 		delta += c.delta
 	}
-	s.mass, s.dangling, s.delta = mass, dangling, delta
+	s.mass, s.dangling, s.residual = mass, dangling, delta
 }
 
-// Residual returns the L1 change of the rank vector in the last sweep.
-func (s *spmvKernel) Residual() float64 { return s.delta }
+// iterateCG runs one conjugate gradient step on the window's PageRank
+// system M·x = α/n·1, M = I − (1−α)·A·D⁻¹. On a symmetrized graph A is
+// symmetric and no active vertex dangles, so M is self-adjoint and
+// positive definite under ⟨u, v⟩_W = Σ u_v·v_v/deg(v), and CG runs in
+// that inner product (DESIGN.md "Three updates, chosen by the plan").
+// A step makes three passes over the list: a pull for q = M·p (z =
+// invdeg∘p) with pᵀWq, an update of x and r with ‖r‖²_W and ‖r‖₁, and
+// p = r + βp with z = invdeg∘p.
+//
+// The window stops when ‖r‖₁ of the recursive residual passes the
+// tolerance, on its last iteration (MaxIter), or when a step cannot
+// divide: ρ = 0 or pᵀWq ≤ 0 means the window is exactly solved. A stop
+// renormalizes x and pulls the true residual of that vector, which the
+// stop test and the error bound read (stop); should the true residual
+// fail where the recursive one passed, CG restarts from it.
+func (s *spmvKernel) iterateCG(b *Batch) {
+	opt := &b.cfg.Opts
+	last := b.result.Iterations+1 >= opt.MaxIter
+	if s.rho == 0 {
+		s.stop(opt.Tol, last)
+		return
+	}
+	invdeg := s.invdeg
+	n := len(invdeg)
+	x, z, r, p, q := s.x[:n], s.z[:n], s.r[:n], s.p[:n], s.q[:n]
+	runRow, runEnd, runCol := s.runs.row[:n], s.runs.end[:n], s.runs.col
+	damp := s.damp
+	var pwq float64
+	for _, v := range s.list {
+		var acc float64
+		for _, c := range runCol[runRow[v]:runEnd[v]] {
+			acc += z[c]
+		}
+		qv := p[v] - damp*acc
+		q[v] = qv
+		pwq += z[v] * qv
+	}
+	if !(pwq > 0) {
+		s.stop(opt.Tol, last)
+		return
+	}
+	a := s.rho / pwq
+	var rho, r1 float64
+	for _, v := range s.list {
+		id := invdeg[v]
+		x[v] += a * p[v]
+		rv := r[v] - a*q[v]
+		r[v] = rv
+		rho += rv * rv * id
+		r1 += math.Abs(rv)
+	}
+	s.residual = r1 / damp
+	if s.residual < opt.Tol || last {
+		s.stop(opt.Tol, last)
+		return
+	}
+	beta := rho / s.rho
+	s.rho = rho
+	for _, v := range s.list {
+		pv := r[v] + beta*p[v]
+		p[v] = pv
+		z[v] = pv * invdeg[v]
+	}
+}
+
+// stop renormalizes x, stages z = invdeg∘x and pulls the true residual
+// of the renormalized vector, so residual = ‖r‖₁/(1−α) describes the
+// vector the window keeps and its error bound, ‖r‖₁/α, is the proven
+// one (P is column-stochastic). When that fails the tolerance and
+// iterations remain, CG restarts from the true r.
+func (s *spmvKernel) stop(tol float64, last bool) {
+	invdeg := s.invdeg
+	n := len(invdeg)
+	x, z := s.x[:n], s.z[:n]
+	var mass float64
+	for _, v := range s.list {
+		mass += x[v]
+	}
+	inv := 1 / mass
+	for _, v := range s.list {
+		xv := x[v] * inv
+		x[v] = xv
+		z[v] = xv * invdeg[v]
+	}
+	s.pullResidual()
+	if s.residual >= tol && !last {
+		s.restart()
+	}
+}
+
+// pullResidual pulls the true residual r = α/n + (1−α)·A·z − x of x
+// (z = invdeg∘x staged) and records ρ = ‖r‖²_W and ‖r‖₁/(1−α).
+func (s *spmvKernel) pullResidual() {
+	invdeg := s.invdeg
+	n := len(invdeg)
+	x, z, r := s.x[:n], s.z[:n], s.r[:n]
+	runRow, runEnd, runCol := s.runs.row[:n], s.runs.end[:n], s.runs.col
+	tel, damp := s.tel, s.damp
+	var rho, r1 float64
+	for _, v := range s.list {
+		id := invdeg[v]
+		var acc float64
+		for _, c := range runCol[runRow[v]:runEnd[v]] {
+			acc += z[c]
+		}
+		rv := tel + damp*acc - x[v]
+		r[v] = rv
+		rho += rv * rv * id
+		r1 += math.Abs(rv)
+	}
+	s.rho, s.residual = rho, r1/damp
+}
+
+// restart starts the search from the residual: p = r, z = invdeg∘p.
+func (s *spmvKernel) restart() {
+	invdeg := s.invdeg
+	n := len(invdeg)
+	z, r, p := s.z[:n], s.r[:n], s.p[:n]
+	for _, v := range s.list {
+		p[v] = r[v]
+		z[v] = r[v] * invdeg[v]
+	}
+}
+
+// Residual returns what the stop test reads: the L1 change of the rank
+// vector in the last sweep, or conjugate gradient's ‖r‖₁/(1−α) (the
+// true residual's once the window stops).
+func (s *spmvKernel) Residual() float64 { return s.residual }
 
 // Finalize renormalizes the active entries of x once, so they sum to 1,
 // and hands x over to the batch as the window's rank vector; everything
-// else stays with the workspace.
+// else stays with the workspace. A conjugate gradient window is
+// normalized already: every exit from its loop but a cancellation
+// (which leaves the window undecided) goes through stop.
 func (s *spmvKernel) Finalize(b *Batch) {
-	if s.mass > 0 {
+	if s.update != UpdateCG && s.mass > 0 {
 		inv := 1 / s.mass
 		for _, v := range s.list {
 			s.x[v] *= inv

@@ -161,20 +161,27 @@ type SolvePlan struct {
 	Seconds float64
 }
 
-// The sweep updates a plan can run (SolvePlan.Update).
+// The updates a plan can run (SolvePlan.Update).
 const (
 	UpdateGaussSeidel = "gauss-seidel"
 	UpdateJacobi      = "jacobi"
+	UpdateCG          = "cg"
 )
 
-// Update names the sweep update every window of the plan runs, the
-// degraded ones included. A plan that does not fork vertex loops solves
-// each unit on one goroutine, so each vertex reads its neighbours'
-// values from the current sweep (Gauss–Seidel); a forked plan's chunks
-// would race on those reads, so it reads the previous sweep's (Jacobi).
+// Update names the update every window of the plan runs, the degraded
+// ones included. A forked plan's chunks would race on reads of the
+// current sweep's values, so it sweeps Jacobi, reading the previous
+// sweep's. A plan that does not fork solves each unit on one
+// goroutine: an undirected solve of a graph built from a symmetrized
+// log (tcsr.Temporal.Symmetric) runs conjugate gradient, whose system
+// is self-adjoint only there, and any other sweeps Gauss–Seidel,
+// reading each neighbour's value from the current sweep.
 func (p *SolvePlan) Update() string {
-	if p.ForkVertexLoops {
+	switch {
+	case p.ForkVertexLoops:
 		return UpdateJacobi
+	case !p.Cfg.Directed && p.Temporal.Symmetric:
+		return UpdateCG
 	}
 	return UpdateGaussSeidel
 }

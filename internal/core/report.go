@@ -88,9 +88,9 @@ type RunReport struct {
 	// the pool: a nested run forks only when Units < Workers.
 	Units           int  `json:"units"`
 	ForkVertexLoops bool `json:"fork_vertex_loops"`
-	// Update is the sweep update every window ran (SolvePlan.Update):
-	// "gauss-seidel" when the plan does not fork vertex loops, "jacobi"
-	// when it does.
+	// Update is the update every window ran (SolvePlan.Update): "jacobi"
+	// when the plan forks vertex loops; otherwise "cg" for an undirected
+	// solve of a symmetrized log and "gauss-seidel" for any other.
 	Update string `json:"update"`
 	// Workers is the pool size (0 = fully serial run).
 	Workers int     `json:"workers"`
@@ -106,7 +106,9 @@ type RunReport struct {
 	MWSweeps    []int64 `json:"mw_sweeps"`
 	TotalSweeps int64   `json:"total_sweeps"`
 	// RunsScanned is the counted scan work: every solved window adds
-	// its run index size (its live in-runs) times the sweeps it ran.
+	// its run index size (its live in-runs) times the sweeps it ran. A
+	// conjugate gradient iteration counts as one sweep (its one pull);
+	// the pulls of its start and stop residuals are not counted.
 	RunsScanned int64 `json:"runs_scanned"`
 	// InitRunsVisited is the run-index work: each unit walks its
 	// multi-window graph's stored in-runs once (plus its out-runs when

@@ -9,8 +9,9 @@ import (
 // running unit. solveUnit takes a workspace when its warm-start chain
 // starts and gives it back when the chain ends. A workspace holds one
 // buffer per role (the chain index's arrays, the kernel's z, Jacobi's
-// zin and chunk sums), grown only when a unit needs more and zeroed when
-// a unit sizes it, plus a small stash of dense rank vectors. A rank
+// zin and chunk sums, conjugate gradient's r, p and q), grown only when
+// a unit needs more and zeroed when a unit sizes it, plus a small stash
+// of dense rank vectors. A rank
 // vector never leaves its unit: it feeds the next window's partial
 // initialization and the checkpoint record, and the window keeps its
 // ranks as results.WindowRanks entries, so the unit recycles the vector
@@ -100,9 +101,11 @@ type workspace struct {
 	invdeg []float64
 	index  []int32
 	// z is the kernel's rank vector scaled by inverse out-degree; zin
-	// is Jacobi's previous-sweep z and sums its chunk slots.
-	z, zin []float64
-	sums   []chunkSum
+	// is Jacobi's previous-sweep z and sums its chunk slots; r, p and q
+	// are conjugate gradient's residual, direction and M·p.
+	z, zin  []float64
+	sums    []chunkSum
+	r, p, q []float64
 
 	ranks [][]float64 // the rank stash, at most stashSize vectors
 	sized int64       // role buffers sized for the running unit

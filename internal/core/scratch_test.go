@@ -2,6 +2,8 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math"
 	"testing"
 	"unsafe"
 
@@ -201,17 +203,121 @@ func TestOneWindowPerUnitPinsOneWorkspacePerRunningUnit(t *testing.T) {
 	}
 }
 
+// TestPoisonedWorkspaceSolvesLikeAFreshOne fills every role buffer and
+// stashed rank vector of a warmed arena, to its capacity, with NaN (the
+// integer roles with -1) before a Run, and requires the series to be
+// bit-identical to a fresh engine's. A buffer a window reads before it
+// writes it, such as a vector left by whichever unit last held the
+// workspace, would carry the poison into the ranks or the residual. It
+// covers the three updates, serially and at 2 workers: conjugate
+// gradient and Gauss–Seidel on unforked plans (undirected on the
+// symmetrized log, and directed), and Jacobi on app-level plans, which
+// fork on any pool.
+func TestPoisonedWorkspaceSolvesLikeAFreshOne(t *testing.T) {
+	raw := randomLog(t, 84, 40, 900, 3000)
+	spec := events.WindowSpec{T0: 0, Delta: 400, Slide: 110, Count: 20}
+	for _, c := range []struct {
+		update   string
+		mode     ParallelMode
+		directed bool
+	}{
+		{UpdateCG, WindowLevel, false},
+		{UpdateGaussSeidel, WindowLevel, true},
+		{UpdateJacobi, AppLevel, false},
+		{UpdateJacobi, AppLevel, true},
+	} {
+		// A serial plan never forks, so Jacobi's "serial" case is a
+		// 1-worker pool.
+		for _, workers := range []int{0, 2} {
+			if c.update == UpdateJacobi && workers == 0 {
+				workers = 1
+			}
+			label := fmt.Sprintf("%s/directed=%v/workers=%d", c.update, c.directed, workers)
+			t.Run(label, func(t *testing.T) {
+				var pool *sched.Pool
+				if workers > 0 {
+					pool = sched.NewPool(workers)
+					defer pool.Close()
+				}
+				l := raw
+				if !c.directed {
+					l = raw.Symmetrize()
+				}
+				cfg := DefaultConfig()
+				cfg.Mode, cfg.Directed, cfg.NumMultiWindows = c.mode, c.directed, 2
+				run := func(eng *Engine) *Series {
+					t.Helper()
+					s, err := eng.Run(context.Background())
+					if err != nil {
+						t.Fatalf("Run: %v", err)
+					}
+					return s
+				}
+				fresh, err := NewEngine(l, spec, cfg, pool)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				if u := fresh.Plan().Update(); u != c.update {
+					t.Fatalf("plan runs %q, want %q", u, c.update)
+				}
+				want := run(fresh)
+				eng, err := NewEngine(l, spec, cfg, pool)
+				if err != nil {
+					t.Fatalf("NewEngine: %v", err)
+				}
+				for rep := 0; rep < 3; rep++ {
+					run(eng)
+					poison(t, eng.solve.arena)
+					sameWindows(t, fmt.Sprintf("%s poisoned run %d", label, rep), l.NumVertices(), run(eng), want)
+				}
+			})
+		}
+	}
+}
+
+// poison fills every role buffer and stashed rank vector of a's idle
+// workspaces, to its capacity, with NaN, and the integer roles with -1.
+func poison(t *testing.T, a *scratchArena) {
+	t.Helper()
+	nan := math.NaN()
+	fill := func(s []float64) {
+		for i := range s[:cap(s)] {
+			s[:cap(s)][i] = nan
+		}
+	}
+	if len(a.idle) == 0 {
+		t.Fatal("the arena holds no workspace to poison")
+	}
+	for _, ws := range a.idle {
+		for _, s := range [][]float64{ws.invdeg, ws.z, ws.zin, ws.r, ws.p, ws.q} {
+			fill(s)
+		}
+		for _, s := range ws.ranks {
+			fill(s)
+		}
+		for i := range ws.end[:cap(ws.end)] {
+			ws.end[:cap(ws.end)][i] = -1
+		}
+		for i := range ws.index[:cap(ws.index)] {
+			ws.index[:cap(ws.index)][i] = -1
+		}
+		for i := range ws.sums[:cap(ws.sums)] {
+			ws.sums[:cap(ws.sums)][i] = chunkSum{nan, nan, nan}
+		}
+	}
+}
+
 // footprint is what a workspace pins: the bytes of each role buffer,
 // and its stash's vector count and longest vector.
 type footprint struct {
-	roles        [6]int64 // end, invdeg, index, z, zin, sums
+	roles        [9]int64 // end, invdeg, index, z, zin, sums, r, p, q
 	ranks, rankN int
 }
 
 func footprintOf(ws *workspace) footprint {
-	f := footprint{roles: [6]int64{
+	f := footprint{roles: [9]int64{
 		bufBytes(ws.end), bufBytes(ws.invdeg), bufBytes(ws.index), bufBytes(ws.z),
-		bufBytes(ws.zin), bufBytes(ws.sums),
+		bufBytes(ws.zin), bufBytes(ws.sums), bufBytes(ws.r), bufBytes(ws.p), bufBytes(ws.q),
 	}}
 	for _, r := range ws.ranks {
 		f.ranks, f.rankN = f.ranks+1, max(f.rankN, cap(r))

@@ -58,8 +58,9 @@ type WindowResult struct {
 	results.WindowRanks
 	// ActiveVertices is |V_i| of the window graph.
 	ActiveVertices int32
-	// FinalResidual is the L1 delta of the last iteration performed
-	// (below the tolerance iff Converged).
+	// FinalResidual is the L1 delta of the last sweep performed, or,
+	// under conjugate gradient, ‖r‖₁/(1−α) of the ranks' true residual
+	// r (below the tolerance iff Converged).
 	FinalResidual float64
 	// ErrorBound bounds the L1 distance of the ranks from the window's
 	// exact PageRank vector: (1−α)/α · FinalResidual (DESIGN.md
@@ -85,11 +86,31 @@ type WindowResult struct {
 }
 
 // rankEntries converts a window's dense local-id rank vector to its
-// retained entries: every positive rank, in ascending global id
-// (GlobalIDs is sorted). Both slices are sized exactly, so a retained
-// window pins nothing beyond its entries, and are non-nil even when
-// empty.
-func rankEntries(mw *tcsr.MultiWindow, x []float64) ([]int32, []float64) {
+// retained entries: every positive rank, in ascending global id. It
+// reads x only at list, the window's active vertices in ascending local
+// (hence global: GlobalIDs is sorted) id, which hold every positive
+// entry. Both slices are sized exactly, so a retained window pins
+// nothing beyond its entries, and are non-nil even when empty.
+func rankEntries(mw *tcsr.MultiWindow, x []float64, list []int32) ([]int32, []float64) {
+	n := 0
+	for _, v := range list {
+		if x[v] > 0 {
+			n++
+		}
+	}
+	vs, rs := make([]int32, 0, n), make([]float64, 0, n)
+	for _, v := range list {
+		if r := x[v]; r > 0 {
+			vs = append(vs, mw.GlobalID(v))
+			rs = append(rs, r)
+		}
+	}
+	return vs, rs
+}
+
+// denseRankEntries is rankEntries over every entry of x, for a vector
+// that comes without its active list (a checkpoint's).
+func denseRankEntries(mw *tcsr.MultiWindow, x []float64) ([]int32, []float64) {
 	n := 0
 	for _, r := range x {
 		if r > 0 {

@@ -278,9 +278,17 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 	ws := r.arena.take()
 	defer r.arena.give(ws)
 	cfg := &r.plan.Cfg
-	b := Batch{cfg: cfg, ws: ws, loop: loop, mw: mw, gaussSeidel: r.plan.Update() == UpdateGaussSeidel}
+	b := Batch{cfg: cfg, ws: ws, loop: loop, mw: mw, update: r.plan.Update()}
 	b.chain.open(mw, mw.WinLo+u.Lo, mw.WinLo+u.Hi, ws)
 	r.initRunsVisited.Add(b.chain.walked)
+	if b.update == UpdateCG {
+		// Sized once per unit: each window writes them at every active
+		// entry before it reads them, so they cost what the window sees.
+		n := int(mw.NumLocal())
+		size(ws, &ws.r, n)
+		size(ws, &ws.p, n)
+		size(ws, &ws.q, n)
+	}
 
 	// prev is the dense rank vector of the window before w, kept until
 	// w has consumed it for partial initialization. A vector restored
@@ -326,7 +334,7 @@ func (r *solveRun) solveUnit(ui, wid int, loop forLoop) {
 		if res.Status != WindowFailed {
 			r.validateWindow(res, x)
 			if !cfg.DiscardRanks {
-				res.Vertices, res.Ranks = rankEntries(mw, x)
+				res.Vertices, res.Ranks = rankEntries(mw, x, b.chain.list)
 			}
 		}
 		r.windowDecided(res)
@@ -384,7 +392,9 @@ func (r *solveRun) runBatch(b *Batch) {
 // errorBound is the L1 distance to the exact PageRank vector that a
 // window's final residual guarantees: (1−α)/α · residual. For Jacobi,
 // an L1 contraction by 1−α, it is the standard a-posteriori bound; for
-// Gauss–Seidel it is checked against the oracle, not proven.
+// conjugate gradient, whose residual is ‖r‖₁/(1−α) of the kept
+// vector's true residual r, it is the proven ‖r‖₁/α; for Gauss–Seidel
+// it is checked against the oracle, not proven.
 func errorBound(alpha, residual float64) float64 {
 	return (1 - alpha) / alpha * residual
 }

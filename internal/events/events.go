@@ -30,6 +30,7 @@ type Event struct {
 type Log struct {
 	events      []Event
 	numVertices int32
+	symmetric   bool // made by Symmetrize (or cloned from such a log)
 }
 
 // ErrUnsorted is returned by NewLog when the event sequence is not in
@@ -111,11 +112,17 @@ func (l *Log) Slice(ts, te int64) []Event {
 // CountInRange reports how many events have ts <= T <= te.
 func (l *Log) CountInRange(ts, te int64) int { return len(l.Slice(ts, te)) }
 
+// Symmetric reports whether the log is known to hold every event's
+// reverse at the same timestamp: it was made by Symmetrize, or cloned
+// from a log that was. Every other constructor leaves it false, even
+// for a log that happens to be symmetric; nothing checks the events.
+func (l *Log) Symmetric() bool { return l.symmetric }
+
 // Symmetrize returns a new Log in which every event (u, v, t) with
 // u != v is accompanied by (v, u, t). The paper's running example
 // (Fig. 3) stores the graph this way: 14 events become 28 CSR entries.
-// Self-loops are kept single. The result is sorted and shares no backing
-// storage with the receiver.
+// Self-loops are kept single. The result is sorted, shares no backing
+// storage with the receiver, and is marked Symmetric.
 func (l *Log) Symmetrize() *Log {
 	out := make([]Event, 0, 2*len(l.events))
 	for _, e := range l.events {
@@ -126,12 +133,12 @@ func (l *Log) Symmetrize() *Log {
 	}
 	// The input is time-sorted and we emit pairs at equal T, so the
 	// output is already time-sorted.
-	return &Log{events: out, numVertices: l.numVertices}
+	return &Log{events: out, numVertices: l.numVertices, symmetric: true}
 }
 
-// Clone returns a deep copy of the log.
+// Clone returns a deep copy of the log, Symmetric mark included.
 func (l *Log) Clone() *Log {
 	evs := make([]Event, len(l.events))
 	copy(evs, l.events)
-	return &Log{events: evs, numVertices: l.numVertices}
+	return &Log{events: evs, numVertices: l.numVertices, symmetric: l.symmetric}
 }

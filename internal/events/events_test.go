@@ -1,6 +1,7 @@
 package events
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -145,6 +146,20 @@ func TestSymmetrize(t *testing.T) {
 	}
 	if s.NumVertices() != l.NumVertices() {
 		t.Fatalf("NumVertices changed: %d -> %d", l.NumVertices(), s.NumVertices())
+	}
+	// Symmetrize marks its result and Clone keeps the mark; a log read
+	// back from a symmetrized log's bytes is not marked.
+	var buf bytes.Buffer
+	if err := WriteBinary(&buf, s); err != nil {
+		t.Fatalf("WriteBinary: %v", err)
+	}
+	read, err := ReadBinary(&buf)
+	if err != nil {
+		t.Fatalf("ReadBinary: %v", err)
+	}
+	if l.Symmetric() || !s.Symmetric() || !s.Clone().Symmetric() || l.Clone().Symmetric() || read.Symmetric() {
+		t.Fatalf("Symmetric: log %v, symmetrized %v, their clones %v and %v, read back %v",
+			l.Symmetric(), s.Symmetric(), l.Clone().Symmetric(), s.Clone().Symmetric(), read.Symmetric())
 	}
 }
 

@@ -21,7 +21,7 @@ type EventType string
 // (see Event.AppendJSON for the exact per-type field sets).
 const (
 	// EvRunStart opens a run: total windows, mode, pool size, and the
-	// sweep update (gauss-seidel or jacobi).
+	// update its plan runs (gauss-seidel, jacobi or cg).
 	EvRunStart EventType = "run_start"
 	// EvRunEnd closes a run with its status (completed, canceled,
 	// failed), the windows decided, and the solve wall time.
@@ -96,8 +96,8 @@ type Event struct {
 	// and Done the decided-window count (run_end, cancel).
 	Windows int `json:"windows"`
 	Done    int `json:"done"`
-	// Mode, Workers (pool size) and Update (the sweep update:
-	// gauss-seidel or jacobi) describe a run_start.
+	// Mode, Workers (pool size) and Update (the plan's update:
+	// gauss-seidel, jacobi or cg) describe a run_start.
 	Mode    string `json:"mode"`
 	Workers int    `json:"workers"`
 	Update  string `json:"update"`

@@ -28,6 +28,10 @@ import (
 type Temporal struct {
 	Spec     events.WindowSpec
 	Directed bool
+	// Symmetric is the log's Symmetric mark: every edge is stored with
+	// its reverse, live in the same windows, so a vertex's in-runs and
+	// out-runs name the same neighbours.
+	Symmetric bool
 	// MWs are the multi-window graphs in window order.
 	MWs []*MultiWindow
 
@@ -70,7 +74,7 @@ type MultiWindow struct {
 // window spec, partitioned into numMW multi-window graphs. When
 // directed is false the adjacency is shared between the in and out
 // views (the caller should have symmetrized the log; Build does not
-// symmetrize).
+// symmetrize). The log's Symmetric mark carries onto the result.
 func Build(l *events.Log, spec events.WindowSpec, numMW int, directed bool) (*Temporal, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -84,6 +88,7 @@ func Build(l *events.Log, spec events.WindowSpec, numMW int, directed bool) (*Te
 	t := &Temporal{
 		Spec:        spec,
 		Directed:    directed,
+		Symmetric:   l.Symmetric(),
 		numVertices: l.NumVertices(),
 		winToMW:     make([]int, spec.Count),
 	}

@@ -313,6 +313,10 @@ func TestDirectedBuildsDistinctInView(t *testing.T) {
 	if !ug.MWs[0].OutColAliased() {
 		t.Fatal("undirected build should alias in/out views")
 	}
+	// The log's Symmetric mark carries onto the build.
+	if dg.Symmetric || !ug.Symmetric {
+		t.Fatalf("Symmetric: %v from a NewLog log, %v from a symmetrized one", dg.Symmetric, ug.Symmetric)
+	}
 }
 
 func TestBuildValidation(t *testing.T) {
