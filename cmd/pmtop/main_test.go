@@ -30,7 +30,7 @@ func writeJournal(t *testing.T, lines ...string) string {
 func TestValidateJournalRejects(t *testing.T) {
 	const (
 		start = `{"seq":1,"time_unix_nano":5,"type":"run_start","windows":2,"mode":"app","workers":0,"update":"gauss-seidel"}`
-		done  = `{"seq":2,"time_unix_nano":6,"type":"window_done","window":0,"worker":-1,"status":"ok","iterations":7,"residual":3e-09,"converged":true,"seconds":0.25}`
+		done  = `{"seq":2,"time_unix_nano":6,"type":"window_done","window":0,"worker":-1,"status":"ok","iterations":7,"core":12,"residual":3e-09,"converged":true,"seconds":0.25}`
 	)
 	for _, tc := range []struct {
 		name  string
@@ -39,6 +39,11 @@ func TestValidateJournalRejects(t *testing.T) {
 	}{
 		{"conforming", []string{start, done}, true},
 		{"conforming cg run", []string{strings.Replace(start, `"gauss-seidel"`, `"cg"`, 1), done}, true},
+		// A cg window whose peel left no core: solved exactly in Init,
+		// with no iteration.
+		{"conforming cg forest window", []string{strings.Replace(start, `"gauss-seidel"`, `"cg"`, 1),
+			strings.Replace(done, `"iterations":7,"core":12,"residual":3e-09`, `"iterations":0,"core":0,"residual":2e-17`, 1)}, true},
+		{"window_done without core", []string{start, strings.Replace(done, `,"core":12`, "", 1)}, false},
 		{"missing field", []string{start, strings.Replace(done, `,"residual":3e-09`, "", 1)}, false},
 		{"run_start without update", []string{strings.Replace(start, `,"update":"gauss-seidel"`, "", 1), done}, false},
 		{"extra field", []string{start, strings.Replace(done, `"seconds":0.25`, `"seconds":0.25,"stage":"solve"`, 1)}, false},

@@ -13,8 +13,9 @@
 //     (EXPERIMENTS.md "Width K — deleted"). Where the plan forks the
 //     vertex loops, a sweep is one in-place Jacobi pass over fixed
 //     chunks of the active list, summed in chunk order; where it does
-//     not, an undirected solve of a symmetrized log runs conjugate
-//     gradient and any other solve in-place Gauss–Seidel sweeps
+//     not, an undirected solve of a symmetrized log peels each window
+//     to its 2-core by exact elimination and runs conjugate gradient on
+//     the core, and any other solve in-place Gauss–Seidel sweeps
 //     (SolvePlan.Update).
 package core
 

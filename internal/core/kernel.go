@@ -10,8 +10,10 @@ import "pmpr/internal/tcsr"
 // kern. The contract with runBatch:
 //
 //	Init      stages the window (brings the chain's index to it, then
-//	          the starting vector); a window with no active vertex is
-//	          converged before its first sweep.
+//	          the starting vector, and under conjugate gradient peels
+//	          it to its 2-core); a window with no active vertex, or a
+//	          forest the peel solved, is decided before its first
+//	          iteration.
 //	Iterate   advances the rank vector by one iteration of the update.
 //	Residual  returns what the stop test compares with the tolerance:
 //	          the last sweep's L1 delta, or CG's scaled residual norm.

@@ -286,9 +286,17 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	rep.WindowWallSeconds = make([]float64, len(results))
 	rep.WindowWorkers = make([]int, len(results))
 	var resSum float64
+	var active, core int64
 	for i := range results {
 		r := &results[i]
 		rep.TotalIterations += r.Iterations
+		if r.Status != WindowResumed && r.Status != WindowFailed {
+			active += int64(r.ActiveVertices)
+			core += int64(r.CoreVertices)
+			if r.ActiveVertices > 0 && r.CoreVertices == 0 {
+				rep.ForestWindows++
+			}
+		}
 		if r.UsedPartialInit {
 			rep.WarmStart.Hits++
 		}
@@ -317,6 +325,9 @@ func (PublishStage) Run(in PublishInput) (series *Series, err error) {
 	}
 	if len(results) > 0 {
 		rep.Residuals.Mean = resSum / float64(len(results))
+	}
+	if active > 0 {
+		rep.CoreShare = float64(core) / float64(active)
 	}
 	for _, s := range mwSweeps {
 		rep.TotalSweeps += s

@@ -9,7 +9,8 @@ import (
 // running unit. solveUnit takes a workspace when its warm-start chain
 // starts and gives it back when the chain ends. A workspace holds one
 // buffer per role (the chain index's arrays, the kernel's z, Jacobi's
-// zin and chunk sums, conjugate gradient's r, p and q), grown only when
+// zin and chunk sums, conjugate gradient's r, p and q and its peel's d,
+// b, order, parents and counts), grown only when
 // a unit needs more and zeroed when a unit sizes it, plus a small stash
 // of dense rank vectors. A rank
 // vector never leaves its unit: it feeds the next window's partial
@@ -106,6 +107,12 @@ type workspace struct {
 	z, zin  []float64
 	sums    []chunkSum
 	r, p, q []float64
+	// d and b are the peeled system's diagonal and right-hand side,
+	// order the elimination order and then the core, parent each peeled
+	// vertex's parent and left the remaining-neighbour counts
+	// (spmvKernel.peel).
+	d, b                []float64
+	order, parent, left []int32
 
 	ranks [][]float64 // the rank stash, at most stashSize vectors
 	sized int64       // role buffers sized for the running unit

@@ -289,7 +289,7 @@ func poison(t *testing.T, a *scratchArena) {
 		t.Fatal("the arena holds no workspace to poison")
 	}
 	for _, ws := range a.idle {
-		for _, s := range [][]float64{ws.invdeg, ws.z, ws.zin, ws.r, ws.p, ws.q} {
+		for _, s := range [][]float64{ws.invdeg, ws.z, ws.zin, ws.r, ws.p, ws.q, ws.d, ws.b} {
 			fill(s)
 		}
 		for _, s := range ws.ranks {
@@ -298,8 +298,10 @@ func poison(t *testing.T, a *scratchArena) {
 		for i := range ws.end[:cap(ws.end)] {
 			ws.end[:cap(ws.end)][i] = -1
 		}
-		for i := range ws.index[:cap(ws.index)] {
-			ws.index[:cap(ws.index)][i] = -1
+		for _, s := range [][]int32{ws.index, ws.order, ws.parent, ws.left} {
+			for i := range s[:cap(s)] {
+				s[:cap(s)][i] = -1
+			}
 		}
 		for i := range ws.sums[:cap(ws.sums)] {
 			ws.sums[:cap(ws.sums)][i] = chunkSum{nan, nan, nan}
@@ -310,14 +312,15 @@ func poison(t *testing.T, a *scratchArena) {
 // footprint is what a workspace pins: the bytes of each role buffer,
 // and its stash's vector count and longest vector.
 type footprint struct {
-	roles        [9]int64 // end, invdeg, index, z, zin, sums, r, p, q
+	roles        [14]int64 // end, invdeg, index, z, zin, sums, r, p, q, d, b, order, parent, left
 	ranks, rankN int
 }
 
 func footprintOf(ws *workspace) footprint {
-	f := footprint{roles: [9]int64{
+	f := footprint{roles: [14]int64{
 		bufBytes(ws.end), bufBytes(ws.invdeg), bufBytes(ws.index), bufBytes(ws.z),
 		bufBytes(ws.zin), bufBytes(ws.sums), bufBytes(ws.r), bufBytes(ws.p), bufBytes(ws.q),
+		bufBytes(ws.d), bufBytes(ws.b), bufBytes(ws.order), bufBytes(ws.parent), bufBytes(ws.left),
 	}}
 	for _, r := range ws.ranks {
 		f.ranks, f.rankN = f.ranks+1, max(f.rankN, cap(r))

@@ -58,6 +58,12 @@ type WindowResult struct {
 	results.WindowRanks
 	// ActiveVertices is |V_i| of the window graph.
 	ActiveVertices int32
+	// CoreVertices is how many active vertices the window's iterations
+	// ran over: under conjugate gradient its 2-core, what the peel left
+	// (0 for a forest, solved exactly with no iteration); under the
+	// sweeps, which do not peel, every active vertex. A window restored
+	// from a checkpoint reads 0.
+	CoreVertices int32
 	// FinalResidual is the L1 delta of the last sweep performed, or,
 	// under conjugate gradient, ‖r‖₁/(1−α) of the ranks' true residual
 	// r (below the tolerance iff Converged).

@@ -77,9 +77,13 @@ type Event struct {
 	// Status is the window_done outcome (WindowStatus string) or the
 	// run_end outcome (completed, canceled, failed).
 	Status string `json:"status"`
-	// Iterations, Residual (final L1), and Converged describe a
-	// window_done; Converged is encoded only when true.
+	// Iterations, Core, Residual (final L1), and Converged describe a
+	// window_done; Converged is encoded only when true. Core is the
+	// number of vertices the window's iterations ran over: its 2-core
+	// under conjugate gradient (0 for a forest), every active vertex
+	// under the sweeps.
 	Iterations int     `json:"iterations"`
+	Core       int     `json:"core"`
 	Residual   float64 `json:"residual"`
 	Converged  bool    `json:"converged"`
 	// Seconds is the wall time (window_done, stage_end, run_end).
@@ -211,6 +215,7 @@ func (e *Event) AppendJSON(b []byte) []byte {
 		b = appendInt(b, "worker", int64(e.Worker))
 		b = appendString(b, "status", e.Status)
 		b = appendInt(b, "iterations", int64(e.Iterations))
+		b = appendInt(b, "core", int64(e.Core))
 		b = appendFloat(b, "residual", e.Residual)
 		if e.Converged {
 			b = append(b, `,"converged":true`...)

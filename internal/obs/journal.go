@@ -259,10 +259,11 @@ func (j *Journal) EmitWindowStart(window, worker int) {
 	j.Append(Event{Type: EvWindowStart, Window: window, Worker: worker})
 }
 
-// EmitWindowDone records a window decided.
-func (j *Journal) EmitWindowDone(window, worker int, status string, iterations int, residual float64, converged bool, seconds float64) {
+// EmitWindowDone records a window decided; core is the vertex count
+// its iterations ran over (Event.Core).
+func (j *Journal) EmitWindowDone(window, worker int, status string, iterations, core int, residual float64, converged bool, seconds float64) {
 	j.Append(Event{Type: EvWindowDone, Window: window, Worker: worker, Status: status,
-		Iterations: iterations, Residual: residual, Converged: converged, Seconds: seconds})
+		Iterations: iterations, Core: core, Residual: residual, Converged: converged, Seconds: seconds})
 }
 
 // EmitRetry records a failed attempt being retried; panicked marks a

@@ -14,7 +14,7 @@ func TestJournalAppendSinceAndEviction(t *testing.T) {
 		t.Fatalf("empty journal LastSeq = %d, want 0", got)
 	}
 	for w := 0; w < 5; w++ {
-		j.EmitWindowDone(w, 0, "ok", 3, 1e-9, true, 0.01)
+		j.EmitWindowDone(w, 0, "ok", 3, 0, 1e-9, true, 0.01)
 	}
 	if got := j.LastSeq(); got != 5 {
 		t.Fatalf("LastSeq = %d, want 5", got)
@@ -28,7 +28,7 @@ func TestJournalAppendSinceAndEviction(t *testing.T) {
 	}
 	// Push past capacity: only the 8 most recent remain.
 	for w := 5; w < 20; w++ {
-		j.EmitWindowDone(w, 0, "ok", 3, 1e-9, true, 0.01)
+		j.EmitWindowDone(w, 0, "ok", 3, 0, 1e-9, true, 0.01)
 	}
 	evs, complete = j.Since(0)
 	if complete {
@@ -48,7 +48,7 @@ func TestJournalNilSafety(t *testing.T) {
 	var j *Journal
 	j.Append(Event{Type: EvCancel})
 	j.EmitRunStart(1, "nested", 2, "gauss-seidel")
-	j.EmitWindowDone(0, 0, "ok", 1, 0, true, 0)
+	j.EmitWindowDone(0, 0, "ok", 1, 0, 0, true, 0)
 	if got := j.LastSeq(); got != 0 {
 		t.Fatalf("nil journal LastSeq = %d", got)
 	}
@@ -65,7 +65,7 @@ func TestJournalSubscribeDropAndMarkLagged(t *testing.T) {
 	sub := j.Subscribe(4)
 	defer sub.Close()
 	for w := 0; w < 100; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	if got := sub.Dropped(); got != 96 {
 		t.Fatalf("Dropped = %d, want 96 (buffer 4, 100 events)", got)
@@ -134,7 +134,7 @@ func TestJournalConcurrentAppendSubscribe(t *testing.T) {
 		go func(a int) {
 			defer producers.Done()
 			for i := 0; i < perApp; i++ {
-				j.EmitWindowDone(i, a, "ok", 1, 1e-9, true, 0.001)
+				j.EmitWindowDone(i, a, "ok", 1, 0, 1e-9, true, 0.001)
 				if i%100 == 0 {
 					j.Since(j.LastSeq() / 2) // concurrent ring reads
 				}
@@ -162,12 +162,12 @@ func TestJournalConcurrentAppendSubscribe(t *testing.T) {
 func TestSubscribeSinceMissesNothing(t *testing.T) {
 	j := NewJournal(64)
 	for w := 0; w < 10; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	replay, sub := j.SubscribeSince(4, 64)
 	defer sub.Close()
 	for w := 10; w < 15; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	var seqs []uint64
 	for _, e := range replay {
@@ -189,7 +189,7 @@ func TestJournalSinkWritesJSONL(t *testing.T) {
 	j.SetSink(&buf)
 	j.EmitRunStart(3, "nested", 2, "gauss-seidel")
 	j.EmitWindowStart(0, 1)
-	j.EmitWindowDone(0, 1, "ok", 7, 3.5e-9, true, 0.25)
+	j.EmitWindowDone(0, 1, "ok", 7, 0, 3.5e-9, true, 0.25)
 	j.EmitRunEnd("completed", 3, 3, 1.5, "")
 	if err := j.CloseSink(); err != nil {
 		t.Fatalf("CloseSink: %v", err)

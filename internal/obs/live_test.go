@@ -148,7 +148,7 @@ func TestEventsHandlerStreamsLive(t *testing.T) {
 
 	// Live appends stream in order with seq as the SSE id.
 	for w := 0; w < 3; w++ {
-		j.EmitWindowDone(w, 0, "ok", 5, 1e-9, true, 0.01)
+		j.EmitWindowDone(w, 0, "ok", 5, 0, 1e-9, true, 0.01)
 	}
 	frames = readFrames(t, r, 3)
 	for i, f := range frames {
@@ -167,7 +167,7 @@ func TestEventsHandlerStreamsLive(t *testing.T) {
 func TestEventsHandlerLastEventIDResume(t *testing.T) {
 	j := NewJournal(64)
 	for w := 0; w < 10; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	srv := httptest.NewServer(EventsHandler(j))
 	defer srv.Close()
@@ -190,7 +190,7 @@ func TestEventsHandlerLastEventIDResume(t *testing.T) {
 func TestEventsHandlerLaggedFrameOnEvictedResume(t *testing.T) {
 	j := NewJournal(4)
 	for w := 0; w < 10; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	// Ring holds seqs 7..10; a client resuming from 2 has a gap.
 	srv := httptest.NewServer(EventsHandler(j))
@@ -221,7 +221,7 @@ func TestEventsHandlerLaggedFrameOnEvictedResume(t *testing.T) {
 func TestEventsHandlerQuerySince(t *testing.T) {
 	j := NewJournal(64)
 	for w := 0; w < 5; w++ {
-		j.EmitWindowDone(w, 0, "ok", 1, 0, true, 0)
+		j.EmitWindowDone(w, 0, "ok", 1, 0, 0, true, 0)
 	}
 	srv := httptest.NewServer(EventsHandler(j))
 	defer srv.Close()

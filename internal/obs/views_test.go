@@ -21,14 +21,14 @@ func TestJournalViews(t *testing.T) {
 	j.EmitRunStart(4, "nested", 2, "gauss-seidel")
 	j.EmitRetry(0, 1, 1, "boom", true)
 	j.EmitRetry(1, 1, 1, "boom", true)
-	j.EmitWindowDone(0, 1, "retried", 7, 1e-9, true, 0.25)
-	j.EmitWindowDone(1, 1, "retried", 9, 1e-3, false, 0.25)
+	j.EmitWindowDone(0, 1, "retried", 7, 0, 1e-9, true, 0.25)
+	j.EmitWindowDone(1, 1, "retried", 9, 0, 1e-3, false, 0.25)
 	j.EmitCheckpointWrite(0, "")
 	j.EmitCheckpointWrite(1, "disk full")
 	j.EmitCheckpointResume(2)
-	j.EmitWindowDone(2, 0, "resumed", 5, 1e-9, true, 3)
+	j.EmitWindowDone(2, 0, "resumed", 5, 0, 1e-9, true, 3)
 	j.EmitDegrade(3, 0, false)
-	j.EmitWindowDone(3, 0, "degraded", 4, 1e-9, true, 0.1)
+	j.EmitWindowDone(3, 0, "degraded", 4, 0, 1e-9, true, 0.1)
 	if st := j.Status(); st.Phase != "solve" || st.WindowsDone != 4 || st.Retried != 2 ||
 		st.Resumed != 1 || st.Degraded != 1 || st.WindowsTotal != 4 {
 		t.Fatalf("mid-run status = %+v", st)
@@ -53,7 +53,7 @@ func TestJournalViews(t *testing.T) {
 	// A second run restarts the status counts; the counters accumulate.
 	j.EmitRunStart(1, "nested", 2, "gauss-seidel")
 	j.EmitQuarantine(0, 0, 3, "boom", true)
-	j.EmitWindowDone(0, 0, "failed", 0, 0, false, 0.01)
+	j.EmitWindowDone(0, 0, "failed", 0, 0, 0, false, 0.01)
 	j.EmitRunEnd("failed", 1, 1, 1, "x")
 	if st := j.Status(); st.Phase != "failed" || st.WindowsDone != 1 || st.Retried != 0 || st.WindowsQuarantined != 1 {
 		t.Fatalf("second-run status = %+v", st)
